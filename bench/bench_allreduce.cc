@@ -1,9 +1,8 @@
 // Micro-benchmark of the dist::Communicator collectives, both backends:
 //
-//   InProcessGroup (blocking)  — the shared-memory baseline; "latency" here
+//   InProcessGroup             — the shared-memory baseline; "latency" here
 //                                is thread synchronization only, and its
-//                                comm_seconds()/bytes_on_wire() stay zero
-//                                (the trainer models its sync cost instead).
+//                                bytes_on_wire() stays zero.
 //   SocketCommunicator         — the real ring over unix sockets; measures
 //                                per-round latency and on-wire throughput
 //                                across a payload sweep, the numbers that
@@ -80,7 +79,7 @@ void Run() {
     const double payload_mb =
         static_cast<double>(point.elements * sizeof(float)) / (1024 * 1024);
     {
-      dist::InProcessGroup group(world, /*blocking=*/true);
+      dist::InProcessGroup group(world);
       Measurement m = RunRounds(
           [&group](int r) { return group.communicator(r); }, world,
           point.elements, point.rounds);
@@ -130,10 +129,9 @@ void Run() {
     }
   }
   table.Print(std::cout);
-  std::cout << "\nthe socket rows are real transport cost (what mp-mode "
-               "training reports as 'measured comm'); the inproc rows are "
-               "thread-synchronization overhead only, which is why that "
-               "backend's sync cost is modeled, not measured.\n";
+  std::cout << "\nthe socket rows are real transport cost; the inproc rows "
+               "are thread-synchronization overhead only. Both are what "
+               "distributed training reports as 'comm'.\n";
 }
 
 }  // namespace

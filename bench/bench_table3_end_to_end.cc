@@ -10,9 +10,9 @@
 //   Tables 17-19 — precision/recall at score thresholds + the Appendix H.4
 //                  production back-projection.
 //
-// All 12 runs share one synthetic workload; "train s/epoch" is the
-// simulated cluster epoch time (max over workers of measured per-worker
-// compute + modeled sync; this host has one core — see DESIGN.md).
+// All 12 runs share one synthetic workload; "train s/epoch" is the measured
+// wall-clock epoch of the threaded DDP run (one thread per worker, so 8 and
+// 16 workers oversubscribe a host with fewer cores — see EXPERIMENTS.md).
 
 #include <cmath>
 #include <map>
@@ -206,9 +206,8 @@ void PrintThresholdTables(const std::vector<RunResult>& runs) {
 // sample/compute split plus the overlap-model epoch time derived from
 // those same measurements (sample + compute serial, max(sample, compute)
 // pipelined), so the speedup column is insensitive to machine load.
-// On a multi-core host the wall column itself shows the win; this
-// reproduction host has one core, so concurrency is modeled, like the
-// distributed simulation (DESIGN.md §1).
+// The wall column shows the win only when cores are free for the sampler
+// threads.
 void PipelineAblation(int epochs) {
   std::cout << "\n-- Batch pipeline ablation: serial vs pipelined sampling "
                "(detector/HGSampling, sim-small, seed A) --\n";
@@ -295,7 +294,7 @@ void Run() {
   // ---- Table 7 (full) and Table 3 (seed-averaged) ------------------------
   std::cout << "\n-- Table 7 analogue: per-seed results --\n";
   TablePrinter t7({"Model", "# workers", "Seed", "Accuracy", "AP", "AUC",
-                   "Train (s/epoch, sim)", "Inference (s/batch)",
+                   "Train (s/epoch)", "Inference (s/batch)",
                    "Sampling (s/batch)"});
   for (const auto& r : runs) {
     char inference[64];
@@ -309,7 +308,7 @@ void Run() {
                TablePrinter::Num(r.test.accuracy, 4),
                TablePrinter::Num(r.test.ap, 4),
                TablePrinter::Num(r.test.auc, 4),
-               TablePrinter::Num(r.dist.mean_simulated_epoch_seconds, 3),
+               TablePrinter::Num(r.dist.mean_wall_epoch_seconds, 3),
                inference, sampling});
   }
   t7.Print(std::cout);
@@ -317,7 +316,7 @@ void Run() {
                "separately and overlaps it when sample workers are on)\n";
 
   std::cout << "\n-- Table 3 analogue: averaged over seeds A/B --\n";
-  TablePrinter t3({"# workers", "Model", "AUC", "Train (s/epoch, sim)",
+  TablePrinter t3({"# workers", "Model", "AUC", "Train (s/epoch)",
                    "Inference (s/batch)", "Speedup vs 8"});
   std::map<std::string, double> epoch8;
   for (int workers : worker_counts) {
@@ -327,7 +326,7 @@ void Run() {
       for (const auto& r : runs) {
         if (r.model != model || r.workers != workers) continue;
         auc += r.test.auc;
-        epoch_s += r.dist.mean_simulated_epoch_seconds;
+        epoch_s += r.dist.mean_wall_epoch_seconds;
         inf += r.test.secs_per_batch_mean;
         ++n;
       }

@@ -2,9 +2,9 @@
 //   PIC graph partitioning -> balanced worker groups -> DDP-style training
 //   with gradient averaging -> the quality/efficiency trade-off of §4.1.
 //
-// Each worker holds a model replica and an induced partition graph; every
-// step the replicas' gradients are averaged (the all-reduce), so all
-// replicas stay bit-identical — verified at the end.
+// Each worker is a thread holding a model replica and an induced partition
+// graph; every step the replicas' gradients are averaged (the all-reduce),
+// so all replicas stay bit-identical — verified at the end.
 
 #include <iostream>
 #include <memory>
@@ -20,7 +20,7 @@ int main() {
   data::SimDataset dataset = data::TransactionGenerator::Make(config, "dist");
   std::cout << "graph: " << dataset.graph.num_nodes() << " nodes\n\n";
 
-  TablePrinter table({"workers", "best val AUC", "sim s/epoch", "edge cut"});
+  TablePrinter table({"workers", "best val AUC", "wall s/epoch", "edge cut"});
   for (int kappa : {2, 4, 8}) {
     // Identically seeded replicas (DDP requires equal initial weights).
     std::vector<std::unique_ptr<core::XFraudDetector>> replicas;
@@ -45,7 +45,7 @@ int main() {
 
     table.AddRow({std::to_string(kappa),
                   TablePrinter::Num(result.best_val_auc, 4),
-                  TablePrinter::Num(result.mean_simulated_epoch_seconds, 3),
+                  TablePrinter::Num(result.mean_wall_epoch_seconds, 3),
                   TablePrinter::Num(result.edge_cut_fraction * 100, 1) + "%"});
 
     // DDP invariant: replicas are identical after training.
@@ -64,7 +64,8 @@ int main() {
   }
   table.Print(std::cout);
   std::cout << "\nall replicas stayed bit-identical (DDP semantics hold).\n"
-            << "shape: simulated epoch time falls with workers; AUC dips as "
-               "partitions restrain each worker's neighbourhoods (§4.1).\n";
+            << "shape: measured epoch time falls with workers up to the "
+               "host's core count; AUC dips as partitions restrain each "
+               "worker's neighbourhoods (§4.1).\n";
   return 0;
 }

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "xfraud/common/logging.h"
+#include "xfraud/common/timer.h"
 
 namespace xfraud::dist {
 
@@ -37,14 +38,14 @@ const char* OpName(OpType op) {
 }  // namespace
 
 /// The group's buffer table. Every collective deposits per-rank pointers
-/// here; the last rank to arrive executes the operation in rank order.
+/// here; the last rank to arrive executes the operation in rank order while
+/// the others wait on `cv`.
 struct InProcessGroup::Shared {
   int size = 0;
-  bool blocking = false;
 
   std::mutex mu;
   std::condition_variable cv;
-  uint64_t completed = 0;  // finished collectives (blocking-mode wait key)
+  uint64_t completed = 0;  // finished collectives (the waiters' wake key)
   Status poison = Status::OK();
 
   // Current operation.
@@ -120,6 +121,13 @@ struct InProcessGroup::Shared {
     ResetOp();
     ++completed;
   }
+
+  /// Fails the group; requires `mu` held.
+  void PoisonLocked(Status why) {
+    if (poison.ok()) poison = std::move(why);
+    ResetOp();
+    cv.notify_all();
+  }
 };
 
 namespace {
@@ -159,20 +167,29 @@ class InProcessCommunicator final : public Communicator {
                send.data(), recv);
   }
 
-  double comm_seconds() const override { return 0.0; }
+  double comm_seconds() const override { return comm_seconds_; }
   int64_t bytes_on_wire() const override { return 0; }
 
  private:
-  Status Poison(InProcessGroup::Shared& s, const std::string& msg) {
-    s.poison = Status::FailedPrecondition("in-process group: " + msg);
-    s.ResetOp();
-    s.cv.notify_all();
+  static Status Poison(InProcessGroup::Shared& s, const std::string& msg) {
+    s.PoisonLocked(Status::FailedPrecondition("in-process group: " + msg));
     return s.poison;
   }
 
+  /// Times Collective() into comm_seconds_, waiting for peers included.
   Status Run(OpType op, int root, size_t count, float* f32, double* f64,
              const float* gather_send,
              std::vector<std::vector<float>>* gather_recv) {
+    WallTimer timer;
+    Status s =
+        Collective(op, root, count, f32, f64, gather_send, gather_recv);
+    comm_seconds_ += timer.ElapsedSeconds();
+    return s;
+  }
+
+  Status Collective(OpType op, int root, size_t count, float* f32,
+                    double* f64, const float* gather_send,
+                    std::vector<std::vector<float>>* gather_recv) {
     InProcessGroup::Shared& s = *shared_;
     std::unique_lock<std::mutex> lock(s.mu);
     if (!s.poison.ok()) return s.poison;
@@ -214,28 +231,22 @@ class InProcessCommunicator final : public Communicator {
       s.cv.notify_all();
       return Status::OK();
     }
-    if (s.blocking) {
-      const uint64_t gen = s.completed;
-      s.cv.wait(lock,
-                [&] { return s.completed != gen || !s.poison.ok(); });
-      return s.poison;
-    }
-    // Phased mode: deposit-and-return. The last rank's call will execute
-    // the operation against the pointers left here.
-    return Status::OK();
+    const uint64_t gen = s.completed;
+    s.cv.wait(lock, [&] { return s.completed != gen || !s.poison.ok(); });
+    return s.completed != gen ? Status::OK() : s.poison;
   }
 
   std::shared_ptr<InProcessGroup::Shared> shared_;
   int rank_;
+  double comm_seconds_ = 0.0;  // written only by this rank's thread
 };
 
 }  // namespace
 
-InProcessGroup::InProcessGroup(int size, bool blocking) {
+InProcessGroup::InProcessGroup(int size) {
   XF_CHECK(size >= 1);
   shared_ = std::make_shared<Shared>();
   shared_->size = size;
-  shared_->blocking = blocking;
   shared_->entered.assign(static_cast<size_t>(size), 0);
   shared_->f32.assign(static_cast<size_t>(size), nullptr);
   shared_->f64.assign(static_cast<size_t>(size), nullptr);
@@ -255,6 +266,12 @@ int InProcessGroup::size() const { return shared_->size; }
 Communicator* InProcessGroup::communicator(int rank) {
   XF_CHECK(rank >= 0 && rank < shared_->size);
   return endpoints_[static_cast<size_t>(rank)].get();
+}
+
+void InProcessGroup::Poison(Status why) {
+  XF_CHECK(!why.ok());
+  std::lock_guard<std::mutex> lock(shared_->mu);
+  shared_->PoisonLocked(std::move(why));
 }
 
 }  // namespace xfraud::dist

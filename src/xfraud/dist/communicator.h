@@ -11,11 +11,10 @@
 namespace xfraud::dist {
 
 /// Collective-communication surface of the distributed runtime, shaped after
-/// PyTorch's ProcessGroup backends. `DistributedTrainer` and the
-/// multi-process worker loop speak only this interface; the backend decides
-/// whether "the cluster" is kappa replicas in one address space
-/// (InProcessGroup) or kappa real processes on a socket ring
-/// (SocketCommunicator).
+/// PyTorch's ProcessGroup backends. The per-rank DDP loop (TrainRank,
+/// dist/worker.h) speaks only this interface; the backend decides whether a
+/// rank is a thread of this process (InProcessGroup) or a real process on a
+/// socket ring (SocketCommunicator).
 ///
 /// Semantics every backend must honour:
 ///  - AllReduceSum reduces element-wise in ascending-rank order — the sum is
@@ -45,8 +44,8 @@ class Communicator {
   virtual Status Gather(std::span<const float> send, int root,
                         std::vector<std::vector<float>>* recv) = 0;
 
-  /// Wall seconds this rank has spent inside collectives. Zero for the
-  /// in-process backend (its sync cost is modeled, not measured).
+  /// Wall seconds this rank has spent inside collectives (waiting for peers
+  /// included).
   virtual double comm_seconds() const = 0;
 
   /// Payload + header bytes this rank has put on the wire. Zero in-process.
@@ -54,28 +53,25 @@ class Communicator {
 };
 
 /// Shared-memory backend: one group object hands out `size` communicator
-/// endpoints over a common buffer table.
+/// endpoints over a common buffer table, one per rank thread. Each call
+/// blocks (condition variable) until every rank has entered, and the last
+/// rank to arrive executes the operation in rank order, like a real
+/// collective.
 ///
-/// Two completion modes:
-///  - phased (default): a rank's collective call deposits its buffer and
-///    returns immediately; the last rank's call executes the operation in
-///    rank order and completes it for everyone. This matches the serial
-///    driver in DistributedTrainer, where one thread plays every rank in
-///    turn and a blocking collective would deadlock. Buffers passed to a
-///    phased call must stay valid until the last rank's call of that
-///    operation returns.
-///  - blocking: each call waits (condition variable) until all ranks have
-///    entered, mirroring a real collective. For threaded tests and benches.
-///
-/// Once any operation fails (signature mismatch across ranks), the group is
-/// poisoned and every subsequent call returns the original error.
+/// Once any operation fails (signature mismatch across ranks) or Poison() is
+/// called, the group is poisoned: ranks blocked in a collective wake with
+/// the error, and every subsequent call returns it.
 class InProcessGroup {
  public:
-  explicit InProcessGroup(int size, bool blocking = false);
+  explicit InProcessGroup(int size);
   ~InProcessGroup();
 
   int size() const;
   Communicator* communicator(int rank);
+
+  /// Fails the group with `why` (no-op if already poisoned): the in-process
+  /// analogue of a dead peer's socket EOF.
+  void Poison(Status why);
 
   /// Implementation detail (the group's buffer table); public only so the
   /// per-rank endpoints in the .cc can name it.

@@ -1,555 +1,91 @@
 #include "xfraud/dist/distributed.h"
 
-#include <algorithm>
-#include <cmath>
+#include <exception>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
 
 #include "xfraud/common/logging.h"
-#include "xfraud/common/timer.h"
-#include "xfraud/dist/partition.h"
-#include "xfraud/fault/fault_injector.h"
-#include "xfraud/fault/faulty_kv.h"
-#include "xfraud/graph/subgraph.h"
-#include "xfraud/kv/feature_store.h"
-#include "xfraud/kv/mem_kv.h"
-#include "xfraud/nn/optim.h"
-#include "xfraud/obs/registry.h"
-#include "xfraud/obs/trace.h"
-#include "xfraud/sample/batch_loader.h"
+#include "xfraud/dist/communicator.h"
+#include "xfraud/dist/worker.h"
 
 namespace xfraud::dist {
-
-using train::FraudProbabilities;
 
 DistributedTrainer::DistributedTrainer(std::vector<core::GnnModel*> replicas,
                                        const sample::Sampler* sampler,
                                        DistributedOptions options)
     : replicas_(std::move(replicas)),
       sampler_(sampler),
-      options_(options) {
+      options_(std::move(options)) {
   XF_CHECK_EQ(replicas_.size(), static_cast<size_t>(options_.num_workers));
 }
 
 DistributedResult DistributedTrainer::Train(const data::SimDataset& ds) {
   const int kappa = options_.num_workers;
-  DistributedResult result;
-  xfraud::Rng rng(options_.train.seed * 0x2545F491ULL + 0xBEEF);
 
-  // ---- Partition: PIC -> 128 clusters -> kappa balanced groups ----------
-  std::vector<int> worker_of =
-      PartitionForWorkers(ds.graph, options_.num_clusters, kappa, &rng);
-
-  std::vector<std::vector<int32_t>> worker_nodes(kappa);
-  for (int64_t v = 0; v < ds.graph.num_nodes(); ++v) {
-    worker_nodes[worker_of[v]].push_back(static_cast<int32_t>(v));
-  }
-  // Edge-cut diagnostic: fraction of directed edges crossing partitions.
-  int64_t cut = 0;
-  for (int64_t v = 0; v < ds.graph.num_nodes(); ++v) {
-    for (int64_t e = ds.graph.InDegreeBegin(static_cast<int32_t>(v));
-         e < ds.graph.InDegreeEnd(static_cast<int32_t>(v)); ++e) {
-      cut += worker_of[ds.graph.neighbors()[e]] != worker_of[v];
+  // Generation g of the cluster is groups[g]. A rank regrouping after a
+  // failure creates the next group, or joins the one a faster peer made.
+  // Once a rank gives up, every group fails (`dead`), so no peer waits on
+  // it forever.
+  std::mutex mu;
+  std::vector<std::unique_ptr<InProcessGroup>> groups;
+  Status dead = Status::OK();
+  auto group = [&](uint64_t generation) {
+    std::lock_guard<std::mutex> lock(mu);
+    while (groups.size() <= generation) {
+      groups.push_back(std::make_unique<InProcessGroup>(kappa));
+      if (!dead.ok()) groups.back()->Poison(dead);
     }
-  }
-  result.edge_cut_fraction =
-      ds.graph.num_edges() > 0
-          ? static_cast<double>(cut) / ds.graph.num_edges()
-          : 0.0;
-
-  // Each worker materializes its induced partition graph (its whole world).
-  struct Worker {
-    graph::HeteroGraph graph;
-    std::vector<int32_t> local_train;  // local train seed ids
-    std::unique_ptr<nn::AdamW> optimizer;
-    xfraud::Rng rng{0};
-    size_t cursor = 0;
-    std::unique_ptr<sample::BatchLoader> loader;  // this epoch's pipeline
-    double compute_seconds = 0.0;  // this epoch
-    double sample_seconds = 0.0;   // this epoch
-    double loss_sum = 0.0;
-    int64_t steps = 0;
-    bool alive = true;
-    // KV serving path (kv_backed_loaders): the worker's partition ingested
-    // into its own store — partitions use local node ids, so stores cannot
-    // be shared across workers — optionally fronted by a fault decorator.
-    std::unique_ptr<kv::MemKvStore> kv;
-    std::unique_ptr<fault::FaultyKvStore> faulty_kv;
-    std::unique_ptr<kv::FeatureStore> features;
+    return groups[generation].get();
   };
-  fault::FaultInjector* injector = options_.fault_injector;
-  std::vector<Worker> workers(kappa);
-  std::vector<int8_t> in_train(ds.graph.num_nodes(), 0);
-  for (int32_t v : ds.train_nodes) in_train[v] = 1;
+
+  std::vector<Result<DistributedResult>> results(
+      static_cast<size_t>(kappa), Status::Internal("rank did not run"));
+  std::vector<std::exception_ptr> thrown(static_cast<size_t>(kappa));
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<size_t>(kappa));
   for (int w = 0; w < kappa; ++w) {
-    result.partition_nodes.push_back(
-        static_cast<int64_t>(worker_nodes[w].size()));
-    std::vector<int32_t> local_to_global;
-    workers[w].graph =
-        graph::InducedGraph(ds.graph, worker_nodes[w], &local_to_global);
-    for (size_t local = 0; local < local_to_global.size(); ++local) {
-      if (in_train[local_to_global[local]]) {
-        workers[w].local_train.push_back(static_cast<int32_t>(local));
+    threads.emplace_back([&, w] {
+      DistWorkerOptions rank_options;
+      rank_options.rank = w;
+      rank_options.world = kappa;
+      rank_options.dist = options_;
+      uint64_t current = 0;
+      RankTransport transport;
+      transport.join = [&](uint64_t* generation) -> Result<Communicator*> {
+        current = *generation;
+        return group(current)->communicator(w);
+      };
+      transport.kill = [&] {
+        group(current)->Poison(
+            Status::Unavailable("rank " + std::to_string(w) + " was killed"));
+      };
+      Result<DistributedResult> result = Status::Internal("rank threw");
+      try {
+        result = TrainRank(ds, rank_options, replicas_[static_cast<size_t>(w)],
+                           sampler_, transport);
+      } catch (...) {
+        // Rethrown on the caller's thread once every rank has stopped.
+        thrown[static_cast<size_t>(w)] = std::current_exception();
       }
-    }
-    workers[w].optimizer = std::make_unique<nn::AdamW>(
-        replicas_[w]->Parameters(),
-        nn::AdamWOptions{.lr = options_.train.lr,
-                         .weight_decay = options_.train.weight_decay});
-    workers[w].rng = xfraud::Rng(options_.train.seed + 1000 + w);
-    workers[w].rng.Shuffle(&workers[w].local_train);
-    if (options_.kv_backed_loaders) {
-      workers[w].kv = std::make_unique<kv::MemKvStore>();
-      // Ingest through the raw store — faults belong to the serving path,
-      // not to the one-time bulk load of a frozen per-worker partition.
-      kv::FeatureStore ingest(workers[w].kv.get());
-      // xfraud-analyze: allow(ingest-bypass)
-      Status ingested = ingest.Ingest(workers[w].graph);
-      XF_CHECK(ingested.ok());
-      kv::KvStore* serving = workers[w].kv.get();
-      if (injector != nullptr) {
-        workers[w].faulty_kv = std::make_unique<fault::FaultyKvStore>(
-            workers[w].kv.get(), injector);
-        serving = workers[w].faulty_kv.get();
+      if (!result.ok()) {
+        std::lock_guard<std::mutex> lock(mu);
+        dead = result.status();
+        for (auto& g : groups) g->Poison(dead);
       }
-      workers[w].features = std::make_unique<kv::FeatureStore>(serving);
-      workers[w].features->set_retry_policy(options_.kv_retry);
-    }
+      results[static_cast<size_t>(w)] = std::move(result);
+    });
   }
-
-  // Steps per epoch: the busiest worker's batch count (others wrap).
-  size_t max_train = 1;
-  for (const auto& w : workers) {
-    max_train = std::max(max_train, w.local_train.size());
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& e : thrown) {
+    if (e) std::rethrow_exception(e);
   }
-  int64_t steps_per_epoch = static_cast<int64_t>(
-      (max_train + options_.train.batch_size - 1) /
-      options_.train.batch_size);
-
-  // Loader knobs shared by every sampling pipeline of the simulation.
-  const sample::LoaderOptions loader_opts{
-      .num_workers = options_.train.num_sample_workers,
-      .prefetch_depth = options_.train.prefetch_depth};
-  const bool pipelined = loader_opts.num_workers > 0;
-
-  // Validation via replica 0 on the full graph, through its own loader on
-  // a dedicated eval stream.
-  sample::SageSampler eval_sampler(2, 12);
-  const uint64_t eval_stream =
-      xfraud::Rng::StreamSeed(options_.train.seed, kDistEvalTag);
-  auto evaluate = [&](const std::vector<int32_t>& nodes) {
-    train::EvalResult eval;
-    core::ForwardOptions fwd;
-    sample::BatchLoader loader(
-        &ds.graph, &eval_sampler,
-        sample::BatchLoader::MakeSeedBatches(nodes, 640), eval_stream,
-        loader_opts);
-    while (auto loaded = loader.Next()) {
-      nn::Var logits = replicas_[0]->Forward(loaded->batch, fwd);
-      auto probs = FraudProbabilities(logits);
-      eval.scores.insert(eval.scores.end(), probs.begin(), probs.end());
-      eval.labels.insert(eval.labels.end(),
-                         loaded->batch.target_labels.begin(),
-                         loaded->batch.target_labels.end());
-    }
-    eval.auc = train::RocAuc(eval.scores, eval.labels);
-    return eval;
-  };
-
-  auto params0 = replicas_[0]->Parameters();
-  std::vector<std::vector<nn::NamedParameter>> params(kappa);
-  for (int w = 0; w < kappa; ++w) params[w] = replicas_[w]->Parameters();
-
-  // Collective backend. With no injected communicators the trainer owns a
-  // phased InProcessGroup: each rank's collective call deposits its buffer
-  // and returns, and the last rank's call executes the operation — the
-  // pattern a serial driver needs (a blocking collective would deadlock the
-  // single thread playing every rank in turn).
-  std::unique_ptr<InProcessGroup> owned_group;
-  std::vector<Communicator*> comm = options_.communicators;
-  if (comm.empty()) {
-    owned_group = std::make_unique<InProcessGroup>(kappa);
-    for (int w = 0; w < kappa; ++w) {
-      comm.push_back(owned_group->communicator(w));
-    }
-  }
-  XF_CHECK_EQ(comm.size(), static_cast<size_t>(kappa));
   for (int w = 0; w < kappa; ++w) {
-    XF_CHECK_EQ(comm[w]->rank(), w);
-    XF_CHECK_EQ(comm[w]->size(), kappa);
+    const Status& s = results[static_cast<size_t>(w)].status();
+    XF_CHECK(s.ok()) << "dist rank " << w << ": " << s.ToString();
   }
-
-  // Simulated comms accounting: a ring all-reduce over kappa workers moves
-  // 2*(kappa-1) gradient-buffer copies across the cluster per round (the
-  // reduce-scatter plus the all-gather). Measured as modeled volume — this
-  // host runs the replicas serially, but byte counts are what a real
-  // cluster's NICs would carry.
-  auto& obs_registry = obs::Registry::Global();
-  obs::Counter* allreduce_rounds = obs_registry.counter("dist/allreduce_rounds");
-  obs::Counter* allreduce_bytes = obs_registry.counter("dist/allreduce_bytes");
-  obs::Histogram* round_bytes = obs_registry.histogram("dist/round_bytes");
-  obs::Counter* worker_kills = obs_registry.counter("dist/worker_kills");
-  obs::Counter* redistributed_ctr =
-      obs_registry.counter("dist/redistributed_batches");
-  obs::Counter* epoch_restarts = obs_registry.counter("dist/epoch_restarts");
-  obs_registry.gauge("dist/workers")->Set(static_cast<double>(kappa));
-  int64_t param_floats = 0;
-  for (const auto& p : params0) param_floats += p.var.value().size();
-  const int64_t ring_bytes_per_round =
-      2 * static_cast<int64_t>(kappa - 1) * param_floats *
-      static_cast<int64_t>(sizeof(float));
-
-  // Epoch-start state for FailureRecovery::kRestartEpoch: enough to re-run
-  // the epoch exactly (replicas are synchronized, so one parameter/optimizer
-  // image covers all of them; the shuffle walk is per-worker).
-  struct EpochSnapshot {
-    std::vector<nn::Tensor> params;
-    std::vector<nn::Tensor> opt_m;
-    std::vector<nn::Tensor> opt_v;
-    int64_t opt_step = 0;
-    std::vector<xfraud::Rng::State> rng;
-    std::vector<size_t> cursor;
-    std::vector<std::vector<int32_t>> order;
-  };
-
-  int stale = 0;
-  for (int epoch = 0; epoch < options_.train.max_epochs; ++epoch) {
-    obs::ScopedSpan epoch_span("dist/epoch");
-    WallTimer epoch_timer;
-    std::vector<double> comm_seconds_at_start(kappa);
-    for (int w = 0; w < kappa; ++w) {
-      comm_seconds_at_start[w] = comm[w]->comm_seconds();
-    }
-    const bool may_kill_this_epoch =
-        injector != nullptr && injector->plan().kill_worker >= 0 &&
-        injector->plan().kill_epoch == epoch;
-    EpochSnapshot snap;
-    if (may_kill_this_epoch &&
-        options_.recovery == FailureRecovery::kRestartEpoch) {
-      for (const auto& p : params0) snap.params.push_back(p.var.value());
-      snap.opt_m = workers[0].optimizer->first_moments();
-      snap.opt_v = workers[0].optimizer->second_moments();
-      snap.opt_step = workers[0].optimizer->step_count();
-      for (int w = 0; w < kappa; ++w) {
-        snap.rng.push_back(workers[w].rng.GetState());
-        snap.cursor.push_back(workers[w].cursor);
-        snap.order.push_back(workers[w].local_train);
-      }
-    }
-
-    int killed_this_epoch = -1;  // reported in DistributedEpoch
-    int killed = -1;             // elastic: dead for the rest of this run
-    int64_t redistributed = 0;
-    double recovery_seconds = 0.0;
-    bool epoch_restarted = false;
-    bool suppress_kill = false;
-    bool rerun;
-    do {
-      rerun = false;
-      killed = -1;
-      redistributed = 0;
-      for (int w = 0; w < kappa; ++w) {
-        Worker& worker = workers[w];
-        worker.compute_seconds = 0.0;
-        worker.sample_seconds = 0.0;
-        worker.loss_sum = 0.0;
-        worker.steps = 0;
-        // Plan the worker's epoch up front (cursor walk with reshuffle on
-        // wrap, dedup of seeds that wrapped within a batch) and hand the
-        // plan to a BatchLoader so sampler threads can prefetch ahead of
-        // the gradient steps. The plan only draws shuffles from worker.rng;
-        // sampling itself runs on per-batch streams.
-        worker.loader = nullptr;
-        if (worker.local_train.empty()) continue;
-        std::vector<std::vector<int32_t>> plan;
-        plan.reserve(steps_per_epoch);
-        for (int64_t step = 0; step < steps_per_epoch; ++step) {
-          std::vector<int32_t> seeds;
-          for (int b = 0; b < options_.train.batch_size; ++b) {
-            if (worker.cursor >= worker.local_train.size()) {
-              worker.cursor = 0;
-              worker.rng.Shuffle(&worker.local_train);
-            }
-            seeds.push_back(worker.local_train[worker.cursor++]);
-          }
-          std::sort(seeds.begin(), seeds.end());
-          seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-          plan.push_back(std::move(seeds));
-        }
-        sample::LoaderOptions wopts = loader_opts;
-        wopts.feature_store = worker.features.get();
-        worker.loader = std::make_unique<sample::BatchLoader>(
-            &worker.graph, sampler_, std::move(plan),
-            xfraud::Rng::StreamSeed(
-                xfraud::Rng::StreamSeed(options_.train.seed, kDistSampleTag),
-                static_cast<uint64_t>(epoch) * kappa + w),
-            wopts);
-      }
-      for (int64_t step = 0; step < steps_per_epoch; ++step) {
-        // Phase 1: every worker computes gradients on its own partition.
-        // (Run serially on this single-core host; each worker's sampling
-        // and compute times are measured individually to model the
-        // concurrent cluster.)
-        int extra_this_step = 0;
-        for (int w = 0; w < kappa; ++w) {
-          Worker& worker = workers[w];
-          if (!suppress_kill && injector != nullptr &&
-              injector->ShouldKillWorker(w, epoch, step)) {
-            XF_CHECK(kappa >= 2);  // a dead lone worker has no recovery
-            worker_kills->Increment();
-            killed_this_epoch = w;
-            if (options_.recovery == FailureRecovery::kRestartEpoch) {
-              rerun = true;
-              break;
-            }
-            killed = w;
-            worker.alive = false;
-          }
-          if (!worker.alive || worker.loader == nullptr) {
-            // Dead (or partition-less) workers contribute zero gradient;
-            // clearing every step also discards the mean the all-reduce
-            // copy-back wrote into this replica's buffers last step.
-            for (auto& p : params[w]) p.var.ZeroGrad();
-            continue;
-          }
-          auto loaded = worker.loader->Next();
-          XF_CHECK(loaded.has_value());
-          worker.sample_seconds += loaded->sample_seconds;
-          WallTimer t;
-          core::ForwardOptions fwd;
-          fwd.training = true;
-          fwd.rng = &worker.rng;
-          nn::Var logits = replicas_[w]->Forward(loaded->batch, fwd);
-          nn::Var loss = nn::CrossEntropy(logits, loaded->batch.target_labels,
-                                          options_.train.class_weights);
-          worker.optimizer->ZeroGrad();
-          loss.Backward();
-          worker.loss_sum += loss.item();
-          ++worker.steps;
-          worker.compute_seconds += t.ElapsedSeconds();
-        }
-        if (rerun) break;
-
-        // Elastic recovery: one survivor per step absorbs the next of the
-        // dead worker's planned batches (its loader still holds them — a
-        // MiniBatch is self-contained, so any replica can train on it).
-        // The extra backward accumulates onto the survivor's own gradient
-        // (no ZeroGrad between the two), exactly like DDP gradient
-        // accumulation.
-        if (killed >= 0 && workers[killed].loader != nullptr) {
-          auto extra = workers[killed].loader->Next();
-          if (extra.has_value()) {
-            WallTimer t;
-            int s = static_cast<int>(
-                (static_cast<int64_t>(killed) + 1 + step) % kappa);
-            if (s == killed) s = (s + 1) % kappa;
-            core::ForwardOptions fwd;
-            fwd.training = true;
-            fwd.rng = &workers[s].rng;
-            nn::Var logits = replicas_[s]->Forward(extra->batch, fwd);
-            nn::Var loss =
-                nn::CrossEntropy(logits, extra->batch.target_labels,
-                                 options_.train.class_weights);
-            loss.Backward();
-            workers[s].loss_sum += loss.item();
-            ++workers[s].steps;
-            workers[s].sample_seconds += extra->sample_seconds;
-            recovery_seconds += t.ElapsedSeconds();
-            redistributed_ctr->Increment();
-            ++redistributed;
-            extra_this_step = 1;
-          } else {
-            workers[killed].loader = nullptr;
-          }
-        }
-
-        // Phase 2: DDP all-reduce — average gradients across replicas and
-        // write the mean back into every replica's gradient buffers. The
-        // denominator is the number of batch-gradients contributed this
-        // step: kappa normally, one less when a worker is dead, plus one
-        // when a survivor absorbed a redistributed batch.
-        allreduce_rounds->Increment();
-        allreduce_bytes->Add(ring_bytes_per_round);
-        round_bytes->Record(static_cast<double>(ring_bytes_per_round));
-        const int contributions =
-            kappa - (killed >= 0 ? 1 : 0) + extra_this_step;
-        const float inv_contributions =
-            1.0f / static_cast<float>(contributions);
-        for (size_t p = 0; p < params0.size(); ++p) {
-          for (int w = 0; w < kappa; ++w) {
-            nn::Tensor& g = params[w][p].var.grad();
-            Status reduced = comm[w]->AllReduceSum(
-                std::span<float>(g.data(), static_cast<size_t>(g.size())));
-            XF_CHECK(reduced.ok()) << reduced.message();
-          }
-          // Every rank scales its own copy of the (bit-identical) sum by
-          // the same scalar, which lands on the same bits the historical
-          // scale-then-copy produced.
-          for (int w = 0; w < kappa; ++w) {
-            params[w][p].var.grad().ScaleInPlace(inv_contributions);
-          }
-        }
-
-        // Phase 3: identical optimizer step on every live replica (states
-        // match, so they stay synchronized; a dead replica freezes until
-        // its end-of-epoch rejoin).
-        for (int w = 0; w < kappa; ++w) {
-          if (w == killed) continue;
-          workers[w].optimizer->ClipGradNorm(options_.train.clip);
-          workers[w].optimizer->Step();
-        }
-      }
-      if (rerun) {
-        // Roll every replica back to the epoch-start image and re-run the
-        // epoch with the failure suppressed (the worker "restarted").
-        WallTimer t;
-        for (int w = 0; w < kappa; ++w) {
-          for (size_t p = 0; p < params[w].size(); ++p) {
-            params[w][p].var.mutable_value() = snap.params[p];
-          }
-          Status restored = workers[w].optimizer->SetState(
-              snap.opt_m, snap.opt_v, snap.opt_step);
-          XF_CHECK(restored.ok());
-          workers[w].rng.SetState(snap.rng[w]);
-          workers[w].cursor = snap.cursor[w];
-          workers[w].local_train = snap.order[w];
-          workers[w].loader = nullptr;
-        }
-        recovery_seconds += t.ElapsedSeconds();
-        epoch_restarted = true;
-        suppress_kill = true;
-        epoch_restarts->Increment();
-      }
-    } while (rerun);
-
-    // Elastic rejoin: the dead replica re-enters the next epoch with a
-    // survivor's parameters and optimizer state, moved as Broadcast
-    // collectives rooted at a survivor so the rejoin protocol is the same
-    // whatever the backend. Survivors broadcast-receive values identical to
-    // what they already hold (replicas are synchronized), so only the dead
-    // rank observes a change.
-    if (killed >= 0) {
-      WallTimer t;
-      const int src = killed == 0 ? 1 : 0;
-      for (size_t p = 0; p < params0.size(); ++p) {
-        for (int w = 0; w < kappa; ++w) {
-          nn::Tensor& v = params[w][p].var.mutable_value();
-          Status synced = comm[w]->Broadcast(
-              std::span<float>(v.data(), static_cast<size_t>(v.size())), src);
-          XF_CHECK(synced.ok()) << synced.message();
-        }
-      }
-      // Optimizer state travels through per-rank staging buffers: moments
-      // are broadcast tensor-by-tensor, then installed with SetState on
-      // every rank (a no-op on survivors, the rejoin on the dead rank).
-      std::vector<std::vector<nn::Tensor>> moments_m(kappa);
-      std::vector<std::vector<nn::Tensor>> moments_v(kappa);
-      std::vector<std::vector<double>> step_buf(
-          kappa, std::vector<double>(1, 0.0));
-      for (int w = 0; w < kappa; ++w) {
-        moments_m[w] = workers[w].optimizer->first_moments();
-        moments_v[w] = workers[w].optimizer->second_moments();
-        step_buf[w][0] =
-            static_cast<double>(workers[w].optimizer->step_count());
-      }
-      for (size_t p = 0; p < params0.size(); ++p) {
-        for (int w = 0; w < kappa; ++w) {
-          nn::Tensor& m = moments_m[w][p];
-          Status synced = comm[w]->Broadcast(
-              std::span<float>(m.data(), static_cast<size_t>(m.size())), src);
-          XF_CHECK(synced.ok()) << synced.message();
-        }
-        for (int w = 0; w < kappa; ++w) {
-          nn::Tensor& v2 = moments_v[w][p];
-          Status synced = comm[w]->Broadcast(
-              std::span<float>(v2.data(), static_cast<size_t>(v2.size())),
-              src);
-          XF_CHECK(synced.ok()) << synced.message();
-        }
-      }
-      for (int w = 0; w < kappa; ++w) {
-        Status synced =
-            comm[w]->Broadcast(std::span<double>(step_buf[w]), src);
-        XF_CHECK(synced.ok()) << synced.message();
-      }
-      for (int w = 0; w < kappa; ++w) {
-        Status installed = workers[w].optimizer->SetState(
-            moments_m[w], moments_v[w],
-            static_cast<int64_t>(step_buf[w][0]));
-        XF_CHECK(installed.ok()) << installed.message();
-      }
-      workers[killed].alive = true;
-      recovery_seconds += t.ElapsedSeconds();
-    }
-
-    double wall = epoch_timer.ElapsedSeconds();
-    double slowest = 0.0;
-    double slowest_sample = 0.0;
-    double slowest_compute = 0.0;
-    double loss_sum = 0.0;
-    int64_t loss_steps = 0;
-    for (auto& w : workers) {
-      // A pipelined worker overlaps sampling with compute, so its epoch
-      // costs the larger of the two; the serial path pays the sum.
-      double worker_epoch =
-          pipelined ? std::max(w.compute_seconds, w.sample_seconds)
-                    : w.compute_seconds + w.sample_seconds;
-      slowest = std::max(slowest, worker_epoch);
-      slowest_sample = std::max(slowest_sample, w.sample_seconds);
-      slowest_compute = std::max(slowest_compute, w.compute_seconds);
-      loss_sum += w.loss_sum;
-      loss_steps += w.steps;
-      w.loader = nullptr;  // epoch plan exhausted; release sampler threads
-    }
-
-    train::EvalResult val = evaluate(ds.val_nodes);
-    DistributedEpoch stats;
-    stats.epoch = epoch;
-    stats.train_loss = loss_steps > 0 ? loss_sum / loss_steps : 0.0;
-    stats.val_auc = val.auc;
-    stats.wall_seconds = wall;
-    stats.max_worker_sample_seconds = slowest_sample;
-    stats.max_worker_compute_seconds = slowest_compute;
-    // Sync cost: measured when the backend measures (slowest rank's time
-    // inside collectives this epoch), modeled otherwise — never both.
-    double measured_comm = 0.0;
-    for (int w = 0; w < kappa; ++w) {
-      measured_comm = std::max(
-          measured_comm, comm[w]->comm_seconds() - comm_seconds_at_start[w]);
-    }
-    if (measured_comm > 0.0) {
-      stats.measured_comm_seconds = measured_comm;
-    } else {
-      stats.modeled_sync_seconds =
-          options_.sync_overhead_seconds * steps_per_epoch;
-    }
-    stats.simulated_cluster_seconds = slowest + stats.sync_seconds();
-    stats.killed_worker = killed_this_epoch;
-    stats.redistributed_batches = redistributed;
-    stats.restarted = epoch_restarted;
-    stats.recovery_seconds = recovery_seconds;
-    result.history.push_back(stats);
-
-    if (options_.train.verbose) {
-      XF_LOG(Info) << "dist(" << kappa << ") epoch " << epoch << " loss "
-                   << stats.train_loss << " val_auc " << val.auc << " sim "
-                   << stats.simulated_cluster_seconds << "s";
-    }
-    if (val.auc > result.best_val_auc) {
-      result.best_val_auc = val.auc;
-      stale = 0;
-    } else if (++stale >= options_.train.patience) {
-      break;
-    }
-  }
-
-  for (const auto& e : result.history) {
-    result.mean_wall_epoch_seconds += e.wall_seconds;
-    result.mean_simulated_epoch_seconds += e.simulated_cluster_seconds;
-  }
-  if (!result.history.empty()) {
-    result.mean_wall_epoch_seconds /= result.history.size();
-    result.mean_simulated_epoch_seconds /= result.history.size();
-  }
-  return result;
+  return std::move(results[0]).value();
 }
 
 }  // namespace xfraud::dist

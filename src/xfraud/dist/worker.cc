@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -15,10 +16,15 @@
 #include "xfraud/dist/partition.h"
 #include "xfraud/dist/socket_transport.h"
 #include "xfraud/fault/fault_injector.h"
+#include "xfraud/fault/faulty_kv.h"
 #include "xfraud/graph/subgraph.h"
+#include "xfraud/kv/feature_store.h"
+#include "xfraud/kv/mem_kv.h"
 #include "xfraud/nn/ops.h"
 #include "xfraud/nn/optim.h"
 #include "xfraud/nn/serialize.h"
+#include "xfraud/obs/registry.h"
+#include "xfraud/obs/trace.h"
 #include "xfraud/sample/batch_loader.h"
 #include "xfraud/train/trainer.h"
 
@@ -28,17 +34,16 @@ namespace {
 
 // ---- Worker checkpoint ("XFDC") -------------------------------------------
 //
-// Written at every epoch boundary, so it is both the rollback image for
-// comm-failure recovery (survivors reload it in-process) and the resume
-// image for a SIGKILLed rank (the launcher's restarted process loads it at
-// startup). Same CRC-footer file format discipline as the trainer
-// checkpoint (train/checkpoint.cc).
+// A rank's epoch-start image on disk: written at every epoch boundary by a
+// socket-backed rank, it is the resume image of a SIGKILLed rank (the
+// launcher's restarted process loads it at startup). Same CRC-footer file
+// format discipline as the trainer checkpoint (train/checkpoint.cc).
 
 constexpr char kCkptMagic[4] = {'X', 'F', 'D', 'C'};
 constexpr uint32_t kCkptVersion = 1;
 
 constexpr char kResultMagic[4] = {'X', 'F', 'D', 'R'};
-constexpr uint32_t kResultVersion = 1;
+constexpr uint32_t kResultVersion = 2;
 
 template <typename T>
 void WritePod(std::ostream& out, const T& v) {
@@ -51,14 +56,24 @@ bool ReadPod(std::istream& in, T* v) {
   return static_cast<bool>(in);
 }
 
+/// Bytes left in `in`, a stream over a verified buffer of `total` bytes.
+/// Every length read from a file is checked against this before it sizes an
+/// allocation: a CRC only proves the bytes are the ones written, not that
+/// the writer was honest.
+uint64_t Remaining(std::istream& in, size_t total) {
+  const std::streamoff at = in.tellg();
+  if (at < 0 || static_cast<uint64_t>(at) > total) return 0;
+  return total - static_cast<uint64_t>(at);
+}
+
 void WriteString(std::ostream& out, const std::string& s) {
   WritePod(out, static_cast<uint32_t>(s.size()));
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-bool ReadString(std::istream& in, std::string* s) {
+bool ReadString(std::istream& in, size_t total, std::string* s) {
   uint32_t len = 0;
-  if (!ReadPod(in, &len) || len > (1u << 20)) return false;
+  if (!ReadPod(in, &len) || len > Remaining(in, total)) return false;
   s->resize(len);
   in.read(s->data(), len);
   return static_cast<bool>(in);
@@ -71,69 +86,76 @@ void WriteTensor(std::ostream& out, const nn::Tensor& t) {
             static_cast<std::streamsize>(t.size() * sizeof(float)));
 }
 
-bool ReadTensor(std::istream& in, nn::Tensor* t) {
+bool ReadTensor(std::istream& in, size_t total, nn::Tensor* t) {
   int64_t rows = 0, cols = 0;
   if (!ReadPod(in, &rows) || !ReadPod(in, &cols) || rows < 0 || cols < 0) {
     return false;
   }
+  // rows × cols floats must fit in what is left; divide rather than
+  // multiply so a hostile shape cannot overflow the check.
+  const uint64_t floats_left = Remaining(in, total) / sizeof(float);
+  const uint64_t r = static_cast<uint64_t>(rows);
+  const uint64_t c = static_cast<uint64_t>(cols);
+  if (r > 0 && c > 0 && (c > floats_left || r > floats_left / c)) {
+    return false;
+  }
   *t = nn::Tensor(rows, cols);
   in.read(reinterpret_cast<char*>(t->data()),
-          static_cast<std::streamsize>(rows * cols * sizeof(float)));
+          static_cast<std::streamsize>(t->size() * sizeof(float)));
   return static_cast<bool>(in);
 }
 
-/// The non-parameter part of a rank's epoch-boundary state.
-struct WorkerState {
+/// A rank's state at an epoch boundary: enough to re-run the epoch exactly
+/// (in-memory rollback) or to continue the run in a new process (resume).
+struct EpochImage {
   int32_t next_epoch = 0;
   double best_val_auc = 0.0;
   int32_t stale = 0;
   xfraud::Rng::State rng;
   uint64_t cursor = 0;
   std::vector<int32_t> order;  // shuffled local train seeds
+  std::vector<nn::Tensor> params;
+  std::vector<nn::Tensor> opt_m;
+  std::vector<nn::Tensor> opt_v;
+  int64_t opt_step = 0;
 };
 
-Status SaveWorkerCheckpoint(const std::string& path, uint64_t seed,
-                            const WorkerState& st,
-                            const std::vector<nn::NamedParameter>& params,
-                            const nn::AdamW& optimizer) {
+Status SaveEpochImage(const std::string& path, uint64_t seed,
+                      const EpochImage& img,
+                      const std::vector<nn::NamedParameter>& params) {
   std::ostringstream out;
   out.write(kCkptMagic, 4);
   WritePod(out, kCkptVersion);
   WritePod(out, seed);
-  WritePod(out, st.next_epoch);
-  WritePod(out, st.best_val_auc);
-  WritePod(out, st.stale);
-  for (uint64_t s : st.rng.s) WritePod(out, s);
-  WritePod(out, static_cast<uint8_t>(st.rng.has_cached_gaussian ? 1 : 0));
-  WritePod(out, st.rng.cached_gaussian);
-  WritePod(out, st.cursor);
-  WritePod(out, static_cast<int64_t>(st.order.size()));
-  out.write(reinterpret_cast<const char*>(st.order.data()),
-            static_cast<std::streamsize>(st.order.size() * sizeof(int32_t)));
-
-  const std::vector<nn::Tensor>& m = optimizer.first_moments();
-  const std::vector<nn::Tensor>& v = optimizer.second_moments();
-  if (m.size() != params.size() || v.size() != params.size()) {
-    return Status::InvalidArgument(
-        "worker checkpoint: optimizer state count != parameter count");
-  }
+  WritePod(out, img.next_epoch);
+  WritePod(out, img.best_val_auc);
+  WritePod(out, img.stale);
+  for (uint64_t s : img.rng.s) WritePod(out, s);
+  WritePod(out, static_cast<uint8_t>(img.rng.has_cached_gaussian ? 1 : 0));
+  WritePod(out, img.rng.cached_gaussian);
+  WritePod(out, img.cursor);
+  WritePod(out, static_cast<int64_t>(img.order.size()));
+  out.write(reinterpret_cast<const char*>(img.order.data()),
+            static_cast<std::streamsize>(img.order.size() * sizeof(int32_t)));
   WritePod(out, static_cast<int64_t>(params.size()));
   for (size_t i = 0; i < params.size(); ++i) {
     WriteString(out, params[i].name);
-    WriteTensor(out, params[i].var.value());
-    WriteTensor(out, m[i]);
-    WriteTensor(out, v[i]);
+    WriteTensor(out, img.params[i]);
+    WriteTensor(out, img.opt_m[i]);
+    WriteTensor(out, img.opt_v[i]);
   }
-  WritePod(out, optimizer.step_count());
+  WritePod(out, img.opt_step);
   return AtomicWriteFileWithCrc(path, out.str());
 }
 
-Status LoadWorkerCheckpoint(const std::string& path, uint64_t seed,
-                            WorkerState* st,
-                            std::vector<nn::NamedParameter>* params,
-                            nn::AdamW* optimizer) {
+/// Loads an image written by SaveEpochImage; `params` names and shapes the
+/// tensors it must hold.
+Status LoadEpochImage(const std::string& path, uint64_t seed,
+                      const std::vector<nn::NamedParameter>& params,
+                      EpochImage* img) {
   Result<std::string> raw = ReadFileVerifyCrc(path);
   if (!raw.ok()) return raw.status();
+  const size_t total = raw.value().size();
   std::istringstream in(std::move(raw).value());
 
   char magic[4];
@@ -157,48 +179,54 @@ Status LoadWorkerCheckpoint(const std::string& path, uint64_t seed,
   }
   uint8_t has_gauss = 0;
   int64_t order_count = 0;
-  bool ok = ReadPod(in, &st->next_epoch) && ReadPod(in, &st->best_val_auc) &&
-            ReadPod(in, &st->stale);
-  for (uint64_t& s : st->rng.s) ok = ok && ReadPod(in, &s);
-  ok = ok && ReadPod(in, &has_gauss) && ReadPod(in, &st->rng.cached_gaussian) &&
-       ReadPod(in, &st->cursor) && ReadPod(in, &order_count);
-  if (!ok || order_count < 0 || st->next_epoch < 0) {
+  bool ok = ReadPod(in, &img->next_epoch) && ReadPod(in, &img->best_val_auc) &&
+            ReadPod(in, &img->stale);
+  for (uint64_t& s : img->rng.s) ok = ok && ReadPod(in, &s);
+  ok = ok && ReadPod(in, &has_gauss) &&
+       ReadPod(in, &img->rng.cached_gaussian) && ReadPod(in, &img->cursor) &&
+       ReadPod(in, &order_count);
+  if (!ok || order_count < 0 || img->next_epoch < 0 ||
+      static_cast<uint64_t>(order_count) >
+          Remaining(in, total) / sizeof(int32_t)) {
     return Status::Corruption("truncated worker checkpoint: " + path);
   }
-  st->rng.has_cached_gaussian = has_gauss != 0;
-  st->order.resize(static_cast<size_t>(order_count));
-  in.read(reinterpret_cast<char*>(st->order.data()),
-          static_cast<std::streamsize>(st->order.size() * sizeof(int32_t)));
+  img->rng.has_cached_gaussian = has_gauss != 0;
+  img->order.resize(static_cast<size_t>(order_count));
+  in.read(reinterpret_cast<char*>(img->order.data()),
+          static_cast<std::streamsize>(img->order.size() * sizeof(int32_t)));
   int64_t param_count = 0;
   if (!in || !ReadPod(in, &param_count) ||
-      param_count != static_cast<int64_t>(params->size())) {
+      param_count != static_cast<int64_t>(params.size())) {
     return Status::Corruption(
         "worker checkpoint parameter count mismatch in " + path);
   }
-  std::vector<nn::Tensor> m(params->size());
-  std::vector<nn::Tensor> v(params->size());
-  for (size_t i = 0; i < params->size(); ++i) {
+  img->params.assign(params.size(), nn::Tensor());
+  img->opt_m.assign(params.size(), nn::Tensor());
+  img->opt_v.assign(params.size(), nn::Tensor());
+  for (size_t i = 0; i < params.size(); ++i) {
     std::string name;
-    nn::Tensor value;
-    if (!ReadString(in, &name) || !ReadTensor(in, &value) ||
-        !ReadTensor(in, &m[i]) || !ReadTensor(in, &v[i])) {
+    if (!ReadString(in, total, &name) ||
+        !ReadTensor(in, total, &img->params[i]) ||
+        !ReadTensor(in, total, &img->opt_m[i]) ||
+        !ReadTensor(in, total, &img->opt_v[i])) {
       return Status::Corruption("truncated worker checkpoint: " + path);
     }
-    if (name != (*params)[i].name ||
-        value.rows() != (*params)[i].var.value().rows() ||
-        value.cols() != (*params)[i].var.value().cols()) {
+    if (name != params[i].name ||
+        !img->params[i].SameShape(params[i].var.value())) {
       return Status::InvalidArgument(
           "worker checkpoint parameter " + name +
           " does not match the constructed model in " + path);
     }
-    (*params)[i].var.mutable_value() = std::move(value);
   }
-  int64_t step = 0;
-  if (!ReadPod(in, &step)) {
+  if (!ReadPod(in, &img->opt_step)) {
     return Status::Corruption("truncated worker checkpoint: " + path);
   }
-  return optimizer->SetState(std::move(m), std::move(v), step);
+  return Status::OK();
 }
+
+/// Per-epoch record bytes in result.bin (epoch i32, five f64 times and
+/// losses, restarted u8, recovery f64).
+constexpr size_t kEpochRecordBytes = 4 + 6 * 8 + 1 + 8;
 
 }  // namespace
 
@@ -209,7 +237,6 @@ Status SaveDistResult(const DistributedResult& result,
   WritePod(out, kResultVersion);
   WritePod(out, result.best_val_auc);
   WritePod(out, result.mean_wall_epoch_seconds);
-  WritePod(out, result.mean_simulated_epoch_seconds);
   WritePod(out, result.edge_cut_fraction);
   WritePod(out, static_cast<int64_t>(result.partition_nodes.size()));
   for (int64_t n : result.partition_nodes) WritePod(out, n);
@@ -221,11 +248,7 @@ Status SaveDistResult(const DistributedResult& result,
     WritePod(out, e.wall_seconds);
     WritePod(out, e.max_worker_sample_seconds);
     WritePod(out, e.max_worker_compute_seconds);
-    WritePod(out, e.modeled_sync_seconds);
     WritePod(out, e.measured_comm_seconds);
-    WritePod(out, e.simulated_cluster_seconds);
-    WritePod(out, static_cast<int32_t>(e.killed_worker));
-    WritePod(out, e.redistributed_batches);
     WritePod(out, static_cast<uint8_t>(e.restarted ? 1 : 0));
     WritePod(out, e.recovery_seconds);
   }
@@ -235,6 +258,7 @@ Status SaveDistResult(const DistributedResult& result,
 Result<DistributedResult> LoadDistResult(const std::string& path) {
   Result<std::string> raw = ReadFileVerifyCrc(path);
   if (!raw.ok()) return raw.status();
+  const size_t total = raw.value().size();
   std::istringstream in(std::move(raw).value());
   char magic[4];
   in.read(magic, 4);
@@ -249,9 +273,10 @@ Result<DistributedResult> LoadDistResult(const std::string& path) {
   int64_t partitions = 0;
   if (!ReadPod(in, &result.best_val_auc) ||
       !ReadPod(in, &result.mean_wall_epoch_seconds) ||
-      !ReadPod(in, &result.mean_simulated_epoch_seconds) ||
       !ReadPod(in, &result.edge_cut_fraction) || !ReadPod(in, &partitions) ||
-      partitions < 0) {
+      partitions < 0 ||
+      static_cast<uint64_t>(partitions) >
+          Remaining(in, total) / sizeof(int64_t)) {
     return Status::Corruption("truncated dist result: " + path);
   }
   result.partition_nodes.resize(static_cast<size_t>(partitions));
@@ -261,54 +286,45 @@ Result<DistributedResult> LoadDistResult(const std::string& path) {
     }
   }
   int64_t epochs = 0;
-  if (!ReadPod(in, &epochs) || epochs < 0) {
+  if (!ReadPod(in, &epochs) || epochs < 0 ||
+      static_cast<uint64_t>(epochs) >
+          Remaining(in, total) / kEpochRecordBytes) {
     return Status::Corruption("truncated dist result: " + path);
   }
   result.history.resize(static_cast<size_t>(epochs));
   for (DistributedEpoch& e : result.history) {
-    int32_t epoch = 0, killed = 0;
+    int32_t epoch = 0;
     uint8_t restarted = 0;
     bool ok = ReadPod(in, &epoch) && ReadPod(in, &e.train_loss) &&
               ReadPod(in, &e.val_auc) && ReadPod(in, &e.wall_seconds) &&
               ReadPod(in, &e.max_worker_sample_seconds) &&
               ReadPod(in, &e.max_worker_compute_seconds) &&
-              ReadPod(in, &e.modeled_sync_seconds) &&
               ReadPod(in, &e.measured_comm_seconds) &&
-              ReadPod(in, &e.simulated_cluster_seconds) &&
-              ReadPod(in, &killed) && ReadPod(in, &e.redistributed_batches) &&
               ReadPod(in, &restarted) && ReadPod(in, &e.recovery_seconds);
     if (!ok) return Status::Corruption("truncated dist result: " + path);
     e.epoch = epoch;
-    e.killed_worker = killed;
     e.restarted = restarted != 0;
   }
   return result;
 }
 
-Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
-                                        const DistWorkerOptions& options) {
+Result<DistributedResult> TrainRank(const data::SimDataset& ds,
+                                    const DistWorkerOptions& options,
+                                    core::GnnModel* model,
+                                    const sample::Sampler* sampler,
+                                    const RankTransport& transport) {
   const int rank = options.rank;
   const int world = options.world;
   XF_CHECK(rank >= 0 && rank < world);
   XF_CHECK_EQ(options.dist.num_workers, world);
-  XF_CHECK(!options.dist.kv_backed_loaders)
-      << "kv_backed_loaders is not supported in multi-process mode";
-  if (world > 1 && options.fault_plan.kill_worker == 0) {
-    return Status::InvalidArgument(
-        "multi-process mode cannot kill rank 0: it hosts the rendezvous and "
-        "owns the run's history (see DESIGN.md §12)");
-  }
   const train::TrainOptions& topt = options.dist.train;
 
-  // Model + optimizer, identical on every rank (same init stream).
-  xfraud::Rng model_rng(options.model_seed);
-  core::XFraudDetector model(options.detector, &model_rng);
-  std::vector<nn::NamedParameter> params = model.Parameters();
+  std::vector<nn::NamedParameter> params = model->Parameters();
   nn::AdamW optimizer(params,
                       nn::AdamWOptions{.lr = topt.lr,
                                        .weight_decay = topt.weight_decay});
 
-  // ---- Partition, exactly like DistributedTrainer::Train ------------------
+  // ---- Partition: PIC -> num_clusters clusters -> world balanced groups ---
   // Every rank recomputes the full deterministic partition (same seed, same
   // PIC/k-means draws), then materializes only its own induced subgraph.
   xfraud::Rng prng(topt.seed * 0x2545F491ULL + 0xBEEF);
@@ -332,9 +348,7 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
     }
   }
 
-  // Steps per epoch: the busiest rank's batch count (same formula as the
-  // in-process driver; a partition's train count equals its local_train
-  // size there).
+  // Steps per epoch: the busiest rank's batch count (the others wrap).
   size_t max_train = 1;
   for (int w = 0; w < world; ++w) {
     size_t n = 0;
@@ -347,12 +361,34 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
       (max_train + static_cast<size_t>(topt.batch_size) - 1) /
       static_cast<size_t>(topt.batch_size));
 
-  sample::SageSampler train_sampler(options.sampler_hops,
-                                    options.sampler_fanout);
+  // KV serving path (kv_backed_loaders): this rank's partition ingested into
+  // its own store (partitions use local node ids, so stores cannot be
+  // shared), fronted by a fault decorator when the plan injects KV faults.
+  fault::FaultInjector injector(options.dist.fault_plan);
+  std::unique_ptr<kv::MemKvStore> kv_store;
+  std::unique_ptr<fault::FaultyKvStore> faulty_kv;
+  std::unique_ptr<kv::FeatureStore> features;
+  if (options.dist.kv_backed_loaders) {
+    kv_store = std::make_unique<kv::MemKvStore>();
+    // Ingest through the raw store — faults belong to the serving path,
+    // not to the one-time bulk load of a frozen partition.
+    kv::FeatureStore ingest(kv_store.get());
+    // xfraud-analyze: allow(ingest-bypass)
+    XF_RETURN_IF_ERROR(ingest.Ingest(my_graph));
+    kv::KvStore* serving = kv_store.get();
+    if (options.dist.fault_plan.has_kv_faults()) {
+      faulty_kv = std::make_unique<fault::FaultyKvStore>(kv_store.get(),
+                                                         &injector);
+      serving = faulty_kv.get();
+    }
+    features = std::make_unique<kv::FeatureStore>(serving);
+    features->set_retry_policy(options.dist.kv_retry);
+  }
   const sample::LoaderOptions loader_opts{
       .num_workers = topt.num_sample_workers,
       .prefetch_depth = topt.prefetch_depth};
-  const bool pipelined = loader_opts.num_workers > 0;
+  sample::LoaderOptions train_loader_opts = loader_opts;
+  train_loader_opts.feature_store = features.get();
 
   xfraud::Rng wrng(topt.seed + 1000 + static_cast<uint64_t>(rank));
   wrng.Shuffle(&local_train);
@@ -361,21 +397,43 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
   double best = 0.0;
   int stale = 0;
 
-  // Resume: a restarted rank picks up from its last epoch-boundary image.
-  const std::string ckpt_path =
-      options.checkpoint_dir + "/rank-" + std::to_string(rank) + ".ckpt";
-  {
-    WorkerState loaded;
-    Status resumed =
-        LoadWorkerCheckpoint(ckpt_path, topt.seed, &loaded, &params,
-                             &optimizer);
+  auto capture = [&](int epoch) {
+    EpochImage img;
+    img.next_epoch = epoch;
+    img.best_val_auc = best;
+    img.stale = stale;
+    img.rng = wrng.GetState();
+    img.cursor = static_cast<uint64_t>(cursor);
+    img.order = local_train;
+    for (const auto& p : params) img.params.push_back(p.var.value());
+    img.opt_m = optimizer.first_moments();
+    img.opt_v = optimizer.second_moments();
+    img.opt_step = optimizer.step_count();
+    return img;
+  };
+  auto restore = [&](const EpochImage& img) -> Status {
+    for (size_t i = 0; i < params.size(); ++i) {
+      params[i].var.mutable_value() = img.params[i];
+    }
+    XF_RETURN_IF_ERROR(optimizer.SetState(img.opt_m, img.opt_v, img.opt_step));
+    best = img.best_val_auc;
+    stale = img.stale;
+    wrng.SetState(img.rng);
+    cursor = static_cast<size_t>(img.cursor);
+    local_train = img.order;
+    return Status::OK();
+  };
+
+  // Resume: a restarted process picks up from its last epoch-start image.
+  std::string ckpt_path;
+  if (!options.checkpoint_dir.empty()) {
+    ckpt_path =
+        options.checkpoint_dir + "/rank-" + std::to_string(rank) + ".ckpt";
+    EpochImage loaded;
+    Status resumed = LoadEpochImage(ckpt_path, topt.seed, params, &loaded);
     if (resumed.ok()) {
+      XF_RETURN_IF_ERROR(restore(loaded));
       start_epoch = loaded.next_epoch;
-      best = loaded.best_val_auc;
-      stale = loaded.stale;
-      wrng.SetState(loaded.rng);
-      cursor = static_cast<size_t>(loaded.cursor);
-      local_train = loaded.order;
       XF_LOG(Info) << "dist worker " << rank << " resumed at epoch "
                    << start_epoch << " from " << ckpt_path;
     } else if (!resumed.IsNotFound()) {
@@ -383,44 +441,17 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
     }
   }
 
-  fault::FaultInjector injector(options.fault_plan);
-
-  // ---- Transport ----------------------------------------------------------
-  Endpoint rdzv_ep;
-  if (world > 1) {
-    Result<Endpoint> parsed = ParseEndpoint(options.rendezvous);
-    if (!parsed.ok()) return parsed.status();
-    rdzv_ep = parsed.value();
-  }
-  std::unique_ptr<RendezvousHost> host;
-  if (world > 1 && rank == 0) {
-    Result<std::unique_ptr<RendezvousHost>> created =
-        RendezvousHost::Create(rdzv_ep, world);
-    if (!created.ok()) return created.status();
-    host = std::move(created).value();
-  }
   uint64_t generation = 0;
-  std::unique_ptr<SocketCommunicator> comm;
-  auto connect = [&]() -> Status {
-    SocketCommOptions copt;
-    copt.rank = rank;
-    copt.world = world;
-    copt.rendezvous = rdzv_ep;
-    copt.connect_timeout_s = options.connect_timeout_s;
-    copt.op_timeout_s = options.op_timeout_s;
-    copt.rendezvous_timeout_s = options.rendezvous_timeout_s;
-    copt.generation = generation;
-    Result<std::unique_ptr<SocketCommunicator>> connected =
-        SocketCommunicator::Connect(copt, host.get());
-    if (!connected.ok()) return connected.status();
-    comm = std::move(connected).value();
-    generation = comm->generation();
-    return Status::OK();
-  };
-  XF_RETURN_IF_ERROR(connect());
+  Result<Communicator*> joined = transport.join(&generation);
+  if (!joined.ok()) return joined.status();
+  Communicator* comm = joined.value();
 
-  // Rank-0 evaluation on the full graph, same stream/sampler/batching as the
-  // in-process driver.
+  auto& registry = obs::Registry::Global();
+  obs::Counter* worker_kills = registry.counter("dist/worker_kills");
+  obs::Counter* epoch_restarts = registry.counter("dist/epoch_restarts");
+
+  // Rank-0 evaluation on the full graph, through its own loader on a
+  // dedicated eval stream.
   sample::SageSampler eval_sampler(2, 12);
   const uint64_t eval_stream =
       xfraud::Rng::StreamSeed(topt.seed, kDistEvalTag);
@@ -432,7 +463,7 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
         sample::BatchLoader::MakeSeedBatches(ds.val_nodes, 640), eval_stream,
         loader_opts);
     while (auto loaded = loader.Next()) {
-      nn::Var logits = model.Forward(loaded->batch, fwd);
+      nn::Var logits = model->Forward(loaded->batch, fwd);
       auto probs = train::FraudProbabilities(logits);
       eval.scores.insert(eval.scores.end(), probs.begin(), probs.end());
       eval.labels.insert(eval.labels.end(),
@@ -445,10 +476,12 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
 
   DistributedResult result;
   if (rank == 0) {
+    registry.gauge("dist/workers")->Set(static_cast<double>(world));
     for (int w = 0; w < world; ++w) {
       result.partition_nodes.push_back(
           static_cast<int64_t>(worker_nodes[static_cast<size_t>(w)].size()));
     }
+    // Edge-cut diagnostic: fraction of directed edges crossing partitions.
     int64_t cut = 0;
     for (int64_t v = 0; v < ds.graph.num_nodes(); ++v) {
       for (int64_t e = ds.graph.InDegreeBegin(static_cast<int32_t>(v));
@@ -467,17 +500,11 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
   int recovery_rounds = 0;
   const float inv_world = 1.0f / static_cast<float>(world);
   for (int epoch = start_epoch; epoch < topt.max_epochs; ++epoch) {
-    {
-      WorkerState snap;
-      snap.next_epoch = epoch;
-      snap.best_val_auc = best;
-      snap.stale = stale;
-      snap.rng = wrng.GetState();
-      snap.cursor = static_cast<uint64_t>(cursor);
-      snap.order = local_train;
-      XF_RETURN_IF_ERROR(
-          SaveWorkerCheckpoint(ckpt_path, topt.seed, snap, params,
-                               optimizer));
+    std::optional<obs::ScopedSpan> epoch_span;
+    if (rank == 0) epoch_span.emplace("dist/epoch");
+    const EpochImage image = capture(epoch);
+    if (!ckpt_path.empty()) {
+      XF_RETURN_IF_ERROR(SaveEpochImage(ckpt_path, topt.seed, image, params));
     }
 
     WallTimer epoch_timer;
@@ -485,21 +512,21 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
     double recovery_seconds = 0.0;
     double train_loss = 0.0;
     double val_auc = 0.0;
-    double sample_seconds = 0.0;
-    double compute_seconds = 0.0;
     std::vector<std::vector<float>> gathered;
 
     for (;;) {
       const double comm_at_start = comm->comm_seconds();
       const bool suppress = options.suppress_kill || restarted_this_epoch;
       Status attempt = [&]() -> Status {
-        sample_seconds = 0.0;
-        compute_seconds = 0.0;
+        double sample_seconds = 0.0;
+        double compute_seconds = 0.0;
         double loss_sum = 0.0;
         int64_t steps = 0;
         // Plan this rank's epoch up front (cursor walk with reshuffle on
-        // wrap, dedup within a batch) — the same walk, against the same rng,
-        // as the in-process driver.
+        // wrap, dedup of seeds that wrapped within a batch) and hand the
+        // plan to a BatchLoader so sampler threads can prefetch ahead of
+        // the gradient steps. The plan only draws shuffles from wrng;
+        // sampling itself runs on per-batch streams.
         std::unique_ptr<sample::BatchLoader> loader;
         if (!local_train.empty()) {
           std::vector<std::vector<int32_t>> plan;
@@ -519,20 +546,23 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
             plan.push_back(std::move(seeds));
           }
           loader = std::make_unique<sample::BatchLoader>(
-              &my_graph, &train_sampler, std::move(plan),
+              &my_graph, sampler, std::move(plan),
               xfraud::Rng::StreamSeed(
                   xfraud::Rng::StreamSeed(topt.seed, kDistSampleTag),
                   static_cast<uint64_t>(epoch) *
                           static_cast<uint64_t>(world) +
                       static_cast<uint64_t>(rank)),
-              loader_opts);
+              train_loader_opts);
         }
         for (int64_t step = 0; step < steps_per_epoch; ++step) {
           if (!suppress && injector.ShouldKillWorker(rank, epoch, step)) {
             XF_LOG(Info) << "dist worker " << rank
-                         << " executing planned SIGKILL at epoch " << epoch
+                         << " executing planned kill at epoch " << epoch
                          << " step " << step;
-            fault::KillCurrentProcess();
+            worker_kills->Increment();
+            transport.kill();
+            return Status::Unavailable("dist worker " + std::to_string(rank) +
+                                       " killed by the fault plan");
           }
           if (loader != nullptr) {
             auto loaded = loader->Next();
@@ -542,7 +572,7 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
             core::ForwardOptions fwd;
             fwd.training = true;
             fwd.rng = &wrng;
-            nn::Var logits = model.Forward(loaded->batch, fwd);
+            nn::Var logits = model->Forward(loaded->batch, fwd);
             nn::Var loss = nn::CrossEntropy(
                 logits, loaded->batch.target_labels, topt.class_weights);
             optimizer.ZeroGrad();
@@ -560,15 +590,14 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
             XF_RETURN_IF_ERROR(comm->AllReduceSum(std::span<float>(
                 g.data(), static_cast<size_t>(g.size()))));
             // Same scalar on every rank over the bit-identical sum — the
-            // DDP gradient mean. World is the denominator even under chaos:
-            // recovery re-runs the epoch at full strength, never elastic.
+            // DDP gradient mean. Recovery re-runs the epoch at full
+            // strength, so world is always the denominator.
             g.ScaleInPlace(inv_world);
           }
           optimizer.ClipGradNorm(topt.clip);
           optimizer.Step();
         }
-        // Cluster loss: the ring's ascending-rank fold reproduces the
-        // serial driver's worker-order accumulation bit for bit.
+        // Cluster loss: the ascending-rank fold of every rank's sum.
         double loss_buf[2] = {loss_sum, static_cast<double>(steps)};
         XF_RETURN_IF_ERROR(
             comm->AllReduceSum(std::span<double>(loss_buf, 2)));
@@ -587,31 +616,23 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
                             rank == 0 ? &gathered : nullptr);
       }();
       if (attempt.ok()) break;
-      // A peer died or a collective timed out. Tear the ring down (waking
-      // neighbours with EOF), roll back to the epoch-start image, and
-      // reassemble under the next generation — the launcher meanwhile
-      // restarts the dead rank, which resumes from its own checkpoint.
+      // A peer died or a collective failed. Roll back to the epoch-start
+      // image and regroup under the next generation — a killed process is
+      // meanwhile restarted by the launcher and resumes from its checkpoint.
       if (++recovery_rounds > options.max_recovery_rounds) return attempt;
       XF_LOG(Info) << "dist worker " << rank << " epoch " << epoch
                    << " comm failure (" << attempt.message()
                    << "); rolling back and rejoining as generation "
                    << generation + 1;
       WallTimer recovery_timer;
-      comm->Shutdown();
-      comm = nullptr;
-      WorkerState snap;
-      XF_RETURN_IF_ERROR(LoadWorkerCheckpoint(ckpt_path, topt.seed, &snap,
-                                              &params, &optimizer));
-      XF_CHECK_EQ(snap.next_epoch, epoch);
-      best = snap.best_val_auc;
-      stale = snap.stale;
-      wrng.SetState(snap.rng);
-      cursor = static_cast<size_t>(snap.cursor);
-      local_train = snap.order;
+      XF_RETURN_IF_ERROR(restore(image));
       ++generation;
-      XF_RETURN_IF_ERROR(connect());
+      joined = transport.join(&generation);
+      if (!joined.ok()) return joined.status();
+      comm = joined.value();
       restarted_this_epoch = true;
       recovery_seconds += recovery_timer.ElapsedSeconds();
+      if (rank == 0) epoch_restarts->Increment();
     }
 
     if (rank == 0) {
@@ -621,35 +642,27 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
       stats.train_loss = train_loss;
       stats.val_auc = val_auc;
       stats.wall_seconds = epoch_timer.ElapsedSeconds();
-      double slowest = 0.0;
-      double measured_comm = 0.0;
       for (const std::vector<float>& g : gathered) {
         XF_CHECK_EQ(g.size(), static_cast<size_t>(3));
-        const double s = g[0], c = g[1], cm = g[2];
         stats.max_worker_sample_seconds =
-            std::max(stats.max_worker_sample_seconds, s);
+            std::max(stats.max_worker_sample_seconds, double{g[0]});
         stats.max_worker_compute_seconds =
-            std::max(stats.max_worker_compute_seconds, c);
-        slowest = std::max(slowest, pipelined ? std::max(s, c) : s + c);
-        measured_comm = std::max(measured_comm, cm);
+            std::max(stats.max_worker_compute_seconds, double{g[1]});
+        stats.measured_comm_seconds =
+            std::max(stats.measured_comm_seconds, double{g[2]});
       }
-      // The socket backend measures its sync cost, so modeled_sync_seconds
-      // stays zero — the split DistributedEpoch documents.
-      stats.measured_comm_seconds = measured_comm;
-      stats.simulated_cluster_seconds = slowest + stats.sync_seconds();
       stats.restarted = restarted_this_epoch;
       stats.recovery_seconds = recovery_seconds;
       result.history.push_back(stats);
       if (topt.verbose) {
-        XF_LOG(Info) << "dist-mp(" << world << ") epoch " << epoch
-                     << " loss " << stats.train_loss << " val_auc "
-                     << stats.val_auc << " sim "
-                     << stats.simulated_cluster_seconds << "s";
+        XF_LOG(Info) << "dist(" << world << ") epoch " << epoch << " loss "
+                     << stats.train_loss << " val_auc " << stats.val_auc
+                     << " wall " << stats.wall_seconds << "s";
       }
     }
 
     // Early stopping, decided identically on every rank from the broadcast
-    // val AUC (same comparison as the in-process driver).
+    // val AUC.
     if (val_auc > best) {
       best = val_auc;
       stale = 0;
@@ -659,22 +672,76 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
   }
 
   result.best_val_auc = best;
-  if (rank == 0) {
+  if (rank == 0 && !result.history.empty()) {
     for (const DistributedEpoch& e : result.history) {
       result.mean_wall_epoch_seconds += e.wall_seconds;
-      result.mean_simulated_epoch_seconds += e.simulated_cluster_seconds;
     }
-    if (!result.history.empty()) {
-      result.mean_wall_epoch_seconds /=
-          static_cast<double>(result.history.size());
-      result.mean_simulated_epoch_seconds /=
-          static_cast<double>(result.history.size());
-    }
-    XF_RETURN_IF_ERROR(nn::SaveParameters(
-        params, options.checkpoint_dir + "/final_model.ckpt"));
-    XF_RETURN_IF_ERROR(
-        SaveDistResult(result, options.checkpoint_dir + "/result.bin"));
+    result.mean_wall_epoch_seconds /=
+        static_cast<double>(result.history.size());
   }
+  return result;
+}
+
+Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
+                                        const DistWorkerOptions& options) {
+  const int rank = options.rank;
+  const int world = options.world;
+  if (world > 1 && options.dist.fault_plan.kill_worker == 0) {
+    return Status::InvalidArgument(
+        "multi-process mode cannot kill rank 0: it hosts the rendezvous and "
+        "owns the run's history (see DESIGN.md §12)");
+  }
+
+  // Model, identical on every rank (same init stream).
+  xfraud::Rng model_rng(options.model_seed);
+  core::XFraudDetector model(options.detector, &model_rng);
+  sample::SageSampler train_sampler(options.sampler_hops,
+                                    options.sampler_fanout);
+
+  // ---- Transport ----------------------------------------------------------
+  Endpoint rdzv_ep;
+  if (world > 1) {
+    Result<Endpoint> parsed = ParseEndpoint(options.rendezvous);
+    if (!parsed.ok()) return parsed.status();
+    rdzv_ep = parsed.value();
+  }
+  std::unique_ptr<RendezvousHost> host;
+  if (world > 1 && rank == 0) {
+    Result<std::unique_ptr<RendezvousHost>> created =
+        RendezvousHost::Create(rdzv_ep, world);
+    if (!created.ok()) return created.status();
+    host = std::move(created).value();
+  }
+  std::unique_ptr<SocketCommunicator> comm;
+  RankTransport transport;
+  transport.join = [&](uint64_t* generation) -> Result<Communicator*> {
+    // Dropping the failed ring closes its sockets, waking any neighbour
+    // still blocked on it with EOF.
+    comm = nullptr;
+    SocketCommOptions copt;
+    copt.rank = rank;
+    copt.world = world;
+    copt.rendezvous = rdzv_ep;
+    copt.connect_timeout_s = options.connect_timeout_s;
+    copt.op_timeout_s = options.op_timeout_s;
+    copt.rendezvous_timeout_s = options.rendezvous_timeout_s;
+    copt.generation = *generation;
+    Result<std::unique_ptr<SocketCommunicator>> connected =
+        SocketCommunicator::Connect(copt, host.get());
+    if (!connected.ok()) return connected.status();
+    comm = std::move(connected).value();
+    *generation = comm->generation();
+    return static_cast<Communicator*>(comm.get());
+  };
+  transport.kill = [] { fault::KillCurrentProcess(); };
+
+  Result<DistributedResult> result =
+      TrainRank(ds, options, &model, &train_sampler, transport);
+  if (!result.ok() || rank != 0) return result;
+  XF_RETURN_IF_ERROR(nn::SaveParameters(
+      model.Parameters(), options.checkpoint_dir + "/final_model.ckpt"));
+  XF_RETURN_IF_ERROR(SaveDistResult(
+      result.value(), options.checkpoint_dir + "/result.bin"));
   return result;
 }
 

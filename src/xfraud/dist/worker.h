@@ -2,19 +2,19 @@
 #define XFRAUD_DIST_WORKER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "xfraud/core/detector.h"
 #include "xfraud/data/generator.h"
+#include "xfraud/dist/communicator.h"
 #include "xfraud/dist/distributed.h"
-#include "xfraud/fault/fault_plan.h"
 
 namespace xfraud::dist {
 
-/// One rank of a socket-backed multi-process cluster. Unlike the in-process
-/// simulation, a "worker" here is this whole process: kill_worker in the
-/// fault plan is a real SIGKILL of this process, and recovery is a real
-/// restart that resumes from the rank's CRC checkpoint.
+/// One rank of a distributed run. The threaded driver (DistributedTrainer)
+/// fills `rank`, `world` and `dist` for each of its threads; a socket-backed
+/// process (RunDistWorker) uses every field.
 struct DistWorkerOptions {
   int rank = 0;
   int world = 1;
@@ -26,44 +26,72 @@ struct DistWorkerOptions {
   /// step zero.
   core::DetectorConfig detector;
   uint64_t model_seed = 7;
-  /// Training protocol (num_workers must equal `world`). kv_backed_loaders
-  /// is not supported in multi-process mode; fault_injector is ignored in
-  /// favour of `fault_plan` below (each process builds its own injector).
+  /// Training protocol (num_workers must equal `world`). In a process,
+  /// dist.fault_plan's kill_worker=<rank>@<epoch>:<step> SIGKILLs it at
+  /// that point.
   DistributedOptions dist;
-  /// Deterministic chaos plan; kill_worker=<rank>@<epoch>:<step> SIGKILLs
-  /// this process at that point.
-  fault::FaultPlan fault_plan;
   /// Suppress the planned kill (set by the launcher on the restarted
   /// process so the kill fires exactly once).
   bool suppress_kill = false;
   /// Directory of the per-rank checkpoints (`rank-<r>.ckpt`), rank 0's
   /// result file (`result.bin`) and final model (`final_model.ckpt`).
+  /// Empty (the threaded driver) keeps the epoch-start image in memory only.
   std::string checkpoint_dir;
-  /// Neighbourhood sampler of the training loaders (evaluation uses the
-  /// same fixed SageSampler(2, 12) as the in-process path).
+  /// Neighbourhood sampler of the training loaders (evaluation uses a
+  /// fixed SageSampler(2, 12)).
   int sampler_hops = 2;
   int sampler_fanout = 8;
   /// Transport budgets (see SocketCommOptions).
   double op_timeout_s = 60.0;
   double rendezvous_timeout_s = 60.0;
   double connect_timeout_s = 10.0;
-  /// Comm-failure recovery rounds (rollback + re-rendezvous) before the
-  /// rank gives up.
+  /// Comm-failure recovery rounds (rollback + regroup) before the rank
+  /// gives up.
   int max_recovery_rounds = 3;
 };
 
-/// Runs one rank to completion: partitions ds.graph exactly like
-/// DistributedTrainer (same seeds, same streams, same reduction order — a
-/// fault-free socket run is bit-identical to the in-process run), trains
-/// over the socket ring, writes a checkpoint at every epoch boundary, and
-/// on a collective failure rolls back to that checkpoint, re-rendezvouses
-/// under the next generation, and re-runs the epoch (restart-epoch
-/// recovery).
+/// How one rank reaches its peers; supplied by the driver that runs it.
+struct RankTransport {
+  /// Returns this rank's communicator for rendezvous generation
+  /// `*generation` (0 at start-up, one past the failed generation on every
+  /// regroup), replacing the previous one. A transport whose rendezvous
+  /// assigns the generation (a restarted process joins whichever one the
+  /// cluster is at) writes back the generation it joined.
+  std::function<Result<Communicator*>(uint64_t* generation)> join;
+  /// Carries out this rank's planned kill_worker. A process dies by SIGKILL
+  /// and never returns; an in-process rank poisons its group and returns,
+  /// then takes the same rollback-and-regroup path as every survivor.
+  std::function<void()> kill;
+};
+
+/// The per-rank DDP loop, shared by threads and processes. Partitions
+/// ds.graph (every rank recomputes the same deterministic partition and
+/// keeps its own induced subgraph), then per epoch: plans its batches with
+/// the cursor/shuffle walk, runs forward/backward on `model`, all-reduces
+/// the gradients (÷ world), clips and steps, all-reduces the loss, and
+/// receives rank 0's validation AUC by Broadcast; early stopping is decided
+/// identically on every rank. Same seeds, streams and ascending-rank
+/// reduction order on every transport, so a fault-free run is bit-identical
+/// whether the ranks are threads or processes.
 ///
-/// Rank 0 additionally evaluates on the full graph each epoch, decides
-/// early stopping (broadcast to all ranks), writes `result.bin` and
-/// `final_model.ckpt` into checkpoint_dir, and returns the populated
-/// DistributedResult; other ranks return an empty result.
+/// The epoch-start image (parameters, optimizer, shuffle state) is kept in
+/// memory and, with a checkpoint_dir, also written as the rank's CRC
+/// checkpoint, from which a restarted process resumes. On a collective
+/// failure the rank restores the image, joins the next generation, and
+/// re-runs the epoch (restart-epoch recovery).
+///
+/// Rank 0 returns the populated DistributedResult; other ranks return an
+/// empty one.
+Result<DistributedResult> TrainRank(const data::SimDataset& ds,
+                                    const DistWorkerOptions& options,
+                                    core::GnnModel* model,
+                                    const sample::Sampler* sampler,
+                                    const RankTransport& transport);
+
+/// Runs one rank as this whole process over a SocketCommunicator ring:
+/// TrainRank with kill_worker as a real SIGKILL and the rank's CRC
+/// checkpoint as its resume image. Rank 0 also writes `result.bin` and
+/// `final_model.ckpt` into checkpoint_dir.
 Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
                                         const DistWorkerOptions& options);
 

@@ -1,6 +1,6 @@
 // Conformance suite of the dist::Communicator contract, run against BOTH
-// backends: the shared-memory InProcessGroup (blocking mode, one thread per
-// rank) and the SocketCommunicator ring over unix sockets in /tmp. The
+// backends: the shared-memory InProcessGroup (one thread per rank) and the
+// SocketCommunicator ring over unix sockets in /tmp. The
 // contract under test (communicator.h):
 //   - AllReduceSum is the ascending-rank left fold — bit-identical on every
 //     rank, and bit-identical ACROSS backends;
@@ -11,7 +11,7 @@
 //   - collectives are matched by call order, and a signature mismatch
 //     poisons the group.
 // Socket-specific failure modes (deadline expiry, peer death, dead
-// rendezvous) and the phased in-process mode get their own tests below.
+// rendezvous) get their own tests below.
 
 #include <atomic>
 #include <cstdint>
@@ -61,7 +61,7 @@ class Cluster {
   Cluster(Backend backend, int world, double op_timeout_s = 20.0)
       : backend_(backend), world_(world) {
     if (backend == Backend::kInProcess) {
-      group_ = std::make_unique<InProcessGroup>(world, /*blocking=*/true);
+      group_ = std::make_unique<InProcessGroup>(world);
       return;
     }
     dir_ = MakeSocketDir();
@@ -308,10 +308,31 @@ TEST_P(CommunicatorTest, WorldOfOneIsIdentity) {
   EXPECT_EQ(gathered[0][0], 1.0f);
 }
 
-/// comm_seconds / bytes_on_wire are the modeled-vs-measured split's source
-/// of truth: the in-process backend must report zero (its sync cost is
-/// modeled), the socket backend must measure nonzero time and bytes.
-TEST_P(CommunicatorTest, CommStatsAreMeasuredOnlyOnRealTransports) {
+/// A signature mismatch (same slot, different element counts) fails the
+/// collective on every rank, and the group stays failed: even a well-formed
+/// follow-up call returns an error.
+TEST_P(CommunicatorTest, SignatureMismatchPoisonsTheGroup) {
+  const int world = 2;
+  Cluster cluster(GetParam(), world);
+  std::vector<Status> mismatched =
+      cluster.Run([](int rank, Communicator* comm) {
+        std::vector<float> v(static_cast<size_t>(2 + rank), 1.0f);
+        return comm->AllReduceSum(std::span<float>(v));
+      });
+  std::vector<Status> after = cluster.Run([](int rank, Communicator* comm) {
+    (void)rank;
+    std::vector<float> v = {0.0f};
+    return comm->AllReduceSum(std::span<float>(v));
+  });
+  for (int r = 0; r < world; ++r) {
+    EXPECT_FALSE(mismatched[static_cast<size_t>(r)].ok()) << "rank " << r;
+    EXPECT_FALSE(after[static_cast<size_t>(r)].ok()) << "rank " << r;
+  }
+}
+
+/// Time inside collectives is measured on every backend; only the socket
+/// ring puts bytes on a wire.
+TEST_P(CommunicatorTest, CommSecondsAreMeasuredOnEveryBackend) {
   const int world = 2;
   Cluster cluster(GetParam(), world);
   ExpectAllOk(cluster.Run([&](int rank, Communicator* comm) {
@@ -320,11 +341,10 @@ TEST_P(CommunicatorTest, CommStatsAreMeasuredOnlyOnRealTransports) {
     return comm->AllReduceSum(std::span<float>(v));
   }));
   for (int r = 0; r < world; ++r) {
+    EXPECT_GT(cluster.comm(r)->comm_seconds(), 0.0);
     if (GetParam() == Backend::kInProcess) {
-      EXPECT_EQ(cluster.comm(r)->comm_seconds(), 0.0);
       EXPECT_EQ(cluster.comm(r)->bytes_on_wire(), 0);
     } else {
-      EXPECT_GT(cluster.comm(r)->comm_seconds(), 0.0);
       EXPECT_GT(cluster.comm(r)->bytes_on_wire(), 0);
     }
   }
@@ -336,44 +356,6 @@ INSTANTIATE_TEST_SUITE_P(Backends, CommunicatorTest,
                          [](const ::testing::TestParamInfo<Backend>& param) {
                            return BackendName(param.param);
                          });
-
-// ---- Phased in-process mode (the serial driver's completion model) --------
-
-/// One thread plays every rank in turn: each call deposits and returns
-/// immediately; the LAST rank's call executes the fold and completes the
-/// operation for everyone.
-TEST(InProcessPhasedTest, LastRankCompletesTheOperationForEveryone) {
-  const int world = 3;
-  InProcessGroup group(world);  // phased (non-blocking) mode
-  std::vector<std::vector<float>> bufs(world);
-  for (int r = 0; r < world; ++r) {
-    bufs[static_cast<size_t>(r)] = {static_cast<float>(r), 10.0f};
-  }
-  for (int r = 0; r < world; ++r) {
-    ASSERT_TRUE(group.communicator(r)
-                    ->AllReduceSum(
-                        std::span<float>(bufs[static_cast<size_t>(r)]))
-                    .ok());
-  }
-  for (int r = 0; r < world; ++r) {
-    EXPECT_EQ(bufs[static_cast<size_t>(r)][0], 0.0f + 1.0f + 2.0f);
-    EXPECT_EQ(bufs[static_cast<size_t>(r)][1], 30.0f);
-  }
-}
-
-TEST(InProcessPhasedTest, SignatureMismatchPoisonsTheGroup) {
-  InProcessGroup group(2);
-  std::vector<float> a = {1.0f, 2.0f};
-  ASSERT_TRUE(group.communicator(0)->AllReduceSum(std::span<float>(a)).ok());
-  // Rank 1 shows up with a different element count for the same slot.
-  std::vector<float> b = {1.0f, 2.0f, 3.0f};
-  Status s = group.communicator(1)->AllReduceSum(std::span<float>(b));
-  EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
-  // Poisoned: even a well-formed follow-up op fails with the original error.
-  std::vector<float> c = {0.0f};
-  Status after = group.communicator(0)->AllReduceSum(std::span<float>(c));
-  EXPECT_TRUE(after.IsFailedPrecondition()) << after.ToString();
-}
 
 // ---- Socket-specific failure modes ----------------------------------------
 

@@ -1,13 +1,19 @@
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "xfraud/common/atomic_file.h"
 #include "xfraud/core/detector.h"
 #include "xfraud/data/generator.h"
 #include "xfraud/dist/distributed.h"
 #include "xfraud/dist/partition.h"
+#include "xfraud/dist/worker.h"
 #include "xfraud/graph/subgraph.h"
 
 namespace xfraud::dist {
@@ -200,30 +206,119 @@ TEST_F(PartitionTest, DistributedTrainingLearnsAndKeepsReplicasInSync) {
   }
 }
 
-TEST_F(PartitionTest, MoreWorkersReduceSimulatedEpochTime) {
-  sample::SageSampler sampler(2, 8);
-  auto run = [&](int kappa) {
-    std::vector<std::unique_ptr<core::XFraudDetector>> replicas;
-    std::vector<core::GnnModel*> ptrs;
-    for (int w = 0; w < kappa; ++w) {
-      replicas.push_back(std::make_unique<core::XFraudDetector>(
-          MakeReplica(ds_->graph.feature_dim(), 99)));
-      ptrs.push_back(replicas.back().get());
-    }
-    DistributedOptions options;
-    options.num_workers = kappa;
-    options.num_clusters = 32;
-    options.train.max_epochs = 2;
-    options.train.patience = 2;
-    options.train.batch_size = 128;
-    DistributedTrainer trainer(ptrs, &sampler, options);
-    return trainer.Train(*ds_).mean_simulated_epoch_seconds;
+TEST_F(PartitionTest, MoreWorkersShrinkTheLargestPartition) {
+  // A rank's epoch work scales with its partition, so the largest partition
+  // bounds the epoch: doubling the workers must cut it by at least 25%.
+  auto largest = [&](int kappa) {
+    Rng rng(99);
+    auto worker_of = PartitionForWorkers(ds_->graph, 32, kappa, &rng);
+    std::vector<int64_t> load(static_cast<size_t>(kappa), 0);
+    for (int w : worker_of) ++load[static_cast<size_t>(w)];
+    return *std::max_element(load.begin(), load.end());
   };
-  double two = run(2);
-  double four = run(4);
-  // Halving each worker's data should cut the simulated (slowest-worker)
-  // epoch time noticeably; require at least 25% to stay timing-robust.
-  EXPECT_LT(four, two * 0.75);
+  EXPECT_LT(static_cast<double>(largest(4)),
+            0.75 * static_cast<double>(largest(2)));
+}
+
+// ---- Hostile lengths in the dist decoders ---------------------------------
+
+template <typename T>
+void Append(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+class DistDecoderTest : public PartitionTest {
+ protected:
+  void SetUp() override {
+    dir_ = "/tmp/xf-dist-decoder-" + std::to_string(::getpid());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  /// A one-rank worker whose checkpoint_dir is dir_ (no rendezvous needed).
+  DistWorkerOptions WorkerOptions() const {
+    DistWorkerOptions w;
+    w.detector.feature_dim = ds_->graph.feature_dim();
+    w.detector.hidden_dim = 8;
+    w.detector.num_heads = 2;
+    w.detector.num_layers = 1;
+    w.dist.num_workers = 1;
+    w.dist.num_clusters = 8;
+    w.dist.train.max_epochs = 1;
+    w.dist.train.seed = 5;
+    w.checkpoint_dir = dir_;
+    return w;
+  }
+
+  /// A rank-0 checkpoint header that is valid up to its shuffle-order count.
+  static std::string CheckpointHeader(uint64_t seed, int64_t order_count) {
+    std::string out = "XFDC";
+    Append<uint32_t>(&out, 1);     // version
+    Append<uint64_t>(&out, seed);
+    Append<int32_t>(&out, 0);      // next epoch
+    Append<double>(&out, 0.0);     // best val AUC
+    Append<int32_t>(&out, 0);      // stale epochs
+    for (int i = 0; i < 4; ++i) Append<uint64_t>(&out, 1);  // rng state
+    Append<uint8_t>(&out, 0);      // no cached gaussian
+    Append<double>(&out, 0.0);
+    Append<uint64_t>(&out, 0);     // cursor
+    Append<int64_t>(&out, order_count);
+    return out;
+  }
+
+  void ExpectCheckpointIsCorruption(const std::string& bytes) {
+    ASSERT_TRUE(AtomicWriteFileWithCrc(dir_ + "/rank-0.ckpt", bytes).ok());
+    auto run = RunDistWorker(*ds_, WorkerOptions());
+    ASSERT_FALSE(run.ok());
+    EXPECT_TRUE(run.status().IsCorruption()) << run.status().ToString();
+  }
+
+  std::string dir_;
+};
+
+TEST_F(DistDecoderTest, CheckpointOrderCountBeyondTheFileIsCorruption) {
+  ExpectCheckpointIsCorruption(CheckpointHeader(5, int64_t{1} << 40));
+}
+
+TEST_F(DistDecoderTest, CheckpointTensorShapeBeyondTheFileIsCorruption) {
+  DistWorkerOptions w = WorkerOptions();
+  Rng rng(w.model_seed);
+  core::XFraudDetector model(w.detector, &rng);
+  auto params = model.Parameters();
+  std::string bytes = CheckpointHeader(5, 0);
+  Append<int64_t>(&bytes, static_cast<int64_t>(params.size()));
+  Append<uint32_t>(&bytes, static_cast<uint32_t>(params[0].name.size()));
+  bytes += params[0].name;
+  Append<int64_t>(&bytes, int64_t{1} << 20);  // rows
+  Append<int64_t>(&bytes, int64_t{1} << 20);  // cols: 2^40 floats
+  ExpectCheckpointIsCorruption(bytes);
+}
+
+TEST_F(DistDecoderTest, ResultCountsBeyondTheFileAreCorruption) {
+  auto result_file = [](int64_t partitions, int64_t epochs) {
+    std::string out = "XFDR";
+    Append<uint32_t>(&out, 2);  // version
+    Append<double>(&out, 0.5);  // best val AUC
+    Append<double>(&out, 1.0);  // mean wall epoch
+    Append<double>(&out, 0.1);  // edge cut
+    Append<int64_t>(&out, partitions);
+    if (partitions == 0) Append<int64_t>(&out, epochs);
+    return out;
+  };
+  const std::string path = dir_ + "/result.bin";
+  for (const std::string& bytes :
+       {result_file(int64_t{1} << 40, 0), result_file(0, int64_t{1} << 40)}) {
+    ASSERT_TRUE(AtomicWriteFileWithCrc(path, bytes).ok());
+    auto loaded = LoadDistResult(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  }
+  // The same layout with honest counts still loads.
+  ASSERT_TRUE(AtomicWriteFileWithCrc(path, result_file(0, 0)).ok());
+  auto loaded = LoadDistResult(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().best_val_auc, 0.5);
 }
 
 }  // namespace

@@ -633,56 +633,47 @@ class DdpFaultTest : public FaultToleranceTest {
   }
 };
 
-TEST_F(DdpFaultTest, ElasticRecoveryAbsorbsWorkerKillAndKvFaults) {
+TEST_F(DdpFaultTest, RestartEpochRecoveryRidesOutWorkerKillAndKvFaults) {
   DdpRun baseline = Run(BaseOptions());
   ASSERT_TRUE(baseline.replicas_in_sync);
 
+  obs::Counter* io_errors =
+      obs::Registry::Global().counter("fault/injected_io_errors");
+  const int64_t io_errors_before = io_errors->value();
   auto plan = FaultPlan::Parse("seed=31,kv_error_rate=0.02,kill_worker=1@1:1");
   ASSERT_TRUE(plan.ok());
-  FaultInjector injector(plan.value());
   dist::DistributedOptions options = BaseOptions();
-  options.fault_injector = &injector;
-  options.recovery = dist::FailureRecovery::kElastic;
+  options.fault_plan = plan.value();
   DdpRun chaos = Run(options);
 
-  // The kill happened where planned, survivors absorbed the dead worker's
-  // batches, and the injected KV faults were retried away.
+  // The kill forced exactly one epoch to be rolled back and re-run, and
+  // every rank's injected KV faults were retried away.
   ASSERT_GE(chaos.result.history.size(), 2u);
-  EXPECT_EQ(chaos.result.history[1].killed_worker, 1);
-  EXPECT_GT(chaos.result.history[1].redistributed_batches, 0);
-  EXPECT_FALSE(chaos.result.history[1].restarted);
-  EXPECT_GT(chaos.result.history[1].recovery_seconds, 0.0);
   for (size_t e = 0; e < chaos.result.history.size(); ++e) {
-    if (e != 1) {
-      EXPECT_EQ(chaos.result.history[e].killed_worker, -1) << "epoch " << e;
-      EXPECT_EQ(chaos.result.history[e].redistributed_batches, 0);
-    }
+    EXPECT_EQ(chaos.result.history[e].restarted, e == 1) << "epoch " << e;
   }
-  EXPECT_GT(injector.injected_io_errors(), 0);
+  EXPECT_GT(chaos.result.history[1].recovery_seconds, 0.0);
+  EXPECT_GT(io_errors->value(), io_errors_before);
 
-  // Training completed: replicas re-synchronized after the rejoin and the
-  // final quality is within noise of the fault-free run.
+  // Retries leave no batch degraded, so the run is the fault-free one.
   EXPECT_TRUE(chaos.replicas_in_sync);
-  EXPECT_NEAR(chaos.result.best_val_auc, baseline.result.best_val_auc, 0.15);
+  EXPECT_EQ(chaos.params, baseline.params);
 }
 
 TEST_F(DdpFaultTest, RestartEpochRecoveryReplaysTheEpochExactly) {
   DdpRun baseline = Run(BaseOptions());
 
   // Kill only (no KV noise): the rolled-back epoch re-runs from the
-  // snapshot, so the whole run must be bit-identical to the fault-free one.
+  // epoch-start image, so the whole run must be bit-identical to the
+  // fault-free one.
   auto plan = FaultPlan::Parse("seed=31,kill_worker=1@1:1");
   ASSERT_TRUE(plan.ok());
-  FaultInjector injector(plan.value());
   dist::DistributedOptions options = BaseOptions();
-  options.fault_injector = &injector;
-  options.recovery = dist::FailureRecovery::kRestartEpoch;
+  options.fault_plan = plan.value();
   DdpRun restarted = Run(options);
 
   ASSERT_GE(restarted.result.history.size(), 2u);
-  EXPECT_EQ(restarted.result.history[1].killed_worker, 1);
   EXPECT_TRUE(restarted.result.history[1].restarted);
-  EXPECT_EQ(restarted.result.history[1].redistributed_batches, 0);
   EXPECT_GT(restarted.result.history[1].recovery_seconds, 0.0);
   EXPECT_TRUE(restarted.replicas_in_sync);
 
@@ -726,6 +717,29 @@ TEST_F(FaultToleranceTest, SuiteSurvivesEnvSelectedChaosPlan) {
   auto result = trainer.Train(*ds_);
   EXPECT_TRUE(result.error.ok()) << result.error.ToString();
   EXPECT_EQ(result.history.size(), 2u);
+}
+
+TEST_F(DdpFaultTest, ThreadedClusterSurvivesEnvSelectedChaosPlan) {
+  // The distributed half of the chaos leg: the threaded κ=4 cluster with
+  // KV-backed loaders under whatever plan the environment carries. The
+  // faults profile kills rank 1 at epoch 1 step 2; recovery rolls every rank
+  // back, so the run must still finish every epoch with replicas in sync.
+  auto plan = FaultPlan::FromEnv();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  dist::DistributedOptions options = BaseOptions();
+  options.train.max_epochs = 2;
+  options.train.patience = 2;
+  options.fault_plan = plan.value();
+  DdpRun run = Run(options);
+  ASSERT_EQ(run.result.history.size(), 2u);
+  EXPECT_TRUE(run.replicas_in_sync);
+  const FaultPlan& p = plan.value();
+  for (int e = 0; e < 2; ++e) {
+    EXPECT_EQ(run.result.history[static_cast<size_t>(e)].restarted,
+              p.kill_worker >= 0 && p.kill_worker < options.num_workers &&
+                  p.kill_epoch == e)
+        << "epoch " << e;
+  }
 }
 
 }  // namespace

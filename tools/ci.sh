@@ -68,7 +68,8 @@ fi
 
 # Chaos profile: transient KV errors and latency plus one worker kill,
 # injected deterministically (fault/fault_plan.h grammar). The suite must
-# pass anyway — retries, degraded batches, and DDP recovery absorb it.
+# pass anyway — retries, degraded batches, and DDP recovery absorb it
+# (DdpFaultTest.ThreadedClusterSurvivesEnvSelectedChaosPlan runs the kill).
 if [[ "${MODE}" == "faults" ]]; then
   export XFRAUD_FAULT_PLAN="${XFRAUD_FAULT_PLAN:-seed=20260805,kv_error_rate=0.01,kv_latency_rate=0.005,kv_latency_s=0.0001,kill_worker=1@1:2}"
   echo "== fault plan: ${XFRAUD_FAULT_PLAN} =="

@@ -20,8 +20,8 @@
 //       also usable standalone against a prepared cell WAL)
 //   xfraud_cli dist-bench --log log.tsv --transport inproc|socket ...
 //       run distributed data-parallel training over the chosen Communicator
-//       backend (socket forks one real OS process per rank) and print the
-//       per-epoch cost table
+//       backend (inproc: one thread per rank; socket: one real OS process
+//       per rank) and print the per-epoch cost table
 //   xfraud_cli dist-worker --log log.tsv --rank R --workers W ...
 //       run one rank of a socket-backed cluster (what dist-bench's launcher
 //       forks; also usable standalone for hand-launched clusters)
@@ -87,7 +87,7 @@ int Usage() {
       "           [--deadline-ms F] [--idle-timeout SEC] [--fault-plan SPEC]\n"
       "  dist-bench --log <log.tsv> [--transport inproc|socket]\n"
       "           [--workers N] [--epochs N] [--batch N] [--clusters N]\n"
-      "           [--recovery elastic|restart] [--fault-plan SPEC]\n"
+      "           [--fault-plan SPEC]\n"
       "           [--checkpoint-dir D] [--op-timeout SEC] [--timeout SEC]\n"
       "  dist-worker --log <log.tsv> --rank R --workers W\n"
       "           --rendezvous unix:<path>|tcp:host:port --checkpoint-dir D\n"
@@ -142,17 +142,17 @@ int Usage() {
       "serve-worker runs one such server by hand.\n"
       "\n"
       "distributed training (dist-bench / dist-worker): --transport inproc\n"
-      "runs every replica in this process over the shared-memory\n"
-      "Communicator (bit-identical to the historical simulation);\n"
-      "--transport socket forks one real OS process per rank, connected by\n"
-      "a length-prefixed-frame ring over unix sockets with rank-0\n"
-      "rendezvous. In socket mode kill_worker=<r>@<e>:<s> in --fault-plan\n"
-      "is a real SIGKILL; the launcher re-forks the rank, which resumes\n"
-      "from its CRC checkpoint under --checkpoint-dir and rejoins the\n"
-      "ring. The epoch table reports the sync cost split by provenance:\n"
-      "'modeled sync' (inproc: sync_overhead x steps) and 'measured comm'\n"
-      "(socket: slowest rank's time inside collectives) — exactly one is\n"
-      "set, never both summed. See DESIGN.md §12.\n";
+      "runs one thread per rank in this process over the shared-memory\n"
+      "Communicator; --transport socket forks one real OS process per rank,\n"
+      "connected by a length-prefixed-frame ring over unix sockets with\n"
+      "rank-0 rendezvous. Both run the same per-rank loop and give\n"
+      "bit-identical results. kill_worker=<r>@<e>:<s> in --fault-plan\n"
+      "kills rank r mid-epoch (inproc: its group fails; socket: a real\n"
+      "SIGKILL, after which the launcher re-forks the rank and it resumes\n"
+      "from its CRC checkpoint under --checkpoint-dir); every rank rolls\n"
+      "back and re-runs the epoch. The epoch table reports measured times\n"
+      "only: wall, the slowest rank's time inside collectives, sampling\n"
+      "and compute. See DESIGN.md §12.\n";
   return 1;
 }
 
@@ -889,42 +889,25 @@ dist::DistWorkerOptions WorkerOptionsFromFlags(const data::SimDataset& ds,
   return w;
 }
 
-/// Per-epoch cost table of a distributed run. The sync cost is printed
-/// split by provenance — "modeled sync" (in-process: sync_overhead x
-/// steps) vs "measured comm" (socket: slowest rank's time inside
-/// collectives). Exactly one of the pair is ever set; the other prints "-"
-/// so the two can never read as summed.
+/// Per-epoch cost table of a distributed run: measured times only (the
+/// per-rank columns are the slowest rank's).
 void PrintDistResult(const dist::DistributedResult& result) {
-  TablePrinter table({"epoch", "loss", "val auc", "wall (s)",
-                      "modeled sync (s)", "measured comm (s)",
-                      "sim cluster (s)", "recovery"});
+  TablePrinter table({"epoch", "loss", "val auc", "wall (s)", "comm (s)",
+                      "sample (s)", "compute (s)", "restart (s)"});
   for (const auto& e : result.history) {
-    std::string recovery = "-";
-    if (e.restarted || e.killed_worker >= 0) {
-      recovery = e.restarted ? "restart" : "elastic";
-      if (e.killed_worker >= 0) {
-        recovery += " w" + std::to_string(e.killed_worker);
-      }
-      recovery += " +" + TablePrinter::Num(e.recovery_seconds, 3) + "s";
-    }
     table.AddRow(
         {std::to_string(e.epoch), TablePrinter::Num(e.train_loss, 4),
          TablePrinter::Num(e.val_auc, 4),
          TablePrinter::Num(e.wall_seconds, 3),
-         e.modeled_sync_seconds > 0.0
-             ? TablePrinter::Num(e.modeled_sync_seconds, 4)
-             : "-",
-         e.measured_comm_seconds > 0.0
-             ? TablePrinter::Num(e.measured_comm_seconds, 4)
-             : "-",
-         TablePrinter::Num(e.simulated_cluster_seconds, 3), recovery});
+         TablePrinter::Num(e.measured_comm_seconds, 4),
+         TablePrinter::Num(e.max_worker_sample_seconds, 3),
+         TablePrinter::Num(e.max_worker_compute_seconds, 3),
+         e.restarted ? TablePrinter::Num(e.recovery_seconds, 3) : "-"});
   }
   table.Print(std::cout);
   std::cout << "best val AUC " << TablePrinter::Num(result.best_val_auc, 4)
             << ", mean wall epoch "
             << TablePrinter::Num(result.mean_wall_epoch_seconds, 3)
-            << "s, mean simulated epoch "
-            << TablePrinter::Num(result.mean_simulated_epoch_seconds, 3)
             << "s, edge cut "
             << TablePrinter::Num(result.edge_cut_fraction * 100, 1)
             << "%\npartition nodes:";
@@ -956,7 +939,7 @@ int CmdDistWorker(const Flags& flags) {
     std::cerr << "dist-worker: " << plan.status().ToString() << "\n";
     return 1;
   }
-  worker.fault_plan = plan.value();
+  worker.dist.fault_plan = plan.value();
   auto result = dist::RunDistWorker(ds.value(), worker);
   if (!result.ok()) {
     std::cerr << "dist-worker: " << result.status().ToString() << "\n";
@@ -977,11 +960,6 @@ int CmdDistBench(const Flags& flags) {
     std::cerr << "dist-bench: --transport must be inproc or socket\n";
     return 1;
   }
-  std::string recovery = flags.Get("recovery", "elastic");
-  if (recovery != "elastic" && recovery != "restart") {
-    std::cerr << "dist-bench: --recovery must be elastic or restart\n";
-    return 1;
-  }
   auto plan = PlanFromFlags(flags);
   if (!plan.ok()) {
     std::cerr << "dist-bench: " << plan.status().ToString() << "\n";
@@ -994,7 +972,7 @@ int CmdDistBench(const Flags& flags) {
   if (transport == "socket") {
     dist::ProcessClusterOptions cluster;
     cluster.worker = WorkerOptionsFromFlags(ds.value(), flags);
-    cluster.worker.fault_plan = plan.value();
+    cluster.worker.dist.fault_plan = plan.value();
     if (cluster.worker.checkpoint_dir.empty()) {
       cluster.worker.checkpoint_dir = "/tmp/xfraud-dist-bench";
     }
@@ -1016,8 +994,8 @@ int CmdDistBench(const Flags& flags) {
     return WriteMetricsSnapshot(flags);
   }
 
-  // In-process: kappa identically-seeded replicas over the shared-memory
-  // Communicator (the historical simulation, bit-identical).
+  // In-process: kappa identically-seeded replicas, one thread each, over
+  // the shared-memory Communicator.
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   const int kappa = std::max(1, flags.GetInt("workers", 4));
   std::vector<std::unique_ptr<core::XFraudDetector>> replicas;
@@ -1031,14 +1009,7 @@ int CmdDistBench(const Flags& flags) {
   sample::SageSampler sampler(2, 8);
   dist::DistributedOptions options =
       WorkerOptionsFromFlags(ds.value(), flags).dist;
-  options.recovery = recovery == "restart"
-                         ? dist::FailureRecovery::kRestartEpoch
-                         : dist::FailureRecovery::kElastic;
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (plan.value().any()) {
-    injector = std::make_unique<fault::FaultInjector>(plan.value());
-    options.fault_injector = injector.get();
-  }
+  options.fault_plan = plan.value();
   dist::DistributedTrainer trainer(ptrs, &sampler, options);
   dist::DistributedResult result = trainer.Train(ds.value());
   PrintDistResult(result);
