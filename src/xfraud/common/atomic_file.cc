@@ -8,6 +8,7 @@
 
 #include <cstring>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/crc32.h"
 
 namespace xfraud {
@@ -62,12 +63,12 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents) {
 
 Status AtomicWriteFileWithCrc(const std::string& path,
                               std::string_view contents) {
-  uint32_t crc = Crc32(contents.data(), contents.size());
   std::string framed;
   framed.reserve(contents.size() + kFooterSize);
-  framed.append(contents);
-  framed.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  framed.append(kCrcMagic, sizeof(kCrcMagic));
+  ByteWriter(&framed)
+      .Bytes(contents)
+      .U32(Crc32(contents.data(), contents.size()))
+      .Magic(kCrcMagic);
   return AtomicWriteFile(path, framed);
 }
 
@@ -108,13 +109,11 @@ Result<std::string> ReadFileVerifyCrc(const std::string& path) {
   if (data.size() < kFooterSize) {
     return Status::Corruption("file too short for CRC footer: " + path);
   }
-  const char* footer = data.data() + data.size() - kFooterSize;
-  if (std::memcmp(footer + sizeof(uint32_t), kCrcMagic, sizeof(kCrcMagic)) !=
-      0) {
+  ByteReader footer(std::string_view(data).substr(data.size() - kFooterSize));
+  const uint32_t stored = footer.U32();
+  if (!footer.Magic(kCrcMagic)) {
     return Status::Corruption("missing CRC footer magic in " + path);
   }
-  uint32_t stored;
-  std::memcpy(&stored, footer, sizeof(stored));
   data.resize(data.size() - kFooterSize);
   uint32_t actual = Crc32(data.data(), data.size());
   if (actual != stored) {

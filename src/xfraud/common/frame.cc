@@ -2,47 +2,14 @@
 
 #include <string>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/crc32.h"
 
 namespace xfraud {
 
 namespace {
 
-constexpr unsigned char kMagic[4] = {'X', 'F', 'R', 'M'};
-
-void PutU16(unsigned char* out, uint16_t v) {
-  out[0] = static_cast<unsigned char>(v & 0xFF);
-  out[1] = static_cast<unsigned char>((v >> 8) & 0xFF);
-}
-
-void PutU32(unsigned char* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-void PutU64(unsigned char* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-uint16_t GetU16(const unsigned char* in) {
-  return static_cast<uint16_t>(static_cast<uint16_t>(in[0]) |
-                               static_cast<uint16_t>(in[1]) << 8);
-}
-
-uint32_t GetU32(const unsigned char* in) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(in[i]) << (8 * i);
-  return v;
-}
-
-uint64_t GetU64(const unsigned char* in) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(in[i]) << (8 * i);
-  return v;
-}
+constexpr char kMagic[4] = {'X', 'F', 'R', 'M'};
 
 }  // namespace
 
@@ -72,34 +39,33 @@ Status VerifyFramePayload(const FrameHeader& header, const void* payload,
   return Status::OK();
 }
 
-void EncodeFrameHeader(const FrameHeader& header, unsigned char* out) {
-  for (int i = 0; i < 4; ++i) out[i] = kMagic[i];
-  PutU16(out + 4, static_cast<uint16_t>(header.type));
-  PutU16(out + 6, header.flags);
-  PutU32(out + 8, header.rank);
-  PutU64(out + 12, header.seq);
-  PutU64(out + 20, header.payload_bytes);
-  PutU32(out + 28, header.payload_crc);
+std::string EncodeFrameHeader(const FrameHeader& header) {
+  return ByteWriter()
+      .Magic(kMagic)
+      .U16(static_cast<uint16_t>(header.type))
+      .U16(header.flags)
+      .U32(header.rank)
+      .U64(header.seq)
+      .U64(header.payload_bytes)
+      .U32(header.payload_crc)
+      .Release();
 }
 
 Result<FrameHeader> DecodeFrameHeader(const unsigned char* data) {
-  for (int i = 0; i < 4; ++i) {
-    if (data[i] != kMagic[i]) {
-      return Status::Corruption("frame: bad magic");
-    }
-  }
+  ByteReader in(data, kFrameHeaderBytes);
+  if (!in.Magic(kMagic)) return Status::Corruption("frame: bad magic");
   FrameHeader header;
-  uint16_t type = GetU16(data + 4);
+  const uint16_t type = in.U16();
   if (type < static_cast<uint16_t>(FrameType::kHello) ||
       type > static_cast<uint16_t>(FrameType::kDrain)) {
     return Status::Corruption("frame: unknown type " + std::to_string(type));
   }
   header.type = static_cast<FrameType>(type);
-  header.flags = GetU16(data + 6);
-  header.rank = GetU32(data + 8);
-  header.seq = GetU64(data + 12);
-  header.payload_bytes = GetU64(data + 20);
-  header.payload_crc = GetU32(data + 28);
+  header.flags = in.U16();
+  header.rank = in.U32();
+  header.seq = in.U64();
+  header.payload_bytes = in.U64();
+  header.payload_crc = in.U32();
   if (header.payload_bytes > kMaxFramePayload) {
     return Status::Corruption("frame: payload length " +
                               std::to_string(header.payload_bytes) +

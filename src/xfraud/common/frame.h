@@ -1,8 +1,9 @@
 #ifndef XFRAUD_COMMON_FRAME_H_
 #define XFRAUD_COMMON_FRAME_H_
 
-#include <cstdint>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 
 #include "xfraud/common/status.h"
 
@@ -22,12 +23,11 @@ namespace xfraud {
 ///   [28..32) payload_crc   u32 (CRC32 of the payload bytes; CRC of the
 ///                               empty payload for payload-less frames)
 ///
-/// Integers are encoded little-endian byte-by-byte, so the encoding is
-/// host-endianness independent (frames only ever cross localhost today, but
-/// the format does not bake that in). The payload CRC makes a torn or
-/// bit-flipped payload detectable at the receiver: VerifyFramePayload
-/// returns Corruption instead of silently accepting garbage. Serialization
-/// lives in common/ so it carries no socket I/O — dist/ owns the fds.
+/// Integers are little-endian (common/bytes.h). The payload CRC makes a
+/// torn or bit-flipped payload detectable at the receiver:
+/// VerifyFramePayload returns Corruption instead of silently accepting
+/// garbage. Serialization lives in common/ so it carries no socket I/O —
+/// dist/ owns the fds.
 enum class FrameType : uint16_t {
   kHello = 1,      // ring handshake: rank = sender's rank
   kJoin = 2,       // rendezvous: rank = joiner, seq = generation, payload = ring endpoint
@@ -76,8 +76,8 @@ void SealFramePayload(FrameHeader* header, const void* payload, size_t n);
 Status VerifyFramePayload(const FrameHeader& header, const void* payload,
                           size_t n);
 
-/// Encodes `header` into `out`, which must hold kFrameHeaderBytes.
-void EncodeFrameHeader(const FrameHeader& header, unsigned char* out);
+/// Encodes `header` into its kFrameHeaderBytes bytes.
+std::string EncodeFrameHeader(const FrameHeader& header);
 
 /// Decodes a header from `data` (kFrameHeaderBytes long). Returns
 /// Corruption on a bad magic, unknown type, or oversized payload length.

@@ -40,7 +40,7 @@ pid_t ForkWorker(const data::SimDataset& ds, DistWorkerOptions worker,
   ::_exit(0);
 }
 
-void KillRemaining(std::vector<Child>* children) {
+void KillSurvivors(std::vector<Child>* children) {
   for (Child& c : *children) {
     if (c.pid > 0) {
       ::kill(c.pid, SIGKILL);
@@ -82,7 +82,7 @@ Result<ProcessClusterReport> RunProcessCluster(
   for (int r = 0; r < world; ++r) {
     pid_t pid = ForkWorker(ds, worker, r, worker.suppress_kill);
     if (pid < 0) {
-      KillRemaining(&children);
+      KillSurvivors(&children);
       return Status::IoError("fork failed for dist worker rank " +
                              std::to_string(r));
     }
@@ -94,7 +94,7 @@ Result<ProcessClusterReport> RunProcessCluster(
   int running = world;
   while (running > 0) {
     if (deadline.Expired()) {
-      KillRemaining(&children);
+      KillSurvivors(&children);
       return Status::DeadlineExceeded(
           "process cluster exceeded its overall timeout");
     }
@@ -105,7 +105,7 @@ Result<ProcessClusterReport> RunProcessCluster(
       continue;
     }
     if (pid < 0) {
-      KillRemaining(&children);
+      KillSurvivors(&children);
       return Status::IoError("waitpid failed while supervising dist workers");
     }
     int rank = -1;
@@ -126,7 +126,7 @@ Result<ProcessClusterReport> RunProcessCluster(
       signal_deaths->Increment();
       report.kills_observed.push_back(rank);
       if (child.restarts >= options.max_restarts_per_rank) {
-        KillRemaining(&children);
+        KillSurvivors(&children);
         return Status::Internal(
             "dist worker rank " + std::to_string(rank) +
             " exhausted its restart budget");
@@ -138,7 +138,7 @@ Result<ProcessClusterReport> RunProcessCluster(
                    << child.restarts << ")";
       pid_t again = ForkWorker(ds, worker, rank, /*suppress_kill=*/true);
       if (again < 0) {
-        KillRemaining(&children);
+        KillSurvivors(&children);
         return Status::IoError("fork failed restarting dist worker rank " +
                                std::to_string(rank));
       }
@@ -148,7 +148,7 @@ Result<ProcessClusterReport> RunProcessCluster(
     }
     // A clean-but-failing exit is a worker-reported error, not a machine
     // loss: restarting would loop on the same failure.
-    KillRemaining(&children);
+    KillSurvivors(&children);
     return Status::Internal("dist worker rank " + std::to_string(rank) +
                             " exited with code " +
                             std::to_string(WEXITSTATUS(status)));

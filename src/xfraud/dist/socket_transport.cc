@@ -17,6 +17,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/logging.h"
 #include "xfraud/common/rng.h"
 #include "xfraud/obs/registry.h"
@@ -103,30 +104,6 @@ Result<SockAddr> ToSockAddr(const Endpoint& ep) {
   }
   out.len = static_cast<socklen_t>(sizeof(out.addr.in));
   return out;
-}
-
-void PutU32(unsigned char* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-void PutU64(unsigned char* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-uint32_t GetU32(const unsigned char* in) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(in[i]) << (8 * i);
-  return v;
-}
-
-uint64_t GetU64(const unsigned char* in) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(in[i]) << (8 * i);
-  return v;
 }
 
 }  // namespace
@@ -270,8 +247,7 @@ Status RecvAllBytes(int fd, void* data, size_t n, const Deadline& deadline,
 Status SendFrame(int fd, FrameHeader header, const void* payload, size_t n,
                  const Deadline& deadline, Clock* clock) {
   SealFramePayload(&header, payload, n);
-  std::array<unsigned char, kFrameHeaderBytes> buf;
-  EncodeFrameHeader(header, buf.data());
+  const std::string buf = EncodeFrameHeader(header);
   XF_RETURN_IF_ERROR(SendAllBytes(fd, buf.data(), buf.size(), deadline, clock));
   if (n > 0) {
     XF_RETURN_IF_ERROR(SendAllBytes(fd, payload, n, deadline, clock));
@@ -290,8 +266,7 @@ Status SendFrameCorrupting(int fd, FrameHeader header, const void* payload,
       static_cast<const unsigned char*>(payload),
       static_cast<const unsigned char*>(payload) + n);
   damaged[static_cast<size_t>(corrupt_byte)] ^= 0x40;
-  std::array<unsigned char, kFrameHeaderBytes> buf;
-  EncodeFrameHeader(header, buf.data());
+  const std::string buf = EncodeFrameHeader(header);
   XF_RETURN_IF_ERROR(SendAllBytes(fd, buf.data(), buf.size(), deadline, clock));
   return SendAllBytes(fd, damaged.data(), damaged.size(), deadline, clock);
 }
@@ -551,14 +526,11 @@ struct SocketCommunicator::Impl {
     const Deadline deadline = Deadline::After(clock, op_timeout_s);
     const int distance = (rank - root + world) % world;
     auto append_own = [&](std::vector<unsigned char>* buf) {
-      const size_t at = buf->size();
-      buf->resize(at + 12 + send.size() * sizeof(float));
-      PutU32(buf->data() + at, static_cast<uint32_t>(rank));
-      PutU64(buf->data() + at + 4, static_cast<uint64_t>(send.size()));
-      if (!send.empty()) {
-        std::memcpy(buf->data() + at + 12, send.data(),
-                    send.size() * sizeof(float));
-      }
+      ByteWriter entry;
+      entry.U32(static_cast<uint32_t>(rank)).U64(send.size());
+      entry.Array(send.data(), send.size());
+      const std::string bytes = entry.Release();
+      buf->insert(buf->end(), bytes.begin(), bytes.end());
     };
     if (distance == 0) {  // root
       if (recv == nullptr) {
@@ -573,24 +545,14 @@ struct SocketCommunicator::Impl {
                                         header.value().payload_bytes));
       XF_RETURN_IF_ERROR(RecvFramePayload(pred.get(), header.value(),
                                           &scratch, deadline, clock));
-      size_t at = 0;
+      ByteReader in(scratch.data(), scratch.size());
       for (int i = 0; i < world - 1; ++i) {
-        if (at + 12 > scratch.size()) {
-          return Status::Corruption("gather payload truncated");
-        }
-        uint32_t from = GetU32(scratch.data() + at);
-        uint64_t count = GetU64(scratch.data() + at + 4);
-        at += 12;
-        if (from >= static_cast<uint32_t>(world) ||
-            at + count * sizeof(float) > scratch.size()) {
+        const uint32_t from = in.U32();
+        const uint64_t count = in.ReadCount(sizeof(float));
+        if (!in.ok() || from >= static_cast<uint32_t>(world) ||
+            !in.Array(count, &(*recv)[from])) {
           return Status::Corruption("gather entry malformed");
         }
-        (*recv)[from].assign(count, 0.0f);
-        if (count > 0) {
-          std::memcpy((*recv)[from].data(), scratch.data() + at,
-                      count * sizeof(float));
-        }
-        at += count * sizeof(float);
       }
       return Status::OK();
     }

@@ -1,16 +1,15 @@
 #include "xfraud/dist/worker.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "xfraud/common/atomic_file.h"
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/logging.h"
 #include "xfraud/common/timer.h"
 #include "xfraud/dist/partition.h"
@@ -45,66 +44,6 @@ constexpr uint32_t kCkptVersion = 1;
 constexpr char kResultMagic[4] = {'X', 'F', 'D', 'R'};
 constexpr uint32_t kResultVersion = 2;
 
-template <typename T>
-void WritePod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-/// Bytes left in `in`, a stream over a verified buffer of `total` bytes.
-/// Every length read from a file is checked against this before it sizes an
-/// allocation: a CRC only proves the bytes are the ones written, not that
-/// the writer was honest.
-uint64_t Remaining(std::istream& in, size_t total) {
-  const std::streamoff at = in.tellg();
-  if (at < 0 || static_cast<uint64_t>(at) > total) return 0;
-  return total - static_cast<uint64_t>(at);
-}
-
-void WriteString(std::ostream& out, const std::string& s) {
-  WritePod(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool ReadString(std::istream& in, size_t total, std::string* s) {
-  uint32_t len = 0;
-  if (!ReadPod(in, &len) || len > Remaining(in, total)) return false;
-  s->resize(len);
-  in.read(s->data(), len);
-  return static_cast<bool>(in);
-}
-
-void WriteTensor(std::ostream& out, const nn::Tensor& t) {
-  WritePod(out, t.rows());
-  WritePod(out, t.cols());
-  out.write(reinterpret_cast<const char*>(t.data()),
-            static_cast<std::streamsize>(t.size() * sizeof(float)));
-}
-
-bool ReadTensor(std::istream& in, size_t total, nn::Tensor* t) {
-  int64_t rows = 0, cols = 0;
-  if (!ReadPod(in, &rows) || !ReadPod(in, &cols) || rows < 0 || cols < 0) {
-    return false;
-  }
-  // rows × cols floats must fit in what is left; divide rather than
-  // multiply so a hostile shape cannot overflow the check.
-  const uint64_t floats_left = Remaining(in, total) / sizeof(float);
-  const uint64_t r = static_cast<uint64_t>(rows);
-  const uint64_t c = static_cast<uint64_t>(cols);
-  if (r > 0 && c > 0 && (c > floats_left || r > floats_left / c)) {
-    return false;
-  }
-  *t = nn::Tensor(rows, cols);
-  in.read(reinterpret_cast<char*>(t->data()),
-          static_cast<std::streamsize>(t->size() * sizeof(float)));
-  return static_cast<bool>(in);
-}
-
 /// A rank's state at an epoch boundary: enough to re-run the epoch exactly
 /// (in-memory rollback) or to continue the run in a new process (resume).
 struct EpochImage {
@@ -123,29 +62,21 @@ struct EpochImage {
 Status SaveEpochImage(const std::string& path, uint64_t seed,
                       const EpochImage& img,
                       const std::vector<nn::NamedParameter>& params) {
-  std::ostringstream out;
-  out.write(kCkptMagic, 4);
-  WritePod(out, kCkptVersion);
-  WritePod(out, seed);
-  WritePod(out, img.next_epoch);
-  WritePod(out, img.best_val_auc);
-  WritePod(out, img.stale);
-  for (uint64_t s : img.rng.s) WritePod(out, s);
-  WritePod(out, static_cast<uint8_t>(img.rng.has_cached_gaussian ? 1 : 0));
-  WritePod(out, img.rng.cached_gaussian);
-  WritePod(out, img.cursor);
-  WritePod(out, static_cast<int64_t>(img.order.size()));
-  out.write(reinterpret_cast<const char*>(img.order.data()),
-            static_cast<std::streamsize>(img.order.size() * sizeof(int32_t)));
-  WritePod(out, static_cast<int64_t>(params.size()));
+  ByteWriter out;
+  out.Magic(kCkptMagic).U32(kCkptVersion).U64(seed).I32(img.next_epoch);
+  out.F64(img.best_val_auc).I32(img.stale);
+  for (uint64_t s : img.rng.s) out.U64(s);
+  out.U8(img.rng.has_cached_gaussian ? 1 : 0).F64(img.rng.cached_gaussian);
+  out.U64(img.cursor).I64(static_cast<int64_t>(img.order.size()));
+  out.Array(img.order).I64(static_cast<int64_t>(params.size()));
   for (size_t i = 0; i < params.size(); ++i) {
-    WriteString(out, params[i].name);
-    WriteTensor(out, img.params[i]);
-    WriteTensor(out, img.opt_m[i]);
-    WriteTensor(out, img.opt_v[i]);
+    out.Str(params[i].name);
+    nn::EncodeTensor(img.params[i], &out);
+    nn::EncodeTensor(img.opt_m[i], &out);
+    nn::EncodeTensor(img.opt_v[i], &out);
   }
-  WritePod(out, img.opt_step);
-  return AtomicWriteFileWithCrc(path, out.str());
+  out.I64(img.opt_step);
+  return AtomicWriteFileWithCrc(path, out.Release());
 }
 
 /// Loads an image written by SaveEpochImage; `params` names and shapes the
@@ -155,21 +86,16 @@ Status LoadEpochImage(const std::string& path, uint64_t seed,
                       EpochImage* img) {
   Result<std::string> raw = ReadFileVerifyCrc(path);
   if (!raw.ok()) return raw.status();
-  const size_t total = raw.value().size();
-  std::istringstream in(std::move(raw).value());
-
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kCkptMagic, 4) != 0) {
+  ByteReader in(raw.value());
+  if (!in.Magic(kCkptMagic)) {
     return Status::Corruption("bad worker checkpoint magic: " + path);
   }
-  uint32_t version = 0;
-  if (!ReadPod(in, &version) || version != kCkptVersion) {
+  if (in.U32() != kCkptVersion) {
     return Status::Corruption("unsupported worker checkpoint version in " +
                               path);
   }
-  uint64_t saved_seed = 0;
-  if (!ReadPod(in, &saved_seed)) {
+  const uint64_t saved_seed = in.U64();
+  if (!in.ok()) {
     return Status::Corruption("truncated worker checkpoint: " + path);
   }
   if (saved_seed != seed) {
@@ -177,26 +103,18 @@ Status LoadEpochImage(const std::string& path, uint64_t seed,
         "worker checkpoint " + path + " was written by a run with seed " +
         std::to_string(saved_seed) + ", not " + std::to_string(seed));
   }
-  uint8_t has_gauss = 0;
-  int64_t order_count = 0;
-  bool ok = ReadPod(in, &img->next_epoch) && ReadPod(in, &img->best_val_auc) &&
-            ReadPod(in, &img->stale);
-  for (uint64_t& s : img->rng.s) ok = ok && ReadPod(in, &s);
-  ok = ok && ReadPod(in, &has_gauss) &&
-       ReadPod(in, &img->rng.cached_gaussian) && ReadPod(in, &img->cursor) &&
-       ReadPod(in, &order_count);
-  if (!ok || order_count < 0 || img->next_epoch < 0 ||
-      static_cast<uint64_t>(order_count) >
-          Remaining(in, total) / sizeof(int32_t)) {
+  img->next_epoch = in.I32();
+  img->best_val_auc = in.F64();
+  img->stale = in.I32();
+  for (uint64_t& s : img->rng.s) s = in.U64();
+  img->rng.has_cached_gaussian = in.U8() != 0;
+  img->rng.cached_gaussian = in.F64();
+  img->cursor = in.U64();
+  if (!in.Array(in.ReadCount(sizeof(int32_t)), &img->order) ||
+      img->next_epoch < 0) {
     return Status::Corruption("truncated worker checkpoint: " + path);
   }
-  img->rng.has_cached_gaussian = has_gauss != 0;
-  img->order.resize(static_cast<size_t>(order_count));
-  in.read(reinterpret_cast<char*>(img->order.data()),
-          static_cast<std::streamsize>(img->order.size() * sizeof(int32_t)));
-  int64_t param_count = 0;
-  if (!in || !ReadPod(in, &param_count) ||
-      param_count != static_cast<int64_t>(params.size())) {
+  if (in.U64() != params.size()) {
     return Status::Corruption(
         "worker checkpoint parameter count mismatch in " + path);
   }
@@ -204,11 +122,10 @@ Status LoadEpochImage(const std::string& path, uint64_t seed,
   img->opt_m.assign(params.size(), nn::Tensor());
   img->opt_v.assign(params.size(), nn::Tensor());
   for (size_t i = 0; i < params.size(); ++i) {
-    std::string name;
-    if (!ReadString(in, total, &name) ||
-        !ReadTensor(in, total, &img->params[i]) ||
-        !ReadTensor(in, total, &img->opt_m[i]) ||
-        !ReadTensor(in, total, &img->opt_v[i])) {
+    const std::string name = in.Str();
+    if (!nn::DecodeTensor(&in, &img->params[i]) ||
+        !nn::DecodeTensor(&in, &img->opt_m[i]) ||
+        !nn::DecodeTensor(&in, &img->opt_v[i])) {
       return Status::Corruption("truncated worker checkpoint: " + path);
     }
     if (name != params[i].name ||
@@ -218,7 +135,8 @@ Status LoadEpochImage(const std::string& path, uint64_t seed,
           " does not match the constructed model in " + path);
     }
   }
-  if (!ReadPod(in, &img->opt_step)) {
+  img->opt_step = in.I64();
+  if (!in.ok()) {
     return Status::Corruption("truncated worker checkpoint: " + path);
   }
   return Status::OK();
@@ -232,79 +150,49 @@ constexpr size_t kEpochRecordBytes = 4 + 6 * 8 + 1 + 8;
 
 Status SaveDistResult(const DistributedResult& result,
                       const std::string& path) {
-  std::ostringstream out;
-  out.write(kResultMagic, 4);
-  WritePod(out, kResultVersion);
-  WritePod(out, result.best_val_auc);
-  WritePod(out, result.mean_wall_epoch_seconds);
-  WritePod(out, result.edge_cut_fraction);
-  WritePod(out, static_cast<int64_t>(result.partition_nodes.size()));
-  for (int64_t n : result.partition_nodes) WritePod(out, n);
-  WritePod(out, static_cast<int64_t>(result.history.size()));
+  ByteWriter out;
+  out.Magic(kResultMagic).U32(kResultVersion).F64(result.best_val_auc);
+  out.F64(result.mean_wall_epoch_seconds).F64(result.edge_cut_fraction);
+  out.I64(static_cast<int64_t>(result.partition_nodes.size()))
+      .Array(result.partition_nodes);
+  out.I64(static_cast<int64_t>(result.history.size()));
   for (const DistributedEpoch& e : result.history) {
-    WritePod(out, static_cast<int32_t>(e.epoch));
-    WritePod(out, e.train_loss);
-    WritePod(out, e.val_auc);
-    WritePod(out, e.wall_seconds);
-    WritePod(out, e.max_worker_sample_seconds);
-    WritePod(out, e.max_worker_compute_seconds);
-    WritePod(out, e.measured_comm_seconds);
-    WritePod(out, static_cast<uint8_t>(e.restarted ? 1 : 0));
-    WritePod(out, e.recovery_seconds);
+    out.I32(e.epoch).F64(e.train_loss).F64(e.val_auc).F64(e.wall_seconds);
+    out.F64(e.max_worker_sample_seconds).F64(e.max_worker_compute_seconds);
+    out.F64(e.measured_comm_seconds).U8(e.restarted ? 1 : 0);
+    out.F64(e.recovery_seconds);
   }
-  return AtomicWriteFileWithCrc(path, out.str());
+  return AtomicWriteFileWithCrc(path, out.Release());
 }
 
 Result<DistributedResult> LoadDistResult(const std::string& path) {
   Result<std::string> raw = ReadFileVerifyCrc(path);
   if (!raw.ok()) return raw.status();
-  const size_t total = raw.value().size();
-  std::istringstream in(std::move(raw).value());
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kResultMagic, 4) != 0) {
+  ByteReader in(raw.value());
+  if (!in.Magic(kResultMagic)) {
     return Status::Corruption("bad dist result magic: " + path);
   }
-  uint32_t version = 0;
-  if (!ReadPod(in, &version) || version != kResultVersion) {
+  if (in.U32() != kResultVersion) {
     return Status::Corruption("unsupported dist result version in " + path);
   }
   DistributedResult result;
-  int64_t partitions = 0;
-  if (!ReadPod(in, &result.best_val_auc) ||
-      !ReadPod(in, &result.mean_wall_epoch_seconds) ||
-      !ReadPod(in, &result.edge_cut_fraction) || !ReadPod(in, &partitions) ||
-      partitions < 0 ||
-      static_cast<uint64_t>(partitions) >
-          Remaining(in, total) / sizeof(int64_t)) {
-    return Status::Corruption("truncated dist result: " + path);
-  }
-  result.partition_nodes.resize(static_cast<size_t>(partitions));
-  for (int64_t& n : result.partition_nodes) {
-    if (!ReadPod(in, &n)) {
-      return Status::Corruption("truncated dist result: " + path);
-    }
-  }
-  int64_t epochs = 0;
-  if (!ReadPod(in, &epochs) || epochs < 0 ||
-      static_cast<uint64_t>(epochs) >
-          Remaining(in, total) / kEpochRecordBytes) {
-    return Status::Corruption("truncated dist result: " + path);
-  }
-  result.history.resize(static_cast<size_t>(epochs));
+  result.best_val_auc = in.F64();
+  result.mean_wall_epoch_seconds = in.F64();
+  result.edge_cut_fraction = in.F64();
+  in.Array(in.ReadCount(sizeof(int64_t)), &result.partition_nodes);
+  result.history.resize(in.ReadCount(kEpochRecordBytes));
   for (DistributedEpoch& e : result.history) {
-    int32_t epoch = 0;
-    uint8_t restarted = 0;
-    bool ok = ReadPod(in, &epoch) && ReadPod(in, &e.train_loss) &&
-              ReadPod(in, &e.val_auc) && ReadPod(in, &e.wall_seconds) &&
-              ReadPod(in, &e.max_worker_sample_seconds) &&
-              ReadPod(in, &e.max_worker_compute_seconds) &&
-              ReadPod(in, &e.measured_comm_seconds) &&
-              ReadPod(in, &restarted) && ReadPod(in, &e.recovery_seconds);
-    if (!ok) return Status::Corruption("truncated dist result: " + path);
-    e.epoch = epoch;
-    e.restarted = restarted != 0;
+    e.epoch = in.I32();
+    e.train_loss = in.F64();
+    e.val_auc = in.F64();
+    e.wall_seconds = in.F64();
+    e.max_worker_sample_seconds = in.F64();
+    e.max_worker_compute_seconds = in.F64();
+    e.measured_comm_seconds = in.F64();
+    e.restarted = in.U8() != 0;
+    e.recovery_seconds = in.F64();
   }
+  if (!in.ok()) return Status::Corruption("truncated dist result: " + path);
   return result;
 }
 

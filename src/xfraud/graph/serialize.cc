@@ -1,10 +1,9 @@
 #include "xfraud/graph/serialize.h"
 
-#include <cstring>
-#include <sstream>
 #include <vector>
 
 #include "xfraud/common/atomic_file.h"
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/crc32.h"
 
 namespace xfraud::graph {
@@ -14,36 +13,34 @@ namespace {
 constexpr char kMagic[4] = {'X', 'F', 'G', 'R'};
 constexpr uint32_t kVersion = 1;
 
-template <typename T>
-void WritePod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
+/// Magic, version and the four i64 sizes; the payload CRC covers every byte
+/// after this header up to the CRC itself.
+constexpr size_t kHeaderBytes = 4 + 4 + 4 * 8;
 
-template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& v, uint32_t* crc_acc,
-              std::string* buffer) {
-  const char* data = reinterpret_cast<const char*>(v.data());
-  size_t bytes = v.size() * sizeof(T);
-  out.write(data, static_cast<std::streamsize>(bytes));
-  buffer->append(data, bytes);
-  (void)crc_acc;
-}
+/// Bytes each node and each edge occupies across the payload arrays (node:
+/// type, label, feature-row index, CSR offset; edge: neighbour, edge type).
+constexpr size_t kNodeBytes = 1 + 1 + 4 + 8;
+constexpr size_t kEdgeBytes = 4 + 1;
 
-template <typename T>
-bool ReadPod(std::istream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-template <typename T>
-bool ReadVec(std::istream& in, size_t count, std::vector<T>* v,
-             std::string* buffer) {
-  v->resize(count);
-  in.read(reinterpret_cast<char*>(v->data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  if (!in) return false;
-  buffer->append(reinterpret_cast<const char*>(v->data()),
-                 count * sizeof(T));
+/// The CSR contract HeteroGraph's constructor enforces with aborting
+/// checks, verified first so a crafted snapshot is a Corruption instead.
+bool ValidCsr(const std::vector<int64_t>& offsets,
+              const std::vector<int32_t>& neighbors,
+              const std::vector<int32_t>& feature_row, int64_t num_nodes,
+              int64_t feature_rows) {
+  if (offsets.front() != 0 ||
+      offsets.back() != static_cast<int64_t>(neighbors.size())) {
+    return false;
+  }
+  for (size_t v = 0; v + 1 < offsets.size(); ++v) {
+    if (offsets[v] > offsets[v + 1]) return false;
+  }
+  for (int32_t u : neighbors) {
+    if (u < 0 || u >= num_nodes) return false;
+  }
+  for (int32_t row : feature_row) {
+    if (row < -1 || row >= feature_rows) return false;
+  }
   return true;
 }
 
@@ -53,56 +50,28 @@ Status SaveGraph(const HeteroGraph& g, const std::string& path) {
   // Serialize into memory, then publish via tmp-file + rename with a CRC32
   // footer over the whole image (the in-format checksum only covers the
   // payload arrays, not the header): crash-safe and torn-file-proof.
-  std::ostringstream out;
-  out.write(kMagic, 4);
-  WritePod(out, kVersion);
-  int64_t num_nodes = g.num_nodes();
-  int64_t num_edges = g.num_edges();
-  // Count feature rows.
+  const int32_t num_nodes = static_cast<int32_t>(g.num_nodes());
+  const int64_t feature_dim = g.feature_dim();
   int64_t feature_rows = 0;
   for (int32_t v = 0; v < num_nodes; ++v) feature_rows += g.HasFeatures(v);
-  int64_t feature_dim = g.feature_dim();
-  WritePod(out, num_nodes);
-  WritePod(out, num_edges);
-  WritePod(out, feature_rows);
-  WritePod(out, feature_dim);
 
-  std::string crc_buffer;
-  // Node types, labels, feature-row map.
-  std::vector<uint8_t> types(num_nodes);
-  std::vector<int8_t> labels(num_nodes);
-  std::vector<int32_t> feature_row(num_nodes, -1);
-  std::vector<float> features;
-  features.reserve(feature_rows * feature_dim);
+  ByteWriter out;
+  out.Magic(kMagic).U32(kVersion).I64(num_nodes).I64(g.num_edges());
+  out.I64(feature_rows).I64(feature_dim);
+  out.Array(g.node_types()).Array(g.labels());
   int32_t next_row = 0;
   for (int32_t v = 0; v < num_nodes; ++v) {
-    types[v] = static_cast<uint8_t>(g.node_type(v));
-    labels[v] = g.label(v);
-    if (g.HasFeatures(v)) {
-      feature_row[v] = next_row++;
-      const float* row = g.Features(v);
-      features.insert(features.end(), row, row + feature_dim);
-    }
+    out.I32(g.HasFeatures(v) ? next_row++ : -1);
   }
-  std::vector<int64_t> offsets(num_nodes + 1);
-  for (int32_t v = 0; v < num_nodes; ++v) offsets[v] = g.InDegreeBegin(v);
-  offsets[num_nodes] = num_edges;
-  std::vector<uint8_t> edge_types(num_edges);
-  for (int64_t e = 0; e < num_edges; ++e) {
-    edge_types[e] = static_cast<uint8_t>(g.edge_types()[e]);
+  for (int32_t v = 0; v < num_nodes; ++v) out.I64(g.InDegreeBegin(v));
+  out.I64(g.num_edges()).Array(g.neighbors()).Array(g.edge_types());
+  for (int32_t v = 0; v < num_nodes; ++v) {
+    if (g.HasFeatures(v)) out.Array(g.Features(v), feature_dim);
   }
-
-  WriteVec(out, types, nullptr, &crc_buffer);
-  WriteVec(out, labels, nullptr, &crc_buffer);
-  WriteVec(out, feature_row, nullptr, &crc_buffer);
-  WriteVec(out, offsets, nullptr, &crc_buffer);
-  WriteVec(out, g.neighbors(), nullptr, &crc_buffer);
-  WriteVec(out, edge_types, nullptr, &crc_buffer);
-  WriteVec(out, features, nullptr, &crc_buffer);
-
-  uint32_t crc = Crc32(crc_buffer.data(), crc_buffer.size());
-  WritePod(out, crc);
-  return AtomicWriteFileWithCrc(path, out.str());
+  std::string image = out.Release();
+  ByteWriter(&image).U32(
+      Crc32(image.data() + kHeaderBytes, image.size() - kHeaderBytes));
+  return AtomicWriteFileWithCrc(path, image);
 }
 
 Result<HeteroGraph> LoadGraph(const std::string& path) {
@@ -113,62 +82,62 @@ Result<HeteroGraph> LoadGraph(const std::string& path) {
     }
     return raw.status();
   }
-  std::istringstream in(std::move(raw).value());
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::Corruption("bad graph magic: " + path);
-  }
-  uint32_t version = 0;
-  int64_t num_nodes = 0, num_edges = 0, feature_rows = 0, feature_dim = 0;
-  if (!ReadPod(in, &version) || version != kVersion ||
-      !ReadPod(in, &num_nodes) || !ReadPod(in, &num_edges) ||
-      !ReadPod(in, &feature_rows) || !ReadPod(in, &feature_dim) ||
-      num_nodes < 0 || num_edges < 0 || feature_rows < 0 ||
-      feature_dim < 0) {
+  ByteReader in(raw.value());
+  if (!in.Magic(kMagic)) return Status::Corruption("bad graph magic: " + path);
+  const uint32_t version = in.U32();
+  const int64_t num_nodes = static_cast<int64_t>(in.ReadCount(kNodeBytes));
+  const int64_t num_edges = static_cast<int64_t>(in.ReadCount(kEdgeBytes));
+  // A valid snapshot has at most one feature row per node, so at least four
+  // bytes per row remain.
+  const int64_t feature_rows =
+      static_cast<int64_t>(in.ReadCount(sizeof(float)));
+  const int64_t feature_dim = in.I64();
+  // rows × dim floats must fit in what is left: divide, never multiply.
+  if (!in.ok() || version != kVersion || feature_dim < 0 ||
+      (feature_rows > 0 &&
+       static_cast<uint64_t>(feature_dim) >
+           in.remaining() / sizeof(float) /
+               static_cast<uint64_t>(feature_rows))) {
     return Status::Corruption("bad graph header: " + path);
   }
 
-  std::string crc_buffer;
-  std::vector<uint8_t> types;
+  std::vector<NodeType> node_types;
   std::vector<int8_t> labels;
   std::vector<int32_t> feature_row;
   std::vector<int64_t> offsets;
   std::vector<int32_t> neighbors;
-  std::vector<uint8_t> edge_types;
+  std::vector<EdgeType> edge_types;
   std::vector<float> features;
-  if (!ReadVec(in, num_nodes, &types, &crc_buffer) ||
-      !ReadVec(in, num_nodes, &labels, &crc_buffer) ||
-      !ReadVec(in, num_nodes, &feature_row, &crc_buffer) ||
-      !ReadVec(in, num_nodes + 1, &offsets, &crc_buffer) ||
-      !ReadVec(in, num_edges, &neighbors, &crc_buffer) ||
-      !ReadVec(in, num_edges, &edge_types, &crc_buffer) ||
-      !ReadVec(in, feature_rows * feature_dim, &features, &crc_buffer)) {
-    return Status::Corruption("truncated graph payload: " + path);
-  }
-  uint32_t stored_crc = 0;
-  if (!ReadPod(in, &stored_crc) ||
-      stored_crc != Crc32(crc_buffer.data(), crc_buffer.size())) {
+  in.Array(num_nodes, &node_types);
+  in.Array(num_nodes, &labels);
+  in.Array(num_nodes, &feature_row);
+  in.Array(num_nodes + 1, &offsets);
+  in.Array(num_edges, &neighbors);
+  in.Array(num_edges, &edge_types);
+  in.Array(feature_rows * feature_dim, &features);
+  const size_t payload_bytes =
+      raw.value().size() - kHeaderBytes - in.remaining();
+  const uint32_t stored_crc = in.U32();
+  if (!in.ok()) return Status::Corruption("truncated graph payload: " + path);
+  if (stored_crc != Crc32(raw.value().data() + kHeaderBytes, payload_bytes)) {
     return Status::Corruption("graph checksum mismatch: " + path);
   }
-
-  std::vector<NodeType> node_types(num_nodes);
-  for (int64_t v = 0; v < num_nodes; ++v) {
-    if (types[v] >= kNumNodeTypes) {
+  if (!ValidCsr(offsets, neighbors, feature_row, num_nodes, feature_rows)) {
+    return Status::Corruption("inconsistent graph arrays in " + path);
+  }
+  for (NodeType t : node_types) {
+    if (static_cast<int>(t) >= kNumNodeTypes) {
       return Status::Corruption("bad node type in " + path);
     }
-    node_types[v] = static_cast<NodeType>(types[v]);
   }
-  std::vector<EdgeType> etypes(num_edges);
-  for (int64_t e = 0; e < num_edges; ++e) {
-    if (edge_types[e] >= kNumEdgeTypes) {
+  for (EdgeType t : edge_types) {
+    if (static_cast<int>(t) >= kNumEdgeTypes) {
       return Status::Corruption("bad edge type in " + path);
     }
-    etypes[e] = static_cast<EdgeType>(edge_types[e]);
   }
   nn::Tensor feature_tensor(feature_rows, feature_dim, std::move(features));
   return HeteroGraph(std::move(node_types), std::move(offsets),
-                     std::move(neighbors), std::move(etypes),
+                     std::move(neighbors), std::move(edge_types),
                      std::move(feature_tensor), std::move(feature_row),
                      std::move(labels));
 }

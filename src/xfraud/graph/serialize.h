@@ -8,16 +8,20 @@
 
 namespace xfraud::graph {
 
-/// Writes a HeteroGraph to a binary file:
+/// Writes a HeteroGraph to a binary file (common/bytes.h encoding):
 ///   magic "XFGR", u32 version, i64 num_nodes, i64 num_edges,
-///   i64 num_feature_rows, i64 feature_dim, then the raw arrays
-///   (node types, offsets, neighbors, edge types, feature rows, labels,
-///   feature payload), each preceded by nothing — sizes are implied by the
-///   header. A trailing CRC-32 over the payload guards integrity.
+///   i64 num_feature_rows, i64 feature_dim, then the raw arrays with no
+///   length prefixes — sizes are implied by the header: node types (u8),
+///   labels (i8), feature-row index (i32, -1 = none), CSR offsets
+///   (i64, num_nodes + 1), neighbours (i32), edge types (u8), feature payload
+///   (f32, rows × dim). A u32 CRC-32 over the arrays follows, and the whole
+///   image carries the common/atomic_file CRC footer.
 Status SaveGraph(const HeteroGraph& g, const std::string& path);
 
-/// Loads a graph written by SaveGraph. Corruption (bad magic/CRC/sizes)
-/// yields a Corruption status.
+/// Loads a graph written by SaveGraph. Bad magic, CRC or sizes — and arrays
+/// that break the CSR contract (offsets not starting at 0, not monotone or
+/// not ending at num_edges; a neighbour outside [0, num_nodes); a feature
+/// row outside [-1, num_feature_rows)) — yield a Corruption status.
 Result<HeteroGraph> LoadGraph(const std::string& path);
 
 }  // namespace xfraud::graph

@@ -1,8 +1,8 @@
 #include "xfraud/kv/feature_store.h"
 
-#include <cstring>
 #include <functional>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/clock.h"
 #include "xfraud/common/logging.h"
 
@@ -10,21 +10,10 @@ namespace xfraud::kv {
 
 namespace {
 
-std::string NodeKey(int32_t id) { return "n" + std::to_string(id); }
-std::string FeatKey(int32_t id) { return "f" + std::to_string(id); }
-std::string AdjKey(int32_t id) { return "a" + std::to_string(id); }
-
-template <typename T>
-void AppendPod(std::string* out, const T& v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::string_view data, size_t* offset, T* out) {
-  if (*offset + sizeof(T) > data.size()) return false;
-  std::memcpy(out, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
+std::string RowKey(char prefix, int32_t id) {
+  std::string key(1, prefix);
+  key += std::to_string(id);
+  return key;
 }
 
 // Polls the calling thread's DeadlineScope (serving-path requests open one
@@ -39,6 +28,83 @@ Status CheckDeadline(const char* stage) {
 }
 
 }  // namespace
+
+std::string NodeKey(int32_t id) { return RowKey('n', id); }
+std::string FeatKey(int32_t id) { return RowKey('f', id); }
+std::string AdjKey(int32_t id) { return RowKey('a', id); }
+
+std::string EncodeMetaRow(int64_t num_nodes, int64_t feature_dim) {
+  return ByteWriter().I64(num_nodes).I64(feature_dim).Release();
+}
+
+Status DecodeMetaRow(std::string_view raw, int64_t* num_nodes,
+                     int64_t* feature_dim) {
+  ByteReader in(raw);
+  *num_nodes = in.I64();
+  *feature_dim = in.I64();
+  return in.ok() ? Status::OK() : Status::Corruption("bad metadata record");
+}
+
+std::string EncodeNodeRow(graph::NodeType type, int8_t label,
+                          bool has_features) {
+  return ByteWriter()
+      .U8(static_cast<uint8_t>(type))
+      .I8(label)
+      .U8(has_features ? 1 : 0)
+      .Release();
+}
+
+Status DecodeNodeRow(std::string_view raw, graph::NodeType* type,
+                     int8_t* label) {
+  ByteReader in(raw);
+  const uint8_t type_byte = in.U8();
+  *label = in.I8();
+  in.U8();  // has_features: implied by the "f" row's presence
+  if (!in.ok()) return Status::Corruption("bad node record");
+  if (type_byte >= graph::kNumNodeTypes) {
+    return Status::Corruption("bad node type byte " +
+                              std::to_string(type_byte));
+  }
+  *type = static_cast<graph::NodeType>(type_byte);
+  return Status::OK();
+}
+
+std::string EncodeFeatureRow(const float* row, int64_t dim) {
+  return ByteWriter().Array(row, static_cast<size_t>(dim)).Release();
+}
+
+Status DecodeFeatureRow(std::string_view raw, std::vector<float>* out) {
+  if (raw.size() % sizeof(float) != 0) {
+    return Status::Corruption("bad feature record size");
+  }
+  ByteReader(raw).Array(raw.size() / sizeof(float), out);
+  return Status::OK();
+}
+
+void AppendAdjEntry(int32_t neighbor, uint8_t edge_type, std::string* row) {
+  ByteWriter(row).I32(neighbor).U8(edge_type);
+}
+
+Status DecodeAdjRow(std::string_view raw, std::vector<int32_t>* neighbors,
+                    std::vector<uint8_t>* edge_types) {
+  constexpr size_t kEntry = sizeof(int32_t) + sizeof(uint8_t);
+  if (raw.size() % kEntry != 0) {
+    return Status::Corruption("bad adjacency record size");
+  }
+  const size_t count = raw.size() / kEntry;
+  neighbors->resize(count);
+  edge_types->resize(count);
+  ByteReader in(raw);
+  for (size_t i = 0; i < count; ++i) {
+    (*neighbors)[i] = in.I32();
+    (*edge_types)[i] = in.U8();
+    if ((*edge_types)[i] >= graph::kNumEdgeTypes) {
+      return Status::Corruption("bad edge type byte " +
+                                std::to_string((*edge_types)[i]));
+    }
+  }
+  return Status::OK();
+}
 
 Status FeatureStore::GetWithRetry(const std::string& key, std::string* value,
                                   uint64_t epoch) const {
@@ -56,28 +122,20 @@ Status FeatureStore::GetWithRetry(const std::string& key, std::string* value,
 }
 
 Status FeatureStore::Ingest(const graph::HeteroGraph& g) {
-  std::string meta;
-  AppendPod(&meta, g.num_nodes());
-  AppendPod(&meta, g.feature_dim());
-  XF_RETURN_IF_ERROR(store_->Put("m", meta));
-
+  XF_RETURN_IF_ERROR(
+      store_->Put(kMetaKey, EncodeMetaRow(g.num_nodes(), g.feature_dim())));
   for (int32_t v = 0; v < g.num_nodes(); ++v) {
-    std::string node;
-    AppendPod(&node, static_cast<uint8_t>(g.node_type(v)));
-    AppendPod(&node, g.label(v));
-    AppendPod(&node, static_cast<uint8_t>(g.HasFeatures(v) ? 1 : 0));
-    XF_RETURN_IF_ERROR(store_->Put(NodeKey(v), node));
-
+    XF_RETURN_IF_ERROR(store_->Put(
+        NodeKey(v), EncodeNodeRow(g.node_type(v), g.label(v),
+                                  g.HasFeatures(v))));
     if (g.HasFeatures(v)) {
-      std::string feat(reinterpret_cast<const char*>(g.Features(v)),
-                       g.feature_dim() * sizeof(float));
-      XF_RETURN_IF_ERROR(store_->Put(FeatKey(v), feat));
+      XF_RETURN_IF_ERROR(store_->Put(
+          FeatKey(v), EncodeFeatureRow(g.Features(v), g.feature_dim())));
     }
-
     std::string adj;
     for (int64_t e = g.InDegreeBegin(v); e < g.InDegreeEnd(v); ++e) {
-      AppendPod(&adj, g.neighbors()[e]);
-      AppendPod(&adj, static_cast<uint8_t>(g.edge_types()[e]));
+      AppendAdjEntry(g.neighbors()[e],
+                     static_cast<uint8_t>(g.edge_types()[e]), &adj);
     }
     XF_RETURN_IF_ERROR(store_->Put(AdjKey(v), adj));
   }
@@ -86,23 +144,17 @@ Status FeatureStore::Ingest(const graph::HeteroGraph& g) {
 
 Result<int64_t> FeatureStore::NumNodes(uint64_t epoch) const {
   std::string meta;
-  XF_RETURN_IF_ERROR(GetWithRetry("m", &meta, epoch));
-  size_t offset = 0;
-  int64_t num_nodes = 0;
-  if (!ReadPod(meta, &offset, &num_nodes)) {
-    return Status::Corruption("bad metadata record");
-  }
+  XF_RETURN_IF_ERROR(GetWithRetry(kMetaKey, &meta, epoch));
+  int64_t num_nodes = 0, dim = 0;
+  XF_RETURN_IF_ERROR(DecodeMetaRow(meta, &num_nodes, &dim));
   return num_nodes;
 }
 
 Result<int64_t> FeatureStore::FeatureDim(uint64_t epoch) const {
   std::string meta;
-  XF_RETURN_IF_ERROR(GetWithRetry("m", &meta, epoch));
-  size_t offset = sizeof(int64_t);
-  int64_t dim = 0;
-  if (!ReadPod(meta, &offset, &dim)) {
-    return Status::Corruption("bad metadata record");
-  }
+  XF_RETURN_IF_ERROR(GetWithRetry(kMetaKey, &meta, epoch));
+  int64_t num_nodes = 0, dim = 0;
+  XF_RETURN_IF_ERROR(DecodeMetaRow(meta, &num_nodes, &dim));
   return dim;
 }
 
@@ -110,12 +162,7 @@ Status FeatureStore::ReadFeatures(int32_t node, std::vector<float>* out,
                                   uint64_t epoch) const {
   std::string raw;
   XF_RETURN_IF_ERROR(GetWithRetry(FeatKey(node), &raw, epoch));
-  if (raw.size() % sizeof(float) != 0) {
-    return Status::Corruption("bad feature record size");
-  }
-  out->resize(raw.size() / sizeof(float));
-  std::memcpy(out->data(), raw.data(), raw.size());
-  return Status::OK();
+  return DecodeFeatureRow(raw, out);
 }
 
 Status FeatureStore::ReadNeighbors(int32_t node,
@@ -131,41 +178,14 @@ Status FeatureStore::ReadNeighbors(int32_t node,
     XF_RETURN_IF_ERROR(GetWithRetry(AdjKey(node), &raw, epoch));
     if (cacheable) adj_cache_->Insert(epoch, node, raw);
   }
-  constexpr size_t kEntry = sizeof(int32_t) + sizeof(uint8_t);
-  if (raw.size() % kEntry != 0) {
-    return Status::Corruption("bad adjacency record size");
-  }
-  size_t count = raw.size() / kEntry;
-  neighbors->resize(count);
-  edge_types->resize(count);
-  size_t offset = 0;
-  for (size_t i = 0; i < count; ++i) {
-    ReadPod(raw, &offset, &(*neighbors)[i]);
-    ReadPod(raw, &offset, &(*edge_types)[i]);
-    if ((*edge_types)[i] >= graph::kNumEdgeTypes) {
-      return Status::Corruption("bad edge type byte " +
-                                std::to_string((*edge_types)[i]));
-    }
-  }
-  return Status::OK();
+  return DecodeAdjRow(raw, neighbors, edge_types);
 }
 
 Status FeatureStore::ReadNode(int32_t node, graph::NodeType* type,
                               int8_t* label, uint64_t epoch) const {
   std::string raw;
   XF_RETURN_IF_ERROR(GetWithRetry(NodeKey(node), &raw, epoch));
-  size_t offset = 0;
-  uint8_t type_byte = 0, has_features = 0;
-  if (!ReadPod(raw, &offset, &type_byte) || !ReadPod(raw, &offset, label) ||
-      !ReadPod(raw, &offset, &has_features)) {
-    return Status::Corruption("bad node record");
-  }
-  if (type_byte >= graph::kNumNodeTypes) {
-    return Status::Corruption("bad node type byte " +
-                              std::to_string(type_byte));
-  }
-  *type = static_cast<graph::NodeType>(type_byte);
-  return Status::OK();
+  return DecodeNodeRow(raw, type, label);
 }
 
 Result<graph::MiniBatch> FeatureStore::LoadBatch(

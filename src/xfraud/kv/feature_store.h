@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "xfraud/common/retry.h"
@@ -13,16 +14,44 @@
 
 namespace xfraud::kv {
 
+/// The FeatureStore record format. These functions are its one owner: the
+/// bulk loader (FeatureStore::Ingest), the streaming writer
+/// (stream::GraphIngestor) and every reader go through them. Rows use the
+/// common/bytes.h encoding.
+///
+///   "m"      -> {num_nodes: i64, feature_dim: i64}
+///   "n<id>"  -> {type: u8, label: i8, has_features: u8}
+///   "f<id>"  -> f32[feature_dim] (transaction nodes only)
+///   "a<id>"  -> {neighbor: i32, edge_type: u8}[in_degree]
+inline constexpr char kMetaKey[] = "m";
+std::string NodeKey(int32_t id);
+std::string FeatKey(int32_t id);
+std::string AdjKey(int32_t id);
+
+std::string EncodeMetaRow(int64_t num_nodes, int64_t feature_dim);
+Status DecodeMetaRow(std::string_view raw, int64_t* num_nodes,
+                     int64_t* feature_dim);
+
+std::string EncodeNodeRow(graph::NodeType type, int8_t label,
+                          bool has_features);
+/// Corruption on a short row or a type byte outside NodeType.
+Status DecodeNodeRow(std::string_view raw, graph::NodeType* type,
+                     int8_t* label);
+
+std::string EncodeFeatureRow(const float* row, int64_t dim);
+/// Corruption unless the row is a whole number of floats.
+Status DecodeFeatureRow(std::string_view raw, std::vector<float>* out);
+
+/// Appends one in-edge to an adjacency row.
+void AppendAdjEntry(int32_t neighbor, uint8_t edge_type, std::string* row);
+/// Corruption on a partial entry or an edge-type byte outside EdgeType.
+Status DecodeAdjRow(std::string_view raw, std::vector<int32_t>* neighbors,
+                    std::vector<uint8_t>* edge_types);
+
 /// Serves graph data (node metadata, features, adjacency) out of a KvStore —
 /// the data-loading path of paper §3.3.3: the graph is ingested once, then
 /// every DDP worker's loader materializes its mini-batches by KV reads
-/// instead of holding the whole graph in memory.
-///
-/// Key schema:
-///   "m"          -> {num_nodes: i64, feature_dim: i64}
-///   "n<id>"      -> {type: u8, label: i8, has_features: u8}
-///   "f<id>"      -> float[feature_dim] (transaction nodes only)
-///   "a<id>"      -> (i32 neighbor, u8 edge_type)[in_degree]
+/// instead of holding the whole graph in memory. Rows are laid out as above.
 class FeatureStore {
  public:
   /// Wraps (not owning) a KvStore.

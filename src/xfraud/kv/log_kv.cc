@@ -6,8 +6,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/crc32.h"
 #include "xfraud/common/logging.h"
 #include "xfraud/kv/kv_metrics.h"
@@ -22,17 +22,33 @@ constexpr uint8_t kKindEpoch = 3;  // commit marker: klen 0, value LE64 epoch
 constexpr uint8_t kKindFloor = 4;  // GC floor: klen 0, value LE64 epoch
 constexpr size_t kHeaderSize = 4 + 1 + 4 + 4;  // crc + kind + klen + vlen
 
-void EncodeU32(char* out, uint32_t v) { std::memcpy(out, &v, 4); }
-uint32_t DecodeU32(const char* in) {
-  uint32_t v;
-  std::memcpy(&v, in, 4);
-  return v;
+/// Writes one WAL record at `*end` of `fd` and advances `*end`. The record
+/// is {crc: u32, kind: u8, klen: u32, vlen: u32, key, value}, the CRC
+/// covering everything after itself.
+Status WriteRecord(int fd, const std::string& path, int64_t* end,
+                   uint8_t kind, std::string_view key,
+                   std::string_view value) {
+  // Record framing stores lengths as u32; larger payloads would be silently
+  // truncated on replay.
+  XF_CHECK_LE(key.size(), UINT32_MAX);
+  XF_CHECK_LE(value.size(), UINT32_MAX);
+  std::string rec;
+  rec.reserve(kHeaderSize + key.size() + value.size());
+  ByteWriter out(&rec);
+  out.U32(0).U8(kind).U32(static_cast<uint32_t>(key.size()));
+  out.U32(static_cast<uint32_t>(value.size())).Bytes(key).Bytes(value);
+  out.PatchU32(0, Crc32(rec.data() + 4, rec.size() - 4));
+  if (::pwrite(fd, rec.data(), rec.size(), *end) !=
+      static_cast<ssize_t>(rec.size())) {
+    return Status::IoError("short write on " + path);
+  }
+  *end += static_cast<int64_t>(rec.size());
+  return Status::OK();
 }
-void EncodeU64(char* out, uint64_t v) { std::memcpy(out, &v, 8); }
-uint64_t DecodeU64(const char* in) {
-  uint64_t v;
-  std::memcpy(&v, in, 8);
-  return v;
+
+/// The value of an epoch-marker or GC-floor record.
+std::string EpochValue(uint64_t epoch) {
+  return ByteWriter().U64(epoch).Release();
 }
 
 }  // namespace
@@ -101,10 +117,11 @@ Status LogKvStore::ReplayLog() {
   int64_t valid_end = 0;
   while (offset + static_cast<int64_t>(kHeaderSize) <= file_size_) {
     const char* rec = map_base_ + offset;
-    uint32_t crc = DecodeU32(rec);
-    uint8_t kind = static_cast<uint8_t>(rec[4]);
-    uint32_t klen = DecodeU32(rec + 5);
-    uint32_t vlen = DecodeU32(rec + 9);
+    ByteReader header(rec, kHeaderSize);
+    const uint32_t crc = header.U32();
+    const uint8_t kind = header.U8();
+    const uint32_t klen = header.U32();
+    const uint32_t vlen = header.U32();
     int64_t total = static_cast<int64_t>(kHeaderSize) + klen + vlen;
     if (offset + total > file_size_) break;  // truncated tail
     uint32_t actual = Crc32(rec + 4, kHeaderSize - 4 + klen + vlen);
@@ -120,12 +137,12 @@ Status LogKvStore::ReplayLog() {
       // A marker commits exactly the next epoch; anything else means the
       // log was torn or tampered with — stop replay there.
       if (klen != 0 || vlen != 8) break;
-      if (DecodeU64(rec + kHeaderSize) != published_ + 1) break;
+      if (ByteReader(rec + kHeaderSize, 8).U64() != published_ + 1) break;
       ++published_;
       published_end_ = offset + total;
     } else if (kind == kKindFloor) {
       if (klen != 0 || vlen != 8) break;
-      floor_ = DecodeU64(rec + kHeaderSize);
+      floor_ = ByteReader(rec + kHeaderSize, 8).U64();
     } else {
       break;  // unknown record kind: treat as corruption
     }
@@ -170,37 +187,13 @@ const LogKvStore::Version* LogKvStore::ResolveAt(
   return nullptr;
 }
 
-Status LogKvStore::AppendRecord(uint8_t kind, std::string_view key,
-                                std::string_view value) {
-  // Record framing stores lengths as u32; larger payloads would be silently
-  // truncated on replay.
-  XF_CHECK_LE(key.size(), UINT32_MAX);
-  XF_CHECK_LE(value.size(), UINT32_MAX);
-  size_t total = kHeaderSize + key.size() + value.size();
-  std::string buf(total, '\0');
-  buf[4] = static_cast<char>(kind);
-  EncodeU32(buf.data() + 5, static_cast<uint32_t>(key.size()));
-  EncodeU32(buf.data() + 9, static_cast<uint32_t>(value.size()));
-  std::memcpy(buf.data() + kHeaderSize, key.data(), key.size());
-  std::memcpy(buf.data() + kHeaderSize + key.size(), value.data(),
-              value.size());
-  uint32_t crc = Crc32(buf.data() + 4, total - 4);
-  EncodeU32(buf.data(), crc);
-
-  ssize_t written = ::pwrite(fd_, buf.data(), total, file_size_);
-  if (written != static_cast<ssize_t>(total)) {
-    return Status::IoError("short write on " + path_);
-  }
-  file_size_ += static_cast<int64_t>(total);
-  return Status::OK();
-}
-
 Status LogKvStore::Put(std::string_view key, std::string_view value) {
   const KvMetrics& metrics = KvMetrics::Get();
   std::unique_lock lock(mu_);
   int64_t value_offset = file_size_ + static_cast<int64_t>(kHeaderSize) +
                          static_cast<int64_t>(key.size());
-  XF_RETURN_IF_ERROR(AppendRecord(kKindPut, key, value));
+  XF_RETURN_IF_ERROR(
+      WriteRecord(fd_, path_, &file_size_, kKindPut, key, value));
   UpsertPending(std::string(key),
                 Version{head_epoch_locked(), value_offset,
                         static_cast<uint32_t>(value.size())});
@@ -266,7 +259,8 @@ Status LogKvStore::Delete(std::string_view key) {
       ResolveAt(it->second, head_epoch_locked()) == nullptr) {
     return Status::OK();  // idempotent: nothing visible to delete
   }
-  XF_RETURN_IF_ERROR(AppendRecord(kKindDelete, key, ""));
+  XF_RETURN_IF_ERROR(
+      WriteRecord(fd_, path_, &file_size_, kKindDelete, key, ""));
   UpsertPending(std::string(key), Version{head_epoch_locked(), -1, 0});
   XF_RETURN_IF_ERROR(RemapForRead());
   return Status::OK();
@@ -325,9 +319,8 @@ std::vector<std::string> LogKvStore::KeysWithPrefixAt(std::string_view prefix,
 Result<uint64_t> LogKvStore::PublishEpoch() {
   std::unique_lock lock(mu_);
   const uint64_t next = published_ + 1;
-  char buf[8];
-  EncodeU64(buf, next);
-  XF_RETURN_IF_ERROR(AppendRecord(kKindEpoch, "", std::string_view(buf, 8)));
+  XF_RETURN_IF_ERROR(WriteRecord(fd_, path_, &file_size_, kKindEpoch, "",
+                                 EpochValue(next)));
   // The marker + fsync IS the commit: before this returns OK the epoch does
   // not exist (replay stops at the previous marker); after it returns OK
   // the epoch can never be lost to a crash.
@@ -453,22 +446,8 @@ Result<int64_t> LogKvStore::Compact() {
   std::unordered_map<std::string, std::vector<Version>> new_index;
 
   auto write_record = [&](uint8_t kind, std::string_view key,
-                          std::string_view value) -> Status {
-    size_t total = kHeaderSize + key.size() + value.size();
-    std::string buf(total, '\0');
-    buf[4] = static_cast<char>(kind);
-    EncodeU32(buf.data() + 5, static_cast<uint32_t>(key.size()));
-    EncodeU32(buf.data() + 9, static_cast<uint32_t>(value.size()));
-    std::memcpy(buf.data() + kHeaderSize, key.data(), key.size());
-    std::memcpy(buf.data() + kHeaderSize + key.size(), value.data(),
-                value.size());
-    EncodeU32(buf.data(), Crc32(buf.data() + 4, total - 4));
-    if (::pwrite(tmp_fd, buf.data(), total, new_size) !=
-        static_cast<ssize_t>(total)) {
-      return Status::IoError("short write on " + tmp_path);
-    }
-    new_size += static_cast<int64_t>(total);
-    return Status::OK();
+                          std::string_view value) {
+    return WriteRecord(tmp_fd, tmp_path, &new_size, kind, key, value);
   };
   auto fail = [&](Status s) -> Result<int64_t> {
     ::close(tmp_fd);
@@ -480,9 +459,7 @@ Result<int64_t> LogKvStore::Compact() {
   // which keeps never-pinned single-epoch stores' images byte-identical to
   // the pre-MVCC layout.
   if (floor > 1) {
-    char buf[8];
-    EncodeU64(buf, floor);
-    Status s = write_record(kKindFloor, "", std::string_view(buf, 8));
+    Status s = write_record(kKindFloor, "", EpochValue(floor));
     if (!s.ok()) return fail(std::move(s));
   }
   for (uint64_t e = 1; e <= published_ + 1; ++e) {
@@ -511,9 +488,7 @@ Result<int64_t> LogKvStore::Compact() {
     // validates consecutive numbering); the pending segment, if any, stays
     // uncommitted — no trailing marker.
     if (e <= published_) {
-      char buf[8];
-      EncodeU64(buf, e);
-      Status s = write_record(kKindEpoch, "", std::string_view(buf, 8));
+      Status s = write_record(kKindEpoch, "", EpochValue(e));
       if (!s.ok()) return fail(std::move(s));
       new_published_end = new_size;
     }

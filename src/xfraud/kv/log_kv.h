@@ -109,8 +109,6 @@ class LogKvStore : public KvStore, public EpochSource {
   };
 
   Status ReplayLog();
-  Status AppendRecord(uint8_t kind, std::string_view key,
-                      std::string_view value);
   Status RemapForRead() const;
   /// Records `v` as the pending-epoch version of `key` (replace-in-place
   /// within the open epoch).

@@ -1,9 +1,8 @@
 #include "xfraud/nn/serialize.h"
 
 #include <cstdint>
-#include <cstring>
-#include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "xfraud/common/atomic_file.h"
 
@@ -13,27 +12,39 @@ namespace {
 constexpr char kMagic[4] = {'X', 'F', 'C', 'K'};
 }  // namespace
 
+void EncodeTensor(const Tensor& t, ByteWriter* out) {
+  out->I64(t.rows()).I64(t.cols()).Array(t.data(), t.size());
+}
+
+bool DecodeTensor(ByteReader* in, Tensor* t) {
+  const int64_t rows = in->I64();
+  const int64_t cols = in->I64();
+  // Divide rather than multiply, so a hostile shape cannot overflow the
+  // check; the Array read below re-checks the exact byte count.
+  if (!in->ok() || rows < 0 || cols < 0 ||
+      (cols > 0 && static_cast<uint64_t>(rows) >
+                       in->remaining() / sizeof(float) /
+                           static_cast<uint64_t>(cols))) {
+    return false;
+  }
+  std::vector<float> data;
+  if (!in->Array(static_cast<uint64_t>(rows * cols), &data)) return false;
+  *t = Tensor(rows, cols, std::move(data));
+  return true;
+}
+
 Status SaveParameters(const std::vector<NamedParameter>& params,
                       const std::string& path) {
   // Serialize into memory, then publish with tmp-file + rename + CRC32
   // footer: a crash mid-save leaves the previous checkpoint intact, and a
   // torn/bit-flipped file is rejected at load instead of misparsed.
-  std::ostringstream out;
-  out.write(kMagic, 4);
-  uint32_t count = static_cast<uint32_t>(params.size());
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  ByteWriter out;
+  out.Magic(kMagic).U32(static_cast<uint32_t>(params.size()));
   for (const auto& p : params) {
-    uint32_t name_len = static_cast<uint32_t>(p.name.size());
-    out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    out.write(p.name.data(), name_len);
-    int64_t rows = p.var.value().rows();
-    int64_t cols = p.var.value().cols();
-    out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-    out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-    out.write(reinterpret_cast<const char*>(p.var.value().data()),
-              static_cast<std::streamsize>(rows * cols * sizeof(float)));
+    out.Str(p.name);
+    EncodeTensor(p.var.value(), &out);
   }
-  return AtomicWriteFileWithCrc(path, out.str());
+  return AtomicWriteFileWithCrc(path, out.Release());
 }
 
 Status LoadParameters(const std::string& path,
@@ -45,35 +56,21 @@ Status LoadParameters(const std::string& path,
     }
     return raw.status();
   }
-  std::istringstream in(std::move(raw).value());
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
+  ByteReader in(raw.value());
+  if (!in.Magic(kMagic)) {
     return Status::Corruption("bad checkpoint magic: " + path);
   }
-  uint32_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
+  const uint32_t count = in.U32();
   std::unordered_map<std::string, Tensor> loaded;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t name_len = 0;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    if (!in || name_len > (1u << 20)) {
-      return Status::Corruption("bad name length in " + path);
+  for (uint32_t i = 0; i < count && in.ok(); ++i) {
+    std::string name = in.Str();
+    Tensor t;
+    if (!DecodeTensor(&in, &t)) {
+      return Status::Corruption("bad tensor in " + path);
     }
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
-    int64_t rows = 0, cols = 0;
-    in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-    in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-    if (!in || rows < 0 || cols < 0) {
-      return Status::Corruption("bad shape in " + path);
-    }
-    Tensor t(rows, cols);
-    in.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(rows * cols * sizeof(float)));
-    if (!in) return Status::Corruption("truncated payload in " + path);
     loaded.emplace(std::move(name), std::move(t));
   }
+  if (!in.ok()) return Status::Corruption("truncated checkpoint: " + path);
   for (auto& p : *params) {
     auto it = loaded.find(p.name);
     if (it == loaded.end()) {

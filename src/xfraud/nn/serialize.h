@@ -4,10 +4,23 @@
 #include <string>
 #include <vector>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/status.h"
 #include "xfraud/nn/modules.h"
+#include "xfraud/nn/tensor.h"
 
 namespace xfraud::nn {
+
+/// The tensor codec shared by every parameter file — this one ("XFCK"), the
+/// trainer checkpoint ("XFTC") and the DDP worker checkpoint ("XFDC"):
+/// {i64 rows, i64 cols, rows × cols f32}. Parameter names travel as
+/// ByteWriter::Str / ByteReader::Str (u32 length, then the bytes).
+void EncodeTensor(const Tensor& t, ByteWriter* out);
+
+/// Reads a tensor written by EncodeTensor. Returns false on a truncated
+/// payload or on a shape that is negative or claims more floats than the
+/// bytes left — checked before anything is allocated.
+bool DecodeTensor(ByteReader* in, Tensor* t);
 
 /// Writes named parameters to a simple binary checkpoint:
 ///   magic "XFCK", u32 count, then per entry

@@ -13,8 +13,8 @@ namespace xfraud::serve {
 /// Payload codecs for the multi-process serving tier's frame types
 /// (DESIGN.md §16). The frame *header* — type, rank, seq, payload length,
 /// payload CRC — is common/frame.h's job; this file owns only the payload
-/// layouts. All integers are little-endian byte-by-byte (same convention as
-/// the header); doubles travel as their IEEE-754 bit pattern in a u64, so a
+/// layouts, encoded with common/bytes.h like the header: integers are
+/// little-endian and doubles travel as their IEEE-754 bit pattern, so a
 /// score crosses the wire bit-exactly — the tier's determinism contract
 /// ("socket scores == in-process scores") holds to the last mantissa bit.
 

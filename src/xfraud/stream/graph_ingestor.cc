@@ -1,9 +1,10 @@
 #include "xfraud/stream/graph_ingestor.h"
 
 #include <chrono>
-#include <cstring>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/logging.h"
+#include "xfraud/kv/feature_store.h"
 #include "xfraud/obs/metrics.h"
 #include "xfraud/obs/registry.h"
 
@@ -11,12 +12,7 @@ namespace xfraud::stream {
 
 namespace {
 
-// FeatureStore schema keys (kept in lockstep with kv/feature_store.cc).
-std::string NodeKey(int32_t id) { return "n" + std::to_string(id); }
-std::string FeatKey(int32_t id) { return "f" + std::to_string(id); }
-std::string AdjKey(int32_t id) { return "a" + std::to_string(id); }
-
-// Ingestor id-map keys.
+// Ingestor id-map keys; their rows hold the interned node id as an i32.
 std::string TxnKey(const std::string& txn_id) { return "t" + txn_id; }
 std::string EntityKey(graph::NodeType type, const std::string& key) {
   std::string out = "e";
@@ -25,24 +21,7 @@ std::string EntityKey(graph::NodeType type, const std::string& key) {
   return out;
 }
 
-template <typename T>
-void AppendPod(std::string* out, const T& v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::string_view data, size_t* offset, T* out) {
-  if (*offset + sizeof(T) > data.size()) return false;
-  std::memcpy(out, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-std::string EncodeId(int32_t id) {
-  std::string out;
-  AppendPod(&out, id);
-  return out;
-}
+std::string EncodeId(int32_t id) { return ByteWriter().I32(id).Release(); }
 
 struct StreamMetrics {
   obs::Counter* appended_txns;
@@ -88,27 +67,26 @@ Status GraphIngestor::Attach() {
   feature_dim_ = -1;
 
   std::string meta;
-  Status ms = write_path_->Get("m", &meta);
+  Status ms = write_path_->Get(kv::kMetaKey, &meta);
   if (ms.IsNotFound()) return Status::OK();  // fresh store, empty graph
   XF_RETURN_IF_ERROR(ms);
-  size_t offset = 0;
   int64_t num_nodes = 0, dim = 0;
-  if (!ReadPod(meta, &offset, &num_nodes) || !ReadPod(meta, &offset, &dim)) {
-    return Status::Corruption("bad metadata record on attach");
-  }
+  XF_RETURN_IF_ERROR(kv::DecodeMetaRow(meta, &num_nodes, &dim));
   next_id_ = static_cast<int32_t>(num_nodes);
   if (num_nodes > 0) feature_dim_ = dim;
 
   // Rebuild the id maps from the persisted interning rows. The scans see
   // the head, which after DiscardPending equals the last published state.
-  for (const std::string& key : write_path_->KeysWithPrefix("t")) {
+  int32_t id = 0;
+  auto read_id = [this, &id](const std::string& key) {
     std::string raw;
     XF_RETURN_IF_ERROR(write_path_->Get(key, &raw));
-    size_t off = 0;
-    int32_t id = 0;
-    if (!ReadPod(raw, &off, &id)) {
-      return Status::Corruption("bad txn id row: " + key);
-    }
+    ByteReader in(raw);
+    id = in.I32();
+    return in.ok() ? Status::OK() : Status::Corruption("bad id row: " + key);
+  };
+  for (const std::string& key : write_path_->KeysWithPrefix("t")) {
+    XF_RETURN_IF_ERROR(read_id(key));
     txn_ids_.emplace(key.substr(1), id);
   }
   for (const std::string& key : write_path_->KeysWithPrefix("e")) {
@@ -116,13 +94,7 @@ Status GraphIngestor::Attach() {
         static_cast<uint8_t>(key[1]) >= graph::kNumNodeTypes) {
       return Status::Corruption("bad entity id row: " + key);
     }
-    std::string raw;
-    XF_RETURN_IF_ERROR(write_path_->Get(key, &raw));
-    size_t off = 0;
-    int32_t id = 0;
-    if (!ReadPod(raw, &off, &id)) {
-      return Status::Corruption("bad entity id row: " + key);
-    }
+    XF_RETURN_IF_ERROR(read_id(key));
     entity_ids_[static_cast<uint8_t>(key[1])].emplace(key.substr(2), id);
   }
   return Status::OK();
@@ -187,19 +159,18 @@ Status GraphIngestor::FlushBuffer() {
 
   // 1. Node metadata, ascending id (new_nodes_ is appended in id order).
   for (const PendingNode& node : new_nodes_) {
-    std::string row;
-    AppendPod(&row, static_cast<uint8_t>(node.type));
-    AppendPod(&row, node.label);
-    AppendPod(&row, static_cast<uint8_t>(
-                        node.type == graph::NodeType::kTxn ? 1 : 0));
-    XF_RETURN_IF_ERROR(write_path_->Put(NodeKey(node.id), row));
+    XF_RETURN_IF_ERROR(write_path_->Put(
+        kv::NodeKey(node.id),
+        kv::EncodeNodeRow(node.type, node.label,
+                          node.type == graph::NodeType::kTxn)));
   }
 
   // 2. Transaction feature rows.
   for (const auto& [id, features] : new_features_) {
-    std::string row(reinterpret_cast<const char*>(features.data()),
-                    features.size() * sizeof(float));
-    XF_RETURN_IF_ERROR(write_path_->Put(FeatKey(id), row));
+    XF_RETURN_IF_ERROR(write_path_->Put(
+        kv::FeatKey(id),
+        kv::EncodeFeatureRow(features.data(),
+                             static_cast<int64_t>(features.size()))));
   }
 
   // 3. Adjacency: each touched node's new list = its last *published* list
@@ -210,15 +181,14 @@ Status GraphIngestor::FlushBuffer() {
   for (const auto& [node, additions] : pending_adj_) {
     std::string adj;
     if (published > 0) {
-      Status as = write_path_->GetAt(AdjKey(node), published, &adj);
+      Status as = write_path_->GetAt(kv::AdjKey(node), published, &adj);
       if (!as.ok() && !as.IsNotFound()) return as;
       // NotFound: node is new this epoch (or its row TTL-expired).
     }
     for (const auto& [src, etype] : additions) {
-      AppendPod(&adj, src);
-      AppendPod(&adj, etype);
+      kv::AppendAdjEntry(src, etype, &adj);
     }
-    XF_RETURN_IF_ERROR(write_path_->Put(AdjKey(node), adj));
+    XF_RETURN_IF_ERROR(write_path_->Put(kv::AdjKey(node), adj));
   }
 
   // 4. Id-map rows, then metadata last (a reader of epoch N that can see
@@ -226,10 +196,9 @@ Status GraphIngestor::FlushBuffer() {
   for (const auto& [key, id] : new_id_keys_) {
     XF_RETURN_IF_ERROR(write_path_->Put(key, EncodeId(id)));
   }
-  std::string meta;
-  AppendPod(&meta, static_cast<int64_t>(next_id_));
-  AppendPod(&meta, feature_dim_ < 0 ? int64_t{0} : feature_dim_);
-  return write_path_->Put("m", meta);
+  return write_path_->Put(
+      kv::kMetaKey,
+      kv::EncodeMetaRow(next_id_, feature_dim_ < 0 ? 0 : feature_dim_));
 }
 
 Result<uint64_t> GraphIngestor::PublishEpoch() {

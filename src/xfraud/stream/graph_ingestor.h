@@ -28,10 +28,11 @@ namespace xfraud::stream {
 /// atomic, immutable epoch that pinned readers (kv::SnapshotHandle /
 /// GraphView) can sample and score against while the writer keeps going.
 ///
-/// On top of the FeatureStore schema ("m", "n<id>", "f<id>", "a<id>") the
-/// ingestor persists its id assignment so it can reattach after a crash:
-///   "t<txn_id>"          -> LE32 node id
-///   "e<type_byte><key>"  -> LE32 node id   (entity interning, per type)
+/// It writes the FeatureStore rows ("m", "n<id>", "f<id>", "a<id>") through
+/// kv/feature_store.h's row codec — the same functions FeatureStore::Ingest
+/// uses — and persists its id assignment so it can reattach after a crash:
+///   "t<txn_id>"          -> i32 node id
+///   "e<type_byte><key>"  -> i32 node id   (entity interning, per type)
 ///
 /// Node ids are assigned exactly as GraphBuilder would for the same record
 /// sequence (transaction first, then new entities in buyer → email →

@@ -1,9 +1,8 @@
 #include "xfraud/train/checkpoint.h"
 
-#include <cstring>
-#include <sstream>
-
 #include "xfraud/common/atomic_file.h"
+#include "xfraud/common/bytes.h"
+#include "xfraud/nn/serialize.h"
 
 namespace xfraud::train {
 
@@ -11,48 +10,6 @@ namespace {
 
 constexpr char kMagic[4] = {'X', 'F', 'T', 'C'};
 constexpr uint32_t kVersion = 1;
-
-template <typename T>
-void WritePod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-void WriteString(std::ostream& out, const std::string& s) {
-  WritePod(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool ReadString(std::istream& in, std::string* s) {
-  uint32_t len = 0;
-  if (!ReadPod(in, &len) || len > (1u << 20)) return false;
-  s->resize(len);
-  in.read(s->data(), len);
-  return static_cast<bool>(in);
-}
-
-void WriteTensor(std::ostream& out, const nn::Tensor& t) {
-  WritePod(out, t.rows());
-  WritePod(out, t.cols());
-  out.write(reinterpret_cast<const char*>(t.data()),
-            static_cast<std::streamsize>(t.size() * sizeof(float)));
-}
-
-bool ReadTensor(std::istream& in, nn::Tensor* t) {
-  int64_t rows = 0, cols = 0;
-  if (!ReadPod(in, &rows) || !ReadPod(in, &cols) || rows < 0 || cols < 0) {
-    return false;
-  }
-  *t = nn::Tensor(rows, cols);
-  in.read(reinterpret_cast<char*>(t->data()),
-          static_cast<std::streamsize>(rows * cols * sizeof(float)));
-  return static_cast<bool>(in);
-}
 
 }  // namespace
 
@@ -62,122 +19,87 @@ std::string TrainerCheckpointPath(const std::string& dir) {
 
 Status SaveTrainerCheckpoint(const TrainerCheckpoint& ckpt,
                              const std::string& path) {
-  std::ostringstream out;
-  out.write(kMagic, 4);
-  WritePod(out, kVersion);
-  WritePod(out, ckpt.seed);
-  WritePod(out, ckpt.next_epoch);
-  WritePod(out, ckpt.stale);
-  WritePod(out, ckpt.best_epoch);
-  WritePod(out, ckpt.best_val_auc);
-  for (uint64_t s : ckpt.rng.s) WritePod(out, s);
-  WritePod(out, static_cast<uint8_t>(ckpt.rng.has_cached_gaussian ? 1 : 0));
-  WritePod(out, ckpt.rng.cached_gaussian);
-
-  WritePod(out, static_cast<int64_t>(ckpt.train_node_order.size()));
-  out.write(reinterpret_cast<const char*>(ckpt.train_node_order.data()),
-            static_cast<std::streamsize>(ckpt.train_node_order.size() *
-                                         sizeof(int32_t)));
-
-  WritePod(out, static_cast<int64_t>(ckpt.history.size()));
-  for (const EpochStats& e : ckpt.history) {
-    WritePod(out, e.epoch);
-    WritePod(out, e.train_loss);
-    WritePod(out, e.val_auc);
-    WritePod(out, e.seconds);
-    WritePod(out, e.sample_seconds);
-    WritePod(out, e.compute_seconds);
-  }
-
   if (ckpt.opt_m.size() != ckpt.params.size() ||
       ckpt.opt_v.size() != ckpt.params.size()) {
     return Status::InvalidArgument(
         "checkpoint optimizer state count != parameter count");
   }
-  WritePod(out, static_cast<int64_t>(ckpt.params.size()));
-  for (size_t i = 0; i < ckpt.params.size(); ++i) {
-    WriteString(out, ckpt.params[i].first);
-    WriteTensor(out, ckpt.params[i].second);
-    WriteTensor(out, ckpt.opt_m[i]);
-    WriteTensor(out, ckpt.opt_v[i]);
+  ByteWriter out;
+  out.Magic(kMagic).U32(kVersion).U64(ckpt.seed).I32(ckpt.next_epoch);
+  out.I32(ckpt.stale).I32(ckpt.best_epoch).F64(ckpt.best_val_auc);
+  for (uint64_t s : ckpt.rng.s) out.U64(s);
+  out.U8(ckpt.rng.has_cached_gaussian ? 1 : 0).F64(ckpt.rng.cached_gaussian);
+
+  out.I64(static_cast<int64_t>(ckpt.train_node_order.size()))
+      .Array(ckpt.train_node_order);
+  out.I64(static_cast<int64_t>(ckpt.history.size()));
+  for (const EpochStats& e : ckpt.history) {
+    out.I32(e.epoch).F64(e.train_loss).F64(e.val_auc).F64(e.seconds);
+    out.F64(e.sample_seconds).F64(e.compute_seconds);
   }
-  WritePod(out, ckpt.opt_step);
-  return AtomicWriteFileWithCrc(path, out.str());
+  out.I64(static_cast<int64_t>(ckpt.params.size()));
+  for (size_t i = 0; i < ckpt.params.size(); ++i) {
+    out.Str(ckpt.params[i].first);
+    nn::EncodeTensor(ckpt.params[i].second, &out);
+    nn::EncodeTensor(ckpt.opt_m[i], &out);
+    nn::EncodeTensor(ckpt.opt_v[i], &out);
+  }
+  out.I64(ckpt.opt_step);
+  return AtomicWriteFileWithCrc(path, out.Release());
 }
 
 Result<TrainerCheckpoint> LoadTrainerCheckpoint(const std::string& path) {
   Result<std::string> raw = ReadFileVerifyCrc(path);
   if (!raw.ok()) return raw.status();
-  std::istringstream in(std::move(raw).value());
-
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
+  ByteReader in(raw.value());
+  if (!in.Magic(kMagic)) {
     return Status::Corruption("bad trainer checkpoint magic: " + path);
   }
-  uint32_t version = 0;
-  if (!ReadPod(in, &version) || version != kVersion) {
+  if (in.U32() != kVersion) {
     return Status::Corruption("unsupported trainer checkpoint version in " +
                               path);
   }
   TrainerCheckpoint ckpt;
-  uint8_t has_gaussian = 0;
-  if (!ReadPod(in, &ckpt.seed) || !ReadPod(in, &ckpt.next_epoch) ||
-      !ReadPod(in, &ckpt.stale) || !ReadPod(in, &ckpt.best_epoch) ||
-      !ReadPod(in, &ckpt.best_val_auc)) {
-    return Status::Corruption("truncated trainer checkpoint header: " + path);
-  }
-  for (uint64_t& s : ckpt.rng.s) {
-    if (!ReadPod(in, &s)) {
-      return Status::Corruption("truncated rng state in " + path);
-    }
-  }
-  if (!ReadPod(in, &has_gaussian) ||
-      !ReadPod(in, &ckpt.rng.cached_gaussian)) {
-    return Status::Corruption("truncated rng state in " + path);
-  }
-  ckpt.rng.has_cached_gaussian = has_gaussian != 0;
-
-  int64_t node_count = 0;
-  if (!ReadPod(in, &node_count) || node_count < 0) {
-    return Status::Corruption("bad train-node count in " + path);
-  }
-  ckpt.train_node_order.resize(static_cast<size_t>(node_count));
-  in.read(reinterpret_cast<char*>(ckpt.train_node_order.data()),
-          static_cast<std::streamsize>(node_count * sizeof(int32_t)));
-  if (!in) {
-    return Status::Corruption("truncated train-node order in " + path);
+  ckpt.seed = in.U64();
+  ckpt.next_epoch = in.I32();
+  ckpt.stale = in.I32();
+  ckpt.best_epoch = in.I32();
+  ckpt.best_val_auc = in.F64();
+  for (uint64_t& s : ckpt.rng.s) s = in.U64();
+  ckpt.rng.has_cached_gaussian = in.U8() != 0;
+  ckpt.rng.cached_gaussian = in.F64();
+  if (!in.Array(in.ReadCount(sizeof(int32_t)), &ckpt.train_node_order)) {
+    return Status::Corruption("bad train-node order in " + path);
   }
 
-  int64_t history_count = 0;
-  if (!ReadPod(in, &history_count) || history_count < 0) {
-    return Status::Corruption("bad history count in " + path);
-  }
-  ckpt.history.resize(static_cast<size_t>(history_count));
+  // A history record is an i32 epoch and five f64s.
+  ckpt.history.resize(in.ReadCount(4 + 5 * 8));
   for (EpochStats& e : ckpt.history) {
-    if (!ReadPod(in, &e.epoch) || !ReadPod(in, &e.train_loss) ||
-        !ReadPod(in, &e.val_auc) || !ReadPod(in, &e.seconds) ||
-        !ReadPod(in, &e.sample_seconds) || !ReadPod(in, &e.compute_seconds)) {
-      return Status::Corruption("truncated history in " + path);
-    }
+    e.epoch = in.I32();
+    e.train_loss = in.F64();
+    e.val_auc = in.F64();
+    e.seconds = in.F64();
+    e.sample_seconds = in.F64();
+    e.compute_seconds = in.F64();
   }
+  if (!in.ok()) return Status::Corruption("bad history in " + path);
 
-  int64_t param_count = 0;
-  if (!ReadPod(in, &param_count) || param_count < 0) {
-    return Status::Corruption("bad parameter count in " + path);
-  }
-  ckpt.params.resize(static_cast<size_t>(param_count));
-  ckpt.opt_m.resize(static_cast<size_t>(param_count));
-  ckpt.opt_v.resize(static_cast<size_t>(param_count));
-  for (int64_t i = 0; i < param_count; ++i) {
-    if (!ReadString(in, &ckpt.params[i].first) ||
-        !ReadTensor(in, &ckpt.params[i].second) ||
-        !ReadTensor(in, &ckpt.opt_m[i]) || !ReadTensor(in, &ckpt.opt_v[i])) {
-      return Status::Corruption("truncated parameter block in " + path);
+  // A parameter is at least a name length and three tensor shapes.
+  const uint64_t param_count = in.ReadCount(4 + 3 * 16);
+  ckpt.params.resize(param_count);
+  ckpt.opt_m.resize(param_count);
+  ckpt.opt_v.resize(param_count);
+  for (uint64_t i = 0; i < param_count; ++i) {
+    ckpt.params[i].first = in.Str();
+    if (!nn::DecodeTensor(&in, &ckpt.params[i].second) ||
+        !nn::DecodeTensor(&in, &ckpt.opt_m[i]) ||
+        !nn::DecodeTensor(&in, &ckpt.opt_v[i])) {
+      return Status::Corruption("bad parameter block in " + path);
     }
   }
-  if (!ReadPod(in, &ckpt.opt_step) || ckpt.opt_step < 0) {
-    return Status::Corruption("bad optimizer step count in " + path);
+  ckpt.opt_step = in.I64();
+  if (!in.ok() || ckpt.opt_step < 0) {
+    return Status::Corruption("bad parameter or optimizer state in " + path);
   }
   return ckpt;
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "xfraud/common/atomic_file.h"
+#include "xfraud/common/bytes.h"
 #include "xfraud/core/detector.h"
 #include "xfraud/data/generator.h"
 #include "xfraud/train/trainer.h"
@@ -142,6 +143,59 @@ TEST(TrainerCheckpointTest, BitFlipIsCorruption) {
   out.close();
   auto loaded = LoadTrainerCheckpoint(path);
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+}
+
+// ---- Hostile lengths --------------------------------------------------------
+
+/// A CRC-valid trainer checkpoint, honest up to its train-node count.
+ByteWriter& CheckpointHeader(ByteWriter* out) {
+  out->Bytes("XFTC").U32(1).U64(9);  // magic, version, seed
+  out->I32(0).I32(0).I32(-1).F64(0.0);  // next epoch, stale, best epoch/AUC
+  for (int i = 0; i < 4; ++i) out->U64(1);  // rng state
+  return out->U8(0).F64(0.0);               // no cached gaussian
+}
+
+void ExpectCorruption(const std::string& bytes) {
+  const std::string path = TempPath("ckpt_hostile.bin");
+  ASSERT_TRUE(AtomicWriteFileWithCrc(path, bytes).ok());
+  auto loaded = LoadTrainerCheckpoint(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+}
+
+TEST(TrainerCheckpointTest, HonestCraftedCheckpointLoads) {
+  ByteWriter out;
+  CheckpointHeader(&out).I64(0).I64(0).I64(0).I64(5);  // empty, step 5
+  const std::string path = TempPath("ckpt_crafted.bin");
+  ASSERT_TRUE(AtomicWriteFileWithCrc(path, out.Release()).ok());
+  auto loaded = LoadTrainerCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().opt_step, 5);
+}
+
+TEST(TrainerCheckpointTest, TrainNodeCountBeyondTheFileIsCorruption) {
+  ByteWriter out;
+  CheckpointHeader(&out).I64(int64_t{1} << 40);
+  ExpectCorruption(out.Release());
+}
+
+TEST(TrainerCheckpointTest, HistoryAndParamCountsBeyondTheFileAreCorruption) {
+  ByteWriter history;
+  CheckpointHeader(&history).I64(0).I64(int64_t{1} << 40);
+  ExpectCorruption(history.Release());
+  ByteWriter negative;
+  CheckpointHeader(&negative).I64(0).I64(-1);
+  ExpectCorruption(negative.Release());
+  ByteWriter params;
+  CheckpointHeader(&params).I64(0).I64(0).I64(int64_t{1} << 40);
+  ExpectCorruption(params.Release());
+}
+
+TEST(TrainerCheckpointTest, TensorShapeBeyondTheFileIsCorruption) {
+  ByteWriter out;
+  CheckpointHeader(&out).I64(0).I64(0).I64(1).Str("w");
+  out.I64(int64_t{1} << 20).I64(int64_t{1} << 20);  // 2^40 floats
+  ExpectCorruption(out.Release());
 }
 
 // ---- Trainer resume -------------------------------------------------------

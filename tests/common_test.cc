@@ -1,5 +1,6 @@
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -8,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/clock.h"
+#include "xfraud/common/frame.h"
 #include "xfraud/common/mpmc_queue.h"
 #include "xfraud/common/retry.h"
 #include "xfraud/common/rng.h"
@@ -520,6 +523,141 @@ TEST(BoundedQueueTest, CloseWakesManyBlockedPoppersPromptly) {
   // "Promptly": the join completed in bounded time, not a missed-wakeup
   // hang (generous bound to stay robust under sanitizers).
   EXPECT_LT(timer.ElapsedMillis(), 10000.0);
+}
+
+// ---- Byte codec (common/bytes.h) ------------------------------------------
+
+TEST(ByteCodecTest, EveryWidthRoundTripsAtEveryOffset) {
+  for (size_t pad = 0; pad < 9; ++pad) {
+    ByteWriter w;
+    w.Bytes(std::string(pad, '\xAA'));
+    w.U8(0x81).I8(-2).U16(0x8182).U32(0x81828384u).I32(-5);
+    w.U64(0x8182838485868788ull).I64(-7).F32(1.5f).F64(-2.25);
+    w.Str("ab").Array(std::vector<int32_t>{3, -4});
+    const std::string bytes = w.Release();
+    ASSERT_EQ(bytes.size(), pad + 1 + 1 + 2 + 4 + 4 + 8 + 8 + 4 + 8 + 6 + 8);
+    // Little-endian on the wire, whatever the offset.
+    EXPECT_EQ(bytes.substr(pad + 2, 6),
+              std::string("\x82\x81\x84\x83\x82\x81", 6));
+
+    ByteReader r(bytes);
+    EXPECT_EQ(r.Bytes(pad), std::string(pad, '\xAA'));
+    EXPECT_EQ(r.U8(), 0x81);
+    EXPECT_EQ(r.I8(), -2);
+    EXPECT_EQ(r.U16(), 0x8182);
+    EXPECT_EQ(r.U32(), 0x81828384u);
+    EXPECT_EQ(r.I32(), -5);
+    EXPECT_EQ(r.U64(), 0x8182838485868788ull);
+    EXPECT_EQ(r.I64(), -7);
+    EXPECT_EQ(r.F32(), 1.5f);
+    EXPECT_EQ(r.F64(), -2.25);
+    EXPECT_EQ(r.Str(), "ab");
+    std::vector<int32_t> arr;
+    EXPECT_TRUE(r.Array(2, &arr));
+    EXPECT_EQ(arr, (std::vector<int32_t>{3, -4}));
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.remaining(), 0u);
+  }
+}
+
+TEST(ByteCodecTest, ShortReadFailsStickily) {
+  const std::string bytes("\x01\x02\x03\x04\x05\x06", 6);
+  ByteReader r(bytes);
+  EXPECT_EQ(r.U32(), 0x04030201u);
+  EXPECT_EQ(r.U32(), 0u);  // two bytes left: fails, consumes nothing
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.remaining(), 2u);
+  EXPECT_EQ(r.U8(), 0);  // would fit, but the failure is sticky
+  EXPECT_EQ(r.U16(), 0);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.remaining(), 2u);
+}
+
+TEST(ByteCodecTest, ReadCountRejectsACountBeyondTheBytesLeft) {
+  ByteWriter w;
+  w.U64(uint64_t{1} << 62).Bytes(std::string(12, '\0'));
+  const std::string bytes = w.Release();
+  ByteReader r(bytes);
+  // 2^62 × 4 bytes wraps to 0 in a multiplied check; the division cannot.
+  EXPECT_EQ(r.ReadCount(4), 0u);
+  EXPECT_FALSE(r.ok());
+
+  ByteWriter honest;
+  honest.U64(3).Bytes(std::string(12, '\0'));
+  const std::string ok_bytes = honest.Release();
+  ByteReader fits(ok_bytes);
+  EXPECT_EQ(fits.ReadCount(4), 3u);
+  EXPECT_TRUE(fits.ok());
+
+  ByteWriter negative;  // an i64 count of -1 is 2^64 - 1 here
+  negative.I64(-1).Bytes(std::string(12, '\0'));
+  const std::string neg_bytes = negative.Release();
+  ByteReader neg(neg_bytes);
+  EXPECT_EQ(neg.ReadCount(1), 0u);
+  EXPECT_FALSE(neg.ok());
+}
+
+TEST(ByteCodecTest, StrAndArrayBeyondTheEndFail) {
+  // u32 length 5, then only three bytes.
+  const std::string str_bytes("\x05\x00\x00\x00" "abc", 7);
+  ByteReader r(str_bytes);
+  EXPECT_EQ(r.Str(), "");
+  EXPECT_FALSE(r.ok());
+
+  const std::string arr_bytes(7, '\0');
+  ByteReader a(arr_bytes);
+  std::vector<float> out = {9.0f};
+  EXPECT_FALSE(a.Array(2, &out));  // 8 bytes wanted, 7 there
+  EXPECT_FALSE(a.ok());
+  EXPECT_EQ(out, std::vector<float>{9.0f});  // untouched on failure
+}
+
+TEST(ByteCodecTest, MagicMismatchFailsTheReader) {
+  constexpr char kMagic[4] = {'X', 'F', 'T', 'C'};
+  ByteReader good(std::string_view("XFTC\x01", 5));
+  EXPECT_TRUE(good.Magic(kMagic));
+  EXPECT_EQ(good.U8(), 1);
+  ByteReader bad(std::string_view("XFTD\x01", 5));
+  EXPECT_FALSE(bad.Magic(kMagic));
+  EXPECT_FALSE(bad.ok());
+  ByteReader shorter(std::string_view("XF", 2));
+  EXPECT_FALSE(shorter.Magic(kMagic));
+}
+
+TEST(ByteCodecTest, PatchU32OverwritesInPlaceAndWriterAppends) {
+  std::string buf = "pre";
+  ByteWriter w(&buf);
+  w.U32(0).U8(7).PatchU32(3, 0x0A0B0C0Du);
+  EXPECT_EQ(buf, std::string("pre\x0D\x0C\x0B\x0A\x07", 8));
+}
+
+TEST(FrameHeaderTest, EncodesToTheDocumentedBytes) {
+  FrameHeader header;
+  header.type = FrameType::kScoreRequest;
+  header.flags = 0x0102;
+  header.rank = 5;
+  header.seq = 0x0102030405060708ull;
+  header.payload_bytes = 20;
+  header.payload_crc = 0xDEADBEEFu;
+  const unsigned char want[kFrameHeaderBytes] = {
+      'X',  'F',  'R',  'M',                           // magic
+      0x09, 0x00,                                      // type
+      0x02, 0x01,                                      // flags
+      0x05, 0x00, 0x00, 0x00,                          // rank
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // seq
+      0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload_bytes
+      0xEF, 0xBE, 0xAD, 0xDE};                         // payload_crc
+  const std::string bytes = EncodeFrameHeader(header);
+  ASSERT_EQ(bytes.size(), kFrameHeaderBytes);
+  EXPECT_EQ(std::memcmp(bytes.data(), want, kFrameHeaderBytes), 0);
+  auto decoded = DecodeFrameHeader(want);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().type, FrameType::kScoreRequest);
+  EXPECT_EQ(decoded.value().flags, 0x0102);
+  EXPECT_EQ(decoded.value().rank, 5u);
+  EXPECT_EQ(decoded.value().seq, 0x0102030405060708ull);
+  EXPECT_EQ(decoded.value().payload_bytes, 20u);
+  EXPECT_EQ(decoded.value().payload_crc, 0xDEADBEEFu);
 }
 
 }  // namespace

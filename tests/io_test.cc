@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "xfraud/common/atomic_file.h"
+#include "xfraud/common/bytes.h"
+#include "xfraud/common/crc32.h"
 #include "xfraud/data/generator.h"
 #include "xfraud/data/log_io.h"
 #include "xfraud/graph/serialize.h"
@@ -172,6 +175,93 @@ TEST_F(GraphSerializeTest, RejectsWrongMagic) {
   auto loaded = graph::LoadGraph(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsCorruption());
+}
+
+// ---- Crafted snapshots -----------------------------------------------------
+
+/// A CRC-sealed snapshot of a two-node graph — transaction 0 (fraud, one
+/// feature row) and buyer 1, each the other's in-neighbour — with the
+/// header and the CSR arrays open to tampering.
+struct TinySnapshot {
+  int64_t num_nodes = 2;
+  int64_t num_edges = 2;
+  int64_t feature_rows = 1;
+  int64_t feature_dim = 2;
+  std::vector<int32_t> feature_row = {0, -1};
+  std::vector<int64_t> offsets = {0, 1, 2};
+  std::vector<int32_t> neighbors = {1, 0};
+
+  Status Write(const std::string& path) const {
+    ByteWriter arrays;
+    arrays.Array(std::vector<uint8_t>{0, 4}).Array(std::vector<int8_t>{1, -1});
+    arrays.Array(feature_row).Array(offsets).Array(neighbors);
+    arrays.Array(std::vector<uint8_t>{7, 6});
+    arrays.Array(std::vector<float>{1.0f, -2.0f});
+    const std::string payload = arrays.Release();
+    ByteWriter out;
+    out.Bytes("XFGR").U32(1).I64(num_nodes).I64(num_edges);
+    out.I64(feature_rows).I64(feature_dim).Bytes(payload);
+    out.U32(Crc32(payload.data(), payload.size()));
+    return AtomicWriteFileWithCrc(path, out.Release());
+  }
+};
+
+void ExpectSnapshotIsCorruption(const TinySnapshot& snap) {
+  const std::string path = TempPath("graph_crafted.xfgr");
+  ASSERT_TRUE(snap.Write(path).ok());
+  auto loaded = graph::LoadGraph(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+}
+
+TEST_F(GraphSerializeTest, HonestCraftedSnapshotLoads) {
+  const std::string path = TempPath("graph_crafted_ok.xfgr");
+  ASSERT_TRUE(TinySnapshot{}.Write(path).ok());
+  auto loaded = graph::LoadGraph(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().num_nodes(), 2);
+  EXPECT_EQ(loaded.value().Features(0)[1], -2.0f);
+}
+
+TEST_F(GraphSerializeTest, HeaderCountsBeyondTheFileAreCorruption) {
+  TinySnapshot nodes;
+  nodes.num_nodes = int64_t{1} << 33;
+  ExpectSnapshotIsCorruption(nodes);
+  TinySnapshot edges;
+  edges.num_edges = int64_t{1} << 40;
+  ExpectSnapshotIsCorruption(edges);
+  TinySnapshot overflow;  // 1 × 2^62 floats: the byte count wraps to 0
+  overflow.feature_dim = int64_t{1} << 62;
+  ExpectSnapshotIsCorruption(overflow);
+  TinySnapshot negative;
+  negative.feature_dim = -1;
+  ExpectSnapshotIsCorruption(negative);
+}
+
+TEST_F(GraphSerializeTest, NonMonotoneOffsetsAreCorruption) {
+  TinySnapshot snap;
+  snap.offsets = {0, 3, 2};
+  ExpectSnapshotIsCorruption(snap);
+  snap.offsets = {1, 1, 2};  // does not start at 0
+  ExpectSnapshotIsCorruption(snap);
+  snap.offsets = {0, 1, 1};  // does not end at num_edges
+  ExpectSnapshotIsCorruption(snap);
+}
+
+TEST_F(GraphSerializeTest, OutOfRangeNeighbourIsCorruption) {
+  TinySnapshot snap;
+  snap.neighbors = {1, 7};
+  ExpectSnapshotIsCorruption(snap);
+  snap.neighbors = {-1, 0};
+  ExpectSnapshotIsCorruption(snap);
+}
+
+TEST_F(GraphSerializeTest, OutOfRangeFeatureRowIsCorruption) {
+  TinySnapshot snap;
+  snap.feature_row = {1, -1};
+  ExpectSnapshotIsCorruption(snap);
+  snap.feature_row = {0, -2};
+  ExpectSnapshotIsCorruption(snap);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "xfraud/common/crc32.h"
 #include "xfraud/common/thread_pool.h"
 #include "xfraud/data/generator.h"
+#include "xfraud/graph/graph_builder.h"
 #include "xfraud/kv/feature_store.h"
 #include "xfraud/kv/log_kv.h"
 #include "xfraud/kv/mem_kv.h"
@@ -80,6 +82,34 @@ TEST(LogKvTest, BasicContract) {
     EXPECT_TRUE(r.ok());
     return std::move(r).value();
   });
+}
+
+TEST(LogKvTest, RecordsEncodeToTheDocumentedBytes) {
+  std::string path = TempPath("log_bytes.kv");
+  std::remove(path.c_str());
+  {
+    auto store = std::move(LogKvStore::Open(path).value());
+    ASSERT_TRUE(store->Put("k", "vv").ok());
+    ASSERT_TRUE(store->PublishEpoch().ok());
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  // {crc u32, kind u8, klen u32, vlen u32, key, value}; the CRC covers
+  // everything after itself.
+  const std::string put("\x51\x6A\xE0\x32"   // crc
+                        "\x01"                // kind: put
+                        "\x01\x00\x00\x00"   // klen
+                        "\x02\x00\x00\x00"   // vlen
+                        "kvv",
+                        16);
+  const std::string marker("\x59\xDC\xD3\x50"                    // crc
+                           "\x03"                                 // epoch
+                           "\x00\x00\x00\x00"                    // klen
+                           "\x08\x00\x00\x00"                    // vlen
+                           "\x01\x00\x00\x00\x00\x00\x00\x00",  // epoch 1
+                           21);
+  EXPECT_EQ(bytes, put + marker);
 }
 
 TEST(LogKvTest, PersistsAcrossReopen) {
@@ -277,6 +307,33 @@ class FeatureStoreTest : public ::testing::Test {
   std::unique_ptr<ShardedKvStore> store_;
   std::unique_ptr<FeatureStore> feature_store_;
 };
+
+TEST(FeatureStoreRowsTest, RowsEncodeToTheDocumentedBytes) {
+  graph::GraphBuilder builder;
+  graph::TransactionRecord txn;
+  txn.txn_id = "t1";
+  txn.buyer_id = "b1";
+  txn.features = {1.0f, -2.0f};
+  txn.label = graph::kLabelFraud;
+  ASSERT_TRUE(builder.AddTransaction(txn).ok());
+  MemKvStore store;
+  FeatureStore fs(&store);
+  ASSERT_TRUE(fs.Ingest(builder.Build()).ok());  // txn = node 0, buyer = 1
+
+  auto row = [&store](const std::string& key) {
+    std::string value;
+    EXPECT_TRUE(store.Get(key, &value).ok()) << key;
+    return value;
+  };
+  EXPECT_EQ(row("m"), std::string("\x02\x00\x00\x00\x00\x00\x00\x00"
+                                  "\x02\x00\x00\x00\x00\x00\x00\x00",
+                                  16));
+  EXPECT_EQ(row("n0"), std::string("\x00\x01\x01", 3));  // txn, fraud, feats
+  EXPECT_EQ(row("n1"), std::string("\x04\xFF\x00", 3));  // buyer, unknown
+  EXPECT_EQ(row("f0"), std::string("\x00\x00\x80\x3F\x00\x00\x00\xC0", 8));
+  EXPECT_EQ(row("a0"), std::string("\x01\x00\x00\x00\x07", 5));  // BuyerToTxn
+  EXPECT_EQ(row("a1"), std::string("\x00\x00\x00\x00\x06", 5));  // TxnToBuyer
+}
 
 TEST_F(FeatureStoreTest, MetadataRoundTrip) {
   auto n = feature_store_->NumNodes();

@@ -134,6 +134,39 @@ TEST(LintRawSocket, WrappersAndMentionsAreFine) {
   EXPECT_TRUE(f.empty()) << f[0].rule;
 }
 
+TEST(LintRawBytes, FiresOnCharPointerCastsInLibraryCode) {
+  auto f = LintContent(kLibPath,
+                       "out.append(reinterpret_cast<const char*>(&v), 4);\n"
+                       "auto* p = reinterpret_cast<unsigned char*>(buf);\n"
+                       "int x = 0;\n"
+                       "auto* q = reinterpret_cast<\n"
+                       "    const char *>(&x);\n"
+                       "auto* s = reinterpret_cast<signed char*>(&x);\n");
+  ASSERT_EQ(f.size(), 4u);
+  for (const auto& finding : f) EXPECT_EQ(finding.rule, "no-raw-bytes");
+  EXPECT_EQ(f[0].line, 1);
+  EXPECT_EQ(f[1].line, 2);
+  EXPECT_EQ(f[2].line, 4);  // anchored at the cast, not the type
+  EXPECT_EQ(f[3].line, 6);
+}
+
+TEST(LintRawBytes, CodecIsExemptAndOtherCastsAreFine) {
+  const std::string cast = "auto* p = reinterpret_cast<const char*>(&v);\n";
+  EXPECT_TRUE(LintContent("src/xfraud/common/bytes.cc", cast).empty());
+  EXPECT_TRUE(LintContent("tests/some_test.cc", cast).empty());
+  auto f = LintContent(
+      kLibPath,
+      "auto* a = reinterpret_cast<struct sockaddr*>(&addr);\n"
+      "auto* b = reinterpret_cast<const float*>(bytes);\n"
+      "// reinterpret_cast<const char*> in a comment\n"
+      "const char* s = \"reinterpret_cast<char*>\";\n"
+      "auto* c = my_reinterpret_cast<char*>(x);\n");
+  EXPECT_TRUE(f.empty()) << f[0].rule << " at line " << f[0].line;
+  EXPECT_TRUE(LintContent(kLibPath,
+                          "// xfraud-lint: allow(no-raw-bytes)\n" + cast)
+                  .empty());
+}
+
 TEST(LintNakedNew, FiresInLibraryCode) {
   auto f = LintContent(kLibPath, "int* p = new int(3);\n");
   ASSERT_EQ(f.size(), 1u);

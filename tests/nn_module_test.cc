@@ -1,8 +1,11 @@
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "xfraud/common/atomic_file.h"
+#include "xfraud/common/bytes.h"
 #include "xfraud/nn/modules.h"
 #include "xfraud/nn/optim.h"
 #include "xfraud/nn/serialize.h"
@@ -174,6 +177,25 @@ TEST(SerializeTest, RejectsCorruptMagic) {
   auto params = linear.Parameters();
   Status s = LoadParameters(path, &params);
   EXPECT_TRUE(s.IsCorruption());
+}
+
+TEST(SerializeTest, RejectsHostileTensorShapes) {
+  Rng rng(8);
+  Linear linear(2, 2, &rng);
+  auto params = linear.Parameters();
+  const std::string path = testing::TempDir() + "/hostile.ckpt";
+  // One parameter claiming 2^20 × 2^20 floats, then a negative shape, and a
+  // shape whose element count overflows int64.
+  for (auto [rows, cols] : {std::pair<int64_t, int64_t>{1 << 20, 1 << 20},
+                            {-1, 4},
+                            {int64_t{1} << 62, 8}}) {
+    ByteWriter out;
+    out.Bytes("XFCK").U32(1).Str("w").I64(rows).I64(cols).F32(1.0f);
+    ASSERT_TRUE(AtomicWriteFileWithCrc(path, out.Release()).ok());
+    Status s = LoadParameters(path, &params);
+    EXPECT_TRUE(s.IsCorruption()) << rows << "x" << cols << ": "
+                                  << s.ToString();
+  }
 }
 
 TEST(SerializeTest, RejectsMissingParameter) {

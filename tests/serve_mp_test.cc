@@ -108,6 +108,37 @@ TEST(ServeWire, ScoreReplyRoundTripsBitExactly) {
   EXPECT_TRUE(DecodeScoreReply(err_bytes.data(), 10).status().IsCorruption());
 }
 
+TEST(ServeWire, PayloadsEncodeToTheDocumentedBytes) {
+  ScoreRequestWire req;
+  req.epoch = 3;
+  req.deadline_s = 0.5;  // 500000 us
+  req.txn_node = -2;
+  EXPECT_EQ(EncodeScoreRequest(req),
+            std::string("\x03\x00\x00\x00\x00\x00\x00\x00"   // epoch
+                        "\x20\xA1\x07\x00\x00\x00\x00\x00"   // deadline_us
+                        "\xFE\xFF\xFF\xFF",                     // txn_node
+                        20));
+
+  ScoreReplyWire reply;
+  reply.status = Status::NotFound("no");
+  reply.response.score = 0.5;
+  reply.response.imputed_rows = 2;
+  reply.response.latency_s = 0.25;
+  reply.response.deadline_slack_s = -1.0;
+  reply.response.degraded = true;
+  reply.response.from_prefilter = false;
+  EXPECT_EQ(EncodeScoreReply(reply),
+            std::string("\x02\x00\x00\x00"                          // code
+                        "\x00\x00\x00\x00\x00\x00\xE0\x3F"      // score
+                        "\x02\x00\x00\x00\x00\x00\x00\x00"      // imputed
+                        "\x00\x00\x00\x00\x00\x00\xD0\x3F"      // latency
+                        "\x00\x00\x00\x00\x00\x00\xF0\xBF"      // slack
+                        "\x01\x00"                                  // flags
+                        "\x02\x00\x00\x00"                          // msg len
+                        "no",
+                        44));
+}
+
 TEST(ServeWire, HealthRoundTrips) {
   HealthWire health;
   health.generation = 3;
@@ -127,18 +158,20 @@ TEST(ServeWire, ServingFrameTypesEncodeAndUnknownTypeRejected) {
     header.type = type;
     header.rank = 5;
     header.seq = 99;
-    unsigned char buf[kFrameHeaderBytes];
-    EncodeFrameHeader(header, buf);
-    auto decoded = DecodeFrameHeader(buf);
+    const std::string buf = EncodeFrameHeader(header);
+    auto decoded = DecodeFrameHeader(
+        reinterpret_cast<const unsigned char*>(buf.data()));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded.value().type, type);
     EXPECT_EQ(decoded.value().seq, 99u);
   }
   FrameHeader beyond;
   beyond.type = static_cast<FrameType>(13);  // one past kDrain
-  unsigned char buf[kFrameHeaderBytes];
-  EncodeFrameHeader(beyond, buf);
-  EXPECT_TRUE(DecodeFrameHeader(buf).status().IsCorruption());
+  const std::string buf = EncodeFrameHeader(beyond);
+  EXPECT_TRUE(
+      DecodeFrameHeader(reinterpret_cast<const unsigned char*>(buf.data()))
+          .status()
+          .IsCorruption());
 }
 
 TEST(ServeWire, PayloadCrcDetectsEverySingleBitFlip) {

@@ -265,6 +265,7 @@ struct FileScope {
   bool durable_write_exempt = false;  // sanctioned file-write primitives
   bool clock_exempt = false;  // common/ wraps the raw clock for everyone
   bool socket_exempt = false;  // dist/ is the sanctioned transport layer
+  bool bytes_exempt = false;   // common/bytes.* is the one byte codec
 };
 
 FileScope ClassifyPath(const std::string& path) {
@@ -289,6 +290,7 @@ FileScope ClassifyPath(const std::string& path) {
   // Raw socket syscalls live behind the dist::Communicator transport; only
   // src/xfraud/dist (sockets, rendezvous, ring framing) may issue them.
   scope.socket_exempt = p.find("src/xfraud/dist") != std::string::npos;
+  scope.bytes_exempt = p.find("common/bytes.") != std::string::npos;
   return scope;
 }
 
@@ -306,6 +308,7 @@ class Linter {
     CheckNondeterminism();
     CheckRawClock();
     CheckRawSocket();
+    CheckRawBytes();
     CheckNakedNew();
     CheckRawIo();
     CheckDirectWrite();
@@ -406,6 +409,38 @@ class Linter {
                "raw socket syscall outside src/xfraud/dist bypasses the "
                "Communicator transport (deadlines, retries, error mapping); "
                "use dist::Communicator or extend dist/socket_transport");
+      }
+    }
+  }
+
+  /// Viewing an object as a char pointer is how a hand-rolled byte codec
+  /// starts: its own widths, its own endianness assumptions, its own (or
+  /// no) bounds checks. Every byte library code persists or ships goes
+  /// through common/bytes.h's ByteWriter/ByteReader instead.
+  void CheckRawBytes() {
+    if (!scope_.in_library || scope_.bytes_exempt) return;
+    const std::string& code = split_.code;
+    const std::string kCast = "reinterpret_cast";
+    for (size_t at = code.find(kCast); at != std::string::npos;
+         at = code.find(kCast, at + kCast.size())) {
+      if (at > 0 && IsWordChar(code[at - 1])) continue;
+      const size_t open = code.find_first_not_of(" \t\n", at + kCast.size());
+      if (open == std::string::npos || code[open] != '<') continue;
+      const size_t close = code.find('>', open);
+      if (close == std::string::npos) continue;
+      // The target type with qualifiers and whitespace dropped.
+      std::string target;
+      std::istringstream words(code.substr(open + 1, close - open - 1));
+      for (std::string word; words >> word;) {
+        if (word != "const" && word != "volatile") target += word;
+      }
+      if (target == "char*" || target == "unsignedchar*" ||
+          target == "signedchar*") {
+        Report(static_cast<size_t>(
+                   std::count(code.begin(), code.begin() + at, '\n')),
+               "no-raw-bytes",
+               "reinterpret_cast to a char pointer hand-encodes bytes; use "
+               "common/bytes.h (ByteWriter/ByteReader)");
       }
     }
   }
@@ -590,10 +625,10 @@ class Linter {
 
 const std::vector<std::string>& RuleIds() {
   static const std::vector<std::string> kRules = {
-      "nondeterminism",  "no-raw-clock", "no-raw-socket",
-      "no-naked-new",    "no-raw-io",    "no-direct-write",
-      "header-guard",    "no-using-namespace", "no-catch-all",
-      "todo-issue",
+      "nondeterminism", "no-raw-clock",       "no-raw-socket",
+      "no-raw-bytes",   "no-naked-new",       "no-raw-io",
+      "no-direct-write", "header-guard",      "no-using-namespace",
+      "no-catch-all",   "todo-issue",
   };
   return kRules;
 }
