@@ -1,13 +1,15 @@
 // Microbenchmarks of the autograd substrate (google-benchmark): the ops on
 // the detector's critical path, forward and forward+backward, plus the
 // before/after pairs that gate each nn::kernels fusion (blocked vs naive
-// GEMM, fused vs composed linear and attention aggregate). Useful for
+// GEMM and backward products, fused vs composed linear, typed linear and
+// attention aggregate). Useful for
 // tracking regressions in the engine that every experiment sits on.
 //
 // XFRAUD_KERNEL_THREADS sets the kernel worker count (default 1; results
 // are bit-identical at any value, only the timings move).
 
 #include <cstdlib>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -64,6 +66,74 @@ void BM_MatMulTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTrain)->Arg(256)->Arg(1024);
 
+// The two backward products on the detector's shapes — [6611,32]·[32,32]
+// (one HeteroConv typed linear over a sim-small batch's edges) and
+// [1024,64]·[64,64] — each against its kernels::reference twin.
+
+void BM_GemmTransBAdd(benchmark::State& state) {
+  // dA += G·Bᵀ on the packed micro-kernel...
+  int64_t n = state.range(0);
+  int64_t d = state.range(1);
+  Rng rng(9);
+  Tensor g = Tensor::Uniform(n, d, 1.0f, &rng);
+  Tensor b = Tensor::Uniform(d, d, 1.0f, &rng);
+  Tensor da(n, d);
+  for (auto _ : state) {
+    kernels::GemmTransBAdd(g, b, &da);
+    benchmark::DoNotOptimize(da.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n * d * d);
+}
+BENCHMARK(BM_GemmTransBAdd)->Args({6611, 32})->Args({1024, 64});
+
+void BM_GemmTransBAddReference(benchmark::State& state) {
+  // ...vs the row-dot reference.
+  int64_t n = state.range(0);
+  int64_t d = state.range(1);
+  Rng rng(9);
+  Tensor g = Tensor::Uniform(n, d, 1.0f, &rng);
+  Tensor b = Tensor::Uniform(d, d, 1.0f, &rng);
+  Tensor da(n, d);
+  for (auto _ : state) {
+    kernels::reference::GemmTransBAdd(g, b, &da);
+    benchmark::DoNotOptimize(da.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n * d * d);
+}
+BENCHMARK(BM_GemmTransBAddReference)->Args({6611, 32})->Args({1024, 64});
+
+void BM_GemmTransAAdd(benchmark::State& state) {
+  // dB += Aᵀ·G with register-held dB tiles...
+  int64_t n = state.range(0);
+  int64_t d = state.range(1);
+  Rng rng(10);
+  Tensor a = Tensor::Uniform(n, d, 1.0f, &rng);
+  Tensor g = Tensor::Uniform(n, d, 1.0f, &rng);
+  Tensor db(d, d);
+  for (auto _ : state) {
+    kernels::GemmTransAAdd(a, g, &db);
+    benchmark::DoNotOptimize(db.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n * d * d);
+}
+BENCHMARK(BM_GemmTransAAdd)->Args({6611, 32})->Args({1024, 64});
+
+void BM_GemmTransAAddReference(benchmark::State& state) {
+  // ...vs the reference streaming dB rows per input row.
+  int64_t n = state.range(0);
+  int64_t d = state.range(1);
+  Rng rng(10);
+  Tensor a = Tensor::Uniform(n, d, 1.0f, &rng);
+  Tensor g = Tensor::Uniform(n, d, 1.0f, &rng);
+  Tensor db(d, d);
+  for (auto _ : state) {
+    kernels::reference::GemmTransAAdd(a, g, &db);
+    benchmark::DoNotOptimize(db.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n * d * d);
+}
+BENCHMARK(BM_GemmTransAAddReference)->Args({6611, 32})->Args({1024, 64});
+
 void BM_LinearFused(benchmark::State& state) {
   // Fused x·W + b + ReLU forward/backward...
   int64_t n = state.range(0);
@@ -100,6 +170,72 @@ void BM_LinearComposed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * 64 * 64);
 }
 BENCHMARK(BM_LinearComposed)->Arg(256)->Arg(1024);
+
+/// One HeteroConv typed linear on a sim-small batch: E = 6611 edge rows of
+/// D = 32 over 5 node types, forward + backward into x, every W_t and b_t.
+struct TypedLinearInputs {
+  static constexpr int64_t kRows = 6611;
+  static constexpr int64_t kDim = 32;
+  static constexpr int kTypes = 5;
+  TypedLinearInputs()
+      : rng(11), x(Tensor::Uniform(kRows, kDim, 1.0f, &rng), true) {
+    for (int t = 0; t < kTypes; ++t) {
+      linears.emplace_back(kDim, kDim, &rng);
+      weights.push_back(linears.back().weight());
+      biases.push_back(linears.back().bias());
+    }
+    types.resize(kRows);
+    for (auto& t : types) t = static_cast<int32_t>(rng.NextBounded(kTypes));
+  }
+  void ZeroGrad() {
+    x.ZeroGrad();
+    for (Linear& l : linears) l.ZeroGrad();
+  }
+  Rng rng;
+  Var x;
+  std::vector<Linear> linears;
+  std::vector<Var> weights;
+  std::vector<Var> biases;
+  std::vector<int32_t> types;
+};
+
+void BM_TypedLinearFused(benchmark::State& state) {
+  // One TypedLinear tape node...
+  TypedLinearInputs in;
+  for (auto _ : state) {
+    in.ZeroGrad();
+    Var loss = Sum(TypedLinear(in.x, in.types, in.weights, in.biases));
+    loss.Backward();
+    benchmark::DoNotOptimize(in.x.grad().data());
+  }
+  state.SetItemsProcessed(state.iterations() * TypedLinearInputs::kRows);
+}
+BENCHMARK(BM_TypedLinearFused);
+
+void BM_TypedLinearComposed(benchmark::State& state) {
+  // ...vs the per-type IndexRows → LinearBiasAct → ScatterAddRows → Add
+  // chain it replaced in core::ApplyTypedLinear.
+  TypedLinearInputs in;
+  std::vector<std::vector<int32_t>> rows_by_type(TypedLinearInputs::kTypes);
+  for (size_t r = 0; r < in.types.size(); ++r) {
+    rows_by_type[in.types[r]].push_back(static_cast<int32_t>(r));
+  }
+  for (auto _ : state) {
+    in.ZeroGrad();
+    Var out;
+    for (int t = 0; t < TypedLinearInputs::kTypes; ++t) {
+      Var mapped = in.linears[t].Forward(IndexRows(in.x, rows_by_type[t]));
+      Var scattered =
+          ScatterAddRows(mapped, rows_by_type[t], TypedLinearInputs::kRows);
+      out = out.defined() ? Add(out, scattered) : scattered;
+    }
+    Var loss = Sum(out);
+    loss.Backward();
+    benchmark::DoNotOptimize(in.x.grad().data());
+  }
+  state.SetItemsProcessed(state.iterations() * TypedLinearInputs::kRows);
+}
+BENCHMARK(BM_TypedLinearComposed);
 
 void BM_AttentionAggregateFused(benchmark::State& state) {
   // Fused segment-softmax -> per-head weighting -> scatter-add...

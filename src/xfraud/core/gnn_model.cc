@@ -1,31 +1,19 @@
 #include "xfraud/core/gnn_model.h"
 
-#include "xfraud/common/logging.h"
-
 namespace xfraud::core {
 
 nn::Var ApplyTypedLinear(const std::vector<nn::Linear>& linears,
                          const nn::Var& x,
                          const std::vector<int32_t>& types) {
-  XF_CHECK_EQ(static_cast<size_t>(x.rows()), types.size());
-  // Group rows by type; apply each type's linear to its group; scatter the
-  // disjoint groups back into one output block.
-  std::vector<std::vector<int32_t>> rows_by_type(linears.size());
-  for (size_t r = 0; r < types.size(); ++r) {
-    XF_CHECK_GE(types[r], 0);
-    XF_CHECK_LT(static_cast<size_t>(types[r]), linears.size());
-    rows_by_type[types[r]].push_back(static_cast<int32_t>(r));
+  std::vector<nn::Var> weights;
+  std::vector<nn::Var> biases;
+  weights.reserve(linears.size());
+  biases.reserve(linears.size());
+  for (const nn::Linear& linear : linears) {
+    weights.push_back(linear.weight());
+    biases.push_back(linear.bias());
   }
-  nn::Var out;
-  for (size_t t = 0; t < linears.size(); ++t) {
-    if (rows_by_type[t].empty()) continue;
-    nn::Var gathered = nn::IndexRows(x, rows_by_type[t]);
-    nn::Var mapped = linears[t].Forward(gathered);
-    nn::Var scattered = nn::ScatterAddRows(mapped, rows_by_type[t], x.rows());
-    out = out.defined() ? nn::Add(out, scattered) : scattered;
-  }
-  XF_CHECK(out.defined()) << "typed linear over empty input";
-  return out;
+  return nn::TypedLinear(x, types, weights, biases);
 }
 
 std::vector<double> FraudProbabilities(const nn::Var& logits) {

@@ -12,7 +12,8 @@ namespace xfraud::core {
 
 /// Per-forward-pass options shared by the detector and the baselines.
 struct ForwardOptions {
-  /// Enables dropout and tape construction for parameters.
+  /// Enables dropout. The tape is recorded whenever a parameter requires
+  /// gradients; inference callers run the forward under an nn::NoGradGuard.
   bool training = false;
   /// RNG for dropout; required when training.
   xfraud::Rng* rng = nullptr;
@@ -40,8 +41,8 @@ class GnnModel : public nn::Module {
 };
 
 /// Applies per-node-type linear maps: rows of `x` whose type (per `types`)
-/// is t go through `linears[t]`. The typed Q/K/V projections of paper
-/// eqs. 2-7 are built from this.
+/// is t go through `linears[t]`, as one nn::TypedLinear tape node. The typed
+/// Q/K/V projections of paper eqs. 2-7 are built from this.
 nn::Var ApplyTypedLinear(const std::vector<nn::Linear>& linears,
                          const nn::Var& x,
                          const std::vector<int32_t>& types);

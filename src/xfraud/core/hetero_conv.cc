@@ -48,8 +48,7 @@ Var HeteroConvLayer::Forward(const Var& node_input,
 
   if (edge_src.empty()) {
     // Isolated batch: no messages; normalization + activation only.
-    Var h = use_residual_ ? node_input : node_input;
-    return nn::Relu(norm_.Forward(h));
+    return nn::Relu(norm_.Forward(node_input));
   }
 
   // Per-row (edge or node) type vectors for the typed linears.

@@ -351,6 +351,7 @@ Result<DistributedResult> TrainRank(const data::SimDataset& ds,
         sample::BatchLoader::MakeSeedBatches(ds.val_nodes, 640), eval_stream,
         loader_opts);
     while (auto loaded = loader.Next()) {
+      nn::NoGradGuard no_tape;
       nn::Var logits = model->Forward(loaded->batch, fwd);
       auto probs = train::FraudProbabilities(logits);
       eval.scores.insert(eval.scores.end(), probs.begin(), probs.end());

@@ -91,6 +91,7 @@ CommunityStudy::CommunityStudy(StudyOptions options) : options_(options) {
     Explanation explanation = explainer.Explain(batch);
     record.explainer_edges = explanation.undirected_edge_weights;
     {
+      nn::NoGradGuard no_tape;
       core::ForwardOptions eval;
       nn::Var logits = detector_->Forward(batch, eval);
       record.seed_score = train::FraudProbabilities(logits)[0];

@@ -36,11 +36,15 @@ Explanation GnnExplainer::Explain(const sample::MiniBatch& batch) {
 
   // The explanation target is the *detector's* prediction, not the ground
   // truth: GNNExplainer asks "which edges made the model say this".
-  core::ForwardOptions eval_opts;  // no dropout, no masks
-  Var base_logits = model_->Forward(batch, eval_opts);
-  int predicted = base_logits.value().At(0, 1) > base_logits.value().At(0, 0)
-                      ? 1
-                      : 0;
+  int predicted = 0;
+  {
+    nn::NoGradGuard no_tape;
+    core::ForwardOptions eval_opts;  // no dropout, no masks
+    Var base_logits = model_->Forward(batch, eval_opts);
+    predicted = base_logits.value().At(0, 1) > base_logits.value().At(0, 0)
+                    ? 1
+                    : 0;
+  }
 
   // Random initialization of the mask parameters (Appendix D). The init
   // scale is small (as in the reference GNNExplainer implementation) so the

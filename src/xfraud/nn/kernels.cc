@@ -108,8 +108,43 @@ inline float ApplyAct(float x, Activation act) {
   return act == Activation::kRelu ? (x > 0.0f ? x : 0.0f) : x;
 }
 
+/// Packs Bᵀ's columns [k0, k0+kJTile) — B's rows — into `panel` (M x
+/// kJTile, row-major): panel[j·kJTile + kk] = B[k0+kk, j], zero-filling
+/// columns past B's last row. This is the panel layout of the forward
+/// kernel with Bᵀ as the right operand, so dA += G·Bᵀ runs on the same
+/// micro-kernel.
+void PackBTPanel(const Tensor& b, int64_t k0, float* panel) {
+  int64_t m = b.cols();
+  int64_t kw = std::min<int64_t>(kJTile, b.rows() - k0);
+  for (int64_t kk = 0; kk < kw; ++kk) {
+    const float* brow = b.Row(k0 + kk);
+    for (int64_t j = 0; j < m; ++j) panel[j * kJTile + kk] = brow[j];
+  }
+  for (int64_t kk = kw; kk < kJTile; ++kk) {
+    for (int64_t j = 0; j < m; ++j) panel[j * kJTile + kk] = 0.0f;
+  }
+}
+
+/// The micro-kernel's epilogue: either C = act(acc + bias) (forward) or
+/// C += acc (the dA backward product, whose reference accumulates each dot
+/// product from 0 and then adds it to dA).
+template <bool kAccumulate>
+inline void StoreTile(const float* acc, int64_t j0, int64_t jw,
+                      const float* bias, Activation act, float* crow) {
+  for (int64_t j = 0; j < jw; ++j) {
+    float v = acc[j];
+    if constexpr (kAccumulate) {
+      crow[j] += v;
+    } else {
+      if (bias != nullptr) v += bias[j0 + j];
+      crow[j] = ApplyAct(v, act);
+    }
+  }
+}
+
 /// C rows [i0, i0+ih) for panel columns [j0, j0+jw): register-tiled over
 /// kITile rows, k ascending in the single inner reduction.
+template <bool kAccumulate>
 void GemmPanelRows(const Tensor& a, const float* panel, int64_t j0, int64_t jw,
                    int64_t i0, int64_t ih, const float* bias, Activation act,
                    Tensor* c) {
@@ -133,12 +168,7 @@ void GemmPanelRows(const Tensor& a, const float* panel, int64_t j0, int64_t jw,
       }
     }
     for (int64_t r = 0; r < kITile; ++r) {
-      float* crow = c->Row(i + r) + j0;
-      for (int64_t j = 0; j < jw; ++j) {
-        float v = acc[r][j];
-        if (bias != nullptr) v += bias[j0 + j];
-        crow[j] = ApplyAct(v, act);
-      }
+      StoreTile<kAccumulate>(acc[r], j0, jw, bias, act, c->Row(i + r) + j0);
     }
   }
   for (; i < i0 + ih; ++i) {  // remainder rows, one at a time
@@ -149,12 +179,77 @@ void GemmPanelRows(const Tensor& a, const float* panel, int64_t j0, int64_t jw,
       float v = arow[k];
       for (int64_t j = 0; j < kJTile; ++j) acc[j] += v * p[j];
     }
-    float* crow = c->Row(i) + j0;
-    for (int64_t j = 0; j < jw; ++j) {
-      float v = acc[j];
-      if (bias != nullptr) v += bias[j0 + j];
-      crow[j] = ApplyAct(v, act);
+    StoreTile<kAccumulate>(acc, j0, jw, bias, act, c->Row(i) + j0);
+  }
+}
+
+// Row chunks sized so a chunk of A stays L1-resident while every panel
+// sweeps over it (panel inner, chunk outer).
+constexpr int64_t kRowChunk = 128;
+
+/// Sweeps every packed panel (num_panels of a.cols() x kJTile) over C's
+/// rows, parallel over row blocks. Shared by the forward GEMM and dA += G·Bᵀ.
+template <bool kAccumulate>
+void PackedGemm(const Tensor& a, const std::vector<float>& packed,
+                int64_t num_panels, const float* bias, Activation act,
+                Tensor* c) {
+  int64_t k_dim = a.cols();
+  int64_t m = c->cols();
+  ParallelBlocks(a.rows(), /*grain=*/kITile * 8, [&](int64_t i0,
+                                                     int64_t i_end) {
+    for (int64_t ic = i0; ic < i_end; ic += kRowChunk) {
+      int64_t ih = std::min<int64_t>(kRowChunk, i_end - ic);
+      for (int64_t p = 0; p < num_panels; ++p) {
+        int64_t j0 = p * kJTile;
+        int64_t jw = std::min<int64_t>(kJTile, m - j0);
+        GemmPanelRows<kAccumulate>(a, packed.data() + p * k_dim * kJTile, j0,
+                                   jw, ic, ih, bias, act, c);
+      }
     }
+  });
+}
+
+/// dB rows [k, k+kh) x columns [j0, j0+jw) += Σ_{i in [i0, i_end)}
+/// A[i,k..]ᵀ·G[i,j0..]: the tile is loaded into registers, takes one
+/// multiply-add per i in ascending order, and is stored back — the
+/// reference's per-element order, starting from dB's own value. kFull
+/// fixes the tile at kITile x kJTile (the unrolled fast path); otherwise
+/// kh <= kITile and jw <= kJTile cover the edges.
+template <bool kFull>
+void TransATile(const Tensor& a, const Tensor& g, int64_t k, int64_t kh,
+                int64_t j0, int64_t jw, int64_t i0, int64_t i_end,
+                Tensor* db) {
+  if constexpr (kFull) {
+    kh = kITile;
+    jw = kJTile;
+  }
+  float acc[kITile][kJTile];
+  for (int64_t r = 0; r < kh; ++r) {
+    const float* dbrow = db->Row(k + r) + j0;
+    for (int64_t j = 0; j < jw; ++j) acc[r][j] = dbrow[j];
+  }
+  for (int64_t i = i0; i < i_end; ++i) {
+    const float* arow = a.Row(i) + k;
+    const float* grow = g.Row(i) + j0;
+    if constexpr (kFull) {
+      float v0 = arow[0], v1 = arow[1], v2 = arow[2], v3 = arow[3];
+      for (int64_t j = 0; j < kJTile; ++j) {
+        float gj = grow[j];
+        acc[0][j] += v0 * gj;
+        acc[1][j] += v1 * gj;
+        acc[2][j] += v2 * gj;
+        acc[3][j] += v3 * gj;
+      }
+    } else {
+      for (int64_t r = 0; r < kh; ++r) {
+        float v = arow[r];
+        for (int64_t j = 0; j < jw; ++j) acc[r][j] += v * grow[j];
+      }
+    }
+  }
+  for (int64_t r = 0; r < kh; ++r) {
+    float* dbrow = db->Row(k + r) + j0;
+    for (int64_t j = 0; j < jw; ++j) dbrow[j] = acc[r][j];
   }
 }
 
@@ -199,20 +294,7 @@ void GemmBiasAct(const Tensor& a, const Tensor& b, const float* bias,
   for (int64_t p = 0; p < num_panels; ++p) {
     PackBPanel(b, p * kJTile, packed.data() + p * k_dim * kJTile);
   }
-  // Row chunks sized so a chunk of A stays L1-resident while every panel
-  // sweeps over it (panel inner, chunk outer).
-  constexpr int64_t kRowChunk = 128;
-  ParallelBlocks(n, /*grain=*/kITile * 8, [&](int64_t i0, int64_t i_end) {
-    for (int64_t ic = i0; ic < i_end; ic += kRowChunk) {
-      int64_t ih = std::min<int64_t>(kRowChunk, i_end - ic);
-      for (int64_t p = 0; p < num_panels; ++p) {
-        int64_t j0 = p * kJTile;
-        int64_t jw = std::min<int64_t>(kJTile, m - j0);
-        GemmPanelRows(a, packed.data() + p * k_dim * kJTile, j0, jw, ic, ih,
-                      bias, act, c);
-      }
-    }
-  });
+  PackedGemm</*kAccumulate=*/false>(a, packed, num_panels, bias, act, c);
 }
 
 void Gemm(const Tensor& a, const Tensor& b, Tensor* c) {
@@ -225,18 +307,17 @@ void GemmTransBAdd(const Tensor& g, const Tensor& b, Tensor* da) {
   XF_CHECK_EQ(da->cols(), b.rows());
   int64_t m = g.cols();
   int64_t k_dim = b.rows();
-  ParallelBlocks(g.rows(), /*grain=*/32, [&](int64_t i0, int64_t i_end) {
-    for (int64_t i = i0; i < i_end; ++i) {
-      const float* grow = g.Row(i);
-      float* darow = da->Row(i);
-      for (int64_t k = 0; k < k_dim; ++k) {
-        const float* brow = b.Row(k);
-        float acc = 0.0f;
-        for (int64_t j = 0; j < m; ++j) acc += grow[j] * brow[j];
-        darow[k] += acc;
-      }
-    }
-  });
+  if (g.rows() == 0 || k_dim == 0) return;
+  // Bᵀ packed into panels of kJTile dA columns; each dot product reduces
+  // over j ascending from 0 in the micro-kernel, then lands in dA with one
+  // add — the reference's order. m == 0 still adds the (zero) dot.
+  int64_t num_panels = (k_dim + kJTile - 1) / kJTile;
+  std::vector<float> packed(static_cast<size_t>(num_panels * m * kJTile));
+  for (int64_t p = 0; p < num_panels; ++p) {
+    PackBTPanel(b, p * kJTile, packed.data() + p * m * kJTile);
+  }
+  PackedGemm</*kAccumulate=*/true>(g, packed, num_panels, /*bias=*/nullptr,
+                                   Activation::kNone, da);
 }
 
 void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db) {
@@ -245,17 +326,23 @@ void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db) {
   XF_CHECK_EQ(db->cols(), g.cols());
   int64_t n = a.rows();
   int64_t m = g.cols();
-  // Parallel over disjoint k blocks (rows of dB); within a block the i loop
-  // stays outermost and ascending, so each dB element's reduction order is
-  // fixed no matter how the k space is split.
+  // Parallel over disjoint k blocks (rows of dB). Within a block, register
+  // tiles of dB take their i terms ascending, one row chunk at a time (the
+  // chunk of A and G stays cache-hot across the tiles), so each dB
+  // element's reduction order is fixed however the k space is split.
   ParallelBlocks(a.cols(), /*grain=*/8, [&](int64_t k0, int64_t k_end) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float* arow = a.Row(i);
-      const float* grow = g.Row(i);
-      for (int64_t k = k0; k < k_end; ++k) {
-        float aik = arow[k];
-        float* dbrow = db->Row(k);
-        for (int64_t j = 0; j < m; ++j) dbrow[j] += aik * grow[j];
+    for (int64_t ic = 0; ic < n; ic += kRowChunk) {
+      int64_t i_end = std::min<int64_t>(n, ic + kRowChunk);
+      for (int64_t k = k0; k < k_end; k += kITile) {
+        int64_t kh = std::min<int64_t>(kITile, k_end - k);
+        for (int64_t j0 = 0; j0 < m; j0 += kJTile) {
+          int64_t jw = std::min<int64_t>(kJTile, m - j0);
+          if (kh == kITile && jw == kJTile) {
+            TransATile<true>(a, g, k, kh, j0, jw, ic, i_end, db);
+          } else {
+            TransATile<false>(a, g, k, kh, j0, jw, ic, i_end, db);
+          }
+        }
       }
     }
   });

@@ -46,14 +46,16 @@ void GemmBiasAct(const Tensor& a, const Tensor& b, const float* bias,
 /// C = A·B (no bias, no activation).
 void Gemm(const Tensor& a, const Tensor& b, Tensor* c);
 
-/// dA += G·Bᵀ. G [n,m], B [k,m], dA [n,k]. Row-dot form: B's row-major
-/// storage is already the transposed-operand layout, so every dot product
-/// streams two contiguous rows. Parallel over rows of dA.
+/// dA += G·Bᵀ. G [n,m], B [k,m], dA [n,k]. Bᵀ is packed into the forward
+/// kernel's column panels and runs through its register-tiled micro-kernel:
+/// each dot product accumulates from 0 over j ascending, then is added to
+/// dA once. Parallel over row blocks of dA.
 void GemmTransBAdd(const Tensor& g, const Tensor& b, Tensor* da);
 
-/// dB += Aᵀ·G. A [n,k], G [n,m], dB [k,m]. i-outer loops keep G's row hot
-/// across a k-block; the reduction over i stays ascending for every output
-/// element. Parallel over k blocks (disjoint dB rows).
+/// dB += Aᵀ·G. A [n,k], G [n,m], dB [k,m]. Register-tiled: each 4-row x
+/// 16-column tile of dB is held in registers while i ascends over a
+/// row chunk, starting from dB's own value — the reference's per-element
+/// order. Parallel over k blocks (disjoint dB rows).
 void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db);
 
 /// gb[0,:] += column sums of G, reduced over rows in ascending order.

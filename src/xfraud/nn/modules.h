@@ -56,6 +56,8 @@ class Linear : public Module {
                          std::vector<NamedParameter>* out) const override;
 
   const Var& weight() const { return weight_; }
+  /// Undefined for a bias-free linear.
+  const Var& bias() const { return bias_; }
 
  private:
   Var weight_;

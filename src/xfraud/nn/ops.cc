@@ -12,15 +12,23 @@ namespace {
 
 using internal::VarImpl;
 
+/// True when a result of `inputs` goes on the tape: some input requires
+/// gradients and no NoGradGuard is active on this thread.
+bool RecordsTape(const std::vector<Var>& inputs) {
+  if (NoGradGuard::Active()) return false;
+  for (const auto& in : inputs) {
+    if (in.requires_grad()) return true;
+  }
+  return false;
+}
+
 /// Builds the result node; attaches parents/backward only when needed.
 Var MakeResult(Tensor value, std::vector<Var> inputs,
                std::function<void(VarImpl*)> backward_fn) {
   auto impl = std::make_shared<VarImpl>();
   impl->value = std::move(value);
-  bool needs_grad = false;
-  for (const auto& in : inputs) needs_grad = needs_grad || in.requires_grad();
-  impl->requires_grad = needs_grad;
-  if (needs_grad) {
+  if (RecordsTape(inputs)) {
+    impl->requires_grad = true;
     impl->parents.reserve(inputs.size());
     for (const auto& in : inputs) impl->parents.push_back(in.impl());
     impl->backward_fn = std::move(backward_fn);
@@ -119,6 +127,94 @@ Var LinearBiasAct(const Var& x, const Var& w, const Var& bias,
         }
         if (b_impl != nullptr && b_impl->requires_grad) {
           kernels::ColSumAdd(*dpre, &b_impl->EnsureGrad());
+        }
+      });
+}
+
+Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
+                const std::vector<Var>& weights,
+                const std::vector<Var>& biases) {
+  const Tensor& xv = x.value();
+  XF_CHECK_EQ(static_cast<size_t>(xv.rows()), types.size());
+  XF_CHECK(!weights.empty());
+  XF_CHECK_EQ(weights.size(), biases.size());
+  const int64_t out_dim = weights[0].cols();
+  // Group the rows by type once, ascending within each type.
+  auto rows_by_type =
+      std::make_shared<std::vector<std::vector<int32_t>>>(weights.size());
+  for (size_t r = 0; r < types.size(); ++r) {
+    XF_CHECK_GE(types[r], 0);
+    XF_CHECK_LT(static_cast<size_t>(types[r]), weights.size());
+    (*rows_by_type)[types[r]].push_back(static_cast<int32_t>(r));
+  }
+  std::vector<Var> inputs = {x};
+  for (size_t t = 0; t < weights.size(); ++t) {
+    if ((*rows_by_type)[t].empty()) continue;
+    XF_CHECK_EQ(weights[t].rows(), xv.cols());
+    XF_CHECK_EQ(weights[t].cols(), out_dim);
+    inputs.push_back(weights[t]);
+    if (biases[t].defined()) {
+      XF_CHECK_EQ(biases[t].rows(), 1);
+      XF_CHECK_EQ(biases[t].cols(), out_dim);
+      inputs.push_back(biases[t]);
+    }
+  }
+  const bool taped = RecordsTape(inputs);
+
+  // Each type's rows: gather, one GemmBiasAct, scatter-add into the zeroed
+  // output. Rows of different types are disjoint, so every output element
+  // is 0 + y — the value the composed chain's scatter-into-zeros and Add
+  // passes produce (−0 becomes +0 in both).
+  Tensor out(xv.rows(), out_dim);
+  // Gathered inputs of the types whose weight needs a gradient (dW = xᵀ·dY).
+  auto gathered = std::make_shared<std::vector<Tensor>>(weights.size());
+  for (size_t t = 0; t < weights.size(); ++t) {
+    const std::vector<int32_t>& rows = (*rows_by_type)[t];
+    if (rows.empty()) continue;
+    Tensor xt(static_cast<int64_t>(rows.size()), xv.cols());
+    kernels::GatherRows(xv, rows, &xt);
+    Tensor yt(xt.rows(), out_dim);
+    const float* bias_ptr =
+        biases[t].defined() ? biases[t].value().Row(0) : nullptr;
+    kernels::GemmBiasAct(xt, weights[t].value(), bias_ptr,
+                         kernels::Activation::kNone, &yt);
+    kernels::ScatterAddRowsKernel(yt, rows, &out);
+    if (taped && weights[t].requires_grad()) (*gathered)[t] = std::move(xt);
+  }
+  if (!taped) return MakeResult(std::move(out), {}, nullptr);
+
+  auto x_impl = x.impl();
+  std::vector<std::shared_ptr<VarImpl>> w_impls;
+  std::vector<std::shared_ptr<VarImpl>> b_impls;
+  for (size_t t = 0; t < weights.size(); ++t) {
+    w_impls.push_back(weights[t].impl());
+    b_impls.push_back(biases[t].defined() ? biases[t].impl() : nullptr);
+  }
+  return MakeResult(
+      std::move(out), std::move(inputs),
+      [x_impl, w_impls, b_impls, rows_by_type, gathered](VarImpl* self) {
+        for (size_t t = 0; t < w_impls.size(); ++t) {
+          const std::vector<int32_t>& rows = (*rows_by_type)[t];
+          VarImpl* w = w_impls[t].get();
+          VarImpl* b = b_impls[t].get();
+          bool b_grad = b != nullptr && b->requires_grad;
+          if (rows.empty() ||
+              !(x_impl->requires_grad || w->requires_grad || b_grad)) {
+            continue;
+          }
+          // This type's output grad, gathered onto zeros (0 + dOut, as the
+          // composed chain's scatter backward produced it).
+          Tensor dy(static_cast<int64_t>(rows.size()), self->grad.cols());
+          kernels::GatherAddRows(self->grad, rows, &dy);
+          if (x_impl->requires_grad) {
+            Tensor dx(dy.rows(), x_impl->value.cols());
+            kernels::GemmTransBAdd(dy, w->value, &dx);
+            kernels::ScatterAddRowsKernel(dx, rows, &x_impl->EnsureGrad());
+          }
+          if (w->requires_grad) {
+            kernels::GemmTransAAdd((*gathered)[t], dy, &w->EnsureGrad());
+          }
+          if (b_grad) kernels::ColSumAdd(dy, &b->EnsureGrad());
         }
       });
 }

@@ -11,14 +11,14 @@
 namespace xfraud::nn {
 
 // Differentiable ops. Every function returns a fresh Var wired into the tape;
-// when no input requires gradients the backward closure is omitted so pure
-// inference runs tape-free. All gradients are verified against central finite
-// differences in tests/nn_grad_test.cc.
+// when no input requires gradients, or a NoGradGuard is active, the result
+// records no parents and no backward closure. All gradients are verified
+// against central finite differences in tests/nn_grad_test.cc.
 //
-// The dense/scatter hot paths (MatMul, LinearBiasAct, IndexRows,
-// ScatterAddRows, AttentionAggregate) run on the blocked, optionally
-// parallel nn::kernels layer (DESIGN.md §13); results are bit-identical at
-// any kernels::SetNumThreads setting.
+// The dense/scatter hot paths (MatMul, LinearBiasAct, TypedLinear,
+// IndexRows, ScatterAddRows, AttentionAggregate) run on the blocked,
+// optionally parallel nn::kernels layer (DESIGN.md §13); results are
+// bit-identical at any kernels::SetNumThreads setting.
 
 /// C = A * B. Shapes: [n,k] x [k,m] -> [n,m].
 Var MatMul(const Var& a, const Var& b);
@@ -28,6 +28,17 @@ Var MatMul(const Var& a, const Var& b);
 /// may be an undefined Var for a bias-free linear.
 Var LinearBiasAct(const Var& x, const Var& w, const Var& bias,
                   kernels::Activation act = kernels::Activation::kNone);
+
+/// Typed linear map: row r of x [N,in] goes through
+/// x[r]·weights[types[r]] + biases[types[r]] -> [N,out]. One tape node for
+/// the per-type Q/K/V projections of paper eqs. 2-7, in place of a
+/// per-type IndexRows → LinearBiasAct → ScatterAddRows → Add chain, and
+/// bit-identical to that chain in the forward value and every gradient.
+/// A bias may be an undefined Var; a type with no rows is skipped (its
+/// parameters get no gradient). Keeps each type's gathered rows for dW.
+Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
+                const std::vector<Var>& weights,
+                const std::vector<Var>& biases);
 
 /// Fused SegmentSoftmax → Dropout → per-head MulColBroadcast →
 /// ScatterAddRows: the HeteroConv attention aggregate (paper eqs. 9-10 +

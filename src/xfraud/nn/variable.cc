@@ -6,6 +6,18 @@
 
 namespace xfraud::nn {
 
+namespace {
+
+thread_local bool t_no_grad = false;
+
+}  // namespace
+
+NoGradGuard::NoGradGuard() : previous_(t_no_grad) { t_no_grad = true; }
+
+NoGradGuard::~NoGradGuard() { t_no_grad = previous_; }
+
+bool NoGradGuard::Active() { return t_no_grad; }
+
 Var::Var(Tensor value, bool requires_grad)
     : impl_(std::make_shared<internal::VarImpl>()) {
   impl_->value = std::move(value);
@@ -31,6 +43,7 @@ void Var::ZeroGrad() {
 
 void Var::Backward() {
   XF_CHECK(impl_ != nullptr);
+  XF_CHECK(!t_no_grad) << "Backward() under a NoGradGuard records no tape";
   XF_CHECK_EQ(impl_->value.rows(), 1);
   XF_CHECK_EQ(impl_->value.cols(), 1);
 

@@ -34,8 +34,9 @@ struct VarImpl {
 /// The engine is a classic define-by-run tape: every op allocates a fresh
 /// node whose closure knows how to push gradients to its inputs; calling
 /// Backward() on a scalar output runs the closures in reverse topological
-/// order. Ops skip closure construction entirely when no input requires
-/// gradients, so inference pays no autograd cost.
+/// order. Parameters are requires_grad leaves, so every op on them records
+/// parents and a closure; inference forwards run under a NoGradGuard, which
+/// keeps them off the tape.
 class Var {
  public:
   Var() = default;
@@ -72,6 +73,26 @@ class Var {
 
  private:
   std::shared_ptr<internal::VarImpl> impl_;
+};
+
+/// While alive, ops on the calling thread record no tape: results get no
+/// parents, no backward closure and requires_grad=false, whatever their
+/// inputs. Values are unchanged — only the autograd bookkeeping is skipped.
+/// Guards nest; each restores the state it found. Inference forwards
+/// (evaluation, serving, explainer base scores) run under one; anything
+/// that calls Backward() must not.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+  /// True iff a guard is alive on the calling thread.
+  static bool Active();
+
+ private:
+  bool previous_;
 };
 
 }  // namespace xfraud::nn

@@ -205,6 +205,7 @@ Result<ScoreResponse> ScoringService::ScoreAt(int64_t request_id,
         std::to_string(options_.max_degraded_frac) + ")");
   }
   const double forward_start_s = clock_->NowSeconds();
+  nn::NoGradGuard no_tape;
   nn::Var logits = model_->Forward(batch.value(), core::ForwardOptions{});
   std::vector<double> probs = core::FraudProbabilities(logits);
   forward_s_->Record(clock_->NowSeconds() - forward_start_s);

@@ -69,11 +69,11 @@ struct ScoreResponse {
 /// sampler and every KV read below it observe the budget), degraded-mode
 /// loading, and an optional prefilter fallback.
 ///
-/// Thread-safe: Score may be called concurrently (the forward pass builds
-/// a private tape; model parameters are only read). Single-threaded runs
-/// are bit-reproducible: the score of (request_id, txn_node) is a pure
-/// function of the checkpoint, the store contents, the fault plan, and the
-/// service seed.
+/// Thread-safe: Score may be called concurrently (the forward pass runs
+/// under a per-thread nn::NoGradGuard and records no tape; model parameters
+/// are only read). Single-threaded runs are bit-reproducible: the score of
+/// (request_id, txn_node) is a pure function of the checkpoint, the store
+/// contents, the fault plan, and the service seed.
 class ScoringService {
  public:
   /// None owned; all must outlive the service. `model` must be loaded /

@@ -316,7 +316,7 @@ EvalResult Trainer::Evaluate(const graph::HeteroGraph& g,
   EvalResult result;
   std::vector<double> forward_secs;
   std::vector<double> sample_secs;
-  core::ForwardOptions fwd;  // inference: no dropout, no tape
+  core::ForwardOptions fwd;  // inference: no dropout
   sample::BatchLoader loader(
       &g, sampler_, sample::BatchLoader::MakeSeedBatches(nodes, batch_size),
       eval_root_,
@@ -326,6 +326,7 @@ EvalResult Trainer::Evaluate(const graph::HeteroGraph& g,
   while (auto loaded = loader.Next()) {
     const sample::MiniBatch& batch = loaded->batch;
     WallTimer timer;
+    nn::NoGradGuard no_tape;
     nn::Var logits = model_->Forward(batch, fwd);
     forward_secs.push_back(timer.ElapsedSeconds());
     sample_secs.push_back(loaded->sample_seconds);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "xfraud/common/check.h"
 #include "xfraud/core/detector.h"
 #include "xfraud/data/generator.h"
 #include "xfraud/explain/feature_importance.h"
@@ -278,6 +279,36 @@ TEST_F(ExplainerIntegrationTest, DeterministicGivenSeed) {
   for (size_t i = 0; i < a.edge_mask.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.edge_mask[i], b.edge_mask[i]);
   }
+}
+
+TEST_F(ExplainerIntegrationTest, GuardedBaseForwardLeavesExplanationUnchanged) {
+  // The base prediction runs under a NoGradGuard; the mask optimisation
+  // must not. The target label matches a taped forward's, an explanation
+  // after a guarded forward on this thread equals one before it, and an
+  // Explain wrapped in a guard is refused instead of silently skipping
+  // its gradient steps.
+  int32_t seed = ds_->test_nodes[4];
+  auto batch = CommunityBatch(seed);
+  GnnExplainerOptions opts;
+  opts.epochs = 10;
+  opts.seed = 7;
+  Explanation before = GnnExplainer(model_, opts).Explain(batch);
+  nn::Var taped = model_->Forward(batch, core::ForwardOptions{});
+  EXPECT_EQ(before.predicted_label,
+            taped.value().At(0, 1) > taped.value().At(0, 0) ? 1 : 0);
+  {
+    nn::NoGradGuard no_tape;
+    model_->Forward(batch, core::ForwardOptions{});
+    EXPECT_THROW(GnnExplainer(model_, opts).Explain(batch), CheckError);
+  }
+  Explanation after = GnnExplainer(model_, opts).Explain(batch);
+  EXPECT_EQ(after.predicted_label, before.predicted_label);
+  EXPECT_DOUBLE_EQ(after.final_loss, before.final_loss);
+  ASSERT_EQ(after.edge_mask.size(), before.edge_mask.size());
+  for (size_t i = 0; i < after.edge_mask.size(); ++i) {
+    EXPECT_DOUBLE_EQ(after.edge_mask[i], before.edge_mask[i]);
+  }
+  EXPECT_TRUE(after.node_feature_mask.BitwiseEqual(before.node_feature_mask));
 }
 
 TEST_F(ExplainerIntegrationTest, FeatureImportanceViewsAreConsistent) {

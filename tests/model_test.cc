@@ -73,6 +73,23 @@ TEST_F(ModelTest, DetectorForwardShape) {
   EXPECT_EQ(logits.cols(), 2);
 }
 
+TEST_F(ModelTest, NoGradGuardForwardMatchesTapedBitwise) {
+  Rng rng(2);
+  XFraudDetector model(SmallDetectorConfig(ds_->graph.feature_dim()), &rng);
+  auto batch = MakeSmallBatch();
+  nn::Var taped = model.Forward(batch, ForwardOptions{});
+  nn::Var guarded;
+  {
+    nn::NoGradGuard no_tape;
+    guarded = model.Forward(batch, ForwardOptions{});
+  }
+  EXPECT_TRUE(taped.requires_grad());  // parameters put eval on the tape
+  EXPECT_TRUE(guarded.value().BitwiseEqual(taped.value()));
+  EXPECT_FALSE(guarded.requires_grad());
+  EXPECT_TRUE(guarded.impl()->parents.empty());
+  EXPECT_FALSE(guarded.impl()->backward_fn);
+}
+
 TEST_F(ModelTest, DetectorParametersNonEmptyAndNamed) {
   Rng rng(3);
   XFraudDetector model(SmallDetectorConfig(ds_->graph.feature_dim()), &rng);

@@ -3,10 +3,12 @@
 
 #include <cmath>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "xfraud/common/check.h"
 #include "xfraud/common/rng.h"
 #include "xfraud/nn/ops.h"
 
@@ -202,6 +204,22 @@ TEST(GradCheck, LinearBiasActWithBiasAndRelu) {
   });
 }
 
+TEST(GradCheck, TypedLinear) {
+  Rng rng(33);
+  // Three types, one of them absent from `types`; type 1 is bias-free.
+  std::vector<Var> in = {Var(RandomTensor(5, 3, &rng), true),   // x
+                         Var(RandomTensor(3, 2, &rng), true),   // W_0
+                         Var(RandomTensor(1, 2, &rng), true),   // b_0
+                         Var(RandomTensor(3, 2, &rng), true),   // W_1
+                         Var(RandomTensor(3, 2, &rng), true),   // W_2
+                         Var(RandomTensor(1, 2, &rng), true)};  // b_2
+  std::vector<int32_t> types = {1, 0, 1, 0, 0};
+  CheckGradients(in, [&types](std::vector<Var>& v) {
+    return Sum(Tanh(TypedLinear(v[0], types, {v[1], v[3], v[4]},
+                                {v[2], Var(), v[5]})));
+  });
+}
+
 TEST(GradCheck, AttentionAggregate) {
   Rng rng(32);
   std::vector<Var> in = {Var(RandomTensor(5, 2, &rng, 2.0f), true),   // scores
@@ -336,6 +354,59 @@ TEST(OpsTest, InferenceBuildsNoTape) {
   Var c = MatMul(a, b);
   EXPECT_FALSE(c.requires_grad());
   EXPECT_TRUE(c.impl()->parents.empty());
+}
+
+TEST(NoGradGuardTest, GuardedOpsRecordNoTape) {
+  Rng rng(25);
+  Var a(RandomTensor(3, 4, &rng), /*requires_grad=*/true);
+  Var w(RandomTensor(4, 2, &rng), /*requires_grad=*/true);
+  Var taped = Tanh(MatMul(a, w));
+  Var guarded;
+  {
+    NoGradGuard no_tape;
+    guarded = Tanh(MatMul(a, w));
+  }
+  EXPECT_TRUE(taped.requires_grad());
+  EXPECT_TRUE(guarded.value().BitwiseEqual(taped.value()));
+  EXPECT_FALSE(guarded.requires_grad());
+  EXPECT_TRUE(guarded.impl()->parents.empty());
+  EXPECT_FALSE(guarded.impl()->backward_fn);
+  // The guard is gone: ops tape again.
+  EXPECT_TRUE(MatMul(a, w).requires_grad());
+}
+
+TEST(NoGradGuardTest, NestsAndRestoresPerThread) {
+  EXPECT_FALSE(NoGradGuard::Active());
+  {
+    NoGradGuard outer;
+    EXPECT_TRUE(NoGradGuard::Active());
+    {
+      NoGradGuard inner;
+      EXPECT_TRUE(NoGradGuard::Active());
+    }
+    EXPECT_TRUE(NoGradGuard::Active());  // inner restored outer's state
+    // Another thread does not see this thread's guard, and its own guard
+    // does not leak back here.
+    bool other_before = true;
+    bool other_inside = false;
+    std::thread other([&] {
+      other_before = NoGradGuard::Active();
+      NoGradGuard theirs;
+      other_inside = NoGradGuard::Active();
+    });
+    other.join();
+    EXPECT_FALSE(other_before);
+    EXPECT_TRUE(other_inside);
+    EXPECT_TRUE(NoGradGuard::Active());
+  }
+  EXPECT_FALSE(NoGradGuard::Active());
+}
+
+TEST(NoGradGuardTest, BackwardUnderGuardThrows) {
+  Var x(Tensor(2, 2, 1.0f), true);
+  Var loss = Sum(x);
+  NoGradGuard no_tape;
+  EXPECT_THROW(loss.Backward(), CheckError);
 }
 
 TEST(OpsTest, GradAccumulatesAcrossUses) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,16 +65,46 @@ TEST(TensorEquality, SignedZerosCompareDifferent) {
 
 // ---------------------------------------------------------------------------
 // Blocked GEMM vs naive reference, bit for bit. Shapes chosen to hit the
-// micro-kernel edges: row remainders (n % 4 != 0) and partial right-edge
-// panels (m % 16 != 0).
+// micro-kernel edges: row remainders (n % 4 != 0), partial right-edge
+// panels (m % 16 != 0), k and m off the 4/16 tile grid on both operands of
+// the backward products, row counts that cross the 128-row chunk, and
+// empty dimensions.
 
 struct GemmShape {
   int64_t n, k, m;
 };
 
-const GemmShape kGemmShapes[] = {{1, 1, 1},   {3, 5, 2},    {4, 16, 16},
-                                 {5, 7, 3},   {17, 33, 19}, {64, 64, 64},
-                                 {2, 64, 31}};
+const GemmShape kGemmShapes[] = {
+    {1, 1, 1},     {3, 5, 2},    {4, 16, 16}, {5, 7, 3},   {17, 33, 19},
+    {64, 64, 64},  {2, 64, 31},  {300, 33, 40}, {6611, 32, 32}, {5, 1, 17},
+    {130, 17, 5},  {0, 8, 8},    {3, 0, 5},   {3, 5, 0}};
+
+/// The NaN the hardware produces for an invalid operation (∞ − ∞), computed
+/// at run time so constant folding cannot pick a different encoding.
+float HardwareDefaultNaN() {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  return inf - inf;
+}
+
+/// Random values with every IEEE special mixed in: ±0, NaN and ±Inf. The
+/// blocked kernels must reproduce the reference's NaN/Inf propagation and
+/// signed-zero results exactly. When two NaNs with different payloads meet
+/// in an add, which one survives depends on the operand order the compiler
+/// picks for a commutative op — in the reference loops as much as in the
+/// kernels — so the NaN inputs use the encoding the hardware itself
+/// generates for 0·∞ and ∞ − ∞: every NaN in the computation then has the
+/// same bits, and BitwiseEqual still checks where NaNs land.
+Tensor SpecialTensor(int64_t r, int64_t c, Rng* rng) {
+  const float kSpecials[] = {0.0f, -0.0f, HardwareDefaultNaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()};
+  Tensor t = RandomTensor(r, c, rng);
+  for (int64_t i = 0; i < t.size(); ++i) {
+    uint64_t draw = rng->NextBounded(128);
+    if (draw < 5) t.data()[i] = kSpecials[draw];
+  }
+  return t;
+}
 
 TEST(KernelConformance, GemmMatchesReferenceBitwise) {
   Rng rng(101);
@@ -90,33 +121,43 @@ TEST(KernelConformance, GemmMatchesReferenceBitwise) {
 }
 
 TEST(KernelConformance, GemmTransBAddMatchesReferenceBitwise) {
-  Rng rng(102);
-  for (const GemmShape& s : kGemmShapes) {
-    Tensor g = RandomTensor(s.n, s.m, &rng);
-    Tensor b = RandomTensor(s.k, s.m, &rng);
-    // Non-zero initial accumulator: += semantics must match too.
-    Tensor da0 = RandomTensor(s.n, s.k, &rng);
-    Tensor da_fast = da0;
-    Tensor da_ref = da0;
-    kernels::GemmTransBAdd(g, b, &da_fast);
-    kernels::reference::GemmTransBAdd(g, b, &da_ref);
-    EXPECT_TRUE(da_fast.BitwiseEqual(da_ref))
-        << "shape " << s.n << "x" << s.k << "x" << s.m;
+  ThreadRestore restore;
+  for (int threads : {1, 2, 3, 4}) {
+    kernels::SetNumThreads(threads);
+    Rng rng(102);
+    for (const GemmShape& s : kGemmShapes) {
+      Tensor g = SpecialTensor(s.n, s.m, &rng);
+      Tensor b = SpecialTensor(s.k, s.m, &rng);
+      // Non-zero initial accumulator: += semantics must match too.
+      Tensor da0 = SpecialTensor(s.n, s.k, &rng);
+      Tensor da_fast = da0;
+      Tensor da_ref = da0;
+      kernels::GemmTransBAdd(g, b, &da_fast);
+      kernels::reference::GemmTransBAdd(g, b, &da_ref);
+      EXPECT_TRUE(da_fast.BitwiseEqual(da_ref))
+          << "shape " << s.n << "x" << s.k << "x" << s.m
+          << ", threads=" << threads;
+    }
   }
 }
 
 TEST(KernelConformance, GemmTransAAddMatchesReferenceBitwise) {
-  Rng rng(103);
-  for (const GemmShape& s : kGemmShapes) {
-    Tensor a = RandomTensor(s.n, s.k, &rng);
-    Tensor g = RandomTensor(s.n, s.m, &rng);
-    Tensor db0 = RandomTensor(s.k, s.m, &rng);
-    Tensor db_fast = db0;
-    Tensor db_ref = db0;
-    kernels::GemmTransAAdd(a, g, &db_fast);
-    kernels::reference::GemmTransAAdd(a, g, &db_ref);
-    EXPECT_TRUE(db_fast.BitwiseEqual(db_ref))
-        << "shape " << s.n << "x" << s.k << "x" << s.m;
+  ThreadRestore restore;
+  for (int threads : {1, 2, 3, 4}) {
+    kernels::SetNumThreads(threads);
+    Rng rng(103);
+    for (const GemmShape& s : kGemmShapes) {
+      Tensor a = SpecialTensor(s.n, s.k, &rng);
+      Tensor g = SpecialTensor(s.n, s.m, &rng);
+      Tensor db0 = SpecialTensor(s.k, s.m, &rng);
+      Tensor db_fast = db0;
+      Tensor db_ref = db0;
+      kernels::GemmTransAAdd(a, g, &db_fast);
+      kernels::reference::GemmTransAAdd(a, g, &db_ref);
+      EXPECT_TRUE(db_fast.BitwiseEqual(db_ref))
+          << "shape " << s.n << "x" << s.k << "x" << s.m
+          << ", threads=" << threads;
+    }
   }
 }
 
@@ -321,6 +362,97 @@ TEST(FusedConformance, AttentionAggregateMatchesComposedBitwiseTraining) {
   EXPECT_TRUE(fused.value().BitwiseEqual(composed.value()));
   EXPECT_TRUE(s1.grad().BitwiseEqual(s2.grad()));
   EXPECT_TRUE(v1.grad().BitwiseEqual(v2.grad()));
+}
+
+/// The composed (pre-fusion) typed linear: per type, gather the rows, run
+/// the type's linear, scatter into a zeroed [N,out] block and Add the
+/// blocks. TypedLinear replaced this chain in core::ApplyTypedLinear.
+Var ComposedTypedLinear(const Var& x, const std::vector<int32_t>& types,
+                        const std::vector<Var>& weights,
+                        const std::vector<Var>& biases) {
+  std::vector<std::vector<int32_t>> rows_by_type(weights.size());
+  for (size_t r = 0; r < types.size(); ++r) {
+    rows_by_type[types[r]].push_back(static_cast<int32_t>(r));
+  }
+  Var out;
+  for (size_t t = 0; t < weights.size(); ++t) {
+    if (rows_by_type[t].empty()) continue;
+    Var gathered = IndexRows(x, rows_by_type[t]);
+    Var mapped = LinearBiasAct(gathered, weights[t], biases[t]);
+    Var scattered = ScatterAddRows(mapped, rows_by_type[t], x.rows());
+    out = out.defined() ? Add(out, scattered) : scattered;
+  }
+  return out;
+}
+
+TEST(FusedConformance, TypedLinearMatchesComposedBitwise) {
+  ThreadRestore restore;
+  Rng rng(305);
+  const int64_t kRows = 37;
+  const int64_t kIn = 6;
+  const int64_t kOut = 5;
+  // Four types: type 1 is bias-free, type 2 has no rows.
+  std::vector<int32_t> types(kRows);
+  for (auto& t : types) {
+    t = static_cast<int32_t>(rng.NextBounded(3));
+    if (t == 2) t = 3;
+  }
+  Tensor xt = RandomTensor(kRows, kIn, &rng);
+  std::vector<Tensor> wt;
+  std::vector<Tensor> bt;
+  for (int t = 0; t < 4; ++t) {
+    wt.push_back(RandomTensor(kIn, kOut, &rng));
+    bt.push_back(RandomTensor(1, kOut, &rng));
+  }
+  Tensor upstream = RandomTensor(kRows, kOut, &rng);
+
+  struct Run {
+    Var x;
+    std::vector<Var> weights;
+    std::vector<Var> biases;
+    Var out;
+  };
+  // x also feeds a second consumer (Tanh), so the order in which its two
+  // gradient contributions accumulate is compared too.
+  auto run = [&](bool fused, bool x_grad) {
+    Run r;
+    r.x = Var(xt, x_grad);
+    for (int t = 0; t < 4; ++t) {
+      r.weights.emplace_back(wt[static_cast<size_t>(t)], true);
+      r.biases.push_back(t == 1 ? Var()
+                                : Var(bt[static_cast<size_t>(t)], true));
+    }
+    r.out = fused ? TypedLinear(r.x, types, r.weights, r.biases)
+                  : ComposedTypedLinear(r.x, types, r.weights, r.biases);
+    Add(Sum(Mul(r.out, Constant(upstream))), Sum(Tanh(r.x))).Backward();
+    return r;
+  };
+
+  for (int threads : {1, 3}) {
+    kernels::SetNumThreads(threads);
+    for (bool x_grad : {true, false}) {
+      Run fused = run(true, x_grad);
+      Run composed = run(false, x_grad);
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " x_grad=" + std::to_string(x_grad));
+      EXPECT_TRUE(fused.out.value().BitwiseEqual(composed.out.value()));
+      EXPECT_EQ(fused.x.requires_grad(), x_grad);
+      if (x_grad) EXPECT_TRUE(fused.x.grad().BitwiseEqual(composed.x.grad()));
+      for (size_t t = 0; t < 4; ++t) {
+        EXPECT_EQ(fused.weights[t].impl()->grad.size(),
+                  composed.weights[t].impl()->grad.size());
+        EXPECT_TRUE(fused.weights[t].impl()->grad.BitwiseEqual(
+            composed.weights[t].impl()->grad))
+            << "W_" << t;
+        if (!fused.biases[t].defined()) continue;
+        EXPECT_TRUE(fused.biases[t].impl()->grad.BitwiseEqual(
+            composed.biases[t].impl()->grad))
+            << "b_" << t;
+      }
+      // The empty type's parameters never get a gradient buffer.
+      EXPECT_EQ(fused.weights[2].impl()->grad.size(), 0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

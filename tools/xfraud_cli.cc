@@ -455,8 +455,12 @@ int CmdExplain(const Flags& flags) {
   Rng rng(11);
   graph::Subgraph community = graph::KHopSubgraph(g, seed, 3, 10, &rng);
   sample::MiniBatch batch = sample::MakeBatch(g, community, {seed});
-  double risk = train::FraudProbabilities(
-      detector.value()->Forward(batch, core::ForwardOptions{}))[0];
+  double risk = 0.0;
+  {
+    nn::NoGradGuard no_tape;
+    risk = train::FraudProbabilities(
+        detector.value()->Forward(batch, core::ForwardOptions{}))[0];
+  }
   std::cout << "transaction " << txn_id << ": risk score "
             << TablePrinter::Num(risk, 4) << "\n";
 
