@@ -1,14 +1,17 @@
 // Microbenchmarks of the autograd substrate (google-benchmark): the ops on
 // the detector's critical path, forward and forward+backward, plus the
 // before/after pairs that gate each nn::kernels fusion (blocked vs naive
-// GEMM and backward products, fused vs composed linear, typed linear and
-// attention aggregate). Useful for
+// GEMM and backward products, fused vs composed linear, typed linear,
+// attention scores and attention aggregate). Useful for
 // tracking regressions in the engine that every experiment sits on.
 //
 // XFRAUD_KERNEL_THREADS sets the kernel worker count (default 1; results
-// are bit-identical at any value, only the timings move).
+// are bit-identical at any value, only the timings move). The JSON context
+// records which ISA clone of the kernels the host resolved ("kernel_isa").
 
+#include <cmath>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -237,6 +240,84 @@ void BM_TypedLinearComposed(benchmark::State& state) {
 }
 BENCHMARK(BM_TypedLinearComposed);
 
+/// The eq. 8 attention-score operands of one sim-small HeteroConv layer:
+/// E = 6611 edges, D = 32 in H = 4 heads of 8, 5 node types; forward +
+/// backward into all four operands.
+struct AttentionScoresInputs {
+  static constexpr int64_t kEdges = 6611;
+  static constexpr int64_t kNodes = 2048;
+  static constexpr int64_t kDim = 32;
+  static constexpr int kHeads = 4;
+  static constexpr int kTypes = 5;
+  AttentionScoresInputs()
+      : rng(12),
+        k(Tensor::Uniform(kEdges, kDim, 1.0f, &rng), true),
+        q(Tensor::Uniform(kNodes, kDim, 1.0f, &rng), true),
+        w_src(Tensor::Uniform(kTypes, kDim, 1.0f, &rng), true),
+        w_dst(Tensor::Uniform(kTypes, kDim, 1.0f, &rng), true),
+        dst(kEdges),
+        src_types(kEdges),
+        dst_types(kEdges) {
+    for (int64_t e = 0; e < kEdges; ++e) {
+      dst[e] = static_cast<int32_t>(rng.NextBounded(kNodes));
+      src_types[e] = static_cast<int32_t>(rng.NextBounded(kTypes));
+      dst_types[e] = static_cast<int32_t>(rng.NextBounded(kTypes));
+    }
+  }
+  void ZeroGrad() {
+    for (Var* v : {&k, &q, &w_src, &w_dst}) v->ZeroGrad();
+  }
+  Rng rng;
+  Var k, q, w_src, w_dst;
+  std::vector<int32_t> dst, src_types, dst_types;
+  float scale = 1.0f / std::sqrt(static_cast<float>(kDim / kHeads));
+};
+
+void BM_AttentionScoresFused(benchmark::State& state) {
+  // One AttentionScores tape node...
+  AttentionScoresInputs in;
+  for (auto _ : state) {
+    in.ZeroGrad();
+    Var loss = Sum(AttentionScores(in.k, in.q, in.dst, in.w_src,
+                                   in.src_types, in.w_dst, in.dst_types,
+                                   AttentionScoresInputs::kHeads, in.scale));
+    loss.Backward();
+    benchmark::DoNotOptimize(in.q.grad().data());
+  }
+  state.SetItemsProcessed(state.iterations() * AttentionScoresInputs::kEdges);
+}
+BENCHMARK(BM_AttentionScoresFused);
+
+void BM_AttentionScoresComposed(benchmark::State& state) {
+  // ...vs the three gathers and per-head SliceCols → Mul → RowSum → Add →
+  // Scale chain, joined by ConcatCols, it replaced in HeteroConvLayer.
+  AttentionScoresInputs in;
+  const int64_t head_dim =
+      AttentionScoresInputs::kDim / AttentionScoresInputs::kHeads;
+  for (auto _ : state) {
+    in.ZeroGrad();
+    Var q_edges = IndexRows(in.q, in.dst);
+    Var w_src_edges = IndexRows(in.w_src, in.src_types);
+    Var w_dst_edges = IndexRows(in.w_dst, in.dst_types);
+    Var scores;
+    for (int h = 0; h < AttentionScoresInputs::kHeads; ++h) {
+      int64_t off = h * head_dim;
+      Var score_h = Scale(
+          Add(RowSum(Mul(SliceCols(in.k, off, head_dim),
+                         SliceCols(w_src_edges, off, head_dim))),
+              RowSum(Mul(SliceCols(q_edges, off, head_dim),
+                         SliceCols(w_dst_edges, off, head_dim)))),
+          in.scale);
+      scores = scores.defined() ? ConcatCols(scores, score_h) : score_h;
+    }
+    Var loss = Sum(scores);
+    loss.Backward();
+    benchmark::DoNotOptimize(in.q.grad().data());
+  }
+  state.SetItemsProcessed(state.iterations() * AttentionScoresInputs::kEdges);
+}
+BENCHMARK(BM_AttentionScoresComposed);
+
 void BM_AttentionAggregateFused(benchmark::State& state) {
   // Fused segment-softmax -> per-head weighting -> scatter-add...
   int64_t edges = state.range(0);
@@ -365,6 +446,13 @@ int main(int argc, char** argv) {
   if (threads != nullptr) {
     xfraud::nn::kernels::SetNumThreads(std::atoi(threads));
   }
+  // Which clone of the ISA-cloned kernels the loader picked on this host.
+#if defined(__x86_64__)
+  benchmark::AddCustomContext(
+      "kernel_isa", __builtin_cpu_supports("avx2") ? "avx2" : "default");
+#else
+  benchmark::AddCustomContext("kernel_isa", "default");
+#endif
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -62,9 +62,9 @@ Var HeteroConvLayer::Forward(const Var& node_input,
     dst_types[e] = node_types[edge_dst[e]];
   }
 
-  // Queries are per target node (eqs. 2/3), then gathered per edge.
+  // Queries are per target node (eqs. 2/3); AttentionScores gathers them
+  // per edge.
   Var q_nodes = ApplyTypedLinear(q_linears_, node_input, node_types);
-  Var q_edges = nn::IndexRows(q_nodes, edge_dst);
 
   // Keys/values are per edge: the source state plus — at the first layer —
   // the edge-type embedding (eqs. 4-7).
@@ -75,23 +75,12 @@ Var HeteroConvLayer::Forward(const Var& node_input,
   Var k_edges = ApplyTypedLinear(k_linears_, kv_input, src_types);
   Var v_edges = ApplyTypedLinear(v_linears_, kv_input, src_types);
 
-  // Per-edge attention parameter rows selected by endpoint type (eq. 8).
-  Var w_src_edges = nn::IndexRows(w_att_src_, src_types);
-  Var w_dst_edges = nn::IndexRows(w_att_dst_, dst_types);
-
+  // eq. 8, per head, with the attention parameter rows selected by
+  // endpoint type: one fused op over the edges.
   float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  Var scores;  // [E, H]
-  for (int h = 0; h < num_heads_; ++h) {
-    int64_t off = h * head_dim_;
-    Var k_h = nn::SliceCols(k_edges, off, head_dim_);
-    Var q_h = nn::SliceCols(q_edges, off, head_dim_);
-    Var ws_h = nn::SliceCols(w_src_edges, off, head_dim_);
-    Var wd_h = nn::SliceCols(w_dst_edges, off, head_dim_);
-    Var score_h = nn::Scale(nn::Add(nn::RowSum(nn::Mul(k_h, ws_h)),
-                                    nn::RowSum(nn::Mul(q_h, wd_h))),
-                            inv_sqrt_dk);
-    scores = scores.defined() ? nn::ConcatCols(scores, score_h) : score_h;
-  }
+  Var scores = nn::AttentionScores(k_edges, q_nodes, edge_dst, w_att_src_,
+                                   src_types, w_att_dst_, dst_types,
+                                   num_heads_, inv_sqrt_dk);  // [E, H]
 
   Var agg;
   if (options.edge_mask == nullptr) {

@@ -11,6 +11,21 @@
 #include "xfraud/common/logging.h"
 #include "xfraud/common/thread_pool.h"
 
+// Every public kernel below is compiled twice — for AVX2 and for the
+// baseline ISA — and resolved once at load time (DESIGN.md §13, contract 3).
+// The helpers they call, ParallelBlocks included, are always_inline, so
+// their loops (and, on the serial path, the kernels' lambda bodies) are
+// vectorized inside each clone. ThreadSanitizer builds compile the baseline
+// body only: TSan instruments the clone resolver, which the loader runs
+// before the TSan runtime is initialised (a start-up crash with GCC 12).
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+#define XF_ISA_CLONES __attribute__((target_clones("avx2", "default")))
+#define XF_ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define XF_ISA_CLONES
+#define XF_ALWAYS_INLINE inline
+#endif
+
 namespace xfraud::nn::kernels {
 
 namespace {
@@ -23,7 +38,7 @@ namespace {
 
 std::mutex g_threads_mu;
 int g_num_threads = 1;
-std::unique_ptr<xfraud::ThreadPool> g_pool;  // non-null iff g_num_threads > 1
+std::shared_ptr<xfraud::ThreadPool> g_pool;  // non-null iff g_num_threads > 1
 
 /// Decrements the latch on scope exit (exception-safe without catch-all).
 class LatchGuard {
@@ -41,25 +56,10 @@ class LatchGuard {
   int64_t* pending_;
 };
 
-/// Runs fn over disjoint contiguous ranges covering [0, total). The split
-/// only decides *which worker* computes a range; fn must write a disjoint
-/// output slice per range with a fixed per-element reduction order, which is
-/// what makes any thread count bit-identical (header contract 2).
-void ParallelBlocks(int64_t total, int64_t grain,
-                    const std::function<void(int64_t, int64_t)>& fn) {
-  if (total <= 0) return;
-  xfraud::ThreadPool* pool = nullptr;
-  int threads = 1;
-  {
-    std::lock_guard<std::mutex> lock(g_threads_mu);
-    threads = g_num_threads;
-    pool = g_pool.get();
-  }
-  int64_t blocks = std::min<int64_t>(threads, (total + grain - 1) / grain);
-  if (blocks <= 1 || pool == nullptr) {
-    fn(0, total);
-    return;
-  }
+/// Splits [0, total) into `blocks` contiguous ranges, runs fn on each on
+/// `pool` and waits for all of them.
+void RunBlocksOnPool(xfraud::ThreadPool* pool, int64_t total, int64_t blocks,
+                     const std::function<void(int64_t, int64_t)>& fn) {
   std::mutex mu;
   std::condition_variable cv;
   int64_t pending = blocks;
@@ -77,6 +77,33 @@ void ParallelBlocks(int64_t total, int64_t grain,
   }
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&pending] { return pending == 0; });
+}
+
+/// Runs fn over disjoint contiguous ranges covering [0, total). The split
+/// only decides *which worker* computes a range; fn must write a disjoint
+/// output slice per range with a fixed per-element reduction order, which is
+/// what makes any thread count bit-identical (header contract 2). The
+/// serial path calls fn directly, so its body is inlined into (and
+/// vectorized for) each ISA clone of the calling kernel. The pool is held
+/// by a shared_ptr snapshot, so a concurrent SetNumThreads can not destroy
+/// it while blocks are still queued on it.
+template <typename Fn>
+XF_ALWAYS_INLINE void ParallelBlocks(int64_t total, int64_t grain,
+                                     const Fn& fn) {
+  if (total <= 0) return;
+  std::shared_ptr<xfraud::ThreadPool> pool;
+  int threads = 1;
+  {
+    std::lock_guard<std::mutex> lock(g_threads_mu);
+    threads = g_num_threads;
+    pool = g_pool;
+  }
+  int64_t blocks = std::min<int64_t>(threads, (total + grain - 1) / grain);
+  if (blocks <= 1 || pool == nullptr) {
+    fn(0, total);
+    return;
+  }
+  RunBlocksOnPool(pool.get(), total, blocks, fn);
 }
 
 // ---------------------------------------------------------------------------
@@ -129,8 +156,9 @@ void PackBTPanel(const Tensor& b, int64_t k0, float* panel) {
 /// C += acc (the dA backward product, whose reference accumulates each dot
 /// product from 0 and then adds it to dA).
 template <bool kAccumulate>
-inline void StoreTile(const float* acc, int64_t j0, int64_t jw,
-                      const float* bias, Activation act, float* crow) {
+XF_ALWAYS_INLINE void StoreTile(const float* acc, int64_t j0, int64_t jw,
+                                const float* bias, Activation act,
+                                float* crow) {
   for (int64_t j = 0; j < jw; ++j) {
     float v = acc[j];
     if constexpr (kAccumulate) {
@@ -145,9 +173,10 @@ inline void StoreTile(const float* acc, int64_t j0, int64_t jw,
 /// C rows [i0, i0+ih) for panel columns [j0, j0+jw): register-tiled over
 /// kITile rows, k ascending in the single inner reduction.
 template <bool kAccumulate>
-void GemmPanelRows(const Tensor& a, const float* panel, int64_t j0, int64_t jw,
-                   int64_t i0, int64_t ih, const float* bias, Activation act,
-                   Tensor* c) {
+XF_ALWAYS_INLINE void GemmPanelRows(const Tensor& a, const float* panel,
+                                    int64_t j0, int64_t jw, int64_t i0,
+                                    int64_t ih, const float* bias,
+                                    Activation act, Tensor* c) {
   int64_t k_dim = a.cols();
   int64_t i = i0;
   for (; i + kITile <= i0 + ih; i += kITile) {
@@ -190,9 +219,10 @@ constexpr int64_t kRowChunk = 128;
 /// Sweeps every packed panel (num_panels of a.cols() x kJTile) over C's
 /// rows, parallel over row blocks. Shared by the forward GEMM and dA += G·Bᵀ.
 template <bool kAccumulate>
-void PackedGemm(const Tensor& a, const std::vector<float>& packed,
-                int64_t num_panels, const float* bias, Activation act,
-                Tensor* c) {
+XF_ALWAYS_INLINE void PackedGemm(const Tensor& a,
+                                 const std::vector<float>& packed,
+                                 int64_t num_panels, const float* bias,
+                                 Activation act, Tensor* c) {
   int64_t k_dim = a.cols();
   int64_t m = c->cols();
   ParallelBlocks(a.rows(), /*grain=*/kITile * 8, [&](int64_t i0,
@@ -216,9 +246,9 @@ void PackedGemm(const Tensor& a, const std::vector<float>& packed,
 /// fixes the tile at kITile x kJTile (the unrolled fast path); otherwise
 /// kh <= kITile and jw <= kJTile cover the edges.
 template <bool kFull>
-void TransATile(const Tensor& a, const Tensor& g, int64_t k, int64_t kh,
-                int64_t j0, int64_t jw, int64_t i0, int64_t i_end,
-                Tensor* db) {
+XF_ALWAYS_INLINE void TransATile(const Tensor& a, const Tensor& g, int64_t k,
+                                 int64_t kh, int64_t j0, int64_t jw,
+                                 int64_t i0, int64_t i_end, Tensor* db) {
   if constexpr (kFull) {
     kh = kITile;
     jw = kJTile;
@@ -257,11 +287,14 @@ void TransATile(const Tensor& a, const Tensor& g, int64_t k, int64_t kh,
 
 void SetNumThreads(int n) {
   if (n < 1) n = 1;
+  std::shared_ptr<xfraud::ThreadPool> old;  // joined after the unlock
   std::lock_guard<std::mutex> lock(g_threads_mu);
   if (n == g_num_threads) return;
-  g_pool.reset();
+  old = std::move(g_pool);
   g_num_threads = n;
-  if (n > 1) g_pool = std::make_unique<xfraud::ThreadPool>(static_cast<size_t>(n));
+  if (n > 1) {
+    g_pool = std::make_shared<xfraud::ThreadPool>(static_cast<size_t>(n));
+  }
 }
 
 int NumThreads() {
@@ -269,6 +302,7 @@ int NumThreads() {
   return g_num_threads;
 }
 
+XF_ISA_CLONES
 void GemmBiasAct(const Tensor& a, const Tensor& b, const float* bias,
                  Activation act, Tensor* c) {
   XF_CHECK_EQ(a.cols(), b.rows());
@@ -297,10 +331,12 @@ void GemmBiasAct(const Tensor& a, const Tensor& b, const float* bias,
   PackedGemm</*kAccumulate=*/false>(a, packed, num_panels, bias, act, c);
 }
 
+XF_ISA_CLONES
 void Gemm(const Tensor& a, const Tensor& b, Tensor* c) {
   GemmBiasAct(a, b, /*bias=*/nullptr, Activation::kNone, c);
 }
 
+XF_ISA_CLONES
 void GemmTransBAdd(const Tensor& g, const Tensor& b, Tensor* da) {
   XF_CHECK_EQ(g.cols(), b.cols());
   XF_CHECK_EQ(da->rows(), g.rows());
@@ -320,6 +356,7 @@ void GemmTransBAdd(const Tensor& g, const Tensor& b, Tensor* da) {
                                    Activation::kNone, da);
 }
 
+XF_ISA_CLONES
 void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db) {
   XF_CHECK_EQ(a.rows(), g.rows());
   XF_CHECK_EQ(db->rows(), a.cols());
@@ -348,6 +385,7 @@ void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db) {
   });
 }
 
+XF_ISA_CLONES
 void ColSumAdd(const Tensor& g, Tensor* gb) {
   XF_CHECK_EQ(gb->rows(), 1);
   XF_CHECK_EQ(gb->cols(), g.cols());
@@ -359,6 +397,7 @@ void ColSumAdd(const Tensor& g, Tensor* gb) {
   }
 }
 
+XF_ISA_CLONES
 RowGroups BuildRowGroups(const std::vector<int32_t>& group_of_row,
                          int64_t num_groups) {
   RowGroups out;
@@ -382,6 +421,7 @@ RowGroups BuildRowGroups(const std::vector<int32_t>& group_of_row,
   return out;
 }
 
+XF_ISA_CLONES
 void GatherRows(const Tensor& a, const std::vector<int32_t>& idx,
                 Tensor* out) {
   XF_CHECK_EQ(out->rows(), static_cast<int64_t>(idx.size()));
@@ -415,6 +455,7 @@ void GatherRows(const Tensor& a, const std::vector<int32_t>& idx,
       });
 }
 
+XF_ISA_CLONES
 void ScatterAddGrouped(const Tensor& a, const RowGroups& groups, Tensor* out) {
   XF_CHECK_EQ(out->rows(), groups.num_groups);
   XF_CHECK_EQ(out->cols(), a.cols());
@@ -435,6 +476,7 @@ void ScatterAddGrouped(const Tensor& a, const RowGroups& groups, Tensor* out) {
                  });
 }
 
+XF_ISA_CLONES
 void ScatterAddRowsKernel(const Tensor& a, const std::vector<int32_t>& idx,
                           Tensor* out) {
   XF_CHECK_EQ(a.rows(), static_cast<int64_t>(idx.size()));
@@ -459,6 +501,7 @@ void ScatterAddRowsKernel(const Tensor& a, const std::vector<int32_t>& idx,
   ScatterAddGrouped(a, groups, out);
 }
 
+XF_ISA_CLONES
 void GatherAddRows(const Tensor& g, const std::vector<int32_t>& idx,
                    Tensor* out) {
   XF_CHECK_EQ(out->rows(), static_cast<int64_t>(idx.size()));
@@ -475,6 +518,7 @@ void GatherAddRows(const Tensor& g, const std::vector<int32_t>& idx,
       });
 }
 
+XF_ISA_CLONES
 void SegmentSoftmaxGrouped(const Tensor& scores, const RowGroups& groups,
                            Tensor* att) {
   XF_CHECK_EQ(att->rows(), scores.rows());
@@ -519,6 +563,7 @@ void SegmentSoftmaxGrouped(const Tensor& scores, const RowGroups& groups,
   });
 }
 
+XF_ISA_CLONES
 void WeightedScatterAddGrouped(const Tensor& v, const Tensor& w,
                                const RowGroups& groups, int64_t head_dim,
                                Tensor* out) {
@@ -550,6 +595,7 @@ void WeightedScatterAddGrouped(const Tensor& v, const Tensor& w,
                  });
 }
 
+XF_ISA_CLONES
 void WeightedGatherAdd(const Tensor& gout, const std::vector<int32_t>& dst,
                        const Tensor& w, int64_t head_dim, Tensor* dv) {
   XF_CHECK_EQ(dv->rows(), static_cast<int64_t>(dst.size()));
@@ -574,6 +620,7 @@ void WeightedGatherAdd(const Tensor& gout, const std::vector<int32_t>& dst,
       });
 }
 
+XF_ISA_CLONES
 void PerHeadDots(const Tensor& gout, const std::vector<int32_t>& dst,
                  const Tensor& v, int64_t head_dim, Tensor* dw) {
   XF_CHECK_EQ(dw->rows(), static_cast<int64_t>(dst.size()));
@@ -599,6 +646,7 @@ void PerHeadDots(const Tensor& gout, const std::vector<int32_t>& dst,
       });
 }
 
+XF_ISA_CLONES
 void SegmentSoftmaxBackwardGrouped(const Tensor& att, const Tensor& datt,
                                    const RowGroups& groups, Tensor* dscores) {
   XF_CHECK_SHAPE(att, datt);
@@ -633,6 +681,128 @@ void SegmentSoftmaxBackwardGrouped(const Tensor& att, const Tensor& datt,
       }
     }
   });
+}
+
+namespace {
+
+/// Validates the eq. 8 operands against scores [E, heads] — shapes, and
+/// every index in bounds (XF_CHECK: the indices come from the sampler) —
+/// and returns the head width D / heads.
+int64_t CheckScoreOperands(const Tensor& k, const Tensor& q,
+                           const std::vector<int32_t>& dst,
+                           const Tensor& w_src,
+                           const std::vector<int32_t>& src_types,
+                           const Tensor& w_dst,
+                           const std::vector<int32_t>& dst_types,
+                           int64_t edges, int64_t heads) {
+  int64_t dim = k.cols();
+  XF_CHECK_EQ(k.rows(), edges);
+  XF_CHECK_GT(heads, 0);
+  XF_CHECK_EQ(dim % heads, 0);
+  XF_CHECK_EQ(q.cols(), dim);
+  XF_CHECK_EQ(w_src.cols(), dim);
+  XF_CHECK_EQ(w_dst.cols(), dim);
+  XF_CHECK_EQ(static_cast<int64_t>(dst.size()), edges);
+  XF_CHECK_EQ(static_cast<int64_t>(src_types.size()), edges);
+  XF_CHECK_EQ(static_cast<int64_t>(dst_types.size()), edges);
+  for (size_t e = 0; e < dst.size(); ++e) {
+    XF_CHECK_BOUNDS(dst[e], q.rows());
+    XF_CHECK_BOUNDS(src_types[e], w_src.rows());
+    XF_CHECK_BOUNDS(dst_types[e], w_dst.rows());
+  }
+  return dim / heads;
+}
+
+/// out[j] += 0.0f + a[j]·w[j] for j < n: one operand's gradient term, with
+/// the zero-initialised intermediate the composed ops accumulated into.
+XF_ALWAYS_INLINE void AddProducts(const float* __restrict a,
+                                  const float* __restrict w, int64_t n,
+                                  float* __restrict out) {
+  for (int64_t j = 0; j < n; ++j) out[j] += 0.0f + a[j] * w[j];
+}
+
+}  // namespace
+
+XF_ISA_CLONES
+void AttentionScores(const Tensor& k, const Tensor& q,
+                     const std::vector<int32_t>& dst, const Tensor& w_src,
+                     const std::vector<int32_t>& src_types,
+                     const Tensor& w_dst,
+                     const std::vector<int32_t>& dst_types, float scale,
+                     Tensor* scores) {
+  int64_t heads = scores->cols();
+  int64_t hd = CheckScoreOperands(k, q, dst, w_src, src_types, w_dst,
+                                  dst_types, scores->rows(), heads);
+  ParallelBlocks(k.rows(), /*grain=*/256, [&](int64_t e0, int64_t e_end) {
+    for (int64_t e = e0; e < e_end; ++e) {
+      size_t ue = static_cast<size_t>(e);
+      const float* krow = k.Row(e);
+      const float* qrow = q.Row(dst[ue]);
+      const float* wsrow = w_src.Row(src_types[ue]);
+      const float* wdrow = w_dst.Row(dst_types[ue]);
+      float* srow = scores->Row(e);
+      for (int64_t h = 0; h < heads; ++h) {
+        int64_t off = h * hd;
+        float ks = 0.0f;
+        for (int64_t c = 0; c < hd; ++c) ks += krow[off + c] * wsrow[off + c];
+        float qs = 0.0f;
+        for (int64_t c = 0; c < hd; ++c) qs += qrow[off + c] * wdrow[off + c];
+        srow[h] = scale * (ks + qs);
+      }
+    }
+  });
+}
+
+XF_ISA_CLONES
+void AttentionScoresBackward(const Tensor& g, const Tensor& k, const Tensor& q,
+                             const std::vector<int32_t>& dst,
+                             const Tensor& w_src,
+                             const std::vector<int32_t>& src_types,
+                             const Tensor& w_dst,
+                             const std::vector<int32_t>& dst_types,
+                             float scale, Tensor* dk, Tensor* dq,
+                             Tensor* dw_src, Tensor* dw_dst) {
+  int64_t heads = g.cols();
+  int64_t hd = CheckScoreOperands(k, q, dst, w_src, src_types, w_dst,
+                                  dst_types, g.rows(), heads);
+  if (dk != nullptr) {
+    XF_CHECK_SHAPE(*dk, k);
+  }
+  if (dq != nullptr) {
+    XF_CHECK_SHAPE(*dq, q);
+  }
+  if (dw_src != nullptr) {
+    XF_CHECK_SHAPE(*dw_src, w_src);
+  }
+  if (dw_dst != nullptr) {
+    XF_CHECK_SHAPE(*dw_dst, w_dst);
+  }
+  int64_t dim = k.cols();
+  // a[j] = 0 + G[e, j / hd]·scale, expanded to one entry per column so the
+  // four updates below are flat length-D loops.
+  std::vector<float> a(static_cast<size_t>(dim));
+  // Serial in e: dq, dw_src and dw_dst rows are shared between edges and
+  // take their terms in ascending e, as the gathers' scatter-add backward.
+  for (int64_t e = 0; e < g.rows(); ++e) {
+    size_t ue = static_cast<size_t>(e);
+    const float* grow = g.Row(e);
+    for (int64_t h = 0; h < heads; ++h) {
+      float ah = 0.0f + grow[h] * scale;
+      std::fill(a.begin() + h * hd, a.begin() + (h + 1) * hd, ah);
+    }
+    const float* krow = k.Row(e);
+    const float* qrow = q.Row(dst[ue]);
+    const float* wsrow = w_src.Row(src_types[ue]);
+    const float* wdrow = w_dst.Row(dst_types[ue]);
+    if (dk != nullptr) AddProducts(a.data(), wsrow, dim, dk->Row(e));
+    if (dw_src != nullptr) {
+      AddProducts(a.data(), krow, dim, dw_src->Row(src_types[ue]));
+    }
+    if (dq != nullptr) AddProducts(a.data(), wdrow, dim, dq->Row(dst[ue]));
+    if (dw_dst != nullptr) {
+      AddProducts(a.data(), qrow, dim, dw_dst->Row(dst_types[ue]));
+    }
+  }
 }
 
 namespace reference {

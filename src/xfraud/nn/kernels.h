@@ -9,8 +9,8 @@
 namespace xfraud::nn::kernels {
 
 // The compute-kernel layer under the autograd ops (DESIGN.md §13): blocked,
-// fused, optionally thread-parallel inner loops. Two contracts hold for every
-// kernel here:
+// fused, optionally thread-parallel inner loops. Three contracts hold for
+// every kernel here:
 //
 //   1. *Bitwise conformance.* Each kernel produces bit-identical floats to
 //      the naive reference implementation in kernels::reference (asserted by
@@ -25,14 +25,25 @@ namespace xfraud::nn::kernels {
 //      results are bit-identical at any thread count — the same contract
 //      BatchLoader and dist::Communicator uphold.
 //
+//   3. *ISA clones, no contraction.* On x86-64 every kernel below (not the
+//      kernels::reference oracle) is compiled twice, for AVX2 and for the
+//      baseline ISA, and the loader picks the AVX2 clone on hosts that have
+//      it. Vector lanes only ever run independent output elements side by
+//      side, and the library builds with -ffp-contract=off (no a·b + c
+//      fused into one rounding), so both clones produce the reference's
+//      bits. There is no knob: the choice is the host's. (ThreadSanitizer
+//      builds, whose runtime can not run the clone resolver, get the
+//      baseline body only.)
+//
 // Kernels never skip terms (no zero-shortcuts): 0·NaN and 0·Inf must
 // propagate, and timing must not depend on the data.
 
 /// Optional activation fused into the GEMM epilogue.
 enum class Activation { kNone, kRelu };
 
-/// Sets the kernel worker count (1 = serial, the default). Thread-safe;
-/// takes effect for subsequent kernel calls.
+/// Sets the kernel worker count (1 = serial, the default). Thread-safe:
+/// kernels already running finish on the pool they started with; later
+/// calls use the new count.
 void SetNumThreads(int n);
 int NumThreads();
 
@@ -128,6 +139,35 @@ void PerHeadDots(const Tensor& gout, const std::vector<int32_t>& dst,
 /// segment-softmax backward. Parallel over groups.
 void SegmentSoftmaxBackwardGrouped(const Tensor& att, const Tensor& datt,
                                    const RowGroups& groups, Tensor* dscores);
+
+/// The attention scores of paper eq. 8, one pass over the edges:
+/// scores[e,h] = scale·(Σ_c k[e,o+c]·w_src[src_types[e],o+c] +
+///                      Σ_c q[dst[e],o+c]·w_dst[dst_types[e],o+c]),
+/// o = h·hd, hd = D / H, each sum starting from 0 with c ascending. k is
+/// [E,D] (per edge), q [N,D] (per node, gathered through dst), w_src and
+/// w_dst one row per endpoint type; scores is preallocated [E,H]. Every
+/// index is bounds-checked. Parallel over edges.
+void AttentionScores(const Tensor& k, const Tensor& q,
+                     const std::vector<int32_t>& dst, const Tensor& w_src,
+                     const std::vector<int32_t>& src_types,
+                     const Tensor& w_dst,
+                     const std::vector<int32_t>& dst_types, float scale,
+                     Tensor* scores);
+
+/// Backward of AttentionScores for the upstream grad g [E,H]. Per edge e
+/// ascending, with a = 0 + g[e,h]·scale for each column of head h:
+/// dk[e,·] += 0 + a·w_src[src_types[e],·], dw_src[src_types[e],·] +=
+/// 0 + a·k[e,·], dq[dst[e],·] += 0 + a·w_dst[dst_types[e],·] and
+/// dw_dst[dst_types[e],·] += 0 + a·q[dst[e],·]. A null grad is skipped.
+/// Serial: the shared dq/dw rows take their terms in ascending e.
+void AttentionScoresBackward(const Tensor& g, const Tensor& k, const Tensor& q,
+                             const std::vector<int32_t>& dst,
+                             const Tensor& w_src,
+                             const std::vector<int32_t>& src_types,
+                             const Tensor& w_dst,
+                             const std::vector<int32_t>& dst_types,
+                             float scale, Tensor* dk, Tensor* dq,
+                             Tensor* dw_src, Tensor* dw_dst);
 
 namespace reference {
 

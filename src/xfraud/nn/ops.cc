@@ -648,6 +648,43 @@ Var MulColBroadcast(const Var& a, const Var& col) {
   });
 }
 
+Var AttentionScores(const Var& k_edges, const Var& q_nodes,
+                    const std::vector<int32_t>& edge_dst,
+                    const Var& w_att_src,
+                    const std::vector<int32_t>& src_types,
+                    const Var& w_att_dst,
+                    const std::vector<int32_t>& dst_types, int num_heads,
+                    float scale) {
+  XF_CHECK_GT(num_heads, 0);
+  Tensor out(k_edges.rows(), num_heads);
+  kernels::AttentionScores(k_edges.value(), q_nodes.value(), edge_dst,
+                           w_att_src.value(), src_types, w_att_dst.value(),
+                           dst_types, scale, &out);
+  // Parent order k, q, w_src, w_dst: the order in which the composed chain
+  // first reached them, so the tape's backward order is unchanged.
+  std::vector<Var> inputs = {k_edges, q_nodes, w_att_src, w_att_dst};
+  if (!RecordsTape(inputs)) return MakeResult(std::move(out), {}, nullptr);
+  auto k_impl = k_edges.impl();
+  auto q_impl = q_nodes.impl();
+  auto ws_impl = w_att_src.impl();
+  auto wd_impl = w_att_dst.impl();
+  auto dst = std::make_shared<std::vector<int32_t>>(edge_dst);
+  auto st = std::make_shared<std::vector<int32_t>>(src_types);
+  auto dt = std::make_shared<std::vector<int32_t>>(dst_types);
+  return MakeResult(
+      std::move(out), std::move(inputs),
+      [k_impl, q_impl, ws_impl, wd_impl, dst, st, dt, scale](VarImpl* self) {
+        auto grad_of = [](VarImpl* v) {
+          return v->requires_grad ? &v->EnsureGrad() : nullptr;
+        };
+        kernels::AttentionScoresBackward(
+            self->grad, k_impl->value, q_impl->value, *dst, ws_impl->value,
+            *st, wd_impl->value, *dt, scale, grad_of(k_impl.get()),
+            grad_of(q_impl.get()), grad_of(ws_impl.get()),
+            grad_of(wd_impl.get()));
+      });
+}
+
 Var AttentionAggregate(const Var& scores, const Var& values,
                        const std::vector<int32_t>& dst, int64_t num_nodes,
                        int64_t head_dim, float dropout_p, bool training,

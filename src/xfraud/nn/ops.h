@@ -16,9 +16,10 @@ namespace xfraud::nn {
 // against central finite differences in tests/nn_grad_test.cc.
 //
 // The dense/scatter hot paths (MatMul, LinearBiasAct, TypedLinear,
-// IndexRows, ScatterAddRows, AttentionAggregate) run on the blocked,
-// optionally parallel nn::kernels layer (DESIGN.md §13); results are
-// bit-identical at any kernels::SetNumThreads setting.
+// AttentionScores, AttentionAggregate, IndexRows, ScatterAddRows) run on
+// the blocked, optionally parallel, ISA-cloned nn::kernels layer
+// (DESIGN.md §13); results are bit-identical at any
+// kernels::SetNumThreads setting and on any host.
 
 /// C = A * B. Shapes: [n,k] x [k,m] -> [n,m].
 Var MatMul(const Var& a, const Var& b);
@@ -39,6 +40,21 @@ Var LinearBiasAct(const Var& x, const Var& w, const Var& bias,
 Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
                 const std::vector<Var>& weights,
                 const std::vector<Var>& biases);
+
+/// The attention scores of paper eq. 8 as one tape node -> [E, H]:
+/// scores[e,h] = scale·(k_edges[e]·w_att_src[src_types[e]] +
+/// q_nodes[edge_dst[e]]·w_att_dst[dst_types[e]]), each dot over head h's
+/// D / H columns. Replaces, bit for bit in the value and all four
+/// gradients, the chain of three IndexRows gathers (q_nodes by edge_dst,
+/// the weight rows by type) and per-head SliceCols → Mul → RowSum → Add →
+/// Scale, joined by ConcatCols. The four operands must be distinct Vars.
+Var AttentionScores(const Var& k_edges, const Var& q_nodes,
+                    const std::vector<int32_t>& edge_dst,
+                    const Var& w_att_src,
+                    const std::vector<int32_t>& src_types,
+                    const Var& w_att_dst,
+                    const std::vector<int32_t>& dst_types, int num_heads,
+                    float scale);
 
 /// Fused SegmentSoftmax → Dropout → per-head MulColBroadcast →
 /// ScatterAddRows: the HeteroConv attention aggregate (paper eqs. 9-10 +
@@ -122,8 +138,9 @@ Var MulColBroadcast(const Var& a, const Var& col);
 /// Sum of all entries -> [1,1].
 Var Sum(const Var& a);
 
-/// Per-row sum: [n,d] -> [n,1]. Used for row-wise dot products
-/// (RowSum(Mul(a, b))), e.g. the attention scores of paper eq. 8.
+/// Per-row sum: [n,d] -> [n,1]. Row-wise dot products are
+/// RowSum(Mul(a, b)); the composed eq. 8 scores built that way are
+/// AttentionScores' conformance oracle.
 Var RowSum(const Var& a);
 
 /// Mean of all entries -> [1,1].

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -309,6 +310,40 @@ TEST_F(ExplainerIntegrationTest, GuardedBaseForwardLeavesExplanationUnchanged) {
     EXPECT_DOUBLE_EQ(after.edge_mask[i], before.edge_mask[i]);
   }
   EXPECT_TRUE(after.node_feature_mask.BitwiseEqual(before.node_feature_mask));
+}
+
+/// FNV-1a over the bytes of an explanation's outputs: the edge mask, the
+/// feature mask, the final loss and the predicted label.
+uint64_t ExplanationFingerprint(const Explanation& exp) {
+  uint64_t hash = 14695981039346656037ull;
+  auto mix = [&hash](const void* data, size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+      hash ^= p[i];
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(exp.edge_mask.data(), exp.edge_mask.size() * sizeof(double));
+  mix(exp.node_feature_mask.data(),
+      static_cast<size_t>(exp.node_feature_mask.size()) * sizeof(float));
+  mix(&exp.final_loss, sizeof(exp.final_loss));
+  mix(&exp.predicted_label, sizeof(exp.predicted_label));
+  return hash;
+}
+
+TEST_F(ExplainerIntegrationTest, ExplanationBitsUnchangedByFusedScores) {
+  // The fingerprint was recorded when HeteroConv still built the eq. 8
+  // scores from three IndexRows gathers and per-head SliceCols → Mul →
+  // RowSum → Add → Scale, joined by ConcatCols. nn::AttentionScores
+  // replaced that chain in the fixture's training and in the explainer's
+  // forwards; both must still produce the same bits. The value depends on
+  // the platform's libm (exp/log in the model and in the mask loss).
+  auto batch = CommunityBatch(ds_->test_nodes[6]);
+  GnnExplainerOptions opts;
+  opts.epochs = 10;
+  opts.seed = 7;
+  Explanation exp = GnnExplainer(model_, opts).Explain(batch);
+  EXPECT_EQ(ExplanationFingerprint(exp), 0xbb46eb7d057fbcbcull);
 }
 
 TEST_F(ExplainerIntegrationTest, FeatureImportanceViewsAreConsistent) {

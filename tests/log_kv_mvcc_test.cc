@@ -227,7 +227,9 @@ TEST(LogKvMvccTest, CompactionPreservesEveryReadableEpochBitIdentically) {
       ASSERT_TRUE(
           store->Put(key, key + ":round" + std::to_string(round)).ok());
     }
-    if (round == 3) ASSERT_TRUE(store->Delete("c").ok());
+    if (round == 3) {
+      ASSERT_TRUE(store->Delete("c").ok());
+    }
     ASSERT_TRUE(store->PublishEpoch().ok());
   }
   auto pin = SnapshotHandle::Pin(store.get(), 2);
@@ -277,7 +279,9 @@ TEST(LogKvMvccTest, PinnedReadersRaceWritersAndCompactionSafely) {
   for (int i = 2; i <= 40; ++i) {
     ASSERT_TRUE(store->Put("k", "epoch" + std::to_string(i)).ok());
     ASSERT_TRUE(store->PublishEpoch().ok());
-    if (i % 8 == 0) ASSERT_TRUE(store->Compact().ok());
+    if (i % 8 == 0) {
+      ASSERT_TRUE(store->Compact().ok());
+    }
   }
   stop.store(true);
   reader.join();

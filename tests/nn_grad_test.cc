@@ -220,6 +220,23 @@ TEST(GradCheck, TypedLinear) {
   });
 }
 
+TEST(GradCheck, AttentionScores) {
+  Rng rng(34);
+  // 6 edges over 4 nodes, 2 heads of width 2; repeated targets and types.
+  std::vector<Var> in = {Var(RandomTensor(6, 4, &rng), true),   // k_edges
+                         Var(RandomTensor(4, 4, &rng), true),   // q_nodes
+                         Var(RandomTensor(3, 4, &rng), true),   // w_att_src
+                         Var(RandomTensor(2, 4, &rng), true)};  // w_att_dst
+  std::vector<int32_t> dst = {0, 2, 2, 3, 0, 2};
+  std::vector<int32_t> src_types = {1, 0, 2, 1, 1, 0};
+  std::vector<int32_t> dst_types = {0, 1, 1, 1, 0, 1};
+  CheckGradients(in, [&](std::vector<Var>& v) {
+    return Sum(Tanh(AttentionScores(v[0], v[1], dst, v[2], src_types, v[3],
+                                     dst_types, /*num_heads=*/2,
+                                     /*scale=*/0.7f)));
+  });
+}
+
 TEST(GradCheck, AttentionAggregate) {
   Rng rng(32);
   std::vector<Var> in = {Var(RandomTensor(5, 2, &rng, 2.0f), true),   // scores

@@ -4,9 +4,12 @@
 // their composed equivalents bit for bit (including dropout RNG
 // consumption), and the zero-skip NaN-swallowing bug must stay fixed.
 
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -259,6 +262,43 @@ TEST(KernelDeterminism, ScatterGatherSoftmaxBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(KernelDeterminism, SetNumThreadsWhileKernelsRun) {
+  // One thread flips the worker count 1 <-> 4 while this one runs the GEMM
+  // and the scatter-add: a kernel that started on a pool keeps it alive
+  // until its blocks finish, and every result stays the reference's bits.
+  ThreadRestore restore;
+  Rng rng(207);
+  const int64_t kRows = 300;
+  const int64_t kNodes = 17;
+  Tensor a = RandomTensor(kRows, 33, &rng);
+  Tensor b = RandomTensor(33, 40, &rng);
+  Tensor want(kRows, 40);
+  kernels::reference::Gemm(a, b, &want);
+  std::vector<int32_t> dst(kRows);
+  for (auto& d : dst) d = static_cast<int32_t>(rng.NextBounded(kNodes));
+  Tensor want_scat(kNodes, 40);
+  for (int64_t r = 0; r < kRows; ++r) {
+    float* orow = want_scat.Row(dst[static_cast<size_t>(r)]);
+    for (int64_t c = 0; c < 40; ++c) orow[c] += want.At(r, c);
+  }
+
+  std::atomic<bool> stop{false};
+  std::thread toggler([&stop] {
+    for (int n = 4; !stop.load(); n = 5 - n) kernels::SetNumThreads(n);
+  });
+  for (int iter = 0; iter < 200; ++iter) {
+    Tensor c(kRows, 40);
+    kernels::GemmBiasAct(a, b, /*bias=*/nullptr, kernels::Activation::kNone,
+                         &c);
+    Tensor scat(kNodes, 40);
+    kernels::ScatterAddRowsKernel(c, dst, &scat);
+    EXPECT_TRUE(c.BitwiseEqual(want)) << "iter " << iter;
+    EXPECT_TRUE(scat.BitwiseEqual(want_scat)) << "iter " << iter;
+  }
+  stop.store(true);
+  toggler.join();
+}
+
 // ---------------------------------------------------------------------------
 // Fused ops vs their composed equivalents, forward and backward, bit for
 // bit. The fused kernels must be drop-in: same floats, same gradients, same
@@ -437,7 +477,9 @@ TEST(FusedConformance, TypedLinearMatchesComposedBitwise) {
                    " x_grad=" + std::to_string(x_grad));
       EXPECT_TRUE(fused.out.value().BitwiseEqual(composed.out.value()));
       EXPECT_EQ(fused.x.requires_grad(), x_grad);
-      if (x_grad) EXPECT_TRUE(fused.x.grad().BitwiseEqual(composed.x.grad()));
+      if (x_grad) {
+        EXPECT_TRUE(fused.x.grad().BitwiseEqual(composed.x.grad()));
+      }
       for (size_t t = 0; t < 4; ++t) {
         EXPECT_EQ(fused.weights[t].impl()->grad.size(),
                   composed.weights[t].impl()->grad.size());
@@ -451,6 +493,118 @@ TEST(FusedConformance, TypedLinearMatchesComposedBitwise) {
       }
       // The empty type's parameters never get a gradient buffer.
       EXPECT_EQ(fused.weights[2].impl()->grad.size(), 0);
+    }
+  }
+}
+
+/// The composed (pre-fusion) eq. 8 scores: gather the queries and the
+/// per-type attention rows per edge, then per head SliceCols → Mul →
+/// RowSum → Add → Scale, joined by ConcatCols. AttentionScores replaced
+/// this chain in core::HeteroConvLayer::Forward.
+Var ComposedAttentionScores(const Var& k_edges, const Var& q_nodes,
+                            const std::vector<int32_t>& edge_dst,
+                            const Var& w_att_src,
+                            const std::vector<int32_t>& src_types,
+                            const Var& w_att_dst,
+                            const std::vector<int32_t>& dst_types,
+                            int num_heads, float scale) {
+  int64_t head_dim = k_edges.cols() / num_heads;
+  Var q_edges = IndexRows(q_nodes, edge_dst);
+  Var w_src_edges = IndexRows(w_att_src, src_types);
+  Var w_dst_edges = IndexRows(w_att_dst, dst_types);
+  Var scores;
+  for (int h = 0; h < num_heads; ++h) {
+    int64_t off = h * head_dim;
+    Var k_h = SliceCols(k_edges, off, head_dim);
+    Var q_h = SliceCols(q_edges, off, head_dim);
+    Var ws_h = SliceCols(w_src_edges, off, head_dim);
+    Var wd_h = SliceCols(w_dst_edges, off, head_dim);
+    Var score_h = Scale(Add(RowSum(Mul(k_h, ws_h)), RowSum(Mul(q_h, wd_h))),
+                        scale);
+    scores = scores.defined() ? ConcatCols(scores, score_h) : score_h;
+  }
+  return scores;
+}
+
+TEST(FusedConformance, AttentionScoresMatchesComposedBitwise) {
+  ThreadRestore restore;
+  struct Case {
+    int64_t edges, nodes;
+    int heads;
+    int64_t head_dim;
+  };
+  // The detector's shape (4 heads of 8), an off-grid head width, one head,
+  // a single edge and no edges at all. Targets and types repeat.
+  const Case kCases[] = {{300, 40, 4, 8},
+                         {37, 9, 4, 3},
+                         {23, 5, 1, 5},
+                         {1, 1, 1, 1},
+                         {0, 4, 4, 2}};
+  // Which of k_edges, q_nodes, w_att_src, w_att_dst require gradients.
+  const std::array<bool, 4> kGradMasks[] = {{true, true, true, true},
+                                            {true, true, false, false},
+                                            {false, false, true, true},
+                                            {false, true, true, false},
+                                            {false, false, false, false}};
+  const char* kNames[] = {"k_edges", "q_nodes", "w_att_src", "w_att_dst"};
+  Rng rng(307);
+  for (const Case& cs : kCases) {
+    int64_t dim = cs.heads * cs.head_dim;
+    // ±0, NaN and ±Inf in every operand and in the upstream gradient.
+    Tensor kt = SpecialTensor(cs.edges, dim, &rng);
+    Tensor qt = SpecialTensor(cs.nodes, dim, &rng);
+    Tensor wst = SpecialTensor(3, dim, &rng);
+    Tensor wdt = SpecialTensor(2, dim, &rng);
+    Tensor upstream = SpecialTensor(cs.edges, cs.heads, &rng);
+    std::vector<int32_t> dst(static_cast<size_t>(cs.edges));
+    std::vector<int32_t> src_types(dst.size());
+    std::vector<int32_t> dst_types(dst.size());
+    for (size_t e = 0; e < dst.size(); ++e) {
+      dst[e] = static_cast<int32_t>(rng.NextBounded(cs.nodes));
+      src_types[e] = static_cast<int32_t>(rng.NextBounded(3));
+      dst_types[e] = static_cast<int32_t>(rng.NextBounded(2));
+    }
+    float scale = 1.0f / std::sqrt(static_cast<float>(cs.head_dim));
+
+    for (const auto& grads : kGradMasks) {
+      // k_edges and q_nodes also feed a second consumer (Tanh), so the
+      // order in which their gradient contributions accumulate is
+      // compared too.
+      auto run = [&](bool fused) {
+        std::vector<Var> ops = {Var(kt, grads[0]), Var(qt, grads[1]),
+                                Var(wst, grads[2]), Var(wdt, grads[3])};
+        Var scores =
+            fused ? AttentionScores(ops[0], ops[1], dst, ops[2], src_types,
+                                    ops[3], dst_types, cs.heads, scale)
+                  : ComposedAttentionScores(ops[0], ops[1], dst, ops[2],
+                                            src_types, ops[3], dst_types,
+                                            cs.heads, scale);
+        Var loss = Add(Sum(Mul(scores, Constant(upstream))),
+                       Add(Sum(Tanh(ops[0])), Sum(Tanh(ops[1]))));
+        if (loss.requires_grad()) loss.Backward();
+        ops.push_back(scores);
+        return ops;
+      };
+      for (int threads : {1, 3}) {
+        kernels::SetNumThreads(threads);
+        std::vector<Var> fused = run(true);
+        std::vector<Var> composed = run(false);
+        SCOPED_TRACE("edges=" + std::to_string(cs.edges) +
+                     " heads=" + std::to_string(cs.heads) + " grads=" +
+                     std::to_string(grads[0]) + std::to_string(grads[1]) +
+                     std::to_string(grads[2]) + std::to_string(grads[3]) +
+                     " threads=" + std::to_string(threads));
+        EXPECT_TRUE(fused[4].value().BitwiseEqual(composed[4].value()));
+        EXPECT_EQ(fused[4].requires_grad(), composed[4].requires_grad());
+        for (size_t i = 0; i < 4; ++i) {
+          EXPECT_EQ(fused[i].impl()->grad.size(),
+                    composed[i].impl()->grad.size())
+              << kNames[i];
+          EXPECT_TRUE(
+              fused[i].impl()->grad.BitwiseEqual(composed[i].impl()->grad))
+              << kNames[i];
+        }
+      }
     }
   }
 }
@@ -511,6 +665,28 @@ TEST(EdgeChecks, CrossEntropyZeroTotalWeightThrows) {
   std::vector<int> labels = {1, 1, 1};
   std::vector<float> weights = {1.0f, 0.0f};  // every present class weight 0
   EXPECT_THROW(CrossEntropy(logits, labels, weights), CheckError);
+}
+
+TEST(EdgeChecks, AttentionScoresIndexOutOfBoundsThrows) {
+  Rng rng(402);
+  Var k(RandomTensor(2, 4, &rng), true);
+  Var q(RandomTensor(3, 4, &rng), true);
+  Var ws(RandomTensor(2, 4, &rng), true);
+  Var wd(RandomTensor(2, 4, &rng), true);
+  std::vector<int32_t> ok = {0, 1};
+  EXPECT_NO_THROW(AttentionScores(k, q, ok, ws, ok, wd, ok, 2, 1.0f));
+  std::vector<int32_t> bad_node = {0, 3};
+  std::vector<int32_t> bad_type = {-1, 0};
+  EXPECT_THROW(AttentionScores(k, q, bad_node, ws, ok, wd, ok, 2, 1.0f),
+               CheckError);
+  EXPECT_THROW(AttentionScores(k, q, ok, ws, bad_type, wd, ok, 2, 1.0f),
+               CheckError);
+  EXPECT_THROW(AttentionScores(k, q, ok, ws, ok, wd, bad_type, 2, 1.0f),
+               CheckError);
+  EXPECT_THROW(AttentionScores(k, q, ok, ws, ok, wd, ok, 3, 1.0f),
+               CheckError);  // 4 columns do not split into 3 heads
+  EXPECT_THROW(AttentionScores(k, q, ok, ws, ok, wd, ok, 0, 1.0f),
+               CheckError);
 }
 
 // ---------------------------------------------------------------------------

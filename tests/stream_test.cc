@@ -132,7 +132,9 @@ TEST(StreamIngestTest, ReplayedLogMatchesOfflineBuilderBitIdentically) {
     Status sa = offline.ReadFeatures(node, &fa);
     Status sb = streaming.ReadFeatures(node, &fb, 1);
     ASSERT_EQ(sa.ok(), sb.ok()) << node;
-    if (sa.ok()) ASSERT_EQ(fa, fb) << node;
+    if (sa.ok()) {
+      ASSERT_EQ(fa, fb) << node;
+    }
 
     std::vector<int32_t> na, nb;
     std::vector<uint8_t> ea, eb;
@@ -269,7 +271,9 @@ TEST(StreamIngestTest, TornWriteRetryPublishesBitIdenticalEpoch) {
     Status sa = want.ReadFeatures(node, &fa, 1);
     Status sb = got.ReadFeatures(node, &fb, 1);
     ASSERT_EQ(sa.ok(), sb.ok()) << node;
-    if (sa.ok()) ASSERT_EQ(fa, fb) << node;
+    if (sa.ok()) {
+      ASSERT_EQ(fa, fb) << node;
+    }
     std::vector<int32_t> na, nb;
     std::vector<uint8_t> ea, eb;
     ASSERT_TRUE(want.ReadNeighbors(node, &na, &ea, 1).ok()) << node;
