@@ -14,6 +14,7 @@
 // The raw concurrent-reader throughput of each backend is also reported.
 
 #include <atomic>
+#include <thread>
 
 #include "bench_common.h"
 
@@ -24,11 +25,11 @@ namespace {
 double MeasureLoader(const kv::FeatureStore& fs,
                      const std::vector<int32_t>& seeds, int num_threads,
                      int batches_per_thread) {
-  ThreadPool pool(num_threads);
   std::atomic<int64_t> loaded{0};
   WallTimer timer;
+  std::vector<std::thread> readers;
   for (int t = 0; t < num_threads; ++t) {
-    pool.Submit([&, t] {
+    readers.emplace_back([&, t] {
       Rng rng(1000 + t);
       for (int b = 0; b < batches_per_thread; ++b) {
         size_t start = rng.NextBounded(seeds.size() - 64);
@@ -41,7 +42,7 @@ double MeasureLoader(const kv::FeatureStore& fs,
       }
     });
   }
-  pool.Wait();
+  for (std::thread& reader : readers) reader.join();
   return static_cast<double>(loaded.load()) / timer.ElapsedSeconds();
 }
 

@@ -5,12 +5,10 @@
 // attention scores and attention aggregate). Useful for
 // tracking regressions in the engine that every experiment sits on.
 //
-// XFRAUD_KERNEL_THREADS sets the kernel worker count (default 1; results
-// are bit-identical at any value, only the timings move). The JSON context
-// records which ISA clone of the kernels the host resolved ("kernel_isa").
+// The JSON context records which ISA clone of the kernels the host resolved
+// ("kernel_isa").
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -442,10 +440,6 @@ BENCHMARK(BM_LayerNormForward)->Arg(1024)->Arg(8192);
 }  // namespace xfraud::nn
 
 int main(int argc, char** argv) {
-  const char* threads = std::getenv("XFRAUD_KERNEL_THREADS");
-  if (threads != nullptr) {
-    xfraud::nn::kernels::SetNumThreads(std::atoi(threads));
-  }
   // Which clone of the ISA-cloned kernels the loader picked on this host.
 #if defined(__x86_64__)
   benchmark::AddCustomContext(

@@ -14,9 +14,9 @@ namespace xfraud {
 /// macro. Contract violations are programming errors, not recoverable I/O
 /// conditions — recoverable failures return Status instead. An uncaught
 /// CheckError terminates the process with the message via std::terminate,
-/// so CLI behaviour matches the old abort()-based macros; tests and the
-/// ThreadPool exception channel can catch it instead of forking a death
-/// test (which sanitizer builds cannot do reliably).
+/// so CLI behaviour matches the old abort()-based macros; tests can catch it
+/// instead of forking a death test (which sanitizer builds cannot do
+/// reliably).
 class CheckError : public std::logic_error {
  public:
   explicit CheckError(const std::string& what) : std::logic_error(what) {}

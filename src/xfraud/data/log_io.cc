@@ -1,10 +1,10 @@
 #include "xfraud/data/log_io.h"
 
-#include <charconv>
 #include <fstream>
 #include <sstream>
 
 #include "xfraud/common/atomic_file.h"
+#include "xfraud/common/parse_number.h"
 
 namespace xfraud::data {
 
@@ -97,21 +97,21 @@ Result<std::vector<graph::TransactionRecord>> ReadTransactionLog(
                                      ": " + label.status().message());
     }
     r.label = label.value();
-    try {
-      r.period = std::stoi(fields[6]);
-    } catch (...) {
+    Result<int32_t> period = ParseNumber<int32_t>(fields[6]);
+    if (!period.ok()) {
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": bad period " + fields[6]);
     }
+    r.period = period.value();
     std::stringstream feats(fields[7]);
     std::string token;
     while (std::getline(feats, token, ',')) {
-      try {
-        r.features.push_back(std::stof(token));
-      } catch (...) {
+      Result<float> feature = ParseNumber<float>(token);
+      if (!feature.ok()) {
         return Status::InvalidArgument("line " + std::to_string(line_no) +
                                        ": bad feature " + token);
       }
+      r.features.push_back(feature.value());
     }
     records.push_back(std::move(r));
   }

@@ -1,8 +1,9 @@
 #include "xfraud/fault/fault_plan.h"
 
-#include <cstdlib>
 #include <sstream>
 #include <vector>
+
+#include "xfraud/common/parse_number.h"
 
 namespace xfraud::fault {
 
@@ -30,42 +31,21 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
-Status ParseF64(std::string_view key, std::string_view text, double* out) {
-  size_t consumed = 0;
-  try {
-    *out = std::stod(std::string(text), &consumed);
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("fault plan: bad number for " +
-                                   std::string(key) + ": '" +
-                                   std::string(text) + "'");
+/// Parses all of `text` as a number into *out, naming `key` in the error.
+template <typename T>
+Status ParseInto(std::string_view key, std::string_view text, T* out) {
+  Result<T> parsed = ParseNumber<T>(text);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("fault plan: bad value for " +
+                                   std::string(key) + ": " +
+                                   parsed.status().message());
   }
-  if (consumed != text.size()) {
-    return Status::InvalidArgument("fault plan: trailing junk in " +
-                                   std::string(key) + ": '" +
-                                   std::string(text) + "'");
-  }
-  return Status::OK();
-}
-
-Status ParseI64(std::string_view key, std::string_view text, int64_t* out) {
-  size_t consumed = 0;
-  try {
-    *out = std::stoll(std::string(text), &consumed);
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("fault plan: bad integer for " +
-                                   std::string(key) + ": '" +
-                                   std::string(text) + "'");
-  }
-  if (consumed != text.size()) {
-    return Status::InvalidArgument("fault plan: trailing junk in " +
-                                   std::string(key) + ": '" +
-                                   std::string(text) + "'");
-  }
+  *out = parsed.value();
   return Status::OK();
 }
 
 Status ParseRate(std::string_view key, std::string_view text, double* out) {
-  XF_RETURN_IF_ERROR(ParseF64(key, text, out));
+  XF_RETURN_IF_ERROR(ParseInto(key, text, out));
   if (*out < 0.0 || *out > 1.0) {
     return Status::InvalidArgument("fault plan: " + std::string(key) +
                                    " must be in [0, 1]");
@@ -83,11 +63,11 @@ Status ParseKill(std::string_view text, FaultPlan* plan) {
         std::string(text) + "'");
   }
   int64_t worker = 0, epoch = 0, step = 0;
-  XF_RETURN_IF_ERROR(ParseI64("kill_worker", text.substr(0, at), &worker));
+  XF_RETURN_IF_ERROR(ParseInto("kill_worker", text.substr(0, at), &worker));
   XF_RETURN_IF_ERROR(
-      ParseI64("kill_worker", text.substr(at + 1, colon - at - 1), &epoch));
+      ParseInto("kill_worker", text.substr(at + 1, colon - at - 1), &epoch));
   XF_RETURN_IF_ERROR(
-      ParseI64("kill_worker", text.substr(colon + 1), &step));
+      ParseInto("kill_worker", text.substr(colon + 1), &step));
   if (worker < 0 || epoch < 0 || step < 0) {
     return Status::InvalidArgument(
         "fault plan: kill_worker fields must be non-negative");
@@ -108,8 +88,8 @@ Status ParseSlowReplica(std::string_view text, FaultPlan* plan) {
   }
   int64_t replica = 0;
   XF_RETURN_IF_ERROR(
-      ParseI64("slow_replica", text.substr(0, at), &replica));
-  XF_RETURN_IF_ERROR(ParseF64("slow_replica", text.substr(at + 1),
+      ParseInto("slow_replica", text.substr(0, at), &replica));
+  XF_RETURN_IF_ERROR(ParseInto("slow_replica", text.substr(at + 1),
                               &plan->slow_replica_latency_s));
   if (replica < 0 || plan->slow_replica_latency_s < 0.0) {
     return Status::InvalidArgument(
@@ -125,10 +105,10 @@ Status ParseKillServer(std::string_view text, FaultPlan* plan) {
   int64_t replica = 0;
   int64_t request = 0;
   XF_RETURN_IF_ERROR(
-      ParseI64("kill_server", text.substr(0, at), &replica));
+      ParseInto("kill_server", text.substr(0, at), &replica));
   if (at != std::string_view::npos) {
     XF_RETURN_IF_ERROR(
-        ParseI64("kill_server", text.substr(at + 1), &request));
+        ParseInto("kill_server", text.substr(at + 1), &request));
   }
   if (replica < 0 || request < 0) {
     return Status::InvalidArgument(
@@ -141,7 +121,7 @@ Status ParseKillServer(std::string_view text, FaultPlan* plan) {
 
 Status ParseIndex(std::string_view key, std::string_view text, int* out) {
   int64_t v = 0;
-  XF_RETURN_IF_ERROR(ParseI64(key, text, &v));
+  XF_RETURN_IF_ERROR(ParseInto(key, text, &v));
   if (v < 0) {
     return Status::InvalidArgument("fault plan: " + std::string(key) +
                                    " must be non-negative");
@@ -168,7 +148,7 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view spec) {
     std::string_view value = Trim(part.substr(eq + 1));
     if (key == "seed") {
       int64_t seed = 0;
-      XF_RETURN_IF_ERROR(ParseI64(key, value, &seed));
+      XF_RETURN_IF_ERROR(ParseInto(key, value, &seed));
       plan.seed = static_cast<uint64_t>(seed);
     } else if (key == "kv_error_rate") {
       XF_RETURN_IF_ERROR(ParseRate(key, value, &plan.kv_error_rate));
@@ -177,14 +157,14 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view spec) {
     } else if (key == "kv_latency_rate") {
       XF_RETURN_IF_ERROR(ParseRate(key, value, &plan.kv_latency_rate));
     } else if (key == "kv_latency_s") {
-      XF_RETURN_IF_ERROR(ParseF64(key, value, &plan.kv_latency_s));
+      XF_RETURN_IF_ERROR(ParseInto(key, value, &plan.kv_latency_s));
       if (plan.kv_latency_s < 0.0) {
         return Status::InvalidArgument("fault plan: kv_latency_s < 0");
       }
     } else if (key == "kill_worker") {
       XF_RETURN_IF_ERROR(ParseKill(value, &plan));
     } else if (key == "crash_batch") {
-      XF_RETURN_IF_ERROR(ParseI64(key, value, &plan.crash_batch));
+      XF_RETURN_IF_ERROR(ParseInto(key, value, &plan.crash_batch));
     } else if (key == "kill_replica") {
       XF_RETURN_IF_ERROR(ParseIndex(key, value, &plan.kill_replica));
     } else if (key == "kill_shard") {
@@ -194,14 +174,14 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view spec) {
     } else if (key == "torn_write") {
       XF_RETURN_IF_ERROR(ParseRate(key, value, &plan.torn_write_rate));
     } else if (key == "stall_compaction") {
-      XF_RETURN_IF_ERROR(ParseF64(key, value, &plan.stall_compaction_s));
+      XF_RETURN_IF_ERROR(ParseInto(key, value, &plan.stall_compaction_s));
       if (plan.stall_compaction_s < 0.0) {
         return Status::InvalidArgument("fault plan: stall_compaction < 0");
       }
     } else if (key == "kill_server") {
       XF_RETURN_IF_ERROR(ParseKillServer(value, &plan));
     } else if (key == "corrupt_frame") {
-      XF_RETURN_IF_ERROR(ParseI64(key, value, &plan.corrupt_frame));
+      XF_RETURN_IF_ERROR(ParseInto(key, value, &plan.corrupt_frame));
       if (plan.corrupt_frame < 0) {
         return Status::InvalidArgument("fault plan: corrupt_frame < 0");
       }

@@ -2,22 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <functional>
 #include <limits>
-#include <memory>
-#include <mutex>
 
 #include "xfraud/common/logging.h"
-#include "xfraud/common/thread_pool.h"
 
 // Every public kernel below is compiled twice — for AVX2 and for the
 // baseline ISA — and resolved once at load time (DESIGN.md §13, contract 3).
-// The helpers they call, ParallelBlocks included, are always_inline, so
-// their loops (and, on the serial path, the kernels' lambda bodies) are
-// vectorized inside each clone. ThreadSanitizer builds compile the baseline
-// body only: TSan instruments the clone resolver, which the loader runs
-// before the TSan runtime is initialised (a start-up crash with GCC 12).
+// The helpers they call are always_inline, so their loops are vectorized
+// inside each clone. ThreadSanitizer builds compile the baseline body only:
+// TSan instruments the clone resolver, which the loader runs before the TSan
+// runtime is initialised (a start-up crash with GCC 12).
 #if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
 #define XF_ISA_CLONES __attribute__((target_clones("avx2", "default")))
 #define XF_ALWAYS_INLINE inline __attribute__((always_inline))
@@ -29,82 +23,6 @@
 namespace xfraud::nn::kernels {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Threading. The kernel layer owns a private pool (never shared with the
-// batch loader or DDP pools) and completion is tracked per call with a local
-// latch, so concurrent callers — e.g. scoring-service request threads — can
-// not observe each other's tasks.
-
-std::mutex g_threads_mu;
-int g_num_threads = 1;
-std::shared_ptr<xfraud::ThreadPool> g_pool;  // non-null iff g_num_threads > 1
-
-/// Decrements the latch on scope exit (exception-safe without catch-all).
-class LatchGuard {
- public:
-  LatchGuard(std::mutex* mu, std::condition_variable* cv, int64_t* pending)
-      : mu_(mu), cv_(cv), pending_(pending) {}
-  ~LatchGuard() {
-    std::lock_guard<std::mutex> lock(*mu_);
-    if (--*pending_ == 0) cv_->notify_all();
-  }
-
- private:
-  std::mutex* mu_;
-  std::condition_variable* cv_;
-  int64_t* pending_;
-};
-
-/// Splits [0, total) into `blocks` contiguous ranges, runs fn on each on
-/// `pool` and waits for all of them.
-void RunBlocksOnPool(xfraud::ThreadPool* pool, int64_t total, int64_t blocks,
-                     const std::function<void(int64_t, int64_t)>& fn) {
-  std::mutex mu;
-  std::condition_variable cv;
-  int64_t pending = blocks;
-  int64_t base = total / blocks;
-  int64_t rem = total % blocks;
-  int64_t begin = 0;
-  for (int64_t blk = 0; blk < blocks; ++blk) {
-    int64_t len = base + (blk < rem ? 1 : 0);
-    int64_t end = begin + len;
-    pool->Submit([&mu, &cv, &pending, &fn, begin, end] {
-      LatchGuard guard(&mu, &cv, &pending);
-      fn(begin, end);
-    });
-    begin = end;
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&pending] { return pending == 0; });
-}
-
-/// Runs fn over disjoint contiguous ranges covering [0, total). The split
-/// only decides *which worker* computes a range; fn must write a disjoint
-/// output slice per range with a fixed per-element reduction order, which is
-/// what makes any thread count bit-identical (header contract 2). The
-/// serial path calls fn directly, so its body is inlined into (and
-/// vectorized for) each ISA clone of the calling kernel. The pool is held
-/// by a shared_ptr snapshot, so a concurrent SetNumThreads can not destroy
-/// it while blocks are still queued on it.
-template <typename Fn>
-XF_ALWAYS_INLINE void ParallelBlocks(int64_t total, int64_t grain,
-                                     const Fn& fn) {
-  if (total <= 0) return;
-  std::shared_ptr<xfraud::ThreadPool> pool;
-  int threads = 1;
-  {
-    std::lock_guard<std::mutex> lock(g_threads_mu);
-    threads = g_num_threads;
-    pool = g_pool;
-  }
-  int64_t blocks = std::min<int64_t>(threads, (total + grain - 1) / grain);
-  if (blocks <= 1 || pool == nullptr) {
-    fn(0, total);
-    return;
-  }
-  RunBlocksOnPool(pool.get(), total, blocks, fn);
-}
 
 // ---------------------------------------------------------------------------
 // GEMM micro-kernel geometry. B is packed into column panels of kJTile
@@ -217,26 +135,25 @@ XF_ALWAYS_INLINE void GemmPanelRows(const Tensor& a, const float* panel,
 constexpr int64_t kRowChunk = 128;
 
 /// Sweeps every packed panel (num_panels of a.cols() x kJTile) over C's
-/// rows, parallel over row blocks. Shared by the forward GEMM and dA += G·Bᵀ.
+/// rows, one row chunk at a time. Shared by the forward GEMM and
+/// dA += G·Bᵀ.
 template <bool kAccumulate>
 XF_ALWAYS_INLINE void PackedGemm(const Tensor& a,
                                  const std::vector<float>& packed,
                                  int64_t num_panels, const float* bias,
                                  Activation act, Tensor* c) {
+  int64_t n = a.rows();
   int64_t k_dim = a.cols();
   int64_t m = c->cols();
-  ParallelBlocks(a.rows(), /*grain=*/kITile * 8, [&](int64_t i0,
-                                                     int64_t i_end) {
-    for (int64_t ic = i0; ic < i_end; ic += kRowChunk) {
-      int64_t ih = std::min<int64_t>(kRowChunk, i_end - ic);
-      for (int64_t p = 0; p < num_panels; ++p) {
-        int64_t j0 = p * kJTile;
-        int64_t jw = std::min<int64_t>(kJTile, m - j0);
-        GemmPanelRows<kAccumulate>(a, packed.data() + p * k_dim * kJTile, j0,
-                                   jw, ic, ih, bias, act, c);
-      }
+  for (int64_t ic = 0; ic < n; ic += kRowChunk) {
+    int64_t ih = std::min<int64_t>(kRowChunk, n - ic);
+    for (int64_t p = 0; p < num_panels; ++p) {
+      int64_t j0 = p * kJTile;
+      int64_t jw = std::min<int64_t>(kJTile, m - j0);
+      GemmPanelRows<kAccumulate>(a, packed.data() + p * k_dim * kJTile, j0,
+                                 jw, ic, ih, bias, act, c);
     }
-  });
+  }
 }
 
 /// dB rows [k, k+kh) x columns [j0, j0+jw) += Σ_{i in [i0, i_end)}
@@ -284,23 +201,6 @@ XF_ALWAYS_INLINE void TransATile(const Tensor& a, const Tensor& g, int64_t k,
 }
 
 }  // namespace
-
-void SetNumThreads(int n) {
-  if (n < 1) n = 1;
-  std::shared_ptr<xfraud::ThreadPool> old;  // joined after the unlock
-  std::lock_guard<std::mutex> lock(g_threads_mu);
-  if (n == g_num_threads) return;
-  old = std::move(g_pool);
-  g_num_threads = n;
-  if (n > 1) {
-    g_pool = std::make_shared<xfraud::ThreadPool>(static_cast<size_t>(n));
-  }
-}
-
-int NumThreads() {
-  std::lock_guard<std::mutex> lock(g_threads_mu);
-  return g_num_threads;
-}
 
 XF_ISA_CLONES
 void GemmBiasAct(const Tensor& a, const Tensor& b, const float* bias,
@@ -362,27 +262,25 @@ void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db) {
   XF_CHECK_EQ(db->rows(), a.cols());
   XF_CHECK_EQ(db->cols(), g.cols());
   int64_t n = a.rows();
+  int64_t k_dim = a.cols();
   int64_t m = g.cols();
-  // Parallel over disjoint k blocks (rows of dB). Within a block, register
-  // tiles of dB take their i terms ascending, one row chunk at a time (the
-  // chunk of A and G stays cache-hot across the tiles), so each dB
-  // element's reduction order is fixed however the k space is split.
-  ParallelBlocks(a.cols(), /*grain=*/8, [&](int64_t k0, int64_t k_end) {
-    for (int64_t ic = 0; ic < n; ic += kRowChunk) {
-      int64_t i_end = std::min<int64_t>(n, ic + kRowChunk);
-      for (int64_t k = k0; k < k_end; k += kITile) {
-        int64_t kh = std::min<int64_t>(kITile, k_end - k);
-        for (int64_t j0 = 0; j0 < m; j0 += kJTile) {
-          int64_t jw = std::min<int64_t>(kJTile, m - j0);
-          if (kh == kITile && jw == kJTile) {
-            TransATile<true>(a, g, k, kh, j0, jw, ic, i_end, db);
-          } else {
-            TransATile<false>(a, g, k, kh, j0, jw, ic, i_end, db);
-          }
+  // Register tiles of dB take their i terms ascending, one row chunk at a
+  // time (the chunk of A and G stays cache-hot across the tiles), so each
+  // dB element's reduction order is the reference's.
+  for (int64_t ic = 0; ic < n; ic += kRowChunk) {
+    int64_t i_end = std::min<int64_t>(n, ic + kRowChunk);
+    for (int64_t k = 0; k < k_dim; k += kITile) {
+      int64_t kh = std::min<int64_t>(kITile, k_dim - k);
+      for (int64_t j0 = 0; j0 < m; j0 += kJTile) {
+        int64_t jw = std::min<int64_t>(kJTile, m - j0);
+        if (kh == kITile && jw == kJTile) {
+          TransATile<true>(a, g, k, kh, j0, jw, ic, i_end, db);
+        } else {
+          TransATile<false>(a, g, k, kh, j0, jw, ic, i_end, db);
         }
       }
     }
-  });
+  }
 }
 
 XF_ISA_CLONES
@@ -427,53 +325,13 @@ void GatherRows(const Tensor& a, const std::vector<int32_t>& idx,
   XF_CHECK_EQ(out->rows(), static_cast<int64_t>(idx.size()));
   XF_CHECK_EQ(out->cols(), a.cols());
   int64_t m = a.cols();
-  if (NumThreads() <= 1) {
-    // Serial fast path: bounds checks fold into the copy loop (one pass
-    // over idx instead of two).
-    for (size_t i = 0; i < idx.size(); ++i) {
-      int32_t src = idx[i];
-      XF_CHECK_GE(src, 0);
-      XF_CHECK_LT(src, a.rows());
-      const float* srow = a.Row(src);
-      std::copy(srow, srow + m, out->Row(static_cast<int64_t>(i)));
-    }
-    return;
-  }
-  // Parallel: validate up front so a bad index throws on the caller's
-  // thread, not inside a worker.
-  for (int32_t src : idx) {
+  for (size_t i = 0; i < idx.size(); ++i) {
+    int32_t src = idx[i];
     XF_CHECK_GE(src, 0);
     XF_CHECK_LT(src, a.rows());
+    const float* srow = a.Row(src);
+    std::copy(srow, srow + m, out->Row(static_cast<int64_t>(i)));
   }
-  ParallelBlocks(
-      static_cast<int64_t>(idx.size()), /*grain=*/256,
-      [&](int64_t i0, int64_t i_end) {
-        for (int64_t i = i0; i < i_end; ++i) {
-          const float* src = a.Row(idx[static_cast<size_t>(i)]);
-          std::copy(src, src + m, out->Row(i));
-        }
-      });
-}
-
-XF_ISA_CLONES
-void ScatterAddGrouped(const Tensor& a, const RowGroups& groups, Tensor* out) {
-  XF_CHECK_EQ(out->rows(), groups.num_groups);
-  XF_CHECK_EQ(out->cols(), a.cols());
-  XF_CHECK_EQ(static_cast<int64_t>(groups.rows.size()), a.rows());
-  int64_t m = a.cols();
-  ParallelBlocks(groups.num_groups, /*grain=*/64,
-                 [&](int64_t g0, int64_t g_end) {
-                   for (int64_t gid = g0; gid < g_end; ++gid) {
-                     float* orow = out->Row(gid);
-                     for (int64_t e = groups.offsets[static_cast<size_t>(gid)];
-                          e < groups.offsets[static_cast<size_t>(gid) + 1];
-                          ++e) {
-                       const float* arow =
-                           a.Row(groups.rows[static_cast<size_t>(e)]);
-                       for (int64_t c = 0; c < m; ++c) orow[c] += arow[c];
-                     }
-                   }
-                 });
 }
 
 XF_ISA_CLONES
@@ -481,24 +339,18 @@ void ScatterAddRowsKernel(const Tensor& a, const std::vector<int32_t>& idx,
                           Tensor* out) {
   XF_CHECK_EQ(a.rows(), static_cast<int64_t>(idx.size()));
   XF_CHECK_EQ(out->cols(), a.cols());
-  if (NumThreads() <= 1) {
-    // Serial fast path: stream a in row order, no group build. Each output
-    // row still accumulates its contributions ascending in r — the same
-    // per-element order as the grouped version, so bit-identical.
-    int64_t m = a.cols();
-    int64_t rows = out->rows();
-    for (size_t r = 0; r < idx.size(); ++r) {
-      int32_t d = idx[r];
-      XF_CHECK_GE(d, 0);
-      XF_CHECK_LT(d, rows);
-      const float* arow = a.Row(static_cast<int64_t>(r));
-      float* orow = out->Row(d);
-      for (int64_t c = 0; c < m; ++c) orow[c] += arow[c];
-    }
-    return;
+  // Streams a in row order, so each output row accumulates its
+  // contributions ascending in r.
+  int64_t m = a.cols();
+  int64_t rows = out->rows();
+  for (size_t r = 0; r < idx.size(); ++r) {
+    int32_t d = idx[r];
+    XF_CHECK_GE(d, 0);
+    XF_CHECK_LT(d, rows);
+    const float* arow = a.Row(static_cast<int64_t>(r));
+    float* orow = out->Row(d);
+    for (int64_t c = 0; c < m; ++c) orow[c] += arow[c];
   }
-  RowGroups groups = BuildRowGroups(idx, out->rows());
-  ScatterAddGrouped(a, groups, out);
 }
 
 XF_ISA_CLONES
@@ -507,15 +359,14 @@ void GatherAddRows(const Tensor& g, const std::vector<int32_t>& idx,
   XF_CHECK_EQ(out->rows(), static_cast<int64_t>(idx.size()));
   XF_CHECK_EQ(out->cols(), g.cols());
   int64_t m = g.cols();
-  ParallelBlocks(
-      static_cast<int64_t>(idx.size()), /*grain=*/256,
-      [&](int64_t i0, int64_t i_end) {
-        for (int64_t i = i0; i < i_end; ++i) {
-          const float* grow = g.Row(idx[static_cast<size_t>(i)]);
-          float* orow = out->Row(i);
-          for (int64_t c = 0; c < m; ++c) orow[c] += grow[c];
-        }
-      });
+  for (size_t i = 0; i < idx.size(); ++i) {
+    int32_t src = idx[i];
+    XF_CHECK_GE(src, 0);
+    XF_CHECK_LT(src, g.rows());
+    const float* grow = g.Row(src);
+    float* orow = out->Row(static_cast<int64_t>(i));
+    for (int64_t c = 0; c < m; ++c) orow[c] += grow[c];
+  }
 }
 
 XF_ISA_CLONES
@@ -525,46 +376,43 @@ void SegmentSoftmaxGrouped(const Tensor& scores, const RowGroups& groups,
   XF_CHECK_EQ(att->cols(), scores.cols());
   XF_CHECK_EQ(static_cast<int64_t>(groups.rows.size()), scores.rows());
   int64_t h = scores.cols();
-  ParallelBlocks(groups.num_groups, /*grain=*/64, [&](int64_t g0,
-                                                      int64_t g_end) {
-    std::vector<float> seg_max(static_cast<size_t>(h));
-    std::vector<float> seg_sum(static_cast<size_t>(h));
-    for (int64_t gid = g0; gid < g_end; ++gid) {
-      int64_t begin = groups.offsets[static_cast<size_t>(gid)];
-      int64_t end = groups.offsets[static_cast<size_t>(gid) + 1];
-      if (begin == end) continue;
-      std::fill(seg_max.begin(), seg_max.end(),
-                -std::numeric_limits<float>::infinity());
-      std::fill(seg_sum.begin(), seg_sum.end(), 0.0f);
-      for (int64_t e = begin; e < end; ++e) {
-        const float* srow = scores.Row(groups.rows[static_cast<size_t>(e)]);
-        for (int64_t c = 0; c < h; ++c) {
-          seg_max[static_cast<size_t>(c)] =
-              std::max(seg_max[static_cast<size_t>(c)], srow[c]);
-        }
-      }
-      for (int64_t e = begin; e < end; ++e) {
-        int32_t r = groups.rows[static_cast<size_t>(e)];
-        const float* srow = scores.Row(r);
-        float* arow = att->Row(r);
-        for (int64_t c = 0; c < h; ++c) {
-          float v = std::exp(srow[c] - seg_max[static_cast<size_t>(c)]);
-          arow[c] = v;
-          seg_sum[static_cast<size_t>(c)] += v;
-        }
-      }
-      for (int64_t e = begin; e < end; ++e) {
-        float* arow = att->Row(groups.rows[static_cast<size_t>(e)]);
-        for (int64_t c = 0; c < h; ++c) {
-          arow[c] /= seg_sum[static_cast<size_t>(c)];
-        }
+  std::vector<float> seg_max(static_cast<size_t>(h));
+  std::vector<float> seg_sum(static_cast<size_t>(h));
+  for (int64_t gid = 0; gid < groups.num_groups; ++gid) {
+    int64_t begin = groups.offsets[static_cast<size_t>(gid)];
+    int64_t end = groups.offsets[static_cast<size_t>(gid) + 1];
+    if (begin == end) continue;
+    std::fill(seg_max.begin(), seg_max.end(),
+              -std::numeric_limits<float>::infinity());
+    std::fill(seg_sum.begin(), seg_sum.end(), 0.0f);
+    for (int64_t e = begin; e < end; ++e) {
+      const float* srow = scores.Row(groups.rows[static_cast<size_t>(e)]);
+      for (int64_t c = 0; c < h; ++c) {
+        seg_max[static_cast<size_t>(c)] =
+            std::max(seg_max[static_cast<size_t>(c)], srow[c]);
       }
     }
-  });
+    for (int64_t e = begin; e < end; ++e) {
+      int32_t r = groups.rows[static_cast<size_t>(e)];
+      const float* srow = scores.Row(r);
+      float* arow = att->Row(r);
+      for (int64_t c = 0; c < h; ++c) {
+        float v = std::exp(srow[c] - seg_max[static_cast<size_t>(c)]);
+        arow[c] = v;
+        seg_sum[static_cast<size_t>(c)] += v;
+      }
+    }
+    for (int64_t e = begin; e < end; ++e) {
+      float* arow = att->Row(groups.rows[static_cast<size_t>(e)]);
+      for (int64_t c = 0; c < h; ++c) {
+        arow[c] /= seg_sum[static_cast<size_t>(c)];
+      }
+    }
+  }
 }
 
 XF_ISA_CLONES
-void WeightedScatterAddGrouped(const Tensor& v, const Tensor& w,
+void WeightedScatterAddByGroup(const Tensor& v, const Tensor& w,
                                const RowGroups& groups, int64_t head_dim,
                                Tensor* out) {
   XF_CHECK_EQ(v.rows(), w.rows());
@@ -573,26 +421,22 @@ void WeightedScatterAddGrouped(const Tensor& v, const Tensor& w,
   XF_CHECK_EQ(out->cols(), v.cols());
   XF_CHECK_EQ(static_cast<int64_t>(groups.rows.size()), v.rows());
   int64_t heads = w.cols();
-  ParallelBlocks(groups.num_groups, /*grain=*/64,
-                 [&](int64_t g0, int64_t g_end) {
-                   for (int64_t gid = g0; gid < g_end; ++gid) {
-                     float* orow = out->Row(gid);
-                     for (int64_t e = groups.offsets[static_cast<size_t>(gid)];
-                          e < groups.offsets[static_cast<size_t>(gid) + 1];
-                          ++e) {
-                       int32_t r = groups.rows[static_cast<size_t>(e)];
-                       const float* vrow = v.Row(r);
-                       const float* wrow = w.Row(r);
-                       for (int64_t h = 0; h < heads; ++h) {
-                         float wv = wrow[h];
-                         int64_t off = h * head_dim;
-                         for (int64_t c = 0; c < head_dim; ++c) {
-                           orow[off + c] += wv * vrow[off + c];
-                         }
-                       }
-                     }
-                   }
-                 });
+  for (int64_t gid = 0; gid < groups.num_groups; ++gid) {
+    float* orow = out->Row(gid);
+    for (int64_t e = groups.offsets[static_cast<size_t>(gid)];
+         e < groups.offsets[static_cast<size_t>(gid) + 1]; ++e) {
+      int32_t r = groups.rows[static_cast<size_t>(e)];
+      const float* vrow = v.Row(r);
+      const float* wrow = w.Row(r);
+      for (int64_t h = 0; h < heads; ++h) {
+        float wv = wrow[h];
+        int64_t off = h * head_dim;
+        for (int64_t c = 0; c < head_dim; ++c) {
+          orow[off + c] += wv * vrow[off + c];
+        }
+      }
+    }
+  }
 }
 
 XF_ISA_CLONES
@@ -603,21 +447,19 @@ void WeightedGatherAdd(const Tensor& gout, const std::vector<int32_t>& dst,
   XF_CHECK_EQ(w.cols() * head_dim, dv->cols());
   XF_CHECK_EQ(gout.cols(), dv->cols());
   int64_t heads = w.cols();
-  ParallelBlocks(
-      dv->rows(), /*grain=*/256, [&](int64_t r0, int64_t r_end) {
-        for (int64_t r = r0; r < r_end; ++r) {
-          const float* grow = gout.Row(dst[static_cast<size_t>(r)]);
-          const float* wrow = w.Row(r);
-          float* dvrow = dv->Row(r);
-          for (int64_t h = 0; h < heads; ++h) {
-            float wv = wrow[h];
-            int64_t off = h * head_dim;
-            for (int64_t c = 0; c < head_dim; ++c) {
-              dvrow[off + c] += wv * grow[off + c];
-            }
-          }
-        }
-      });
+  int64_t rows = dv->rows();
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* grow = gout.Row(dst[static_cast<size_t>(r)]);
+    const float* wrow = w.Row(r);
+    float* dvrow = dv->Row(r);
+    for (int64_t h = 0; h < heads; ++h) {
+      float wv = wrow[h];
+      int64_t off = h * head_dim;
+      for (int64_t c = 0; c < head_dim; ++c) {
+        dvrow[off + c] += wv * grow[off + c];
+      }
+    }
+  }
 }
 
 XF_ISA_CLONES
@@ -628,22 +470,20 @@ void PerHeadDots(const Tensor& gout, const std::vector<int32_t>& dst,
   XF_CHECK_EQ(dw->cols() * head_dim, v.cols());
   XF_CHECK_EQ(gout.cols(), v.cols());
   int64_t heads = dw->cols();
-  ParallelBlocks(
-      dw->rows(), /*grain=*/256, [&](int64_t r0, int64_t r_end) {
-        for (int64_t r = r0; r < r_end; ++r) {
-          const float* grow = gout.Row(dst[static_cast<size_t>(r)]);
-          const float* vrow = v.Row(r);
-          float* dwrow = dw->Row(r);
-          for (int64_t h = 0; h < heads; ++h) {
-            int64_t off = h * head_dim;
-            float acc = 0.0f;
-            for (int64_t c = 0; c < head_dim; ++c) {
-              acc += grow[off + c] * vrow[off + c];
-            }
-            dwrow[h] = acc;
-          }
-        }
-      });
+  int64_t rows = dw->rows();
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* grow = gout.Row(dst[static_cast<size_t>(r)]);
+    const float* vrow = v.Row(r);
+    float* dwrow = dw->Row(r);
+    for (int64_t h = 0; h < heads; ++h) {
+      int64_t off = h * head_dim;
+      float acc = 0.0f;
+      for (int64_t c = 0; c < head_dim; ++c) {
+        acc += grow[off + c] * vrow[off + c];
+      }
+      dwrow[h] = acc;
+    }
+  }
 }
 
 XF_ISA_CLONES
@@ -654,33 +494,30 @@ void SegmentSoftmaxBackwardGrouped(const Tensor& att, const Tensor& datt,
   XF_CHECK_EQ(dscores->cols(), att.cols());
   XF_CHECK_EQ(static_cast<int64_t>(groups.rows.size()), att.rows());
   int64_t h = att.cols();
-  ParallelBlocks(groups.num_groups, /*grain=*/64, [&](int64_t g0,
-                                                      int64_t g_end) {
-    std::vector<float> dot(static_cast<size_t>(h));
-    for (int64_t gid = g0; gid < g_end; ++gid) {
-      int64_t begin = groups.offsets[static_cast<size_t>(gid)];
-      int64_t end = groups.offsets[static_cast<size_t>(gid) + 1];
-      if (begin == end) continue;
-      std::fill(dot.begin(), dot.end(), 0.0f);
-      for (int64_t e = begin; e < end; ++e) {
-        int32_t r = groups.rows[static_cast<size_t>(e)];
-        const float* arow = att.Row(r);
-        const float* grow = datt.Row(r);
-        for (int64_t c = 0; c < h; ++c) {
-          dot[static_cast<size_t>(c)] += arow[c] * grow[c];
-        }
-      }
-      for (int64_t e = begin; e < end; ++e) {
-        int32_t r = groups.rows[static_cast<size_t>(e)];
-        const float* arow = att.Row(r);
-        const float* grow = datt.Row(r);
-        float* drow = dscores->Row(r);
-        for (int64_t c = 0; c < h; ++c) {
-          drow[c] += arow[c] * (grow[c] - dot[static_cast<size_t>(c)]);
-        }
+  std::vector<float> dot(static_cast<size_t>(h));
+  for (int64_t gid = 0; gid < groups.num_groups; ++gid) {
+    int64_t begin = groups.offsets[static_cast<size_t>(gid)];
+    int64_t end = groups.offsets[static_cast<size_t>(gid) + 1];
+    if (begin == end) continue;
+    std::fill(dot.begin(), dot.end(), 0.0f);
+    for (int64_t e = begin; e < end; ++e) {
+      int32_t r = groups.rows[static_cast<size_t>(e)];
+      const float* arow = att.Row(r);
+      const float* grow = datt.Row(r);
+      for (int64_t c = 0; c < h; ++c) {
+        dot[static_cast<size_t>(c)] += arow[c] * grow[c];
       }
     }
-  });
+    for (int64_t e = begin; e < end; ++e) {
+      int32_t r = groups.rows[static_cast<size_t>(e)];
+      const float* arow = att.Row(r);
+      const float* grow = datt.Row(r);
+      float* drow = dscores->Row(r);
+      for (int64_t c = 0; c < h; ++c) {
+        drow[c] += arow[c] * (grow[c] - dot[static_cast<size_t>(c)]);
+      }
+    }
+  }
 }
 
 namespace {
@@ -733,24 +570,23 @@ void AttentionScores(const Tensor& k, const Tensor& q,
   int64_t heads = scores->cols();
   int64_t hd = CheckScoreOperands(k, q, dst, w_src, src_types, w_dst,
                                   dst_types, scores->rows(), heads);
-  ParallelBlocks(k.rows(), /*grain=*/256, [&](int64_t e0, int64_t e_end) {
-    for (int64_t e = e0; e < e_end; ++e) {
-      size_t ue = static_cast<size_t>(e);
-      const float* krow = k.Row(e);
-      const float* qrow = q.Row(dst[ue]);
-      const float* wsrow = w_src.Row(src_types[ue]);
-      const float* wdrow = w_dst.Row(dst_types[ue]);
-      float* srow = scores->Row(e);
-      for (int64_t h = 0; h < heads; ++h) {
-        int64_t off = h * hd;
-        float ks = 0.0f;
-        for (int64_t c = 0; c < hd; ++c) ks += krow[off + c] * wsrow[off + c];
-        float qs = 0.0f;
-        for (int64_t c = 0; c < hd; ++c) qs += qrow[off + c] * wdrow[off + c];
-        srow[h] = scale * (ks + qs);
-      }
+  int64_t edges = k.rows();
+  for (int64_t e = 0; e < edges; ++e) {
+    size_t ue = static_cast<size_t>(e);
+    const float* krow = k.Row(e);
+    const float* qrow = q.Row(dst[ue]);
+    const float* wsrow = w_src.Row(src_types[ue]);
+    const float* wdrow = w_dst.Row(dst_types[ue]);
+    float* srow = scores->Row(e);
+    for (int64_t h = 0; h < heads; ++h) {
+      int64_t off = h * hd;
+      float ks = 0.0f;
+      for (int64_t c = 0; c < hd; ++c) ks += krow[off + c] * wsrow[off + c];
+      float qs = 0.0f;
+      for (int64_t c = 0; c < hd; ++c) qs += qrow[off + c] * wdrow[off + c];
+      srow[h] = scale * (ks + qs);
     }
-  });
+  }
 }
 
 XF_ISA_CLONES

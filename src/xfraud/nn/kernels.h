@@ -9,8 +9,7 @@
 namespace xfraud::nn::kernels {
 
 // The compute-kernel layer under the autograd ops (DESIGN.md §13): blocked,
-// fused, optionally thread-parallel inner loops. Three contracts hold for
-// every kernel here:
+// fused, serial inner loops. Three contracts hold for every kernel here:
 //
 //   1. *Bitwise conformance.* Each kernel produces bit-identical floats to
 //      the naive reference implementation in kernels::reference (asserted by
@@ -19,11 +18,10 @@ namespace xfraud::nn::kernels {
 //      order, which stays ascending in the reduction index (k for GEMM, the
 //      i/edge id for column sums and scatters).
 //
-//   2. *Deterministic parallelism.* SetNumThreads(n) only changes which
-//      worker computes which disjoint slice of the output; every output
-//      element is reduced by exactly one worker in the fixed order above, so
-//      results are bit-identical at any thread count — the same contract
-//      BatchLoader and dist::Communicator uphold.
+//   2. *Serial, fixed-order kernels.* Every kernel runs on its caller's
+//      thread, keeps no global state and reduces each output element in the
+//      fixed order above. Parallelism lives at process level: DDP ranks,
+//      the forked serving tier and the BatchLoader sampler workers.
 //
 //   3. *ISA clones, no contraction.* On x86-64 every kernel below (not the
 //      kernels::reference oracle) is compiled twice, for AVX2 and for the
@@ -41,16 +39,10 @@ namespace xfraud::nn::kernels {
 /// Optional activation fused into the GEMM epilogue.
 enum class Activation { kNone, kRelu };
 
-/// Sets the kernel worker count (1 = serial, the default). Thread-safe:
-/// kernels already running finish on the pool they started with; later
-/// calls use the new count.
-void SetNumThreads(int n);
-int NumThreads();
-
 /// C = act(A·B + bias). A [n,k], B [k,m], C preallocated [n,m] (overwritten).
 /// `bias` is nullptr (no bias) or a length-m row added before `act`.
 /// Cache-blocked over B panels (a packed column-tile layout) with a
-/// register-tiled micro-kernel; parallel over row blocks of C.
+/// register-tiled micro-kernel.
 void GemmBiasAct(const Tensor& a, const Tensor& b, const float* bias,
                  Activation act, Tensor* c);
 
@@ -60,23 +52,22 @@ void Gemm(const Tensor& a, const Tensor& b, Tensor* c);
 /// dA += G·Bᵀ. G [n,m], B [k,m], dA [n,k]. Bᵀ is packed into the forward
 /// kernel's column panels and runs through its register-tiled micro-kernel:
 /// each dot product accumulates from 0 over j ascending, then is added to
-/// dA once. Parallel over row blocks of dA.
+/// dA once.
 void GemmTransBAdd(const Tensor& g, const Tensor& b, Tensor* da);
 
 /// dB += Aᵀ·G. A [n,k], G [n,m], dB [k,m]. Register-tiled: each 4-row x
 /// 16-column tile of dB is held in registers while i ascends over a
 /// row chunk, starting from dB's own value — the reference's per-element
-/// order. Parallel over k blocks (disjoint dB rows).
+/// order.
 void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db);
 
 /// gb[0,:] += column sums of G, reduced over rows in ascending order.
 void ColSumAdd(const Tensor& g, Tensor* gb);
 
 /// CSR-style grouping of row ids by group: rows[offsets[g]..offsets[g+1])
-/// lists, in ascending row order, every r with group_of_row[r] == g. This is
-/// the fixed reduction order that makes parallel scatters deterministic:
-/// each group's reduction happens on one worker, ascending in r — exactly
-/// the order the serial edge-loop reference uses.
+/// lists, in ascending row order, every r with group_of_row[r] == g, so a
+/// grouped kernel can reduce each group (a segment softmax needs a whole
+/// segment at once) ascending in r — the order of the edge-loop reference.
 struct RowGroups {
   int64_t num_groups = 0;
   std::vector<int64_t> offsets;  // size num_groups + 1
@@ -88,55 +79,47 @@ struct RowGroups {
 RowGroups BuildRowGroups(const std::vector<int32_t>& group_of_row,
                          int64_t num_groups);
 
-/// out[i,:] = a[idx[i],:]. out preallocated [|idx|, a.cols]. Parallel over
-/// output rows (pure gather, no reduction).
+/// out[i,:] = a[idx[i],:]. out preallocated [|idx|, a.cols]. Every index is
+/// bounds-checked.
 void GatherRows(const Tensor& a, const std::vector<int32_t>& idx, Tensor* out);
 
-/// out[g,:] += Σ_{r in group g} a[r,:], ascending r within each group.
-/// Parallel over groups (disjoint output rows).
-void ScatterAddGrouped(const Tensor& a, const RowGroups& groups, Tensor* out);
-
-/// out[idx[r],:] += a[r,:]. Serial fast path of ScatterAddGrouped: when the
-/// kernel pool has one thread it streams a in row order (no group build, no
-/// indirection); with more threads it builds groups and dispatches to
-/// ScatterAddGrouped. Both orders reduce each output element ascending in
-/// r, so the results are bit-identical.
+/// out[idx[r],:] += a[r,:]. Streams a in row order, so each output element
+/// accumulates its terms ascending in r. Every index is bounds-checked.
 void ScatterAddRowsKernel(const Tensor& a, const std::vector<int32_t>& idx,
                           Tensor* out);
 
 /// out[i,:] += g[idx[i],:] — the backward of a scatter-add (a gather with
-/// accumulate). Parallel over output rows.
+/// accumulate). Every index is bounds-checked.
 void GatherAddRows(const Tensor& g, const std::vector<int32_t>& idx,
                    Tensor* out);
 
 /// att = per-(segment, column) softmax of scores, segments given as row
 /// groups. Bit-identical to the unfused SegmentSoftmax op: per-segment
-/// max/sum reductions run ascending in the row id. Parallel over segments.
+/// max/sum reductions run ascending in the row id.
 void SegmentSoftmaxGrouped(const Tensor& scores, const RowGroups& groups,
                            Tensor* att);
 
 /// out[g, h·hd+c] += Σ_{r in group g} w[r,h]·v[r, h·hd+c], ascending r.
 /// w is [R, H], v is [R, H·hd]. The fused "apply attention then aggregate"
 /// step: one pass over v instead of per-head slice/broadcast/concat/scatter
-/// round trips. Parallel over groups.
-void WeightedScatterAddGrouped(const Tensor& v, const Tensor& w,
+/// round trips.
+void WeightedScatterAddByGroup(const Tensor& v, const Tensor& w,
                                const RowGroups& groups, int64_t head_dim,
                                Tensor* out);
 
 /// dv[r, h·hd+c] += w[r,h]·gout[dst[r], h·hd+c] — the value-side backward of
-/// the fused attention aggregate. Parallel over rows of dv (single writer).
+/// the fused attention aggregate.
 void WeightedGatherAdd(const Tensor& gout, const std::vector<int32_t>& dst,
                        const Tensor& w, int64_t head_dim, Tensor* dv);
 
 /// dw[r,h] = Σ_c v[r, h·hd+c]·gout[dst[r], h·hd+c], ascending c — the
 /// attention-weight backward (per-edge, per-head dot). Overwrites dw.
-/// Parallel over rows.
 void PerHeadDots(const Tensor& gout, const std::vector<int32_t>& dst,
                  const Tensor& v, int64_t head_dim, Tensor* dw);
 
 /// dscores[r,:] += att[r,:]·(datt[r,:] − dot[g(r),:]) with
 /// dot[g,c] = Σ_{r in group g} att[r,c]·datt[r,c], ascending r — the
-/// segment-softmax backward. Parallel over groups.
+/// segment-softmax backward.
 void SegmentSoftmaxBackwardGrouped(const Tensor& att, const Tensor& datt,
                                    const RowGroups& groups, Tensor* dscores);
 
@@ -146,7 +129,7 @@ void SegmentSoftmaxBackwardGrouped(const Tensor& att, const Tensor& datt,
 /// o = h·hd, hd = D / H, each sum starting from 0 with c ascending. k is
 /// [E,D] (per edge), q [N,D] (per node, gathered through dst), w_src and
 /// w_dst one row per endpoint type; scores is preallocated [E,H]. Every
-/// index is bounds-checked. Parallel over edges.
+/// index is bounds-checked.
 void AttentionScores(const Tensor& k, const Tensor& q,
                      const std::vector<int32_t>& dst, const Tensor& w_src,
                      const std::vector<int32_t>& src_types,
@@ -159,7 +142,7 @@ void AttentionScores(const Tensor& k, const Tensor& q,
 /// dk[e,·] += 0 + a·w_src[src_types[e],·], dw_src[src_types[e],·] +=
 /// 0 + a·k[e,·], dq[dst[e],·] += 0 + a·w_dst[dst_types[e],·] and
 /// dw_dst[dst_types[e],·] += 0 + a·q[dst[e],·]. A null grad is skipped.
-/// Serial: the shared dq/dw rows take their terms in ascending e.
+/// The shared dq/dw rows take their terms in ascending e.
 void AttentionScoresBackward(const Tensor& g, const Tensor& k, const Tensor& q,
                              const std::vector<int32_t>& dst,
                              const Tensor& w_src,
@@ -171,8 +154,8 @@ void AttentionScoresBackward(const Tensor& g, const Tensor& k, const Tensor& q,
 
 namespace reference {
 
-// Naive, unfused, serial reference kernels — the conformance oracle for the
-// blocked/parallel versions above, and the "before" side of the
+// Naive, unfused reference kernels — the conformance oracle for the
+// blocked versions above, and the "before" side of the
 // bench_nn_ops fusion gates. Deliberately kept as straight triple loops.
 
 void Gemm(const Tensor& a, const Tensor& b, Tensor* c);

@@ -720,7 +720,7 @@ Var AttentionAggregate(const Var& scores, const Var& values,
   }
   // Pass 2: weight the value block per head and aggregate per target node.
   Tensor out(num_nodes, vv.cols());
-  kernels::WeightedScatterAddGrouped(vv, w, *groups, head_dim, &out);
+  kernels::WeightedScatterAddByGroup(vv, w, *groups, head_dim, &out);
   auto s_impl = scores.impl();
   auto v_impl = values.impl();
   auto dst_copy = std::make_shared<std::vector<int32_t>>(dst);

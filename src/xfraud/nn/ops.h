@@ -17,9 +17,8 @@ namespace xfraud::nn {
 //
 // The dense/scatter hot paths (MatMul, LinearBiasAct, TypedLinear,
 // AttentionScores, AttentionAggregate, IndexRows, ScatterAddRows) run on
-// the blocked, optionally parallel, ISA-cloned nn::kernels layer
-// (DESIGN.md §13); results are bit-identical at any
-// kernels::SetNumThreads setting and on any host.
+// the blocked, serial, ISA-cloned nn::kernels layer (DESIGN.md §13);
+// results are bit-identical on any host.
 
 /// C = A * B. Shapes: [n,k] x [k,m] -> [n,m].
 Var MatMul(const Var& a, const Var& b);

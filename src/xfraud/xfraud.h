@@ -4,7 +4,7 @@
 /// Umbrella header: the public API of the xFraud reproduction.
 ///
 /// Layering (bottom-up):
-///   common  -> Status, Rng, ThreadPool, timing, table printing
+///   common  -> Status, Rng, queues, timing, table printing
 ///   obs     -> counters/gauges/histograms, scoped traces, registry
 ///              snapshots (threaded through every layer below)
 ///   la      -> dense linear algebra (solves, eigen, expm) for the explainer
@@ -44,7 +44,6 @@
 #include "xfraud/common/rng.h"
 #include "xfraud/common/status.h"
 #include "xfraud/common/table_printer.h"
-#include "xfraud/common/thread_pool.h"
 #include "xfraud/common/timer.h"
 #include "xfraud/core/detector.h"
 #include "xfraud/core/gnn_model.h"

@@ -105,8 +105,7 @@ TEST(CheckTest, MacroBodyBindsAsSingleStatement) {
 }
 
 TEST(CheckTest, CheckErrorIsALogicError) {
-  // Callers that cannot continue may catch std::logic_error generically;
-  // ThreadPool::Wait re-throws worker CheckErrors through this path.
+  // Callers that cannot continue may catch std::logic_error generically.
   try {
     XF_CHECK(false) << "boom";
     FAIL() << "unreachable";

@@ -1,9 +1,9 @@
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -13,11 +13,11 @@
 #include "xfraud/common/clock.h"
 #include "xfraud/common/frame.h"
 #include "xfraud/common/mpmc_queue.h"
+#include "xfraud/common/parse_number.h"
 #include "xfraud/common/retry.h"
 #include "xfraud/common/rng.h"
 #include "xfraud/common/status.h"
 #include "xfraud/common/table_printer.h"
-#include "xfraud/common/thread_pool.h"
 #include "xfraud/common/timer.h"
 
 namespace xfraud {
@@ -251,16 +251,16 @@ TEST(BoundedQueueTest, MpmcStressDeliversEveryItemOnce) {
   for (auto& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
-TEST(BoundedQueueTest, ThreadPoolProducersFeedThreadPoolConsumers) {
-  // The BatchLoader topology in miniature: pool workers produce through
-  // the bounded queue under backpressure while a consumer drains in order
-  // of arrival.
+TEST(BoundedQueueTest, WorkerProducersFeedOneConsumer) {
+  // The BatchLoader topology in miniature: worker threads claim items and
+  // produce through the bounded queue under backpressure while a consumer
+  // drains in order of arrival.
   const int kItems = 256;
   BoundedQueue<int> q(4);
-  ThreadPool pool(3);
+  std::vector<std::thread> workers;
   std::atomic<int> next{0};
   for (int t = 0; t < 3; ++t) {
-    pool.Submit([&] {
+    workers.emplace_back([&] {
       for (;;) {
         int i = next.fetch_add(1);
         if (i >= kItems) return;
@@ -274,88 +274,37 @@ TEST(BoundedQueueTest, ThreadPoolProducersFeedThreadPoolConsumers) {
     ASSERT_TRUE(item.has_value());
     received.insert(*item);
   }
-  pool.Wait();
+  for (std::thread& worker : workers) worker.join();
   q.Close();
   EXPECT_FALSE(q.Pop().has_value());
   EXPECT_EQ(received.size(), static_cast<size_t>(kItems));
 }
 
-TEST(ThreadPoolTest, WaitRethrowsTaskExceptionAndPoolSurvives) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([] { throw std::runtime_error("task failed"); });
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+TEST(ParseNumberTest, AcceptsOnlyAWholeNumber) {
+  EXPECT_EQ(ParseNumber<int64_t>("-42").value(), -42);
+  EXPECT_EQ(ParseNumber<int32_t>("2147483647").value(), 2147483647);
+  EXPECT_FALSE(ParseNumber<int32_t>("2147483648").ok());  // out of range
+  for (const char* bad : {"", " 1", "1 ", "12abc", "0x10", "1.5", "-"}) {
+    EXPECT_FALSE(ParseNumber<int64_t>(bad).ok()) << "'" << bad << "'";
   }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(counter.load(), 10);  // sibling tasks still ran
-  // The exception is consumed and the pool remains usable.
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 11);
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+  EXPECT_EQ(ParseNumber<double>("1e-4").value(), 1e-4);
+  EXPECT_EQ(ParseNumber<float>("-2.5").value(), -2.5f);
+  for (const char* bad : {"", " 1", "1.5x", "abc", "1e999", "."}) {
+    EXPECT_FALSE(ParseNumber<double>(bad).ok()) << "'" << bad << "'";
+    EXPECT_FALSE(ParseNumber<float>(bad).ok()) << "'" << bad << "'";
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
+  EXPECT_FALSE(ParseNumber<float>(std::string_view("1\0", 2)).ok());
+  EXPECT_TRUE(ParseNumber<int64_t>("12abc").status().IsInvalidArgument());
 }
 
-TEST(ThreadPoolTest, ParallelForCoversIndexSpace) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(BarrierTest, ReleasesAllParties) {
-  const size_t parties = 4;
-  Barrier barrier(parties);
-  std::atomic<int> before{0};
-  std::atomic<int> after{0};
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < parties; ++i) {
-    threads.emplace_back([&] {
-      before.fetch_add(1);
-      barrier.ArriveAndWait();
-      after.fetch_add(1);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(before.load(), 4);
-  EXPECT_EQ(after.load(), 4);
-}
-
-TEST(BarrierTest, ReusableAcrossGenerations) {
-  const size_t parties = 3;
-  Barrier barrier(parties);
-  std::atomic<int> rounds{0};
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < parties; ++i) {
-    threads.emplace_back([&] {
-      for (int r = 0; r < 5; ++r) {
-        barrier.ArriveAndWait();
-        rounds.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(rounds.load(), 15);
+TEST(ParseNumberTest, FloatRoundsOnceLikeStrtof) {
+  // Just below the midpoint between the floats 1 + 2^-23 and 1 + 2^-22: a
+  // float parse rounds down, while a double parse lands on the midpoint
+  // itself and the narrowing cast then rounds to even, upwards.
+  const char* text = "1.0000001788139343261718749";
+  float once = ParseNumber<float>(text).value();
+  EXPECT_EQ(once, std::strtof(text, nullptr));
+  EXPECT_NE(once, static_cast<float>(ParseNumber<double>(text).value()));
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

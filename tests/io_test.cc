@@ -105,6 +105,34 @@ TEST_F(LogIoTest, BadLabelIsRejected) {
   EXPECT_NE(loaded.status().message().find("bad label"), std::string::npos);
 }
 
+TEST_F(LogIoTest, PeriodWithTrailingCharactersIsRejected) {
+  std::string path = TempPath("log_badperiod.tsv");
+  auto records = SampleRecords();
+  records.resize(1);
+  ASSERT_TRUE(data::WriteTransactionLog(records, path).ok());
+  std::ofstream(path, std::ios::app)
+      << "tX\tb\te\tp\ta\tbenign\t12abc\t1.0,2.0\n";
+  auto loaded = data::ReadTransactionLog(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument());
+  EXPECT_NE(loaded.status().message().find("line 3: bad period 12abc"),
+            std::string::npos);
+}
+
+TEST_F(LogIoTest, FeatureWithTrailingCharactersIsRejected) {
+  std::string path = TempPath("log_badfeature.tsv");
+  auto records = SampleRecords();
+  records.resize(1);
+  ASSERT_TRUE(data::WriteTransactionLog(records, path).ok());
+  std::ofstream(path, std::ios::app)
+      << "tX\tb\te\tp\ta\tbenign\t0\t1.0,1.5x\n";
+  auto loaded = data::ReadTransactionLog(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument());
+  EXPECT_NE(loaded.status().message().find("line 3: bad feature 1.5x"),
+            std::string::npos);
+}
+
 class GraphSerializeTest : public ::testing::Test {
  protected:
   static graph::HeteroGraph SampleGraph() {

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "xfraud/common/crc32.h"
-#include "xfraud/common/thread_pool.h"
 #include "xfraud/data/generator.h"
 #include "xfraud/graph/graph_builder.h"
 #include "xfraud/kv/feature_store.h"
@@ -259,15 +258,21 @@ TEST(LogKvTest, ConcurrentReaders) {
                     .ok());
   }
   std::atomic<int> errors{0};
-  ThreadPool pool(4);
-  pool.ParallelFor(2000, [&](size_t i) {
-    std::string value;
-    int k = static_cast<int>(i % 200);
-    Status s = store->Get("key" + std::to_string(k), &value);
-    if (!s.ok() || value != "value" + std::to_string(k)) {
-      errors.fetch_add(1);
-    }
-  });
+  constexpr int kReaders = 4;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = t; i < 2000; i += kReaders) {
+        std::string value;
+        int k = i % 200;
+        Status s = store->Get("key" + std::to_string(k), &value);
+        if (!s.ok() || value != "value" + std::to_string(k)) {
+          errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(errors.load(), 0);
 }
 

@@ -1,35 +1,25 @@
 // Conformance and regression tests for the nn::kernels layer (DESIGN.md
-// §13): blocked kernels must match the naive reference bit for bit, any
-// thread count must match one thread bit for bit, the fused ops must match
-// their composed equivalents bit for bit (including dropout RNG
-// consumption), and the zero-skip NaN-swallowing bug must stay fixed.
+// §13): blocked kernels must match the naive reference bit for bit, the
+// fused ops must match their composed equivalents bit for bit (including
+// dropout RNG consumption), and the zero-skip NaN-swallowing bug must stay
+// fixed.
 
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "xfraud/common/check.h"
 #include "xfraud/common/rng.h"
-#include "xfraud/core/hetero_conv.h"
 #include "xfraud/nn/kernels.h"
 #include "xfraud/nn/modules.h"
 #include "xfraud/nn/ops.h"
 
 namespace xfraud::nn {
 namespace {
-
-/// Restores the kernel layer to serial mode when a test exits.
-class ThreadRestore {
- public:
-  ThreadRestore() = default;
-  ~ThreadRestore() { kernels::SetNumThreads(1); }
-};
 
 Tensor RandomTensor(int64_t r, int64_t c, Rng* rng, float scale = 1.0f) {
   return Tensor::Uniform(r, c, scale, rng);
@@ -124,43 +114,33 @@ TEST(KernelConformance, GemmMatchesReferenceBitwise) {
 }
 
 TEST(KernelConformance, GemmTransBAddMatchesReferenceBitwise) {
-  ThreadRestore restore;
-  for (int threads : {1, 2, 3, 4}) {
-    kernels::SetNumThreads(threads);
-    Rng rng(102);
-    for (const GemmShape& s : kGemmShapes) {
-      Tensor g = SpecialTensor(s.n, s.m, &rng);
-      Tensor b = SpecialTensor(s.k, s.m, &rng);
-      // Non-zero initial accumulator: += semantics must match too.
-      Tensor da0 = SpecialTensor(s.n, s.k, &rng);
-      Tensor da_fast = da0;
-      Tensor da_ref = da0;
-      kernels::GemmTransBAdd(g, b, &da_fast);
-      kernels::reference::GemmTransBAdd(g, b, &da_ref);
-      EXPECT_TRUE(da_fast.BitwiseEqual(da_ref))
-          << "shape " << s.n << "x" << s.k << "x" << s.m
-          << ", threads=" << threads;
-    }
+  Rng rng(102);
+  for (const GemmShape& s : kGemmShapes) {
+    Tensor g = SpecialTensor(s.n, s.m, &rng);
+    Tensor b = SpecialTensor(s.k, s.m, &rng);
+    // Non-zero initial accumulator: += semantics must match too.
+    Tensor da0 = SpecialTensor(s.n, s.k, &rng);
+    Tensor da_fast = da0;
+    Tensor da_ref = da0;
+    kernels::GemmTransBAdd(g, b, &da_fast);
+    kernels::reference::GemmTransBAdd(g, b, &da_ref);
+    EXPECT_TRUE(da_fast.BitwiseEqual(da_ref))
+        << "shape " << s.n << "x" << s.k << "x" << s.m;
   }
 }
 
 TEST(KernelConformance, GemmTransAAddMatchesReferenceBitwise) {
-  ThreadRestore restore;
-  for (int threads : {1, 2, 3, 4}) {
-    kernels::SetNumThreads(threads);
-    Rng rng(103);
-    for (const GemmShape& s : kGemmShapes) {
-      Tensor a = SpecialTensor(s.n, s.k, &rng);
-      Tensor g = SpecialTensor(s.n, s.m, &rng);
-      Tensor db0 = SpecialTensor(s.k, s.m, &rng);
-      Tensor db_fast = db0;
-      Tensor db_ref = db0;
-      kernels::GemmTransAAdd(a, g, &db_fast);
-      kernels::reference::GemmTransAAdd(a, g, &db_ref);
-      EXPECT_TRUE(db_fast.BitwiseEqual(db_ref))
-          << "shape " << s.n << "x" << s.k << "x" << s.m
-          << ", threads=" << threads;
-    }
+  Rng rng(103);
+  for (const GemmShape& s : kGemmShapes) {
+    Tensor a = SpecialTensor(s.n, s.k, &rng);
+    Tensor g = SpecialTensor(s.n, s.m, &rng);
+    Tensor db0 = SpecialTensor(s.k, s.m, &rng);
+    Tensor db_fast = db0;
+    Tensor db_ref = db0;
+    kernels::GemmTransAAdd(a, g, &db_fast);
+    kernels::reference::GemmTransAAdd(a, g, &db_ref);
+    EXPECT_TRUE(db_fast.BitwiseEqual(db_ref))
+        << "shape " << s.n << "x" << s.k << "x" << s.m;
   }
 }
 
@@ -177,126 +157,74 @@ TEST(KernelConformance, GemmBiasActZeroInnerDimIsBiasPlusAct) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic parallelism: every kernel must be bit-identical at any
-// worker count, and repeat runs must be bit-identical too.
+// The gather/scatter kernels against hand-written loops: out[i] = a[idx[i]]
+// (GatherRows), out[idx[r]] += a[r] ascending in r (ScatterAddRowsKernel)
+// and out[i] += g[idx[i]] (GatherAddRows). Widths straddle the vector
+// width; every index list repeats rows, and one is empty.
+TEST(KernelConformance, GatherScatterMatchNaiveLoopsBitwise) {
+  struct Case {
+    int64_t src_rows, idx_len, cols;
+  };
+  const Case kCases[] = {{1, 1, 1},   {5, 12, 3},  {40, 257, 10},
+                         {7, 0, 17},  {17, 300, 40}, {3, 9, 8}};
+  Rng rng(104);
+  for (const Case& cs : kCases) {
+    SCOPED_TRACE("src_rows=" + std::to_string(cs.src_rows) +
+                 " idx_len=" + std::to_string(cs.idx_len) +
+                 " cols=" + std::to_string(cs.cols));
+    std::vector<int32_t> idx(static_cast<size_t>(cs.idx_len));
+    for (auto& i : idx) i = static_cast<int32_t>(rng.NextBounded(cs.src_rows));
+    // ±0, NaN and ±Inf in the inputs and in the starting accumulators.
+    Tensor src = SpecialTensor(cs.src_rows, cs.cols, &rng);
+    Tensor per_idx = SpecialTensor(cs.idx_len, cs.cols, &rng);
+    Tensor src_acc = SpecialTensor(cs.src_rows, cs.cols, &rng);
+    Tensor idx_acc = SpecialTensor(cs.idx_len, cs.cols, &rng);
 
-TEST(KernelDeterminism, GemmBitIdenticalAcrossThreadCounts) {
-  ThreadRestore restore;
-  Rng rng(201);
-  Tensor a = RandomTensor(37, 29, &rng);
-  Tensor b = RandomTensor(29, 23, &rng);
-  Tensor serial(37, 23);
-  kernels::Gemm(a, b, &serial);
-  for (int threads : {2, 3, 4}) {
-    kernels::SetNumThreads(threads);
-    Tensor par(37, 23);
-    kernels::Gemm(a, b, &par);
-    EXPECT_TRUE(par.BitwiseEqual(serial)) << "threads=" << threads;
-    Tensor again(37, 23);
-    kernels::Gemm(a, b, &again);
-    EXPECT_TRUE(again.BitwiseEqual(par)) << "rerun, threads=" << threads;
-  }
-}
+    Tensor gathered(cs.idx_len, cs.cols, -1.0f);
+    kernels::GatherRows(src, idx, &gathered);
+    Tensor gathered_want(cs.idx_len, cs.cols);
+    for (int64_t i = 0; i < cs.idx_len; ++i) {
+      for (int64_t c = 0; c < cs.cols; ++c) {
+        gathered_want.Row(i)[c] = src.Row(idx[static_cast<size_t>(i)])[c];
+      }
+    }
+    EXPECT_TRUE(gathered.BitwiseEqual(gathered_want)) << "GatherRows";
 
-TEST(KernelDeterminism, BackwardProductsBitIdenticalAcrossThreadCounts) {
-  ThreadRestore restore;
-  Rng rng(202);
-  Tensor a = RandomTensor(41, 19, &rng);
-  Tensor g = RandomTensor(41, 13, &rng);
-  Tensor b = RandomTensor(19, 13, &rng);
-  Tensor da1(41, 19);
-  Tensor db1(19, 13);
-  kernels::GemmTransBAdd(g, b, &da1);
-  kernels::GemmTransAAdd(a, g, &db1);
-  for (int threads : {2, 3}) {
-    kernels::SetNumThreads(threads);
-    Tensor da(41, 19);
-    Tensor db(19, 13);
-    kernels::GemmTransBAdd(g, b, &da);
-    kernels::GemmTransAAdd(a, g, &db);
-    EXPECT_TRUE(da.BitwiseEqual(da1)) << "threads=" << threads;
-    EXPECT_TRUE(db.BitwiseEqual(db1)) << "threads=" << threads;
-  }
-}
+    Tensor scattered = src_acc;
+    kernels::ScatterAddRowsKernel(per_idx, idx, &scattered);
+    Tensor scattered_want = src_acc;
+    for (int64_t r = 0; r < cs.idx_len; ++r) {
+      float* orow = scattered_want.Row(idx[static_cast<size_t>(r)]);
+      for (int64_t c = 0; c < cs.cols; ++c) orow[c] += per_idx.Row(r)[c];
+    }
+    EXPECT_TRUE(scattered.BitwiseEqual(scattered_want))
+        << "ScatterAddRowsKernel";
 
-TEST(KernelDeterminism, ScatterGatherSoftmaxBitIdenticalAcrossThreadCounts) {
-  ThreadRestore restore;
-  Rng rng(203);
-  const int64_t kEdges = 257;
-  const int64_t kNodes = 40;
-  const int64_t kHeads = 2;
-  const int64_t kHeadDim = 5;
-  Tensor msgs = RandomTensor(kEdges, kHeads * kHeadDim, &rng);
-  Tensor scores = RandomTensor(kEdges, kHeads, &rng, 2.0f);
-  std::vector<int32_t> dst(kEdges);
-  for (int64_t e = 0; e < kEdges; ++e) {
-    dst[static_cast<size_t>(e)] =
-        static_cast<int32_t>(rng.NextUint64() % kNodes);
-  }
-  kernels::RowGroups groups = kernels::BuildRowGroups(dst, kNodes);
-
-  Tensor scat1(kNodes, kHeads * kHeadDim);
-  kernels::ScatterAddRowsKernel(msgs, dst, &scat1);
-  Tensor gath1(kEdges, kHeads * kHeadDim);
-  kernels::GatherRows(scat1, dst, &gath1);
-  Tensor att1(kEdges, kHeads);
-  kernels::SegmentSoftmaxGrouped(scores, groups, &att1);
-  Tensor agg1(kNodes, kHeads * kHeadDim);
-  kernels::WeightedScatterAddGrouped(msgs, att1, groups, kHeadDim, &agg1);
-
-  for (int threads : {2, 3, 4}) {
-    kernels::SetNumThreads(threads);
-    Tensor scat(kNodes, kHeads * kHeadDim);
-    kernels::ScatterAddRowsKernel(msgs, dst, &scat);
-    Tensor gath(kEdges, kHeads * kHeadDim);
-    kernels::GatherRows(scat, dst, &gath);
-    Tensor att(kEdges, kHeads);
-    kernels::SegmentSoftmaxGrouped(scores, groups, &att);
-    Tensor agg(kNodes, kHeads * kHeadDim);
-    kernels::WeightedScatterAddGrouped(msgs, att, groups, kHeadDim, &agg);
-    EXPECT_TRUE(scat.BitwiseEqual(scat1)) << "threads=" << threads;
-    EXPECT_TRUE(gath.BitwiseEqual(gath1)) << "threads=" << threads;
-    EXPECT_TRUE(att.BitwiseEqual(att1)) << "threads=" << threads;
-    EXPECT_TRUE(agg.BitwiseEqual(agg1)) << "threads=" << threads;
-  }
-}
-
-TEST(KernelDeterminism, SetNumThreadsWhileKernelsRun) {
-  // One thread flips the worker count 1 <-> 4 while this one runs the GEMM
-  // and the scatter-add: a kernel that started on a pool keeps it alive
-  // until its blocks finish, and every result stays the reference's bits.
-  ThreadRestore restore;
-  Rng rng(207);
-  const int64_t kRows = 300;
-  const int64_t kNodes = 17;
-  Tensor a = RandomTensor(kRows, 33, &rng);
-  Tensor b = RandomTensor(33, 40, &rng);
-  Tensor want(kRows, 40);
-  kernels::reference::Gemm(a, b, &want);
-  std::vector<int32_t> dst(kRows);
-  for (auto& d : dst) d = static_cast<int32_t>(rng.NextBounded(kNodes));
-  Tensor want_scat(kNodes, 40);
-  for (int64_t r = 0; r < kRows; ++r) {
-    float* orow = want_scat.Row(dst[static_cast<size_t>(r)]);
-    for (int64_t c = 0; c < 40; ++c) orow[c] += want.At(r, c);
+    Tensor gather_added = idx_acc;
+    kernels::GatherAddRows(src, idx, &gather_added);
+    Tensor gather_added_want = idx_acc;
+    for (int64_t i = 0; i < cs.idx_len; ++i) {
+      const float* grow = src.Row(idx[static_cast<size_t>(i)]);
+      for (int64_t c = 0; c < cs.cols; ++c) {
+        gather_added_want.Row(i)[c] += grow[c];
+      }
+    }
+    EXPECT_TRUE(gather_added.BitwiseEqual(gather_added_want))
+        << "GatherAddRows";
   }
 
-  std::atomic<bool> stop{false};
-  std::thread toggler([&stop] {
-    for (int n = 4; !stop.load(); n = 5 - n) kernels::SetNumThreads(n);
-  });
-  for (int iter = 0; iter < 200; ++iter) {
-    Tensor c(kRows, 40);
-    kernels::GemmBiasAct(a, b, /*bias=*/nullptr, kernels::Activation::kNone,
-                         &c);
-    Tensor scat(kNodes, 40);
-    kernels::ScatterAddRowsKernel(c, dst, &scat);
-    EXPECT_TRUE(c.BitwiseEqual(want)) << "iter " << iter;
-    EXPECT_TRUE(scat.BitwiseEqual(want_scat)) << "iter " << iter;
+  // An index outside [0, rows) is a checked error in all three.
+  Tensor src = RandomTensor(4, 3, &rng);
+  for (int32_t bad : {-1, 4}) {
+    std::vector<int32_t> idx = {0, bad, 1};
+    Tensor out(3, 3);
+    EXPECT_THROW(kernels::GatherRows(src, idx, &out), CheckError);
+    EXPECT_THROW(kernels::GatherAddRows(src, idx, &out), CheckError);
+    Tensor per_idx = RandomTensor(3, 3, &rng);
+    Tensor acc(4, 3);
+    EXPECT_THROW(kernels::ScatterAddRowsKernel(per_idx, idx, &acc),
+                 CheckError);
   }
-  stop.store(true);
-  toggler.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -426,7 +354,6 @@ Var ComposedTypedLinear(const Var& x, const std::vector<int32_t>& types,
 }
 
 TEST(FusedConformance, TypedLinearMatchesComposedBitwise) {
-  ThreadRestore restore;
   Rng rng(305);
   const int64_t kRows = 37;
   const int64_t kIn = 6;
@@ -468,32 +395,28 @@ TEST(FusedConformance, TypedLinearMatchesComposedBitwise) {
     return r;
   };
 
-  for (int threads : {1, 3}) {
-    kernels::SetNumThreads(threads);
-    for (bool x_grad : {true, false}) {
-      Run fused = run(true, x_grad);
-      Run composed = run(false, x_grad);
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " x_grad=" + std::to_string(x_grad));
-      EXPECT_TRUE(fused.out.value().BitwiseEqual(composed.out.value()));
-      EXPECT_EQ(fused.x.requires_grad(), x_grad);
-      if (x_grad) {
-        EXPECT_TRUE(fused.x.grad().BitwiseEqual(composed.x.grad()));
-      }
-      for (size_t t = 0; t < 4; ++t) {
-        EXPECT_EQ(fused.weights[t].impl()->grad.size(),
-                  composed.weights[t].impl()->grad.size());
-        EXPECT_TRUE(fused.weights[t].impl()->grad.BitwiseEqual(
-            composed.weights[t].impl()->grad))
-            << "W_" << t;
-        if (!fused.biases[t].defined()) continue;
-        EXPECT_TRUE(fused.biases[t].impl()->grad.BitwiseEqual(
-            composed.biases[t].impl()->grad))
-            << "b_" << t;
-      }
-      // The empty type's parameters never get a gradient buffer.
-      EXPECT_EQ(fused.weights[2].impl()->grad.size(), 0);
+  for (bool x_grad : {true, false}) {
+    Run fused = run(true, x_grad);
+    Run composed = run(false, x_grad);
+    SCOPED_TRACE("x_grad=" + std::to_string(x_grad));
+    EXPECT_TRUE(fused.out.value().BitwiseEqual(composed.out.value()));
+    EXPECT_EQ(fused.x.requires_grad(), x_grad);
+    if (x_grad) {
+      EXPECT_TRUE(fused.x.grad().BitwiseEqual(composed.x.grad()));
     }
+    for (size_t t = 0; t < 4; ++t) {
+      EXPECT_EQ(fused.weights[t].impl()->grad.size(),
+                composed.weights[t].impl()->grad.size());
+      EXPECT_TRUE(fused.weights[t].impl()->grad.BitwiseEqual(
+          composed.weights[t].impl()->grad))
+          << "W_" << t;
+      if (!fused.biases[t].defined()) continue;
+      EXPECT_TRUE(fused.biases[t].impl()->grad.BitwiseEqual(
+          composed.biases[t].impl()->grad))
+          << "b_" << t;
+    }
+    // The empty type's parameters never get a gradient buffer.
+    EXPECT_EQ(fused.weights[2].impl()->grad.size(), 0);
   }
 }
 
@@ -527,7 +450,6 @@ Var ComposedAttentionScores(const Var& k_edges, const Var& q_nodes,
 }
 
 TEST(FusedConformance, AttentionScoresMatchesComposedBitwise) {
-  ThreadRestore restore;
   struct Case {
     int64_t edges, nodes;
     int heads;
@@ -585,25 +507,21 @@ TEST(FusedConformance, AttentionScoresMatchesComposedBitwise) {
         ops.push_back(scores);
         return ops;
       };
-      for (int threads : {1, 3}) {
-        kernels::SetNumThreads(threads);
-        std::vector<Var> fused = run(true);
-        std::vector<Var> composed = run(false);
-        SCOPED_TRACE("edges=" + std::to_string(cs.edges) +
-                     " heads=" + std::to_string(cs.heads) + " grads=" +
-                     std::to_string(grads[0]) + std::to_string(grads[1]) +
-                     std::to_string(grads[2]) + std::to_string(grads[3]) +
-                     " threads=" + std::to_string(threads));
-        EXPECT_TRUE(fused[4].value().BitwiseEqual(composed[4].value()));
-        EXPECT_EQ(fused[4].requires_grad(), composed[4].requires_grad());
-        for (size_t i = 0; i < 4; ++i) {
-          EXPECT_EQ(fused[i].impl()->grad.size(),
-                    composed[i].impl()->grad.size())
-              << kNames[i];
-          EXPECT_TRUE(
-              fused[i].impl()->grad.BitwiseEqual(composed[i].impl()->grad))
-              << kNames[i];
-        }
+      std::vector<Var> fused = run(true);
+      std::vector<Var> composed = run(false);
+      SCOPED_TRACE("edges=" + std::to_string(cs.edges) +
+                   " heads=" + std::to_string(cs.heads) + " grads=" +
+                   std::to_string(grads[0]) + std::to_string(grads[1]) +
+                   std::to_string(grads[2]) + std::to_string(grads[3]));
+      EXPECT_TRUE(fused[4].value().BitwiseEqual(composed[4].value()));
+      EXPECT_EQ(fused[4].requires_grad(), composed[4].requires_grad());
+      for (size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(fused[i].impl()->grad.size(),
+                  composed[i].impl()->grad.size())
+            << kNames[i];
+        EXPECT_TRUE(
+            fused[i].impl()->grad.BitwiseEqual(composed[i].impl()->grad))
+            << kNames[i];
       }
     }
   }
@@ -687,41 +605,6 @@ TEST(EdgeChecks, AttentionScoresIndexOutOfBoundsThrows) {
                CheckError);  // 4 columns do not split into 3 heads
   EXPECT_THROW(AttentionScores(k, q, ok, ws, ok, wd, ok, 0, 1.0f),
                CheckError);
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: a full HeteroConv layer forward must be bit-identical at any
-// kernel thread count, in eval and in training (dropout RNG consumption is
-// thread-count independent).
-
-TEST(KernelDeterminism, HeteroConvForwardBitIdenticalAcrossThreadCounts) {
-  ThreadRestore restore;
-  Rng init(501);
-  core::HeteroConvLayer layer(16, 4, 0.3f, /*first_layer=*/true,
-                              /*use_residual=*/true, &init);
-  std::vector<int32_t> node_types = {0, 0, 1, 2, 2};
-  std::vector<int32_t> src = {2, 2, 3, 4, 0, 1, 0, 1};
-  std::vector<int32_t> dst = {0, 1, 0, 1, 2, 2, 3, 4};
-  std::vector<int32_t> etypes = {0, 0, 1, 1, 2, 2, 3, 3};
-  Rng data(502);
-  Var h(Tensor::Uniform(5, 16, 1.0f, &data), false);
-
-  auto run_once = [&](bool training) {
-    Rng drop(7);
-    core::ForwardOptions opts;
-    opts.training = training;
-    opts.rng = training ? &drop : nullptr;
-    return layer.Forward(h, node_types, src, dst, etypes, opts);
-  };
-  Var eval1 = run_once(false);
-  Var train1 = run_once(true);
-  for (int threads : {2, 3}) {
-    kernels::SetNumThreads(threads);
-    EXPECT_TRUE(run_once(false).value().BitwiseEqual(eval1.value()))
-        << "eval, threads=" << threads;
-    EXPECT_TRUE(run_once(true).value().BitwiseEqual(train1.value()))
-        << "training, threads=" << threads;
-  }
 }
 
 }  // namespace

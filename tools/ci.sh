@@ -24,9 +24,8 @@
 #                                    # respawn + wire corruption), and a
 #                                    # bench_serve_mp snapshot
 #   tools/ci.sh --mode=bench-smoke   # bench_nn_ops under ASan+UBSan (one
-#                                    # short pass, serial and 4 kernel
-#                                    # threads), then a plain-build run that
-#                                    # snapshots BENCH_nn_ops.json
+#                                    # short pass), then a plain-build run
+#                                    # that snapshots BENCH_nn_ops.json
 #
 # An optional positional argument overrides the build directory (default:
 # build for plain/lint, build-<mode> for sanitizer modes).
@@ -111,20 +110,16 @@ if [[ "${MODE}" == "lint" ]]; then
 fi
 
 # Bench smoke: every kernel and fusion path in bench_nn_ops executes once
-# under ASan+UBSan (serial and 4 kernel threads — the parallel scatter and
-# GEMM paths must be sanitizer-clean too), then a plain Release build emits
-# a BENCH_nn_ops.json snapshot (gitignored) for before/after comparisons.
+# under ASan+UBSan, then a plain Release build emits a BENCH_nn_ops.json
+# snapshot (gitignored) for before/after comparisons.
 if [[ "${MODE}" == "bench-smoke" ]]; then
   echo "== configure (bench-smoke, address+undefined) =="
   cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
         -DXFRAUD_SANITIZE="address,undefined"
   echo "== build bench_nn_ops (sanitized) =="
   cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_nn_ops
-  echo "== bench_nn_ops smoke (sanitized, serial) =="
+  echo "== bench_nn_ops smoke (sanitized) =="
   "${BUILD_DIR}/bench/bench_nn_ops" --benchmark_min_time=0.01
-  echo "== bench_nn_ops smoke (sanitized, 4 kernel threads) =="
-  XFRAUD_KERNEL_THREADS=4 \
-    "${BUILD_DIR}/bench/bench_nn_ops" --benchmark_min_time=0.01
   echo "== configure (plain snapshot) =="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
   echo "== build bench_nn_ops (plain) =="

@@ -26,7 +26,8 @@
 //       run one rank of a socket-backed cluster (what dist-bench's launcher
 //       forks; also usable standalone for hand-launched clusters)
 //
-// Exit code 0 on success, 1 on usage/runtime errors.
+// Exit code 0 on success, 1 on usage/runtime errors, 2 on a flag value
+// that is not a number or not one of the listed choices.
 
 #include <algorithm>
 #include <atomic>
@@ -35,14 +36,25 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "xfraud/common/parse_number.h"
 #include "xfraud/xfraud.h"
 
 namespace xfraud::cli {
 namespace {
+
+/// A flag value the command can not use. Main prints it with the usage
+/// text and exits 2.
+class FlagError : public std::invalid_argument {
+ public:
+  FlagError(const std::string& key, const std::string& value)
+      : std::invalid_argument("invalid --" + key + " value '" + value +
+                              "'") {}
+};
 
 struct Flags {
   std::map<std::string, std::string> values;
@@ -54,12 +66,21 @@ struct Flags {
     return it == values.end() ? fallback : it->second;
   }
   int GetInt(const std::string& key, int fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::stoi(it->second);
+    return GetNumber(key, fallback);
   }
   double GetDouble(const std::string& key, double fallback) const {
+    return GetNumber(key, fallback);
+  }
+
+ private:
+  /// The whole value must parse as a T; anything else throws FlagError.
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback) const {
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::stod(it->second);
+    if (it == values.end()) return fallback;
+    Result<T> parsed = ParseNumber<T>(it->second);
+    if (!parsed.ok()) throw FlagError(key, it->second);
+    return parsed.value();
   }
 };
 
@@ -252,6 +273,9 @@ int CmdGenerate(const Flags& flags) {
     return 1;
   }
   std::string scale = flags.Get("scale", "small");
+  if (scale != "small" && scale != "large" && scale != "xlarge") {
+    throw FlagError("scale", scale);
+  }
   data::GeneratorConfig config =
       scale == "xlarge" ? data::TransactionGenerator::SimXLarge()
       : scale == "large" ? data::TransactionGenerator::SimLarge()
@@ -375,6 +399,7 @@ Result<std::unique_ptr<core::XFraudDetector>> LoadDetector(
 }
 
 int CmdScore(const Flags& flags) {
+  int top = flags.GetInt("top", 10);
   auto ds = LoadDataset(flags);
   if (!ds.ok()) {
     std::cerr << "score: " << ds.status().ToString() << "\n";
@@ -401,7 +426,6 @@ int CmdScore(const Flags& flags) {
             << TablePrinter::Num(eval.secs_per_batch_mean, 4)
             << " s/batch)\n";
 
-  int top = flags.GetInt("top", 10);
   std::vector<size_t> order(eval.scores.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -1030,14 +1054,20 @@ int Main(int argc, char** argv) {
     return Usage();
   }
   if (flags.value().Has("trace")) obs::SetTraceLogging(true);
-  if (command == "generate") return CmdGenerate(flags.value());
-  if (command == "train") return CmdTrain(flags.value());
-  if (command == "score") return CmdScore(flags.value());
-  if (command == "explain") return CmdExplain(flags.value());
-  if (command == "serve-bench") return CmdServeBench(flags.value());
-  if (command == "serve-worker") return CmdServeWorker(flags.value());
-  if (command == "dist-bench") return CmdDistBench(flags.value());
-  if (command == "dist-worker") return CmdDistWorker(flags.value());
+  try {
+    if (command == "generate") return CmdGenerate(flags.value());
+    if (command == "train") return CmdTrain(flags.value());
+    if (command == "score") return CmdScore(flags.value());
+    if (command == "explain") return CmdExplain(flags.value());
+    if (command == "serve-bench") return CmdServeBench(flags.value());
+    if (command == "serve-worker") return CmdServeWorker(flags.value());
+    if (command == "dist-bench") return CmdDistBench(flags.value());
+    if (command == "dist-worker") return CmdDistWorker(flags.value());
+  } catch (const FlagError& e) {
+    std::cerr << e.what() << "\n";
+    Usage();
+    return 2;
+  }
   return Usage();
 }
 
