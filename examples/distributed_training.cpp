@@ -53,11 +53,9 @@ int main() {
     for (int w = 1; w < kappa; ++w) {
       auto pw = replicas[w]->Parameters();
       for (size_t i = 0; i < p0.size(); ++i) {
-        for (int64_t j = 0; j < p0[i].var.value().size(); ++j) {
-          if (p0[i].var.value().vec()[j] != pw[i].var.value().vec()[j]) {
-            std::cout << "replica divergence detected!\n";
-            return 1;
-          }
+        if (!p0[i].var.value().BitwiseEqual(pw[i].var.value())) {
+          std::cout << "replica divergence detected!\n";
+          return 1;
         }
       }
     }

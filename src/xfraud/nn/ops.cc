@@ -349,12 +349,13 @@ Var Dropout(const Var& a, float p, bool training, xfraud::Rng* rng) {
   XF_CHECK_LT(p, 1.0f);
   XF_CHECK(rng != nullptr);
   float keep = 1.0f - p;
-  auto mask = std::make_shared<std::vector<float>>(a.value().size());
+  auto mask = std::make_shared<Tensor>(a.value().rows(), a.value().cols());
   Tensor out = a.value();
+  float* mp = mask->data();
   float* ov = out.data();
   for (int64_t i = 0; i < out.size(); ++i) {
     float m = rng->NextBernoulli(p) ? 0.0f : 1.0f / keep;
-    (*mask)[i] = m;
+    mp[i] = m;
     ov[i] *= m;
   }
   auto a_impl = a.impl();
@@ -362,8 +363,9 @@ Var Dropout(const Var& a, float p, bool training, xfraud::Rng* rng) {
     if (!a_impl->requires_grad) return;
     float* ga = a_impl->EnsureGrad().data();
     const float* g = self->grad.data();
+    const float* mv = mask->data();
     for (int64_t i = 0; i < self->grad.size(); ++i) {
-      ga[i] += g[i] * (*mask)[i];
+      ga[i] += g[i] * mv[i];
     }
   });
 }
@@ -704,17 +706,18 @@ Var AttentionAggregate(const Var& scores, const Var& values,
   // [E,H] — the exact RNG consumption order of the unfused Dropout op, so
   // fused and composed training trajectories are bit-identical.
   bool dropped = training && dropout_p > 0.0f;
-  auto mask = std::make_shared<std::vector<float>>();
+  auto mask = std::make_shared<Tensor>();
   Tensor w = *att;
   if (dropped) {
     XF_CHECK_LT(dropout_p, 1.0f);
     XF_CHECK(rng != nullptr);
     float keep = 1.0f - dropout_p;
-    mask->resize(static_cast<size_t>(att->size()));
+    *mask = Tensor(att->rows(), att->cols());
+    float* mv = mask->data();
     float* wp = w.data();
     for (int64_t i = 0; i < att->size(); ++i) {
       float m = rng->NextBernoulli(dropout_p) ? 0.0f : 1.0f / keep;
-      (*mask)[static_cast<size_t>(i)] = m;
+      mv[i] = m;
       wp[i] *= m;
     }
   }
@@ -732,9 +735,8 @@ Var AttentionAggregate(const Var& scores, const Var& values,
         Tensor w_back = *att;
         if (!mask->empty()) {
           float* wp = w_back.data();
-          for (int64_t i = 0; i < w_back.size(); ++i) {
-            wp[i] *= (*mask)[static_cast<size_t>(i)];
-          }
+          const float* mv = mask->data();
+          for (int64_t i = 0; i < w_back.size(); ++i) wp[i] *= mv[i];
         }
         if (v_impl->requires_grad) {
           kernels::WeightedGatherAdd(gout, *dst_copy, w_back, head_dim,
@@ -746,9 +748,8 @@ Var AttentionAggregate(const Var& scores, const Var& values,
                                &datt);
           if (!mask->empty()) {
             float* dp = datt.data();
-            for (int64_t i = 0; i < datt.size(); ++i) {
-              dp[i] *= (*mask)[static_cast<size_t>(i)];
-            }
+            const float* mv = mask->data();
+            for (int64_t i = 0; i < datt.size(); ++i) dp[i] *= mv[i];
           }
           kernels::SegmentSoftmaxBackwardGrouped(*att, datt, *groups,
                                                  &s_impl->EnsureGrad());

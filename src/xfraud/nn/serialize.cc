@@ -29,7 +29,7 @@ bool DecodeTensor(ByteReader* in, Tensor* t) {
   }
   std::vector<float> data;
   if (!in->Array(static_cast<uint64_t>(rows * cols), &data)) return false;
-  *t = Tensor(rows, cols, std::move(data));
+  *t = Tensor(rows, cols, data);
   return true;
 }
 

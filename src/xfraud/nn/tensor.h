@@ -2,6 +2,7 @@
 #define XFRAUD_NN_TENSOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,15 +17,30 @@ namespace xfraud::nn {
 /// [N, D], per-edge message blocks [E, D], attention score blocks [E, H],
 /// scalars as [1, 1]. Restricting to two dimensions keeps the engine small
 /// and auditable while covering the full xFraud model (paper eqs. 2-11).
+///
+/// Storage is one owned block of at least rows*cols floats. Blocks of 4 KB
+/// and up come from, and go back to, a bounded cache of the thread that
+/// frees them, so a training step reuses the previous step's tape blocks
+/// instead of faulting fresh pages in (DESIGN.md §13.4).
 class Tensor {
  public:
   Tensor() = default;
 
-  /// Creates a rows x cols tensor filled with `fill`.
+  /// Creates a rows x cols tensor filled with `fill`. Negative dimensions,
+  /// and shapes whose byte size does not fit in int64_t, throw CheckError
+  /// before anything is allocated.
   Tensor(int64_t rows, int64_t cols, float fill = 0.0f);
 
-  /// Creates a tensor wrapping the given data (size must be rows*cols).
-  Tensor(int64_t rows, int64_t cols, std::vector<float> data);
+  /// Creates a tensor holding a copy of `data` (size must be rows*cols).
+  Tensor(int64_t rows, int64_t cols, const std::vector<float>& data);
+
+  Tensor(const Tensor& other);
+  Tensor(Tensor&& other) noexcept;
+  Tensor& operator=(const Tensor& other);
+  Tensor& operator=(Tensor&& other) noexcept;
+  ~Tensor() {
+    if (data_ != nullptr) Release();
+  }
 
   /// All-zeros tensor with the same shape as `like`.
   static Tensor ZerosLike(const Tensor& like);
@@ -55,17 +71,16 @@ class Tensor {
 
   float* Row(int64_t r) {
     XF_DCHECK_BOUNDS(r, rows_);
-    return data_.data() + r * cols_;
+    return data_.get() + r * cols_;
   }
   const float* Row(int64_t r) const {
     XF_DCHECK_BOUNDS(r, rows_);
-    return data_.data() + r * cols_;
+    return data_.get() + r * cols_;
   }
 
-  float* data() { return data_.data(); }
-  const float* data() const { return data_.data(); }
-  const std::vector<float>& vec() const { return data_; }
-  std::vector<float>& vec() { return data_; }
+  /// The size() entries, row-major; null when the tensor is empty.
+  float* data() { return data_.get(); }
+  const float* data() const { return data_.get(); }
 
   /// Sets every entry to `value`.
   void Fill(float value);
@@ -98,10 +113,29 @@ class Tensor {
   std::string ShapeString() const;
 
  private:
+  /// Returns the block to this thread's cache (or the heap); leaves the
+  /// tensor without storage.
+  void Release();
+
   int64_t rows_ = 0;
   int64_t cols_ = 0;
-  std::vector<float> data_;
+  std::unique_ptr<float[]> data_;
+  uint64_t capacity_ = 0;  // floats in data_'s block, >= size()
 };
+
+/// The calling thread's tensor block cache. Counters are cumulative since
+/// the thread started; cached_bytes is what the cache holds right now.
+struct TensorCacheCounters {
+  int64_t hits = 0;       // requests served from the cache
+  int64_t misses = 0;     // cacheable requests that went to the heap
+  int64_t evictions = 0;  // cached or freed blocks handed back to the heap
+  int64_t cached_bytes = 0;
+};
+TensorCacheCounters TensorCacheStats();
+
+/// The most bytes one thread's cache holds; a block freed beyond it goes
+/// back to the heap.
+inline constexpr int64_t kTensorCacheMaxBytes = int64_t{64} << 20;
 
 }  // namespace xfraud::nn
 

@@ -9,6 +9,7 @@
 
 #include "xfraud/common/logging.h"
 #include "xfraud/common/timer.h"
+#include "xfraud/nn/tensor.h"
 #include "xfraud/obs/registry.h"
 #include "xfraud/obs/trace.h"
 #include "xfraud/train/checkpoint.h"
@@ -31,6 +32,10 @@ struct TrainerMetrics {
   obs::Counter* epochs;
   obs::Counter* steps;
   obs::Gauge* last_val_auc;
+  obs::Gauge* tensor_cache_hits;
+  obs::Gauge* tensor_cache_misses;
+  obs::Gauge* tensor_cache_evictions;
+  obs::Gauge* tensor_cache_cached_bytes;
 
   static const TrainerMetrics& Get() {
     static const TrainerMetrics m = [] {
@@ -44,7 +49,11 @@ struct TrainerMetrics {
                             r.histogram("trainer/epoch_compute_s"),
                             r.counter("trainer/epochs"),
                             r.counter("trainer/steps"),
-                            r.gauge("trainer/last_val_auc")};
+                            r.gauge("trainer/last_val_auc"),
+                            r.gauge("trainer/tensor_cache_hits"),
+                            r.gauge("trainer/tensor_cache_misses"),
+                            r.gauge("trainer/tensor_cache_evictions"),
+                            r.gauge("trainer/tensor_cache_cached_bytes")};
     }();
     return m;
   }
@@ -60,6 +69,16 @@ struct BatchTiming {
   double mean = 0.0;
   double std_dev = 0.0;
 };
+
+/// The training thread's tensor block cache (nn/tensor.h), once per epoch.
+void RecordTensorCacheStats() {
+  const nn::TensorCacheCounters c = nn::TensorCacheStats();
+  const TrainerMetrics& m = TrainerMetrics::Get();
+  m.tensor_cache_hits->Set(static_cast<double>(c.hits));
+  m.tensor_cache_misses->Set(static_cast<double>(c.misses));
+  m.tensor_cache_evictions->Set(static_cast<double>(c.evictions));
+  m.tensor_cache_cached_bytes->Set(static_cast<double>(c.cached_bytes));
+}
 
 BatchTiming Summarize(const std::vector<double>& secs) {
   BatchTiming out;
@@ -263,6 +282,7 @@ TrainResult Trainer::Train(const data::SimDataset& ds) {
     TrainerMetrics::Get().epoch_sample_s->Record(
         loader.total_sample_seconds());
     TrainerMetrics::Get().epoch_compute_s->Record(compute_seconds);
+    RecordTensorCacheStats();
 
     EvalResult val = Evaluate(ds.graph, ds.val_nodes);
     TrainerMetrics::Get().last_val_auc->Set(val.auc);

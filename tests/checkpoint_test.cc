@@ -90,9 +90,9 @@ TEST(TrainerCheckpointTest, SaveLoadRoundTripsEveryField) {
   ASSERT_EQ(got.params.size(), ckpt.params.size());
   for (size_t i = 0; i < ckpt.params.size(); ++i) {
     EXPECT_EQ(got.params[i].first, ckpt.params[i].first);
-    EXPECT_EQ(got.params[i].second.vec(), ckpt.params[i].second.vec());
-    EXPECT_EQ(got.opt_m[i].vec(), ckpt.opt_m[i].vec());
-    EXPECT_EQ(got.opt_v[i].vec(), ckpt.opt_v[i].vec());
+    EXPECT_TRUE(got.params[i].second.BitwiseEqual(ckpt.params[i].second));
+    EXPECT_TRUE(got.opt_m[i].BitwiseEqual(ckpt.opt_m[i]));
+    EXPECT_TRUE(got.opt_v[i].BitwiseEqual(ckpt.opt_v[i]));
   }
   EXPECT_EQ(got.opt_step, ckpt.opt_step);
 }
@@ -295,8 +295,8 @@ TEST_F(ResumeTest, InterruptedThenResumedRunIsBitIdentical) {
   auto resumed_params = resumed_model.Parameters();
   ASSERT_EQ(ref_params.size(), resumed_params.size());
   for (size_t i = 0; i < ref_params.size(); ++i) {
-    ASSERT_EQ(ref_params[i].var.value().vec(),
-              resumed_params[i].var.value().vec())
+    ASSERT_TRUE(
+        ref_params[i].var.value().BitwiseEqual(resumed_params[i].var.value()))
         << "parameter " << ref_params[i].name;
   }
 }

@@ -199,7 +199,7 @@ TEST_F(PartitionTest, DistributedTrainingLearnsAndKeepsReplicasInSync) {
       const auto& b = pw[i].var.value();
       ASSERT_TRUE(a.SameShape(b));
       for (int64_t j = 0; j < a.size(); ++j) {
-        ASSERT_EQ(a.vec()[j], b.vec()[j])
+        ASSERT_EQ(a.data()[j], b.data()[j])
             << "replica " << w << " diverged at " << p0[i].name;
       }
     }

@@ -497,7 +497,10 @@ TEST_F(FaultToleranceTest, LoaderZeroImputesWhenEveryReadFails) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->degraded);
   EXPECT_EQ(loaded->degraded_rows, loaded->batch.num_nodes());
-  for (float v : loaded->batch.features.vec()) ASSERT_EQ(v, 0.0f);
+  const nn::Tensor& features = loaded->batch.features;
+  for (int64_t i = 0; i < features.size(); ++i) {
+    ASSERT_EQ(features.data()[i], 0.0f);
+  }
 }
 
 TEST_F(FaultToleranceTest, TrainerToleratesDegradedBatchesWithinBudget) {
@@ -587,7 +590,7 @@ TEST_F(FaultToleranceTest, TrainerMatchesFaultFreeRunUnderTransientKvFaults) {
 
 struct DdpRun {
   dist::DistributedResult result;
-  std::vector<std::vector<float>> params;  // replica 0, flattened per tensor
+  std::vector<nn::Tensor> params;  // replica 0
   bool replicas_in_sync = true;
 };
 
@@ -620,11 +623,11 @@ class DdpFaultTest : public FaultToleranceTest {
     DdpRun run;
     run.result = trainer.Train(*ds_);
     auto p0 = replicas[0]->Parameters();
-    for (const auto& p : p0) run.params.push_back(p.var.value().vec());
+    for (const auto& p : p0) run.params.push_back(p.var.value());
     for (int w = 1; w < options.num_workers; ++w) {
       auto pw = replicas[w]->Parameters();
       for (size_t i = 0; i < p0.size(); ++i) {
-        if (p0[i].var.value().vec() != pw[i].var.value().vec()) {
+        if (!p0[i].var.value().BitwiseEqual(pw[i].var.value())) {
           run.replicas_in_sync = false;
         }
       }
@@ -657,7 +660,11 @@ TEST_F(DdpFaultTest, RestartEpochRecoveryRidesOutWorkerKillAndKvFaults) {
 
   // Retries leave no batch degraded, so the run is the fault-free one.
   EXPECT_TRUE(chaos.replicas_in_sync);
-  EXPECT_EQ(chaos.params, baseline.params);
+  ASSERT_EQ(chaos.params.size(), baseline.params.size());
+  for (size_t i = 0; i < baseline.params.size(); ++i) {
+    EXPECT_TRUE(chaos.params[i].BitwiseEqual(baseline.params[i]))
+        << "tensor " << i;
+  }
 }
 
 TEST_F(DdpFaultTest, RestartEpochRecoveryReplaysTheEpochExactly) {
@@ -685,7 +692,8 @@ TEST_F(DdpFaultTest, RestartEpochRecoveryReplaysTheEpochExactly) {
   }
   ASSERT_EQ(restarted.params.size(), baseline.params.size());
   for (size_t i = 0; i < baseline.params.size(); ++i) {
-    ASSERT_EQ(restarted.params[i], baseline.params[i]) << "tensor " << i;
+    ASSERT_TRUE(restarted.params[i].BitwiseEqual(baseline.params[i]))
+        << "tensor " << i;
   }
 }
 

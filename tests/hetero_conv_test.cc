@@ -109,8 +109,9 @@ TEST(HeteroConvTest, EdgeOrderInvariance) {
   }
   nn::Var shuffled = layer.Forward(h, g.node_types, s_src, s_dst, s_et,
                                    ForwardOptions{});
+  ASSERT_TRUE(base.value().SameShape(shuffled.value()));
   for (int64_t i = 0; i < base.value().size(); ++i) {
-    EXPECT_NEAR(base.value().vec()[i], shuffled.value().vec()[i], 1e-5);
+    EXPECT_NEAR(base.value().data()[i], shuffled.value().data()[i], 1e-5);
   }
 }
 
@@ -171,8 +172,9 @@ TEST(HeteroConvTest, FirstLayerUsesEdgeTypeEmbedding) {
   nn::Var perturbed = layer.Forward(h, g.node_types, g.src, g.dst, g.etypes,
                                     ForwardOptions{});
   double delta = 0.0;
+  ASSERT_TRUE(base.value().SameShape(perturbed.value()));
   for (int64_t i = 0; i < base.value().size(); ++i) {
-    delta += std::fabs(base.value().vec()[i] - perturbed.value().vec()[i]);
+    delta += std::fabs(base.value().data()[i] - perturbed.value().data()[i]);
   }
   EXPECT_GT(delta, 1e-3);
 }

@@ -167,6 +167,41 @@ TEST(LintRawBytes, CodecIsExemptAndOtherCastsAreFine) {
                   .empty());
 }
 
+TEST(LintStoAto, FiresInSrcAndTools) {
+  const std::string code =
+      "int a = std::stoi(s);\n"
+      "unsigned long long b = std::stoull(s, nullptr, 16);\n"
+      "double c = std::stod (s);\n"
+      "int d = atoi(p);\n"
+      "long e = ::atol(p);\n"
+      "auto* f = &std::stof;\n";
+  for (const char* path : {kLibPath, "tools/xfraud_cli.cc",
+                           "src/other/module.cc"}) {
+    auto f = LintContent(path, code);
+    ASSERT_EQ(f.size(), 6u) << path;
+    for (size_t i = 0; i < f.size(); ++i) {
+      EXPECT_EQ(f[i].rule, "no-sto-ato");
+      EXPECT_EQ(f[i].line, static_cast<int>(i) + 1);
+    }
+  }
+}
+
+TEST(LintStoAto, SilentElsewhereAndOnLookalikes) {
+  const std::string call = "int a = std::stoi(s);\n";
+  EXPECT_TRUE(LintContent("tests/some_test.cc", call).empty());
+  EXPECT_TRUE(LintContent("bench/bench_x.cc", call).empty());
+  EXPECT_TRUE(LintContent("mytools/x.cc", call).empty());
+  auto f = LintContent(kLibPath,
+                       "// std::stoi in a comment\n"
+                       "const char* s = \"atoi(p)\";\n"
+                       "int stoichiometry = restore_atoi(2);\n"
+                       "Result<int> r = ParseNumber<int>(s);\n");
+  EXPECT_TRUE(f.empty()) << f[0].rule << " at line " << f[0].line;
+  EXPECT_TRUE(
+      LintContent(kLibPath, "// xfraud-lint: allow(no-sto-ato)\n" + call)
+          .empty());
+}
+
 TEST(LintNakedNew, FiresInLibraryCode) {
   auto f = LintContent(kLibPath, "int* p = new int(3);\n");
   ASSERT_EQ(f.size(), 1u);

@@ -159,8 +159,9 @@ TEST_F(ModelTest, EdgeMaskChangesOutput) {
   opts.edge_mask = &mask;
   nn::Var masked = model.Forward(batch, opts);
   double diff = 0.0;
+  ASSERT_TRUE(base.value().SameShape(masked.value()));
   for (int64_t i = 0; i < base.value().size(); ++i) {
-    diff += std::fabs(base.value().vec()[i] - masked.value().vec()[i]);
+    diff += std::fabs(base.value().data()[i] - masked.value().data()[i]);
   }
   EXPECT_GT(diff, 1e-4);
 }
@@ -174,8 +175,9 @@ TEST_F(ModelTest, AllOnesEdgeMaskIsIdentity) {
   ForwardOptions opts;
   opts.edge_mask = &mask;
   nn::Var masked = model.Forward(batch, opts);
+  ASSERT_TRUE(base.value().SameShape(masked.value()));
   for (int64_t i = 0; i < base.value().size(); ++i) {
-    EXPECT_NEAR(base.value().vec()[i], masked.value().vec()[i], 1e-5);
+    EXPECT_NEAR(base.value().data()[i], masked.value().data()[i], 1e-5);
   }
 }
 
@@ -199,8 +201,9 @@ TEST_F(ModelTest, DeterministicConstructionAndForward) {
   XFraudDetector m2(SmallDetectorConfig(ds_->graph.feature_dim()), &r2);
   nn::Var a = m1.Forward(batch, ForwardOptions{});
   nn::Var b = m2.Forward(batch, ForwardOptions{});
+  ASSERT_TRUE(a.value().SameShape(b.value()));
   for (int64_t i = 0; i < a.value().size(); ++i) {
-    EXPECT_EQ(a.value().vec()[i], b.value().vec()[i]);
+    EXPECT_EQ(a.value().data()[i], b.value().data()[i]);
   }
 }
 
@@ -215,8 +218,9 @@ TEST_F(ModelTest, CheckpointRoundTrip) {
   ASSERT_TRUE(nn::LoadParameters(path, &params2).ok());
   nn::Var a = m1.Forward(batch, ForwardOptions{});
   nn::Var b = m2.Forward(batch, ForwardOptions{});
+  ASSERT_TRUE(a.value().SameShape(b.value()));
   for (int64_t i = 0; i < a.value().size(); ++i) {
-    EXPECT_EQ(a.value().vec()[i], b.value().vec()[i]);
+    EXPECT_EQ(a.value().data()[i], b.value().data()[i]);
   }
 }
 

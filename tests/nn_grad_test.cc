@@ -30,15 +30,16 @@ void CheckGradients(std::vector<Var>& inputs,
     Var& in = inputs[vi];
     if (!in.requires_grad()) continue;
     Tensor analytic = in.grad();
+    ASSERT_TRUE(in.mutable_value().SameShape(analytic));
     for (int64_t i = 0; i < in.value().size(); ++i) {
-      float orig = in.mutable_value().vec()[i];
-      in.mutable_value().vec()[i] = orig + eps;
+      float orig = in.mutable_value().data()[i];
+      in.mutable_value().data()[i] = orig + eps;
       float up = fn(inputs).item();
-      in.mutable_value().vec()[i] = orig - eps;
+      in.mutable_value().data()[i] = orig - eps;
       float down = fn(inputs).item();
-      in.mutable_value().vec()[i] = orig;
+      in.mutable_value().data()[i] = orig;
       float numeric = (up - down) / (2.0f * eps);
-      float got = analytic.vec()[i];
+      float got = analytic.data()[i];
       float scale = std::max({1.0f, std::fabs(numeric), std::fabs(got)});
       EXPECT_NEAR(got, numeric, tol * scale)
           << "input " << vi << " element " << i;
@@ -90,7 +91,9 @@ TEST(GradCheck, ReluAwayFromKink) {
   Rng rng(5);
   // Shift values away from 0 so finite differences are valid.
   Tensor t = RandomTensor(3, 4, &rng);
-  for (auto& x : t.vec()) x += (x >= 0 ? 0.5f : -0.5f);
+  for (int64_t i = 0; i < t.size(); ++i) {
+    t.data()[i] += (t.data()[i] >= 0 ? 0.5f : -0.5f);
+  }
   std::vector<Var> in = {Var(std::move(t), true)};
   CheckGradients(in, [](std::vector<Var>& v) { return Sum(Relu(v[0])); });
 }
@@ -98,7 +101,9 @@ TEST(GradCheck, ReluAwayFromKink) {
 TEST(GradCheck, LeakyRelu) {
   Rng rng(6);
   Tensor t = RandomTensor(3, 4, &rng);
-  for (auto& x : t.vec()) x += (x >= 0 ? 0.5f : -0.5f);
+  for (int64_t i = 0; i < t.size(); ++i) {
+    t.data()[i] += (t.data()[i] >= 0 ? 0.5f : -0.5f);
+  }
   std::vector<Var> in = {Var(std::move(t), true)};
   CheckGradients(in, [](std::vector<Var>& v) {
     return Sum(LeakyRelu(v[0], 0.2f));
@@ -194,7 +199,9 @@ TEST(GradCheck, LinearBiasActWithBiasAndRelu) {
   // Bias pushed away from zero so no pre-activation sits on the ReLU kink
   // (finite differences are invalid there).
   Tensor bias = RandomTensor(1, 2, &rng);
-  for (auto& x : bias.vec()) x += (x >= 0 ? 2.0f : -2.0f);
+  for (int64_t i = 0; i < bias.size(); ++i) {
+    bias.data()[i] += (bias.data()[i] >= 0 ? 2.0f : -2.0f);
+  }
   std::vector<Var> in = {Var(RandomTensor(4, 3, &rng, 0.3f), true),
                          Var(RandomTensor(3, 2, &rng, 0.3f), true),
                          Var(std::move(bias), true)};
@@ -299,8 +306,9 @@ TEST(OpsTest, DropoutInferenceIsIdentity) {
   Rng rng(19);
   Var x(RandomTensor(3, 3, &rng), true);
   Var y = Dropout(x, 0.5f, /*training=*/false, &rng);
+  ASSERT_TRUE(y.value().SameShape(x.value()));
   for (int64_t i = 0; i < x.value().size(); ++i) {
-    EXPECT_EQ(y.value().vec()[i], x.value().vec()[i]);
+    EXPECT_EQ(y.value().data()[i], x.value().data()[i]);
   }
 }
 
@@ -311,7 +319,7 @@ TEST(OpsTest, DropoutTrainingScalesSurvivors) {
   Var y = Dropout(x, 0.25f, /*training=*/true, &rng);
   int zeros = 0;
   for (int64_t i = 0; i < y.value().size(); ++i) {
-    float v = y.value().vec()[i];
+    float v = y.value().data()[i];
     if (v == 0.0f) {
       ++zeros;
     } else {
@@ -328,9 +336,10 @@ TEST(OpsTest, DropoutGradientMatchesMask) {
   Var loss = Sum(y);
   loss.Backward();
   // Gradient equals the dropout mask (0 or 1/keep).
+  ASSERT_TRUE(x.grad().SameShape(y.value()));
   for (int64_t i = 0; i < x.value().size(); ++i) {
-    float g = x.grad().vec()[i];
-    float v = y.value().vec()[i];
+    float g = x.grad().data()[i];
+    float v = y.value().data()[i];
     EXPECT_FLOAT_EQ(g, v);  // since input was all ones.
   }
 }
@@ -431,7 +440,7 @@ TEST(OpsTest, GradAccumulatesAcrossUses) {
   Var x(Tensor(2, 2, 1.0f), true);
   Var loss = Add(Sum(x), Sum(x));
   loss.Backward();
-  for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(x.grad().vec()[i], 2.0f);
+  for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(x.grad().data()[i], 2.0f);
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ TEST(EmbeddingTest, ZeroInitOptionStartsAtZero) {
   Embedding emb(3, 4, &rng, /*zero_init=*/true);
   Var rows = emb.Forward({0, 1, 2});
   for (int64_t i = 0; i < rows.value().size(); ++i) {
-    EXPECT_EQ(rows.value().vec()[i], 0.0f);
+    EXPECT_EQ(rows.value().data()[i], 0.0f);
   }
 }
 
@@ -94,8 +94,9 @@ TEST(MlpTest, OutputShapeAndDeterminismInEval) {
   Var b = mlp.Forward(x, /*training=*/false, nullptr);
   EXPECT_EQ(a.rows(), 3);
   EXPECT_EQ(a.cols(), 2);
+  ASSERT_TRUE(a.value().SameShape(b.value()));
   for (int64_t i = 0; i < a.value().size(); ++i) {
-    EXPECT_EQ(a.value().vec()[i], b.value().vec()[i]);
+    EXPECT_EQ(a.value().data()[i], b.value().data()[i]);
   }
 }
 
@@ -137,8 +138,8 @@ TEST(AdamWTest, WeightDecayShrinksWeights) {
   w.grad().Fill(0.0f);
   for (int i = 0; i < 10; ++i) opt.Step();
   for (int64_t i = 0; i < 4; ++i) {
-    EXPECT_LT(w.value().vec()[i], 1.0f);
-    EXPECT_GT(w.value().vec()[i], 0.0f);
+    EXPECT_LT(w.value().data()[i], 1.0f);
+    EXPECT_GT(w.value().data()[i], 0.0f);
   }
 }
 
@@ -150,7 +151,7 @@ TEST(AdamWTest, ClipGradNormScalesDown) {
   EXPECT_NEAR(before, 6.0, 1e-5);
   double norm_after = 0.0;
   for (int64_t i = 0; i < 4; ++i) {
-    norm_after += w.grad().vec()[i] * w.grad().vec()[i];
+    norm_after += w.grad().data()[i] * w.grad().data()[i];
   }
   EXPECT_NEAR(std::sqrt(norm_after), 1.0, 1e-5);
 }
@@ -161,7 +162,7 @@ TEST(AdamWTest, ClipLeavesSmallGradientsAlone) {
   w.grad().Fill(0.01f);
   opt.ClipGradNorm(1.0);
   for (int64_t i = 0; i < 4; ++i) {
-    EXPECT_FLOAT_EQ(w.grad().vec()[i], 0.01f);
+    EXPECT_FLOAT_EQ(w.grad().data()[i], 0.01f);
   }
 }
 
@@ -228,8 +229,9 @@ TEST(SerializeTest, CopyParametersMatchesValues) {
   auto pb = b.Parameters();
   ASSERT_TRUE(CopyParameters(pa, &pb).ok());
   for (size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_TRUE(pa[i].var.value().SameShape(pb[i].var.value()));
     for (int64_t j = 0; j < pa[i].var.value().size(); ++j) {
-      EXPECT_EQ(pa[i].var.value().vec()[j], pb[i].var.value().vec()[j]);
+      EXPECT_EQ(pa[i].var.value().data()[j], pb[i].var.value().data()[j]);
     }
   }
 }

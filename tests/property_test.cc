@@ -172,8 +172,9 @@ TEST_P(ModelContractTest, UnitEdgeMaskIsIdentity) {
   core::ForwardOptions opts;
   opts.edge_mask = &mask;
   nn::Var masked = model->Forward(batch, opts);
+  ASSERT_TRUE(base.value().SameShape(masked.value()));
   for (int64_t i = 0; i < base.value().size(); ++i) {
-    EXPECT_NEAR(base.value().vec()[i], masked.value().vec()[i], 1e-5);
+    EXPECT_NEAR(base.value().data()[i], masked.value().data()[i], 1e-5);
   }
 }
 
@@ -192,8 +193,9 @@ TEST_P(ModelContractTest, ZeroEdgeMaskDisconnectsGraph) {
   edgeless.edge_dst.clear();
   edgeless.edge_types.clear();
   nn::Var isolated = model->Forward(edgeless, core::ForwardOptions{});
+  ASSERT_TRUE(masked.value().SameShape(isolated.value()));
   for (int64_t i = 0; i < masked.value().size(); ++i) {
-    EXPECT_NEAR(masked.value().vec()[i], isolated.value().vec()[i], 1e-4);
+    EXPECT_NEAR(masked.value().data()[i], isolated.value().data()[i], 1e-4);
   }
 }
 
@@ -203,8 +205,9 @@ TEST_P(ModelContractTest, SameSeedSameOutputs) {
   auto m2 = Make(7);
   nn::Var a = m1->Forward(batch, core::ForwardOptions{});
   nn::Var b = m2->Forward(batch, core::ForwardOptions{});
+  ASSERT_TRUE(a.value().SameShape(b.value()));
   for (int64_t i = 0; i < a.value().size(); ++i) {
-    EXPECT_EQ(a.value().vec()[i], b.value().vec()[i]);
+    EXPECT_EQ(a.value().data()[i], b.value().data()[i]);
   }
 }
 

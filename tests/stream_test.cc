@@ -83,7 +83,7 @@ void ExpectSameBatch(const graph::MiniBatch& a, const graph::MiniBatch& b) {
   EXPECT_EQ(a.edge_types, b.edge_types);
   EXPECT_EQ(a.target_locals, b.target_locals);
   EXPECT_EQ(a.target_labels, b.target_labels);
-  EXPECT_EQ(a.features.vec(), b.features.vec());
+  EXPECT_TRUE(a.features.BitwiseEqual(b.features));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "xfraud/core/detector.h"
 #include "xfraud/data/generator.h"
+#include "xfraud/nn/tensor.h"
+#include "xfraud/obs/registry.h"
 #include "xfraud/train/trainer.h"
 
 namespace xfraud::train {
@@ -68,6 +72,34 @@ TEST_F(TrainerTest, HistoryRecordsEveryEpoch) {
   }
   EXPECT_GT(result.mean_epoch_seconds, 0.0);
   EXPECT_GE(result.best_epoch, 0);
+}
+
+TEST_F(TrainerTest, RecordsTensorCacheGaugesEachEpoch) {
+  // On a fresh thread the cache counters start at zero. The gauges hold
+  // them as of the last epoch's final step; evaluation after it only adds.
+  nn::TensorCacheCounters at_end;
+  std::thread([&] {
+    auto model = MakeModel(4);
+    sample::SageSampler sampler(2, 8);
+    TrainOptions opts;
+    opts.max_epochs = 2;
+    opts.patience = 2;
+    Trainer trainer(&model, &sampler, opts);
+    ASSERT_TRUE(trainer.Train(*ds_).error.ok());
+    at_end = nn::TensorCacheStats();
+  }).join();
+  obs::Registry& r = obs::Registry::Global();
+  const double hits = r.gauge("trainer/tensor_cache_hits")->value();
+  const double misses = r.gauge("trainer/tensor_cache_misses")->value();
+  const double evictions = r.gauge("trainer/tensor_cache_evictions")->value();
+  const double cached = r.gauge("trainer/tensor_cache_cached_bytes")->value();
+  EXPECT_GT(hits, 0.0);
+  EXPECT_LE(hits, static_cast<double>(at_end.hits));
+  EXPECT_GT(misses, 0.0);
+  EXPECT_LE(misses, static_cast<double>(at_end.misses));
+  EXPECT_LE(evictions, static_cast<double>(at_end.evictions));
+  EXPECT_GE(cached, 0.0);
+  EXPECT_LE(cached, static_cast<double>(nn::kTensorCacheMaxBytes));
 }
 
 TEST_F(TrainerTest, EarlyStoppingHaltsOnPlateau) {

@@ -266,7 +266,14 @@ struct FileScope {
   bool clock_exempt = false;  // common/ wraps the raw clock for everyone
   bool socket_exempt = false;  // dist/ is the sanctioned transport layer
   bool bytes_exempt = false;   // common/bytes.* is the one byte codec
+  bool parses_input = false;   // under src/ or tools/ — no std::sto*/ato*
 };
+
+/// True when `dir` is a whole path component of `p`.
+bool HasDir(const std::string& p, const std::string& dir) {
+  return p.rfind(dir + "/", 0) == 0 ||
+         p.find("/" + dir + "/") != std::string::npos;
+}
 
 FileScope ClassifyPath(const std::string& path) {
   std::string p = path;
@@ -291,6 +298,7 @@ FileScope ClassifyPath(const std::string& path) {
   // src/xfraud/dist (sockets, rendezvous, ring framing) may issue them.
   scope.socket_exempt = p.find("src/xfraud/dist") != std::string::npos;
   scope.bytes_exempt = p.find("common/bytes.") != std::string::npos;
+  scope.parses_input = HasDir(p, "src") || HasDir(p, "tools");
   return scope;
 }
 
@@ -309,6 +317,7 @@ class Linter {
     CheckRawClock();
     CheckRawSocket();
     CheckRawBytes();
+    CheckStoAto();
     CheckNakedNew();
     CheckRawIo();
     CheckDirectWrite();
@@ -441,6 +450,28 @@ class Linter {
                "no-raw-bytes",
                "reinterpret_cast to a char pointer hand-encodes bytes; use "
                "common/bytes.h (ByteWriter/ByteReader)");
+      }
+    }
+  }
+
+  /// std::stoi and friends throw std::invalid_argument on junk and accept
+  /// a valid prefix ("12abc" is 12); atoi and friends return 0 on junk.
+  /// Flags, logs and plans are parsed with common/parse_number.h, which
+  /// takes the whole string or returns a Status.
+  void CheckStoAto() {
+    if (!scope_.parses_input) return;
+    for (size_t i = 0; i < code_lines_.size(); ++i) {
+      const std::string& line = code_lines_[i];
+      for (const char* fn : {"stoi", "stol", "stoll", "stoul", "stoull",
+                             "stof", "stod", "stold", "atoi", "atol", "atoll",
+                             "atof"}) {
+        if (HasWord(line, fn, /*requires_call=*/false)) {
+          Report(i, "no-sto-ato",
+                 std::string(fn) +
+                     " throws or takes a prefix of its input; parse with "
+                     "common/parse_number.h (ParseNumber<T>)");
+          break;
+        }
       }
     }
   }
@@ -628,7 +659,7 @@ const std::vector<std::string>& RuleIds() {
       "nondeterminism", "no-raw-clock",       "no-raw-socket",
       "no-raw-bytes",   "no-naked-new",       "no-raw-io",
       "no-direct-write", "header-guard",      "no-using-namespace",
-      "no-catch-all",   "todo-issue",
+      "no-catch-all",   "todo-issue",         "no-sto-ato",
   };
   return kRules;
 }

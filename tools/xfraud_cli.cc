@@ -26,8 +26,9 @@
 //       run one rank of a socket-backed cluster (what dist-bench's launcher
 //       forks; also usable standalone for hand-launched clusters)
 //
-// Exit code 0 on success, 1 on usage/runtime errors, 2 on a flag value
-// that is not a number or not one of the listed choices.
+// Exit code 0 on success, 1 on usage/runtime errors, 2 on a flag the
+// command does not read, or a flag value that is not a number or not one
+// of the listed choices.
 
 #include <algorithm>
 #include <atomic>
@@ -36,6 +37,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -88,32 +90,46 @@ int Usage() {
   std::cerr <<
       "usage: xfraud_cli <command> [flags]\n"
       "  generate --out <log.tsv> [--scale small|large|xlarge] [--seed N]\n"
-      "  train    --log <log.tsv> --model <ckpt> [--epochs N] [--hidden N]\n"
+      "  train    --log <log.tsv> --model <ckpt> [--epochs N]\n"
+      "           [--seed N] [--hidden N] [--layers N]\n"
       "           [--sample-workers N] [--prefetch N]\n"
       "           [--checkpoint-dir D] [--resume] [--kv-serve]\n"
       "           [--kv-retries N] [--max-degraded-frac F]\n"
-      "           [--fault-plan SPEC]\n"
+      "           [--fault-plan SPEC] [--metrics-out F]\n"
       "  score    --log <log.tsv> --model <ckpt> [--top N]\n"
-      "           [--sample-workers N] [--prefetch N]\n"
+      "           [--seed N] [--hidden N] [--layers N]\n"
+      "           [--sample-workers N] [--prefetch N] [--metrics-out F]\n"
       "  explain  --log <log.tsv> --model <ckpt> --txn <txn_id>\n"
+      "           [--seed N] [--hidden N] [--layers N]\n"
       "  serve-bench --log <log.tsv> [--model <ckpt>] [--requests N]\n"
+      "           [--seed N] [--hidden N] [--layers N]\n"
       "           [--shards N] [--replicas N] [--hedge-delay-ms F]\n"
       "           [--deadline-ms F] [--max-inflight N]\n"
       "           [--shed-policy failfast|degrade] [--max-degraded-frac F]\n"
       "           [--fault-plan SPEC] [--threads N] [--virtual-clock]\n"
-      "           [--transport inproc|socket] [--dir D]\n"
+      "           [--transport inproc|socket] [--dir D] [--metrics-out F]\n"
       "  serve-worker --cell <cell.log> --endpoint unix:<path>|tcp:host:port\n"
       "           [--shard S] [--replica R] [--hidden N] [--layers N]\n"
       "           [--seed N] [--generation G] [--suppress-kill]\n"
-      "           [--deadline-ms F] [--idle-timeout SEC] [--fault-plan SPEC]\n"
-      "  dist-bench --log <log.tsv> [--transport inproc|socket]\n"
-      "           [--workers N] [--epochs N] [--batch N] [--clusters N]\n"
+      "           [--deadline-ms F] [--max-inflight N] [--idle-timeout SEC]\n"
       "           [--fault-plan SPEC]\n"
+      "  dist-bench --log <log.tsv> [--transport inproc|socket]\n"
+      "           [--seed N] [--hidden N] [--layers N]\n"
+      "           [--workers N] [--epochs N] [--patience N] [--batch N]\n"
+      "           [--clusters N] [--sample-workers N] [--prefetch N]\n"
+      "           [--fault-plan SPEC] [--rendezvous EP] [--suppress-kill]\n"
       "           [--checkpoint-dir D] [--op-timeout SEC] [--timeout SEC]\n"
+      "           [--metrics-out F]\n"
       "  dist-worker --log <log.tsv> --rank R --workers W\n"
       "           --rendezvous unix:<path>|tcp:host:port --checkpoint-dir D\n"
-      "           [--epochs N] [--batch N] [--clusters N]\n"
+      "           [--seed N] [--hidden N] [--layers N]\n"
+      "           [--epochs N] [--patience N] [--batch N] [--clusters N]\n"
+      "           [--sample-workers N] [--prefetch N]\n"
       "           [--fault-plan SPEC] [--suppress-kill] [--op-timeout SEC]\n"
+      "           [--metrics-out F]\n"
+      "\n"
+      "Every command also takes --trace. Any other flag is an error: the\n"
+      "command prints 'unknown flag --<name>' and exits 2.\n"
       "\n"
       "--sample-workers enables the pipelined batch loader: N sampler\n"
       "threads prefetch mini-batches ahead of the model (0 = inline\n"
@@ -1044,31 +1060,85 @@ int CmdDistBench(const Flags& flags) {
   return WriteMetricsSnapshot(flags);
 }
 
+/// A subcommand and every flag it reads, through its helpers included.
+/// Main rejects any other flag before the command runs. --trace is read by
+/// Main itself, for every command.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::set<std::string> flags;
+};
+
+const Command* FindCommand(const std::string& name) {
+  static const std::vector<Command> kCommands = {
+      {"generate", CmdGenerate, {"out", "scale", "seed"}},
+      {"train",
+       CmdTrain,
+       {"log", "seed", "model", "hidden", "layers", "epochs",
+        "sample-workers", "prefetch", "checkpoint-dir", "resume",
+        "max-degraded-frac", "fault-plan", "kv-serve", "kv-retries",
+        "metrics-out"}},
+      {"score",
+       CmdScore,
+       {"log", "seed", "model", "hidden", "layers", "top", "sample-workers",
+        "prefetch", "metrics-out"}},
+      {"explain", CmdExplain, {"log", "seed", "model", "hidden", "layers",
+                               "txn"}},
+      {"serve-bench",
+       CmdServeBench,
+       {"log", "seed", "model", "hidden", "layers", "transport",
+        "virtual-clock", "shards", "replicas", "hedge-delay-ms",
+        "fault-plan", "shed-policy", "deadline-ms", "max-inflight",
+        "max-degraded-frac", "requests", "threads", "dir", "metrics-out"}},
+      {"serve-worker",
+       CmdServeWorker,
+       {"cell", "endpoint", "shard", "replica", "hidden", "layers", "seed",
+        "deadline-ms", "max-inflight", "generation", "suppress-kill",
+        "idle-timeout", "fault-plan"}},
+      {"dist-bench",
+       CmdDistBench,
+       {"log", "seed", "hidden", "layers", "transport", "workers",
+        "rendezvous", "clusters", "epochs", "patience", "batch",
+        "sample-workers", "prefetch", "checkpoint-dir", "suppress-kill",
+        "op-timeout", "timeout", "fault-plan", "metrics-out"}},
+      {"dist-worker",
+       CmdDistWorker,
+       {"log", "seed", "hidden", "layers", "rank", "workers", "rendezvous",
+        "clusters", "epochs", "patience", "batch", "sample-workers",
+        "prefetch", "checkpoint-dir", "suppress-kill", "op-timeout",
+        "fault-plan", "metrics-out"}},
+  };
+  for (const Command& command : kCommands) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
 int Main(int argc, char** argv) {
   SetMinLogLevel(LogLevel::kWarning);
   if (argc < 2) return Usage();
-  std::string command = argv[1];
+  const Command* command = FindCommand(argv[1]);
+  if (command == nullptr) return Usage();
   auto flags = ParseFlags(argc, argv, 2);
   if (!flags.ok()) {
     std::cerr << flags.status().ToString() << "\n";
     return Usage();
   }
+  for (const auto& [key, value] : flags.value().values) {
+    if (key != "trace" && command->flags.count(key) == 0) {
+      std::cerr << "unknown flag --" << key << "\n";
+      Usage();
+      return 2;
+    }
+  }
   if (flags.value().Has("trace")) obs::SetTraceLogging(true);
   try {
-    if (command == "generate") return CmdGenerate(flags.value());
-    if (command == "train") return CmdTrain(flags.value());
-    if (command == "score") return CmdScore(flags.value());
-    if (command == "explain") return CmdExplain(flags.value());
-    if (command == "serve-bench") return CmdServeBench(flags.value());
-    if (command == "serve-worker") return CmdServeWorker(flags.value());
-    if (command == "dist-bench") return CmdDistBench(flags.value());
-    if (command == "dist-worker") return CmdDistWorker(flags.value());
+    return command->run(flags.value());
   } catch (const FlagError& e) {
     std::cerr << e.what() << "\n";
     Usage();
     return 2;
   }
-  return Usage();
 }
 
 }  // namespace
