@@ -50,7 +50,7 @@ struct TailRow {
 TailRow RunTailConfig(const data::SimDataset& ds, const std::string& label,
                       double hedge_delay_s, int num_requests) {
   VirtualClock clock;
-  serve::TopologyOptions topo;
+  stream::StreamingOptions topo;  // empty dir: cells in a removed temp dir
   topo.num_shards = 4;
   topo.num_replicas = 3;
   topo.clock = &clock;
@@ -59,10 +59,11 @@ TailRow RunTailConfig(const data::SimDataset& ds, const std::string& label,
   auto plan = fault::FaultPlan::Parse("seed=20260805,slow_replica=2@0.005");
   XF_CHECK(plan.ok()) << plan.status().ToString();
   topo.plan = plan.value();
-  serve::ServingTopology topology(topo);
-  XF_CHECK(topology.Ingest(ds.graph).ok());
+  auto topology = stream::StreamingTopology::Open(topo);
+  XF_CHECK(topology.ok()) << topology.status().ToString();
+  XF_CHECK(topology.value()->BulkLoad(ds.graph).ok());
 
-  kv::FeatureStore features(topology.serving());
+  kv::FeatureStore features(topology.value()->serving());
   Rng model_rng(kSeedA);
   core::XFraudDetector model(DetectorConfigFor(ds.graph), &model_rng);
   serve::ServiceOptions options;

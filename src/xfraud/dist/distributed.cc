@@ -47,7 +47,7 @@ DistributedResult DistributedTrainer::Train(const data::SimDataset& ds) {
   threads.reserve(static_cast<size_t>(kappa));
   for (int w = 0; w < kappa; ++w) {
     threads.emplace_back([&, w] {
-      DistWorkerOptions rank_options;
+      RankOptions rank_options;
       rank_options.rank = w;
       rank_options.world = kappa;
       rank_options.dist = options_;

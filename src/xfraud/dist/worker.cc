@@ -31,6 +31,9 @@ namespace xfraud::dist {
 
 namespace {
 
+// Comm-failure recovery rounds (rollback + regroup) before a rank gives up.
+constexpr int kMaxRecoveryRounds = 3;
+
 // ---- Worker checkpoint ("XFDC") -------------------------------------------
 //
 // A rank's epoch-start image on disk: written at every epoch boundary by a
@@ -197,7 +200,7 @@ Result<DistributedResult> LoadDistResult(const std::string& path) {
 }
 
 Result<DistributedResult> TrainRank(const data::SimDataset& ds,
-                                    const DistWorkerOptions& options,
+                                    const RankOptions& options,
                                     core::GnnModel* model,
                                     const sample::Sampler* sampler,
                                     const RankTransport& transport) {
@@ -508,7 +511,7 @@ Result<DistributedResult> TrainRank(const data::SimDataset& ds,
       // A peer died or a collective failed. Roll back to the epoch-start
       // image and regroup under the next generation — a killed process is
       // meanwhile restarted by the launcher and resumes from its checkpoint.
-      if (++recovery_rounds > options.max_recovery_rounds) return attempt;
+      if (++recovery_rounds > kMaxRecoveryRounds) return attempt;
       XF_LOG(Info) << "dist worker " << rank << " epoch " << epoch
                    << " comm failure (" << attempt.message()
                    << "); rolling back and rejoining as generation "
@@ -611,9 +614,7 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
     copt.rank = rank;
     copt.world = world;
     copt.rendezvous = rdzv_ep;
-    copt.connect_timeout_s = options.connect_timeout_s;
     copt.op_timeout_s = options.op_timeout_s;
-    copt.rendezvous_timeout_s = options.rendezvous_timeout_s;
     copt.generation = *generation;
     Result<std::unique_ptr<SocketCommunicator>> connected =
         SocketCommunicator::Connect(copt, host.get());

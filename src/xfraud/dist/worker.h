@@ -12,20 +12,11 @@
 
 namespace xfraud::dist {
 
-/// One rank of a distributed run. The threaded driver (DistributedTrainer)
-/// fills `rank`, `world` and `dist` for each of its threads; a socket-backed
-/// process (RunDistWorker) uses every field.
-struct DistWorkerOptions {
+/// What the per-rank DDP loop (TrainRank) reads. The threaded driver
+/// (DistributedTrainer) fills `rank`, `world` and `dist` for each thread.
+struct RankOptions {
   int rank = 0;
   int world = 1;
-  /// Rendezvous endpoint spec (`unix:<path>` or `tcp:host:port`). Rank 0
-  /// hosts it; everyone else dials it.
-  std::string rendezvous;
-  /// Replica architecture + init seed: every rank builds the same model
-  /// from Rng(model_seed), which is what keeps replicas synchronized from
-  /// step zero.
-  core::DetectorConfig detector;
-  uint64_t model_seed = 7;
   /// Training protocol (num_workers must equal `world`). In a process,
   /// dist.fault_plan's kill_worker=<rank>@<epoch>:<step> SIGKILLs it at
   /// that point.
@@ -37,17 +28,25 @@ struct DistWorkerOptions {
   /// result file (`result.bin`) and final model (`final_model.ckpt`).
   /// Empty (the threaded driver) keeps the epoch-start image in memory only.
   std::string checkpoint_dir;
+};
+
+/// One rank run as a whole socket-backed process (RunDistWorker): the loop's
+/// options plus what the process builds around it.
+struct DistWorkerOptions : RankOptions {
+  /// Rendezvous endpoint spec (`unix:<path>` or `tcp:host:port`). Rank 0
+  /// hosts it; everyone else dials it.
+  std::string rendezvous;
+  /// Replica architecture + init seed: every rank builds the same model
+  /// from Rng(model_seed), which is what keeps replicas synchronized from
+  /// step zero.
+  core::DetectorConfig detector;
+  uint64_t model_seed = 7;
   /// Neighbourhood sampler of the training loaders (evaluation uses a
   /// fixed SageSampler(2, 12)).
   int sampler_hops = 2;
   int sampler_fanout = 8;
-  /// Transport budgets (see SocketCommOptions).
+  /// Per-collective transport budget (SocketCommOptions::op_timeout_s).
   double op_timeout_s = 60.0;
-  double rendezvous_timeout_s = 60.0;
-  double connect_timeout_s = 10.0;
-  /// Comm-failure recovery rounds (rollback + regroup) before the rank
-  /// gives up.
-  int max_recovery_rounds = 3;
 };
 
 /// How one rank reaches its peers; supplied by the driver that runs it.
@@ -83,7 +82,7 @@ struct RankTransport {
 /// Rank 0 returns the populated DistributedResult; other ranks return an
 /// empty one.
 Result<DistributedResult> TrainRank(const data::SimDataset& ds,
-                                    const DistWorkerOptions& options,
+                                    const RankOptions& options,
                                     core::GnnModel* model,
                                     const sample::Sampler* sampler,
                                     const RankTransport& transport);

@@ -1,6 +1,5 @@
 #include "xfraud/kv/replicated_kv.h"
 
-#include <algorithm>
 #include <functional>
 
 #include "xfraud/common/logging.h"
@@ -47,13 +46,9 @@ void ReplicatedKvStore::Init() {
   XF_CHECK(!replicas_.empty());
   for (KvStore* r : replicas_) XF_CHECK(r != nullptr);
   clock_ = options_.clock != nullptr ? options_.clock : Clock::Real();
-  XF_CHECK_GE(options_.breaker.min_events, 1);
   breakers_.reserve(replicas_.size());
   for (size_t i = 0; i < replicas_.size(); ++i) {
-    auto b = std::make_unique<Breaker>();
-    b->outcomes.assign(
-        options_.breaker.enabled() ? options_.breaker.window : 0, 0);
-    breakers_.push_back(std::move(b));
+    breakers_.push_back(std::make_unique<CircuitBreaker>(clock_));
   }
   auto& r = obs::Registry::Global();
   reads_ = r.counter("kv/replicated/reads");
@@ -85,69 +80,13 @@ size_t ReplicatedKvStore::PrimaryOf(std::string_view key) const {
 ReplicatedKvStore::BreakerState ReplicatedKvStore::breaker_state(
     size_t replica) const {
   XF_CHECK_BOUNDS(replica, breakers_.size());
-  std::lock_guard<std::mutex> lock(breakers_[replica]->mu);
-  return breakers_[replica]->state;
+  return breakers_[replica]->state();
 }
 
-bool ReplicatedKvStore::AdmitRead(size_t r) const {
-  if (!options_.breaker.enabled()) return true;
-  Breaker& b = *breakers_[r];
-  std::lock_guard<std::mutex> lock(b.mu);
-  switch (b.state) {
-    case BreakerState::kClosed:
-      return true;
-    case BreakerState::kHalfOpen:
-      // One probe at a time; everyone else keeps failing over.
-      return false;
-    case BreakerState::kOpen:
-      if (clock_->NowSeconds() >= b.probe_at_s) {
-        b.state = BreakerState::kHalfOpen;  // this caller is the probe
-        return true;
-      }
-      return false;
-  }
-  return true;
-}
-
-void ReplicatedKvStore::RecordOutcome(size_t r, bool healthy) const {
-  if (!options_.breaker.enabled()) return;
-  Breaker& b = *breakers_[r];
-  std::lock_guard<std::mutex> lock(b.mu);
-  switch (b.state) {
-    case BreakerState::kOpen:
-      // A straggler from before the breaker opened; the probe will decide.
-      return;
-    case BreakerState::kHalfOpen:
-      if (healthy) {
-        b.state = BreakerState::kClosed;
-        std::fill(b.outcomes.begin(), b.outcomes.end(), 0);
-        b.next = 0;
-        b.filled = 0;
-        b.errors = 0;
-        breaker_closes_->Increment();
-      } else {
-        b.state = BreakerState::kOpen;
-        b.probe_at_s = clock_->NowSeconds() + options_.breaker.cooloff_s;
-      }
-      return;
-    case BreakerState::kClosed:
-      break;
-  }
-  if (b.filled == static_cast<int>(b.outcomes.size())) {
-    b.errors -= b.outcomes[b.next];
-  } else {
-    ++b.filled;
-  }
-  b.outcomes[b.next] = healthy ? 0 : 1;
-  b.errors += b.outcomes[b.next];
-  b.next = (b.next + 1) % b.outcomes.size();
-  if (b.filled >= options_.breaker.min_events &&
-      static_cast<double>(b.errors) >=
-          options_.breaker.error_frac * static_cast<double>(b.filled)) {
-    b.state = BreakerState::kOpen;
-    b.probe_at_s = clock_->NowSeconds() + options_.breaker.cooloff_s;
-    breaker_opens_->Increment();
-  }
+void ReplicatedKvStore::Record(size_t r, bool healthy) const {
+  const CircuitBreaker::Transition t = breakers_[r]->Record(healthy);
+  if (t == CircuitBreaker::Transition::kOpened) breaker_opens_->Increment();
+  if (t == CircuitBreaker::Transition::kClosed) breaker_closes_->Increment();
 }
 
 Status ReplicatedKvStore::GetOnce(size_t r, std::string_view key,
@@ -190,7 +129,7 @@ Status ReplicatedKvStore::GetImpl(std::string_view key, uint64_t epoch,
           "deadline expired before replica read of key '" +
           std::string(key) + "'");
     }
-    if (!AdmitRead(r)) continue;
+    if (!breakers_[r]->Admit()) continue;
     if (any_attempt) failovers_->Increment();
     any_attempt = true;
     std::string tmp;
@@ -200,7 +139,7 @@ Status ReplicatedKvStore::GetImpl(std::string_view key, uint64_t epoch,
     // hold identical histories): healthy for the breaker, no failover.
     const bool healthy =
         s.ok() || s.IsNotFound() || s.IsFailedPrecondition();
-    RecordOutcome(r, healthy);
+    Record(r, healthy);
     if (!healthy) {
       last = std::move(s);
       continue;
@@ -213,13 +152,13 @@ Status ReplicatedKvStore::GetImpl(std::string_view key, uint64_t epoch,
       // the next admitted replica.
       for (size_t j = i + 1; j < n; ++j) {
         const size_t h = (primary + j) % n;
-        if (!AdmitRead(h)) continue;
+        if (!breakers_[h]->Admit()) continue;
         hedged_reads_->Increment();
         std::string hedge_tmp;
         double hedge_latency = 0.0;
         Status hs = GetOnce(h, key, epoch, &hedge_tmp, &hedge_latency);
         const bool hedge_healthy = hs.ok() || hs.IsNotFound();
-        RecordOutcome(h, hedge_healthy);
+        Record(h, hedge_healthy);
         const double hedged_total = options_.hedge_delay_s + hedge_latency;
         if (hedge_healthy && hedged_total < latency) {
           hedge_wins_->Increment();
@@ -248,7 +187,7 @@ Status ReplicatedKvStore::Put(std::string_view key, std::string_view value) {
   Status first_error = Status::OK();
   for (size_t r = 0; r < replicas_.size(); ++r) {
     Status s = replicas_[r]->Put(key, value);
-    RecordOutcome(r, s.ok());
+    Record(r, s.ok());
     if (!s.ok() && first_error.ok()) first_error = std::move(s);
   }
   return first_error;
@@ -259,7 +198,7 @@ Status ReplicatedKvStore::Delete(std::string_view key) {
   for (size_t r = 0; r < replicas_.size(); ++r) {
     Status s = replicas_[r]->Delete(key);
     const bool healthy = s.ok() || s.IsNotFound();
-    RecordOutcome(r, healthy);
+    Record(r, healthy);
     if (!healthy && first_error.ok()) first_error = std::move(s);
   }
   return first_error;

@@ -2,40 +2,21 @@
 #define XFRAUD_KV_REPLICATED_KV_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "xfraud/common/breaker.h"
 #include "xfraud/common/clock.h"
 #include "xfraud/kv/kvstore.h"
 #include "xfraud/obs/metrics.h"
 
 namespace xfraud::kv {
 
-/// Per-replica circuit breaker: a rolling window of read outcomes; when the
-/// error fraction over a full-enough window crosses the threshold the
-/// breaker opens (reads skip the replica), and after `cooloff_s` a single
-/// half-open probe decides whether to close it again. This is what keeps a
-/// dead replica from charging every request a timeout before failover.
-struct BreakerOptions {
-  /// Rolling outcome window size; <= 0 disables the breaker entirely.
-  int window = 16;
-  /// Outcomes required in the window before the breaker may trip.
-  int min_events = 8;
-  /// Error fraction at or above which the breaker opens.
-  double error_frac = 0.5;
-  /// Seconds an open breaker waits before admitting a half-open probe.
-  double cooloff_s = 0.05;
-
-  bool enabled() const { return window > 0; }
-};
-
 struct ReplicationOptions {
   /// Hedged reads: when the primary replica's read takes longer than this,
   /// a backup read is issued to the next healthy replica and the faster
   /// (emulated) response wins. Negative disables hedging.
   double hedge_delay_s = -1.0;
-  BreakerOptions breaker;
   /// Time source for latency measurement, breaker cool-offs, and the hedge
   /// decision; nullptr means Clock::Real().
   Clock* clock = nullptr;
@@ -67,9 +48,10 @@ class HedgeRebate {
 /// ShardedKvStore can shard over several ReplicatedKvStores.
 ///
 /// Read path per attempt: deadline check (DeadlineScope::Current) →
-/// breaker admission → replica Get. NotFound is an authoritative answer
-/// (the replicas hold identical data), so it does not fail over and counts
-/// as a healthy outcome for the breaker. When every replica has failed or
+/// breaker admission (one CircuitBreaker per replica, common/breaker.h) →
+/// replica Get. NotFound is an authoritative answer (the replicas hold
+/// identical data), so it does not fail over and counts as a healthy
+/// outcome for the breaker. When every replica has failed or
 /// been skipped, returns the last real error, or Unavailable if no replica
 /// was even admitted.
 ///
@@ -83,7 +65,7 @@ class HedgeRebate {
 /// the raced latency. Single-threaded runs are bit-reproducible.
 class ReplicatedKvStore : public KvStore {
  public:
-  enum class BreakerState { kClosed, kOpen, kHalfOpen };
+  using BreakerState = CircuitBreaker::State;
 
   /// Non-owning: `replicas` must outlive this store (none null, at least
   /// one).
@@ -120,26 +102,13 @@ class ReplicatedKvStore : public KvStore {
   std::vector<std::string> KeysWithPrefixAt(std::string_view prefix,
                                             uint64_t epoch) const override;
 
-  size_t num_replicas() const { return replicas_.size(); }
   BreakerState breaker_state(size_t replica) const;
 
  private:
-  struct Breaker {
-    mutable std::mutex mu;
-    std::vector<uint8_t> outcomes;  // ring buffer: 1 = error
-    size_t next = 0;
-    int filled = 0;
-    int errors = 0;
-    BreakerState state = BreakerState::kClosed;
-    double probe_at_s = 0.0;  // earliest half-open probe time when open
-  };
-
   void Init();
   size_t PrimaryOf(std::string_view key) const;
-  /// True when replica `r` may serve a read now; transitions an expired
-  /// open breaker to half-open (the caller becomes the probe).
-  bool AdmitRead(size_t r) const;
-  void RecordOutcome(size_t r, bool healthy) const;
+  /// Feeds replica r's breaker and counts its transitions.
+  void Record(size_t r, bool healthy) const;
   Status GetOnce(size_t r, std::string_view key, uint64_t epoch,
                  std::string* value, double* latency_s) const;
   Status GetImpl(std::string_view key, uint64_t epoch,
@@ -149,7 +118,7 @@ class ReplicatedKvStore : public KvStore {
   std::vector<KvStore*> replicas_;
   ReplicationOptions options_;
   Clock* clock_;
-  mutable std::vector<std::unique_ptr<Breaker>> breakers_;
+  std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
   // Global-registry metrics (aggregated across instances, like retry/*).
   obs::Counter* reads_;
   obs::Counter* failovers_;

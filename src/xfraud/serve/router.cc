@@ -20,11 +20,15 @@ constexpr uint64_t kRouterJitterTag = 0x524F5554ULL;  // "ROUT"
 
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
-      clock_(options_.clock != nullptr ? options_.clock : Clock::Real()),
-      backends_(static_cast<size_t>(options_.num_shards) *
-                static_cast<size_t>(options_.num_replicas)) {
+      clock_(options_.clock != nullptr ? options_.clock : Clock::Real()) {
   XF_CHECK(options_.num_shards >= 1 && options_.num_replicas >= 1);
-  XF_CHECK(options_.endpoints.size() == backends_.size());
+  XF_CHECK(options_.endpoints.size() ==
+           static_cast<size_t>(options_.num_shards) *
+               static_cast<size_t>(options_.num_replicas));
+  backends_.reserve(options_.endpoints.size());
+  for (size_t i = 0; i < options_.endpoints.size(); ++i) {
+    backends_.push_back(std::make_unique<Backend>(clock_));
+  }
   auto& r = obs::Registry::Global();
   requests_ = r.counter("serve/router/requests");
   ok_ = r.counter("serve/router/ok");
@@ -38,27 +42,10 @@ Router::Router(RouterOptions options)
 
 Router::~Router() = default;
 
-void Router::CloseAll() {
-  for (Backend& b : backends_) b.conn.Reset();
-}
-
-bool Router::BreakerOpen(const Backend& b) const {
-  return b.open_until_s > clock_->NowSeconds();
-}
-
-void Router::MarkFailure(Backend* b) {
-  ++b->consecutive_failures;
-  if (b->consecutive_failures >= options_.breaker_threshold) {
-    // Open (or re-extend) the breaker; after the cooloff the next request
-    // is the half-open probe.
-    b->open_until_s = clock_->NowSeconds() + options_.breaker_cooloff_s;
+void Router::Record(Backend* b, bool healthy) {
+  if (b->breaker.Record(healthy) == CircuitBreaker::Transition::kOpened) {
     breaker_opens_->Increment();
   }
-}
-
-void Router::MarkSuccess(Backend* b) {
-  b->consecutive_failures = 0;
-  b->open_until_s = 0.0;
 }
 
 Status Router::EnsureConnected(int shard, int replica,
@@ -134,12 +121,12 @@ Result<ScoreResponse> Router::Attempt(int shard, int replica,
   Backend& primary = backend(shard, replica);
   Status conn = EnsureConnected(shard, replica, deadline);
   if (!conn.ok()) {
-    MarkFailure(&primary);
+    Record(&primary, /*healthy=*/false);
     return conn;
   }
   Status sent = SendRequest(shard, replica, request_id, txn_node, deadline);
   if (!sent.ok()) {
-    MarkFailure(&primary);
+    Record(&primary, /*healthy=*/false);
     primary.conn.Reset();
     return sent;
   }
@@ -152,13 +139,13 @@ Result<ScoreResponse> Router::Attempt(int shard, int replica,
                                        deadline.RemainingSeconds())));
     Result<int> first =
         dist::WaitAnyReadable({primary.conn.get()}, hedge_wait, clock_);
+    Backend& backup = backend(shard, hedge_replica);
     if (!first.ok() && first.status().IsDeadlineExceeded() &&
-        !deadline.Expired()) {
+        !deadline.Expired() && backup.breaker.Admit()) {
       // Primary is slow but the request still has budget: duplicate it onto
       // the backup and take whichever replies first. Scores are
       // bit-identical across replicas, so the race has one right answer.
       hedged_->Increment();
-      Backend& backup = backend(shard, hedge_replica);
       if (EnsureConnected(shard, hedge_replica, deadline).ok() &&
           SendRequest(shard, hedge_replica, request_id, txn_node, deadline)
               .ok()) {
@@ -194,7 +181,7 @@ Result<ScoreResponse> Router::Attempt(int shard, int replica,
     if (got.IsDeadlineExceeded()) return got;
     // EOF/reset mid-request: the primary died with our request in flight —
     // exactly the failover case. The next attempt tries a replica.
-    MarkFailure(winner);
+    Record(winner, /*healthy=*/false);
     return got;
   }
   if (header.value().type != FrameType::kScoreReply ||
@@ -208,7 +195,7 @@ Result<ScoreResponse> Router::Attempt(int shard, int replica,
     winner->conn.Reset();
     return reply.status();
   }
-  MarkSuccess(winner);
+  Record(winner, /*healthy=*/true);
   if (reply.value().status.ok()) {
     return reply.value().response;
   }
@@ -242,31 +229,31 @@ Result<ScoreResponse> Router::Score(int64_t request_id, int32_t txn_node,
       return Status::DeadlineExceeded("router: request budget spent after " +
                                       std::to_string(attempt) + " attempts");
     }
-    // Replica rotation, skipping open breakers when an alternative exists;
-    // with every breaker open the rotation slot becomes the half-open probe.
-    int replica = attempt % options_.num_replicas;
-    for (int k = 0; k < options_.num_replicas; ++k) {
+    // Replica rotation, skipping breaker-open replicas. The scan stops at
+    // the first Admit(), which may take that replica's half-open probe.
+    int replica = -1;
+    for (int k = 0; k < options_.num_replicas && replica < 0; ++k) {
       const int candidate = (attempt + k) % options_.num_replicas;
-      if (!BreakerOpen(backend(shard, candidate))) {
-        replica = candidate;
-        break;
-      }
+      if (backend(shard, candidate).breaker.Admit()) replica = candidate;
     }
-    int hedge_replica = -1;
-    if (options_.hedge_delay_s >= 0.0 && options_.num_replicas > 1) {
-      for (int k = 1; k < options_.num_replicas; ++k) {
+    Result<ScoreResponse> scored = Status::Unavailable(
+        "router: every replica of shard " + std::to_string(shard) +
+        " is breaker-open");
+    bool retryable = true;
+    if (replica >= 0) {
+      // The hedge target is only scanned here; Attempt admits it if it
+      // actually sends the hedge.
+      int hedge_replica = -1;
+      for (int k = 1; k < options_.num_replicas && hedge_replica < 0; ++k) {
         const int candidate = (replica + k) % options_.num_replicas;
-        if (!BreakerOpen(backend(shard, candidate))) {
+        if (!backend(shard, candidate).breaker.IsOpen()) {
           hedge_replica = candidate;
-          break;
         }
       }
+      if (attempt > 0 && !last.IsCorruption()) failovers_->Increment();
+      scored = Attempt(shard, replica, hedge_replica, request_id, txn_node,
+                       deadline, &retryable);
     }
-    if (attempt > 0 && !last.IsCorruption()) failovers_->Increment();
-    bool retryable = true;
-    Result<ScoreResponse> scored = Attempt(shard, replica, hedge_replica,
-                                           request_id, txn_node, deadline,
-                                           &retryable);
     if (scored.ok()) {
       ok_->Increment();
       return scored;

@@ -2,8 +2,10 @@
 #define XFRAUD_SERVE_ROUTER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "xfraud/common/breaker.h"
 #include "xfraud/common/clock.h"
 #include "xfraud/common/fd.h"
 #include "xfraud/common/retry.h"
@@ -32,10 +34,6 @@ struct RouterOptions {
   /// (< 0 disables hedging — the safe default, since a hedge costs a
   /// duplicate score on the backup).
   double hedge_delay_s = -1.0;
-  /// Consecutive failures that open a backend's circuit breaker, and how
-  /// long it stays open before a half-open probe is allowed.
-  int breaker_threshold = 3;
-  double breaker_cooloff_s = 0.05;
   /// Sends per request (across failover and corruption retries) before the
   /// router gives up with Unavailable.
   int max_attempts = 8;
@@ -54,7 +52,8 @@ struct RouterOptions {
 };
 
 /// The serving tier's frontend (DESIGN.md §16): routes each request to its
-/// shard (txn_node % num_shards), with per-process circuit breakers,
+/// shard (txn_node % num_shards), with a circuit breaker per server process
+/// (common/breaker.h, the same policy as the KV replicas),
 /// deadline propagation on the wire, hedged reads against a backup replica,
 /// and failover to a replica process when the primary dies mid-request —
 /// the cross-process analogue of kv::ReplicatedKvStore's read path.
@@ -78,26 +77,19 @@ class Router {
   Result<ScoreResponse> Score(int64_t request_id, int32_t txn_node,
                               double deadline_s);
 
-  /// Drops every cached connection (they redial lazily). The supervisor's
-  /// respawn path does not need this — a dead server's connection fails the
-  /// next send and redials — but tests use it to force cold paths.
-  void CloseAll();
-
  private:
   struct Backend {
+    explicit Backend(Clock* clock) : breaker(clock) {}
     UniqueFd conn;
-    int consecutive_failures = 0;
-    /// Breaker: open (skip this backend) until the clock passes this.
-    double open_until_s = 0.0;
+    CircuitBreaker breaker;
   };
 
   Backend& backend(int shard, int replica) {
-    return backends_[static_cast<size_t>(shard) * options_.num_replicas +
-                     static_cast<size_t>(replica)];
+    return *backends_[static_cast<size_t>(shard) * options_.num_replicas +
+                      static_cast<size_t>(replica)];
   }
-  bool BreakerOpen(const Backend& b) const;
-  void MarkFailure(Backend* b);
-  void MarkSuccess(Backend* b);
+  /// Feeds b's breaker; counts an open in serve/router/breaker_opens.
+  void Record(Backend* b, bool healthy);
   /// Dials if not connected; IoError/Unavailable on failure.
   Status EnsureConnected(int shard, int replica, const Deadline& deadline);
   /// Sends one score request (applying any planned wire corruption).
@@ -111,7 +103,7 @@ class Router {
 
   RouterOptions options_;
   Clock* clock_;
-  std::vector<Backend> backends_;
+  std::vector<std::unique_ptr<Backend>> backends_;
 
   obs::Counter* requests_;
   obs::Counter* ok_;

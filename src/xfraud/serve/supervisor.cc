@@ -377,13 +377,6 @@ dist::Endpoint Supervisor::endpoint(int shard, int replica) const {
   return ep;
 }
 
-pid_t Supervisor::server_pid(int shard, int replica) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return servers_[static_cast<size_t>(shard) * options_.num_replicas +
-                  static_cast<size_t>(replica)]
-      .pid;
-}
-
 int Supervisor::restarts() const {
   std::lock_guard<std::mutex> lock(mu_);
   return restarts_total_;

@@ -94,7 +94,6 @@ class Supervisor {
   int num_shards() const { return options_.num_shards; }
   int num_replicas() const { return options_.num_replicas; }
   dist::Endpoint endpoint(int shard, int replica) const;
-  pid_t server_pid(int shard, int replica) const;
 
   /// Chaos observability: total re-forks, and the grid index
   /// (shard * R + replica) of each observed signal death in order.

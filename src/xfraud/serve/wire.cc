@@ -15,9 +15,11 @@ std::string EncodeScoreRequest(const ScoreRequestWire& req) {
   uint64_t deadline_us = kNoDeadlineUs;
   if (req.deadline_s >= 0.0) {
     // Round down: a truncated budget can only make the server *more*
-    // conservative about an almost-spent deadline, never less.
-    deadline_us = static_cast<uint64_t>(req.deadline_s * 1e6);
-    if (deadline_us == kNoDeadlineUs) --deadline_us;  // +inf guard
+    // conservative about an almost-spent deadline, never less. A budget of
+    // 2^64 us or more (+inf included) has no uint64 value — the cast would
+    // be undefined — so it saturates just below the no-deadline sentinel.
+    const double us = req.deadline_s * 1e6;
+    deadline_us = us < 0x1p64 ? static_cast<uint64_t>(us) : kNoDeadlineUs - 1;
   }
   return ByteWriter()
       .U64(req.epoch)

@@ -1,5 +1,7 @@
 #include "xfraud/stream/streaming_topology.h"
 
+#include <stdlib.h>
+
 #include <algorithm>
 #include <filesystem>
 
@@ -127,13 +129,16 @@ StreamingTopology::StreamingTopology(StreamingOptions options)
 StreamingTopology::~StreamingTopology() {
   // Stop the compactor before any store it reaches through epochs_ dies.
   if (ingestor_ != nullptr) ingestor_->StopCompactor();
+  if (owns_dir_) {
+    std::error_code ec;  // best effort: a leftover temp dir is harmless
+    std::filesystem::remove_all(options_.dir, ec);
+  }
 }
 
 Result<std::unique_ptr<StreamingTopology>> StreamingTopology::Open(
     StreamingOptions options) {
   XF_CHECK_GT(options.num_shards, 0);
   XF_CHECK_GT(options.num_replicas, 0);
-  XF_CHECK(!options.dir.empty());
   // Private constructor: make_unique cannot reach it, so the factory owns
   // the one naked new. xfraud-lint: allow(no-naked-new)
   std::unique_ptr<StreamingTopology> topology(new StreamingTopology(options));
@@ -149,6 +154,16 @@ Status StreamingTopology::Init() {
     options_.replication.clock = clock;
   }
 
+  if (options_.dir.empty()) {
+    std::string path =
+        (std::filesystem::temp_directory_path() / "xfraud-grid-XXXXXX")
+            .string();
+    if (::mkdtemp(path.data()) == nullptr) {
+      return Status::IoError("cannot create temp grid dir " + path);
+    }
+    options_.dir = path;
+    owns_dir_ = true;
+  }
   std::error_code ec;
   std::filesystem::create_directories(options_.dir, ec);
   if (ec) {
@@ -231,6 +246,24 @@ Status StreamingTopology::Init() {
 
   ingestor_ =
       std::make_unique<GraphIngestor>(ingest_.get(), epochs_.get());
+  return ingestor_->Attach();
+}
+
+Status StreamingTopology::BulkLoad(const graph::HeteroGraph& g) {
+  if (epochs_->published_epoch() != 0) {
+    return Status::FailedPrecondition(
+        "bulk load into a grid at epoch " +
+        std::to_string(epochs_->published_epoch()));
+  }
+  const int S = options_.num_shards;
+  for (int r = 0; r < options_.num_replicas; ++r) {
+    std::vector<kv::KvStore*> column;
+    column.reserve(S);
+    for (int s = 0; s < S; ++s) column.push_back(cell(s, r));
+    kv::ShardedKvStore view(std::move(column));
+    XF_RETURN_IF_ERROR(kv::FeatureStore(&view).Ingest(g));
+  }
+  XF_RETURN_IF_ERROR(epochs_->PublishEpoch().status());
   return ingestor_->Attach();
 }
 

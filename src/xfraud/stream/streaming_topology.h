@@ -129,6 +129,8 @@ class GraphView {
 struct StreamingOptions {
   /// Directory holding the cell logs ("<dir>/cell_<shard>_<replica>");
   /// created if missing. Reopening the same directory recovers the grid.
+  /// Empty: a fresh directory under the system temp dir, removed when the
+  /// topology is destroyed (a grid for one BulkLoad-ed frozen graph).
   std::string dir;
   int num_shards = 2;
   int num_replicas = 2;
@@ -146,9 +148,11 @@ struct StreamingOptions {
   Clock* clock = nullptr;
 };
 
-/// The mutable, versioned ingestion tier (DESIGN.md §15): the streaming
-/// analogue of serve::ServingTopology, with crash-safe LogKvStore cells in
-/// place of in-memory ones and an epoch surface over the grid.
+/// The serving tier's S×R KV grid (paper §3.3.3 / Appendix C): S shards ×
+/// R replicas of crash-safe LogKvStore cells, with an epoch surface over
+/// the grid that makes it the mutable, versioned ingestion tier (DESIGN.md
+/// §15). A frozen graph is loaded once with BulkLoad; a stream is appended
+/// through ingestor().
 ///
 ///   serving():  ShardedKvStore
 ///                 └─ per shard: ReplicatedKvStore (failover/hedge/breaker)
@@ -171,12 +175,15 @@ class StreamingTopology {
 
   ~StreamingTopology();
 
+  /// Writes `g` into every cell, one replica column at a time through a
+  /// ShardedKvStore over the raw cells — setup is not under chaos — then
+  /// publishes it as epoch 1 and reattaches the ingestor.
+  /// FailedPrecondition unless the grid has never published an epoch.
+  Status BulkLoad(const graph::HeteroGraph& g);
+
   /// The hardened read path (hand to a FeatureStore), and the one this
   /// topology's own features()/OpenView() use.
   kv::KvStore* serving() const { return serving_.get(); }
-  /// The write path the ingestor uses; every Put lands on all replicas of
-  /// the key's shard.
-  kv::KvStore* ingest_path() const { return ingest_.get(); }
   kv::EpochSource* epochs() const { return epochs_.get(); }
   GraphIngestor* ingestor() const { return ingestor_.get(); }
   /// Serving FeatureStore with the shared adjacency cache attached.
@@ -205,6 +212,7 @@ class StreamingTopology {
   void ReleaseViewEpoch(uint64_t epoch);
 
   StreamingOptions options_;
+  bool owns_dir_ = false;  // options_.dir was created by Init: remove it
   std::vector<std::unique_ptr<kv::LogKvStore>> cells_;  // [shard*R + replica]
   std::unique_ptr<fault::FaultInjector> injector_;
   std::vector<std::unique_ptr<fault::FaultyKvStore>> serving_faulty_;

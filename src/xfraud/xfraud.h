@@ -93,7 +93,6 @@
 #include "xfraud/serve/scoring_service.h"
 #include "xfraud/serve/shard_server.h"
 #include "xfraud/serve/supervisor.h"
-#include "xfraud/serve/topology.h"
 #include "xfraud/serve/wire.h"
 #include "xfraud/stream/graph_ingestor.h"
 #include "xfraud/stream/streaming_topology.h"

@@ -511,6 +511,31 @@ TEST(AnalyzeFixtures, BaselineMakesTheFixtureTreePass) {
   EXPECT_TRUE(ApplyBaseline(findings, keys, &stale).empty());
   EXPECT_TRUE(stale.empty());
 }
+
+TEST(AnalyzeFixtures, StaleBaselineEntryFailsTheRun) {
+  std::vector<Finding> findings;
+  std::string error;
+  ASSERT_TRUE(
+      AnalyzePaths({XFRAUD_ANALYZE_FIXTURE_DIR}, {}, &findings, &error))
+      << error;
+  std::vector<std::string> keys =
+      ParseBaseline(FindingsToBaseline(findings));
+  std::vector<std::string> stale;
+  auto remaining = ApplyBaseline(findings, keys, &stale);
+  EXPECT_EQ(ExitStatus(remaining, stale), 0);
+  // One entry whose finding is gone: every finding is still covered, but
+  // the run fails and names the entry.
+  keys.push_back(Fx("src/xfraud/graph/status_use.cc") +
+                 ":99: discarded-status");
+  stale.clear();
+  remaining = ApplyBaseline(findings, keys, &stale);
+  EXPECT_TRUE(remaining.empty());
+  ASSERT_EQ(stale.size(), 1u);
+  EXPECT_EQ(stale[0],
+            Fx("src/xfraud/graph/status_use.cc") + ":99: discarded-status");
+  EXPECT_EQ(ExitStatus(remaining, stale), 1);
+  EXPECT_EQ(ExitStatus(findings, {}), 1);
+}
 #endif  // XFRAUD_ANALYZE_FIXTURE_DIR
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "xfraud/common/breaker.h"
 #include "xfraud/common/bytes.h"
 #include "xfraud/common/clock.h"
 #include "xfraud/common/frame.h"
@@ -437,6 +438,94 @@ TEST(RetryDeadlineTest, UnclampedBackoffStillHonorsMaxAttempts) {
 // Shed-path semantics the serving layer's admission control leans on: a
 // full queue refuses instantly, and Close() promptly releases every
 // blocked popper.
+using Transition = CircuitBreaker::Transition;
+
+/// Drives `b` from closed to open with three failures.
+void TripBreaker(CircuitBreaker* b) {
+  EXPECT_EQ(b->Record(false), Transition::kNone);
+  EXPECT_EQ(b->Record(false), Transition::kNone);
+  EXPECT_EQ(b->Record(false), Transition::kOpened);
+}
+
+TEST(CircuitBreakerTest, OpensOnTheThirdConsecutiveFailure) {
+  VirtualClock clock;
+  CircuitBreaker b(&clock);
+  // Two failures, a success, two more: never three in a row.
+  EXPECT_EQ(b.Record(false), Transition::kNone);
+  EXPECT_EQ(b.Record(false), Transition::kNone);
+  EXPECT_EQ(b.Record(true), Transition::kNone);
+  EXPECT_EQ(b.Record(false), Transition::kNone);
+  EXPECT_EQ(b.Record(false), Transition::kNone);
+  EXPECT_EQ(b.state(), CircuitBreaker::State::kClosed);
+  EXPECT_TRUE(b.Admit());
+  EXPECT_EQ(b.Record(false), Transition::kOpened);
+  EXPECT_EQ(b.state(), CircuitBreaker::State::kOpen);
+}
+
+TEST(CircuitBreakerTest, SkipsWhileOpenAndAdmitsExactlyOneProbe) {
+  VirtualClock clock;
+  CircuitBreaker b(&clock);
+  TripBreaker(&b);
+  clock.Advance(CircuitBreaker::kCooloffS / 2);
+  EXPECT_TRUE(b.IsOpen());
+  EXPECT_FALSE(b.Admit());
+  clock.Advance(CircuitBreaker::kCooloffS / 2);
+  EXPECT_TRUE(b.Admit());  // the probe
+  EXPECT_EQ(b.state(), CircuitBreaker::State::kHalfOpen);
+  EXPECT_TRUE(b.IsOpen());
+  EXPECT_FALSE(b.Admit());
+  EXPECT_FALSE(b.Admit());
+  // A probe whose outcome never arrives is replaced one cool-off later.
+  clock.Advance(CircuitBreaker::kCooloffS);
+  EXPECT_TRUE(b.Admit());
+  EXPECT_FALSE(b.Admit());
+}
+
+TEST(CircuitBreakerTest, ProbeSuccessClosesAndProbeFailureReopens) {
+  VirtualClock clock;
+  CircuitBreaker b(&clock);
+  TripBreaker(&b);
+  clock.Advance(CircuitBreaker::kCooloffS);
+  ASSERT_TRUE(b.Admit());
+  EXPECT_EQ(b.Record(false), Transition::kOpened);
+  EXPECT_EQ(b.state(), CircuitBreaker::State::kOpen);
+  EXPECT_FALSE(b.Admit());  // a fresh cool-off from the failed probe
+
+  clock.Advance(CircuitBreaker::kCooloffS);
+  ASSERT_TRUE(b.Admit());
+  EXPECT_EQ(b.Record(true), Transition::kClosed);
+  EXPECT_EQ(b.state(), CircuitBreaker::State::kClosed);
+  EXPECT_FALSE(b.IsOpen());
+  EXPECT_TRUE(b.Admit());
+  // Closing reset the count: it takes three new failures to open again.
+  TripBreaker(&b);
+}
+
+TEST(CircuitBreakerTest, OutcomesArrivingWhileOpenAreIgnored) {
+  VirtualClock clock;
+  CircuitBreaker b(&clock);
+  TripBreaker(&b);
+  EXPECT_EQ(b.Record(true), Transition::kNone);
+  EXPECT_EQ(b.Record(false), Transition::kNone);
+  EXPECT_EQ(b.state(), CircuitBreaker::State::kOpen);
+  // The straggling failure did not extend the cool-off.
+  clock.Advance(CircuitBreaker::kCooloffS);
+  EXPECT_TRUE(b.Admit());
+}
+
+TEST(CircuitBreakerTest, IsOpenNeverTakesTheProbe) {
+  VirtualClock clock;
+  CircuitBreaker b(&clock);
+  EXPECT_FALSE(b.IsOpen());
+  TripBreaker(&b);
+  EXPECT_TRUE(b.IsOpen());
+  clock.Advance(CircuitBreaker::kCooloffS);
+  for (int i = 0; i < 5; ++i) EXPECT_FALSE(b.IsOpen());
+  EXPECT_EQ(b.state(), CircuitBreaker::State::kOpen);
+  EXPECT_TRUE(b.Admit());
+  EXPECT_TRUE(b.IsOpen());
+}
+
 TEST(BoundedQueueTest, TryPushShedsOnFullAndAfterClose) {
   BoundedQueue<int> q(2);
   EXPECT_TRUE(q.TryPush(1));

@@ -18,6 +18,7 @@
 //    with Corruption, and transparently retried by the router.
 
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,6 +70,26 @@ TEST(ServeWire, ScoreRequestRoundTrips) {
   const std::string spent = EncodeScoreRequest(req);
   EXPECT_EQ(
       DecodeScoreRequest(spent.data(), spent.size()).value().deadline_s, 0.0);
+  // A budget too large for the wire saturates at the largest one, never
+  // wraps to "already expired" nor becomes "no deadline".
+  for (double huge :
+       {2e13, 1e300, std::numeric_limits<double>::infinity()}) {
+    req.deadline_s = huge;
+    const std::string bytes_huge = EncodeScoreRequest(req);
+    EXPECT_EQ(bytes_huge.substr(8, 8),
+              std::string("\xFE\xFF\xFF\xFF\xFF\xFF\xFF\xFF", 8))
+        << huge;  // kNoDeadlineUs - 1, little endian
+    EXPECT_EQ(DecodeScoreRequest(bytes_huge.data(), bytes_huge.size())
+                  .value()
+                  .deadline_s,
+              static_cast<double>(kNoDeadlineUs - 1) * 1e-6)
+        << huge;
+  }
+  // Just below the saturation point the budget still travels as is.
+  req.deadline_s = 1e13;
+  const std::string big = EncodeScoreRequest(req);
+  EXPECT_DOUBLE_EQ(
+      DecodeScoreRequest(big.data(), big.size()).value().deadline_s, 1e13);
 
   EXPECT_TRUE(DecodeScoreRequest(bytes.data(), bytes.size() - 1)
                   .status()

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,7 +26,7 @@
 #include "xfraud/kv/replicated_kv.h"
 #include "xfraud/obs/registry.h"
 #include "xfraud/serve/scoring_service.h"
-#include "xfraud/serve/topology.h"
+#include "xfraud/stream/streaming_topology.h"
 
 namespace xfraud::serve {
 namespace {
@@ -183,9 +184,6 @@ TEST(ReplicatedKvTest, BreakerOpensHalfOpensAndCloses) {
   VirtualClock clock;
   kv::ReplicationOptions options;
   options.clock = &clock;
-  options.breaker.window = 8;
-  options.breaker.min_events = 4;
-  options.breaker.cooloff_s = 0.05;
   ReplicatedRig rig(2, options);
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(rig.store->Put("key" + std::to_string(i), "v").ok());
@@ -227,9 +225,6 @@ TEST(ReplicatedKvTest, FailedProbeReopensTheBreaker) {
   VirtualClock clock;
   kv::ReplicationOptions options;
   options.clock = &clock;
-  options.breaker.window = 8;
-  options.breaker.min_events = 4;
-  options.breaker.cooloff_s = 0.05;
   ReplicatedRig rig(2, options);
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(rig.store->Put("key" + std::to_string(i), "v").ok());
@@ -304,7 +299,7 @@ struct ServiceRig {
     config.feature_dim = 16;
     ds = data::TransactionGenerator::Make(config, "serve-test");
 
-    TopologyOptions topo;
+    stream::StreamingOptions topo;  // empty dir: cells in a removed temp dir
     topo.num_shards = num_shards;
     topo.num_replicas = num_replicas;
     topo.clock = clock;
@@ -314,8 +309,10 @@ struct ServiceRig {
       XF_CHECK(plan.ok());
       topo.plan = plan.value();
     }
-    topology = std::make_unique<ServingTopology>(topo);
-    XF_CHECK(topology->Ingest(ds.graph).ok());
+    auto opened = stream::StreamingTopology::Open(topo);
+    XF_CHECK(opened.ok()) << opened.status().ToString();
+    topology = std::move(opened).value();
+    XF_CHECK(topology->BulkLoad(ds.graph).ok());
 
     features = std::make_unique<kv::FeatureStore>(topology->serving());
 
@@ -339,7 +336,7 @@ struct ServiceRig {
   }
 
   data::SimDataset ds;
-  std::unique_ptr<ServingTopology> topology;
+  std::unique_ptr<stream::StreamingTopology> topology;
   std::unique_ptr<kv::FeatureStore> features;
   std::unique_ptr<core::XFraudDetector> model;
   std::unique_ptr<baselines::RuleScorer> fallback;
@@ -393,6 +390,53 @@ TEST(ServingChaosTest, KilledReplicaEveryRequestScoresBitIdentically) {
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i], second[i]) << "request " << i;
+  }
+}
+
+TEST(ServingChaosTest, EnvPlanAnswersEveryRequestBitIdentically) {
+  // `tools/ci.sh --mode=faults` runs this suite under its serving plan in
+  // XFRAUD_FAULT_PLAN; unset, the test runs that same plan. A plan must
+  // leave every shard a live replica (no kill_shard) for every request to
+  // be answerable.
+  fault::FaultPlan plan =
+      fault::FaultPlan::Parse(
+          "seed=20260805,kill_replica=0,kv_error_rate=0.005")
+          .value();
+  if (std::getenv("XFRAUD_FAULT_PLAN") != nullptr) {
+    auto env = fault::FaultPlan::FromEnv();
+    ASSERT_TRUE(env.ok()) << env.status().ToString();
+    plan = env.value();
+  }
+  SCOPED_TRACE("plan " + plan.ToString());
+  struct Answer {
+    double score;
+    bool degraded;
+  };
+  auto run = [&](std::vector<Answer>* answers) {
+    VirtualClock clock;
+    ServiceOptions options;
+    options.shed_policy = ShedPolicy::kDegrade;
+    ServiceRig rig(plan.ToString(), /*num_shards=*/3, /*num_replicas=*/2,
+                   options, &clock);
+    for (int i = 0; i < 40; ++i) {
+      const int32_t node = rig.ds.test_nodes[i % rig.ds.test_nodes.size()];
+      auto resp = rig.service->Score(/*request_id=*/i, node);
+      // Answered: a score, possibly degraded — never a refusal.
+      ASSERT_TRUE(resp.ok()) << "request " << i << ": "
+                             << resp.status().ToString();
+      answers->push_back({resp.value().score, resp.value().degraded});
+    }
+    if (plan.kill_replica >= 0 || plan.kill_shard >= 0) {
+      EXPECT_GT(rig.topology->injector()->injected_replica_failures(), 0);
+    }
+  };
+  std::vector<Answer> first, second;
+  run(&first);
+  run(&second);
+  ASSERT_EQ(first.size(), second.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].score, second[i].score) << "request " << i;
+    EXPECT_EQ(first[i].degraded, second[i].degraded) << "request " << i;
   }
 }
 

@@ -12,7 +12,9 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
+#include <set>
 #include <memory>
 #include <string>
 #include <thread>
@@ -32,6 +34,7 @@
 #include "xfraud/kv/feature_store.h"
 #include "xfraud/kv/log_kv.h"
 #include "xfraud/kv/mem_kv.h"
+#include "xfraud/kv/sharded_kv.h"
 #include "xfraud/kv/snapshot.h"
 #include "xfraud/serve/scoring_service.h"
 #include "xfraud/stream/graph_ingestor.h"
@@ -378,6 +381,66 @@ TEST(StreamIngestTest, FanoutRollsLaggingCellsForwardOnDiscard) {
   }
   // Epoch 1's data is still intact after realignment.
   EXPECT_EQ(t->features()->NumNodes(1).value(), 2);
+}
+
+TEST(StreamIngestTest, BulkLoadFillsEveryReplicaOnceInARemovedTempDir) {
+  data::SimDataset ds = data::TransactionGenerator::BuildDataset(
+      SmallWorkload(), "bulk", 0.7, 0.1, /*split_seed=*/13);
+  kv::MemKvStore reference_kv;
+  kv::FeatureStore reference(&reference_kv);
+  ASSERT_TRUE(reference.Ingest(ds.graph).ok());
+
+  auto grid_dirs = [] {
+    std::set<std::string> dirs;
+    for (const auto& e : std::filesystem::directory_iterator(
+             std::filesystem::temp_directory_path())) {
+      const std::string name = e.path().filename().string();
+      if (name.rfind("xfraud-grid-", 0) == 0) dirs.insert(e.path().string());
+    }
+    return dirs;
+  };
+  const std::set<std::string> before = grid_dirs();
+  std::vector<std::string> created;
+  {
+    StreamingOptions options;  // empty dir: a private temp dir
+    options.num_shards = 3;
+    options.num_replicas = 2;
+    auto topo = StreamingTopology::Open(std::move(options));
+    ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+    StreamingTopology* t = topo.value().get();
+    for (const std::string& d : grid_dirs()) {
+      if (before.count(d) == 0) created.push_back(d);
+    }
+    ASSERT_EQ(created.size(), 1u);
+    ASSERT_TRUE(t->BulkLoad(ds.graph).ok());
+    EXPECT_EQ(t->epochs()->published_epoch(), 1u);
+    // The ingestor reattached on top of the loaded graph.
+    EXPECT_EQ(t->ingestor()->num_nodes(), ds.graph.num_nodes());
+
+    // Every replica column holds the whole graph: reading each node's
+    // features with one replica of every shard dead still matches.
+    for (int dead = 0; dead < 2; ++dead) {
+      std::vector<kv::KvStore*> column;
+      for (int s = 0; s < 3; ++s) column.push_back(t->cell(s, 1 - dead));
+      kv::ShardedKvStore view(column);
+      kv::FeatureStore features(&view);
+      int rows = 0;
+      for (int32_t node = 0; node < ds.graph.num_nodes(); ++node) {
+        std::vector<float> want, got;
+        const Status a = reference.ReadFeatures(node, &want);
+        const Status b = features.ReadFeatures(node, &got, 1);
+        ASSERT_EQ(a.code(), b.code()) << node << ": " << b.ToString();
+        ASSERT_EQ(want, got) << node;
+        rows += b.ok() ? 1 : 0;
+      }
+      EXPECT_GT(rows, 0);
+    }
+
+    Status again = t->BulkLoad(ds.graph);
+    EXPECT_TRUE(again.IsFailedPrecondition()) << again.ToString();
+    EXPECT_EQ(t->epochs()->published_epoch(), 1u);
+  }
+  EXPECT_FALSE(std::filesystem::exists(created[0])) << created[0];
 }
 
 // ---------------------------------------------------------------------------

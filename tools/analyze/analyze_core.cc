@@ -940,6 +940,11 @@ std::vector<Finding> ApplyBaseline(const std::vector<Finding>& findings,
   return remaining;
 }
 
+int ExitStatus(const std::vector<Finding>& remaining,
+               const std::vector<std::string>& stale) {
+  return remaining.empty() && stale.empty() ? 0 : 1;
+}
+
 std::string FindingsToBaseline(const std::vector<Finding>& findings) {
   std::string out;
   for (const Finding& f : findings) {

@@ -99,6 +99,12 @@ std::vector<Finding> ApplyBaseline(const std::vector<Finding>& findings,
                                    const std::vector<std::string>& baseline,
                                    std::vector<std::string>* stale);
 
+/// Exit status of a run: 0 when no finding survived the baseline and no
+/// baseline entry is stale, else 1. A stale entry fails the run because it
+/// would silently re-admit a new finding at that file:line.
+int ExitStatus(const std::vector<Finding>& remaining,
+               const std::vector<std::string>& stale);
+
 /// Serializes findings as baseline lines (for --write-baseline).
 std::string FindingsToBaseline(const std::vector<Finding>& findings);
 

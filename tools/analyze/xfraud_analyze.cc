@@ -10,9 +10,9 @@
 // With no paths, analyzes src/ tests/ bench/ examples/ tools/ relative to
 // the current directory, and picks up tools/analyze/layering.conf and
 // tools/analyze/analyze_baseline.txt when present. Exits 0 when clean, 1 on
-// non-baselined findings, 2 on usage or I/O errors. Findings print as
-// `file:line: rule-id message`. Suppress one site with
-// `// xfraud-analyze: allow(rule-id)` on that line or the line above.
+// non-baselined findings or stale baseline entries, 2 on usage or I/O
+// errors. Findings print as `file:line: rule-id message`. Suppress one site
+// with `// xfraud-analyze: allow(rule-id)` on that line or the line above.
 //
 // The passes and their rationale are documented in DESIGN.md §14.
 
@@ -136,12 +136,15 @@ int main(int argc, char** argv) {
     }
     out << xfraud::lint::FindingsToJson(findings);
   }
+  const int status = xfraud::analyze::ExitStatus(findings, stale);
   if (!quiet) {
-    std::cout << (findings.empty()
-                      ? "xfraud_analyze: clean"
-                      : "xfraud_analyze: " +
-                            std::to_string(findings.size()) + " finding(s)")
+    std::cout << (status == 0 ? "xfraud_analyze: clean"
+                              : "xfraud_analyze: " +
+                                    std::to_string(findings.size()) +
+                                    " finding(s), " +
+                                    std::to_string(stale.size()) +
+                                    " stale baseline entr(ies)")
               << "\n";
   }
-  return findings.empty() ? 0 : 1;
+  return status;
 }

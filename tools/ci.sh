@@ -181,10 +181,13 @@ fi
 echo "== test =="
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 
-# Serving chaos leg: re-run the ServingChaos suites under a replica-failure
-# plan (one replica of every shard dead plus flaky reads). The scoring
-# service must keep answering — failover, breakers, and degraded mode
-# absorb it; serve_test.cc asserts bit-identical scores across runs.
+# Serving chaos leg: re-run the ServingChaos suites with XFRAUD_FAULT_PLAN
+# set to a replica-failure plan (one replica of every shard dead plus
+# flaky reads). Only ServingChaosTest.EnvPlanAnswersEveryRequestBitIdentically
+# reads it: on a LogKv grid, every request must be answered (OK or
+# degraded), two runs must score bit-identically, and the dead replica
+# must have failed reads. The other ServingChaos cases run their own
+# literal plans, as in the ctest leg.
 if [[ "${MODE}" == "faults" ]]; then
   echo "== serving chaos =="
   XFRAUD_FAULT_PLAN="seed=20260805,kill_replica=0,kv_error_rate=0.005" \

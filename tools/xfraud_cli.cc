@@ -153,10 +153,10 @@ int Usage() {
       "(see DESIGN.md §10 for the full grammar).\n"
       "\n"
       "online serving (serve-bench): stands up --shards x --replicas\n"
-      "in-memory KV cells behind the hardened read path (failover, circuit\n"
-      "breakers, hedged reads after --hedge-delay-ms; negative disables\n"
-      "hedging) and scores --requests labeled transactions under a\n"
-      "--deadline-ms budget. Admission control sheds requests past\n"
+      "LogKv cells (in a temp dir removed on exit) behind the hardened read\n"
+      "path (failover, circuit breakers, hedged reads after --hedge-delay-ms;\n"
+      "negative disables hedging) and scores --requests labeled transactions\n"
+      "under a --deadline-ms budget. Admission control sheds requests past\n"
       "--max-inflight concurrent scores: --shed-policy failfast refuses\n"
       "them, degrade answers from the mined-rule prefilter (counted\n"
       "against --max-degraded-frac). --fault-plan adds kill_replica=<r>,\n"
@@ -572,7 +572,7 @@ int CmdServeBench(const Flags& flags) {
   Clock* clock =
       flags.Has("virtual-clock") ? &virtual_clock : Clock::Real();
 
-  serve::TopologyOptions topo;
+  stream::StreamingOptions topo;  // empty dir: cells in a removed temp dir
   topo.num_shards = flags.GetInt("shards", 4);
   topo.num_replicas = flags.GetInt("replicas", 3);
   topo.clock = clock;
@@ -590,13 +590,14 @@ int CmdServeBench(const Flags& flags) {
     topo.plan = plan.value();
     std::cout << "fault plan: " << plan.value().ToString() << "\n";
   }
-  serve::ServingTopology topology(topo);
-  Status ingest = topology.Ingest(ds.graph);
+  auto topology = stream::StreamingTopology::Open(topo);
+  Status ingest = topology.ok() ? topology.value()->BulkLoad(ds.graph)
+                                : topology.status();
   if (!ingest.ok()) {
     std::cerr << "serve-bench: ingest: " << ingest.ToString() << "\n";
     return 1;
   }
-  kv::FeatureStore features(topology.serving());
+  kv::FeatureStore features(topology.value()->serving());
 
   // Score with the trained checkpoint when given; a fresh seed-initialized
   // detector exercises the identical serving path otherwise.
