@@ -3,10 +3,12 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
 
 #include "xfraud/common/bytes.h"
 #include "xfraud/common/crc32.h"
@@ -120,6 +122,16 @@ Result<std::string> ReadFileVerifyCrc(const std::string& path) {
     return Status::Corruption("CRC mismatch in " + path);
   }
   return data;
+}
+
+Result<std::string> MakeTempDir(const std::string& prefix) {
+  std::string path =
+      (std::filesystem::temp_directory_path() / (prefix + "XXXXXX")).string();
+  if (::mkdtemp(path.data()) == nullptr) {
+    return Status::IoError("cannot create temp dir " + path + ": " +
+                           std::string(::strerror(errno)));
+  }
+  return path;
 }
 
 }  // namespace xfraud

@@ -33,6 +33,11 @@ Result<std::string> ReadFileToString(const std::string& path);
 /// flip, truncation) returns Status::Corruption.
 Result<std::string> ReadFileVerifyCrc(const std::string& path);
 
+/// Creates a fresh, uniquely named directory `<system temp dir>/<prefix>`
+/// plus six random characters (mkdtemp) and returns its path. The caller
+/// owns it and removes it when done.
+Result<std::string> MakeTempDir(const std::string& prefix);
+
 }  // namespace xfraud
 
 #endif  // XFRAUD_COMMON_ATOMIC_FILE_H_

@@ -56,8 +56,9 @@ Result<FrameHeader> DecodeFrameHeader(const unsigned char* data) {
   if (!in.Magic(kMagic)) return Status::Corruption("frame: bad magic");
   FrameHeader header;
   const uint16_t type = in.U16();
+  // Type 7, the retired ring barrier token, stays unassigned.
   if (type < static_cast<uint16_t>(FrameType::kHello) ||
-      type > static_cast<uint16_t>(FrameType::kDrain)) {
+      type > static_cast<uint16_t>(FrameType::kDrain) || type == 7) {
     return Status::Corruption("frame: unknown type " + std::to_string(type));
   }
   header.type = static_cast<FrameType>(type);

@@ -35,7 +35,7 @@ enum class FrameType : uint16_t {
   kReduce = 4,     // all-reduce pass 1 (partial sums travel the ring)
   kResult = 5,     // all-reduce pass 2 (final sum travels the ring)
   kBroadcast = 6,  // broadcast payload, rank = root
-  kBarrier = 7,    // empty token circling the ring
+  // 7 was the ring barrier's token; it is retired and stays unassigned.
   kGather = 8,     // concatenated per-rank entries travelling toward root
   // Multi-process serving tier (serve/wire.h owns the payload codecs):
   kScoreRequest = 9,  // router -> shard server: seq = request id

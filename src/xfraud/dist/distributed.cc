@@ -1,13 +1,14 @@
 #include "xfraud/dist/distributed.h"
 
 #include <exception>
+#include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <system_error>
 #include <thread>
 
+#include "xfraud/common/atomic_file.h"
 #include "xfraud/common/logging.h"
-#include "xfraud/dist/communicator.h"
 #include "xfraud/dist/worker.h"
 
 namespace xfraud::dist {
@@ -24,21 +25,20 @@ DistributedTrainer::DistributedTrainer(std::vector<core::GnnModel*> replicas,
 DistributedResult DistributedTrainer::Train(const data::SimDataset& ds) {
   const int kappa = options_.num_workers;
 
-  // Generation g of the cluster is groups[g]. A rank regrouping after a
-  // failure creates the next group, or joins the one a faster peer made.
-  // Once a rank gives up, every group fails (`dead`), so no peer waits on
-  // it forever.
-  std::mutex mu;
-  std::vector<std::unique_ptr<InProcessGroup>> groups;
-  Status dead = Status::OK();
-  auto group = [&](uint64_t generation) {
-    std::lock_guard<std::mutex> lock(mu);
-    while (groups.size() <= generation) {
-      groups.push_back(std::make_unique<InProcessGroup>(kappa));
-      if (!dead.ok()) groups.back()->Poison(dead);
-    }
-    return groups[generation].get();
-  };
+  // The ranks' ring meets at a rendezvous in a fresh temp dir; one host
+  // serves it for every generation.
+  Result<std::string> dir = MakeTempDir("xfraud-ring-");
+  XF_CHECK(dir.ok()) << dir.status().ToString();
+  RankTransport transport;
+  transport.rendezvous.path = dir.value() + "/rdzv.sock";
+  transport.kill = [](SocketCommunicator* ring) { ring->Shutdown(); };
+  std::unique_ptr<RendezvousHost> host;
+  if (kappa > 1) {
+    Result<std::unique_ptr<RendezvousHost>> created =
+        RendezvousHost::Create(transport.rendezvous, kappa);
+    XF_CHECK(created.ok()) << created.status().ToString();
+    host = std::move(created).value();
+  }
 
   std::vector<Result<DistributedResult>> results(
       static_cast<size_t>(kappa), Status::Internal("rank did not run"));
@@ -51,33 +51,25 @@ DistributedResult DistributedTrainer::Train(const data::SimDataset& ds) {
       rank_options.rank = w;
       rank_options.world = kappa;
       rank_options.dist = options_;
-      uint64_t current = 0;
-      RankTransport transport;
-      transport.join = [&](uint64_t* generation) -> Result<Communicator*> {
-        current = *generation;
-        return group(current)->communicator(w);
-      };
-      transport.kill = [&] {
-        group(current)->Poison(
-            Status::Unavailable("rank " + std::to_string(w) + " was killed"));
-      };
+      RankTransport mine = transport;
+      if (w == 0) mine.host = host.get();
       Result<DistributedResult> result = Status::Internal("rank threw");
       try {
         result = TrainRank(ds, rank_options, replicas_[static_cast<size_t>(w)],
-                           sampler_, transport);
+                           sampler_, mine);
       } catch (...) {
         // Rethrown on the caller's thread once every rank has stopped.
         thrown[static_cast<size_t>(w)] = std::current_exception();
       }
-      if (!result.ok()) {
-        std::lock_guard<std::mutex> lock(mu);
-        dead = result.status();
-        for (auto& g : groups) g->Poison(dead);
-      }
+      // This rank is gone for good: the survivors' next rejoin must fail
+      // instead of waiting out the rendezvous budget for it.
+      if (!result.ok() && host != nullptr) host->Close();
       results[static_cast<size_t>(w)] = std::move(result);
     });
   }
   for (std::thread& t : threads) t.join();
+  std::error_code ec;  // best effort: a leftover temp dir is harmless
+  std::filesystem::remove_all(dir.value(), ec);
   for (const std::exception_ptr& e : thrown) {
     if (e) std::rethrow_exception(e);
   }

@@ -29,8 +29,8 @@ struct DistributedOptions {
   /// sampler threads).
   train::TrainOptions train;
   /// Deterministic chaos plan. Every rank builds its own FaultInjector from
-  /// it: kill_worker=<r>@<epoch>:<step> kills rank r there (a poisoned group
-  /// in-process, a SIGKILL in a process), and with kv_backed_loaders the KV
+  /// it: kill_worker=<r>@<epoch>:<step> kills rank r there (a ring shutdown
+  /// on a thread, a SIGKILL in a process), and with kv_backed_loaders the KV
   /// fault rates apply to every rank's feature reads.
   fault::FaultPlan fault_plan;
   /// Serve each worker's batch features from a per-worker KV-backed
@@ -58,7 +58,7 @@ struct DistributedEpoch {
   /// Slowest rank's gradient-compute (forward+backward) cost this epoch.
   double max_worker_compute_seconds = 0.0;
   /// Slowest rank's wall time inside collectives this epoch
-  /// (Communicator::comm_seconds(), waiting for peers included).
+  /// (SocketCommunicator::comm_seconds(), waiting for peers included).
   double measured_comm_seconds = 0.0;
   /// Whether a rank died this epoch, so every rank rolled back to the
   /// epoch-start image and re-ran it, and what the rollback and regroup
@@ -79,17 +79,20 @@ struct DistributedResult {
 
 /// DistributedDataParallel training on threads (paper §3.3.2): `num_workers`
 /// model replicas with identical initial weights, one OS thread each, every
-/// thread running the per-rank loop (TrainRank, dist/worker.h) over a shared
-/// InProcessGroup. Each rank trains on its own PIC partition's induced
-/// subgraph; gradients are averaged by an all-reduce every step and the
-/// identical update is applied to every replica, keeping them synchronized —
-/// exactly PyTorch DDP's semantics. Restrained neighbourhoods reproduce the
-/// paper's quality/efficiency trade-off (§4.1: more machines, faster
-/// epochs, lower AUC).
+/// thread running the per-rank loop (TrainRank, dist/worker.h) on the same
+/// SocketCommunicator ring that process ranks use, over unix sockets in a
+/// temp dir that is removed when Train returns. Each rank trains on its own
+/// PIC partition's induced subgraph; gradients are averaged by an
+/// all-reduce every step and the identical update is applied to every
+/// replica, keeping them synchronized — exactly PyTorch DDP's semantics.
+/// Restrained neighbourhoods reproduce the paper's quality/efficiency
+/// trade-off (§4.1: more machines, faster epochs, lower AUC).
 ///
-/// A planned kill_worker poisons the group; every rank then rolls back to
-/// its in-memory epoch-start image, regroups under a fresh group, and re-runs
-/// the epoch, so the run stays bit-identical to a fault-free one.
+/// A planned kill_worker shuts the rank's ring down; every rank then rolls
+/// back to its in-memory epoch-start image, reconnects at the next
+/// generation, and re-runs the epoch, so the run stays bit-identical to a
+/// fault-free one. A rank that fails for good closes the rendezvous, so the
+/// others fail at once instead of waiting for it.
 class DistributedTrainer {
  public:
   /// `replicas` must be identically-initialized models (same seed).

@@ -1,5 +1,8 @@
 #include "xfraud/dist/rendezvous.h"
 
+#include <errno.h>
+#include <sys/socket.h>
+
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -128,6 +131,18 @@ Result<Endpoint> RendezvousHost::Exchange(const Endpoint& rank0_ring,
     if (!sent.ok()) return sent;
   }
   return rings[static_cast<size_t>(world_ > 1 ? 1 : 0)];
+}
+
+void RendezvousHost::Close() {
+  // The fd stays open until destruction, so an Exchange polling it on
+  // another thread never sees it reused; shutdown() wakes that poll.
+  ::shutdown(listener_.get(), SHUT_RDWR);
+  // Dials queued before the shutdown would wait for an assignment that
+  // never comes: accept and drop them. No new dial can queue any more.
+  for (;;) {
+    UniqueFd queued(::accept(listener_.get(), nullptr, nullptr));
+    if (!queued.valid() && errno != EINTR) return;
+  }
 }
 
 Result<Endpoint> JoinRendezvous(const Endpoint& host, int rank, int world,

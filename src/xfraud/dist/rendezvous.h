@@ -62,6 +62,13 @@ class RendezvousHost {
   Result<Endpoint> Exchange(const Endpoint& rank0_ring, uint64_t generation,
                             const Deadline& deadline, Clock* clock);
 
+  /// Ends the rendezvous for good; safe to call from any thread. Later
+  /// dials are refused, joiners already queued or waiting for an assignment
+  /// see EOF, and Exchange (in progress or later) fails with Unavailable.
+  /// A driver whose rank failed for good calls it so that the survivors'
+  /// rejoins fail at once instead of waiting out the rendezvous budget.
+  void Close();
+
   /// Use Create() — public only so make_unique can reach it.
   RendezvousHost(UniqueFd listener, int world);
 

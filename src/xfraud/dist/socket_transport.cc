@@ -19,12 +19,23 @@
 
 #include "xfraud/common/bytes.h"
 #include "xfraud/common/logging.h"
+#include "xfraud/common/retry.h"
 #include "xfraud/common/rng.h"
 #include "xfraud/obs/registry.h"
 
 namespace xfraud::dist {
 
 namespace {
+
+// Connection budgets no caller tunes: one dial, the whole cluster
+// assembling at the rendezvous, and the re-dial policy for a host or ring
+// successor that is not listening yet.
+constexpr double kConnectTimeoutS = 10.0;
+constexpr double kRendezvousTimeoutS = 60.0;
+const RetryPolicy kConnectRetry{.max_attempts = 50,
+                                .initial_backoff_s = 0.002,
+                                .max_backoff_s = 0.25,
+                                .deadline_s = 60.0};
 
 std::string ErrnoText(const std::string& what) {
   return what + ": " + std::strerror(errno);
@@ -40,8 +51,10 @@ Status SetNonBlocking(int fd) {
 
 /// Waits for `events` readiness. Polls in <=100ms slices so an unlimited
 /// deadline still re-checks errno state periodically; the budget itself
-/// comes from the Deadline (whose clock was injected by the caller).
-Status PollFor(int fd, short events, const Deadline& deadline) {
+/// comes from the Deadline (whose clock was injected by the caller). The
+/// returned events land in `*revents` when it is non-null.
+Status PollFor(int fd, short events, const Deadline& deadline,
+               short* revents = nullptr) {
   for (;;) {
     double remaining = deadline.RemainingSeconds();
     if (remaining <= 0.0) {
@@ -64,7 +77,10 @@ Status PollFor(int fd, short events, const Deadline& deadline) {
     }
     // POLLHUP/POLLERR are reported through the subsequent read/write,
     // which maps them onto Unavailable with a precise message.
-    if (rc > 0) return Status::OK();
+    if (rc > 0) {
+      if (revents != nullptr) *revents = pfd.revents;
+      return Status::OK();
+    }
   }
 }
 
@@ -183,8 +199,13 @@ Result<UniqueFd> AcceptWithDeadline(int listener, const Deadline& deadline,
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNABORTED) {
-      // Transient: wait for the next pending connection.
-      XF_RETURN_IF_ERROR(PollFor(listener, POLLIN, deadline));
+      // Transient: wait for the next pending connection. A shut-down
+      // listener polls as hung up with nothing left to accept.
+      short revents = 0;
+      XF_RETURN_IF_ERROR(PollFor(listener, POLLIN, deadline, &revents));
+      if ((revents & POLLHUP) != 0) {
+        return Status::Unavailable("listener was shut down");
+      }
       continue;
     }
     return Status::IoError(ErrnoText("accept"));
@@ -449,9 +470,8 @@ struct SocketCommunicator::Impl {
 
   /// Two-pass ring all-reduce. Pass 1 walks the partial sum from rank 0
   /// around the ring — each rank computes (partial-from-left + own), which
-  /// is exactly the ascending-rank left fold of the in-process backend, so
-  /// the bits match. Pass 2 walks the finished sum back around. 2·world-1
-  /// frames total.
+  /// is exactly the ascending-rank left fold of the contract. Pass 2 walks
+  /// the finished sum back around. 2·world-1 frames total.
   template <typename T>
   Status RingAllReduce(std::span<T> data) {
     const size_t bytes = data.size() * sizeof(T);
@@ -494,27 +514,6 @@ struct SocketCommunicator::Impl {
         Recv(FrameType::kBroadcast, dtype, data.data(), bytes, deadline));
     if (distance != world - 1) {
       return Send(FrameType::kBroadcast, dtype, data.data(), bytes, deadline);
-    }
-    return Status::OK();
-  }
-
-  /// Two empty tokens around the ring. One circuit proves every rank has
-  /// entered the barrier; the second proves every rank has seen the first,
-  /// so nobody can lap a slow rank into the next collective's frames.
-  Status RingBarrier() {
-    const Deadline deadline = Deadline::After(clock, op_timeout_s);
-    for (uint16_t circuit = 0; circuit < 2; ++circuit) {
-      if (rank == 0) {
-        XF_RETURN_IF_ERROR(
-            Send(FrameType::kBarrier, circuit, nullptr, 0, deadline));
-        XF_RETURN_IF_ERROR(
-            Recv(FrameType::kBarrier, circuit, nullptr, 0, deadline));
-      } else {
-        XF_RETURN_IF_ERROR(
-            Recv(FrameType::kBarrier, circuit, nullptr, 0, deadline));
-        XF_RETURN_IF_ERROR(
-            Send(FrameType::kBarrier, circuit, nullptr, 0, deadline));
-      }
     }
     return Status::OK();
   }
@@ -618,20 +617,11 @@ Status SocketCommunicator::AllReduceSum(std::span<float> data) {
 Status SocketCommunicator::AllReduceSum(std::span<double> data) {
   return impl_->Guarded([&] { return impl_->RingAllReduce(data); });
 }
-Status SocketCommunicator::Broadcast(std::span<float> data, int root) {
-  if (root < 0 || root >= impl_->world) {
-    return Status::InvalidArgument("broadcast root out of range");
-  }
-  return impl_->Guarded([&] { return impl_->RingBroadcast(data, root); });
-}
 Status SocketCommunicator::Broadcast(std::span<double> data, int root) {
   if (root < 0 || root >= impl_->world) {
     return Status::InvalidArgument("broadcast root out of range");
   }
   return impl_->Guarded([&] { return impl_->RingBroadcast(data, root); });
-}
-Status SocketCommunicator::Barrier() {
-  return impl_->Guarded([&] { return impl_->RingBarrier(); });
 }
 Status SocketCommunicator::Gather(std::span<const float> send, int root,
                                   std::vector<std::vector<float>>* recv) {
@@ -656,7 +646,7 @@ Result<std::unique_ptr<SocketCommunicator>> SocketCommunicator::Connect(
   impl->world = options.world;
   impl->generation = options.generation;
   impl->op_timeout_s = options.op_timeout_s;
-  impl->clock = options.clock != nullptr ? options.clock : Clock::Real();
+  impl->clock = Clock::Real();
   auto& registry = obs::Registry::Global();
   impl->frames_sent = registry.counter("dist/comm/frames_sent");
   impl->bytes_sent = registry.counter("dist/comm/bytes_sent");
@@ -691,7 +681,7 @@ Result<std::unique_ptr<SocketCommunicator>> SocketCommunicator::Connect(
   ring_ep = bound;
 
   const Deadline rendezvous_deadline =
-      Deadline::After(clock, options.rendezvous_timeout_s);
+      Deadline::After(clock, kRendezvousTimeoutS);
   Endpoint succ_ep;
   if (options.rank == 0) {
     Result<Endpoint> assigned = host->Exchange(
@@ -702,8 +692,9 @@ Result<std::unique_ptr<SocketCommunicator>> SocketCommunicator::Connect(
     uint64_t host_generation = options.generation;
     Result<Endpoint> assigned = JoinRendezvous(
         options.rendezvous, options.rank, options.world, ring_ep,
-        options.generation, rendezvous_deadline, options.connect_retry,
-        clock, &host_generation);
+        options.generation, rendezvous_deadline,
+        options.generation == 0 ? kConnectRetry : RetryPolicy{}, clock,
+        &host_generation);
     if (!assigned.ok()) return assigned.status();
     succ_ep = assigned.value();
     impl->generation = host_generation;
@@ -711,13 +702,11 @@ Result<std::unique_ptr<SocketCommunicator>> SocketCommunicator::Connect(
 
   // Dial the successor (its listener has existed since before it joined the
   // rendezvous) and introduce ourselves.
-  RetryPolicy dial_retry = options.connect_retry;
-  dial_retry.clock = clock;
   const uint64_t jitter_seed = Rng::StreamSeed(
       impl->generation, static_cast<uint64_t>(options.rank) + 0x52494E47ULL);
-  Status dialed = RetryWithBackoff(dial_retry, jitter_seed, [&]() -> Status {
+  Status dialed = RetryWithBackoff(kConnectRetry, jitter_seed, [&]() -> Status {
     Result<UniqueFd> fd = DialEndpoint(
-        succ_ep, Deadline::After(clock, options.connect_timeout_s), clock);
+        succ_ep, Deadline::After(clock, kConnectTimeoutS), clock);
     if (!fd.ok()) return fd.status();
     impl->succ = std::move(fd.value());
     return Status::OK();

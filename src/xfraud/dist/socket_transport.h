@@ -3,15 +3,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "xfraud/common/clock.h"
 #include "xfraud/common/fd.h"
 #include "xfraud/common/frame.h"
-#include "xfraud/common/retry.h"
 #include "xfraud/common/status.h"
-#include "xfraud/dist/communicator.h"
 #include "xfraud/dist/rendezvous.h"
 
 namespace xfraud::dist {
@@ -28,7 +26,8 @@ namespace xfraud::dist {
 Result<UniqueFd> DialEndpoint(const Endpoint& ep, const Deadline& deadline,
                               Clock* clock);
 
-/// Accepts one connection from a nonblocking listener.
+/// Accepts one connection from a nonblocking listener; Unavailable once the
+/// listener has been shut down (RendezvousHost::Close).
 Result<UniqueFd> AcceptWithDeadline(int listener, const Deadline& deadline,
                                     Clock* clock);
 
@@ -84,31 +83,35 @@ struct SocketCommOptions {
   int world = 1;
   /// Rendezvous endpoint spec (`unix:<path>` or `tcp:host:port`).
   Endpoint rendezvous;
-  /// Per-connect budget when dialing the rendezvous or ring successor.
-  double connect_timeout_s = 10.0;
   /// Budget for one collective (the slowest frame hop within it).
   double op_timeout_s = 60.0;
-  /// Budget for the whole cluster to assemble at the rendezvous.
-  double rendezvous_timeout_s = 60.0;
-  /// Backoff policy for dialing a host that is not listening yet.
-  RetryPolicy connect_retry{.max_attempts = 50,
-                            .initial_backoff_s = 0.002,
-                            .max_backoff_s = 0.25,
-                            .deadline_s = 60.0};
   /// Rendezvous generation this rank believes it is joining; the host's
-  /// assignment overrides it (read back via generation()).
+  /// assignment overrides it (read back via generation()). Generation 0 is
+  /// a first join, which re-dials a host that is not listening yet (process
+  /// start order is arbitrary). A rejoin dials once: the host listens for
+  /// the whole run, so a refused dial means it was closed.
   uint64_t generation = 0;
-  /// Time source; nullptr means Clock::Real(). Socket readiness still comes
-  /// from poll(), so a VirtualClock only makes sense for already-ready fds.
-  Clock* clock = nullptr;
 };
 
-/// Ring transport over local sockets: every rank owns a listening "ring"
-/// endpoint, learns its successor from the rank-0 rendezvous, dials it, and
-/// accepts its predecessor. Collectives are single- or double-pass ring
-/// walks (see DESIGN.md §12) whose reduction order is the same ascending-
-/// rank left fold as the in-process backend, so results are bit-identical
-/// across backends.
+/// Collective communication over a ring of local sockets, shaped after
+/// PyTorch's ProcessGroup. It is the one transport of the per-rank DDP loop
+/// (TrainRank, dist/worker.h), whether the ranks are threads of one process
+/// (DistributedTrainer) or processes (RunProcessCluster). Every rank owns a
+/// listening "ring" endpoint, learns its successor from the rank-0
+/// rendezvous, dials it, and accepts its predecessor.
+///
+/// The collective contract:
+///  - AllReduceSum reduces element-wise in ascending-rank order — the sum is
+///    the left fold ((r0 + r1) + r2) + ... — and every rank's buffer holds
+///    the bit-identical result afterwards. Rank order is what keeps the
+///    replicas bitwise synchronized, on threads and on processes alike.
+///  - Broadcast copies root's buffer into every rank's buffer.
+///  - Gather delivers every rank's buffer to `root`, indexed by rank; ranks
+///    may contribute different lengths.
+///  - Collectives are matched by call order: every rank must issue the same
+///    sequence of operations with the same element counts. A mismatch is
+///    Corruption, detected through the frame headers.
+/// DESIGN.md §12 draws the ring walks.
 ///
 /// Any frame error (timeout, peer death, header mismatch) breaks the ring:
 /// the failing call tears down both ring connections — waking the
@@ -116,7 +119,7 @@ struct SocketCommOptions {
 /// every subsequent collective fails fast with the original error. Recovery
 /// is the caller's job: roll back to the epoch-start checkpoint, bump the
 /// generation, and Connect() a fresh communicator.
-class SocketCommunicator final : public Communicator {
+class SocketCommunicator {
  public:
   /// Full connection dance: bind the ring listener, rendezvous (rank 0
   /// hosts via `host`, which must be non-null iff rank == 0 and world > 1),
@@ -124,19 +127,21 @@ class SocketCommunicator final : public Communicator {
   static Result<std::unique_ptr<SocketCommunicator>> Connect(
       const SocketCommOptions& options, RendezvousHost* host);
 
-  ~SocketCommunicator() override;
+  ~SocketCommunicator();
 
-  int rank() const override;
-  int size() const override;
-  Status AllReduceSum(std::span<float> data) override;
-  Status AllReduceSum(std::span<double> data) override;
-  Status Broadcast(std::span<float> data, int root) override;
-  Status Broadcast(std::span<double> data, int root) override;
-  Status Barrier() override;
+  int rank() const;
+  int size() const;
+  Status AllReduceSum(std::span<float> data);
+  Status AllReduceSum(std::span<double> data);
+  Status Broadcast(std::span<double> data, int root);
   Status Gather(std::span<const float> send, int root,
-                std::vector<std::vector<float>>* recv) override;
-  double comm_seconds() const override;
-  int64_t bytes_on_wire() const override;
+                std::vector<std::vector<float>>* recv);
+
+  /// Wall seconds this rank has spent inside collectives (waiting for peers
+  /// included).
+  double comm_seconds() const;
+  /// Payload + header bytes this rank has put on the wire.
+  int64_t bytes_on_wire() const;
 
   /// Generation assigned by the rendezvous host at Connect time.
   uint64_t generation() const;

@@ -332,10 +332,28 @@ Result<DistributedResult> TrainRank(const data::SimDataset& ds,
     }
   }
 
+  // (Re)connects the ring at `generation`. Dropping the failed ring first
+  // closes its sockets, waking any neighbour still blocked on it with EOF.
+  // The rendezvous may move the rank to the generation the cluster is at
+  // (a restarted process joins mid-run).
+  std::unique_ptr<SocketCommunicator> comm;
   uint64_t generation = 0;
-  Result<Communicator*> joined = transport.join(&generation);
-  if (!joined.ok()) return joined.status();
-  Communicator* comm = joined.value();
+  auto connect = [&]() -> Status {
+    comm = nullptr;
+    Result<std::unique_ptr<SocketCommunicator>> connected =
+        SocketCommunicator::Connect(
+            {.rank = rank,
+             .world = world,
+             .rendezvous = transport.rendezvous,
+             .op_timeout_s = transport.op_timeout_s,
+             .generation = generation},
+            transport.host);
+    if (!connected.ok()) return connected.status();
+    comm = std::move(connected).value();
+    generation = comm->generation();
+    return Status::OK();
+  };
+  XF_RETURN_IF_ERROR(connect());
 
   auto& registry = obs::Registry::Global();
   obs::Counter* worker_kills = registry.counter("dist/worker_kills");
@@ -391,6 +409,7 @@ Result<DistributedResult> TrainRank(const data::SimDataset& ds,
   // ---- Epoch loop ---------------------------------------------------------
   int recovery_rounds = 0;
   const float inv_world = 1.0f / static_cast<float>(world);
+  std::vector<float> bucket;  // the step's gradients, reduced in one call
   for (int epoch = start_epoch; epoch < topt.max_epochs; ++epoch) {
     std::optional<obs::ScopedSpan> epoch_span;
     if (rank == 0) epoch_span.emplace("dist/epoch");
@@ -452,7 +471,7 @@ Result<DistributedResult> TrainRank(const data::SimDataset& ds,
                          << " executing planned kill at epoch " << epoch
                          << " step " << step;
             worker_kills->Increment();
-            transport.kill();
+            transport.kill(comm.get());
             return Status::Unavailable("dist worker " + std::to_string(rank) +
                                        " killed by the fault plan");
           }
@@ -477,10 +496,21 @@ Result<DistributedResult> TrainRank(const data::SimDataset& ds,
             // participates in every collective.
             for (auto& p : params) p.var.ZeroGrad();
           }
+          // One all-reduce over every gradient, packed in parameter order.
+          // Each element still takes the ascending-rank fold, so the bits
+          // match one all-reduce per tensor, but the ring is walked once
+          // per step instead of once per tensor.
+          bucket.clear();
+          for (auto& p : params) {
+            const nn::Tensor& g = p.var.grad();
+            bucket.insert(bucket.end(), g.data(), g.data() + g.size());
+          }
+          XF_RETURN_IF_ERROR(comm->AllReduceSum(std::span<float>(bucket)));
+          const float* reduced = bucket.data();
           for (auto& p : params) {
             nn::Tensor& g = p.var.grad();
-            XF_RETURN_IF_ERROR(comm->AllReduceSum(std::span<float>(
-                g.data(), static_cast<size_t>(g.size()))));
+            std::copy(reduced, reduced + g.size(), g.data());
+            reduced += g.size();
             // Same scalar on every rank over the bit-identical sum — the
             // DDP gradient mean. Recovery re-runs the epoch at full
             // strength, so world is always the denominator.
@@ -509,7 +539,7 @@ Result<DistributedResult> TrainRank(const data::SimDataset& ds,
       }();
       if (attempt.ok()) break;
       // A peer died or a collective failed. Roll back to the epoch-start
-      // image and regroup under the next generation — a killed process is
+      // image and reconnect at the next generation — a killed process is
       // meanwhile restarted by the launcher and resumes from its checkpoint.
       if (++recovery_rounds > kMaxRecoveryRounds) return attempt;
       XF_LOG(Info) << "dist worker " << rank << " epoch " << epoch
@@ -519,9 +549,7 @@ Result<DistributedResult> TrainRank(const data::SimDataset& ds,
       WallTimer recovery_timer;
       XF_RETURN_IF_ERROR(restore(image));
       ++generation;
-      joined = transport.join(&generation);
-      if (!joined.ok()) return joined.status();
-      comm = joined.value();
+      XF_RETURN_IF_ERROR(connect());
       restarted_this_epoch = true;
       recovery_seconds += recovery_timer.ElapsedSeconds();
       if (rank == 0) epoch_restarts->Increment();
@@ -591,39 +619,22 @@ Result<DistributedResult> RunDistWorker(const data::SimDataset& ds,
                                     options.sampler_fanout);
 
   // ---- Transport ----------------------------------------------------------
-  Endpoint rdzv_ep;
+  RankTransport transport;
+  transport.op_timeout_s = options.op_timeout_s;
+  transport.kill = [](SocketCommunicator*) { fault::KillCurrentProcess(); };
+  std::unique_ptr<RendezvousHost> host;
   if (world > 1) {
     Result<Endpoint> parsed = ParseEndpoint(options.rendezvous);
     if (!parsed.ok()) return parsed.status();
-    rdzv_ep = parsed.value();
+    transport.rendezvous = parsed.value();
+    if (rank == 0) {
+      Result<std::unique_ptr<RendezvousHost>> created =
+          RendezvousHost::Create(transport.rendezvous, world);
+      if (!created.ok()) return created.status();
+      host = std::move(created).value();
+      transport.host = host.get();
+    }
   }
-  std::unique_ptr<RendezvousHost> host;
-  if (world > 1 && rank == 0) {
-    Result<std::unique_ptr<RendezvousHost>> created =
-        RendezvousHost::Create(rdzv_ep, world);
-    if (!created.ok()) return created.status();
-    host = std::move(created).value();
-  }
-  std::unique_ptr<SocketCommunicator> comm;
-  RankTransport transport;
-  transport.join = [&](uint64_t* generation) -> Result<Communicator*> {
-    // Dropping the failed ring closes its sockets, waking any neighbour
-    // still blocked on it with EOF.
-    comm = nullptr;
-    SocketCommOptions copt;
-    copt.rank = rank;
-    copt.world = world;
-    copt.rendezvous = rdzv_ep;
-    copt.op_timeout_s = options.op_timeout_s;
-    copt.generation = *generation;
-    Result<std::unique_ptr<SocketCommunicator>> connected =
-        SocketCommunicator::Connect(copt, host.get());
-    if (!connected.ok()) return connected.status();
-    comm = std::move(connected).value();
-    *generation = comm->generation();
-    return static_cast<Communicator*>(comm.get());
-  };
-  transport.kill = [] { fault::KillCurrentProcess(); };
 
   Result<DistributedResult> result =
       TrainRank(ds, options, &model, &train_sampler, transport);

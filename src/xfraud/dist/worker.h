@@ -7,8 +7,9 @@
 
 #include "xfraud/core/detector.h"
 #include "xfraud/data/generator.h"
-#include "xfraud/dist/communicator.h"
 #include "xfraud/dist/distributed.h"
+#include "xfraud/dist/rendezvous.h"
+#include "xfraud/dist/socket_transport.h"
 
 namespace xfraud::dist {
 
@@ -49,35 +50,39 @@ struct DistWorkerOptions : RankOptions {
   double op_timeout_s = 60.0;
 };
 
-/// How one rank reaches its peers; supplied by the driver that runs it.
+/// Where one rank's ring meets, and what a planned kill does; supplied by
+/// the driver that runs the rank.
 struct RankTransport {
-  /// Returns this rank's communicator for rendezvous generation
-  /// `*generation` (0 at start-up, one past the failed generation on every
-  /// regroup), replacing the previous one. A transport whose rendezvous
-  /// assigns the generation (a restarted process joins whichever one the
-  /// cluster is at) writes back the generation it joined.
-  std::function<Result<Communicator*>(uint64_t* generation)> join;
-  /// Carries out this rank's planned kill_worker. A process dies by SIGKILL
-  /// and never returns; an in-process rank poisons its group and returns,
-  /// then takes the same rollback-and-regroup path as every survivor.
-  std::function<void()> kill;
+  /// The ring's rendezvous endpoint.
+  Endpoint rendezvous;
+  /// Rank 0's host of that rendezvous, owned by the driver and serving every
+  /// generation; nullptr on every other rank and for a world of one.
+  RendezvousHost* host = nullptr;
+  /// Per-collective budget (SocketCommOptions::op_timeout_s).
+  double op_timeout_s = 60.0;
+  /// Carries out this rank's planned kill_worker on its ring. A process
+  /// dies by SIGKILL and never returns; a thread rank shuts its ring down
+  /// (the EOF spreads around the ring) and returns, then takes the same
+  /// restore-image, next-generation path as every survivor.
+  std::function<void(SocketCommunicator* ring)> kill;
 };
 
 /// The per-rank DDP loop, shared by threads and processes. Partitions
 /// ds.graph (every rank recomputes the same deterministic partition and
-/// keeps its own induced subgraph), then per epoch: plans its batches with
-/// the cursor/shuffle walk, runs forward/backward on `model`, all-reduces
-/// the gradients (÷ world), clips and steps, all-reduces the loss, and
-/// receives rank 0's validation AUC by Broadcast; early stopping is decided
+/// keeps its own induced subgraph) and connects its SocketCommunicator ring
+/// through `transport`, then per epoch: plans its batches with the
+/// cursor/shuffle walk, runs forward/backward on `model`, all-reduces the
+/// gradients (÷ world), clips and steps, all-reduces the loss, and receives
+/// rank 0's validation AUC by Broadcast; early stopping is decided
 /// identically on every rank. Same seeds, streams and ascending-rank
-/// reduction order on every transport, so a fault-free run is bit-identical
-/// whether the ranks are threads or processes.
+/// reduction order everywhere, so a fault-free run is bit-identical whether
+/// the ranks are threads or processes.
 ///
 /// The epoch-start image (parameters, optimizer, shuffle state) is kept in
 /// memory and, with a checkpoint_dir, also written as the rank's CRC
 /// checkpoint, from which a restarted process resumes. On a collective
-/// failure the rank restores the image, joins the next generation, and
-/// re-runs the epoch (restart-epoch recovery).
+/// failure the rank restores the image, reconnects its ring at the next
+/// generation, and re-runs the epoch (restart-epoch recovery).
 ///
 /// Rank 0 returns the populated DistributedResult; other ranks return an
 /// empty one.

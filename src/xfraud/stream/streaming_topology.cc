@@ -1,10 +1,9 @@
 #include "xfraud/stream/streaming_topology.h"
 
-#include <stdlib.h>
-
 #include <algorithm>
 #include <filesystem>
 
+#include "xfraud/common/atomic_file.h"
 #include "xfraud/common/logging.h"
 
 namespace xfraud::stream {
@@ -155,13 +154,9 @@ Status StreamingTopology::Init() {
   }
 
   if (options_.dir.empty()) {
-    std::string path =
-        (std::filesystem::temp_directory_path() / "xfraud-grid-XXXXXX")
-            .string();
-    if (::mkdtemp(path.data()) == nullptr) {
-      return Status::IoError("cannot create temp grid dir " + path);
-    }
-    options_.dir = path;
+    Result<std::string> dir = MakeTempDir("xfraud-grid-");
+    if (!dir.ok()) return dir.status();
+    options_.dir = std::move(dir).value();
     owns_dir_ = true;
   }
   std::error_code ec;

@@ -18,10 +18,10 @@
 ///   baselines -> GAT and GEM comparison models
 ///   train   -> trainer, metrics (AUC/AP/curves/threshold tables)
 ///   explain -> GNNExplainer, 13 centrality measures, hybrid explainer
-///   dist    -> PIC partitioning + DistributedDataParallel over a
-///              Communicator transport (in-process shared-memory group or
-///              socket-backed multi-process ring with rendezvous, real
-///              SIGKILL fault injection, and checkpoint-resume recovery)
+///   dist    -> PIC partitioning + DistributedDataParallel over one
+///              socket ring with rendezvous (ranks as threads or as
+///              processes), real SIGKILL fault injection, and
+///              checkpoint-resume recovery
 ///   fault   -> deterministic fault injection (chaos plans, faulty KV and
 ///              sampler decorators) for robustness testing
 ///   serve   -> online scoring service over a sharded+replicated KV
@@ -52,7 +52,6 @@
 #include "xfraud/data/generator.h"
 #include "xfraud/data/log_io.h"
 #include "xfraud/data/prefilter.h"
-#include "xfraud/dist/communicator.h"
 #include "xfraud/dist/distributed.h"
 #include "xfraud/dist/launcher.h"
 #include "xfraud/dist/partition.h"

@@ -696,6 +696,17 @@ TEST(FrameHeaderTest, EncodesToTheDocumentedBytes) {
   EXPECT_EQ(decoded.value().seq, 0x0102030405060708ull);
   EXPECT_EQ(decoded.value().payload_bytes, 20u);
   EXPECT_EQ(decoded.value().payload_crc, 0xDEADBEEFu);
+
+  // Type 7 (the retired ring barrier token) is unassigned.
+  unsigned char retired[kFrameHeaderBytes];
+  std::memcpy(retired, want, kFrameHeaderBytes);
+  retired[4] = 0x07;
+  auto rejected = DecodeFrameHeader(retired);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsCorruption());
+  EXPECT_NE(rejected.status().message().find("unknown type 7"),
+            std::string::npos)
+      << rejected.status().ToString();
 }
 
 }  // namespace

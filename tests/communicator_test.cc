@@ -1,19 +1,18 @@
-// Conformance suite of the dist::Communicator contract, run against BOTH
-// backends: the shared-memory InProcessGroup (one thread per rank) and the
-// SocketCommunicator ring over unix sockets in /tmp. The
-// contract under test (communicator.h):
+// Conformance suite of the dist::SocketCommunicator ring, one thread per
+// rank over unix sockets in /tmp. The contract under test
+// (socket_transport.h):
 //   - AllReduceSum is the ascending-rank left fold — bit-identical on every
-//     rank, and bit-identical ACROSS backends;
+//     rank;
 //   - Broadcast copies root's buffer everywhere;
 //   - Gather delivers rank-indexed buffers (possibly of differing lengths)
 //     to root;
-//   - Barrier releases only once all ranks entered;
 //   - collectives are matched by call order, and a signature mismatch
-//     poisons the group.
-// Socket-specific failure modes (deadline expiry, peer death, dead
-// rendezvous) get their own tests below.
+//     breaks the ring for good.
+// Failure modes (deadline expiry, peer death, dead rendezvous) close the
+// file.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -29,18 +28,11 @@
 #include "xfraud/common/clock.h"
 #include "xfraud/common/status.h"
 #include "xfraud/common/timer.h"
-#include "xfraud/dist/communicator.h"
 #include "xfraud/dist/rendezvous.h"
 #include "xfraud/dist/socket_transport.h"
 
 namespace xfraud::dist {
 namespace {
-
-enum class Backend { kInProcess, kSocket };
-
-std::string BackendName(Backend b) {
-  return b == Backend::kInProcess ? "InProcess" : "Socket";
-}
 
 /// Short unique unix-socket directory (AF_UNIX paths are length-capped, so
 /// deep gtest temp paths are risky).
@@ -53,23 +45,17 @@ std::string MakeSocketDir() {
   return dir;
 }
 
-/// A `world`-rank cluster of the requested backend. Run() plays one rank
-/// per thread and collects each rank's Status so assertions happen on the
-/// main thread.
+/// A connected `world`-rank ring. Run() plays one rank per thread and
+/// collects each rank's Status so assertions happen on the main thread.
 class Cluster {
  public:
-  Cluster(Backend backend, int world, double op_timeout_s = 20.0)
-      : backend_(backend), world_(world) {
-    if (backend == Backend::kInProcess) {
-      group_ = std::make_unique<InProcessGroup>(world);
-      return;
-    }
+  explicit Cluster(int world, double op_timeout_s = 20.0) : world_(world) {
     dir_ = MakeSocketDir();
     Endpoint rdzv = ParseEndpoint("unix:" + dir_ + "/rdzv.sock").value();
     if (world > 1) {
       host_ = RendezvousHost::Create(rdzv, world).value();
     }
-    socket_comms_.resize(static_cast<size_t>(world));
+    comms_.resize(static_cast<size_t>(world));
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(world));
     for (int r = 0; r < world; ++r) {
@@ -79,36 +65,30 @@ class Cluster {
         o.world = world_;
         o.rendezvous = rdzv;
         o.op_timeout_s = op_timeout_s;
-        o.rendezvous_timeout_s = 20.0;
         auto comm =
             SocketCommunicator::Connect(o, r == 0 ? host_.get() : nullptr);
         if (comm.ok()) {
-          socket_comms_[static_cast<size_t>(r)] = std::move(comm).value();
+          comms_[static_cast<size_t>(r)] = std::move(comm).value();
         }
       });
     }
     for (auto& t : threads) t.join();
     for (int r = 0; r < world; ++r) {
-      EXPECT_NE(socket_comms_[static_cast<size_t>(r)], nullptr)
+      EXPECT_NE(comms_[static_cast<size_t>(r)], nullptr)
           << "rank " << r << " failed to connect";
     }
   }
 
   int world() const { return world_; }
 
-  Communicator* comm(int rank) {
-    if (backend_ == Backend::kInProcess) return group_->communicator(rank);
-    return socket_comms_[static_cast<size_t>(rank)].get();
-  }
-
-  SocketCommunicator* socket_comm(int rank) {
-    return socket_comms_[static_cast<size_t>(rank)].get();
+  SocketCommunicator* comm(int rank) {
+    return comms_[static_cast<size_t>(rank)].get();
   }
 
   /// Runs fn(rank, comm) on every rank concurrently; returns per-rank
   /// statuses.
   std::vector<Status> Run(
-      const std::function<Status(int, Communicator*)>& fn) {
+      const std::function<Status(int, SocketCommunicator*)>& fn) {
     std::vector<Status> statuses(static_cast<size_t>(world_));
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(world_));
@@ -122,12 +102,10 @@ class Cluster {
   }
 
  private:
-  Backend backend_;
   int world_;
   std::string dir_;
-  std::unique_ptr<InProcessGroup> group_;
   std::unique_ptr<RendezvousHost> host_;
-  std::vector<std::unique_ptr<SocketCommunicator>> socket_comms_;
+  std::vector<std::unique_ptr<SocketCommunicator>> comms_;
 };
 
 void ExpectAllOk(const std::vector<Status>& statuses) {
@@ -137,10 +115,8 @@ void ExpectAllOk(const std::vector<Status>& statuses) {
   }
 }
 
-class CommunicatorTest : public ::testing::TestWithParam<Backend> {};
-
-TEST_P(CommunicatorTest, RankAndSize) {
-  Cluster cluster(GetParam(), 3);
+TEST(SocketCommunicatorTest, RankAndSize) {
+  Cluster cluster(3);
   for (int r = 0; r < 3; ++r) {
     EXPECT_EQ(cluster.comm(r)->rank(), r);
     EXPECT_EQ(cluster.comm(r)->size(), 3);
@@ -150,9 +126,9 @@ TEST_P(CommunicatorTest, RankAndSize) {
 /// Floating-point sums are order-dependent; the contract pins the order to
 /// the ascending-rank left fold. The payload is adversarial (huge and tiny
 /// magnitudes, sign flips) so any other association produces different bits.
-TEST_P(CommunicatorTest, AllReduceSumFloatIsAscendingRankLeftFold) {
+TEST(SocketCommunicatorTest, AllReduceSumFloatIsAscendingRankLeftFold) {
   const int world = 4;
-  Cluster cluster(GetParam(), world);
+  Cluster cluster(world);
   auto contribution = [](int rank) {
     return std::vector<float>{1.0e8f * (rank % 2 == 0 ? 1.0f : -1.0f),
                               1.0f / (1.0f + static_cast<float>(rank)),
@@ -166,7 +142,7 @@ TEST_P(CommunicatorTest, AllReduceSumFloatIsAscendingRankLeftFold) {
     for (size_t i = 0; i < expected.size(); ++i) expected[i] += c[i];
   }
   std::vector<std::vector<float>> results(world);
-  ExpectAllOk(cluster.Run([&](int rank, Communicator* comm) {
+  ExpectAllOk(cluster.Run([&](int rank, SocketCommunicator* comm) {
     results[static_cast<size_t>(rank)] = contribution(rank);
     return comm->AllReduceSum(
         std::span<float>(results[static_cast<size_t>(rank)]));
@@ -180,9 +156,9 @@ TEST_P(CommunicatorTest, AllReduceSumFloatIsAscendingRankLeftFold) {
   }
 }
 
-TEST_P(CommunicatorTest, AllReduceSumDoubleIsAscendingRankLeftFold) {
+TEST(SocketCommunicatorTest, AllReduceSumDoubleIsAscendingRankLeftFold) {
   const int world = 3;
-  Cluster cluster(GetParam(), world);
+  Cluster cluster(world);
   auto contribution = [](int rank) {
     return std::vector<double>{1.0e16 * (rank == 1 ? -1.0 : 1.0),
                                0.1 + static_cast<double>(rank)};
@@ -193,7 +169,7 @@ TEST_P(CommunicatorTest, AllReduceSumDoubleIsAscendingRankLeftFold) {
     for (size_t i = 0; i < expected.size(); ++i) expected[i] += c[i];
   }
   std::vector<std::vector<double>> results(world);
-  ExpectAllOk(cluster.Run([&](int rank, Communicator* comm) {
+  ExpectAllOk(cluster.Run([&](int rank, SocketCommunicator* comm) {
     results[static_cast<size_t>(rank)] = contribution(rank);
     return comm->AllReduceSum(
         std::span<double>(results[static_cast<size_t>(rank)]));
@@ -205,12 +181,12 @@ TEST_P(CommunicatorTest, AllReduceSumDoubleIsAscendingRankLeftFold) {
   }
 }
 
-TEST_P(CommunicatorTest, BroadcastFromEveryRoot) {
+TEST(SocketCommunicatorTest, BroadcastFromEveryRoot) {
   const int world = 3;
-  Cluster cluster(GetParam(), world);
+  Cluster cluster(world);
   for (int root = 0; root < world; ++root) {
     std::vector<std::vector<double>> bufs(world);
-    ExpectAllOk(cluster.Run([&, root](int rank, Communicator* comm) {
+    ExpectAllOk(cluster.Run([&, root](int rank, SocketCommunicator* comm) {
       bufs[static_cast<size_t>(rank)] = {
           rank == root ? 42.5 + root : -1.0,
           rank == root ? -7.0 : static_cast<double>(rank)};
@@ -224,11 +200,11 @@ TEST_P(CommunicatorTest, BroadcastFromEveryRoot) {
   }
 }
 
-TEST_P(CommunicatorTest, GatherIsRankIndexedAndRaggedLengthsSurvive) {
+TEST(SocketCommunicatorTest, GatherIsRankIndexedAndRaggedLengthsSurvive) {
   const int world = 4;
-  Cluster cluster(GetParam(), world);
+  Cluster cluster(world);
   std::vector<std::vector<float>> gathered;
-  ExpectAllOk(cluster.Run([&](int rank, Communicator* comm) {
+  ExpectAllOk(cluster.Run([&](int rank, SocketCommunicator* comm) {
     // Rank r contributes r+1 elements, all equal to r+0.5.
     std::vector<float> send(static_cast<size_t>(rank + 1),
                             static_cast<float>(rank) + 0.5f);
@@ -245,36 +221,18 @@ TEST_P(CommunicatorTest, GatherIsRankIndexedAndRaggedLengthsSurvive) {
   }
 }
 
-TEST_P(CommunicatorTest, BarrierReleasesOnlyAfterAllRanksEnter) {
-  const int world = 3;
-  Cluster cluster(GetParam(), world);
-  std::atomic<int> entered{0};
-  std::vector<int> seen_after(world, 0);
-  ExpectAllOk(cluster.Run([&](int rank, Communicator* comm) {
-    entered.fetch_add(1);
-    Status s = comm->Barrier();
-    // After the barrier every rank must already have incremented.
-    seen_after[static_cast<size_t>(rank)] = entered.load();
-    return s;
-  }));
-  for (int r = 0; r < world; ++r) {
-    EXPECT_EQ(seen_after[static_cast<size_t>(r)], world);
-  }
-}
-
 /// Collectives are matched by call order: a heterogeneous sequence must
 /// stay in lockstep across ops of different types and sizes.
-TEST_P(CommunicatorTest, MixedOperationSequenceStaysMatched) {
+TEST(SocketCommunicatorTest, MixedOperationSequenceStaysMatched) {
   const int world = 3;
-  Cluster cluster(GetParam(), world);
+  Cluster cluster(world);
   std::vector<std::vector<float>> finals(world);
-  ExpectAllOk(cluster.Run([&](int rank, Communicator* comm) {
+  ExpectAllOk(cluster.Run([&](int rank, SocketCommunicator* comm) {
     std::vector<float> grads(8, static_cast<float>(rank + 1));
     XF_RETURN_IF_ERROR(comm->AllReduceSum(std::span<float>(grads)));
     std::vector<double> decision = {rank == 0 ? 1.0 : 0.0};
     XF_RETURN_IF_ERROR(
         comm->Broadcast(std::span<double>(decision), /*root=*/0));
-    XF_RETURN_IF_ERROR(comm->Barrier());
     std::vector<std::vector<float>> stats;
     std::vector<float> mine = {static_cast<float>(rank)};
     XF_RETURN_IF_ERROR(comm->Gather(std::span<const float>(mine), 0,
@@ -289,9 +247,9 @@ TEST_P(CommunicatorTest, MixedOperationSequenceStaysMatched) {
   }
 }
 
-TEST_P(CommunicatorTest, WorldOfOneIsIdentity) {
-  Cluster cluster(GetParam(), 1);
-  Communicator* comm = cluster.comm(0);
+TEST(SocketCommunicatorTest, WorldOfOneIsIdentity) {
+  Cluster cluster(1);
+  SocketCommunicator* comm = cluster.comm(0);
   std::vector<float> v = {3.5f, -1.25f};
   ASSERT_TRUE(comm->AllReduceSum(std::span<float>(v)).ok());
   EXPECT_EQ(v[0], 3.5f);
@@ -299,7 +257,6 @@ TEST_P(CommunicatorTest, WorldOfOneIsIdentity) {
   std::vector<double> d = {9.0};
   ASSERT_TRUE(comm->Broadcast(std::span<double>(d), 0).ok());
   EXPECT_EQ(d[0], 9.0);
-  ASSERT_TRUE(comm->Barrier().ok());
   std::vector<std::vector<float>> gathered;
   std::vector<float> mine = {1.0f};
   ASSERT_TRUE(
@@ -309,65 +266,55 @@ TEST_P(CommunicatorTest, WorldOfOneIsIdentity) {
 }
 
 /// A signature mismatch (same slot, different element counts) fails the
-/// collective on every rank, and the group stays failed: even a well-formed
+/// collective on every rank, and the ring stays broken: even a well-formed
 /// follow-up call returns an error.
-TEST_P(CommunicatorTest, SignatureMismatchPoisonsTheGroup) {
+TEST(SocketCommunicatorTest, SignatureMismatchBreaksTheRing) {
   const int world = 2;
-  Cluster cluster(GetParam(), world);
+  Cluster cluster(world);
   std::vector<Status> mismatched =
-      cluster.Run([](int rank, Communicator* comm) {
+      cluster.Run([](int rank, SocketCommunicator* comm) {
         std::vector<float> v(static_cast<size_t>(2 + rank), 1.0f);
         return comm->AllReduceSum(std::span<float>(v));
       });
-  std::vector<Status> after = cluster.Run([](int rank, Communicator* comm) {
-    (void)rank;
-    std::vector<float> v = {0.0f};
-    return comm->AllReduceSum(std::span<float>(v));
-  });
+  std::vector<Status> after =
+      cluster.Run([](int rank, SocketCommunicator* comm) {
+        (void)rank;
+        std::vector<float> v = {0.0f};
+        return comm->AllReduceSum(std::span<float>(v));
+      });
   for (int r = 0; r < world; ++r) {
     EXPECT_FALSE(mismatched[static_cast<size_t>(r)].ok()) << "rank " << r;
     EXPECT_FALSE(after[static_cast<size_t>(r)].ok()) << "rank " << r;
   }
 }
 
-/// Time inside collectives is measured on every backend; only the socket
-/// ring puts bytes on a wire.
-TEST_P(CommunicatorTest, CommSecondsAreMeasuredOnEveryBackend) {
+/// Time inside collectives is measured, and so are the bytes on the wire.
+TEST(SocketCommunicatorTest, CommSecondsAndWireBytesAreMeasured) {
   const int world = 2;
-  Cluster cluster(GetParam(), world);
-  ExpectAllOk(cluster.Run([&](int rank, Communicator* comm) {
+  Cluster cluster(world);
+  ExpectAllOk(cluster.Run([&](int rank, SocketCommunicator* comm) {
     (void)rank;
     std::vector<float> v(256, 1.0f);
     return comm->AllReduceSum(std::span<float>(v));
   }));
   for (int r = 0; r < world; ++r) {
     EXPECT_GT(cluster.comm(r)->comm_seconds(), 0.0);
-    if (GetParam() == Backend::kInProcess) {
-      EXPECT_EQ(cluster.comm(r)->bytes_on_wire(), 0);
-    } else {
-      EXPECT_GT(cluster.comm(r)->bytes_on_wire(), 0);
-    }
+    EXPECT_GT(cluster.comm(r)->bytes_on_wire(), 0);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, CommunicatorTest,
-                         ::testing::Values(Backend::kInProcess,
-                                           Backend::kSocket),
-                         [](const ::testing::TestParamInfo<Backend>& param) {
-                           return BackendName(param.param);
-                         });
-
-// ---- Socket-specific failure modes ----------------------------------------
+// ---- Failure modes ---------------------------------------------------------
 
 /// A rank that enters a collective alone must get DeadlineExceeded after
 /// op_timeout, not hang: its peer simply never shows up.
 TEST(SocketCommunicatorTest, CollectiveTimesOutWhenPeerNeverEnters) {
-  Cluster cluster(Backend::kSocket, 2, /*op_timeout_s=*/0.3);
-  std::vector<Status> statuses = cluster.Run([](int rank, Communicator* comm) {
-    if (rank != 0) return Status::OK();  // rank 1 never joins the op
-    std::vector<float> v(4, 1.0f);
-    return comm->AllReduceSum(std::span<float>(v));
-  });
+  Cluster cluster(2, /*op_timeout_s=*/0.3);
+  std::vector<Status> statuses =
+      cluster.Run([](int rank, SocketCommunicator* comm) {
+        if (rank != 0) return Status::OK();  // rank 1 never joins the op
+        std::vector<float> v(4, 1.0f);
+        return comm->AllReduceSum(std::span<float>(v));
+      });
   EXPECT_TRUE(statuses[0].IsDeadlineExceeded()) << statuses[0].ToString();
 }
 
@@ -375,12 +322,12 @@ TEST(SocketCommunicatorTest, CollectiveTimesOutWhenPeerNeverEnters) {
 /// collective wake with an error instead of waiting out the full deadline,
 /// and the EOF cascades so every surviving rank fails.
 TEST(SocketCommunicatorTest, PeerDeathFailsSurvivorsFast) {
-  Cluster cluster(Backend::kSocket, 3, /*op_timeout_s=*/20.0);
+  Cluster cluster(3, /*op_timeout_s=*/20.0);
   WallTimer timer;
   std::vector<Status> statuses =
-      cluster.Run([&cluster](int rank, Communicator* comm) {
+      cluster.Run([&cluster](int rank, SocketCommunicator* comm) {
         if (rank == 1) {
-          cluster.socket_comm(1)->Shutdown();  // "dies" before the op
+          cluster.comm(1)->Shutdown();  // "dies" before the op
           return Status::OK();
         }
         std::vector<float> v(4, 1.0f);
@@ -393,7 +340,36 @@ TEST(SocketCommunicatorTest, PeerDeathFailsSurvivorsFast) {
   // And the communicator stays failed: no silent self-healing.
   std::vector<float> v = {1.0f};
   EXPECT_FALSE(
-      cluster.socket_comm(0)->AllReduceSum(std::span<float>(v)).ok());
+      cluster.comm(0)->AllReduceSum(std::span<float>(v)).ok());
+}
+
+/// Close() ends a rendezvous for good: an Exchange blocked on another
+/// thread wakes with Unavailable, and a rejoin's single dial is refused
+/// instead of waiting out the 60 s rendezvous budget.
+TEST(SocketCommunicatorTest, ClosedRendezvousFailsAtOnce) {
+  std::string dir = MakeSocketDir();
+  Endpoint rdzv = ParseEndpoint("unix:" + dir + "/rdzv.sock").value();
+  std::unique_ptr<RendezvousHost> host =
+      RendezvousHost::Create(rdzv, /*world=*/2).value();
+  Clock* clock = Clock::Real();
+  WallTimer timer;
+  std::thread closer([&host] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    host->Close();
+  });
+  Result<Endpoint> exchanged =
+      host->Exchange(rdzv, /*generation=*/1, Deadline::After(clock, 20.0),
+                     clock);
+  closer.join();
+  EXPECT_TRUE(exchanged.status().IsUnavailable())
+      << exchanged.status().ToString();
+  SocketCommOptions rejoin;
+  rejoin.rank = 1;
+  rejoin.world = 2;
+  rejoin.rendezvous = rdzv;
+  rejoin.generation = 1;
+  EXPECT_FALSE(SocketCommunicator::Connect(rejoin, nullptr).ok());
+  EXPECT_LT(timer.ElapsedSeconds(), 5.0);
 }
 
 TEST(SocketCommunicatorTest, RendezvousWithDeadHostFails) {

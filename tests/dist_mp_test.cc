@@ -5,9 +5,9 @@
 // tools/ci.sh --mode=mp leg; see tests/CMakeLists.txt).
 //
 // What must hold:
-//  - a fault-free socket cluster reproduces the threaded in-process run
-//    bit-identically (one per-rank loop, same partition, same streams, same
-//    ascending-rank reduction order => same losses and AUCs to the last
+//  - a fault-free process cluster reproduces the threaded run bit-identically
+//    (one per-rank loop on one socket ring, same partition, same streams,
+//    same ascending-rank reduction order => same losses and AUCs to the last
 //    bit);
 //  - a SIGKILLed worker is a real process death, the launcher re-forks it,
 //    it resumes from its CRC checkpoint, and the run converges to the same
@@ -94,11 +94,11 @@ class MultiProcess : public ::testing::Test {
 
 data::SimDataset* MultiProcess::ds_ = nullptr;
 
-/// Parity: swapping threads on the shared-memory backend for real processes
-/// on a socket ring changes NOTHING about the math. Same seeds => same
-/// partition, same batches, same fold order => every epoch's loss and AUC
-/// match to the last bit.
-TEST_F(MultiProcess, SocketClusterMatchesInProcessBitIdentically) {
+/// Parity: swapping thread ranks for real processes on the same socket ring
+/// changes NOTHING about the math. Same seeds => same partition, same
+/// batches, same fold order => every epoch's loss and AUC match to the last
+/// bit.
+TEST_F(MultiProcess, ProcessClusterMatchesThreadedClusterBitIdentically) {
   const int world = 3;
   const int epochs = 2;
   std::string dir = MakeDir("parity");
@@ -111,8 +111,7 @@ TEST_F(MultiProcess, SocketClusterMatchesInProcessBitIdentically) {
   EXPECT_EQ(report.value().restarts, 0);
   const DistributedResult& mp = report.value().result;
 
-  // The threaded in-process reference: identical replicas, identical
-  // options.
+  // The threaded reference: identical replicas, identical options.
   std::vector<std::unique_ptr<core::XFraudDetector>> replicas;
   std::vector<core::GnnModel*> ptrs;
   for (int w = 0; w < world; ++w) {
@@ -135,7 +134,7 @@ TEST_F(MultiProcess, SocketClusterMatchesInProcessBitIdentically) {
         << "epoch " << e;
     EXPECT_DOUBLE_EQ(mp.history[e].val_auc, inproc.history[e].val_auc)
         << "epoch " << e;
-    // Both transports measure their time inside collectives.
+    // Both drivers measure their time inside collectives.
     EXPECT_GT(mp.history[e].measured_comm_seconds, 0.0);
     EXPECT_GT(inproc.history[e].measured_comm_seconds, 0.0);
   }

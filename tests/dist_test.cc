@@ -4,11 +4,13 @@
 #include <filesystem>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "xfraud/common/atomic_file.h"
+#include "xfraud/common/timer.h"
 #include "xfraud/core/detector.h"
 #include "xfraud/data/generator.h"
 #include "xfraud/dist/distributed.h"
@@ -204,6 +206,72 @@ TEST_F(PartitionTest, DistributedTrainingLearnsAndKeepsReplicasInSync) {
       }
     }
   }
+}
+
+/// A replica whose `fail_at`-th Forward throws: the rank training it fails
+/// for good mid-epoch.
+class ThrowingReplica : public core::GnnModel {
+ public:
+  ThrowingReplica(core::XFraudDetector inner, int fail_at)
+      : inner_(std::move(inner)), fail_at_(fail_at) {}
+
+  nn::Var Forward(const sample::MiniBatch& batch,
+                  const core::ForwardOptions& options) const override {
+    if (++calls_ == fail_at_) throw std::runtime_error("replica failed");
+    return inner_.Forward(batch, options);
+  }
+  std::string name() const override { return "throwing"; }
+  void CollectParameters(const std::string& prefix,
+                         std::vector<nn::NamedParameter>* out) const override {
+    inner_.CollectParameters(prefix, out);
+  }
+
+ private:
+  core::XFraudDetector inner_;
+  int fail_at_;
+  mutable int calls_ = 0;
+};
+
+/// A thread rank that fails for good closes the rendezvous, so the
+/// survivors' rejoin fails at once instead of waiting out its 60 s budget,
+/// and Train rethrows the failed rank's exception.
+TEST_F(PartitionTest, ARankThatFailsForGoodStopsTheOthersFast) {
+  const int kappa = 3;
+  std::vector<std::unique_ptr<core::GnnModel>> replicas;
+  std::vector<core::GnnModel*> ptrs;
+  for (int w = 0; w < kappa; ++w) {
+    core::XFraudDetector replica = MakeReplica(ds_->graph.feature_dim(), 77);
+    if (w == 1) {
+      replicas.push_back(
+          std::make_unique<ThrowingReplica>(std::move(replica), 3));
+    } else {
+      replicas.push_back(
+          std::make_unique<core::XFraudDetector>(std::move(replica)));
+    }
+    ptrs.push_back(replicas.back().get());
+  }
+  sample::SageSampler sampler(2, 8);
+  DistributedOptions options;
+  options.num_workers = kappa;
+  options.num_clusters = 32;
+  options.train.max_epochs = 2;
+  options.train.batch_size = 128;
+  DistributedTrainer trainer(ptrs, &sampler, options);
+  WallTimer timer;
+  EXPECT_THROW(trainer.Train(*ds_), std::runtime_error);
+  EXPECT_LT(timer.ElapsedSeconds(), 5.0);
+}
+
+/// Rank 0 hosts the rendezvous and writes the run's result, so a process
+/// cluster refuses to plan its kill before doing anything else.
+TEST_F(PartitionTest, ProcessModeRejectsARank0Kill) {
+  DistWorkerOptions worker;
+  worker.world = 2;
+  worker.dist.num_workers = 2;
+  worker.dist.fault_plan = fault::FaultPlan::Parse("kill_worker=0@0:0").value();
+  Result<DistributedResult> result = RunDistWorker(*ds_, worker);
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
 }
 
 TEST_F(PartitionTest, MoreWorkersShrinkTheLargestPartition) {

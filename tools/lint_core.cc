@@ -294,7 +294,7 @@ FileScope ClassifyPath(const std::string& path) {
   // of the library must take an injectable Clock so tests can use virtual
   // time.
   scope.clock_exempt = p.find("common/") != std::string::npos;
-  // Raw socket syscalls live behind the dist::Communicator transport; only
+  // Raw socket syscalls live behind the dist/ socket transport; only
   // src/xfraud/dist (sockets, rendezvous, ring framing) may issue them.
   scope.socket_exempt = p.find("src/xfraud/dist") != std::string::npos;
   scope.bytes_exempt = p.find("common/bytes.") != std::string::npos;
@@ -390,11 +390,11 @@ class Linter {
     }
   }
 
-  /// Socket syscalls scattered through library code bypass the
-  /// dist::Communicator abstraction — its deadline budgets, error mapping,
-  /// retry policy, and poison-on-failure semantics. Everything outside
-  /// src/xfraud/dist must either speak Communicator or add a sanctioned
-  /// primitive to the transport layer.
+  /// Socket syscalls scattered through library code bypass the dist/
+  /// socket transport — its deadline budgets, error mapping, retry policy,
+  /// and break-on-failure semantics. Everything outside src/xfraud/dist
+  /// must either speak through dist/socket_transport or add a sanctioned
+  /// primitive to it.
   void CheckRawSocket() {
     if (!scope_.in_library || scope_.socket_exempt) return;
     for (size_t i = 0; i < code_lines_.size(); ++i) {
@@ -416,8 +416,8 @@ class Linter {
       if (hit) {
         Report(i, "no-raw-socket",
                "raw socket syscall outside src/xfraud/dist bypasses the "
-               "Communicator transport (deadlines, retries, error mapping); "
-               "use dist::Communicator or extend dist/socket_transport");
+               "socket transport (deadlines, retries, error mapping); "
+               "use dist::SocketCommunicator or extend dist/socket_transport");
       }
     }
   }

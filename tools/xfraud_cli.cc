@@ -19,9 +19,9 @@
 //       run one shard-server process (what serve-bench's supervisor forks;
 //       also usable standalone against a prepared cell WAL)
 //   xfraud_cli dist-bench --log log.tsv --transport inproc|socket ...
-//       run distributed data-parallel training over the chosen Communicator
-//       backend (inproc: one thread per rank; socket: one real OS process
-//       per rank) and print the per-epoch cost table
+//       run distributed data-parallel training on the socket ring (inproc:
+//       one thread per rank; socket: one real OS process per rank) and
+//       print the per-epoch cost table
 //   xfraud_cli dist-worker --log log.tsv --rank R --workers W ...
 //       run one rank of a socket-backed cluster (what dist-bench's launcher
 //       forks; also usable standalone for hand-launched clusters)
@@ -178,18 +178,19 @@ int Usage() {
       "router resends). Scores stay bit-identical to the in-process tier.\n"
       "serve-worker runs one such server by hand.\n"
       "\n"
-      "distributed training (dist-bench / dist-worker): --transport inproc\n"
-      "runs one thread per rank in this process over the shared-memory\n"
-      "Communicator; --transport socket forks one real OS process per rank,\n"
-      "connected by a length-prefixed-frame ring over unix sockets with\n"
-      "rank-0 rendezvous. Both run the same per-rank loop and give\n"
-      "bit-identical results. kill_worker=<r>@<e>:<s> in --fault-plan\n"
-      "kills rank r mid-epoch (inproc: its group fails; socket: a real\n"
-      "SIGKILL, after which the launcher re-forks the rank and it resumes\n"
-      "from its CRC checkpoint under --checkpoint-dir); every rank rolls\n"
-      "back and re-runs the epoch. The epoch table reports measured times\n"
-      "only: wall, the slowest rank's time inside collectives, sampling\n"
-      "and compute. See DESIGN.md §12.\n";
+      "distributed training (dist-bench / dist-worker): every rank joins\n"
+      "one length-prefixed-frame ring over unix sockets with rank-0\n"
+      "rendezvous. --transport inproc runs one thread per rank in this\n"
+      "process (the ring lives in a temp dir, removed on exit);\n"
+      "--transport socket forks one real OS process per rank. Both run the\n"
+      "same per-rank loop and give bit-identical results.\n"
+      "kill_worker=<r>@<e>:<s> in --fault-plan kills rank r mid-epoch\n"
+      "(inproc: it shuts its ring down; socket: a real SIGKILL, after which\n"
+      "the launcher re-forks the rank and it resumes from its CRC\n"
+      "checkpoint under --checkpoint-dir); every rank rolls back and\n"
+      "re-runs the epoch. The epoch table reports measured times only:\n"
+      "wall, the slowest rank's time inside collectives (wire time and\n"
+      "waiting for peers), sampling and compute. See DESIGN.md §12.\n";
   return 1;
 }
 
@@ -1039,8 +1040,8 @@ int CmdDistBench(const Flags& flags) {
     return WriteMetricsSnapshot(flags);
   }
 
-  // In-process: kappa identically-seeded replicas, one thread each, over
-  // the shared-memory Communicator.
+  // In-process: kappa identically-seeded replicas, one thread each, on a
+  // socket ring in a temp dir.
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   const int kappa = std::max(1, flags.GetInt("workers", 4));
   std::vector<std::unique_ptr<core::XFraudDetector>> replicas;
