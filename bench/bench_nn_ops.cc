@@ -2,7 +2,8 @@
 // the detector's critical path, forward and forward+backward, plus the
 // before/after pairs that gate each nn::kernels fusion (blocked vs naive
 // GEMM and backward products, fused vs composed linear, typed linear,
-// attention scores and attention aggregate). Useful for
+// attention scores and attention aggregate, and the typed linear's per-row
+// vs source-row forms). Useful for
 // tracking regressions in the engine that every experiment sits on.
 //
 // The JSON context records which ISA clone of the kernels the host resolved
@@ -201,17 +202,25 @@ struct TypedLinearInputs {
 };
 
 void BM_TypedLinearFused(benchmark::State& state) {
-  // One TypedLinear tape node...
+  // One TypedLinear tape node over all E rows — forward + backward when
+  // taped (arg 1), the forward alone under a NoGradGuard (arg 0)...
   TypedLinearInputs in;
+  const bool taped = state.range(0) != 0;
   for (auto _ : state) {
-    in.ZeroGrad();
-    Var loss = Sum(TypedLinear(in.x, in.types, in.weights, in.biases));
-    loss.Backward();
-    benchmark::DoNotOptimize(in.x.grad().data());
+    if (taped) {
+      in.ZeroGrad();
+      Var loss = Sum(TypedLinear(in.x, in.types, in.weights, in.biases));
+      loss.Backward();
+      benchmark::DoNotOptimize(in.x.grad().data());
+    } else {
+      NoGradGuard guard;
+      Var out = TypedLinear(in.x, in.types, in.weights, in.biases);
+      benchmark::DoNotOptimize(out.value().data());
+    }
   }
   state.SetItemsProcessed(state.iterations() * TypedLinearInputs::kRows);
 }
-BENCHMARK(BM_TypedLinearFused);
+BENCHMARK(BM_TypedLinearFused)->ArgName("taped")->Arg(1)->Arg(0);
 
 void BM_TypedLinearComposed(benchmark::State& state) {
   // ...vs the per-type IndexRows → LinearBiasAct → ScatterAddRows → Add
@@ -237,6 +246,55 @@ void BM_TypedLinearComposed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * TypedLinearInputs::kRows);
 }
 BENCHMARK(BM_TypedLinearComposed);
+
+void BM_TypedLinearSourceRows(benchmark::State& state) {
+  // BM_TypedLinearFused's source-row form, as HeteroConv's K/V projections
+  // run it: the E rows read U = share% · E distinct source rows (28% is a
+  // sim-small later layer, 63% the first layer's (source, edge type)
+  // pairs). Taped, x is the expanded [E, D] input that takes dx; untaped
+  // there is none.
+  TypedLinearInputs in;
+  const auto num_sources = static_cast<int32_t>(
+      TypedLinearInputs::kRows * state.range(0) / 100);
+  const bool taped = state.range(1) != 0;
+  std::vector<int32_t> source_type(static_cast<size_t>(num_sources));
+  for (auto& t : source_type) {
+    t = static_cast<int32_t>(in.rng.NextBounded(TypedLinearInputs::kTypes));
+  }
+  SourceRows source;
+  source.values = Var(Tensor::Uniform(num_sources, TypedLinearInputs::kDim,
+                                      1.0f, &in.rng));
+  source.index.resize(TypedLinearInputs::kRows);
+  for (size_t r = 0; r < source.index.size(); ++r) {
+    source.index[r] = static_cast<int32_t>(r) % num_sources;
+  }
+  in.rng.Shuffle(&source.index);
+  for (size_t r = 0; r < in.types.size(); ++r) {
+    in.types[r] = source_type[static_cast<size_t>(source.index[r])];
+  }
+  kernels::GatherRows(source.values.value(), source.index,
+                      &in.x.mutable_value());
+  for (auto _ : state) {
+    if (taped) {
+      in.ZeroGrad();
+      Var loss =
+          Sum(TypedLinear(in.x, in.types, in.weights, in.biases, &source));
+      loss.Backward();
+      benchmark::DoNotOptimize(in.x.grad().data());
+    } else {
+      NoGradGuard guard;
+      Var out = TypedLinear(Var(), in.types, in.weights, in.biases, &source);
+      benchmark::DoNotOptimize(out.value().data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * TypedLinearInputs::kRows);
+}
+BENCHMARK(BM_TypedLinearSourceRows)
+    ->ArgNames({"share", "taped"})
+    ->Args({28, 1})
+    ->Args({28, 0})
+    ->Args({63, 1})
+    ->Args({63, 0});
 
 /// The eq. 8 attention-score operands of one sim-small HeteroConv layer:
 /// E = 6611 edges, D = 32 in H = 4 heads of 8, 5 node types; forward +

@@ -8,6 +8,42 @@ namespace xfraud::core {
 
 using nn::Var;
 
+namespace {
+
+/// The first layer's K/V source rows: one per distinct (source node, edge
+/// type) pair, in order of first appearance, holding
+/// node_input[src] + edge_type_emb[type] as the per-edge chain's gathers
+/// and Add compute it; the index maps each edge to its pair.
+nn::SourceRows SourceTypeRows(const Var& node_input, const Var& edge_type_emb,
+                              const std::vector<int32_t>& edge_src,
+                              const std::vector<int32_t>& edge_types) {
+  nn::SourceRows rows;
+  rows.index.resize(edge_src.size());
+  std::vector<int32_t> slot_of(
+      static_cast<size_t>(node_input.rows()) * graph::kNumEdgeTypes, -1);
+  std::vector<int32_t> pair_src;
+  std::vector<int32_t> pair_type;
+  for (size_t e = 0; e < edge_src.size(); ++e) {
+    int32_t& slot =
+        slot_of[static_cast<size_t>(edge_src[e]) * graph::kNumEdgeTypes +
+                static_cast<size_t>(edge_types[e])];
+    if (slot < 0) {
+      slot = static_cast<int32_t>(pair_src.size());
+      pair_src.push_back(edge_src[e]);
+      pair_type.push_back(edge_types[e]);
+    }
+    rows.index[e] = slot;
+  }
+  // Gradients reach node_input and edge_type_emb through the per-edge
+  // chain, never through these rows.
+  nn::NoGradGuard no_grad;
+  rows.values = nn::Add(nn::IndexRows(node_input, pair_src),
+                        nn::IndexRows(edge_type_emb, pair_type));
+  return rows;
+}
+
+}  // namespace
+
 HeteroConvLayer::HeteroConvLayer(int64_t dim, int num_heads, float dropout,
                                  bool first_layer, bool use_residual,
                                  xfraud::Rng* rng)
@@ -55,9 +91,9 @@ Var HeteroConvLayer::Forward(const Var& node_input,
   std::vector<int32_t> src_types(edge_src.size());
   std::vector<int32_t> dst_types(edge_src.size());
   for (size_t e = 0; e < edge_src.size(); ++e) {
-    XF_DCHECK_BOUNDS(edge_src[e], num_nodes);
-    XF_DCHECK_BOUNDS(edge_dst[e], num_nodes);
-    XF_DCHECK_BOUNDS(edge_types[e], graph::kNumEdgeTypes);
+    XF_CHECK_BOUNDS(edge_src[e], num_nodes);
+    XF_CHECK_BOUNDS(edge_dst[e], num_nodes);
+    XF_CHECK_BOUNDS(edge_types[e], graph::kNumEdgeTypes);
     src_types[e] = node_types[edge_src[e]];
     dst_types[e] = node_types[edge_dst[e]];
   }
@@ -66,14 +102,32 @@ Var HeteroConvLayer::Forward(const Var& node_input,
   // per edge.
   Var q_nodes = ApplyTypedLinear(q_linears_, node_input, node_types);
 
-  // Keys/values are per edge: the source state plus — at the first layer —
-  // the edge-type embedding (eqs. 4-7).
-  Var kv_input = nn::IndexRows(node_input, edge_src);
+  // An edge's key and value depend only on its source state plus — at the
+  // first layer — the edge-type embedding (eqs. 4-7), so both projections
+  // run once per distinct source row and expand to the edges.
+  nn::SourceRows kv_source;
   if (first_layer_) {
-    kv_input = nn::Add(kv_input, nn::IndexRows(edge_type_emb_, edge_types));
+    kv_source = SourceTypeRows(node_input, edge_type_emb_, edge_src,
+                               edge_types);
+  } else {
+    kv_source.values = node_input;
+    kv_source.index = edge_src;
   }
-  Var k_edges = ApplyTypedLinear(k_linears_, kv_input, src_types);
-  Var v_edges = ApplyTypedLinear(v_linears_, kv_input, src_types);
+  // The per-edge input block exists only while a tape is recorded: the K/V
+  // backward scatters dx into it, and its IndexRows (+ Add) backward
+  // carries that to node_input and edge_type_emb in the per-edge chain's
+  // order.
+  std::vector<Var> kv_grad_inputs = {node_input};
+  if (first_layer_) kv_grad_inputs.push_back(edge_type_emb_);
+  Var kv_input;
+  if (nn::RecordsTape(kv_grad_inputs)) {
+    kv_input = nn::IndexRows(node_input, edge_src);
+    if (first_layer_) {
+      kv_input = nn::Add(kv_input, nn::IndexRows(edge_type_emb_, edge_types));
+    }
+  }
+  Var k_edges = ApplyTypedLinear(k_linears_, kv_input, src_types, &kv_source);
+  Var v_edges = ApplyTypedLinear(v_linears_, kv_input, src_types, &kv_source);
 
   // eq. 8, per head, with the attention parameter rows selected by
   // endpoint type: one fused op over the edges.

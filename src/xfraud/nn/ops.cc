@@ -8,12 +8,6 @@
 
 namespace xfraud::nn {
 
-namespace {
-
-using internal::VarImpl;
-
-/// True when a result of `inputs` goes on the tape: some input requires
-/// gradients and no NoGradGuard is active on this thread.
 bool RecordsTape(const std::vector<Var>& inputs) {
   if (NoGradGuard::Active()) return false;
   for (const auto& in : inputs) {
@@ -21,6 +15,10 @@ bool RecordsTape(const std::vector<Var>& inputs) {
   }
   return false;
 }
+
+namespace {
+
+using internal::VarImpl;
 
 /// Builds the result node; attaches parents/backward only when needed.
 Var MakeResult(Tensor value, std::vector<Var> inputs,
@@ -133,24 +131,50 @@ Var LinearBiasAct(const Var& x, const Var& w, const Var& bias,
 
 Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
                 const std::vector<Var>& weights,
-                const std::vector<Var>& biases) {
-  const Tensor& xv = x.value();
-  XF_CHECK_EQ(static_cast<size_t>(xv.rows()), types.size());
+                const std::vector<Var>& biases, const SourceRows* source) {
+  // The input rows: x itself (the identity map) or the distinct source rows.
+  const Var& input = source != nullptr ? source->values : x;
+  XF_CHECK(input.defined());
+  const Tensor& iv = input.value();
+  const size_t num_rows = types.size();
+  XF_CHECK_EQ(source != nullptr ? source->index.size()
+                                : static_cast<size_t>(iv.rows()),
+              num_rows);
+  auto input_row = [source](size_t r) {
+    return source != nullptr ? source->index[r] : static_cast<int32_t>(r);
+  };
+  if (x.defined()) {
+    XF_CHECK_EQ(static_cast<size_t>(x.rows()), num_rows);
+    XF_CHECK_EQ(x.cols(), iv.cols());
+  }
   XF_CHECK(!weights.empty());
   XF_CHECK_EQ(weights.size(), biases.size());
   const int64_t out_dim = weights[0].cols();
-  // Group the rows by type once, ascending within each type.
-  auto rows_by_type =
-      std::make_shared<std::vector<std::vector<int32_t>>>(weights.size());
-  for (size_t r = 0; r < types.size(); ++r) {
+  // Each input row takes the type of the output rows that read it; then
+  // the input rows are grouped by type once, ascending within each type.
+  std::vector<int32_t> type_of(static_cast<size_t>(iv.rows()), -1);
+  for (size_t r = 0; r < num_rows; ++r) {
     XF_CHECK_GE(types[r], 0);
     XF_CHECK_LT(static_cast<size_t>(types[r]), weights.size());
-    (*rows_by_type)[types[r]].push_back(static_cast<int32_t>(r));
+    const int32_t u = input_row(r);
+    XF_CHECK_GE(u, 0);
+    XF_CHECK_LT(u, iv.rows());
+    XF_CHECK(type_of[u] < 0 || type_of[u] == types[r])
+        << "input row " << u << " read with types " << type_of[u] << " and "
+        << types[r];
+    type_of[u] = types[r];
   }
-  std::vector<Var> inputs = {x};
+  std::vector<std::vector<int32_t>> input_rows_by_type(weights.size());
+  for (size_t u = 0; u < type_of.size(); ++u) {
+    if (type_of[u] >= 0) {
+      input_rows_by_type[type_of[u]].push_back(static_cast<int32_t>(u));
+    }
+  }
+  std::vector<Var> inputs;
+  if (x.defined()) inputs.push_back(x);
   for (size_t t = 0; t < weights.size(); ++t) {
-    if ((*rows_by_type)[t].empty()) continue;
-    XF_CHECK_EQ(weights[t].rows(), xv.cols());
+    if (input_rows_by_type[t].empty()) continue;
+    XF_CHECK_EQ(weights[t].rows(), iv.cols());
     XF_CHECK_EQ(weights[t].cols(), out_dim);
     inputs.push_back(weights[t]);
     if (biases[t].defined()) {
@@ -159,31 +183,47 @@ Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
       inputs.push_back(biases[t]);
     }
   }
-  const bool taped = RecordsTape(inputs);
 
-  // Each type's rows: gather, one GemmBiasAct, scatter-add into the zeroed
-  // output. Rows of different types are disjoint, so every output element
-  // is 0 + y — the value the composed chain's scatter-into-zeros and Add
-  // passes produce (−0 becomes +0 in both).
-  Tensor out(xv.rows(), out_dim);
-  // Gathered inputs of the types whose weight needs a gradient (dW = xᵀ·dY).
-  auto gathered = std::make_shared<std::vector<Tensor>>(weights.size());
+  // Each type's input rows: gather, one GemmBiasAct into the type's block.
+  std::vector<Tensor> projected(weights.size());
+  std::vector<int32_t> position(type_of.size());
   for (size_t t = 0; t < weights.size(); ++t) {
-    const std::vector<int32_t>& rows = (*rows_by_type)[t];
+    const std::vector<int32_t>& rows = input_rows_by_type[t];
     if (rows.empty()) continue;
-    Tensor xt(static_cast<int64_t>(rows.size()), xv.cols());
-    kernels::GatherRows(xv, rows, &xt);
-    Tensor yt(xt.rows(), out_dim);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      position[rows[i]] = static_cast<int32_t>(i);
+    }
+    Tensor xt(static_cast<int64_t>(rows.size()), iv.cols());
+    kernels::GatherRows(iv, rows, &xt);
+    projected[t] = Tensor(xt.rows(), out_dim);
     const float* bias_ptr =
         biases[t].defined() ? biases[t].value().Row(0) : nullptr;
     kernels::GemmBiasAct(xt, weights[t].value(), bias_ptr,
-                         kernels::Activation::kNone, &yt);
-    kernels::ScatterAddRowsKernel(yt, rows, &out);
-    if (taped && weights[t].requires_grad()) (*gathered)[t] = std::move(xt);
+                         kernels::Activation::kNone, &projected[t]);
   }
-  if (!taped) return MakeResult(std::move(out), {}, nullptr);
+  // Expand to the output rows, each added onto zeros: every element is
+  // 0 + y — the value the composed chain's scatter-into-zeros and Add
+  // passes produce (−0 becomes +0 in both).
+  Tensor out(static_cast<int64_t>(num_rows), out_dim);
+  for (size_t r = 0; r < num_rows; ++r) {
+    const float* y = projected[types[r]].Row(position[input_row(r)]);
+    float* o = out.Row(static_cast<int64_t>(r));
+    for (int64_t c = 0; c < out_dim; ++c) o[c] += y[c];
+  }
+  if (!RecordsTape(inputs)) return MakeResult(std::move(out), {}, nullptr);
 
-  auto x_impl = x.impl();
+  // The backward runs per output row: each type's output rows, ascending,
+  // and the input row each of them reads.
+  auto rows_by_type =
+      std::make_shared<std::vector<std::vector<int32_t>>>(weights.size());
+  auto read_rows_by_type =
+      std::make_shared<std::vector<std::vector<int32_t>>>(weights.size());
+  for (size_t r = 0; r < num_rows; ++r) {
+    (*rows_by_type)[types[r]].push_back(static_cast<int32_t>(r));
+    (*read_rows_by_type)[types[r]].push_back(input_row(r));
+  }
+  auto x_impl = x.defined() ? x.impl() : nullptr;
+  auto input_impl = input.impl();
   std::vector<std::shared_ptr<VarImpl>> w_impls;
   std::vector<std::shared_ptr<VarImpl>> b_impls;
   for (size_t t = 0; t < weights.size(); ++t) {
@@ -192,27 +232,32 @@ Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
   }
   return MakeResult(
       std::move(out), std::move(inputs),
-      [x_impl, w_impls, b_impls, rows_by_type, gathered](VarImpl* self) {
+      [x_impl, input_impl, w_impls, b_impls, rows_by_type,
+       read_rows_by_type](VarImpl* self) {
+        const bool x_grad = x_impl != nullptr && x_impl->requires_grad;
         for (size_t t = 0; t < w_impls.size(); ++t) {
           const std::vector<int32_t>& rows = (*rows_by_type)[t];
           VarImpl* w = w_impls[t].get();
           VarImpl* b = b_impls[t].get();
           bool b_grad = b != nullptr && b->requires_grad;
-          if (rows.empty() ||
-              !(x_impl->requires_grad || w->requires_grad || b_grad)) {
+          if (rows.empty() || !(x_grad || w->requires_grad || b_grad)) {
             continue;
           }
           // This type's output grad, gathered onto zeros (0 + dOut, as the
           // composed chain's scatter backward produced it).
           Tensor dy(static_cast<int64_t>(rows.size()), self->grad.cols());
           kernels::GatherAddRows(self->grad, rows, &dy);
-          if (x_impl->requires_grad) {
+          if (x_grad) {
             Tensor dx(dy.rows(), x_impl->value.cols());
             kernels::GemmTransBAdd(dy, w->value, &dx);
             kernels::ScatterAddRowsKernel(dx, rows, &x_impl->EnsureGrad());
           }
           if (w->requires_grad) {
-            kernels::GemmTransAAdd((*gathered)[t], dy, &w->EnsureGrad());
+            // dW = xᵀ·dY over this type's input rows, read through the map.
+            Tensor xt(dy.rows(), input_impl->value.cols());
+            kernels::GatherRows(input_impl->value, (*read_rows_by_type)[t],
+                                &xt);
+            kernels::GemmTransAAdd(xt, dy, &w->EnsureGrad());
           }
           if (b_grad) kernels::ColSumAdd(dy, &b->EnsureGrad());
         }
@@ -536,7 +581,7 @@ Var IndexRows(const Var& a, const std::vector<int32_t>& indices) {
   return MakeResult(std::move(out), {a}, [a_impl, idx](VarImpl* self) {
     if (!a_impl->requires_grad) return;
     // Scatter-add by source row: each source row's contributions accumulate
-    // in ascending gather position (serial stream or one worker per group).
+    // in ascending gather position.
     kernels::ScatterAddRowsKernel(self->grad, *idx, &a_impl->EnsureGrad());
   });
 }

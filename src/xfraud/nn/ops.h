@@ -29,16 +29,37 @@ Var MatMul(const Var& a, const Var& b);
 Var LinearBiasAct(const Var& x, const Var& w, const Var& bias,
                   kernels::Activation act = kernels::Activation::kNone);
 
+/// True when an op over `inputs` records a tape node: some input requires
+/// gradients and no NoGradGuard is active on this thread.
+bool RecordsTape(const std::vector<Var>& inputs);
+
+/// The input rows of a TypedLinear given as U distinct rows plus a map:
+/// output row r reads values[index[r]]. Every output row that reads one
+/// source row must have the same type.
+struct SourceRows {
+  Var values;                  // [U, in]; gets no gradient from the op
+  std::vector<int32_t> index;  // one entry in [0, U) per output row
+};
+
 /// Typed linear map: row r of x [N,in] goes through
 /// x[r]·weights[types[r]] + biases[types[r]] -> [N,out]. One tape node for
 /// the per-type Q/K/V projections of paper eqs. 2-7, in place of a
 /// per-type IndexRows → LinearBiasAct → ScatterAddRows → Add chain, and
 /// bit-identical to that chain in the forward value and every gradient.
 /// A bias may be an undefined Var; a type with no rows is skipped (its
-/// parameters get no gradient). Keeps each type's gathered rows for dW.
+/// parameters get no gradient).
+///
+/// With `source`, the input rows are source->values expanded through
+/// source->index (the per-row form is the identity map): each type's GEMM
+/// runs over its distinct source rows only, and the result is expanded to
+/// the output rows, bit-identical to the per-row form over the expanded
+/// rows. `x` is then that expansion [R,in], or undefined when it needs no
+/// gradient: the backward is the per-row one, with dx scatter-added into
+/// x's grad, and dW reads each type's input rows through the map.
 Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
                 const std::vector<Var>& weights,
-                const std::vector<Var>& biases);
+                const std::vector<Var>& biases,
+                const SourceRows* source = nullptr);
 
 /// The attention scores of paper eq. 8 as one tape node -> [E, H]:
 /// scores[e,h] = scale·(k_edges[e]·w_att_src[src_types[e]] +

@@ -4,12 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "xfraud/common/check.h"
 #include "xfraud/core/gnn_model.h"
 #include "xfraud/core/hetero_conv.h"
+#include "xfraud/nn/ops.h"
 
 namespace xfraud::core {
 namespace {
@@ -177,6 +182,174 @@ TEST(HeteroConvTest, FirstLayerUsesEdgeTypeEmbedding) {
     delta += std::fabs(base.value().data()[i] - perturbed.value().data()[i]);
   }
   EXPECT_GT(delta, 1e-3);
+}
+
+TEST(HeteroConvTest, OutOfRangeEdgeIndexThrows) {
+  // Malformed edge lists are caught before any row is read, in every build
+  // type, at both layer kinds, with and without a tape.
+  TinyGraph g;
+  for (bool first_layer : {true, false}) {
+    Rng rng(19);
+    HeteroConvLayer layer(8, 2, 0.0f, first_layer, true, &rng);
+    nn::Var h(RandomInput(5, 8, 20).value(), /*requires_grad=*/true);
+    for (bool no_grad : {false, true}) {
+      for (int field = 0; field < 3; ++field) {
+        for (int32_t bad : {-1, field == 2 ? graph::kNumEdgeTypes : 5}) {
+          SCOPED_TRACE("first_layer=" + std::to_string(first_layer) +
+                       " no_grad=" + std::to_string(no_grad) +
+                       " field=" + std::to_string(field) +
+                       " index=" + std::to_string(bad));
+          std::vector<int32_t> src = g.src;
+          std::vector<int32_t> dst = g.dst;
+          std::vector<int32_t> etypes = g.etypes;
+          std::vector<int32_t>* edited =
+              field == 0 ? &src : (field == 1 ? &dst : &etypes);
+          (*edited)[3] = bad;
+          std::optional<nn::NoGradGuard> guard;
+          if (no_grad) guard.emplace();
+          EXPECT_THROW(layer.Forward(h, g.node_types, src, dst, etypes,
+                                     ForwardOptions{}),
+                       CheckError);
+        }
+      }
+    }
+  }
+}
+
+/// The per-edge K/V chain that HeteroConvLayer::Forward ran before its
+/// source-row projection, over the layer's own parameters: gather
+/// node_input per edge (+ the edge-type embedding at the first layer),
+/// then both typed linears over all E rows. The oracle of the test below.
+nn::Var PerEdgeChainForward(const HeteroConvLayer& layer, bool first_layer,
+                            bool use_residual, int num_heads,
+                            const nn::Var& node_input,
+                            const std::vector<int32_t>& node_types,
+                            const std::vector<int32_t>& src,
+                            const std::vector<int32_t>& dst,
+                            const std::vector<int32_t>& etypes,
+                            float dropout, const ForwardOptions& options) {
+  std::map<std::string, nn::Var> p;
+  for (const auto& named : layer.Parameters()) p[named.name] = named.var;
+  auto typed = [&](const char* which, const nn::Var& x,
+                   const std::vector<int32_t>& types) {
+    std::vector<nn::Var> weights;
+    std::vector<nn::Var> biases;
+    for (int t = 0; t < graph::kNumNodeTypes; ++t) {
+      std::string name = std::string(which) + "." +
+                         graph::NodeTypeName(static_cast<graph::NodeType>(t));
+      weights.push_back(p.at(name + ".weight"));
+      biases.push_back(p.at(name + ".bias"));
+    }
+    return nn::TypedLinear(x, types, weights, biases);
+  };
+  std::vector<int32_t> src_types;
+  std::vector<int32_t> dst_types;
+  for (size_t e = 0; e < src.size(); ++e) {
+    src_types.push_back(node_types[src[e]]);
+    dst_types.push_back(node_types[dst[e]]);
+  }
+  nn::Var q_nodes = typed("q", node_input, node_types);
+  nn::Var kv_input = nn::IndexRows(node_input, src);
+  if (first_layer) {
+    kv_input = nn::Add(kv_input, nn::IndexRows(p.at("edge_type_emb"), etypes));
+  }
+  nn::Var k_edges = typed("k", kv_input, src_types);
+  nn::Var v_edges = typed("v", kv_input, src_types);
+  const int64_t head_dim = node_input.cols() / num_heads;
+  nn::Var scores = nn::AttentionScores(
+      k_edges, q_nodes, dst, p.at("w_att_src"), src_types, p.at("w_att_dst"),
+      dst_types, num_heads,
+      1.0f / std::sqrt(static_cast<float>(head_dim)));
+  nn::Var agg = nn::AttentionAggregate(scores, v_edges, dst, node_input.rows(),
+                                       head_dim, dropout, options.training,
+                                       options.rng);
+  nn::Var h = use_residual ? nn::Add(agg, node_input) : agg;
+  return nn::Relu(nn::LayerNorm(h, p.at("norm.gamma"), p.at("norm.beta")));
+}
+
+TEST(HeteroConvTest, SourceRowProjectionMatchesPerEdgeChainBitwise) {
+  // A batch where sources repeat, as in sampled subgraphs: 12 nodes, 60
+  // edges, so K/V source rows (nodes, or (node, edge type) pairs at the
+  // first layer) are shared by several edges.
+  const int64_t kNodes = 12;
+  const int64_t kDim = 8;
+  const int kHeads = 2;
+  const float kDropout = 0.25f;
+  Rng graph_rng(21);
+  std::vector<int32_t> node_types(kNodes);
+  for (auto& t : node_types) {
+    t = static_cast<int32_t>(graph_rng.NextBounded(graph::kNumNodeTypes));
+  }
+  std::vector<int32_t> src, dst, etypes;
+  for (int e = 0; e < 60; ++e) {
+    src.push_back(static_cast<int32_t>(graph_rng.NextBounded(kNodes)));
+    dst.push_back(static_cast<int32_t>(graph_rng.NextBounded(kNodes)));
+    etypes.push_back((src.back() + e % 2) % graph::kNumEdgeTypes);
+  }
+  Rng data_rng(22);
+  nn::Tensor input = nn::Tensor::Uniform(kNodes, kDim, 1.0f, &data_rng);
+  nn::Tensor upstream = nn::Tensor::Uniform(kNodes, kDim, 1.0f, &data_rng);
+
+  for (bool first_layer : {true, false}) {
+    SCOPED_TRACE("first_layer=" + std::to_string(first_layer));
+    Rng init_rng(23);
+    HeteroConvLayer layer(kDim, kHeads, kDropout, first_layer,
+                          /*use_residual=*/true, &init_rng);
+    std::vector<nn::NamedParameter> params = layer.Parameters();
+    // The first layer's edge-type embedding is zero at init; make it count.
+    for (auto& named : params) {
+      if (named.name == "edge_type_emb") {
+        Rng emb_rng(24);
+        named.var.mutable_value() =
+            nn::Tensor::Uniform(graph::kNumEdgeTypes, kDim, 1.0f, &emb_rng);
+      }
+    }
+
+    struct Result {
+      nn::Tensor out;
+      nn::Tensor input_grad;
+      std::vector<nn::Tensor> param_grads;
+    };
+    // Training forward with dropout, then backward of a weighted sum.
+    auto run = [&](bool per_edge_chain) {
+      for (auto& named : params) named.var.ZeroGrad();
+      nn::Var h(input, /*requires_grad=*/true);
+      Rng dropout_rng(25);
+      ForwardOptions options;
+      options.training = true;
+      options.rng = &dropout_rng;
+      nn::Var out =
+          per_edge_chain
+              ? PerEdgeChainForward(layer, first_layer, true, kHeads, h,
+                                    node_types, src, dst, etypes, kDropout,
+                                    options)
+              : layer.Forward(h, node_types, src, dst, etypes, options);
+      nn::Sum(nn::Mul(out, nn::Constant(upstream))).Backward();
+      Result r{out.value(), h.grad(), {}};
+      for (auto& named : params) r.param_grads.push_back(named.var.grad());
+      return r;
+    };
+    Result fused = run(false);
+    Result chain = run(true);
+    EXPECT_TRUE(fused.out.BitwiseEqual(chain.out));
+    EXPECT_TRUE(fused.input_grad.BitwiseEqual(chain.input_grad));
+    for (size_t i = 0; i < params.size(); ++i) {
+      EXPECT_TRUE(fused.param_grads[i].BitwiseEqual(chain.param_grads[i]))
+          << params[i].name;
+    }
+
+    // Inference: the untaped forward builds no per-edge input block and
+    // must equal the taped forward bit for bit.
+    nn::Var h(input, /*requires_grad=*/true);
+    nn::Var taped =
+        layer.Forward(h, node_types, src, dst, etypes, ForwardOptions{});
+    EXPECT_TRUE(taped.requires_grad());
+    nn::NoGradGuard guard;
+    nn::Var untaped =
+        layer.Forward(h, node_types, src, dst, etypes, ForwardOptions{});
+    EXPECT_FALSE(untaped.requires_grad());
+    EXPECT_TRUE(untaped.value().BitwiseEqual(taped.value()));
+  }
 }
 
 TEST(TypedLinearTest, MatchesManualGrouping) {

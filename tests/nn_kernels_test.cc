@@ -420,6 +420,138 @@ TEST(FusedConformance, TypedLinearMatchesComposedBitwise) {
   }
 }
 
+TEST(FusedConformance, TypedLinearSourceRowsMatchesPerEdgeBitwise) {
+  // The source-row form against the per-row form over the expanded rows:
+  // 31 output rows read 9 source rows (with duplicates; rows 7 and 8 are
+  // never read). Four types: type 1 is bias-free, type 2 has no rows.
+  Rng rng(306);
+  const int64_t kSources = 9;
+  const int64_t kRows = 31;
+  const int64_t kIn = 6;
+  const int64_t kOut = 5;
+  const std::vector<int32_t> source_type = {0, 1, 3, 0, 3, 1, 0, 1, 3};
+  std::vector<int32_t> index(kRows);
+  std::vector<int32_t> types(kRows);
+  for (int64_t r = 0; r < kRows; ++r) {
+    index[r] = static_cast<int32_t>(rng.NextBounded(kSources - 2));
+    types[r] = source_type[index[r]];
+  }
+  Tensor st = RandomTensor(kSources, kIn, &rng);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  st.At(1, 2) = -0.0f;
+  st.At(4, 0) = nan;
+  for (int64_t c = 0; c < kIn; ++c) st.At(5, c) = -0.0f;
+  Tensor expanded(kRows, kIn);
+  kernels::GatherRows(st, index, &expanded);
+  std::vector<Tensor> wt;
+  std::vector<Tensor> bt;
+  for (int t = 0; t < 4; ++t) {
+    wt.push_back(RandomTensor(kIn, kOut, &rng));
+    bt.push_back(RandomTensor(1, kOut, &rng));
+  }
+  bt[0].At(0, 1) = -0.0f;
+  Tensor upstream = RandomTensor(kRows, kOut, &rng);
+
+  struct Run {
+    Var x;
+    std::vector<Var> weights;
+    std::vector<Var> biases;
+    Var out;
+  };
+  // x also feeds a second consumer (Tanh), so the order in which its two
+  // gradient contributions accumulate is compared too. `form` 0 is the
+  // per-row oracle, 1 the source-row form with x, 2 without x.
+  auto run = [&](int form, bool x_grad) {
+    Run r;
+    r.x = Var(expanded, x_grad);
+    for (int t = 0; t < 4; ++t) {
+      r.weights.emplace_back(wt[static_cast<size_t>(t)], true);
+      r.biases.push_back(t == 1 ? Var()
+                                : Var(bt[static_cast<size_t>(t)], true));
+    }
+    SourceRows source{Var(st), index};
+    r.out = form == 0
+                ? TypedLinear(r.x, types, r.weights, r.biases)
+                : TypedLinear(form == 1 ? r.x : Var(), types, r.weights,
+                              r.biases, &source);
+    Var loss = Sum(Mul(r.out, Constant(upstream)));
+    if (form != 2) loss = Add(loss, Sum(Tanh(r.x)));
+    loss.Backward();
+    return r;
+  };
+
+  for (bool x_grad : {true, false}) {
+    Run oracle = run(0, x_grad);
+    for (int form : {1, 2}) {
+      if (form == 2 && x_grad) continue;
+      Run mapped = run(form, x_grad);
+      SCOPED_TRACE("form=" + std::to_string(form) +
+                   " x_grad=" + std::to_string(x_grad));
+      EXPECT_TRUE(mapped.out.value().BitwiseEqual(oracle.out.value()));
+      if (x_grad) {
+        EXPECT_TRUE(mapped.x.grad().BitwiseEqual(oracle.x.grad()));
+      }
+      for (size_t t = 0; t < 4; ++t) {
+        EXPECT_TRUE(mapped.weights[t].impl()->grad.BitwiseEqual(
+            oracle.weights[t].impl()->grad))
+            << "W_" << t;
+        if (!mapped.biases[t].defined()) continue;
+        EXPECT_TRUE(mapped.biases[t].impl()->grad.BitwiseEqual(
+            oracle.biases[t].impl()->grad))
+            << "b_" << t;
+      }
+      // The empty type's parameters never get a gradient buffer.
+      EXPECT_EQ(mapped.weights[2].impl()->grad.size(), 0);
+    }
+  }
+
+  // Untaped, the source-row form needs no expanded input at all.
+  Run oracle = run(0, false);
+  NoGradGuard guard;
+  std::vector<Var> weights;
+  std::vector<Var> biases;
+  for (int t = 0; t < 4; ++t) {
+    weights.emplace_back(wt[static_cast<size_t>(t)], true);
+    biases.push_back(t == 1 ? Var() : Var(bt[static_cast<size_t>(t)], true));
+  }
+  SourceRows source{Var(st), index};
+  Var untaped = TypedLinear(Var(), types, weights, biases, &source);
+  EXPECT_FALSE(untaped.requires_grad());
+  EXPECT_TRUE(untaped.value().BitwiseEqual(oracle.out.value()));
+
+  // With no input columns each output row is its bias, and the −0 bias
+  // entry comes out as 0 + (−0) = +0 in both forms.
+  std::vector<Var> no_cols(4, Var(Tensor(0, kOut)));
+  SourceRows no_col_source{Var(Tensor(kSources, 0)), index};
+  Var mapped = TypedLinear(Var(), types, no_cols, biases, &no_col_source);
+  Var per_row = TypedLinear(Var(Tensor(kRows, 0)), types, no_cols, biases);
+  EXPECT_TRUE(mapped.value().BitwiseEqual(per_row.value()));
+  for (int64_t r = 0; r < kRows; ++r) {
+    if (types[r] == 0) {
+      EXPECT_FALSE(std::signbit(mapped.value().At(r, 1))) << "row " << r;
+    }
+  }
+}
+
+TEST(FusedConformance, TypedLinearSourceRowsRejectsBadMaps) {
+  Rng rng(307);
+  std::vector<Var> weights = {Var(RandomTensor(3, 2, &rng), true),
+                              Var(RandomTensor(3, 2, &rng), true)};
+  std::vector<Var> biases = {Var(), Var()};
+  SourceRows source{Var(RandomTensor(4, 3, &rng)), {0, 3, 4}};
+  // Index past the source rows.
+  EXPECT_THROW(TypedLinear(Var(), {0, 1, 0}, weights, biases, &source),
+               CheckError);
+  // One source row read with two types.
+  source.index = {0, 3, 0};
+  EXPECT_THROW(TypedLinear(Var(), {0, 1, 1}, weights, biases, &source),
+               CheckError);
+  // A map of the wrong length.
+  source.index = {0, 3};
+  EXPECT_THROW(TypedLinear(Var(), {0, 1, 1}, weights, biases, &source),
+               CheckError);
+}
+
 /// The composed (pre-fusion) eq. 8 scores: gather the queries and the
 /// per-type attention rows per edge, then per head SliceCols → Mul →
 /// RowSum → Add → Scale, joined by ConcatCols. AttentionScores replaced
