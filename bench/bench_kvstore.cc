@@ -13,10 +13,13 @@
 //            => epoch ≈ (load_total + compute_total) / kappa
 // The raw concurrent-reader throughput of each backend is also reported.
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "bench_common.h"
+#include "xfraud/common/crc32.h"
 
 namespace xfraud::bench {
 namespace {
@@ -44,6 +47,24 @@ double MeasureLoader(const kv::FeatureStore& fs,
   }
   for (std::thread& reader : readers) reader.join();
   return static_cast<double>(loaded.load()) / timer.ElapsedSeconds();
+}
+
+/// Crc32 throughput in MB/s over one 4 MiB buffer, the best of five
+/// passes: every LogKv record, checkpoint, snapshot and frame carries this
+/// checksum, so it bounds recovery, compaction and the DDP wire.
+double MeasureCrc32MBps() {
+  std::vector<unsigned char> buf(size_t{4} << 20);
+  Rng rng(7);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.NextBounded(256));
+  double best = 1e300;
+  uint32_t crcs = 0;
+  for (int pass = 0; pass < 5; ++pass) {
+    WallTimer timer;
+    crcs ^= Crc32(buf.data(), buf.size());
+    best = std::min(best, timer.ElapsedSeconds());
+  }
+  XF_CHECK_EQ(crcs, Crc32(buf.data(), buf.size()));  // five equal CRCs
+  return static_cast<double>(buf.size()) / 1e6 / best;
 }
 
 void Run() {
@@ -88,6 +109,8 @@ void Run() {
   }
   std::cout << "measured loader throughput per backend:\n";
   throughput.Print(std::cout);
+  std::cout << "record checksum (Crc32, 4 MiB buffer): "
+            << TablePrinter::Num(MeasureCrc32MBps(), 0) << " MB/s\n";
 
   // ---- Compute throughput: one real training step ------------------------
   Rng rng(kSeedA);

@@ -2,8 +2,8 @@
 // the detector's critical path, forward and forward+backward, plus the
 // before/after pairs that gate each nn::kernels fusion (blocked vs naive
 // GEMM and backward products, fused vs composed linear, typed linear,
-// attention scores and attention aggregate, and the typed linear's per-row
-// vs source-row forms). Useful for
+// attention scores and attention aggregate), and HeteroConv's source-row
+// K/V path at sim-small shares. Useful for
 // tracking regressions in the engine that every experiment sits on.
 //
 // The JSON context records which ISA clone of the kernels the host resolved
@@ -247,55 +247,6 @@ void BM_TypedLinearComposed(benchmark::State& state) {
 }
 BENCHMARK(BM_TypedLinearComposed);
 
-void BM_TypedLinearSourceRows(benchmark::State& state) {
-  // BM_TypedLinearFused's source-row form, as HeteroConv's K/V projections
-  // run it: the E rows read U = share% · E distinct source rows (28% is a
-  // sim-small later layer, 63% the first layer's (source, edge type)
-  // pairs). Taped, x is the expanded [E, D] input that takes dx; untaped
-  // there is none.
-  TypedLinearInputs in;
-  const auto num_sources = static_cast<int32_t>(
-      TypedLinearInputs::kRows * state.range(0) / 100);
-  const bool taped = state.range(1) != 0;
-  std::vector<int32_t> source_type(static_cast<size_t>(num_sources));
-  for (auto& t : source_type) {
-    t = static_cast<int32_t>(in.rng.NextBounded(TypedLinearInputs::kTypes));
-  }
-  SourceRows source;
-  source.values = Var(Tensor::Uniform(num_sources, TypedLinearInputs::kDim,
-                                      1.0f, &in.rng));
-  source.index.resize(TypedLinearInputs::kRows);
-  for (size_t r = 0; r < source.index.size(); ++r) {
-    source.index[r] = static_cast<int32_t>(r) % num_sources;
-  }
-  in.rng.Shuffle(&source.index);
-  for (size_t r = 0; r < in.types.size(); ++r) {
-    in.types[r] = source_type[static_cast<size_t>(source.index[r])];
-  }
-  kernels::GatherRows(source.values.value(), source.index,
-                      &in.x.mutable_value());
-  for (auto _ : state) {
-    if (taped) {
-      in.ZeroGrad();
-      Var loss =
-          Sum(TypedLinear(in.x, in.types, in.weights, in.biases, &source));
-      loss.Backward();
-      benchmark::DoNotOptimize(in.x.grad().data());
-    } else {
-      NoGradGuard guard;
-      Var out = TypedLinear(Var(), in.types, in.weights, in.biases, &source);
-      benchmark::DoNotOptimize(out.value().data());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * TypedLinearInputs::kRows);
-}
-BENCHMARK(BM_TypedLinearSourceRows)
-    ->ArgNames({"share", "taped"})
-    ->Args({28, 1})
-    ->Args({28, 0})
-    ->Args({63, 1})
-    ->Args({63, 0});
-
 /// The eq. 8 attention-score operands of one sim-small HeteroConv layer:
 /// E = 6611 edges, D = 32 in H = 4 heads of 8, 5 node types; forward +
 /// backward into all four operands.
@@ -311,10 +262,12 @@ struct AttentionScoresInputs {
         q(Tensor::Uniform(kNodes, kDim, 1.0f, &rng), true),
         w_src(Tensor::Uniform(kTypes, kDim, 1.0f, &rng), true),
         w_dst(Tensor::Uniform(kTypes, kDim, 1.0f, &rng), true),
+        per_edge(kEdges),
         dst(kEdges),
         src_types(kEdges),
         dst_types(kEdges) {
     for (int64_t e = 0; e < kEdges; ++e) {
+      per_edge[e] = static_cast<int32_t>(e);
       dst[e] = static_cast<int32_t>(rng.NextBounded(kNodes));
       src_types[e] = static_cast<int32_t>(rng.NextBounded(kTypes));
       dst_types[e] = static_cast<int32_t>(rng.NextBounded(kTypes));
@@ -325,7 +278,7 @@ struct AttentionScoresInputs {
   }
   Rng rng;
   Var k, q, w_src, w_dst;
-  std::vector<int32_t> dst, src_types, dst_types;
+  std::vector<int32_t> per_edge, dst, src_types, dst_types;
   float scale = 1.0f / std::sqrt(static_cast<float>(kDim / kHeads));
 };
 
@@ -334,7 +287,7 @@ void BM_AttentionScoresFused(benchmark::State& state) {
   AttentionScoresInputs in;
   for (auto _ : state) {
     in.ZeroGrad();
-    Var loss = Sum(AttentionScores(in.k, in.q, in.dst, in.w_src,
+    Var loss = Sum(AttentionScores(in.k, in.per_edge, in.q, in.dst, in.w_src,
                                    in.src_types, in.w_dst, in.dst_types,
                                    AttentionScoresInputs::kHeads, in.scale));
     loss.Backward();
@@ -374,6 +327,79 @@ void BM_AttentionScoresComposed(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionScoresComposed);
 
+void BM_KvSourceRows(benchmark::State& state) {
+  // HeteroConv's K/V path over the AttentionScores operands: both typed
+  // projections over U = share% · E source rows (28% is a sim-small later
+  // layer's distinct sources, 63% the first layer's (source, edge type)
+  // pairs, 100% one row per edge), then AttentionScores and
+  // AttentionAggregate reading K and V through the per-edge row index.
+  // Taped (arg 1): forward + backward into the source rows, every K/V
+  // weight and bias, the queries and the attention rows; untaped (arg 0):
+  // the forward alone under a NoGradGuard.
+  using In = AttentionScoresInputs;
+  In in;
+  const auto num_rows =
+      static_cast<int32_t>(In::kEdges * state.range(0) / 100);
+  const bool taped = state.range(1) != 0;
+  Var rows(Tensor::Uniform(num_rows, In::kDim, 1.0f, &in.rng), true);
+  std::vector<int32_t> row_types(static_cast<size_t>(num_rows));
+  for (auto& t : row_types) {
+    t = static_cast<int32_t>(in.rng.NextBounded(In::kTypes));
+  }
+  std::vector<int32_t> kv_row(In::kEdges);
+  for (size_t e = 0; e < kv_row.size(); ++e) {
+    kv_row[e] = static_cast<int32_t>(e) % num_rows;
+  }
+  in.rng.Shuffle(&kv_row);
+  for (size_t e = 0; e < kv_row.size(); ++e) {
+    in.src_types[e] = row_types[static_cast<size_t>(kv_row[e])];
+  }
+  std::vector<Linear> k_linears, v_linears;
+  std::vector<Var> k_weights, k_biases, v_weights, v_biases;
+  for (int t = 0; t < In::kTypes; ++t) {
+    k_linears.emplace_back(In::kDim, In::kDim, &in.rng);
+    v_linears.emplace_back(In::kDim, In::kDim, &in.rng);
+    k_weights.push_back(k_linears.back().weight());
+    k_biases.push_back(k_linears.back().bias());
+    v_weights.push_back(v_linears.back().weight());
+    v_biases.push_back(v_linears.back().bias());
+  }
+  auto forward = [&] {
+    Var k = TypedLinear(rows, row_types, k_weights, k_biases);
+    Var v = TypedLinear(rows, row_types, v_weights, v_biases);
+    Var scores =
+        AttentionScores(k, kv_row, in.q, in.dst, in.w_src, in.src_types,
+                        in.w_dst, in.dst_types, In::kHeads, in.scale);
+    return AttentionAggregate(scores, v, kv_row, in.dst, In::kNodes,
+                              In::kDim / In::kHeads, /*dropout_p=*/0.0f,
+                              /*training=*/false, nullptr);
+  };
+  for (auto _ : state) {
+    if (taped) {
+      in.ZeroGrad();
+      rows.ZeroGrad();
+      for (Linear& l : k_linears) l.ZeroGrad();
+      for (Linear& l : v_linears) l.ZeroGrad();
+      Var loss = Sum(forward());
+      loss.Backward();
+      benchmark::DoNotOptimize(rows.grad().data());
+    } else {
+      NoGradGuard guard;
+      Var out = forward();
+      benchmark::DoNotOptimize(out.value().data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * In::kEdges);
+}
+BENCHMARK(BM_KvSourceRows)
+    ->ArgNames({"share", "taped"})
+    ->Args({28, 1})
+    ->Args({28, 0})
+    ->Args({63, 1})
+    ->Args({63, 0})
+    ->Args({100, 1})
+    ->Args({100, 0});
+
 void BM_AttentionAggregateFused(benchmark::State& state) {
   // Fused segment-softmax -> per-head weighting -> scatter-add...
   int64_t edges = state.range(0);
@@ -385,12 +411,14 @@ void BM_AttentionAggregateFused(benchmark::State& state) {
   Var values(Tensor::Uniform(edges, kHeads * kHeadDim, 1.0f, &rng), true);
   std::vector<int32_t> dst(edges);
   for (auto& d : dst) d = static_cast<int32_t>(rng.NextBounded(nodes));
+  std::vector<int32_t> per_edge(edges);
+  for (int64_t e = 0; e < edges; ++e) per_edge[e] = static_cast<int32_t>(e);
   for (auto _ : state) {
     scores.ZeroGrad();
     values.ZeroGrad();
-    Var loss = Sum(AttentionAggregate(scores, values, dst, nodes, kHeadDim,
-                                      /*dropout_p=*/0.0f, /*training=*/false,
-                                      nullptr));
+    Var loss = Sum(AttentionAggregate(scores, values, per_edge, dst, nodes,
+                                      kHeadDim, /*dropout_p=*/0.0f,
+                                      /*training=*/false, nullptr));
     loss.Backward();
     benchmark::DoNotOptimize(scores.grad().data());
   }

@@ -4,8 +4,7 @@ namespace xfraud::core {
 
 nn::Var ApplyTypedLinear(const std::vector<nn::Linear>& linears,
                          const nn::Var& x,
-                         const std::vector<int32_t>& types,
-                         const nn::SourceRows* source) {
+                         const std::vector<int32_t>& types) {
   std::vector<nn::Var> weights;
   std::vector<nn::Var> biases;
   weights.reserve(linears.size());
@@ -14,7 +13,7 @@ nn::Var ApplyTypedLinear(const std::vector<nn::Linear>& linears,
     weights.push_back(linear.weight());
     biases.push_back(linear.bias());
   }
-  return nn::TypedLinear(x, types, weights, biases, source);
+  return nn::TypedLinear(x, types, weights, biases);
 }
 
 std::vector<double> FraudProbabilities(const nn::Var& logits) {

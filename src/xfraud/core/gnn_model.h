@@ -42,12 +42,10 @@ class GnnModel : public nn::Module {
 
 /// Applies per-node-type linear maps: rows of `x` whose type (per `types`)
 /// is t go through `linears[t]`, as one nn::TypedLinear tape node. The typed
-/// Q/K/V projections of paper eqs. 2-7 are built from this; `source` gives
-/// the input rows in TypedLinear's source-row form.
+/// Q/K/V projections of paper eqs. 2-7 are built from this.
 nn::Var ApplyTypedLinear(const std::vector<nn::Linear>& linears,
                          const nn::Var& x,
-                         const std::vector<int32_t>& types,
-                         const nn::SourceRows* source = nullptr);
+                         const std::vector<int32_t>& types);
 
 /// Fraud probabilities (softmax of the [N, 2] logits' fraud column) — the
 /// score every consumer of Forward reports: trainer evaluation, the

@@ -11,35 +11,27 @@ using nn::Var;
 namespace {
 
 /// The first layer's K/V source rows: one per distinct (source node, edge
-/// type) pair, in order of first appearance, holding
-/// node_input[src] + edge_type_emb[type] as the per-edge chain's gathers
-/// and Add compute it; the index maps each edge to its pair.
-nn::SourceRows SourceTypeRows(const Var& node_input, const Var& edge_type_emb,
-                              const std::vector<int32_t>& edge_src,
-                              const std::vector<int32_t>& edge_types) {
-  nn::SourceRows rows;
-  rows.index.resize(edge_src.size());
+/// type) pair, in order of first appearance. Returns each pair's node and
+/// edge type; kv_row maps each edge to its pair.
+void SourceTypePairs(int64_t num_nodes, const std::vector<int32_t>& edge_src,
+                     const std::vector<int32_t>& edge_types,
+                     std::vector<int32_t>* pair_src,
+                     std::vector<int32_t>* pair_type,
+                     std::vector<int32_t>* kv_row) {
+  kv_row->resize(edge_src.size());
   std::vector<int32_t> slot_of(
-      static_cast<size_t>(node_input.rows()) * graph::kNumEdgeTypes, -1);
-  std::vector<int32_t> pair_src;
-  std::vector<int32_t> pair_type;
+      static_cast<size_t>(num_nodes) * graph::kNumEdgeTypes, -1);
   for (size_t e = 0; e < edge_src.size(); ++e) {
     int32_t& slot =
         slot_of[static_cast<size_t>(edge_src[e]) * graph::kNumEdgeTypes +
                 static_cast<size_t>(edge_types[e])];
     if (slot < 0) {
-      slot = static_cast<int32_t>(pair_src.size());
-      pair_src.push_back(edge_src[e]);
-      pair_type.push_back(edge_types[e]);
+      slot = static_cast<int32_t>(pair_src->size());
+      pair_src->push_back(edge_src[e]);
+      pair_type->push_back(edge_types[e]);
     }
-    rows.index[e] = slot;
+    (*kv_row)[e] = slot;
   }
-  // Gradients reach node_input and edge_type_emb through the per-edge
-  // chain, never through these rows.
-  nn::NoGradGuard no_grad;
-  rows.values = nn::Add(nn::IndexRows(node_input, pair_src),
-                        nn::IndexRows(edge_type_emb, pair_type));
-  return rows;
 }
 
 }  // namespace
@@ -87,7 +79,7 @@ Var HeteroConvLayer::Forward(const Var& node_input,
     return nn::Relu(norm_.Forward(node_input));
   }
 
-  // Per-row (edge or node) type vectors for the typed linears.
+  // Per-edge endpoint types, which select the attention parameter rows.
   std::vector<int32_t> src_types(edge_src.size());
   std::vector<int32_t> dst_types(edge_src.size());
   for (size_t e = 0; e < edge_src.size(); ++e) {
@@ -98,41 +90,36 @@ Var HeteroConvLayer::Forward(const Var& node_input,
     dst_types[e] = node_types[edge_dst[e]];
   }
 
-  // Queries are per target node (eqs. 2/3); AttentionScores gathers them
-  // per edge.
+  // Queries are per target node (eqs. 2/3); AttentionScores reads them
+  // through edge_dst.
   Var q_nodes = ApplyTypedLinear(q_linears_, node_input, node_types);
 
   // An edge's key and value depend only on its source state plus — at the
-  // first layer — the edge-type embedding (eqs. 4-7), so both projections
-  // run once per distinct source row and expand to the edges.
-  nn::SourceRows kv_source;
+  // first layer — the edge-type embedding (eqs. 4-7), so both live at the
+  // source rows, forward and backward: the nodes themselves at later
+  // layers, the distinct (source, edge type) pairs at the first. kv_row
+  // maps each edge to its row; the attention ops read K and V through it.
+  Var kv_input = node_input;
+  std::vector<int32_t> kv_row = edge_src;
+  std::vector<int32_t> pair_node_types;
   if (first_layer_) {
-    kv_source = SourceTypeRows(node_input, edge_type_emb_, edge_src,
-                               edge_types);
-  } else {
-    kv_source.values = node_input;
-    kv_source.index = edge_src;
+    std::vector<int32_t> pair_src;
+    std::vector<int32_t> pair_type;
+    SourceTypePairs(num_nodes, edge_src, edge_types, &pair_src, &pair_type,
+                    &kv_row);
+    kv_input = nn::Add(nn::IndexRows(node_input, pair_src),
+                       nn::IndexRows(edge_type_emb_, pair_type));
+    for (int32_t node : pair_src) pair_node_types.push_back(node_types[node]);
   }
-  // The per-edge input block exists only while a tape is recorded: the K/V
-  // backward scatters dx into it, and its IndexRows (+ Add) backward
-  // carries that to node_input and edge_type_emb in the per-edge chain's
-  // order.
-  std::vector<Var> kv_grad_inputs = {node_input};
-  if (first_layer_) kv_grad_inputs.push_back(edge_type_emb_);
-  Var kv_input;
-  if (nn::RecordsTape(kv_grad_inputs)) {
-    kv_input = nn::IndexRows(node_input, edge_src);
-    if (first_layer_) {
-      kv_input = nn::Add(kv_input, nn::IndexRows(edge_type_emb_, edge_types));
-    }
-  }
-  Var k_edges = ApplyTypedLinear(k_linears_, kv_input, src_types, &kv_source);
-  Var v_edges = ApplyTypedLinear(v_linears_, kv_input, src_types, &kv_source);
+  const std::vector<int32_t>& kv_types =
+      first_layer_ ? pair_node_types : node_types;
+  Var k = ApplyTypedLinear(k_linears_, kv_input, kv_types);
+  Var v = ApplyTypedLinear(v_linears_, kv_input, kv_types);
 
   // eq. 8, per head, with the attention parameter rows selected by
   // endpoint type: one fused op over the edges.
   float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  Var scores = nn::AttentionScores(k_edges, q_nodes, edge_dst, w_att_src_,
+  Var scores = nn::AttentionScores(k, kv_row, q_nodes, edge_dst, w_att_src_,
                                    src_types, w_att_dst_, dst_types,
                                    num_heads_, inv_sqrt_dk);  // [E, H]
 
@@ -143,7 +130,7 @@ Var HeteroConvLayer::Forward(const Var& node_input,
     // weighting, scatter-add — instead of five full passes over the [E,D]
     // message block. Bit-identical to the composed ops below, including
     // dropout RNG consumption.
-    agg = nn::AttentionAggregate(scores, v_edges, edge_dst, num_nodes,
+    agg = nn::AttentionAggregate(scores, v, kv_row, edge_dst, num_nodes,
                                  head_dim_, dropout_, options.training,
                                  options.rng);
   } else {
@@ -154,6 +141,7 @@ Var HeteroConvLayer::Forward(const Var& node_input,
     att = nn::Dropout(att, dropout_, options.training, options.rng);
 
     // eq. 10: per-head value weighting, concatenated back to [E, dim].
+    Var v_edges = nn::IndexRows(v, kv_row);
     Var messages;
     for (int h = 0; h < num_heads_; ++h) {
       Var v_h = nn::SliceCols(v_edges, h * head_dim_, head_dim_);

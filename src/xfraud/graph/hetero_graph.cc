@@ -104,7 +104,7 @@ HeteroGraph::HeteroGraph(std::vector<NodeType> node_types,
     XF_CHECK_LE(offsets_[v], offsets_[v + 1]) << "offsets not monotone at " << v;
   }
   for (size_t e = 0; e < neighbors_.size(); ++e) {
-    XF_DCHECK_BOUNDS(neighbors_[e], num_nodes()) << "edge " << e;
+    XF_CHECK_BOUNDS(neighbors_[e], num_nodes()) << "edge " << e;
   }
   for (size_t v = 0; v < feature_row_.size(); ++v) {
     if (feature_row_[v] >= 0) {

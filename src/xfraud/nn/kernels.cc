@@ -412,21 +412,23 @@ void SegmentSoftmaxGrouped(const Tensor& scores, const RowGroups& groups,
 }
 
 XF_ISA_CLONES
-void WeightedScatterAddByGroup(const Tensor& v, const Tensor& w,
-                               const RowGroups& groups, int64_t head_dim,
-                               Tensor* out) {
-  XF_CHECK_EQ(v.rows(), w.rows());
+void WeightedScatterAddByGroup(const Tensor& v,
+                               const std::vector<int32_t>& kv_row,
+                               const Tensor& w, const RowGroups& groups,
+                               int64_t head_dim, Tensor* out) {
+  XF_CHECK_EQ(static_cast<int64_t>(kv_row.size()), w.rows());
   XF_CHECK_EQ(w.cols() * head_dim, v.cols());
   XF_CHECK_EQ(out->rows(), groups.num_groups);
   XF_CHECK_EQ(out->cols(), v.cols());
-  XF_CHECK_EQ(static_cast<int64_t>(groups.rows.size()), v.rows());
+  XF_CHECK_EQ(static_cast<int64_t>(groups.rows.size()), w.rows());
   int64_t heads = w.cols();
   for (int64_t gid = 0; gid < groups.num_groups; ++gid) {
     float* orow = out->Row(gid);
     for (int64_t e = groups.offsets[static_cast<size_t>(gid)];
          e < groups.offsets[static_cast<size_t>(gid) + 1]; ++e) {
       int32_t r = groups.rows[static_cast<size_t>(e)];
-      const float* vrow = v.Row(r);
+      XF_CHECK_BOUNDS(kv_row[static_cast<size_t>(r)], v.rows());
+      const float* vrow = v.Row(kv_row[static_cast<size_t>(r)]);
       const float* wrow = w.Row(r);
       for (int64_t h = 0; h < heads; ++h) {
         float wv = wrow[h];
@@ -441,22 +443,28 @@ void WeightedScatterAddByGroup(const Tensor& v, const Tensor& w,
 
 XF_ISA_CLONES
 void WeightedGatherAdd(const Tensor& gout, const std::vector<int32_t>& dst,
-                       const Tensor& w, int64_t head_dim, Tensor* dv) {
-  XF_CHECK_EQ(dv->rows(), static_cast<int64_t>(dst.size()));
-  XF_CHECK_EQ(dv->rows(), w.rows());
+                       const std::vector<int32_t>& kv_row, const Tensor& w,
+                       int64_t head_dim, Tensor* dv) {
+  XF_CHECK_EQ(static_cast<int64_t>(dst.size()), w.rows());
+  XF_CHECK_EQ(kv_row.size(), dst.size());
   XF_CHECK_EQ(w.cols() * head_dim, dv->cols());
   XF_CHECK_EQ(gout.cols(), dv->cols());
   int64_t heads = w.cols();
-  int64_t rows = dv->rows();
+  int64_t rows = w.rows();
+  // Serial in r: a value row read by several edges takes their terms in
+  // ascending r, as the gather's scatter-add backward would.
   for (int64_t r = 0; r < rows; ++r) {
-    const float* grow = gout.Row(dst[static_cast<size_t>(r)]);
+    size_t ur = static_cast<size_t>(r);
+    XF_CHECK_BOUNDS(dst[ur], gout.rows());
+    XF_CHECK_BOUNDS(kv_row[ur], dv->rows());
+    const float* grow = gout.Row(dst[ur]);
     const float* wrow = w.Row(r);
-    float* dvrow = dv->Row(r);
+    float* dvrow = dv->Row(kv_row[ur]);
     for (int64_t h = 0; h < heads; ++h) {
       float wv = wrow[h];
       int64_t off = h * head_dim;
       for (int64_t c = 0; c < head_dim; ++c) {
-        dvrow[off + c] += wv * grow[off + c];
+        dvrow[off + c] += 0.0f + wv * grow[off + c];
       }
     }
   }
@@ -464,16 +472,20 @@ void WeightedGatherAdd(const Tensor& gout, const std::vector<int32_t>& dst,
 
 XF_ISA_CLONES
 void PerHeadDots(const Tensor& gout, const std::vector<int32_t>& dst,
-                 const Tensor& v, int64_t head_dim, Tensor* dw) {
+                 const Tensor& v, const std::vector<int32_t>& kv_row,
+                 int64_t head_dim, Tensor* dw) {
   XF_CHECK_EQ(dw->rows(), static_cast<int64_t>(dst.size()));
-  XF_CHECK_EQ(dw->rows(), v.rows());
+  XF_CHECK_EQ(kv_row.size(), dst.size());
   XF_CHECK_EQ(dw->cols() * head_dim, v.cols());
   XF_CHECK_EQ(gout.cols(), v.cols());
   int64_t heads = dw->cols();
   int64_t rows = dw->rows();
   for (int64_t r = 0; r < rows; ++r) {
-    const float* grow = gout.Row(dst[static_cast<size_t>(r)]);
-    const float* vrow = v.Row(r);
+    size_t ur = static_cast<size_t>(r);
+    XF_CHECK_BOUNDS(dst[ur], gout.rows());
+    XF_CHECK_BOUNDS(kv_row[ur], v.rows());
+    const float* grow = gout.Row(dst[ur]);
+    const float* vrow = v.Row(kv_row[ur]);
     float* dwrow = dw->Row(r);
     for (int64_t h = 0; h < heads; ++h) {
       int64_t off = h * head_dim;
@@ -525,24 +537,26 @@ namespace {
 /// Validates the eq. 8 operands against scores [E, heads] — shapes, and
 /// every index in bounds (XF_CHECK: the indices come from the sampler) —
 /// and returns the head width D / heads.
-int64_t CheckScoreOperands(const Tensor& k, const Tensor& q,
-                           const std::vector<int32_t>& dst,
+int64_t CheckScoreOperands(const Tensor& k,
+                           const std::vector<int32_t>& kv_row,
+                           const Tensor& q, const std::vector<int32_t>& dst,
                            const Tensor& w_src,
                            const std::vector<int32_t>& src_types,
                            const Tensor& w_dst,
                            const std::vector<int32_t>& dst_types,
                            int64_t edges, int64_t heads) {
   int64_t dim = k.cols();
-  XF_CHECK_EQ(k.rows(), edges);
   XF_CHECK_GT(heads, 0);
   XF_CHECK_EQ(dim % heads, 0);
   XF_CHECK_EQ(q.cols(), dim);
   XF_CHECK_EQ(w_src.cols(), dim);
   XF_CHECK_EQ(w_dst.cols(), dim);
+  XF_CHECK_EQ(static_cast<int64_t>(kv_row.size()), edges);
   XF_CHECK_EQ(static_cast<int64_t>(dst.size()), edges);
   XF_CHECK_EQ(static_cast<int64_t>(src_types.size()), edges);
   XF_CHECK_EQ(static_cast<int64_t>(dst_types.size()), edges);
   for (size_t e = 0; e < dst.size(); ++e) {
+    XF_CHECK_BOUNDS(kv_row[e], k.rows());
     XF_CHECK_BOUNDS(dst[e], q.rows());
     XF_CHECK_BOUNDS(src_types[e], w_src.rows());
     XF_CHECK_BOUNDS(dst_types[e], w_dst.rows());
@@ -561,19 +575,20 @@ XF_ALWAYS_INLINE void AddProducts(const float* __restrict a,
 }  // namespace
 
 XF_ISA_CLONES
-void AttentionScores(const Tensor& k, const Tensor& q,
-                     const std::vector<int32_t>& dst, const Tensor& w_src,
+void AttentionScores(const Tensor& k, const std::vector<int32_t>& kv_row,
+                     const Tensor& q, const std::vector<int32_t>& dst,
+                     const Tensor& w_src,
                      const std::vector<int32_t>& src_types,
                      const Tensor& w_dst,
                      const std::vector<int32_t>& dst_types, float scale,
                      Tensor* scores) {
   int64_t heads = scores->cols();
-  int64_t hd = CheckScoreOperands(k, q, dst, w_src, src_types, w_dst,
+  int64_t hd = CheckScoreOperands(k, kv_row, q, dst, w_src, src_types, w_dst,
                                   dst_types, scores->rows(), heads);
-  int64_t edges = k.rows();
+  int64_t edges = scores->rows();
   for (int64_t e = 0; e < edges; ++e) {
     size_t ue = static_cast<size_t>(e);
-    const float* krow = k.Row(e);
+    const float* krow = k.Row(kv_row[ue]);
     const float* qrow = q.Row(dst[ue]);
     const float* wsrow = w_src.Row(src_types[ue]);
     const float* wdrow = w_dst.Row(dst_types[ue]);
@@ -590,8 +605,9 @@ void AttentionScores(const Tensor& k, const Tensor& q,
 }
 
 XF_ISA_CLONES
-void AttentionScoresBackward(const Tensor& g, const Tensor& k, const Tensor& q,
-                             const std::vector<int32_t>& dst,
+void AttentionScoresBackward(const Tensor& g, const Tensor& k,
+                             const std::vector<int32_t>& kv_row,
+                             const Tensor& q, const std::vector<int32_t>& dst,
                              const Tensor& w_src,
                              const std::vector<int32_t>& src_types,
                              const Tensor& w_dst,
@@ -599,7 +615,7 @@ void AttentionScoresBackward(const Tensor& g, const Tensor& k, const Tensor& q,
                              float scale, Tensor* dk, Tensor* dq,
                              Tensor* dw_src, Tensor* dw_dst) {
   int64_t heads = g.cols();
-  int64_t hd = CheckScoreOperands(k, q, dst, w_src, src_types, w_dst,
+  int64_t hd = CheckScoreOperands(k, kv_row, q, dst, w_src, src_types, w_dst,
                                   dst_types, g.rows(), heads);
   if (dk != nullptr) {
     XF_CHECK_SHAPE(*dk, k);
@@ -617,8 +633,9 @@ void AttentionScoresBackward(const Tensor& g, const Tensor& k, const Tensor& q,
   // a[j] = 0 + G[e, j / hd]·scale, expanded to one entry per column so the
   // four updates below are flat length-D loops.
   std::vector<float> a(static_cast<size_t>(dim));
-  // Serial in e: dq, dw_src and dw_dst rows are shared between edges and
-  // take their terms in ascending e, as the gathers' scatter-add backward.
+  // Serial in e: dk, dq, dw_src and dw_dst rows are shared between edges
+  // and take their terms in ascending e, as the gathers' scatter-add
+  // backward.
   for (int64_t e = 0; e < g.rows(); ++e) {
     size_t ue = static_cast<size_t>(e);
     const float* grow = g.Row(e);
@@ -626,11 +643,13 @@ void AttentionScoresBackward(const Tensor& g, const Tensor& k, const Tensor& q,
       float ah = 0.0f + grow[h] * scale;
       std::fill(a.begin() + h * hd, a.begin() + (h + 1) * hd, ah);
     }
-    const float* krow = k.Row(e);
+    const float* krow = k.Row(kv_row[ue]);
     const float* qrow = q.Row(dst[ue]);
     const float* wsrow = w_src.Row(src_types[ue]);
     const float* wdrow = w_dst.Row(dst_types[ue]);
-    if (dk != nullptr) AddProducts(a.data(), wsrow, dim, dk->Row(e));
+    if (dk != nullptr) {
+      AddProducts(a.data(), wsrow, dim, dk->Row(kv_row[ue]));
+    }
     if (dw_src != nullptr) {
       AddProducts(a.data(), krow, dim, dw_src->Row(src_types[ue]));
     }

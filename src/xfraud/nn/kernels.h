@@ -99,23 +99,28 @@ void GatherAddRows(const Tensor& g, const std::vector<int32_t>& idx,
 void SegmentSoftmaxGrouped(const Tensor& scores, const RowGroups& groups,
                            Tensor* att);
 
-/// out[g, h·hd+c] += Σ_{r in group g} w[r,h]·v[r, h·hd+c], ascending r.
-/// w is [R, H], v is [R, H·hd]. The fused "apply attention then aggregate"
-/// step: one pass over v instead of per-head slice/broadcast/concat/scatter
-/// round trips.
-void WeightedScatterAddByGroup(const Tensor& v, const Tensor& w,
-                               const RowGroups& groups, int64_t head_dim,
-                               Tensor* out);
+/// out[g, h·hd+c] += Σ_{r in group g} w[r,h]·v[kv_row[r], h·hd+c],
+/// ascending r. w is [R, H], v is [U, H·hd] and read through the per-row
+/// kv_row index. The fused "apply attention then aggregate" step: one pass
+/// over v instead of per-head slice/broadcast/concat/scatter round trips.
+void WeightedScatterAddByGroup(const Tensor& v,
+                               const std::vector<int32_t>& kv_row,
+                               const Tensor& w, const RowGroups& groups,
+                               int64_t head_dim, Tensor* out);
 
-/// dv[r, h·hd+c] += w[r,h]·gout[dst[r], h·hd+c] — the value-side backward of
-/// the fused attention aggregate.
+/// dv[kv_row[r], h·hd+c] += 0 + w[r,h]·gout[dst[r], h·hd+c], r ascending —
+/// the value-side backward of the fused attention aggregate. Each term is
+/// first added onto 0, as a per-row grad block would hold it, so the result
+/// equals a gather of v through kv_row followed by the per-row backward.
 void WeightedGatherAdd(const Tensor& gout, const std::vector<int32_t>& dst,
-                       const Tensor& w, int64_t head_dim, Tensor* dv);
+                       const std::vector<int32_t>& kv_row, const Tensor& w,
+                       int64_t head_dim, Tensor* dv);
 
-/// dw[r,h] = Σ_c v[r, h·hd+c]·gout[dst[r], h·hd+c], ascending c — the
-/// attention-weight backward (per-edge, per-head dot). Overwrites dw.
+/// dw[r,h] = Σ_c v[kv_row[r], h·hd+c]·gout[dst[r], h·hd+c], ascending c —
+/// the attention-weight backward (per-edge, per-head dot). Overwrites dw.
 void PerHeadDots(const Tensor& gout, const std::vector<int32_t>& dst,
-                 const Tensor& v, int64_t head_dim, Tensor* dw);
+                 const Tensor& v, const std::vector<int32_t>& kv_row,
+                 int64_t head_dim, Tensor* dw);
 
 /// dscores[r,:] += att[r,:]·(datt[r,:] − dot[g(r),:]) with
 /// dot[g,c] = Σ_{r in group g} att[r,c]·datt[r,c], ascending r — the
@@ -124,14 +129,15 @@ void SegmentSoftmaxBackwardGrouped(const Tensor& att, const Tensor& datt,
                                    const RowGroups& groups, Tensor* dscores);
 
 /// The attention scores of paper eq. 8, one pass over the edges:
-/// scores[e,h] = scale·(Σ_c k[e,o+c]·w_src[src_types[e],o+c] +
+/// scores[e,h] = scale·(Σ_c k[kv_row[e],o+c]·w_src[src_types[e],o+c] +
 ///                      Σ_c q[dst[e],o+c]·w_dst[dst_types[e],o+c]),
 /// o = h·hd, hd = D / H, each sum starting from 0 with c ascending. k is
-/// [E,D] (per edge), q [N,D] (per node, gathered through dst), w_src and
-/// w_dst one row per endpoint type; scores is preallocated [E,H]. Every
-/// index is bounds-checked.
-void AttentionScores(const Tensor& k, const Tensor& q,
-                     const std::vector<int32_t>& dst, const Tensor& w_src,
+/// [U,D] (per source row, read through kv_row), q [N,D] (per node, read
+/// through dst), w_src and w_dst one row per endpoint type; scores is
+/// preallocated [E,H]. Every index is bounds-checked.
+void AttentionScores(const Tensor& k, const std::vector<int32_t>& kv_row,
+                     const Tensor& q, const std::vector<int32_t>& dst,
+                     const Tensor& w_src,
                      const std::vector<int32_t>& src_types,
                      const Tensor& w_dst,
                      const std::vector<int32_t>& dst_types, float scale,
@@ -139,12 +145,15 @@ void AttentionScores(const Tensor& k, const Tensor& q,
 
 /// Backward of AttentionScores for the upstream grad g [E,H]. Per edge e
 /// ascending, with a = 0 + g[e,h]·scale for each column of head h:
-/// dk[e,·] += 0 + a·w_src[src_types[e],·], dw_src[src_types[e],·] +=
-/// 0 + a·k[e,·], dq[dst[e],·] += 0 + a·w_dst[dst_types[e],·] and
+/// dk[kv_row[e],·] += 0 + a·w_src[src_types[e],·],
+/// dw_src[src_types[e],·] += 0 + a·k[kv_row[e],·],
+/// dq[dst[e],·] += 0 + a·w_dst[dst_types[e],·] and
 /// dw_dst[dst_types[e],·] += 0 + a·q[dst[e],·]. A null grad is skipped.
-/// The shared dq/dw rows take their terms in ascending e.
-void AttentionScoresBackward(const Tensor& g, const Tensor& k, const Tensor& q,
-                             const std::vector<int32_t>& dst,
+/// Every shared row takes its terms in ascending e, so dk equals a gather
+/// of k through kv_row followed by the per-edge backward.
+void AttentionScoresBackward(const Tensor& g, const Tensor& k,
+                             const std::vector<int32_t>& kv_row,
+                             const Tensor& q, const std::vector<int32_t>& dst,
                              const Tensor& w_src,
                              const std::vector<int32_t>& src_types,
                              const Tensor& w_dst,

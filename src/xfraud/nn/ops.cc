@@ -8,6 +8,12 @@
 
 namespace xfraud::nn {
 
+namespace {
+
+using internal::VarImpl;
+
+/// True when an op over `inputs` records a tape node: some input requires
+/// gradients and no NoGradGuard is active on this thread.
 bool RecordsTape(const std::vector<Var>& inputs) {
   if (NoGradGuard::Active()) return false;
   for (const auto& in : inputs) {
@@ -15,10 +21,6 @@ bool RecordsTape(const std::vector<Var>& inputs) {
   }
   return false;
 }
-
-namespace {
-
-using internal::VarImpl;
 
 /// Builds the result node; attaches parents/backward only when needed.
 Var MakeResult(Tensor value, std::vector<Var> inputs,
@@ -131,50 +133,24 @@ Var LinearBiasAct(const Var& x, const Var& w, const Var& bias,
 
 Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
                 const std::vector<Var>& weights,
-                const std::vector<Var>& biases, const SourceRows* source) {
-  // The input rows: x itself (the identity map) or the distinct source rows.
-  const Var& input = source != nullptr ? source->values : x;
-  XF_CHECK(input.defined());
-  const Tensor& iv = input.value();
-  const size_t num_rows = types.size();
-  XF_CHECK_EQ(source != nullptr ? source->index.size()
-                                : static_cast<size_t>(iv.rows()),
-              num_rows);
-  auto input_row = [source](size_t r) {
-    return source != nullptr ? source->index[r] : static_cast<int32_t>(r);
-  };
-  if (x.defined()) {
-    XF_CHECK_EQ(static_cast<size_t>(x.rows()), num_rows);
-    XF_CHECK_EQ(x.cols(), iv.cols());
-  }
+                const std::vector<Var>& biases) {
+  const Tensor& xv = x.value();
+  XF_CHECK_EQ(static_cast<size_t>(xv.rows()), types.size());
   XF_CHECK(!weights.empty());
   XF_CHECK_EQ(weights.size(), biases.size());
   const int64_t out_dim = weights[0].cols();
-  // Each input row takes the type of the output rows that read it; then
-  // the input rows are grouped by type once, ascending within each type.
-  std::vector<int32_t> type_of(static_cast<size_t>(iv.rows()), -1);
-  for (size_t r = 0; r < num_rows; ++r) {
+  // Group the rows by type once, ascending within each type.
+  auto rows_by_type =
+      std::make_shared<std::vector<std::vector<int32_t>>>(weights.size());
+  for (size_t r = 0; r < types.size(); ++r) {
     XF_CHECK_GE(types[r], 0);
     XF_CHECK_LT(static_cast<size_t>(types[r]), weights.size());
-    const int32_t u = input_row(r);
-    XF_CHECK_GE(u, 0);
-    XF_CHECK_LT(u, iv.rows());
-    XF_CHECK(type_of[u] < 0 || type_of[u] == types[r])
-        << "input row " << u << " read with types " << type_of[u] << " and "
-        << types[r];
-    type_of[u] = types[r];
+    (*rows_by_type)[types[r]].push_back(static_cast<int32_t>(r));
   }
-  std::vector<std::vector<int32_t>> input_rows_by_type(weights.size());
-  for (size_t u = 0; u < type_of.size(); ++u) {
-    if (type_of[u] >= 0) {
-      input_rows_by_type[type_of[u]].push_back(static_cast<int32_t>(u));
-    }
-  }
-  std::vector<Var> inputs;
-  if (x.defined()) inputs.push_back(x);
+  std::vector<Var> inputs = {x};
   for (size_t t = 0; t < weights.size(); ++t) {
-    if (input_rows_by_type[t].empty()) continue;
-    XF_CHECK_EQ(weights[t].rows(), iv.cols());
+    if ((*rows_by_type)[t].empty()) continue;
+    XF_CHECK_EQ(weights[t].rows(), xv.cols());
     XF_CHECK_EQ(weights[t].cols(), out_dim);
     inputs.push_back(weights[t]);
     if (biases[t].defined()) {
@@ -184,46 +160,26 @@ Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
     }
   }
 
-  // Each type's input rows: gather, one GemmBiasAct into the type's block.
-  std::vector<Tensor> projected(weights.size());
-  std::vector<int32_t> position(type_of.size());
+  // Each type's rows: gather, one GemmBiasAct, scatter-add into the zeroed
+  // output. Rows of different types are disjoint, so every output element
+  // is 0 + y — the value the composed chain's scatter-into-zeros and Add
+  // passes produce (−0 becomes +0 in both).
+  Tensor out(xv.rows(), out_dim);
   for (size_t t = 0; t < weights.size(); ++t) {
-    const std::vector<int32_t>& rows = input_rows_by_type[t];
+    const std::vector<int32_t>& rows = (*rows_by_type)[t];
     if (rows.empty()) continue;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      position[rows[i]] = static_cast<int32_t>(i);
-    }
-    Tensor xt(static_cast<int64_t>(rows.size()), iv.cols());
-    kernels::GatherRows(iv, rows, &xt);
-    projected[t] = Tensor(xt.rows(), out_dim);
+    Tensor xt(static_cast<int64_t>(rows.size()), xv.cols());
+    kernels::GatherRows(xv, rows, &xt);
+    Tensor yt(xt.rows(), out_dim);
     const float* bias_ptr =
         biases[t].defined() ? biases[t].value().Row(0) : nullptr;
     kernels::GemmBiasAct(xt, weights[t].value(), bias_ptr,
-                         kernels::Activation::kNone, &projected[t]);
-  }
-  // Expand to the output rows, each added onto zeros: every element is
-  // 0 + y — the value the composed chain's scatter-into-zeros and Add
-  // passes produce (−0 becomes +0 in both).
-  Tensor out(static_cast<int64_t>(num_rows), out_dim);
-  for (size_t r = 0; r < num_rows; ++r) {
-    const float* y = projected[types[r]].Row(position[input_row(r)]);
-    float* o = out.Row(static_cast<int64_t>(r));
-    for (int64_t c = 0; c < out_dim; ++c) o[c] += y[c];
+                         kernels::Activation::kNone, &yt);
+    kernels::ScatterAddRowsKernel(yt, rows, &out);
   }
   if (!RecordsTape(inputs)) return MakeResult(std::move(out), {}, nullptr);
 
-  // The backward runs per output row: each type's output rows, ascending,
-  // and the input row each of them reads.
-  auto rows_by_type =
-      std::make_shared<std::vector<std::vector<int32_t>>>(weights.size());
-  auto read_rows_by_type =
-      std::make_shared<std::vector<std::vector<int32_t>>>(weights.size());
-  for (size_t r = 0; r < num_rows; ++r) {
-    (*rows_by_type)[types[r]].push_back(static_cast<int32_t>(r));
-    (*read_rows_by_type)[types[r]].push_back(input_row(r));
-  }
-  auto x_impl = x.defined() ? x.impl() : nullptr;
-  auto input_impl = input.impl();
+  auto x_impl = x.impl();
   std::vector<std::shared_ptr<VarImpl>> w_impls;
   std::vector<std::shared_ptr<VarImpl>> b_impls;
   for (size_t t = 0; t < weights.size(); ++t) {
@@ -232,31 +188,29 @@ Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
   }
   return MakeResult(
       std::move(out), std::move(inputs),
-      [x_impl, input_impl, w_impls, b_impls, rows_by_type,
-       read_rows_by_type](VarImpl* self) {
-        const bool x_grad = x_impl != nullptr && x_impl->requires_grad;
+      [x_impl, w_impls, b_impls, rows_by_type](VarImpl* self) {
         for (size_t t = 0; t < w_impls.size(); ++t) {
           const std::vector<int32_t>& rows = (*rows_by_type)[t];
           VarImpl* w = w_impls[t].get();
           VarImpl* b = b_impls[t].get();
           bool b_grad = b != nullptr && b->requires_grad;
-          if (rows.empty() || !(x_grad || w->requires_grad || b_grad)) {
+          if (rows.empty() ||
+              !(x_impl->requires_grad || w->requires_grad || b_grad)) {
             continue;
           }
           // This type's output grad, gathered onto zeros (0 + dOut, as the
           // composed chain's scatter backward produced it).
           Tensor dy(static_cast<int64_t>(rows.size()), self->grad.cols());
           kernels::GatherAddRows(self->grad, rows, &dy);
-          if (x_grad) {
+          if (x_impl->requires_grad) {
             Tensor dx(dy.rows(), x_impl->value.cols());
             kernels::GemmTransBAdd(dy, w->value, &dx);
             kernels::ScatterAddRowsKernel(dx, rows, &x_impl->EnsureGrad());
           }
           if (w->requires_grad) {
-            // dW = xᵀ·dY over this type's input rows, read through the map.
-            Tensor xt(dy.rows(), input_impl->value.cols());
-            kernels::GatherRows(input_impl->value, (*read_rows_by_type)[t],
-                                &xt);
+            // dW = xᵀ·dY over this type's rows, gathered again.
+            Tensor xt(dy.rows(), x_impl->value.cols());
+            kernels::GatherRows(x_impl->value, rows, &xt);
             kernels::GemmTransAAdd(xt, dy, &w->EnsureGrad());
           }
           if (b_grad) kernels::ColSumAdd(dy, &b->EnsureGrad());
@@ -695,50 +649,53 @@ Var MulColBroadcast(const Var& a, const Var& col) {
   });
 }
 
-Var AttentionScores(const Var& k_edges, const Var& q_nodes,
-                    const std::vector<int32_t>& edge_dst,
+Var AttentionScores(const Var& k, const std::vector<int32_t>& kv_row,
+                    const Var& q_nodes, const std::vector<int32_t>& edge_dst,
                     const Var& w_att_src,
                     const std::vector<int32_t>& src_types,
                     const Var& w_att_dst,
                     const std::vector<int32_t>& dst_types, int num_heads,
                     float scale) {
   XF_CHECK_GT(num_heads, 0);
-  Tensor out(k_edges.rows(), num_heads);
-  kernels::AttentionScores(k_edges.value(), q_nodes.value(), edge_dst,
+  Tensor out(static_cast<int64_t>(edge_dst.size()), num_heads);
+  kernels::AttentionScores(k.value(), kv_row, q_nodes.value(), edge_dst,
                            w_att_src.value(), src_types, w_att_dst.value(),
                            dst_types, scale, &out);
   // Parent order k, q, w_src, w_dst: the order in which the composed chain
   // first reached them, so the tape's backward order is unchanged.
-  std::vector<Var> inputs = {k_edges, q_nodes, w_att_src, w_att_dst};
+  std::vector<Var> inputs = {k, q_nodes, w_att_src, w_att_dst};
   if (!RecordsTape(inputs)) return MakeResult(std::move(out), {}, nullptr);
-  auto k_impl = k_edges.impl();
+  auto k_impl = k.impl();
   auto q_impl = q_nodes.impl();
   auto ws_impl = w_att_src.impl();
   auto wd_impl = w_att_dst.impl();
+  auto kv = std::make_shared<std::vector<int32_t>>(kv_row);
   auto dst = std::make_shared<std::vector<int32_t>>(edge_dst);
   auto st = std::make_shared<std::vector<int32_t>>(src_types);
   auto dt = std::make_shared<std::vector<int32_t>>(dst_types);
   return MakeResult(
       std::move(out), std::move(inputs),
-      [k_impl, q_impl, ws_impl, wd_impl, dst, st, dt, scale](VarImpl* self) {
+      [k_impl, q_impl, ws_impl, wd_impl, kv, dst, st, dt,
+       scale](VarImpl* self) {
         auto grad_of = [](VarImpl* v) {
           return v->requires_grad ? &v->EnsureGrad() : nullptr;
         };
         kernels::AttentionScoresBackward(
-            self->grad, k_impl->value, q_impl->value, *dst, ws_impl->value,
-            *st, wd_impl->value, *dt, scale, grad_of(k_impl.get()),
-            grad_of(q_impl.get()), grad_of(ws_impl.get()),
-            grad_of(wd_impl.get()));
+            self->grad, k_impl->value, *kv, q_impl->value, *dst,
+            ws_impl->value, *st, wd_impl->value, *dt, scale,
+            grad_of(k_impl.get()), grad_of(q_impl.get()),
+            grad_of(ws_impl.get()), grad_of(wd_impl.get()));
       });
 }
 
 Var AttentionAggregate(const Var& scores, const Var& values,
+                       const std::vector<int32_t>& kv_row,
                        const std::vector<int32_t>& dst, int64_t num_nodes,
                        int64_t head_dim, float dropout_p, bool training,
                        xfraud::Rng* rng) {
   const Tensor& sv = scores.value();
   const Tensor& vv = values.value();
-  XF_CHECK_EQ(sv.rows(), vv.rows());
+  XF_CHECK_EQ(static_cast<size_t>(sv.rows()), kv_row.size());
   XF_CHECK_EQ(static_cast<size_t>(sv.rows()), dst.size());
   XF_CHECK_GT(head_dim, 0);
   XF_CHECK_EQ(sv.cols() * head_dim, vv.cols());
@@ -766,15 +723,17 @@ Var AttentionAggregate(const Var& scores, const Var& values,
       wp[i] *= m;
     }
   }
-  // Pass 2: weight the value block per head and aggregate per target node.
+  // Pass 2: weight the value rows per head and aggregate per target node.
   Tensor out(num_nodes, vv.cols());
-  kernels::WeightedScatterAddByGroup(vv, w, *groups, head_dim, &out);
+  kernels::WeightedScatterAddByGroup(vv, kv_row, w, *groups, head_dim, &out);
   auto s_impl = scores.impl();
   auto v_impl = values.impl();
+  auto kv = std::make_shared<std::vector<int32_t>>(kv_row);
   auto dst_copy = std::make_shared<std::vector<int32_t>>(dst);
   return MakeResult(
       std::move(out), {scores, values},
-      [s_impl, v_impl, groups, att, mask, dst_copy, head_dim](VarImpl* self) {
+      [s_impl, v_impl, groups, att, mask, kv, dst_copy,
+       head_dim](VarImpl* self) {
         const Tensor& gout = self->grad;
         // Recompute w = att ⊙ mask (cheaper than keeping both alive).
         Tensor w_back = *att;
@@ -784,12 +743,12 @@ Var AttentionAggregate(const Var& scores, const Var& values,
           for (int64_t i = 0; i < w_back.size(); ++i) wp[i] *= mv[i];
         }
         if (v_impl->requires_grad) {
-          kernels::WeightedGatherAdd(gout, *dst_copy, w_back, head_dim,
+          kernels::WeightedGatherAdd(gout, *dst_copy, *kv, w_back, head_dim,
                                      &v_impl->EnsureGrad());
         }
         if (s_impl->requires_grad) {
           Tensor datt(att->rows(), att->cols());
-          kernels::PerHeadDots(gout, *dst_copy, v_impl->value, head_dim,
+          kernels::PerHeadDots(gout, *dst_copy, v_impl->value, *kv, head_dim,
                                &datt);
           if (!mask->empty()) {
             float* dp = datt.data();

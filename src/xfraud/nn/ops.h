@@ -29,18 +29,6 @@ Var MatMul(const Var& a, const Var& b);
 Var LinearBiasAct(const Var& x, const Var& w, const Var& bias,
                   kernels::Activation act = kernels::Activation::kNone);
 
-/// True when an op over `inputs` records a tape node: some input requires
-/// gradients and no NoGradGuard is active on this thread.
-bool RecordsTape(const std::vector<Var>& inputs);
-
-/// The input rows of a TypedLinear given as U distinct rows plus a map:
-/// output row r reads values[index[r]]. Every output row that reads one
-/// source row must have the same type.
-struct SourceRows {
-  Var values;                  // [U, in]; gets no gradient from the op
-  std::vector<int32_t> index;  // one entry in [0, U) per output row
-};
-
 /// Typed linear map: row r of x [N,in] goes through
 /// x[r]·weights[types[r]] + biases[types[r]] -> [N,out]. One tape node for
 /// the per-type Q/K/V projections of paper eqs. 2-7, in place of a
@@ -48,28 +36,21 @@ struct SourceRows {
 /// bit-identical to that chain in the forward value and every gradient.
 /// A bias may be an undefined Var; a type with no rows is skipped (its
 /// parameters get no gradient).
-///
-/// With `source`, the input rows are source->values expanded through
-/// source->index (the per-row form is the identity map): each type's GEMM
-/// runs over its distinct source rows only, and the result is expanded to
-/// the output rows, bit-identical to the per-row form over the expanded
-/// rows. `x` is then that expansion [R,in], or undefined when it needs no
-/// gradient: the backward is the per-row one, with dx scatter-added into
-/// x's grad, and dW reads each type's input rows through the map.
 Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
                 const std::vector<Var>& weights,
-                const std::vector<Var>& biases,
-                const SourceRows* source = nullptr);
+                const std::vector<Var>& biases);
 
 /// The attention scores of paper eq. 8 as one tape node -> [E, H]:
-/// scores[e,h] = scale·(k_edges[e]·w_att_src[src_types[e]] +
+/// scores[e,h] = scale·(k[kv_row[e]]·w_att_src[src_types[e]] +
 /// q_nodes[edge_dst[e]]·w_att_dst[dst_types[e]]), each dot over head h's
-/// D / H columns. Replaces, bit for bit in the value and all four
-/// gradients, the chain of three IndexRows gathers (q_nodes by edge_dst,
-/// the weight rows by type) and per-head SliceCols → Mul → RowSum → Add →
-/// Scale, joined by ConcatCols. The four operands must be distinct Vars.
-Var AttentionScores(const Var& k_edges, const Var& q_nodes,
-                    const std::vector<int32_t>& edge_dst,
+/// D / H columns. k holds one key per source row [U, D]; kv_row maps each
+/// edge to its row. Bit for bit in the value and all four gradients, this
+/// is IndexRows(k, kv_row) followed by the chain of three IndexRows gathers
+/// (q_nodes by edge_dst, the weight rows by type) and per-head SliceCols →
+/// Mul → RowSum → Add → Scale, joined by ConcatCols. The four operands must
+/// be distinct Vars.
+Var AttentionScores(const Var& k, const std::vector<int32_t>& kv_row,
+                    const Var& q_nodes, const std::vector<int32_t>& edge_dst,
                     const Var& w_att_src,
                     const std::vector<int32_t>& src_types,
                     const Var& w_att_dst,
@@ -78,11 +59,15 @@ Var AttentionScores(const Var& k_edges, const Var& q_nodes,
 
 /// Fused SegmentSoftmax → Dropout → per-head MulColBroadcast →
 /// ScatterAddRows: the HeteroConv attention aggregate (paper eqs. 9-10 +
-/// eq. 1) in two passes over the [E,D] value block instead of five. scores
-/// is [E,H], values [E, H·head_dim], dst the per-edge target node; returns
-/// [num_nodes, H·head_dim]. Bit-identical to the unfused composition,
-/// including RNG consumption order when dropout is active.
+/// eq. 1) in two passes over the values instead of five passes over an
+/// [E,D] block. scores is [E,H]; values [U, H·head_dim] holds one value per
+/// source row, and kv_row maps each edge to its row; dst is the per-edge
+/// target node; returns [num_nodes, H·head_dim]. Bit-identical, in the
+/// value and both gradients, to IndexRows(values, kv_row) followed by the
+/// unfused composition, including RNG consumption order when dropout is
+/// active.
 Var AttentionAggregate(const Var& scores, const Var& values,
+                       const std::vector<int32_t>& kv_row,
                        const std::vector<int32_t>& dst, int64_t num_nodes,
                        int64_t head_dim, float dropout_p, bool training,
                        xfraud::Rng* rng);

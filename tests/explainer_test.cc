@@ -336,14 +336,17 @@ TEST_F(ExplainerIntegrationTest, ExplanationBitsUnchangedByFusedScores) {
   // scores from three IndexRows gathers and per-head SliceCols → Mul →
   // RowSum → Add → Scale, joined by ConcatCols. nn::AttentionScores
   // replaced that chain in the fixture's training and in the explainer's
-  // forwards; both must still produce the same bits. The value depends on
-  // the platform's libm (exp/log in the model and in the mask loss).
+  // forwards; both must still produce the same bits. It was re-blessed
+  // once, under DESIGN §13.5, when keys and values moved to their source
+  // rows (the K/V gradients sum per source row before the projection
+  // backward). The value depends on the platform's libm (exp/log in the
+  // model and in the mask loss).
   auto batch = CommunityBatch(ds_->test_nodes[6]);
   GnnExplainerOptions opts;
   opts.epochs = 10;
   opts.seed = 7;
   Explanation exp = GnnExplainer(model_, opts).Explain(batch);
-  EXPECT_EQ(ExplanationFingerprint(exp), 0xbb46eb7d057fbcbcull);
+  EXPECT_EQ(ExplanationFingerprint(exp), 0x3016c99f04c7c26dull);
 }
 
 TEST_F(ExplainerIntegrationTest, FeatureImportanceViewsAreConsistent) {

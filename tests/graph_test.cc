@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "xfraud/common/check.h"
 #include "xfraud/common/rng.h"
 #include "xfraud/graph/graph_builder.h"
 #include "xfraud/graph/hetero_graph.h"
@@ -134,6 +135,21 @@ TEST(GraphTest, LabelsAndFraudRate) {
   auto labeled = g.LabeledTransactions();
   EXPECT_EQ(labeled.size(), 2u);
   EXPECT_DOUBLE_EQ(g.FraudRate(), 0.5);
+}
+
+TEST(GraphTest, OutOfRangeNeighbourThrows) {
+  // The constructor's neighbour bounds check runs in every build type: a
+  // corrupt CSR must fail here, not as an out-of-bounds read in a sampler.
+  auto make = [](int32_t neighbour) {
+    return HeteroGraph({NodeType::kTxn, NodeType::kBuyer}, {0, 1, 2},
+                       {1, neighbour},
+                       {EdgeType::kBuyerToTxn, EdgeType::kBuyerToTxn},
+                       nn::Tensor(1, 2, 0.0f), {0, -1},
+                       {kLabelBenign, kLabelUnknown});
+  };
+  EXPECT_NO_THROW(make(0));
+  EXPECT_THROW(make(2), CheckError);
+  EXPECT_THROW(make(-1), CheckError);
 }
 
 TEST(GraphTest, TxnNodeLookup) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -216,10 +217,11 @@ TEST(HeteroConvTest, OutOfRangeEdgeIndexThrows) {
   }
 }
 
-/// The per-edge K/V chain that HeteroConvLayer::Forward ran before its
-/// source-row projection, over the layer's own parameters: gather
-/// node_input per edge (+ the edge-type embedding at the first layer),
-/// then both typed linears over all E rows. The oracle of the test below.
+/// The per-edge K/V chain that HeteroConvLayer::Forward ran before keys
+/// and values moved to their source rows, over the layer's own parameters:
+/// gather node_input per edge (+ the edge-type embedding at the first
+/// layer), then both typed linears over all E rows, read by the attention
+/// ops through the identity row map. The oracle of the test below.
 nn::Var PerEdgeChainForward(const HeteroConvLayer& layer, bool first_layer,
                             bool use_residual, int num_heads,
                             const nn::Var& node_input,
@@ -256,21 +258,43 @@ nn::Var PerEdgeChainForward(const HeteroConvLayer& layer, bool first_layer,
   nn::Var k_edges = typed("k", kv_input, src_types);
   nn::Var v_edges = typed("v", kv_input, src_types);
   const int64_t head_dim = node_input.cols() / num_heads;
+  std::vector<int32_t> per_edge(src.size());
+  std::iota(per_edge.begin(), per_edge.end(), 0);
   nn::Var scores = nn::AttentionScores(
-      k_edges, q_nodes, dst, p.at("w_att_src"), src_types, p.at("w_att_dst"),
-      dst_types, num_heads,
+      k_edges, per_edge, q_nodes, dst, p.at("w_att_src"), src_types,
+      p.at("w_att_dst"), dst_types, num_heads,
       1.0f / std::sqrt(static_cast<float>(head_dim)));
-  nn::Var agg = nn::AttentionAggregate(scores, v_edges, dst, node_input.rows(),
-                                       head_dim, dropout, options.training,
-                                       options.rng);
+  nn::Var agg = nn::AttentionAggregate(scores, v_edges, per_edge, dst,
+                                       node_input.rows(), head_dim, dropout,
+                                       options.training, options.rng);
   nn::Var h = use_residual ? nn::Add(agg, node_input) : agg;
   return nn::Relu(nn::LayerNorm(h, p.at("norm.gamma"), p.at("norm.beta")));
 }
 
-TEST(HeteroConvTest, SourceRowProjectionMatchesPerEdgeChainBitwise) {
+/// ‖a − b‖₂ / ‖b‖₂, or 0 when both are zero; infinite when only b is.
+double NormwiseRelativeError(const nn::Tensor& a, const nn::Tensor& b) {
+  EXPECT_TRUE(a.SameShape(b));
+  double diff = 0.0;
+  double ref = 0.0;
+  for (int64_t i = 0; i < b.size(); ++i) {
+    double d = static_cast<double>(a.data()[i]) - b.data()[i];
+    diff += d * d;
+    ref += static_cast<double>(b.data()[i]) * b.data()[i];
+  }
+  if (ref == 0.0) return diff == 0.0 ? 0.0 : HUGE_VAL;
+  return std::sqrt(diff / ref);
+}
+
+TEST(HeteroConvTest, SourceRowKvMatchesPerEdgeChainWithinBound) {
   // A batch where sources repeat, as in sampled subgraphs: 12 nodes, 60
   // edges, so K/V source rows (nodes, or (node, edge type) pairs at the
-  // first layer) are shared by several edges.
+  // first layer) are shared by several edges. The forward is bitwise the
+  // per-edge chain's. The gradients sum each source row's upstream terms
+  // before the projection backward instead of after it, so they differ in
+  // rounding only: DESIGN §13.5 bounds each tensor's norm-wise relative
+  // error by 1e-5.
+  const double kGradBound = 1e-5;
+  double max_rel_err = 0.0;
   const int64_t kNodes = 12;
   const int64_t kDim = 8;
   const int kHeads = 2;
@@ -332,10 +356,13 @@ TEST(HeteroConvTest, SourceRowProjectionMatchesPerEdgeChainBitwise) {
     Result fused = run(false);
     Result chain = run(true);
     EXPECT_TRUE(fused.out.BitwiseEqual(chain.out));
-    EXPECT_TRUE(fused.input_grad.BitwiseEqual(chain.input_grad));
+    double err = NormwiseRelativeError(fused.input_grad, chain.input_grad);
+    EXPECT_LE(err, kGradBound) << "node_input";
+    max_rel_err = std::max(max_rel_err, err);
     for (size_t i = 0; i < params.size(); ++i) {
-      EXPECT_TRUE(fused.param_grads[i].BitwiseEqual(chain.param_grads[i]))
-          << params[i].name;
+      err = NormwiseRelativeError(fused.param_grads[i], chain.param_grads[i]);
+      EXPECT_LE(err, kGradBound) << params[i].name;
+      max_rel_err = std::max(max_rel_err, err);
     }
 
     // Inference: the untaped forward builds no per-edge input block and
@@ -350,6 +377,9 @@ TEST(HeteroConvTest, SourceRowProjectionMatchesPerEdgeChainBitwise) {
     EXPECT_FALSE(untaped.requires_grad());
     EXPECT_TRUE(untaped.value().BitwiseEqual(taped.value()));
   }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3g", max_rel_err);
+  RecordProperty("max_grad_rel_err", buf);
 }
 
 TEST(TypedLinearTest, MatchesManualGrouping) {

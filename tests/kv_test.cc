@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "xfraud/common/crc32.h"
+#include "xfraud/common/rng.h"
 #include "xfraud/data/generator.h"
 #include "xfraud/graph/graph_builder.h"
 #include "xfraud/kv/feature_store.h"
@@ -29,6 +30,43 @@ TEST(Crc32Test, KnownVectors) {
   // Standard test vector: CRC32("123456789") = 0xCBF43926.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+/// The bytewise table loop Crc32 ran before slicing-by-8, kept as the
+/// oracle: the sliced loop must give the same CRC for every length and
+/// start alignment.
+uint32_t BytewiseCrc32(const unsigned char* bytes, size_t size) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseLoopAtEveryAlignment) {
+  constexpr size_t kMaxLen = size_t{4} << 20;
+  Rng rng(31);
+  std::vector<unsigned char> buf(kMaxLen + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.NextBounded(256));
+  // Every length up to 72 (the eight-byte steps plus every tail), random
+  // lengths up to 4 MiB, and 4 MiB itself.
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 72; ++n) lengths.push_back(n);
+  for (int i = 0; i < 4; ++i) lengths.push_back(rng.NextBounded(kMaxLen + 1));
+  lengths.push_back(kMaxLen);
+  for (size_t len : lengths) {
+    for (size_t align = 0; align < 8; ++align) {
+      const unsigned char* p = buf.data() + align;
+      ASSERT_EQ(Crc32(p, len), BytewiseCrc32(p, len))
+          << "len=" << len << " align=" << align;
+    }
+  }
 }
 
 template <typename MakeStore>

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -10,6 +11,7 @@
 
 #include "xfraud/common/check.h"
 #include "xfraud/common/rng.h"
+#include "xfraud/core/hetero_conv.h"
 #include "xfraud/nn/ops.h"
 
 namespace xfraud::nn {
@@ -230,30 +232,89 @@ TEST(GradCheck, TypedLinear) {
 TEST(GradCheck, AttentionScores) {
   Rng rng(34);
   // 6 edges over 4 nodes, 2 heads of width 2; repeated targets and types.
-  std::vector<Var> in = {Var(RandomTensor(6, 4, &rng), true),   // k_edges
+  // The keys live at 5 source rows: rows 0 and 3 are read by several
+  // edges, rows 2 and 4 by none, and source type 2 by no edge.
+  std::vector<Var> in = {Var(RandomTensor(5, 4, &rng), true),   // k
                          Var(RandomTensor(4, 4, &rng), true),   // q_nodes
                          Var(RandomTensor(3, 4, &rng), true),   // w_att_src
                          Var(RandomTensor(2, 4, &rng), true)};  // w_att_dst
+  std::vector<int32_t> kv_row = {0, 3, 0, 1, 3, 0};
   std::vector<int32_t> dst = {0, 2, 2, 3, 0, 2};
-  std::vector<int32_t> src_types = {1, 0, 2, 1, 1, 0};
+  std::vector<int32_t> src_types = {1, 0, 1, 1, 0, 1};
   std::vector<int32_t> dst_types = {0, 1, 1, 1, 0, 1};
   CheckGradients(in, [&](std::vector<Var>& v) {
-    return Sum(Tanh(AttentionScores(v[0], v[1], dst, v[2], src_types, v[3],
-                                     dst_types, /*num_heads=*/2,
+    return Sum(Tanh(AttentionScores(v[0], kv_row, v[1], dst, v[2], src_types,
+                                     v[3], dst_types, /*num_heads=*/2,
                                      /*scale=*/0.7f)));
   });
 }
 
 TEST(GradCheck, AttentionAggregate) {
   Rng rng(32);
+  // The values live at 4 source rows: row 1 is read by three edges, row 2
+  // by none; target node 3 receives no edge.
   std::vector<Var> in = {Var(RandomTensor(5, 2, &rng, 2.0f), true),   // scores
-                         Var(RandomTensor(5, 6, &rng), true)};        // values
+                         Var(RandomTensor(4, 6, &rng), true)};        // values
+  std::vector<int32_t> kv_row = {1, 0, 1, 3, 1};
   std::vector<int32_t> dst = {0, 1, 1, 2, 0};
-  CheckGradients(in, [&dst](std::vector<Var>& v) {
-    return Sum(Tanh(AttentionAggregate(v[0], v[1], dst, /*num_nodes=*/3,
-                                       /*head_dim=*/3, /*dropout_p=*/0.0f,
+  CheckGradients(in, [&](std::vector<Var>& v) {
+    return Sum(Tanh(AttentionAggregate(v[0], v[1], kv_row, dst,
+                                       /*num_nodes=*/4, /*head_dim=*/3,
+                                       /*dropout_p=*/0.0f,
                                        /*training=*/false, nullptr)));
   });
+}
+
+TEST(GradCheck, HeteroConvLayer) {
+  // A sampled-batch shape in miniature: 7 nodes, 16 edges, sources and
+  // (source, edge type) pairs shared by several edges. The gradient reaches
+  // node_input, the edge-type embedding (first layer only) and the K/V
+  // weights through the source rows.
+  const int64_t kNodes = 7;
+  const int64_t kDim = 4;
+  Rng graph_rng(35);
+  std::vector<int32_t> node_types(kNodes);
+  for (auto& t : node_types) {
+    t = static_cast<int32_t>(graph_rng.NextBounded(graph::kNumNodeTypes));
+  }
+  std::vector<int32_t> src, dst, etypes;
+  for (int e = 0; e < 16; ++e) {
+    src.push_back(static_cast<int32_t>(graph_rng.NextBounded(kNodes)));
+    dst.push_back(static_cast<int32_t>(graph_rng.NextBounded(kNodes)));
+    etypes.push_back(static_cast<int32_t>(graph_rng.NextBounded(2)));
+  }
+  const std::string src_type = graph::NodeTypeName(
+      static_cast<graph::NodeType>(node_types[src[0]]));
+  for (bool first_layer : {true, false}) {
+    SCOPED_TRACE("first_layer=" + std::to_string(first_layer));
+    Rng rng(36);
+    core::HeteroConvLayer layer(kDim, /*num_heads=*/2, /*dropout=*/0.0f,
+                                first_layer, /*use_residual=*/true, &rng);
+    std::vector<Var> in = {Var(RandomTensor(kNodes, kDim, &rng), true)};
+    for (auto& named : layer.Parameters()) {
+      if (named.name == "edge_type_emb") {
+        named.var.mutable_value() =
+            RandomTensor(graph::kNumEdgeTypes, kDim, &rng);
+        in.push_back(named.var);
+      }
+      if (named.name == "k." + src_type + ".weight" ||
+          named.name == "v." + src_type + ".weight") {
+        in.push_back(named.var);
+      }
+    }
+    ASSERT_EQ(in.size(), first_layer ? 4u : 3u);
+    Tensor upstream = RandomTensor(kNodes, kDim, &rng);
+    // The layer norm over 4 columns curves sharply, so the central
+    // difference needs a smaller step than the single-op checks.
+    CheckGradients(
+        in,
+        [&](std::vector<Var>& v) {
+          Var out = layer.Forward(v[0], node_types, src, dst, etypes,
+                                  core::ForwardOptions{});
+          return Sum(Tanh(Mul(out, Constant(upstream))));
+        },
+        /*eps=*/1e-4f);
+  }
 }
 
 TEST(GradCheck, MulColBroadcast) {

@@ -4,6 +4,7 @@
 // dropout RNG consumption), and the zero-skip NaN-swallowing bug must stay
 // fixed.
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
@@ -280,23 +281,37 @@ Var ComposedAttentionAggregate(const Var& scores, const Var& values,
   return ScatterAddRows(messages, dst, num_nodes);
 }
 
+/// A per-edge K/V row index into `rows` source rows: duplicates throughout,
+/// and the last row is never read.
+std::vector<int32_t> KvRows(size_t edges, int64_t rows, Rng* rng) {
+  std::vector<int32_t> kv_row(edges);
+  for (auto& r : kv_row) {
+    r = static_cast<int32_t>(rng->NextBounded(std::max<int64_t>(rows - 1, 1)));
+  }
+  return kv_row;
+}
+
 TEST(FusedConformance, AttentionAggregateMatchesComposedBitwiseEval) {
+  // The values live at 5 source rows; the composed oracle gathers them per
+  // edge first.
   Rng rng(303);
   const int64_t kHeads = 2;
   const int64_t kHeadDim = 3;
   std::vector<int32_t> dst = {1, 0, 1, 2, 2, 3, 0, 1};
+  std::vector<int32_t> kv_row = KvRows(dst.size(), 5, &rng);
   int64_t edges = static_cast<int64_t>(dst.size());
   Tensor st = RandomTensor(edges, kHeads, &rng, 2.0f);
-  Tensor vt = RandomTensor(edges, kHeads * kHeadDim, &rng);
+  Tensor vt = RandomTensor(5, kHeads * kHeadDim, &rng);
 
   Var s1(st, true), v1(vt, true);
-  Var fused = AttentionAggregate(s1, v1, dst, 4, kHeadDim, /*dropout_p=*/0.5f,
-                                 /*training=*/false, nullptr);
+  Var fused = AttentionAggregate(s1, v1, kv_row, dst, 4, kHeadDim,
+                                 /*dropout_p=*/0.5f, /*training=*/false,
+                                 nullptr);
   Sum(fused).Backward();
 
   Var s2(st, true), v2(vt, true);
-  Var composed = ComposedAttentionAggregate(s2, v2, dst, 4, kHeadDim, 0.5f,
-                                            false, nullptr);
+  Var composed = ComposedAttentionAggregate(s2, IndexRows(v2, kv_row), dst, 4,
+                                            kHeadDim, 0.5f, false, nullptr);
   Sum(composed).Backward();
 
   EXPECT_TRUE(fused.value().BitwiseEqual(composed.value()));
@@ -307,25 +322,35 @@ TEST(FusedConformance, AttentionAggregateMatchesComposedBitwiseEval) {
 TEST(FusedConformance, AttentionAggregateMatchesComposedBitwiseTraining) {
   // Training mode: the fused kernel must consume dropout randomness in the
   // exact order of the unfused Dropout op, so same-seeded runs coincide.
+  // ±0, NaN and ±Inf in the values and the upstream gradient; the values
+  // also feed a second consumer, so the order in which their gradient
+  // terms accumulate is compared too.
   Rng rng(304);
   const int64_t kHeads = 3;
   const int64_t kHeadDim = 2;
+  const int64_t kRows = 6;
   std::vector<int32_t> dst = {0, 2, 1, 1, 0, 2, 2, 0, 1, 2};
+  std::vector<int32_t> kv_row = KvRows(dst.size(), kRows, &rng);
   int64_t edges = static_cast<int64_t>(dst.size());
   Tensor st = RandomTensor(edges, kHeads, &rng, 2.0f);
-  Tensor vt = RandomTensor(edges, kHeads * kHeadDim, &rng);
+  Tensor vt = SpecialTensor(kRows, kHeads * kHeadDim, &rng);
+  Tensor upstream = SpecialTensor(3, kHeads * kHeadDim, &rng);
 
-  Rng drop1(42);
+  auto run = [&](bool fused, Var* s, Var* v) {
+    Rng drop(42);
+    Var out = fused ? AttentionAggregate(*s, *v, kv_row, dst, 3, kHeadDim,
+                                         /*dropout_p=*/0.3f,
+                                         /*training=*/true, &drop)
+                    : ComposedAttentionAggregate(*s, IndexRows(*v, kv_row),
+                                                 dst, 3, kHeadDim, 0.3f, true,
+                                                 &drop);
+    Add(Sum(Mul(out, Constant(upstream))), Sum(Tanh(*v))).Backward();
+    return out;
+  };
   Var s1(st, true), v1(vt, true);
-  Var fused = AttentionAggregate(s1, v1, dst, 3, kHeadDim, /*dropout_p=*/0.3f,
-                                 /*training=*/true, &drop1);
-  Sum(fused).Backward();
-
-  Rng drop2(42);
+  Var fused = run(true, &s1, &v1);
   Var s2(st, true), v2(vt, true);
-  Var composed = ComposedAttentionAggregate(s2, v2, dst, 3, kHeadDim, 0.3f,
-                                            true, &drop2);
-  Sum(composed).Backward();
+  Var composed = run(false, &s2, &v2);
 
   EXPECT_TRUE(fused.value().BitwiseEqual(composed.value()));
   EXPECT_TRUE(s1.grad().BitwiseEqual(s2.grad()));
@@ -420,138 +445,6 @@ TEST(FusedConformance, TypedLinearMatchesComposedBitwise) {
   }
 }
 
-TEST(FusedConformance, TypedLinearSourceRowsMatchesPerEdgeBitwise) {
-  // The source-row form against the per-row form over the expanded rows:
-  // 31 output rows read 9 source rows (with duplicates; rows 7 and 8 are
-  // never read). Four types: type 1 is bias-free, type 2 has no rows.
-  Rng rng(306);
-  const int64_t kSources = 9;
-  const int64_t kRows = 31;
-  const int64_t kIn = 6;
-  const int64_t kOut = 5;
-  const std::vector<int32_t> source_type = {0, 1, 3, 0, 3, 1, 0, 1, 3};
-  std::vector<int32_t> index(kRows);
-  std::vector<int32_t> types(kRows);
-  for (int64_t r = 0; r < kRows; ++r) {
-    index[r] = static_cast<int32_t>(rng.NextBounded(kSources - 2));
-    types[r] = source_type[index[r]];
-  }
-  Tensor st = RandomTensor(kSources, kIn, &rng);
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  st.At(1, 2) = -0.0f;
-  st.At(4, 0) = nan;
-  for (int64_t c = 0; c < kIn; ++c) st.At(5, c) = -0.0f;
-  Tensor expanded(kRows, kIn);
-  kernels::GatherRows(st, index, &expanded);
-  std::vector<Tensor> wt;
-  std::vector<Tensor> bt;
-  for (int t = 0; t < 4; ++t) {
-    wt.push_back(RandomTensor(kIn, kOut, &rng));
-    bt.push_back(RandomTensor(1, kOut, &rng));
-  }
-  bt[0].At(0, 1) = -0.0f;
-  Tensor upstream = RandomTensor(kRows, kOut, &rng);
-
-  struct Run {
-    Var x;
-    std::vector<Var> weights;
-    std::vector<Var> biases;
-    Var out;
-  };
-  // x also feeds a second consumer (Tanh), so the order in which its two
-  // gradient contributions accumulate is compared too. `form` 0 is the
-  // per-row oracle, 1 the source-row form with x, 2 without x.
-  auto run = [&](int form, bool x_grad) {
-    Run r;
-    r.x = Var(expanded, x_grad);
-    for (int t = 0; t < 4; ++t) {
-      r.weights.emplace_back(wt[static_cast<size_t>(t)], true);
-      r.biases.push_back(t == 1 ? Var()
-                                : Var(bt[static_cast<size_t>(t)], true));
-    }
-    SourceRows source{Var(st), index};
-    r.out = form == 0
-                ? TypedLinear(r.x, types, r.weights, r.biases)
-                : TypedLinear(form == 1 ? r.x : Var(), types, r.weights,
-                              r.biases, &source);
-    Var loss = Sum(Mul(r.out, Constant(upstream)));
-    if (form != 2) loss = Add(loss, Sum(Tanh(r.x)));
-    loss.Backward();
-    return r;
-  };
-
-  for (bool x_grad : {true, false}) {
-    Run oracle = run(0, x_grad);
-    for (int form : {1, 2}) {
-      if (form == 2 && x_grad) continue;
-      Run mapped = run(form, x_grad);
-      SCOPED_TRACE("form=" + std::to_string(form) +
-                   " x_grad=" + std::to_string(x_grad));
-      EXPECT_TRUE(mapped.out.value().BitwiseEqual(oracle.out.value()));
-      if (x_grad) {
-        EXPECT_TRUE(mapped.x.grad().BitwiseEqual(oracle.x.grad()));
-      }
-      for (size_t t = 0; t < 4; ++t) {
-        EXPECT_TRUE(mapped.weights[t].impl()->grad.BitwiseEqual(
-            oracle.weights[t].impl()->grad))
-            << "W_" << t;
-        if (!mapped.biases[t].defined()) continue;
-        EXPECT_TRUE(mapped.biases[t].impl()->grad.BitwiseEqual(
-            oracle.biases[t].impl()->grad))
-            << "b_" << t;
-      }
-      // The empty type's parameters never get a gradient buffer.
-      EXPECT_EQ(mapped.weights[2].impl()->grad.size(), 0);
-    }
-  }
-
-  // Untaped, the source-row form needs no expanded input at all.
-  Run oracle = run(0, false);
-  NoGradGuard guard;
-  std::vector<Var> weights;
-  std::vector<Var> biases;
-  for (int t = 0; t < 4; ++t) {
-    weights.emplace_back(wt[static_cast<size_t>(t)], true);
-    biases.push_back(t == 1 ? Var() : Var(bt[static_cast<size_t>(t)], true));
-  }
-  SourceRows source{Var(st), index};
-  Var untaped = TypedLinear(Var(), types, weights, biases, &source);
-  EXPECT_FALSE(untaped.requires_grad());
-  EXPECT_TRUE(untaped.value().BitwiseEqual(oracle.out.value()));
-
-  // With no input columns each output row is its bias, and the −0 bias
-  // entry comes out as 0 + (−0) = +0 in both forms.
-  std::vector<Var> no_cols(4, Var(Tensor(0, kOut)));
-  SourceRows no_col_source{Var(Tensor(kSources, 0)), index};
-  Var mapped = TypedLinear(Var(), types, no_cols, biases, &no_col_source);
-  Var per_row = TypedLinear(Var(Tensor(kRows, 0)), types, no_cols, biases);
-  EXPECT_TRUE(mapped.value().BitwiseEqual(per_row.value()));
-  for (int64_t r = 0; r < kRows; ++r) {
-    if (types[r] == 0) {
-      EXPECT_FALSE(std::signbit(mapped.value().At(r, 1))) << "row " << r;
-    }
-  }
-}
-
-TEST(FusedConformance, TypedLinearSourceRowsRejectsBadMaps) {
-  Rng rng(307);
-  std::vector<Var> weights = {Var(RandomTensor(3, 2, &rng), true),
-                              Var(RandomTensor(3, 2, &rng), true)};
-  std::vector<Var> biases = {Var(), Var()};
-  SourceRows source{Var(RandomTensor(4, 3, &rng)), {0, 3, 4}};
-  // Index past the source rows.
-  EXPECT_THROW(TypedLinear(Var(), {0, 1, 0}, weights, biases, &source),
-               CheckError);
-  // One source row read with two types.
-  source.index = {0, 3, 0};
-  EXPECT_THROW(TypedLinear(Var(), {0, 1, 1}, weights, biases, &source),
-               CheckError);
-  // A map of the wrong length.
-  source.index = {0, 3};
-  EXPECT_THROW(TypedLinear(Var(), {0, 1, 1}, weights, biases, &source),
-               CheckError);
-}
-
 /// The composed (pre-fusion) eq. 8 scores: gather the queries and the
 /// per-type attention rows per edge, then per head SliceCols → Mul →
 /// RowSum → Add → Scale, joined by ConcatCols. AttentionScores replaced
@@ -588,24 +481,27 @@ TEST(FusedConformance, AttentionScoresMatchesComposedBitwise) {
     int64_t head_dim;
   };
   // The detector's shape (4 heads of 8), an off-grid head width, one head,
-  // a single edge and no edges at all. Targets and types repeat.
+  // a single edge and no edges at all. Targets and types repeat, and the
+  // keys live at `nodes` source rows read through a per-edge index with
+  // duplicates and an unread row; the composed oracle gathers them per
+  // edge first.
   const Case kCases[] = {{300, 40, 4, 8},
                          {37, 9, 4, 3},
                          {23, 5, 1, 5},
                          {1, 1, 1, 1},
                          {0, 4, 4, 2}};
-  // Which of k_edges, q_nodes, w_att_src, w_att_dst require gradients.
+  // Which of k, q_nodes, w_att_src, w_att_dst require gradients.
   const std::array<bool, 4> kGradMasks[] = {{true, true, true, true},
                                             {true, true, false, false},
                                             {false, false, true, true},
                                             {false, true, true, false},
                                             {false, false, false, false}};
-  const char* kNames[] = {"k_edges", "q_nodes", "w_att_src", "w_att_dst"};
+  const char* kNames[] = {"k", "q_nodes", "w_att_src", "w_att_dst"};
   Rng rng(307);
   for (const Case& cs : kCases) {
     int64_t dim = cs.heads * cs.head_dim;
     // ±0, NaN and ±Inf in every operand and in the upstream gradient.
-    Tensor kt = SpecialTensor(cs.edges, dim, &rng);
+    Tensor kt = SpecialTensor(cs.nodes, dim, &rng);
     Tensor qt = SpecialTensor(cs.nodes, dim, &rng);
     Tensor wst = SpecialTensor(3, dim, &rng);
     Tensor wdt = SpecialTensor(2, dim, &rng);
@@ -618,21 +514,22 @@ TEST(FusedConformance, AttentionScoresMatchesComposedBitwise) {
       src_types[e] = static_cast<int32_t>(rng.NextBounded(3));
       dst_types[e] = static_cast<int32_t>(rng.NextBounded(2));
     }
+    std::vector<int32_t> kv_row = KvRows(dst.size(), cs.nodes, &rng);
     float scale = 1.0f / std::sqrt(static_cast<float>(cs.head_dim));
 
     for (const auto& grads : kGradMasks) {
-      // k_edges and q_nodes also feed a second consumer (Tanh), so the
-      // order in which their gradient contributions accumulate is
-      // compared too.
+      // k and q_nodes also feed a second consumer (Tanh), so the order in
+      // which their gradient contributions accumulate is compared too.
       auto run = [&](bool fused) {
         std::vector<Var> ops = {Var(kt, grads[0]), Var(qt, grads[1]),
                                 Var(wst, grads[2]), Var(wdt, grads[3])};
         Var scores =
-            fused ? AttentionScores(ops[0], ops[1], dst, ops[2], src_types,
-                                    ops[3], dst_types, cs.heads, scale)
-                  : ComposedAttentionScores(ops[0], ops[1], dst, ops[2],
-                                            src_types, ops[3], dst_types,
-                                            cs.heads, scale);
+            fused ? AttentionScores(ops[0], kv_row, ops[1], dst, ops[2],
+                                    src_types, ops[3], dst_types, cs.heads,
+                                    scale)
+                  : ComposedAttentionScores(IndexRows(ops[0], kv_row), ops[1],
+                                            dst, ops[2], src_types, ops[3],
+                                            dst_types, cs.heads, scale);
         Var loss = Add(Sum(Mul(scores, Constant(upstream))),
                        Add(Sum(Tanh(ops[0])), Sum(Tanh(ops[1]))));
         if (loss.requires_grad()) loss.Backward();
@@ -724,18 +621,38 @@ TEST(EdgeChecks, AttentionScoresIndexOutOfBoundsThrows) {
   Var ws(RandomTensor(2, 4, &rng), true);
   Var wd(RandomTensor(2, 4, &rng), true);
   std::vector<int32_t> ok = {0, 1};
-  EXPECT_NO_THROW(AttentionScores(k, q, ok, ws, ok, wd, ok, 2, 1.0f));
+  EXPECT_NO_THROW(AttentionScores(k, ok, q, ok, ws, ok, wd, ok, 2, 1.0f));
   std::vector<int32_t> bad_node = {0, 3};
+  std::vector<int32_t> bad_row = {2, 0};
   std::vector<int32_t> bad_type = {-1, 0};
-  EXPECT_THROW(AttentionScores(k, q, bad_node, ws, ok, wd, ok, 2, 1.0f),
+  EXPECT_THROW(AttentionScores(k, bad_row, q, ok, ws, ok, wd, ok, 2, 1.0f),
                CheckError);
-  EXPECT_THROW(AttentionScores(k, q, ok, ws, bad_type, wd, ok, 2, 1.0f),
+  EXPECT_THROW(AttentionScores(k, ok, q, bad_node, ws, ok, wd, ok, 2, 1.0f),
                CheckError);
-  EXPECT_THROW(AttentionScores(k, q, ok, ws, ok, wd, bad_type, 2, 1.0f),
+  EXPECT_THROW(AttentionScores(k, ok, q, ok, ws, bad_type, wd, ok, 2, 1.0f),
                CheckError);
-  EXPECT_THROW(AttentionScores(k, q, ok, ws, ok, wd, ok, 3, 1.0f),
+  EXPECT_THROW(AttentionScores(k, ok, q, ok, ws, ok, wd, bad_type, 2, 1.0f),
+               CheckError);
+  EXPECT_THROW(AttentionScores(k, ok, q, ok, ws, ok, wd, ok, 3, 1.0f),
                CheckError);  // 4 columns do not split into 3 heads
-  EXPECT_THROW(AttentionScores(k, q, ok, ws, ok, wd, ok, 0, 1.0f),
+  EXPECT_THROW(AttentionScores(k, ok, q, ok, ws, ok, wd, ok, 0, 1.0f),
+               CheckError);
+}
+
+TEST(EdgeChecks, AttentionAggregateKvRowOutOfBoundsThrows) {
+  Rng rng(403);
+  Var s(RandomTensor(2, 2, &rng), true);
+  Var v(RandomTensor(2, 4, &rng), true);
+  std::vector<int32_t> dst = {0, 1};
+  EXPECT_NO_THROW(AttentionAggregate(s, v, {1, 1}, dst, 2, 2, 0.0f, false,
+                                     nullptr));
+  EXPECT_THROW(AttentionAggregate(s, v, {0, 2}, dst, 2, 2, 0.0f, false,
+                                  nullptr),
+               CheckError);
+  EXPECT_THROW(AttentionAggregate(s, v, {-1, 0}, dst, 2, 2, 0.0f, false,
+                                  nullptr),
+               CheckError);
+  EXPECT_THROW(AttentionAggregate(s, v, {0}, dst, 2, 2, 0.0f, false, nullptr),
                CheckError);
 }
 
