@@ -2,9 +2,10 @@
 // the detector's critical path, forward and forward+backward, plus the
 // before/after pairs that gate each nn::kernels fusion (blocked vs naive
 // GEMM and backward products, fused vs composed linear, typed linear,
-// attention scores and attention aggregate), and HeteroConv's source-row
-// K/V path at sim-small shares. Useful for
-// tracking regressions in the engine that every experiment sits on.
+// attention scores and attention aggregate), HeteroConv's source-row
+// K/V path at sim-small shares, and the whole detector forward over
+// sim-small batches. Useful for tracking regressions in the engine that
+// every experiment sits on.
 //
 // The JSON context records which ISA clone of the kernels the host resolved
 // ("kernel_isa").
@@ -15,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_common.h"
 #include "xfraud/nn/kernels.h"
 #include "xfraud/nn/modules.h"
 #include "xfraud/nn/ops.h"
@@ -327,6 +329,12 @@ void BM_AttentionScoresComposed(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionScoresComposed);
 
+// The whole-layer rows below (BM_KvSourceRows, BM_DetectorForward) fix
+// their warm-up, minimum time and repetition count, whatever
+// --benchmark_min_time says: under the flag's short default, one
+// repetition moved by tens of percent between runs on the shared 4-core
+// host, too much to compare two trees.
+
 void BM_KvSourceRows(benchmark::State& state) {
   // HeteroConv's K/V path over the AttentionScores operands: both typed
   // projections over U = share% · E source rows (28% is a sim-small later
@@ -398,7 +406,11 @@ BENCHMARK(BM_KvSourceRows)
     ->Args({63, 1})
     ->Args({63, 0})
     ->Args({100, 1})
-    ->Args({100, 0});
+    ->Args({100, 0})
+    ->Unit(benchmark::kMillisecond)
+    ->MinWarmUpTime(0.25)
+    ->MinTime(0.5)
+    ->Repetitions(5);
 
 void BM_AttentionAggregateFused(benchmark::State& state) {
   // Fused segment-softmax -> per-head weighting -> scatter-add...
@@ -521,6 +533,57 @@ void BM_LayerNormForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows * 64);
 }
 BENCHMARK(BM_LayerNormForward)->Arg(1024)->Arg(8192);
+
+/// sim-small (the Table 3 setting, 64-d features), generated once.
+const data::SimDataset& SimSmall() {
+  static const data::SimDataset ds = data::TransactionGenerator::Make(
+      data::TransactionGenerator::SimSmall(), "bench_nn_ops");
+  return ds;
+}
+
+void BM_DetectorForward(benchmark::State& state) {
+  // The detector as perfbench and Table 3 run it (hidden 32, 4 heads, 2
+  // layers, dropout 0.2) over a detector+ batch (SageSampler(2, 12)).
+  // Taped (arg 1): a 256-seed training batch, forward with dropout, then
+  // the cross-entropy backward — Trainer::TrainStep less the optimizer.
+  // Untaped (arg 0): a 640-seed evaluation batch, the forward alone under
+  // a NoGradGuard, as Trainer::Evaluate runs it.
+  const bool taped = state.range(0) != 0;
+  const data::SimDataset& ds = SimSmall();
+  const std::vector<int32_t>& pool = taped ? ds.train_nodes : ds.test_nodes;
+  std::vector<int32_t> seeds(pool.begin(), pool.begin() + (taped ? 256 : 640));
+  Rng rng(1);
+  sample::MiniBatch batch =
+      sample::SageSampler(2, 12).SampleBatch(ds.graph, seeds, &rng);
+  core::XFraudDetector model(bench::DetectorConfigFor(ds.graph), &rng);
+  for (auto _ : state) {
+    if (taped) {
+      model.ZeroGrad();
+      Rng dropout_rng(2);
+      core::ForwardOptions options;
+      options.training = true;
+      options.rng = &dropout_rng;
+      Var loss = CrossEntropy(model.Forward(batch, options),
+                              batch.target_labels);
+      loss.Backward();
+      benchmark::DoNotOptimize(loss.value().data());
+    } else {
+      NoGradGuard guard;
+      Var logits = model.Forward(batch, core::ForwardOptions{});
+      benchmark::DoNotOptimize(logits.value().data());
+    }
+  }
+  state.counters["nodes"] = static_cast<double>(batch.num_nodes());
+  state.counters["edges"] = static_cast<double>(batch.num_edges());
+}
+BENCHMARK(BM_DetectorForward)
+    ->ArgName("taped")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->MinWarmUpTime(0.25)
+    ->MinTime(1.0)
+    ->Repetitions(5);
 
 }  // namespace
 }  // namespace xfraud::nn

@@ -22,35 +22,31 @@ XFraudDetector::XFraudDetector(DetectorConfig config, xfraud::Rng* rng)
   }
 }
 
-Var XFraudDetector::Encode(const sample::MiniBatch& batch,
-                           const ForwardOptions& options) const {
+Var XFraudDetector::Forward(const sample::MiniBatch& batch,
+                            const ForwardOptions& options) const {
+  XF_CHECK(!batch.target_locals.empty());
   Var features = options.features_override != nullptr
                      ? *options.features_override
                      : nn::Constant(batch.features);
   XF_CHECK_EQ(features.cols(), config_.feature_dim);
 
+  // Only the targets are classified, so each layer runs over just the rows
+  // its successor reads (GraphSAGE's minibatch Algorithm 2).
+  ReceptiveFieldPlan plan = PlanReceptiveField(
+      batch.node_types, batch.edge_src, batch.edge_dst, batch.edge_types,
+      batch.target_locals, config_.num_layers);
+
   // Layer-0 input: projected transaction features plus the (zero-init,
   // learnable) node-type embedding — entities start from their type alone.
   Var h = nn::Add(input_proj_.Forward(features),
                   nn::IndexRows(node_type_emb_, batch.node_types));
-  for (const auto& layer : layers_) {
-    h = layer->Forward(h, batch.node_types, batch.edge_src, batch.edge_dst,
-                       batch.edge_types, options);
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    h = layers_[l]->Forward(h, plan.layers[l], options);
   }
-  return h;
-}
-
-Var XFraudDetector::Forward(const sample::MiniBatch& batch,
-                            const ForwardOptions& options) const {
-  XF_CHECK(!batch.target_locals.empty());
-  Var h = Encode(batch, options);
 
   // Step (3) of §3.2.1: tanh of the GNN representation, concatenated with
   // the raw transaction features, into the feed-forward head.
-  Var target_repr = nn::Tanh(nn::IndexRows(h, batch.target_locals));
-  Var features = options.features_override != nullptr
-                     ? *options.features_override
-                     : nn::Constant(batch.features);
+  Var target_repr = nn::Tanh(nn::IndexRows(h, plan.target_rows));
   Var target_raw = nn::IndexRows(features, batch.target_locals);
   Var head_in = nn::ConcatCols(target_repr, target_raw);
   return head_.Forward(head_in, options.training, options.rng);

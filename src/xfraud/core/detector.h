@@ -32,16 +32,19 @@ struct DetectorConfig {
 /// detector vs detector+ differ only in the neighbourhood sampler
 /// (HGSampling vs GraphSAGE-style, §3.2.3); this class is the shared network
 /// and consumes whatever MiniBatch a sampler produced.
+///
+/// Only the targets' representations reach the head, so Forward runs each
+/// layer over its receptive field (PlanReceptiveField): the input
+/// projection covers all N batch nodes, the last layer outputs just the
+/// distinct targets, and each earlier layer the rows its successor reads.
+/// The logits, every gradient and the dropout RNG stream are bit for bit
+/// those of running every layer over all N nodes and E edges.
 class XFraudDetector : public GnnModel {
  public:
   XFraudDetector(DetectorConfig config, xfraud::Rng* rng);
 
   nn::Var Forward(const sample::MiniBatch& batch,
                   const ForwardOptions& options) const override;
-
-  /// Node representations H^L [N, hidden] (used by tests/analysis).
-  nn::Var Encode(const sample::MiniBatch& batch,
-                 const ForwardOptions& options) const;
 
   void CollectParameters(const std::string& prefix,
                          std::vector<nn::NamedParameter>* out) const override;

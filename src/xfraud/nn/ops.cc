@@ -36,6 +36,32 @@ Var MakeResult(Tensor value, std::vector<Var> inputs,
   return Var::FromImpl(std::move(impl));
 }
 
+/// An inverted-dropout mask for `rows` rows of `cols` columns, drawn
+/// row-major over the whole [block_rows, cols] block those rows come from
+/// (the rows themselves when mask_rows is null): row i is the block's row
+/// (*mask_rows)[i]. Each entry is 0 w.p. p, else 1 / (1 - p).
+Tensor DrawDropoutMask(int64_t rows, int64_t cols, float p, xfraud::Rng* rng,
+                       const std::vector<int32_t>* mask_rows,
+                       int64_t block_rows) {
+  XF_CHECK_LT(p, 1.0f);
+  XF_CHECK(rng != nullptr);
+  if (mask_rows == nullptr) {
+    block_rows = rows;
+  } else {
+    XF_CHECK_EQ(static_cast<int64_t>(mask_rows->size()), rows);
+  }
+  float keep = 1.0f - p;
+  Tensor block(block_rows, cols);
+  float* mp = block.data();
+  for (int64_t i = 0; i < block.size(); ++i) {
+    mp[i] = rng->NextBernoulli(p) ? 0.0f : 1.0f / keep;
+  }
+  if (mask_rows == nullptr) return block;
+  Tensor mask(rows, cols);
+  kernels::GatherRows(block, *mask_rows, &mask);
+  return mask;
+}
+
 /// Elementwise unary op helper: forward fn and local derivative from (x, y).
 template <typename Fwd, typename Dydx>
 Var UnaryElementwise(const Var& a, Fwd fwd, Dydx dydx) {
@@ -343,20 +369,16 @@ Var Log(const Var& a) {
       [](float x, float) { return 1.0f / x; });
 }
 
-Var Dropout(const Var& a, float p, bool training, xfraud::Rng* rng) {
+Var Dropout(const Var& a, float p, bool training, xfraud::Rng* rng,
+            const std::vector<int32_t>* mask_rows, int64_t mask_block_rows) {
   if (!training || p <= 0.0f) return a;
-  XF_CHECK_LT(p, 1.0f);
-  XF_CHECK(rng != nullptr);
-  float keep = 1.0f - p;
-  auto mask = std::make_shared<Tensor>(a.value().rows(), a.value().cols());
+  auto mask = std::make_shared<Tensor>(
+      DrawDropoutMask(a.value().rows(), a.value().cols(), p, rng, mask_rows,
+                      mask_block_rows));
   Tensor out = a.value();
-  float* mp = mask->data();
+  const float* mp = mask->data();
   float* ov = out.data();
-  for (int64_t i = 0; i < out.size(); ++i) {
-    float m = rng->NextBernoulli(p) ? 0.0f : 1.0f / keep;
-    mp[i] = m;
-    ov[i] *= m;
-  }
+  for (int64_t i = 0; i < out.size(); ++i) ov[i] *= mp[i];
   auto a_impl = a.impl();
   return MakeResult(std::move(out), {a}, [a_impl, mask](VarImpl* self) {
     if (!a_impl->requires_grad) return;
@@ -692,7 +714,9 @@ Var AttentionAggregate(const Var& scores, const Var& values,
                        const std::vector<int32_t>& kv_row,
                        const std::vector<int32_t>& dst, int64_t num_nodes,
                        int64_t head_dim, float dropout_p, bool training,
-                       xfraud::Rng* rng) {
+                       xfraud::Rng* rng,
+                       const std::vector<int32_t>* mask_rows,
+                       int64_t mask_block_rows) {
   const Tensor& sv = scores.value();
   const Tensor& vv = values.value();
   XF_CHECK_EQ(static_cast<size_t>(sv.rows()), kv_row.size());
@@ -704,24 +728,18 @@ Var AttentionAggregate(const Var& scores, const Var& values,
   // Pass 1: per-target softmax over [E,H] (kept for the backward).
   auto att = std::make_shared<Tensor>(sv.rows(), sv.cols());
   kernels::SegmentSoftmaxGrouped(sv, *groups, att.get());
-  // Inverted-dropout mask on the attention weights, drawn row-major over
-  // [E,H] — the exact RNG consumption order of the unfused Dropout op, so
-  // fused and composed training trajectories are bit-identical.
-  bool dropped = training && dropout_p > 0.0f;
+  // Inverted-dropout mask on the attention weights, drawn as the unfused
+  // Dropout op draws it — the same RNG consumption order and the same mask
+  // row per edge — so fused and composed training trajectories are
+  // bit-identical.
   auto mask = std::make_shared<Tensor>();
   Tensor w = *att;
-  if (dropped) {
-    XF_CHECK_LT(dropout_p, 1.0f);
-    XF_CHECK(rng != nullptr);
-    float keep = 1.0f - dropout_p;
-    *mask = Tensor(att->rows(), att->cols());
-    float* mv = mask->data();
+  if (training && dropout_p > 0.0f) {
+    *mask = DrawDropoutMask(att->rows(), att->cols(), dropout_p, rng,
+                            mask_rows, mask_block_rows);
     float* wp = w.data();
-    for (int64_t i = 0; i < att->size(); ++i) {
-      float m = rng->NextBernoulli(dropout_p) ? 0.0f : 1.0f / keep;
-      mv[i] = m;
-      wp[i] *= m;
-    }
+    const float* mv = mask->data();
+    for (int64_t i = 0; i < w.size(); ++i) wp[i] *= mv[i];
   }
   // Pass 2: weight the value rows per head and aggregate per target node.
   Tensor out(num_nodes, vv.cols());

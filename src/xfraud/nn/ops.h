@@ -65,12 +65,16 @@ Var AttentionScores(const Var& k, const std::vector<int32_t>& kv_row,
 /// target node; returns [num_nodes, H·head_dim]. Bit-identical, in the
 /// value and both gradients, to IndexRows(values, kv_row) followed by the
 /// unfused composition, including RNG consumption order when dropout is
-/// active.
+/// active. With `mask_rows` set, the dropout mask is drawn as Dropout's is
+/// with the same arguments: over all mask_block_rows rows of the block the
+/// edges were kept from, edge e reading row (*mask_rows)[e].
 Var AttentionAggregate(const Var& scores, const Var& values,
                        const std::vector<int32_t>& kv_row,
                        const std::vector<int32_t>& dst, int64_t num_nodes,
                        int64_t head_dim, float dropout_p, bool training,
-                       xfraud::Rng* rng);
+                       xfraud::Rng* rng,
+                       const std::vector<int32_t>* mask_rows = nullptr,
+                       int64_t mask_block_rows = 0);
 
 /// Elementwise A + B (same shape).
 Var Add(const Var& a, const Var& b);
@@ -103,8 +107,14 @@ Var Sigmoid(const Var& a);
 Var Log(const Var& a);
 
 /// Inverted dropout: zeroes entries w.p. p and rescales survivors by 1/(1-p).
-/// Identity when !training or p == 0.
-Var Dropout(const Var& a, float p, bool training, xfraud::Rng* rng);
+/// Identity when !training or p == 0. The mask is drawn row-major over A,
+/// or, with `mask_rows` set, over a [mask_block_rows, cols] block of which
+/// A holds some rows: row i of A reads mask row (*mask_rows)[i]. Every row
+/// of the block is drawn either way, so the RNG stream and each row's
+/// mask do not depend on which rows A holds.
+Var Dropout(const Var& a, float p, bool training, xfraud::Rng* rng,
+            const std::vector<int32_t>* mask_rows = nullptr,
+            int64_t mask_block_rows = 0);
 
 /// Softmax across each row independently.
 Var RowSoftmax(const Var& a);

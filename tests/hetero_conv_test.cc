@@ -9,6 +9,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -53,8 +54,8 @@ TEST(HeteroConvTest, OutputShapeMatchesInput) {
                         /*use_residual=*/true, &rng);
   TinyGraph g;
   nn::Var h = RandomInput(5, 16, 2);
-  nn::Var out = layer.Forward(h, g.node_types, g.src, g.dst, g.etypes,
-                              ForwardOptions{});
+  nn::Var out = layer.Forward(
+      h, FullLayerPlan(g.node_types, g.src, g.dst, g.etypes), ForwardOptions{});
   EXPECT_EQ(out.rows(), 5);
   EXPECT_EQ(out.cols(), 16);
 }
@@ -66,8 +67,8 @@ TEST(HeteroConvTest, PermutationEquivariance) {
   HeteroConvLayer layer(8, 2, 0.0f, true, true, &rng);
   TinyGraph g;
   nn::Var h = RandomInput(5, 8, 4);
-  nn::Var out = layer.Forward(h, g.node_types, g.src, g.dst, g.etypes,
-                              ForwardOptions{});
+  nn::Var out = layer.Forward(
+      h, FullLayerPlan(g.node_types, g.src, g.dst, g.etypes), ForwardOptions{});
 
   // Permutation: rotate node ids by 2 (perm[old] = new).
   std::vector<int32_t> perm = {2, 3, 4, 0, 1};
@@ -84,8 +85,8 @@ TEST(HeteroConvTest, PermutationEquivariance) {
     p_dst[e] = perm[g.dst[e]];
   }
   nn::Var p_h(p_input, false);
-  nn::Var p_out = layer.Forward(p_h, p_types, p_src, p_dst, g.etypes,
-                                ForwardOptions{});
+  nn::Var p_out = layer.Forward(
+      p_h, FullLayerPlan(p_types, p_src, p_dst, g.etypes), ForwardOptions{});
   for (int32_t v = 0; v < 5; ++v) {
     for (int64_t c = 0; c < 8; ++c) {
       EXPECT_NEAR(p_out.value().At(perm[v], c), out.value().At(v, c), 1e-5)
@@ -101,8 +102,8 @@ TEST(HeteroConvTest, EdgeOrderInvariance) {
   HeteroConvLayer layer(8, 2, 0.0f, true, true, &rng);
   TinyGraph g;
   nn::Var h = RandomInput(5, 8, 6);
-  nn::Var base = layer.Forward(h, g.node_types, g.src, g.dst, g.etypes,
-                               ForwardOptions{});
+  nn::Var base = layer.Forward(
+      h, FullLayerPlan(g.node_types, g.src, g.dst, g.etypes), ForwardOptions{});
   std::vector<size_t> order(g.src.size());
   std::iota(order.begin(), order.end(), size_t{0});
   Rng shuffle_rng(7);
@@ -113,8 +114,8 @@ TEST(HeteroConvTest, EdgeOrderInvariance) {
     s_dst.push_back(g.dst[e]);
     s_et.push_back(g.etypes[e]);
   }
-  nn::Var shuffled = layer.Forward(h, g.node_types, s_src, s_dst, s_et,
-                                   ForwardOptions{});
+  nn::Var shuffled = layer.Forward(
+      h, FullLayerPlan(g.node_types, s_src, s_dst, s_et), ForwardOptions{});
   ASSERT_TRUE(base.value().SameShape(shuffled.value()));
   for (int64_t i = 0; i < base.value().size(); ++i) {
     EXPECT_NEAR(base.value().data()[i], shuffled.value().data()[i], 1e-5);
@@ -131,10 +132,12 @@ TEST(HeteroConvTest, LocalityNoCrossTalkBetweenComponents) {
   nn::Tensor modified = h1.value();
   for (int64_t c = 0; c < 8; ++c) modified.At(1, c) += 5.0f;  // perturb txn 1
   nn::Var h2(modified, false);
-  nn::Var out1 = layer.Forward(h1, g.node_types, g.src, g.dst, g.etypes,
-                               ForwardOptions{});
-  nn::Var out2 = layer.Forward(h2, g.node_types, g.src, g.dst, g.etypes,
-                               ForwardOptions{});
+  nn::Var out1 = layer.Forward(
+      h1, FullLayerPlan(g.node_types, g.src, g.dst, g.etypes),
+      ForwardOptions{});
+  nn::Var out2 = layer.Forward(
+      h2, FullLayerPlan(g.node_types, g.src, g.dst, g.etypes),
+      ForwardOptions{});
   // Node 3's only in-neighbour is txn 0 -> unchanged.
   for (int64_t c = 0; c < 8; ++c) {
     EXPECT_NEAR(out1.value().At(3, c), out2.value().At(3, c), 1e-5);
@@ -152,7 +155,8 @@ TEST(HeteroConvTest, EmptyEdgeListIsHandled) {
   HeteroConvLayer layer(8, 2, 0.0f, true, true, &rng);
   nn::Var h = RandomInput(3, 8, 12);
   std::vector<int32_t> types = {0, 1, 2};
-  nn::Var out = layer.Forward(h, types, {}, {}, {}, ForwardOptions{});
+  nn::Var out = layer.Forward(
+      h, FullLayerPlan(types, {}, {}, {}), ForwardOptions{});
   EXPECT_EQ(out.rows(), 3);
   EXPECT_EQ(out.cols(), 8);
 }
@@ -164,8 +168,8 @@ TEST(HeteroConvTest, FirstLayerUsesEdgeTypeEmbedding) {
   HeteroConvLayer layer(8, 2, 0.0f, /*first_layer=*/true, true, &rng);
   TinyGraph g;
   nn::Var h = RandomInput(5, 8, 14);
-  nn::Var base = layer.Forward(h, g.node_types, g.src, g.dst, g.etypes,
-                               ForwardOptions{});
+  nn::Var base = layer.Forward(
+      h, FullLayerPlan(g.node_types, g.src, g.dst, g.etypes), ForwardOptions{});
   auto params = layer.Parameters();
   bool found = false;
   for (auto& p : params) {
@@ -175,8 +179,8 @@ TEST(HeteroConvTest, FirstLayerUsesEdgeTypeEmbedding) {
     }
   }
   ASSERT_TRUE(found);
-  nn::Var perturbed = layer.Forward(h, g.node_types, g.src, g.dst, g.etypes,
-                                    ForwardOptions{});
+  nn::Var perturbed = layer.Forward(
+      h, FullLayerPlan(g.node_types, g.src, g.dst, g.etypes), ForwardOptions{});
   double delta = 0.0;
   ASSERT_TRUE(base.value().SameShape(perturbed.value()));
   for (int64_t i = 0; i < base.value().size(); ++i) {
@@ -200,18 +204,73 @@ TEST(HeteroConvTest, OutOfRangeEdgeIndexThrows) {
                        " no_grad=" + std::to_string(no_grad) +
                        " field=" + std::to_string(field) +
                        " index=" + std::to_string(bad));
-          std::vector<int32_t> src = g.src;
-          std::vector<int32_t> dst = g.dst;
-          std::vector<int32_t> etypes = g.etypes;
+          LayerPlan plan =
+              FullLayerPlan(g.node_types, g.src, g.dst, g.etypes);
           std::vector<int32_t>* edited =
-              field == 0 ? &src : (field == 1 ? &dst : &etypes);
+              field == 0 ? &plan.edge_src
+                         : (field == 1 ? &plan.edge_dst : &plan.edge_types);
           (*edited)[3] = bad;
           std::optional<nn::NoGradGuard> guard;
           if (no_grad) guard.emplace();
-          EXPECT_THROW(layer.Forward(h, g.node_types, src, dst, etypes,
-                                     ForwardOptions{}),
-                       CheckError);
+          EXPECT_THROW(layer.Forward(h, plan, ForwardOptions{}), CheckError);
         }
+      }
+    }
+  }
+}
+
+TEST(HeteroConvTest, OutputRowOutOfRangeThrows) {
+  // A plan's output rows must be input rows, and a kept edge's destination
+  // must index the output rows: both are caught before any row is read, in
+  // every build type, at both layer kinds, with and without a tape.
+  TinyGraph g;
+  for (bool first_layer : {true, false}) {
+    Rng rng(19);
+    HeteroConvLayer layer(8, 2, 0.0f, first_layer, true, &rng);
+    nn::Var h(RandomInput(5, 8, 20).value(), /*requires_grad=*/true);
+    for (bool no_grad : {false, true}) {
+      // Outputs {0, 1, 2}: edges 0-5 end there, edges 6 and 7 do not.
+      LayerPlan three = FullLayerPlan(g.node_types, g.src, g.dst, g.etypes);
+      three.output_rows = {0, 1, 2};
+      for (auto* edges : {&three.edge_src, &three.edge_dst,
+                          &three.edge_types, &three.edge_rows}) {
+        edges->resize(6);
+      }
+      three.edge_pair.resize(6);
+      std::vector<std::pair<std::string, LayerPlan>> cases;
+      for (int32_t bad : {-1, 5}) {
+        LayerPlan plan = FullLayerPlan(g.node_types, g.src, g.dst, g.etypes);
+        plan.output_rows[2] = bad;
+        cases.emplace_back("output row " + std::to_string(bad), plan);
+      }
+      for (int32_t bad : {-1, 3}) {
+        LayerPlan plan = three;
+        plan.edge_dst[4] = bad;
+        cases.emplace_back("edge_dst " + std::to_string(bad), plan);
+      }
+      {
+        // Edge 6 ends at node 3, outside the output rows.
+        LayerPlan plan = three;
+        plan.edge_src.push_back(g.src[6]);
+        plan.edge_dst.push_back(g.dst[6]);
+        plan.edge_types.push_back(g.etypes[6]);
+        plan.edge_rows.push_back(6);
+        plan.edge_pair.push_back(0);
+        cases.emplace_back("edge_dst outside the output rows", plan);
+      }
+      // The well-formed three-row plan runs: the checks reject only bad rows.
+      {
+        std::optional<nn::NoGradGuard> guard;
+        if (no_grad) guard.emplace();
+        nn::Var out = layer.Forward(h, three, ForwardOptions{});
+        EXPECT_EQ(out.rows(), 3);
+      }
+      for (const auto& [name, plan] : cases) {
+        SCOPED_TRACE("first_layer=" + std::to_string(first_layer) +
+                     " no_grad=" + std::to_string(no_grad) + " " + name);
+        std::optional<nn::NoGradGuard> guard;
+        if (no_grad) guard.emplace();
+        EXPECT_THROW(layer.Forward(h, plan, ForwardOptions{}), CheckError);
       }
     }
   }
@@ -347,7 +406,8 @@ TEST(HeteroConvTest, SourceRowKvMatchesPerEdgeChainWithinBound) {
               ? PerEdgeChainForward(layer, first_layer, true, kHeads, h,
                                     node_types, src, dst, etypes, kDropout,
                                     options)
-              : layer.Forward(h, node_types, src, dst, etypes, options);
+              : layer.Forward(
+                    h, FullLayerPlan(node_types, src, dst, etypes), options);
       nn::Sum(nn::Mul(out, nn::Constant(upstream))).Backward();
       Result r{out.value(), h.grad(), {}};
       for (auto& named : params) r.param_grads.push_back(named.var.grad());
@@ -368,12 +428,12 @@ TEST(HeteroConvTest, SourceRowKvMatchesPerEdgeChainWithinBound) {
     // Inference: the untaped forward builds no per-edge input block and
     // must equal the taped forward bit for bit.
     nn::Var h(input, /*requires_grad=*/true);
-    nn::Var taped =
-        layer.Forward(h, node_types, src, dst, etypes, ForwardOptions{});
+    nn::Var taped = layer.Forward(
+        h, FullLayerPlan(node_types, src, dst, etypes), ForwardOptions{});
     EXPECT_TRUE(taped.requires_grad());
     nn::NoGradGuard guard;
-    nn::Var untaped =
-        layer.Forward(h, node_types, src, dst, etypes, ForwardOptions{});
+    nn::Var untaped = layer.Forward(
+        h, FullLayerPlan(node_types, src, dst, etypes), ForwardOptions{});
     EXPECT_FALSE(untaped.requires_grad());
     EXPECT_TRUE(untaped.value().BitwiseEqual(taped.value()));
   }

@@ -1,8 +1,14 @@
 // Model-level tests: shape/grad sanity for the detector and baselines, and
 // the end-to-end "does it learn" integration checks.
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <numeric>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -88,6 +94,288 @@ TEST_F(ModelTest, NoGradGuardForwardMatchesTapedBitwise) {
   EXPECT_FALSE(guarded.requires_grad());
   EXPECT_TRUE(guarded.impl()->parents.empty());
   EXPECT_FALSE(guarded.impl()->backward_fn);
+}
+
+using Params = std::map<std::string, nn::Var>;
+
+/// The typed linear `which` ("layer0.q", …) over rows of `x` typed `types`.
+nn::Var WholeBatchTyped(const Params& p, const std::string& which,
+                        const nn::Var& x, const std::vector<int32_t>& types) {
+  std::vector<nn::Var> weights;
+  std::vector<nn::Var> biases;
+  for (int t = 0; t < graph::kNumNodeTypes; ++t) {
+    std::string name = which + "." +
+                       graph::NodeTypeName(static_cast<graph::NodeType>(t));
+    weights.push_back(p.at(name + ".weight"));
+    biases.push_back(p.at(name + ".bias"));
+  }
+  return nn::TypedLinear(x, types, weights, biases);
+}
+
+/// HeteroConvLayer::Forward as it ran before the receptive-field plan:
+/// over all N batch nodes and E edges, returning [N, dim].
+nn::Var WholeBatchLayer(const Params& p, const std::string& prefix,
+                        bool first_layer, const DetectorConfig& config,
+                        const nn::Var& node_input,
+                        const sample::MiniBatch& batch,
+                        const ForwardOptions& options) {
+  const std::vector<int32_t>& src = batch.edge_src;
+  const std::vector<int32_t>& dst = batch.edge_dst;
+  const nn::Var& gamma = p.at(prefix + "norm.gamma");
+  const nn::Var& beta = p.at(prefix + "norm.beta");
+  if (src.empty()) {
+    return nn::Relu(nn::LayerNorm(node_input, gamma, beta));
+  }
+  std::vector<int32_t> src_types;
+  std::vector<int32_t> dst_types;
+  for (size_t e = 0; e < src.size(); ++e) {
+    src_types.push_back(batch.node_types[src[e]]);
+    dst_types.push_back(batch.node_types[dst[e]]);
+  }
+  nn::Var q_nodes =
+      WholeBatchTyped(p, prefix + "q", node_input, batch.node_types);
+  nn::Var kv_input = node_input;
+  std::vector<int32_t> kv_row = src;
+  std::vector<int32_t> kv_types = batch.node_types;
+  if (first_layer) {
+    // One K/V row per distinct (source, edge type), in first appearance.
+    std::map<std::pair<int32_t, int32_t>, int32_t> slot;
+    std::vector<int32_t> pair_src;
+    std::vector<int32_t> pair_type;
+    kv_types.clear();
+    for (size_t e = 0; e < src.size(); ++e) {
+      auto [it, fresh] = slot.emplace(
+          std::make_pair(src[e], batch.edge_types[e]),
+          static_cast<int32_t>(pair_src.size()));
+      if (fresh) {
+        pair_src.push_back(src[e]);
+        pair_type.push_back(batch.edge_types[e]);
+        kv_types.push_back(batch.node_types[src[e]]);
+      }
+      kv_row[e] = it->second;
+    }
+    kv_input = nn::Add(nn::IndexRows(node_input, pair_src),
+                       nn::IndexRows(p.at(prefix + "edge_type_emb"),
+                                     pair_type));
+  }
+  nn::Var k = WholeBatchTyped(p, prefix + "k", kv_input, kv_types);
+  nn::Var v = WholeBatchTyped(p, prefix + "v", kv_input, kv_types);
+  const int64_t head_dim = config.hidden_dim / config.num_heads;
+  nn::Var scores = nn::AttentionScores(
+      k, kv_row, q_nodes, dst, p.at(prefix + "w_att_src"), src_types,
+      p.at(prefix + "w_att_dst"), dst_types, config.num_heads,
+      1.0f / std::sqrt(static_cast<float>(head_dim)));
+  const int64_t num_nodes = node_input.rows();
+  nn::Var agg;
+  if (options.edge_mask == nullptr) {
+    agg = nn::AttentionAggregate(scores, v, kv_row, dst, num_nodes, head_dim,
+                                 config.dropout, options.training,
+                                 options.rng);
+  } else {
+    nn::Var att = nn::SegmentSoftmax(scores, dst, num_nodes);
+    att = nn::Dropout(att, config.dropout, options.training, options.rng);
+    nn::Var v_edges = nn::IndexRows(v, kv_row);
+    nn::Var messages;
+    for (int h = 0; h < config.num_heads; ++h) {
+      nn::Var msg_h =
+          nn::MulColBroadcast(nn::SliceCols(v_edges, h * head_dim, head_dim),
+                              nn::SliceCols(att, h, 1));
+      messages = messages.defined() ? nn::ConcatCols(messages, msg_h) : msg_h;
+    }
+    messages = nn::MulColBroadcast(messages, *options.edge_mask);
+    agg = nn::ScatterAddRows(messages, dst, num_nodes);
+  }
+  nn::Var h = config.use_residual ? nn::Add(agg, node_input) : agg;
+  return nn::Relu(nn::LayerNorm(h, gamma, beta));
+}
+
+/// XFraudDetector::Forward as it ran before the receptive-field plan,
+/// over the model's own parameters: every layer over the whole batch, then
+/// the target rows. The oracle of ReceptiveFieldForwardMatchesFullBatch.
+nn::Var WholeBatchForward(const XFraudDetector& model,
+                          const sample::MiniBatch& batch,
+                          const ForwardOptions& options) {
+  Params p;
+  for (const auto& named : model.Parameters()) p[named.name] = named.var;
+  const DetectorConfig& config = model.config();
+  nn::Var features = options.features_override != nullptr
+                         ? *options.features_override
+                         : nn::Constant(batch.features);
+  nn::Var h = nn::Add(nn::LinearBiasAct(features, p.at("input_proj.weight"),
+                                        p.at("input_proj.bias")),
+                      nn::IndexRows(p.at("node_type_emb"), batch.node_types));
+  for (int l = 0; l < config.num_layers; ++l) {
+    h = WholeBatchLayer(p, "layer" + std::to_string(l) + ".", l == 0, config,
+                        h, batch, options);
+  }
+  nn::Var target_repr = nn::Tanh(nn::IndexRows(h, batch.target_locals));
+  nn::Var target_raw = nn::IndexRows(features, batch.target_locals);
+  nn::Var x = nn::ConcatCols(target_repr, target_raw);
+  for (std::string k : {"1.", "2."}) {
+    x = nn::LinearBiasAct(x, p.at("head.fc" + k + "weight"),
+                          p.at("head.fc" + k + "bias"));
+    x = nn::Dropout(x, config.dropout, options.training, options.rng);
+    x = nn::Relu(nn::LayerNorm(x, p.at("head.ln" + k + "gamma"),
+                               p.at("head.ln" + k + "beta")));
+  }
+  return nn::LinearBiasAct(x, p.at("head.out.weight"), p.at("head.out.bias"));
+}
+
+/// `batch` without the edges `drop` selects.
+template <typename Drop>
+sample::MiniBatch WithoutEdges(const sample::MiniBatch& batch, Drop drop) {
+  sample::MiniBatch out = batch;
+  out.edge_src.clear();
+  out.edge_dst.clear();
+  out.edge_types.clear();
+  for (size_t e = 0; e < batch.edge_src.size(); ++e) {
+    if (drop(e)) continue;
+    out.edge_src.push_back(batch.edge_src[e]);
+    out.edge_dst.push_back(batch.edge_dst[e]);
+    out.edge_types.push_back(batch.edge_types[e]);
+  }
+  return out;
+}
+
+/// `batch` with its local ids permuted and its edges shuffled.
+sample::MiniBatch Relabeled(const sample::MiniBatch& batch, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int32_t> new_id(static_cast<size_t>(batch.num_nodes()));
+  std::iota(new_id.begin(), new_id.end(), 0);
+  rng.Shuffle(&new_id);
+  std::vector<size_t> edge_order(static_cast<size_t>(batch.num_edges()));
+  std::iota(edge_order.begin(), edge_order.end(), size_t{0});
+  rng.Shuffle(&edge_order);
+  sample::MiniBatch out = batch;
+  for (size_t v = 0; v < new_id.size(); ++v) {
+    out.node_types[new_id[v]] = batch.node_types[v];
+    std::copy(batch.features.Row(static_cast<int64_t>(v)),
+              batch.features.Row(static_cast<int64_t>(v)) +
+                  batch.features.cols(),
+              out.features.Row(new_id[v]));
+  }
+  for (size_t i = 0; i < edge_order.size(); ++i) {
+    out.edge_src[i] = new_id[batch.edge_src[edge_order[i]]];
+    out.edge_dst[i] = new_id[batch.edge_dst[edge_order[i]]];
+    out.edge_types[i] = batch.edge_types[edge_order[i]];
+  }
+  for (int32_t& t : out.target_locals) t = new_id[t];
+  return out;
+}
+
+TEST_F(ModelTest, ReceptiveFieldForwardMatchesFullBatchBitwise) {
+  // The planned forward runs each layer over the rows its successor reads;
+  // the whole-batch forward it replaced is the oracle. Logits, every
+  // parameter grad, the dropout RNG state after the call and, on the
+  // explainer path, the edge_mask and features_override grads must agree
+  // bit for bit — in eval and in training with dropout, for hop-ordered
+  // (SageSampler) and unordered (HgSampler) local ids.
+  std::vector<int32_t> seeds(ds_->train_nodes.begin(),
+                             ds_->train_nodes.begin() + 24);
+  std::vector<std::pair<std::string, sample::MiniBatch>> batches;
+  Rng sage_rng(31);
+  sample::MiniBatch sage =
+      sample::SageSampler(2, 8).SampleBatch(ds_->graph, seeds, &sage_rng);
+  batches.emplace_back("sage", sage);
+  Rng hg_rng(32);
+  sample::MiniBatch hg =
+      sample::HgSampler(2, 8).SampleBatch(ds_->graph, seeds, &hg_rng);
+  batches.emplace_back("hg", hg);
+  // Local ids and edges in random order: kept and dropped edges interleave,
+  // so the first layer's (source, edge type) pairs first appear in a
+  // different order among the kept edges than among all of them.
+  batches.emplace_back("relabeled", Relabeled(hg, 37));
+  // Duplicate targets, and a target whose in-edges are all removed.
+  const int32_t isolated = sage.target_locals[1];
+  sample::MiniBatch dup = WithoutEdges(
+      sage, [&](size_t e) { return sage.edge_dst[e] == isolated; });
+  for (size_t i : {size_t{0}, size_t{3}, size_t{1}}) {
+    dup.target_locals.push_back(sage.target_locals[i]);
+    dup.target_labels.push_back(sage.target_labels[i]);
+  }
+  batches.emplace_back("duplicates+isolated", dup);
+  batches.emplace_back("edgeless",
+                       WithoutEdges(sage, [](size_t) { return true; }));
+
+  for (int num_layers : {1, 2, 3}) {
+    for (bool residual : {true, false}) {
+      DetectorConfig config = SmallDetectorConfig(ds_->graph.feature_dim());
+      config.num_layers = num_layers;
+      config.use_residual = residual;
+      config.dropout = 0.3f;
+      Rng init_rng(33);
+      XFraudDetector model(config, &init_rng);
+      // Zero-initialized tables and biases would hide their gradients'
+      // paths; give every parameter a nonzero value.
+      Rng perturb_rng(34);
+      for (auto& named : model.Parameters()) {
+        nn::Tensor& value = named.var.mutable_value();
+        value.AddInPlace(nn::Tensor::Uniform(value.rows(), value.cols(), 0.3f,
+                                             &perturb_rng));
+      }
+      for (const auto& [name, batch] : batches) {
+        for (bool training : {false, true}) {
+          for (bool explain : {false, true}) {
+            SCOPED_TRACE(name + " layers=" + std::to_string(num_layers) +
+                         " residual=" + std::to_string(residual) +
+                         " training=" + std::to_string(training) +
+                         " explain=" + std::to_string(explain));
+            struct Result {
+              nn::Tensor logits;
+              std::vector<nn::Tensor> grads;
+              Rng::State rng_after;
+            };
+            auto run = [&](bool whole_batch) {
+              model.ZeroGrad();
+              Rng mask_rng(35);
+              nn::Var edge_mask(
+                  nn::Tensor::Uniform(batch.num_edges(), 1, 0.5f, &mask_rng),
+                  /*requires_grad=*/true);
+              edge_mask.mutable_value().AddInPlace(
+                  nn::Tensor(batch.num_edges(), 1, 0.5f));
+              nn::Var features(batch.features, /*requires_grad=*/true);
+              Rng dropout_rng(36);
+              ForwardOptions options;
+              options.training = training;
+              options.rng = &dropout_rng;
+              if (explain) {
+                options.edge_mask = &edge_mask;
+                options.features_override = &features;
+              }
+              nn::Var logits = whole_batch
+                                   ? WholeBatchForward(model, batch, options)
+                                   : model.Forward(batch, options);
+              Result r{logits.value(), {}, dropout_rng.GetState()};
+              nn::CrossEntropy(logits, batch.target_labels).Backward();
+              for (auto& named : model.Parameters()) {
+                r.grads.push_back(named.var.grad());
+              }
+              if (explain) {
+                r.grads.push_back(edge_mask.grad());
+                r.grads.push_back(features.grad());
+              }
+              return r;
+            };
+            Result planned = run(false);
+            Result oracle = run(true);
+            EXPECT_TRUE(planned.logits.BitwiseEqual(oracle.logits));
+            ASSERT_EQ(planned.grads.size(), oracle.grads.size());
+            std::vector<nn::NamedParameter> params = model.Parameters();
+            for (size_t i = 0; i < planned.grads.size(); ++i) {
+              std::string what = i < params.size() ? params[i].name
+                                 : i == params.size() ? "edge_mask"
+                                                      : "features_override";
+              EXPECT_TRUE(planned.grads[i].BitwiseEqual(oracle.grads[i]))
+                  << what;
+            }
+            for (int w = 0; w < 4; ++w) {
+              EXPECT_EQ(planned.rng_after.s[w], oracle.rng_after.s[w]);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ModelTest, DetectorParametersNonEmptyAndNamed) {

@@ -309,8 +309,9 @@ TEST(GradCheck, HeteroConvLayer) {
     CheckGradients(
         in,
         [&](std::vector<Var>& v) {
-          Var out = layer.Forward(v[0], node_types, src, dst, etypes,
-                                  core::ForwardOptions{});
+          Var out = layer.Forward(
+              v[0], core::FullLayerPlan(node_types, src, dst, etypes),
+              core::ForwardOptions{});
           return Sum(Tanh(Mul(out, Constant(upstream))));
         },
         /*eps=*/1e-4f);
