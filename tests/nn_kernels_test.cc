@@ -264,13 +264,14 @@ TEST(FusedConformance, LinearModuleForwardIsFusedPath) {
 
 /// The composed (pre-fusion) attention aggregate: segment softmax, dropout,
 /// per-head weighting via slice/broadcast/concat, scatter-add.
-Var ComposedAttentionAggregate(const Var& scores, const Var& values,
-                               const std::vector<int32_t>& dst,
-                               int64_t num_nodes, int64_t head_dim,
-                               float dropout_p, bool training, Rng* rng) {
+Var ComposedAttentionAggregate(
+    const Var& scores, const Var& values, const std::vector<int32_t>& dst,
+    int64_t num_nodes, int64_t head_dim, float dropout_p, bool training,
+    Rng* rng, const std::vector<int32_t>* mask_rows = nullptr,
+    int64_t mask_block_rows = 0) {
   int64_t heads = scores.cols();
   Var att = SegmentSoftmax(scores, dst, num_nodes);
-  att = Dropout(att, dropout_p, training, rng);
+  att = Dropout(att, dropout_p, training, rng, mask_rows, mask_block_rows);
   Var messages;
   for (int64_t h = 0; h < heads; ++h) {
     Var v_h = SliceCols(values, h * head_dim, head_dim);
@@ -321,10 +322,11 @@ TEST(FusedConformance, AttentionAggregateMatchesComposedBitwiseEval) {
 
 TEST(FusedConformance, AttentionAggregateMatchesComposedBitwiseTraining) {
   // Training mode: the fused kernel must consume dropout randomness in the
-  // exact order of the unfused Dropout op, so same-seeded runs coincide.
-  // ±0, NaN and ±Inf in the values and the upstream gradient; the values
-  // also feed a second consumer, so the order in which their gradient
-  // terms accumulate is compared too.
+  // exact order of the unfused Dropout op, so same-seeded runs coincide —
+  // also when the edges are some rows of a larger edge block whose mask
+  // rows they read. ±0, NaN and ±Inf in the values and the upstream
+  // gradient; the values also feed a second consumer, so the order in
+  // which their gradient terms accumulate is compared too.
   Rng rng(304);
   const int64_t kHeads = 3;
   const int64_t kHeadDim = 2;
@@ -336,25 +338,34 @@ TEST(FusedConformance, AttentionAggregateMatchesComposedBitwiseTraining) {
   Tensor vt = SpecialTensor(kRows, kHeads * kHeadDim, &rng);
   Tensor upstream = SpecialTensor(3, kHeads * kHeadDim, &rng);
 
-  auto run = [&](bool fused, Var* s, Var* v) {
-    Rng drop(42);
-    Var out = fused ? AttentionAggregate(*s, *v, kv_row, dst, 3, kHeadDim,
-                                         /*dropout_p=*/0.3f,
-                                         /*training=*/true, &drop)
-                    : ComposedAttentionAggregate(*s, IndexRows(*v, kv_row),
-                                                 dst, 3, kHeadDim, 0.3f, true,
-                                                 &drop);
-    Add(Sum(Mul(out, Constant(upstream))), Sum(Tanh(*v))).Backward();
-    return out;
-  };
-  Var s1(st, true), v1(vt, true);
-  Var fused = run(true, &s1, &v1);
-  Var s2(st, true), v2(vt, true);
-  Var composed = run(false, &s2, &v2);
+  // The edges as rows of a 16-row block, out of order.
+  const std::vector<int32_t> block_rows = {15, 0, 3, 2, 8, 9, 11, 5, 12, 14};
+  for (const std::vector<int32_t>* mask_rows : {
+           static_cast<const std::vector<int32_t>*>(nullptr), &block_rows}) {
+    SCOPED_TRACE(mask_rows == nullptr ? "own rows" : "block rows");
+    auto run = [&](bool fused, Var* s, Var* v, Rng* drop) {
+      Var out =
+          fused ? AttentionAggregate(*s, *v, kv_row, dst, 3, kHeadDim,
+                                     /*dropout_p=*/0.3f, /*training=*/true,
+                                     drop, mask_rows, 16)
+                : ComposedAttentionAggregate(*s, IndexRows(*v, kv_row), dst,
+                                             3, kHeadDim, 0.3f, true, drop,
+                                             mask_rows, 16);
+      Add(Sum(Mul(out, Constant(upstream))), Sum(Tanh(*v))).Backward();
+      return out;
+    };
+    Var s1(st, true), v1(vt, true);
+    Rng drop1(42);
+    Var fused = run(true, &s1, &v1, &drop1);
+    Var s2(st, true), v2(vt, true);
+    Rng drop2(42);
+    Var composed = run(false, &s2, &v2, &drop2);
 
-  EXPECT_TRUE(fused.value().BitwiseEqual(composed.value()));
-  EXPECT_TRUE(s1.grad().BitwiseEqual(s2.grad()));
-  EXPECT_TRUE(v1.grad().BitwiseEqual(v2.grad()));
+    EXPECT_TRUE(fused.value().BitwiseEqual(composed.value()));
+    EXPECT_TRUE(s1.grad().BitwiseEqual(s2.grad()));
+    EXPECT_TRUE(v1.grad().BitwiseEqual(v2.grad()));
+    EXPECT_EQ(drop1.NextUint64(), drop2.NextUint64());
+  }
 }
 
 /// The composed (pre-fusion) typed linear: per type, gather the rows, run
