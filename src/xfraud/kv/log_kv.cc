@@ -22,6 +22,36 @@ constexpr uint8_t kKindEpoch = 3;  // commit marker: klen 0, value LE64 epoch
 constexpr uint8_t kKindFloor = 4;  // GC floor: klen 0, value LE64 epoch
 constexpr size_t kHeaderSize = 4 + 1 + 4 + 4;  // crc + kind + klen + vlen
 
+// The read mapping's capacity: 1 MiB, doubled until it covers the file. A
+// bulk load of N bytes then maps ceil(log2(N / 1 MiB)) + 1 times instead of
+// once per record.
+//
+// The mapping reaches past the file's end, and touching a page that lies
+// wholly past EOF raises SIGBUS. No read can get there: every read is
+// bounded by file_size_ — replay's header walk checks each record against
+// it, and Get/GetAt/Compact read only index entries, which replay or an
+// append under the exclusive lock created below file_size_. The shrink
+// paths keep the rule: replay's torn-tail ftruncate and DiscardPending cut
+// the file only under the exclusive lock and rebuild the index from the
+// shorter file before any reader runs, and Compact maps the new image
+// before swapping it in.
+constexpr int64_t kMinMapCapacity = int64_t{1} << 20;
+
+int64_t MapCapacityFor(int64_t size) {
+  int64_t capacity = kMinMapCapacity;
+  while (capacity < size) capacity *= 2;
+  return capacity;
+}
+
+/// Maps `capacity` bytes of `fd` read-only; nullptr if mmap fails.
+const char* MapForRead(int fd, int64_t capacity) {
+  void* base = ::mmap(nullptr, static_cast<size_t>(capacity), PROT_READ,
+                      MAP_SHARED, fd, 0);
+  if (base == MAP_FAILED) return nullptr;
+  KvMetrics::Get().remaps->Increment();
+  return static_cast<const char*>(base);
+}
+
 /// Writes one WAL record at `*end` of `fd` and advances `*end`. The record
 /// is {crc: u32, kind: u8, klen: u32, vlen: u32, key, value}, the CRC
 /// covering everything after itself.
@@ -83,27 +113,29 @@ Result<std::unique_ptr<LogKvStore>> LogKvStore::Open(const std::string& path) {
 }
 
 LogKvStore::~LogKvStore() {
-  if (map_base_ != nullptr) {
-    ::munmap(const_cast<char*>(map_base_), map_size_);
-  }
+  Unmap();
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status LogKvStore::RemapForRead() const {
-  if (map_size_ == file_size_) return Status::OK();
+void LogKvStore::Unmap() {
   if (map_base_ != nullptr) {
-    ::munmap(const_cast<char*>(map_base_), map_size_);
-    map_base_ = nullptr;
-    map_size_ = 0;
+    ::munmap(const_cast<char*>(map_base_),
+             static_cast<size_t>(map_capacity_));
   }
-  if (file_size_ == 0) return Status::OK();
-  void* base =
-      ::mmap(nullptr, file_size_, PROT_READ, MAP_SHARED, fd_, 0);
-  if (base == MAP_FAILED) {
-    return Status::IoError("mmap failed on " + path_);
-  }
-  map_base_ = static_cast<const char*>(base);
-  map_size_ = file_size_;
+  map_base_ = nullptr;
+  map_capacity_ = 0;
+}
+
+Status LogKvStore::GrowReadMapping() {
+  if (file_size_ <= map_capacity_) return Status::OK();
+  // Map the larger window before dropping the old one: a failed mmap leaves
+  // every byte the index already points at readable.
+  const int64_t capacity = MapCapacityFor(file_size_);
+  const char* base = MapForRead(fd_, capacity);
+  if (base == nullptr) return Status::IoError("mmap failed on " + path_);
+  Unmap();
+  map_base_ = base;
+  map_capacity_ = capacity;
   return Status::OK();
 }
 
@@ -112,7 +144,7 @@ Status LogKvStore::ReplayLog() {
   published_ = 0;
   published_end_ = 0;
   floor_ = 0;
-  XF_RETURN_IF_ERROR(RemapForRead());
+  XF_RETURN_IF_ERROR(GrowReadMapping());
   int64_t offset = 0;
   int64_t valid_end = 0;
   while (offset + static_cast<int64_t>(kHeaderSize) <= file_size_) {
@@ -154,8 +186,7 @@ Status LogKvStore::ReplayLog() {
     if (::ftruncate(fd_, valid_end) != 0) {
       return Status::IoError("ftruncate failed on " + path_);
     }
-    file_size_ = valid_end;
-    XF_RETURN_IF_ERROR(RemapForRead());
+    file_size_ = valid_end;  // the mapping stays; reads stop at valid_end
   }
   return Status::OK();
 }
@@ -194,10 +225,10 @@ Status LogKvStore::Put(std::string_view key, std::string_view value) {
                          static_cast<int64_t>(key.size());
   XF_RETURN_IF_ERROR(
       WriteRecord(fd_, path_, &file_size_, kKindPut, key, value));
+  XF_RETURN_IF_ERROR(GrowReadMapping());
   UpsertPending(std::string(key),
                 Version{head_epoch_locked(), value_offset,
                         static_cast<uint32_t>(value.size())});
-  XF_RETURN_IF_ERROR(RemapForRead());
   metrics.put_ops->Increment();
   metrics.bytes_written->Add(
       static_cast<int64_t>(kHeaderSize + key.size() + value.size()));
@@ -215,7 +246,7 @@ Status LogKvStore::Get(std::string_view key, std::string* value) const {
     metrics.get_misses->Increment();
     return Status::NotFound("key: " + std::string(key));
   }
-  XF_CHECK_LE(v->value_offset + v->value_size, map_size_);
+  XF_CHECK_LE(v->value_offset + v->value_size, file_size_);
   value->assign(map_base_ + v->value_offset, v->value_size);
   metrics.get_hits->Increment();
   metrics.bytes_read->Add(static_cast<int64_t>(v->value_size));
@@ -245,7 +276,7 @@ Status LogKvStore::GetAt(std::string_view key, uint64_t epoch,
     return Status::NotFound("key: " + std::string(key) + " at epoch " +
                             std::to_string(epoch));
   }
-  XF_CHECK_LE(v->value_offset + v->value_size, map_size_);
+  XF_CHECK_LE(v->value_offset + v->value_size, file_size_);
   value->assign(map_base_ + v->value_offset, v->value_size);
   metrics.get_hits->Increment();
   metrics.bytes_read->Add(static_cast<int64_t>(v->value_size));
@@ -261,8 +292,8 @@ Status LogKvStore::Delete(std::string_view key) {
   }
   XF_RETURN_IF_ERROR(
       WriteRecord(fd_, path_, &file_size_, kKindDelete, key, ""));
+  XF_RETURN_IF_ERROR(GrowReadMapping());
   UpsertPending(std::string(key), Version{head_epoch_locked(), -1, 0});
-  XF_RETURN_IF_ERROR(RemapForRead());
   return Status::OK();
 }
 
@@ -329,7 +360,7 @@ Result<uint64_t> LogKvStore::PublishEpoch() {
   }
   published_ = next;
   published_end_ = file_size_;
-  XF_RETURN_IF_ERROR(RemapForRead());
+  XF_RETURN_IF_ERROR(GrowReadMapping());
   return next;
 }
 
@@ -502,22 +533,27 @@ Result<int64_t> LogKvStore::Compact() {
     return fail(Status::IoError("fsync failed on " + tmp_path));
   }
   if (compaction_hook_) compaction_hook_(1);
+  // Map the new image before the rename, so a failed mmap leaves the old
+  // image live and this store still reading it.
+  const int64_t new_capacity = MapCapacityFor(new_size);
+  const char* new_base = MapForRead(tmp_fd, new_capacity);
+  if (new_base == nullptr) {
+    return fail(Status::IoError("mmap failed on " + tmp_path));
+  }
   if (::rename(tmp_path.c_str(), path_.c_str()) != 0) {
+    ::munmap(const_cast<char*>(new_base), static_cast<size_t>(new_capacity));
     return fail(Status::IoError("rename failed for " + tmp_path));
   }
   if (compaction_hook_) compaction_hook_(2);
-  if (map_base_ != nullptr) {
-    ::munmap(const_cast<char*>(map_base_), map_size_);
-    map_base_ = nullptr;
-    map_size_ = 0;
-  }
+  Unmap();
+  map_base_ = new_base;
+  map_capacity_ = new_capacity;
   ::close(fd_);
   fd_ = tmp_fd;
   file_size_ = new_size;
   published_end_ = new_published_end;
   if (floor > 1) floor_ = floor;
   index_ = std::move(new_index);
-  XF_RETURN_IF_ERROR(RemapForRead());
   return old_size - new_size;
 }
 

@@ -21,7 +21,9 @@ namespace xfraud::kv {
 /// to its version chain. Reads go through a read-only mmap of the segment,
 /// so — like LMDB — concurrent readers touch shared, immutable pages and
 /// scale with threads (the property Figure 13's multi-threaded loader
-/// exploits).
+/// exploits). The mapping's capacity runs ahead of the file (1 MiB,
+/// doubled as the file outgrows it), so appends remap only O(log size)
+/// times; no read goes past the file's end (see log_kv.cc).
 ///
 /// Record layout (little endian):
 ///   u32 crc (over the rest) | u8 kind | u32 klen | u32 vlen
@@ -109,7 +111,11 @@ class LogKvStore : public KvStore, public EpochSource {
   };
 
   Status ReplayLog();
-  Status RemapForRead() const;
+  /// Remaps the segment at the next power-of-two capacity (>= 1 MiB) when
+  /// the file has outgrown the current mapping; a no-op otherwise.
+  Status GrowReadMapping();
+  /// Drops the read mapping, if any.
+  void Unmap();
   /// Records `v` as the pending-epoch version of `key` (replace-in-place
   /// within the open epoch).
   void UpsertPending(const std::string& key, Version v);
@@ -137,9 +143,10 @@ class LogKvStore : public KvStore, public EpochSource {
 
   std::function<void(int)> compaction_hook_;
 
-  // Read-only mapping of the segment; remapped when the file grows.
-  mutable const char* map_base_ = nullptr;
-  mutable int64_t map_size_ = 0;
+  // Read-only mapping of the segment, `map_capacity_` bytes long: at least
+  // file_size_, often more. Reads stay below file_size_.
+  const char* map_base_ = nullptr;
+  int64_t map_capacity_ = 0;
 };
 
 }  // namespace xfraud::kv

@@ -4,10 +4,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <thread>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "xfraud/common/bytes.h"
 #include "xfraud/common/crc32.h"
 #include "xfraud/common/rng.h"
 #include "xfraud/data/generator.h"
@@ -17,6 +21,7 @@
 #include "xfraud/kv/mem_kv.h"
 #include "xfraud/kv/replicated_kv.h"
 #include "xfraud/kv/sharded_kv.h"
+#include "xfraud/obs/registry.h"
 #include "xfraud/sample/sampler.h"
 
 namespace xfraud::kv {
@@ -285,6 +290,15 @@ TEST(LogKvTest, CompactReclaimsSpace) {
   ASSERT_TRUE(store->Get("key2", &value).ok());
 }
 
+/// The value the growth tests write under key `i`: `size` bytes that differ
+/// per key, so a read served from the wrong offset cannot pass.
+std::string PatternValue(int i, size_t size) {
+  std::string value(size, '\0');
+  Rng rng(static_cast<uint64_t>(i) + 1);
+  for (char& c : value) c = static_cast<char>(rng.NextBounded(256));
+  return value;
+}
+
 TEST(LogKvTest, ConcurrentReaders) {
   std::string path = TempPath("log_concurrent.kv");
   std::remove(path.c_str());
@@ -295,23 +309,307 @@ TEST(LogKvTest, ConcurrentReaders) {
                           "value" + std::to_string(i))
                     .ok());
   }
+  // A writer appends 40 values of 64 KiB while the readers run, so the
+  // read mapping grows across the 1 MiB and 2 MiB capacity boundaries
+  // under their feet.
+  constexpr int kBigValues = 40;
+  constexpr size_t kBigSize = size_t{64} << 10;
+  std::vector<std::string> big;
+  for (int i = 0; i < kBigValues; ++i) big.push_back(PatternValue(i, kBigSize));
+  std::atomic<bool> writer_done{false};
   std::atomic<int> errors{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kBigValues; ++i) {
+      if (!store->Put("big" + std::to_string(i), big[i]).ok()) {
+        errors.fetch_add(1);
+      }
+    }
+    writer_done.store(true);
+  });
   constexpr int kReaders = 4;
   std::vector<std::thread> readers;
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
-      for (int i = t; i < 2000; i += kReaders) {
+      for (int i = t; i < 2000 || !writer_done.load(); i += kReaders) {
         std::string value;
         int k = i % 200;
         Status s = store->Get("key" + std::to_string(k), &value);
         if (!s.ok() || value != "value" + std::to_string(k)) {
           errors.fetch_add(1);
         }
+        // A big value is either not written yet or whole.
+        int b = i % kBigValues;
+        s = store->Get("big" + std::to_string(b), &value);
+        if (!(s.IsNotFound() || (s.ok() && value == big[b]))) {
+          errors.fetch_add(1);
+        }
       }
     });
   }
+  writer.join();
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(errors.load(), 0);
+  EXPECT_GT(store->FileSize(), int64_t{2} << 20);
+}
+
+/// Remaps a bulk load of `file_size` bytes may take: the first mapping plus
+/// one per capacity doubling past 1 MiB, i.e. ceil(log2(size / 1 MiB)) + 1.
+int64_t RemapBudget(int64_t file_size) {
+  int64_t budget = 1;
+  for (int64_t capacity = int64_t{1} << 20; capacity < file_size;
+       capacity *= 2) {
+    ++budget;
+  }
+  return budget;
+}
+
+int64_t RemapCount() {
+  return obs::Registry::Global().counter("kv/remaps")->value();
+}
+
+TEST(LogKvTest, BulkLoadRemapsLogarithmically) {
+  data::SimDataset ds = data::TransactionGenerator::Make(
+      data::TransactionGenerator::SimSmall(), "remaps");
+  std::string path = TempPath("log_bulk_remaps.kv");
+  std::remove(path.c_str());
+  auto store = std::move(LogKvStore::Open(path).value());
+  const int64_t before = RemapCount();
+  FeatureStore features(store.get());
+  ASSERT_TRUE(features.Ingest(ds.graph).ok());
+  ASSERT_TRUE(store->PublishEpoch().ok());
+  const int64_t remaps = RemapCount() - before;
+  // sim-small writes a few MiB into one cell, so the load crosses at least
+  // one capacity boundary.
+  ASSERT_GT(store->FileSize(), int64_t{1} << 20);
+  EXPECT_GE(remaps, 2);
+  EXPECT_LE(remaps, RemapBudget(store->FileSize()))
+      << "file size " << store->FileSize();
+  auto dim = features.FeatureDim();
+  ASSERT_TRUE(dim.ok());
+  EXPECT_EQ(dim.value(), ds.graph.feature_dim());
+  store.reset();
+  std::remove(path.c_str());
+}
+
+/// Checks that every key in `expected` reads back whole through Get (head)
+/// and GetAt (the latest published epoch).
+void ExpectAllReadBack(const LogKvStore& store,
+                       const std::map<std::string, std::string>& expected) {
+  const uint64_t epoch = store.published_epoch();
+  for (const auto& [key, want] : expected) {
+    std::string value;
+    ASSERT_TRUE(store.Get(key, &value).ok()) << key;
+    ASSERT_EQ(value, want) << key;
+    ASSERT_TRUE(store.GetAt(key, epoch, &value).ok()) << key;
+    ASSERT_EQ(value, want) << key << " at epoch " << epoch;
+  }
+}
+
+TEST(LogKvTest, ReadMappingGrowsAndShrinksWithTheFile) {
+  std::string path = TempPath("log_mapping_growth.kv");
+  std::remove(path.c_str());
+  std::remove((path + ".compact").c_str());
+  const int64_t remaps_before = RemapCount();
+  std::map<std::string, std::string> expected;
+  int next = 0;
+  auto store = std::move(LogKvStore::Open(path).value());
+  // Values just over 64 KiB, each published, until the file is past
+  // 4 MiB: the mapping crosses the 1, 2 and 4 MiB capacities. Every value
+  // written so far reads back after every write.
+  while (store->FileSize() <= int64_t{9} << 19) {
+    std::string key = "k" + std::to_string(next);
+    std::string value = PatternValue(next, (size_t{64} << 10) + 37 * next);
+    ++next;
+    ASSERT_TRUE(store->Put(key, value).ok());
+    ASSERT_TRUE(store->PublishEpoch().ok());
+    expected[key] = value;
+    ExpectAllReadBack(*store, expected);
+  }
+  // The first append mapped 1 MiB; the 2, 4 and 8 MiB capacities followed.
+  EXPECT_EQ(RemapCount() - remaps_before, 4);
+
+  // DiscardPending truncates the file below the mapped length (the pending
+  // tail itself crossed into the 8 MiB capacity).
+  const int64_t published_size = store->FileSize();
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(
+        store->Put("pending" + std::to_string(i), PatternValue(1000 + i, 65536))
+            .ok());
+  }
+  ASSERT_GT(store->FileSize(), int64_t{8} << 20);
+  ASSERT_TRUE(store->DiscardPending().ok());
+  EXPECT_EQ(store->FileSize(), published_size);
+  ExpectAllReadBack(*store, expected);
+  std::string value;
+  EXPECT_TRUE(store->Get("pending0", &value).IsNotFound());
+  // Appends after the truncation land inside the existing mapping.
+  ASSERT_TRUE(store->Put("after-discard", PatternValue(2000, 4096)).ok());
+  ASSERT_TRUE(store->PublishEpoch().ok());
+  expected["after-discard"] = PatternValue(2000, 4096);
+  ExpectAllReadBack(*store, expected);
+
+  // A torn tail, recovered on reopen: replay truncates the file under its
+  // fresh, larger mapping.
+  const int64_t intact_size = store->FileSize();
+  ASSERT_TRUE(store->Put("torn", PatternValue(3000, 300000)).ok());
+  store.reset();
+  std::filesystem::resize_file(std::filesystem::path(path),
+                               static_cast<uintmax_t>(intact_size + 150000));
+  store = std::move(LogKvStore::Open(path).value());
+  EXPECT_EQ(store->FileSize(), intact_size);
+  EXPECT_TRUE(store->Get("torn", &value).IsNotFound());
+  ExpectAllReadBack(*store, expected);
+
+  // Overwrite half the keys so Compact reclaims space, then grow the
+  // compacted file across a capacity boundary again.
+  for (int i = 0; i < next; i += 2) {
+    std::string key = "k" + std::to_string(i);
+    expected[key] = PatternValue(4000 + i, 1000);
+    ASSERT_TRUE(store->Put(key, expected[key]).ok());
+  }
+  ASSERT_TRUE(store->PublishEpoch().ok());
+  auto reclaimed = store->Compact();
+  ASSERT_TRUE(reclaimed.ok()) << reclaimed.status().ToString();
+  EXPECT_GT(reclaimed.value(), 0);
+  ExpectAllReadBack(*store, expected);
+  const int64_t compacted_budget = RemapBudget(store->FileSize());
+  while (RemapBudget(store->FileSize()) == compacted_budget) {
+    std::string key = "k" + std::to_string(next);
+    std::string grown = PatternValue(next, size_t{64} << 10);
+    ++next;
+    ASSERT_TRUE(store->Put(key, grown).ok());
+    ASSERT_TRUE(store->PublishEpoch().ok());
+    expected[key] = grown;
+    ExpectAllReadBack(*store, expected);
+  }
+  store.reset();
+  std::remove(path.c_str());
+}
+
+TEST(LogKvTest, CompactToAnEmptyImageStaysWritable) {
+  std::string path = TempPath("log_compact_empty.kv");
+  std::remove(path.c_str());
+  auto store = std::move(LogKvStore::Open(path).value());
+  ASSERT_TRUE(store->Put("gone", "soon").ok());
+  ASSERT_TRUE(store->Delete("gone").ok());
+  // Nothing published and nothing live: the compacted image is empty, and
+  // the store maps it all the same.
+  ASSERT_TRUE(store->Compact().ok());
+  EXPECT_EQ(store->FileSize(), 0);
+  std::string value;
+  EXPECT_TRUE(store->Get("gone", &value).IsNotFound());
+  ASSERT_TRUE(store->Put("back", "again").ok());
+  ASSERT_TRUE(store->Get("back", &value).ok());
+  EXPECT_EQ(value, "again");
+  store.reset();
+  std::remove(path.c_str());
+}
+
+/// Record boundaries and the head state after each prefix of a small WAL.
+struct WalPrefix {
+  int64_t end;  // file offset just past the prefix's last record
+  uint64_t published;
+  std::map<std::string, std::string> live;
+};
+
+TEST(LogKvTest, HostileWalBytesNeverReadPastTheFile) {
+  // A WAL of puts, deletes and epoch markers whose size is exactly one
+  // page: a read past its end then touches a page wholly past EOF of the
+  // (1 MiB) mapping and dies with SIGBUS instead of reading zeros.
+  const int64_t page = ::sysconf(_SC_PAGESIZE);
+  constexpr int64_t kHeader = 13;  // crc u32, kind u8, klen u32, vlen u32
+  std::string path = TempPath("log_hostile_src.kv");
+  std::remove(path.c_str());
+  std::vector<WalPrefix> prefixes = {{0, 0, {}}};
+  {
+    auto store = std::move(LogKvStore::Open(path).value());
+    WalPrefix state = prefixes.back();
+    auto record = [&] {
+      state.end = store->FileSize();
+      state.published = store->published_epoch();
+      prefixes.push_back(state);
+    };
+    for (int i = 0; i < 6; ++i) {
+      std::string key = "key" + std::to_string(i % 4);
+      state.live[key] = PatternValue(i, 100 + 41 * i);
+      ASSERT_TRUE(store->Put(key, state.live[key]).ok());
+      record();
+      if (i % 2 == 1) {
+        ASSERT_TRUE(store->PublishEpoch().ok());
+        record();
+      }
+    }
+    ASSERT_TRUE(store->Delete("key1").ok());
+    state.live.erase("key1");
+    record();
+    // Pad with a last put whose value fills the page exactly.
+    const int64_t pad = page - store->FileSize() - kHeader - 3;
+    ASSERT_GE(pad, 0);
+    state.live["pad"] = PatternValue(99, static_cast<size_t>(pad));
+    ASSERT_TRUE(store->Put("pad", state.live["pad"]).ok());
+    record();
+    ASSERT_EQ(store->FileSize(), page);
+  }
+  std::string wal;
+  {
+    std::ifstream in(path, std::ios::binary);
+    wal.assign(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(static_cast<int64_t>(wal.size()), page);
+
+  std::string probe = TempPath("log_hostile_probe.kv");
+  auto open_bytes = [&](const std::string& bytes) {
+    std::remove(probe.c_str());
+    std::ofstream(probe, std::ios::binary) << bytes;
+    return LogKvStore::Open(probe);
+  };
+  // Open must either fail or hold exactly the records before `limit`.
+  auto expect_prefix = [&](Result<std::unique_ptr<LogKvStore>> opened,
+                           int64_t limit, const std::string& what) {
+    if (!opened.ok()) return;
+    const LogKvStore& store = *opened.value();
+    const WalPrefix* want = &prefixes.front();
+    for (const WalPrefix& p : prefixes) {
+      if (p.end <= limit) want = &p;
+    }
+    ASSERT_EQ(store.FileSize(), want->end) << what;
+    ASSERT_EQ(store.published_epoch(), want->published) << what;
+    ASSERT_EQ(store.Count(), static_cast<int64_t>(want->live.size())) << what;
+    for (const auto& [key, value] : want->live) {
+      std::string got;
+      ASSERT_TRUE(store.Get(key, &got).ok()) << what << " " << key;
+      ASSERT_EQ(got, value) << what << " " << key;
+    }
+  };
+
+  for (int64_t cut = 0; cut <= page; ++cut) {
+    expect_prefix(open_bytes(wal.substr(0, static_cast<size_t>(cut))), cut,
+                  "cut at " + std::to_string(cut));
+  }
+  // Inflate klen (header bytes 5..8) or vlen (9..12) of each record: by
+  // one, to reach exactly EOF, one byte past EOF, and to the u32 maximum.
+  for (size_t r = 0; r + 1 < prefixes.size(); ++r) {
+    const int64_t at = prefixes[r].end;
+    for (int64_t field : {5, 9}) {
+      const uint32_t old_len =
+          ByteReader(wal.data() + at + field, 4).U32();
+      const int64_t room = page - at - kHeader;  // bytes after this header
+      for (int64_t len : {int64_t{old_len} + 1, room, room + 1,
+                          int64_t{UINT32_MAX}}) {
+        std::string hostile = wal;
+        std::string bytes = ByteWriter().U32(static_cast<uint32_t>(len))
+                                .Release();
+        hostile.replace(static_cast<size_t>(at + field), 4, bytes);
+        expect_prefix(open_bytes(hostile), at,
+                      "record " + std::to_string(r) + " field " +
+                          std::to_string(field) + " len " +
+                          std::to_string(len));
+      }
+    }
+  }
+  std::remove(probe.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(ShardedKvTest, SpreadsKeysAcrossShards) {
