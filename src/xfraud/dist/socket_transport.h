@@ -70,9 +70,9 @@ Status RecvFrameInto(int fd, FrameType want, void* payload,
 
 /// Waits until any fd in `fds` is readable and returns its index in `fds`
 /// (ties break toward the lowest index); DeadlineExceeded on expiry. The
-/// serving tier's event loops (shard server, router hedging) multiplex
-/// connections through this instead of issuing their own poll() — socket
-/// readiness stays a dist/ primitive.
+/// serving tier's shard-server event loop multiplexes its connections
+/// through this instead of issuing its own poll() — socket readiness stays
+/// a dist/ primitive.
 Result<int> WaitAnyReadable(const std::vector<int>& fds,
                             const Deadline& deadline, Clock* clock);
 

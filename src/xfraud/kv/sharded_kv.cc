@@ -6,7 +6,6 @@
 #include <string>
 
 #include "xfraud/common/logging.h"
-#include "xfraud/common/rng.h"
 #include "xfraud/common/timer.h"
 #include "xfraud/kv/mem_kv.h"
 #include "xfraud/obs/registry.h"
@@ -65,16 +64,9 @@ Status ShardedKvStore::Put(std::string_view key, std::string_view value) {
 
 Status ShardedKvStore::Get(std::string_view key, std::string* value) const {
   size_t shard = ShardOf(key);
-  auto read = [&] {
-    if (!retry_.enabled()) return shards_[shard]->Get(key, value);
-    uint64_t jitter_seed =
-        Rng::StreamSeed(0x53484152ULL, std::hash<std::string_view>{}(key));
-    return RetryWithBackoff(retry_, jitter_seed,
-                            [&] { return shards_[shard]->Get(key, value); });
-  };
-  if (!obs::IsEnabled()) return read();
+  if (!obs::IsEnabled()) return shards_[shard]->Get(key, value);
   WallTimer timer;
-  Status s = read();
+  Status s = shards_[shard]->Get(key, value);
   shard_get_s_[shard]->Record(timer.ElapsedSeconds());
   return s;
 }
@@ -83,17 +75,9 @@ Status ShardedKvStore::GetAt(std::string_view key, uint64_t epoch,
                              std::string* value) const {
   if (epoch == kHeadEpoch) return Get(key, value);
   size_t shard = ShardOf(key);
-  auto read = [&] {
-    if (!retry_.enabled()) return shards_[shard]->GetAt(key, epoch, value);
-    uint64_t jitter_seed =
-        Rng::StreamSeed(0x53484152ULL, std::hash<std::string_view>{}(key));
-    return RetryWithBackoff(retry_, jitter_seed, [&] {
-      return shards_[shard]->GetAt(key, epoch, value);
-    });
-  };
-  if (!obs::IsEnabled()) return read();
+  if (!obs::IsEnabled()) return shards_[shard]->GetAt(key, epoch, value);
   WallTimer timer;
-  Status s = read();
+  Status s = shards_[shard]->GetAt(key, epoch, value);
   shard_get_s_[shard]->Record(timer.ElapsedSeconds());
   return s;
 }

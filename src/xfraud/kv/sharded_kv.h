@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "xfraud/common/retry.h"
 #include "xfraud/kv/kvstore.h"
 #include "xfraud/obs/metrics.h"
 
@@ -34,8 +33,8 @@ class ShardedKvStore : public KvStore {
   int64_t Count() const override;
   std::vector<std::string> KeysWithPrefix(
       std::string_view prefix) const override;
-  /// Epoch-pinned reads route to the same shard and retry policy as their
-  /// head counterparts; the epoch travels to the shard backend verbatim, so
+  /// Epoch-pinned reads route to the same shard as their head
+  /// counterparts; the epoch travels to the shard backend verbatim, so
   /// a scan can never silently merge rows from different epochs — shards
   /// that can't serve the epoch fail loudly instead.
   Status GetAt(std::string_view key, uint64_t epoch,
@@ -45,20 +44,12 @@ class ShardedKvStore : public KvStore {
 
   size_t num_shards() const { return shards_.size(); }
 
-  /// Retry-with-backoff for shard reads (default: single attempt). Lets a
-  /// sharded store built over flaky backends (network shards, FaultyKvStore
-  /// in chaos tests) absorb transient IoError/Corruption at the shard
-  /// boundary. Configure before sharing the store across threads.
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-
  private:
   size_t ShardOf(std::string_view key) const;
   void InitMetrics();
 
   std::vector<std::unique_ptr<KvStore>> owned_;
   std::vector<KvStore*> shards_;
-  RetryPolicy retry_;
   // Per-shard op-latency histograms ("kv/shard<i>/get_s", ".../put_s") in
   // the global registry: a hot shard (skewed hash or a slow backend) shows
   // up as one shard's p99 detaching from the others'.

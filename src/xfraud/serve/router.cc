@@ -7,6 +7,7 @@
 
 #include "xfraud/common/frame.h"
 #include "xfraud/common/logging.h"
+#include "xfraud/common/retry.h"
 #include "xfraud/common/rng.h"
 #include "xfraud/dist/socket_transport.h"
 #include "xfraud/obs/registry.h"
@@ -15,7 +16,21 @@
 namespace xfraud::serve {
 
 namespace {
+
 constexpr uint64_t kRouterJitterTag = 0x524F5554ULL;  // "ROUT"
+
+// Budgets no caller tunes: sends per request (across failover and
+// corruption retries) before the router gives up with Unavailable, the
+// budget of one dial, and the backoff between attempts. Every sleep is
+// clamped to the request's remaining wire deadline, so a retry can never
+// outlive the budget it is retrying under.
+constexpr int kMaxAttempts = 8;
+constexpr double kConnectTimeoutS = 5.0;
+const RetryPolicy kRetry{.max_attempts = 8,
+                         .initial_backoff_s = 0.001,
+                         .max_backoff_s = 0.05,
+                         .deadline_s = 60.0};
+
 }  // namespace
 
 Router::Router(RouterOptions options)
@@ -33,8 +48,6 @@ Router::Router(RouterOptions options)
   requests_ = r.counter("serve/router/requests");
   ok_ = r.counter("serve/router/ok");
   failovers_ = r.counter("serve/router/failovers");
-  hedged_ = r.counter("serve/router/hedged");
-  hedge_wins_ = r.counter("serve/router/hedge_wins");
   breaker_opens_ = r.counter("serve/router/breaker_opens");
   corrupt_retries_ = r.counter("serve/router/corrupt_retries");
   redials_ = r.counter("serve/router/redials");
@@ -57,10 +70,9 @@ Status Router::EnsureConnected(int shard, int replica,
                          static_cast<size_t>(replica)];
   // A respawning server needs a moment to replay its WAL and rebind; dial
   // refusals are IoError and retried with backoff inside the budget.
-  RetryPolicy policy = options_.retry;
+  RetryPolicy policy = kRetry;
   policy.clock = clock_;
-  policy.deadline_s =
-      std::min(options_.connect_timeout_s, deadline.RemainingSeconds());
+  policy.deadline_s = std::min(kConnectTimeoutS, deadline.RemainingSeconds());
   const uint64_t seed = Rng::StreamSeed(
       kRouterJitterTag, static_cast<uint64_t>(shard) << 16 |
                             static_cast<uint64_t>(replica));
@@ -69,8 +81,8 @@ Status Router::EnsureConnected(int shard, int replica,
       return Status::DeadlineExceeded("router: dial budget spent");
     }
     const Deadline one = Deadline::After(
-        clock_, std::min(options_.connect_timeout_s,
-                         std::max(0.0, deadline.RemainingSeconds())));
+        clock_,
+        std::min(kConnectTimeoutS, std::max(0.0, deadline.RemainingSeconds())));
     Result<UniqueFd> fd = dist::DialEndpoint(ep, one, clock_);
     if (!fd.ok()) return fd.status();
     b.conn = std::move(fd).value();
@@ -113,8 +125,7 @@ Status Router::SendRequest(int shard, int replica, int64_t request_id,
 }
 
 Result<ScoreResponse> Router::Attempt(int shard, int replica,
-                                      int hedge_replica, int64_t request_id,
-                                      int32_t txn_node,
+                                      int64_t request_id, int32_t txn_node,
                                       const Deadline& deadline,
                                       bool* retryable) {
   *retryable = true;
@@ -131,76 +142,38 @@ Result<ScoreResponse> Router::Attempt(int shard, int replica,
     return sent;
   }
 
-  Backend* winner = &primary;
-  Backend* loser = nullptr;
-  if (hedge_replica >= 0 && options_.hedge_delay_s >= 0.0) {
-    const Deadline hedge_wait = Deadline::After(
-        clock_, std::max(0.0, std::min(options_.hedge_delay_s,
-                                       deadline.RemainingSeconds())));
-    Result<int> first =
-        dist::WaitAnyReadable({primary.conn.get()}, hedge_wait, clock_);
-    Backend& backup = backend(shard, hedge_replica);
-    if (!first.ok() && first.status().IsDeadlineExceeded() &&
-        !deadline.Expired() && backup.breaker.Admit()) {
-      // Primary is slow but the request still has budget: duplicate it onto
-      // the backup and take whichever replies first. Scores are
-      // bit-identical across replicas, so the race has one right answer.
-      hedged_->Increment();
-      if (EnsureConnected(shard, hedge_replica, deadline).ok() &&
-          SendRequest(shard, hedge_replica, request_id, txn_node, deadline)
-              .ok()) {
-        Result<int> race = dist::WaitAnyReadable(
-            {primary.conn.get(), backup.conn.get()}, deadline, clock_);
-        if (race.ok() && race.value() == 1) {
-          winner = &backup;
-          loser = &primary;
-          hedge_wins_->Increment();
-        } else {
-          loser = &backup;
-        }
-      } else {
-        backup.conn.Reset();
-      }
-    }
-  }
-
   std::vector<unsigned char> payload;
   Result<FrameHeader> header =
-      dist::RecvFrameHeader(winner->conn.get(), deadline, clock_);
+      dist::RecvFrameHeader(primary.conn.get(), deadline, clock_);
   Status got = header.ok()
-                   ? dist::RecvFramePayload(winner->conn.get(), header.value(),
+                   ? dist::RecvFramePayload(primary.conn.get(), header.value(),
                                             &payload, deadline, clock_)
                    : header.status();
-  if (loser != nullptr) {
-    // The slower twin still owes a reply on this connection; drop it rather
-    // than pair a stale reply with a future request.
-    loser->conn.Reset();
-  }
   if (!got.ok()) {
-    winner->conn.Reset();
+    primary.conn.Reset();
     if (got.IsDeadlineExceeded()) return got;
     // EOF/reset mid-request: the primary died with our request in flight —
     // exactly the failover case. The next attempt tries a replica.
-    Record(winner, /*healthy=*/false);
+    Record(&primary, /*healthy=*/false);
     return got;
   }
   if (header.value().type != FrameType::kScoreReply ||
       header.value().seq != static_cast<uint64_t>(request_id)) {
-    winner->conn.Reset();
+    primary.conn.Reset();
     return Status::Corruption("router: reply frame does not match request");
   }
   Result<ScoreReplyWire> reply =
       DecodeScoreReply(payload.data(), payload.size());
   if (!reply.ok()) {
-    winner->conn.Reset();
+    primary.conn.Reset();
     return reply.status();
   }
-  Record(winner, /*healthy=*/true);
+  Record(&primary, /*healthy=*/true);
   if (reply.value().status.ok()) {
     return reply.value().response;
   }
   if (reply.value().status.IsCorruption()) {
-    // The server rejected OUR request frame as CRC-damaged (satellite 2's
+    // The server rejected OUR request frame as CRC-damaged (a planned
     // corrupt_frame). The connection is healthy; just resend.
     corrupt_retries_->Increment();
     return reply.value().status;
@@ -224,7 +197,7 @@ Result<ScoreResponse> Router::Score(int64_t request_id, int32_t txn_node,
                                 ? Deadline::After(clock_, deadline_s)
                                 : Deadline();
   Status last = Status::Unavailable("router: no attempt made");
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (deadline.Expired()) {
       return Status::DeadlineExceeded("router: request budget spent after " +
                                       std::to_string(attempt) + " attempts");
@@ -241,18 +214,9 @@ Result<ScoreResponse> Router::Score(int64_t request_id, int32_t txn_node,
         " is breaker-open");
     bool retryable = true;
     if (replica >= 0) {
-      // The hedge target is only scanned here; Attempt admits it if it
-      // actually sends the hedge.
-      int hedge_replica = -1;
-      for (int k = 1; k < options_.num_replicas && hedge_replica < 0; ++k) {
-        const int candidate = (replica + k) % options_.num_replicas;
-        if (!backend(shard, candidate).breaker.IsOpen()) {
-          hedge_replica = candidate;
-        }
-      }
       if (attempt > 0 && !last.IsCorruption()) failovers_->Increment();
-      scored = Attempt(shard, replica, hedge_replica, request_id, txn_node,
-                       deadline, &retryable);
+      scored = Attempt(shard, replica, request_id, txn_node, deadline,
+                       &retryable);
     }
     if (scored.ok()) {
       ok_->Increment();
@@ -262,7 +226,7 @@ Result<ScoreResponse> Router::Score(int64_t request_id, int32_t txn_node,
     if (last.IsDeadlineExceeded() || !retryable) return last;
     // Backoff before the next attempt, clamped to the remaining wire
     // deadline so a sleep can never outlive the budget it retries under.
-    RetryPolicy policy = options_.retry;
+    RetryPolicy policy = kRetry;
     policy.clock = clock_;
     internal::BackoffAndSleep(
         policy,

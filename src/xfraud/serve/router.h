@@ -8,7 +8,6 @@
 #include "xfraud/common/breaker.h"
 #include "xfraud/common/clock.h"
 #include "xfraud/common/fd.h"
-#include "xfraud/common/retry.h"
 #include "xfraud/common/status.h"
 #include "xfraud/dist/rendezvous.h"
 #include "xfraud/fault/fault_injector.h"
@@ -29,21 +28,6 @@ struct RouterOptions {
   /// *remaining* budget travels in each request frame, so a server never
   /// scores a request whose caller has already given up on it.
   double deadline_s = 0.25;
-  double connect_timeout_s = 5.0;
-  /// Hedge a slow primary read onto a backup replica after this long
-  /// (< 0 disables hedging — the safe default, since a hedge costs a
-  /// duplicate score on the backup).
-  double hedge_delay_s = -1.0;
-  /// Sends per request (across failover and corruption retries) before the
-  /// router gives up with Unavailable.
-  int max_attempts = 8;
-  /// Backoff between failover attempts; each sleep is clamped to the
-  /// request's remaining wire deadline so a retry can never outlive the
-  /// budget it is retrying under.
-  RetryPolicy retry{.max_attempts = 8,
-                    .initial_backoff_s = 0.001,
-                    .max_backoff_s = 0.05,
-                    .deadline_s = 60.0};
   /// Wire-fault source (corrupt_frame; not owned, may be null). The router
   /// is the tier's only frame *sender* on the request path, so it owns the
   /// deterministic frame count the plan's index refers to.
@@ -53,10 +37,11 @@ struct RouterOptions {
 
 /// The serving tier's frontend (DESIGN.md §16): routes each request to its
 /// shard (txn_node % num_shards), with a circuit breaker per server process
-/// (common/breaker.h, the same policy as the KV replicas),
-/// deadline propagation on the wire, hedged reads against a backup replica,
-/// and failover to a replica process when the primary dies mid-request —
-/// the cross-process analogue of kv::ReplicatedKvStore's read path.
+/// (common/breaker.h, the same policy as the KV replicas), deadline
+/// propagation on the wire, and failover to a replica process when the
+/// primary dies mid-request. It never duplicates a request onto a second
+/// replica: the tree's one such read is kv::ReplicatedKvStore's (DESIGN.md
+/// §11.2).
 ///
 /// Not thread-safe: backends hold cached connections with in-flight
 /// request/reply pairing. Use one Router per thread (scores are
@@ -95,11 +80,10 @@ class Router {
   /// Sends one score request (applying any planned wire corruption).
   Status SendRequest(int shard, int replica, int64_t request_id,
                      int32_t txn_node, const Deadline& deadline);
-  /// One full request/reply attempt against (shard, replica), hedging onto
-  /// `hedge_replica` (< 0: none) if the primary is slow.
-  Result<ScoreResponse> Attempt(int shard, int replica, int hedge_replica,
-                                int64_t request_id, int32_t txn_node,
-                                const Deadline& deadline, bool* retryable);
+  /// One full request/reply attempt against (shard, replica).
+  Result<ScoreResponse> Attempt(int shard, int replica, int64_t request_id,
+                                int32_t txn_node, const Deadline& deadline,
+                                bool* retryable);
 
   RouterOptions options_;
   Clock* clock_;
@@ -108,8 +92,6 @@ class Router {
   obs::Counter* requests_;
   obs::Counter* ok_;
   obs::Counter* failovers_;
-  obs::Counter* hedged_;
-  obs::Counter* hedge_wins_;
   obs::Counter* breaker_opens_;
   obs::Counter* corrupt_retries_;
   obs::Counter* redials_;

@@ -20,6 +20,9 @@ namespace xfraud::serve {
 
 namespace {
 
+/// Per-frame I/O budget once a header starts arriving; no caller tunes it.
+constexpr double kIoTimeoutS = 30.0;
+
 /// Everything a live server needs beyond its options.
 struct ServerState {
   ShardServerOptions options;
@@ -47,8 +50,7 @@ Status ReplyScore(int fd, const ServerState& state, uint64_t seq,
 /// server should exit its loop.
 bool HandleFrame(int fd, ServerState* state, const FrameHeader& header,
                  const std::vector<unsigned char>& payload, bool* drain) {
-  const Deadline io =
-      Deadline::After(state->clock, state->options.io_timeout_s);
+  const Deadline io = Deadline::After(state->clock, kIoTimeoutS);
   switch (header.type) {
     case FrameType::kScoreRequest: {
       const int64_t request_index = state->score_requests_seen++;
@@ -182,8 +184,7 @@ Result<ShardServerStats> RunShardServer(const ShardServerOptions& options) {
       return ready.status();
     }
     if (ready.value() == 0) {
-      const Deadline accept_deadline =
-          Deadline::After(clock, options.io_timeout_s);
+      const Deadline accept_deadline = Deadline::After(clock, kIoTimeoutS);
       Result<UniqueFd> accepted = dist::AcceptWithDeadline(
           listener.value().get(), accept_deadline, clock);
       if (accepted.ok()) conns.push_back(std::move(accepted).value());
@@ -191,7 +192,7 @@ Result<ShardServerStats> RunShardServer(const ShardServerOptions& options) {
     }
     const size_t conn_index = static_cast<size_t>(ready.value() - 1);
     const int fd = conns[conn_index].get();
-    const Deadline io = Deadline::After(clock, options.io_timeout_s);
+    const Deadline io = Deadline::After(clock, kIoTimeoutS);
     Result<FrameHeader> header = dist::RecvFrameHeader(fd, io, clock);
     if (!header.ok()) {
       // EOF, reset, or a desynced stream: this connection is done.
@@ -202,7 +203,7 @@ Result<ShardServerStats> RunShardServer(const ShardServerOptions& options) {
     Status got =
         dist::RecvFramePayload(fd, header.value(), &payload, io, clock);
     if (got.IsCorruption()) {
-      // Wire damage (satellite 1's bit flip lands here): the payload bytes
+      // Wire damage (a corrupt_frame bit flip lands here): the payload bytes
       // all arrived — the stream is still frame-aligned — but the CRC says
       // they are not the bytes the sender sealed. Refuse to act on them;
       // the seq-echoing Corruption reply tells the router to resend.

@@ -22,7 +22,7 @@ namespace xfraud::serve {
 struct ShardServerOptions {
   /// Position in the tier grid. The shard partitions request traffic
   /// (router sends txn_node % num_shards here); replicas within a shard are
-  /// failover/hedge targets serving bit-identical scores.
+  /// failover targets serving bit-identical scores.
   int shard = 0;
   int replica = 0;
   /// LogKvStore WAL backing this cell. On (re)start the server recovers its
@@ -47,8 +47,6 @@ struct ShardServerOptions {
   /// Supervisor incarnation, echoed in health pongs so the supervisor can
   /// tell a respawned server from a zombie of the old generation.
   uint64_t generation = 0;
-  /// Per-frame I/O budget once a header starts arriving.
-  double io_timeout_s = 30.0;
   /// Exit with FailedPrecondition when no frame arrives for this long — an
   /// orphan guard so a server whose supervisor died does not linger.
   double idle_timeout_s = 600.0;

@@ -21,6 +21,16 @@ namespace xfraud::serve {
 
 namespace {
 
+// Budgets no caller tunes. Re-forks allowed per server after signal
+// deaths; the health ping cadence and its timeout; and how many
+// consecutive ping failures make the supervisor SIGKILL a live but
+// unresponsive server (the waitpid path then respawns it like any other
+// signal death).
+constexpr int kMaxRestartsPerServer = 2;
+constexpr double kHealthIntervalS = 0.25;
+constexpr double kHealthTimeoutS = 1.0;
+constexpr int kHealthFailuresToKill = 3;
+
 std::string CellPath(const std::string& dir, int shard, int replica) {
   return dir + "/cell_" + std::to_string(shard) + "_" +
          std::to_string(replica) + ".log";
@@ -123,8 +133,6 @@ ShardServerOptions Supervisor::ServerOptions(int shard, int replica,
   server.fault_plan = options_.plan;
   server.suppress_kill = suppress_kill;
   server.generation = generation;
-  server.io_timeout_s = options_.server_io_timeout_s;
-  server.idle_timeout_s = options_.server_idle_timeout_s;
   return server;
 }
 
@@ -178,7 +186,7 @@ bool Supervisor::ReapOnce() {
         ->Increment();
     kills_observed_.push_back(index);
     if (stopping_.load()) return true;
-    if (server.restarts >= options_.max_restarts_per_server) {
+    if (server.restarts >= kMaxRestartsPerServer) {
       XF_LOG(Error) << "shard server " << index
                     << " exhausted its restart budget";
       server.failed = true;
@@ -226,8 +234,7 @@ void Supervisor::PingServers() {
     }
     const int shard = static_cast<int>(i) / options_.num_replicas;
     const int replica = static_cast<int>(i) % options_.num_replicas;
-    const Deadline deadline =
-        Deadline::After(clock_, options_.health_timeout_s);
+    const Deadline deadline = Deadline::After(clock_, kHealthTimeoutS);
     // One ping: reuse (or dial) the health connection, send kHealth, expect
     // the nonce echoed back. Any miss counts; K consecutive misses on a
     // still-live pid earn a real SIGKILL — the waitpid sweep then treats it
@@ -275,7 +282,7 @@ void Supervisor::PingServers() {
       continue;
     }
     ++s.health_failures;
-    if (s.health_failures >= options_.health_failures_to_kill) {
+    if (s.health_failures >= kHealthFailuresToKill) {
       XF_LOG(Info) << "supervisor SIGKILLing unresponsive shard server "
                    << i << " after " << s.health_failures
                    << " failed health pings";
@@ -294,7 +301,7 @@ void Supervisor::MonitorLoop() {
     while (ReapOnce()) {
     }
     const double now_s = clock_->NowSeconds();
-    if (now_s - last_ping_s >= options_.health_interval_s) {
+    if (now_s - last_ping_s >= kHealthIntervalS) {
       last_ping_s = now_s;
       PingServers();
     }

@@ -40,17 +40,6 @@ struct SupervisorOptions {
   ServiceOptions service;
   /// Chaos profile: kill_server / corrupt_frame bite in this tier.
   fault::FaultPlan plan;
-  /// Re-forks allowed per server after signal deaths.
-  int max_restarts_per_server = 2;
-  /// Health ping cadence and how many consecutive ping failures make the
-  /// supervisor SIGKILL a live-but-unresponsive server (the waitpid path
-  /// then respawns it like any other signal death).
-  double health_interval_s = 0.25;
-  double health_timeout_s = 1.0;
-  int health_failures_to_kill = 3;
-  /// Forwarded into each ShardServerOptions.
-  double server_io_timeout_s = 30.0;
-  double server_idle_timeout_s = 600.0;
   /// Paces the monitor loop only; servers always run on real time in their
   /// own processes.
   Clock* clock = nullptr;

@@ -21,6 +21,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -172,6 +173,79 @@ TEST(ServeWire, HealthRoundTrips) {
   EXPECT_TRUE(DecodeHealth(bytes.data(), 3).status().IsCorruption());
 }
 
+// Decodes `bytes` from a heap buffer of exactly its length, so a sanitizer
+// build catches any read past the end.
+template <typename Decode>
+Status DecodeExact(const std::string& bytes, Decode decode) {
+  const std::vector<unsigned char> buf(bytes.begin(), bytes.end());
+  return decode(buf.data(), buf.size()).status();
+}
+
+TEST(ServeWire, HostilePayloadsAreCorruptionNeverUndefined) {
+  ScoreRequestWire req;
+  req.epoch = 5;
+  req.deadline_s = 0.25;
+  req.txn_node = 17;
+  ScoreReplyWire reply;
+  reply.status = Status::Unavailable("shed under load");
+  reply.response.score = 0.75;
+  reply.response.imputed_rows = 2;
+  HealthWire health;
+  health.generation = 4;
+  health.requests_served = 99;
+  using DecodeFn = Status (*)(const std::string&);
+  const std::vector<std::pair<std::string, DecodeFn>> payloads = {
+      {EncodeScoreRequest(req),
+       [](const std::string& b) { return DecodeExact(b, DecodeScoreRequest); }},
+      {EncodeScoreReply(reply),
+       [](const std::string& b) { return DecodeExact(b, DecodeScoreReply); }},
+      {EncodeHealth(health),
+       [](const std::string& b) { return DecodeExact(b, DecodeHealth); }},
+  };
+  for (const auto& [bytes, decode] : payloads) {
+    ASSERT_TRUE(decode(bytes).ok());
+    // Truncated at every offset: Corruption.
+    for (size_t n = 0; n < bytes.size(); ++n) {
+      EXPECT_TRUE(decode(bytes.substr(0, n)).IsCorruption())
+          << bytes.size() << "-byte payload cut to " << n;
+    }
+    // Every single bit flipped: Corruption, or a decoded value — never a
+    // crash or undefined behaviour (the sanitizer builds check the latter).
+    for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+      const Status s = decode(flipped);
+      EXPECT_TRUE(s.ok() || s.IsCorruption())
+          << "bit " << bit << ": " << s.ToString();
+    }
+  }
+
+  // A reply whose message length disagrees with the bytes that follow it:
+  // one too many, the whole payload, the largest u32, and one too few.
+  const std::string good = EncodeScoreReply(reply);
+  constexpr size_t kLenAt = 38;
+  const uint32_t len = static_cast<uint32_t>(reply.status.message().size());
+  for (uint32_t bad : {len + 1, static_cast<uint32_t>(good.size()),
+                       uint32_t{0xFFFFFFFF}, len - 1}) {
+    std::string inflated = good;
+    for (int i = 0; i < 4; ++i) {
+      inflated[kLenAt + i] = static_cast<char>((bad >> (8 * i)) & 0xFF);
+    }
+    EXPECT_TRUE(DecodeExact(inflated, DecodeScoreReply).IsCorruption())
+        << "message length " << bad;
+  }
+
+  // A status code outside the StatusCode enum.
+  for (uint32_t code : {uint32_t{11}, uint32_t{0x80000000}, uint32_t{~0u}}) {
+    std::string unknown = good;
+    for (int i = 0; i < 4; ++i) {
+      unknown[i] = static_cast<char>((code >> (8 * i)) & 0xFF);
+    }
+    EXPECT_TRUE(DecodeExact(unknown, DecodeScoreReply).IsCorruption())
+        << "status code " << code;
+  }
+}
+
 TEST(ServeWire, ServingFrameTypesEncodeAndUnknownTypeRejected) {
   for (FrameType type : {FrameType::kScoreRequest, FrameType::kScoreReply,
                          FrameType::kHealth, FrameType::kDrain}) {
@@ -283,8 +357,6 @@ TEST(ServeWire, RouterClampsRetryBackoffToWireDeadline) {
   dead.path = "/tmp/xf-serve-dead-" + std::to_string(::getpid()) + ".sock";
   options.endpoints = {dead, dead};
   options.deadline_s = 0.3;
-  options.connect_timeout_s = 0.05;
-  options.max_attempts = 100;
   Router router(options);
   WallTimer timer;
   auto scored = router.Score(/*request_id=*/1, /*txn_node=*/0);

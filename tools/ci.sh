@@ -40,7 +40,7 @@ for arg in "$@"; do
   case "${arg}" in
     --mode=*) MODE="${arg#--mode=}" ;;
     --help|-h)
-      sed -n '2,12p' "$0"
+      sed -n '2,/^[^#]/{/^#/p}' "$0"
       exit 0
       ;;
     *) BUILD_DIR="${arg}" ;;

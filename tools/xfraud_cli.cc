@@ -10,11 +10,11 @@
 //   xfraud_cli explain --log log.tsv --model detector.ckpt --txn <id>
 //       run the hybrid explainer on one transaction's community and render
 //       it (the paper's Fig. 11 workflow)
-//   xfraud_cli serve-bench --log log.tsv [--model detector.ckpt] ...
-//       drive the online scoring service (replicated KV, hedged reads,
-//       deadlines, load shedding) and report tail latencies; with
-//       --transport socket the tier is real shard-server processes behind
-//       a supervised frame-speaking router
+//   xfraud_cli serve-bench --log log.tsv [--transport inproc|socket] ...
+//       drive the online scoring service and report tail latencies;
+//       in-process it is replicated KV with hedged reads, deadlines and
+//       load shedding, with --transport socket it is real shard-server
+//       processes behind a supervised frame-speaking router
 //   xfraud_cli serve-worker --cell cell.log --endpoint unix:<path> ...
 //       run one shard-server process (what serve-bench's supervisor forks;
 //       also usable standalone against a prepared cell WAL)
@@ -101,13 +101,14 @@ int Usage() {
       "           [--sample-workers N] [--prefetch N] [--metrics-out F]\n"
       "  explain  --log <log.tsv> --model <ckpt> --txn <txn_id>\n"
       "           [--seed N] [--hidden N] [--layers N]\n"
-      "  serve-bench --log <log.tsv> [--model <ckpt>] [--requests N]\n"
-      "           [--seed N] [--hidden N] [--layers N]\n"
-      "           [--shards N] [--replicas N] [--hedge-delay-ms F]\n"
-      "           [--deadline-ms F] [--max-inflight N]\n"
-      "           [--shed-policy failfast|degrade] [--max-degraded-frac F]\n"
-      "           [--fault-plan SPEC] [--threads N] [--virtual-clock]\n"
-      "           [--transport inproc|socket] [--dir D] [--metrics-out F]\n"
+      "  serve-bench --log <log.tsv> [--transport inproc|socket]\n"
+      "           [--requests N] [--seed N] [--hidden N] [--layers N]\n"
+      "           [--shards N] [--replicas N] [--deadline-ms F]\n"
+      "           [--max-inflight N] [--fault-plan SPEC] [--metrics-out F]\n"
+      "           inproc only: [--model <ckpt>] [--hedge-delay-ms F]\n"
+      "             [--shed-policy failfast|degrade] [--max-degraded-frac F]\n"
+      "             [--threads N] [--virtual-clock]\n"
+      "           socket only: [--dir D]\n"
       "  serve-worker --cell <cell.log> --endpoint unix:<path>|tcp:host:port\n"
       "           [--shard S] [--replica R] [--hidden N] [--layers N]\n"
       "           [--seed N] [--generation G] [--suppress-kill]\n"
@@ -129,7 +130,9 @@ int Usage() {
       "           [--metrics-out F]\n"
       "\n"
       "Every command also takes --trace. Any other flag is an error: the\n"
-      "command prints 'unknown flag --<name>' and exits 2.\n"
+      "command prints 'unknown flag --<name>' and exits 2. serve-bench\n"
+      "likewise refuses a flag only the other transport reads: it prints\n"
+      "'serve-bench --transport <t> does not take --<flag>' and exits 2.\n"
       "\n"
       "--sample-workers enables the pipelined batch loader: N sampler\n"
       "threads prefetch mini-batches ahead of the model (0 = inline\n"
@@ -152,7 +155,7 @@ int Usage() {
       "  seed=3,kv_error_rate=0.02,kv_latency_rate=0.01,kv_latency_s=1e-4\n"
       "(see DESIGN.md §10 for the full grammar).\n"
       "\n"
-      "online serving (serve-bench): stands up --shards x --replicas\n"
+      "in-process serving (serve-bench): stands up --shards x --replicas\n"
       "LogKv cells (in a temp dir removed on exit) behind the hardened read\n"
       "path (failover, circuit breakers, hedged reads after --hedge-delay-ms;\n"
       "negative disables hedging) and scores --requests labeled transactions\n"
@@ -170,12 +173,13 @@ int Usage() {
       "processes (DESIGN.md §16): a supervisor forks one shard-server per\n"
       "--shards x --replicas grid slot under --dir (cell WALs + unix\n"
       "sockets), and a router scores over CRC-framed wire requests with\n"
-      "failover, hedging, circuit breakers, and the remaining deadline\n"
-      "propagated in each frame. --fault-plan gains kill_server=<r>[@<n>]\n"
-      "(replica r of every shard SIGKILLs itself on its n-th request; the\n"
-      "supervisor respawns it from the WAL) and corrupt_frame=<n> (flip a\n"
-      "payload byte on the wire; the server detects it by CRC and the\n"
-      "router resends). Scores stay bit-identical to the in-process tier.\n"
+      "failover, circuit breakers, and the remaining deadline propagated in\n"
+      "each frame; every server scores a seed-initialized detector.\n"
+      "--fault-plan gains kill_server=<r>[@<n>] (replica r of every shard\n"
+      "SIGKILLs itself on its n-th request; the supervisor respawns it from\n"
+      "the WAL) and corrupt_frame=<n> (flip a payload byte on the wire; the\n"
+      "server detects it by CRC and the router resends). Scores stay\n"
+      "bit-identical to the in-process tier.\n"
       "serve-worker runs one such server by hand.\n"
       "\n"
       "distributed training (dist-bench / dist-worker): every rank joins\n"
@@ -549,6 +553,28 @@ int64_t CounterValue(const char* name) {
 int CmdServeBenchSocket(const Flags& flags, const data::SimDataset& ds);
 
 int CmdServeBench(const Flags& flags) {
+  const std::string transport = flags.Get("transport", "inproc");
+  if (transport != "inproc" && transport != "socket") {
+    std::cerr << "serve-bench: --transport must be inproc or socket\n";
+    return 1;
+  }
+  // serve-bench's flag set is the union of both transports'; a flag only
+  // the other transport reads is refused rather than silently ignored.
+  const std::vector<std::string> other_transport_only =
+      transport == "socket"
+          ? std::vector<std::string>{"model", "virtual-clock", "threads",
+                                     "shed-policy", "max-degraded-frac",
+                                     "hedge-delay-ms"}
+          : std::vector<std::string>{"dir"};
+  for (const std::string& flag : other_transport_only) {
+    if (flags.Has(flag)) {
+      std::cerr << "serve-bench --transport " << transport
+                << " does not take --" << flag << "\n";
+      Usage();
+      return 2;
+    }
+  }
+
   std::string path = flags.Get("log");
   if (path.empty()) {
     std::cerr << "serve-bench: --log is required\n";
@@ -561,12 +587,6 @@ int CmdServeBench(const Flags& flags) {
   }
   data::SimDataset ds = data::TransactionGenerator::BuildDataset(
       records.value(), path, 0.7, 0.1, flags.GetInt("seed", 7));
-
-  const std::string transport = flags.Get("transport", "inproc");
-  if (transport != "inproc" && transport != "socket") {
-    std::cerr << "serve-bench: --transport must be inproc or socket\n";
-    return 1;
-  }
   if (transport == "socket") return CmdServeBenchSocket(flags, ds);
 
   VirtualClock virtual_clock;
@@ -773,10 +793,7 @@ int CmdServeBenchSocket(const Flags& flags, const data::SimDataset& ds) {
     return 1;
   }
 
-  serve::RouterOptions router_options = sup.value()->MakeRouterOptions();
-  router_options.hedge_delay_s =
-      flags.GetDouble("hedge-delay-ms", -1.0) * 1e-3;
-  serve::Router router(router_options);
+  serve::Router router(sup.value()->MakeRouterOptions());
 
   auto seeds = ds.graph.LabeledTransactions();
   if (seeds.empty()) {
@@ -784,8 +801,6 @@ int CmdServeBenchSocket(const Flags& flags, const data::SimDataset& ds) {
     return 1;
   }
   const int num_requests = std::max(1, flags.GetInt("requests", 200));
-  const int64_t hedged_before = CounterValue("serve/router/hedged");
-  const int64_t wins_before = CounterValue("serve/router/hedge_wins");
   const int64_t failovers_before = CounterValue("serve/router/failovers");
   const int64_t opens_before = CounterValue("serve/router/breaker_opens");
   const int64_t corrupt_before = CounterValue("serve/router/corrupt_retries");
@@ -823,12 +838,6 @@ int CmdServeBenchSocket(const Flags& flags, const data::SimDataset& ds) {
       {"p95 (ms)", TablePrinter::Num(Percentile(ok_latencies, 0.95) * 1e3, 2)});
   table.AddRow(
       {"p99 (ms)", TablePrinter::Num(Percentile(ok_latencies, 0.99) * 1e3, 2)});
-  table.AddRow({"hedged requests",
-                std::to_string(CounterValue("serve/router/hedged") -
-                               hedged_before)});
-  table.AddRow({"hedge wins",
-                std::to_string(CounterValue("serve/router/hedge_wins") -
-                               wins_before)});
   table.AddRow({"failovers",
                 std::to_string(CounterValue("serve/router/failovers") -
                                failovers_before)});
