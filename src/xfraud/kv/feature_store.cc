@@ -122,24 +122,25 @@ Status FeatureStore::GetWithRetry(const std::string& key, std::string* value,
 }
 
 Status FeatureStore::Ingest(const graph::HeteroGraph& g) {
-  XF_RETURN_IF_ERROR(
-      store_->Put(kMetaKey, EncodeMetaRow(g.num_nodes(), g.feature_dim())));
+  std::vector<KvRecord> records;
+  records.reserve(1 + 3 * static_cast<size_t>(g.num_nodes()));
+  records.push_back(
+      {kMetaKey, EncodeMetaRow(g.num_nodes(), g.feature_dim())});
   for (int32_t v = 0; v < g.num_nodes(); ++v) {
-    XF_RETURN_IF_ERROR(store_->Put(
-        NodeKey(v), EncodeNodeRow(g.node_type(v), g.label(v),
-                                  g.HasFeatures(v))));
+    records.push_back({NodeKey(v), EncodeNodeRow(g.node_type(v), g.label(v),
+                                                 g.HasFeatures(v))});
     if (g.HasFeatures(v)) {
-      XF_RETURN_IF_ERROR(store_->Put(
-          FeatKey(v), EncodeFeatureRow(g.Features(v), g.feature_dim())));
+      records.push_back(
+          {FeatKey(v), EncodeFeatureRow(g.Features(v), g.feature_dim())});
     }
     std::string adj;
     for (int64_t e = g.InDegreeBegin(v); e < g.InDegreeEnd(v); ++e) {
       AppendAdjEntry(g.neighbors()[e],
                      static_cast<uint8_t>(g.edge_types()[e]), &adj);
     }
-    XF_RETURN_IF_ERROR(store_->Put(AdjKey(v), adj));
+    records.push_back({AdjKey(v), std::move(adj)});
   }
-  return Status::OK();
+  return store_->PutBatch(records);
 }
 
 Result<int64_t> FeatureStore::NumNodes(uint64_t epoch) const {

@@ -73,7 +73,9 @@ class FeatureStore {
   /// handing the store to loader threads. The cache must outlive this store.
   void set_adjacency_cache(AdjacencyCache* cache) { adj_cache_ = cache; }
 
-  /// Writes the whole graph into the store.
+  /// Writes the whole graph into the store as one KvStore::PutBatch: the
+  /// meta row, then per node its node, feature (transaction nodes) and
+  /// adjacency rows, in node order.
   Status Ingest(const graph::HeteroGraph& g);
 
   /// Point reads take an optional pinned epoch (default: head). The epoch

@@ -14,6 +14,12 @@ namespace xfraud::kv {
 /// instead; unversioned stores only understand kHeadEpoch.
 inline constexpr uint64_t kHeadEpoch = ~0ULL;
 
+/// One key/value pair of a KvStore::PutBatch.
+struct KvRecord {
+  std::string key;
+  std::string value;
+};
+
 /// Key-value store interface backing the graph data loaders (paper §3.3.3 /
 /// Appendix C: all graph-related information — node features, adjacency —
 /// lives in a lightweight KV store so multiple loader threads can feed the
@@ -21,12 +27,25 @@ inline constexpr uint64_t kHeadEpoch = ~0ULL;
 ///
 /// RocksDB-style contract: all operations return Status; Get on a missing
 /// key returns NotFound. Implementations must be safe for concurrent Get;
-/// Put/Delete are single-writer.
+/// Put/PutBatch/Delete are single-writer.
 class KvStore {
  public:
   virtual ~KvStore() = default;
 
   virtual Status Put(std::string_view key, std::string_view value) = 0;
+
+  /// Puts `records` in order: afterwards the store reads exactly as if each
+  /// had been Put in turn (a repeated key keeps its last value). This
+  /// default is that Put loop, so a decorator keeps its per-record
+  /// behaviour (fault draws, replica fan-out) and stops at the first
+  /// failure with the earlier records written. LogKvStore overrides it with
+  /// one framed append that lands whole or not at all.
+  virtual Status PutBatch(const std::vector<KvRecord>& records) {
+    for (const KvRecord& record : records) {
+      XF_RETURN_IF_ERROR(Put(record.key, record.value));
+    }
+    return Status::OK();
+  }
   virtual Status Get(std::string_view key, std::string* value) const = 0;
   virtual Status Delete(std::string_view key) = 0;
 

@@ -23,8 +23,8 @@ constexpr uint8_t kKindFloor = 4;  // GC floor: klen 0, value LE64 epoch
 constexpr size_t kHeaderSize = 4 + 1 + 4 + 4;  // crc + kind + klen + vlen
 
 // The read mapping's capacity: 1 MiB, doubled until it covers the file. A
-// bulk load of N bytes then maps ceil(log2(N / 1 MiB)) + 1 times instead of
-// once per record.
+// load of N bytes one Put at a time then maps ceil(log2(N / 1 MiB)) + 1
+// times instead of once per record; a PutBatch maps at most once.
 //
 // The mapping reaches past the file's end, and touching a page that lies
 // wholly past EOF raises SIGBUS. No read can get there: every read is
@@ -33,8 +33,9 @@ constexpr size_t kHeaderSize = 4 + 1 + 4 + 4;  // crc + kind + klen + vlen
 // append under the exclusive lock created below file_size_. The shrink
 // paths keep the rule: replay's torn-tail ftruncate and DiscardPending cut
 // the file only under the exclusive lock and rebuild the index from the
-// shorter file before any reader runs, and Compact maps the new image
-// before swapping it in.
+// shorter file before any reader runs, a failed append cuts off only bytes
+// no index entry points at yet, and Compact maps the new image before
+// swapping it in.
 constexpr int64_t kMinMapCapacity = int64_t{1} << 20;
 
 int64_t MapCapacityFor(int64_t size) {
@@ -52,28 +53,40 @@ const char* MapForRead(int fd, int64_t capacity) {
   return static_cast<const char*>(base);
 }
 
-/// Writes one WAL record at `*end` of `fd` and advances `*end`. The record
-/// is {crc: u32, kind: u8, klen: u32, vlen: u32, key, value}, the CRC
-/// covering everything after itself.
-Status WriteRecord(int fd, const std::string& path, int64_t* end,
-                   uint8_t kind, std::string_view key,
-                   std::string_view value) {
+// Compact writes its image whenever this many framed bytes are buffered.
+constexpr size_t kCompactFlushBytes = size_t{1} << 20;
+
+/// Frames one WAL record onto the end of `*frame`: {crc: u32, kind: u8,
+/// klen: u32, vlen: u32, key, value}, the CRC covering everything after
+/// itself. Returns the position of the value bytes in `*frame`.
+size_t AppendRecord(uint8_t kind, std::string_view key,
+                    std::string_view value, std::string* frame) {
   // Record framing stores lengths as u32; larger payloads would be silently
   // truncated on replay.
   XF_CHECK_LE(key.size(), UINT32_MAX);
   XF_CHECK_LE(value.size(), UINT32_MAX);
-  std::string rec;
-  rec.reserve(kHeaderSize + key.size() + value.size());
-  ByteWriter out(&rec);
+  const size_t start = frame->size();
+  ByteWriter out(frame);
   out.U32(0).U8(kind).U32(static_cast<uint32_t>(key.size()));
   out.U32(static_cast<uint32_t>(value.size())).Bytes(key).Bytes(value);
-  out.PatchU32(0, Crc32(rec.data() + 4, rec.size() - 4));
-  if (::pwrite(fd, rec.data(), rec.size(), *end) !=
-      static_cast<ssize_t>(rec.size())) {
-    return Status::IoError("short write on " + path);
+  out.PatchU32(start, Crc32(frame->data() + start + 4,
+                            frame->size() - start - 4));
+  return start + kHeaderSize + key.size();
+}
+
+/// Writes `bytes` at `offset` of `fd` with one pwrite, all or nothing: on a
+/// short or failed write the file is cut back to `offset`.
+Status WriteAll(int fd, const std::string& path, int64_t offset,
+                std::string_view bytes) {
+  if (::pwrite(fd, bytes.data(), bytes.size(), offset) ==
+      static_cast<ssize_t>(bytes.size())) {
+    return Status::OK();
   }
-  *end += static_cast<int64_t>(rec.size());
-  return Status::OK();
+  if (::ftruncate(fd, offset) != 0) {
+    return Status::IoError("short write on " + path +
+                           ", and cutting it back failed");
+  }
+  return Status::IoError("short write on " + path);
 }
 
 /// The value of an epoch-marker or GC-floor record.
@@ -137,6 +150,21 @@ Status LogKvStore::GrowReadMapping() {
   map_base_ = base;
   map_capacity_ = capacity;
   return Status::OK();
+}
+
+Status LogKvStore::AppendLocked(std::string_view frame) {
+  const int64_t start = file_size_;
+  XF_RETURN_IF_ERROR(WriteAll(fd_, path_, start, frame));
+  file_size_ = start + static_cast<int64_t>(frame.size());
+  Status mapped = GrowReadMapping();
+  if (!mapped.ok()) {
+    // Nothing points at the new bytes yet: cut them off again.
+    file_size_ = start;
+    if (::ftruncate(fd_, start) != 0) {
+      return Status::IoError("ftruncate failed on " + path_);
+    }
+  }
+  return mapped;
 }
 
 Status LogKvStore::ReplayLog() {
@@ -221,17 +249,46 @@ const LogKvStore::Version* LogKvStore::ResolveAt(
 Status LogKvStore::Put(std::string_view key, std::string_view value) {
   const KvMetrics& metrics = KvMetrics::Get();
   std::unique_lock lock(mu_);
-  int64_t value_offset = file_size_ + static_cast<int64_t>(kHeaderSize) +
-                         static_cast<int64_t>(key.size());
-  XF_RETURN_IF_ERROR(
-      WriteRecord(fd_, path_, &file_size_, kKindPut, key, value));
-  XF_RETURN_IF_ERROR(GrowReadMapping());
+  frame_.clear();
+  const int64_t value_offset =
+      file_size_ +
+      static_cast<int64_t>(AppendRecord(kKindPut, key, value, &frame_));
+  XF_RETURN_IF_ERROR(AppendLocked(frame_));
   UpsertPending(std::string(key),
                 Version{head_epoch_locked(), value_offset,
                         static_cast<uint32_t>(value.size())});
   metrics.put_ops->Increment();
-  metrics.bytes_written->Add(
-      static_cast<int64_t>(kHeaderSize + key.size() + value.size()));
+  metrics.bytes_written->Add(static_cast<int64_t>(frame_.size()));
+  return Status::OK();
+}
+
+Status LogKvStore::PutBatch(const std::vector<KvRecord>& records) {
+  if (records.empty()) return Status::OK();
+  const KvMetrics& metrics = KvMetrics::Get();
+  // Framing reads no store state, so it runs before the lock is taken;
+  // the lock covers the one write and the index updates.
+  size_t bytes = 0;
+  for (const KvRecord& record : records) {
+    bytes += kHeaderSize + record.key.size() + record.value.size();
+  }
+  std::string frame;
+  frame.reserve(bytes);
+  for (const KvRecord& record : records) {
+    AppendRecord(kKindPut, record.key, record.value, &frame);
+  }
+  std::unique_lock lock(mu_);
+  int64_t offset = file_size_;
+  XF_RETURN_IF_ERROR(AppendLocked(frame));
+  index_.reserve(index_.size() + records.size());
+  for (const KvRecord& record : records) {
+    offset += static_cast<int64_t>(kHeaderSize + record.key.size());
+    UpsertPending(record.key,
+                  Version{head_epoch_locked(), offset,
+                          static_cast<uint32_t>(record.value.size())});
+    offset += static_cast<int64_t>(record.value.size());
+  }
+  metrics.put_ops->Add(static_cast<int64_t>(records.size()));
+  metrics.bytes_written->Add(static_cast<int64_t>(frame.size()));
   return Status::OK();
 }
 
@@ -290,9 +347,9 @@ Status LogKvStore::Delete(std::string_view key) {
       ResolveAt(it->second, head_epoch_locked()) == nullptr) {
     return Status::OK();  // idempotent: nothing visible to delete
   }
-  XF_RETURN_IF_ERROR(
-      WriteRecord(fd_, path_, &file_size_, kKindDelete, key, ""));
-  XF_RETURN_IF_ERROR(GrowReadMapping());
+  frame_.clear();
+  AppendRecord(kKindDelete, key, "", &frame_);
+  XF_RETURN_IF_ERROR(AppendLocked(frame_));
   UpsertPending(std::string(key), Version{head_epoch_locked(), -1, 0});
   return Status::OK();
 }
@@ -350,8 +407,9 @@ std::vector<std::string> LogKvStore::KeysWithPrefixAt(std::string_view prefix,
 Result<uint64_t> LogKvStore::PublishEpoch() {
   std::unique_lock lock(mu_);
   const uint64_t next = published_ + 1;
-  XF_RETURN_IF_ERROR(WriteRecord(fd_, path_, &file_size_, kKindEpoch, "",
-                                 EpochValue(next)));
+  frame_.clear();
+  AppendRecord(kKindEpoch, "", EpochValue(next), &frame_);
+  XF_RETURN_IF_ERROR(AppendLocked(frame_));
   // The marker + fsync IS the commit: before this returns OK the epoch does
   // not exist (replay stops at the previous marker); after it returns OK
   // the epoch can never be lost to a crash.
@@ -360,7 +418,6 @@ Result<uint64_t> LogKvStore::PublishEpoch() {
   }
   published_ = next;
   published_end_ = file_size_;
-  XF_RETURN_IF_ERROR(GrowReadMapping());
   return next;
 }
 
@@ -472,13 +529,30 @@ Result<int64_t> LogKvStore::Compact() {
   }
 
   int64_t old_size = file_size_;
-  int64_t new_size = 0;
   int64_t new_published_end = 0;
   std::unordered_map<std::string, std::vector<Version>> new_index;
 
+  // The image is framed into `frame` and written whenever the buffer passes
+  // kCompactFlushBytes, and once more before the phase-0 hook.
+  std::string frame;
+  frame.reserve(kCompactFlushBytes);
+  int64_t flushed = 0;  // image bytes already written
+  auto flush = [&]() -> Status {
+    XF_RETURN_IF_ERROR(WriteAll(tmp_fd, tmp_path, flushed, frame));
+    flushed += static_cast<int64_t>(frame.size());
+    frame.clear();
+    return Status::OK();
+  };
+  // Frames one record; `*value_offset` (if given) gets the image offset of
+  // its value bytes.
   auto write_record = [&](uint8_t kind, std::string_view key,
-                          std::string_view value) {
-    return WriteRecord(tmp_fd, tmp_path, &new_size, kind, key, value);
+                          std::string_view value,
+                          int64_t* value_offset = nullptr) -> Status {
+    const size_t at = AppendRecord(kind, key, value, &frame);
+    if (value_offset != nullptr) {
+      *value_offset = flushed + static_cast<int64_t>(at);
+    }
+    return frame.size() >= kCompactFlushBytes ? flush() : Status::OK();
   };
   auto fail = [&](Status s) -> Result<int64_t> {
     ::close(tmp_fd);
@@ -504,12 +578,12 @@ Result<int64_t> LogKvStore::Compact() {
         if (!s.ok()) return fail(std::move(s));
         new_index[std::string(slot.key)].push_back(Version{e, -1, 0});
       } else {
-        int64_t value_offset = new_size + static_cast<int64_t>(kHeaderSize) +
-                               static_cast<int64_t>(slot.key.size());
+        int64_t value_offset = 0;
         Status s = write_record(
             kKindPut, slot.key,
             std::string_view(map_base_ + slot.v->value_offset,
-                             slot.v->value_size));
+                             slot.v->value_size),
+            &value_offset);
         if (!s.ok()) return fail(std::move(s));
         new_index[std::string(slot.key)].push_back(
             Version{e, value_offset, slot.v->value_size});
@@ -521,9 +595,12 @@ Result<int64_t> LogKvStore::Compact() {
     if (e <= published_) {
       Status s = write_record(kKindEpoch, "", EpochValue(e));
       if (!s.ok()) return fail(std::move(s));
-      new_published_end = new_size;
+      new_published_end = flushed + static_cast<int64_t>(frame.size());
     }
   }
+  Status flushed_all = flush();
+  if (!flushed_all.ok()) return fail(std::move(flushed_all));
+  const int64_t new_size = flushed;
 
   if (compaction_hook_) compaction_hook_(0);
   // Make the compacted image durable before the rename publishes it; a

@@ -40,6 +40,14 @@ namespace xfraud::kv {
 /// an epoch against TTL expiry and compaction; DiscardPending rolls the
 /// uncommitted tail back (crash-recovery on ingestor reattach).
 ///
+/// Appends: every record is framed by one function and written by one
+/// all-or-nothing helper (a short or failed write cuts the file back to
+/// where it started). Put, Delete and PublishEpoch append one record each;
+/// PutBatch frames the whole batch and appends it with one write under the
+/// exclusive lock, so readers see none of a batch or all of it, and a failed
+/// batch leaves neither the file nor the index holding any of it. Compact
+/// frames its image into a buffer written once per MiB.
+///
 /// Open() replays the log and stops at the first corrupt/truncated record,
 /// truncating the torn tail (crash-safe append semantics). Compact()
 /// garbage-collects versions below the GC floor = min(pins, published),
@@ -56,6 +64,10 @@ class LogKvStore : public KvStore, public EpochSource {
   LogKvStore& operator=(const LogKvStore&) = delete;
 
   Status Put(std::string_view key, std::string_view value) override;
+  /// One framed write for the whole batch (see the class comment); the
+  /// WAL bytes and the pending epoch equal those of the same Puts in order.
+  /// An empty batch writes nothing.
+  Status PutBatch(const std::vector<KvRecord>& records) override;
   Status Get(std::string_view key, std::string* value) const override;
   Status Delete(std::string_view key) override;
   int64_t Count() const override;
@@ -111,6 +123,9 @@ class LogKvStore : public KvStore, public EpochSource {
   };
 
   Status ReplayLog();
+  /// Appends `frame` (whole records) at the end of the segment and maps it,
+  /// all or nothing: on failure the file is cut back to its old end.
+  Status AppendLocked(std::string_view frame);
   /// Remaps the segment at the next power-of-two capacity (>= 1 MiB) when
   /// the file has outgrown the current mapping; a no-op otherwise.
   Status GrowReadMapping();
@@ -142,6 +157,10 @@ class LogKvStore : public KvStore, public EpochSource {
   std::map<uint64_t, int> pins_;  // epoch -> live pin count
 
   std::function<void(int)> compaction_hook_;
+
+  // Framing buffer of the one-record appends (Put, Delete, PublishEpoch),
+  // reused so they allocate nothing per call. Guarded by mu_.
+  std::string frame_;
 
   // Read-only mapping of the segment, `map_capacity_` bytes long: at least
   // file_size_, often more. Reads stay below file_size_.

@@ -34,4 +34,9 @@ void AllowedSave(CheckpointSink* sink) {
   sink->raw_store_->Put("ckpt", "v3");  // still a finding (line 34)
 }
 
+void SaveBatch(CheckpointSink* sink,
+               const std::vector<kv::KvRecord>& records) {
+  sink->wal_->PutBatch(records);  // finding (line 39)
+}
+
 }  // namespace xfraud::train

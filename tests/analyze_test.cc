@@ -325,14 +325,17 @@ TEST(AnalyzeIngest, FlagsStoreMutationOutsideIngestTier) {
                  "  h->store_->Put(\"k\", \"v\");\n"
                  "  h->wal_->Delete(\"k\");\n"
                  "  features->Ingest(g);\n"
+                 "  h->wal_->PutBatch(records);\n"
                  "}\n"}});
-  ASSERT_EQ(f.size(), 3u);
+  ASSERT_EQ(f.size(), 4u);
   EXPECT_EQ(f[0].rule, "ingest-bypass");
   EXPECT_EQ(f[0].line, 2);
   EXPECT_NE(f[0].message.find("'store_.Put'"), std::string::npos);
   EXPECT_NE(f[0].message.find("module 'serve'"), std::string::npos);
   EXPECT_EQ(f[1].line, 3);
   EXPECT_EQ(f[2].line, 4);
+  EXPECT_EQ(f[3].line, 5);
+  EXPECT_NE(f[3].message.find("'wal_.PutBatch'"), std::string::npos);
 }
 
 TEST(AnalyzeIngest, StoreOwnersAndReadsAreClean) {
@@ -431,6 +434,7 @@ TEST(AnalyzeFixtures, ExactFindingsWithEmptyConfig) {
       Fx("src/xfraud/train/ingest_bypass.cc") + ":20: ingest-bypass",
       Fx("src/xfraud/train/ingest_bypass.cc") + ":21: ingest-bypass",
       Fx("src/xfraud/train/ingest_bypass.cc") + ":34: ingest-bypass",
+      Fx("src/xfraud/train/ingest_bypass.cc") + ":39: ingest-bypass",
       Fx("src/xfraud/common/upward.h") + ":6: layering",
       Fx("src/xfraud/kv/cycle_a.h") + ":6: layering",
       Fx("src/xfraud/sample/cycle_b.h") + ":6: layering",

@@ -7,6 +7,9 @@
 #include <map>
 #include <thread>
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -367,26 +370,266 @@ int64_t RemapCount() {
   return obs::Registry::Global().counter("kv/remaps")->value();
 }
 
+/// The rows FeatureStore::Ingest writes, one Put each, in Ingest's order:
+/// the per-record load its single PutBatch must match byte for byte.
+Status PutEachRecord(const graph::HeteroGraph& g, KvStore* store) {
+  XF_RETURN_IF_ERROR(
+      store->Put(kMetaKey, EncodeMetaRow(g.num_nodes(), g.feature_dim())));
+  for (int32_t v = 0; v < g.num_nodes(); ++v) {
+    XF_RETURN_IF_ERROR(store->Put(
+        NodeKey(v), EncodeNodeRow(g.node_type(v), g.label(v),
+                                  g.HasFeatures(v))));
+    if (g.HasFeatures(v)) {
+      XF_RETURN_IF_ERROR(store->Put(
+          FeatKey(v), EncodeFeatureRow(g.Features(v), g.feature_dim())));
+    }
+    std::string adj;
+    for (int64_t e = g.InDegreeBegin(v); e < g.InDegreeEnd(v); ++e) {
+      AppendAdjEntry(g.neighbors()[e],
+                     static_cast<uint8_t>(g.edge_types()[e]), &adj);
+    }
+    XF_RETURN_IF_ERROR(store->Put(AdjKey(v), adj));
+  }
+  return Status::OK();
+}
+
 TEST(LogKvTest, BulkLoadRemapsLogarithmically) {
   data::SimDataset ds = data::TransactionGenerator::Make(
       data::TransactionGenerator::SimSmall(), "remaps");
   std::string path = TempPath("log_bulk_remaps.kv");
   std::remove(path.c_str());
   auto store = std::move(LogKvStore::Open(path).value());
-  const int64_t before = RemapCount();
-  FeatureStore features(store.get());
-  ASSERT_TRUE(features.Ingest(ds.graph).ok());
+  int64_t before = RemapCount();
+  ASSERT_TRUE(PutEachRecord(ds.graph, store.get()).ok());
   ASSERT_TRUE(store->PublishEpoch().ok());
   const int64_t remaps = RemapCount() - before;
-  // sim-small writes a few MiB into one cell, so the load crosses at least
-  // one capacity boundary.
+  // sim-small writes a few MiB into one cell, so a load one record at a
+  // time crosses at least one capacity boundary.
   ASSERT_GT(store->FileSize(), int64_t{1} << 20);
   EXPECT_GE(remaps, 2);
   EXPECT_LE(remaps, RemapBudget(store->FileSize()))
       << "file size " << store->FileSize();
+  const int64_t loaded_size = store->FileSize();
+  store.reset();
+
+  // Ingest appends the same records as one batch, whose single write maps
+  // the file once, at its final capacity.
+  std::remove(path.c_str());
+  store = std::move(LogKvStore::Open(path).value());
+  before = RemapCount();
+  FeatureStore features(store.get());
+  ASSERT_TRUE(features.Ingest(ds.graph).ok());
+  ASSERT_TRUE(store->PublishEpoch().ok());
+  EXPECT_EQ(store->FileSize(), loaded_size);
+  EXPECT_EQ(RemapCount() - before, 1);
   auto dim = features.FeatureDim();
   ASSERT_TRUE(dim.ok());
   EXPECT_EQ(dim.value(), ds.graph.feature_dim());
+  store.reset();
+  std::remove(path.c_str());
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Expects `a` and `b` to read alike: Count, the head and every readable
+/// epoch's KeysWithPrefix, and Get / GetAt of every key either ever lists.
+void ExpectSameReads(const LogKvStore& a, const LogKvStore& b) {
+  ASSERT_EQ(a.published_epoch(), b.published_epoch());
+  ASSERT_EQ(a.earliest_epoch(), b.earliest_epoch());
+  ASSERT_EQ(a.Count(), b.Count());
+  std::vector<std::string> keys = a.KeysWithPrefix("");
+  ASSERT_EQ(keys, b.KeysWithPrefix(""));
+  std::vector<uint64_t> epochs;
+  for (uint64_t e = a.earliest_epoch(); e <= a.published_epoch(); ++e) {
+    std::vector<std::string> at = a.KeysWithPrefixAt("", e);
+    ASSERT_EQ(at, b.KeysWithPrefixAt("", e)) << "epoch " << e;
+    keys.insert(keys.end(), at.begin(), at.end());
+    epochs.push_back(e);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::string va, vb;
+  for (const std::string& key : keys) {
+    Status sa = a.Get(key, &va);
+    Status sb = b.Get(key, &vb);
+    ASSERT_EQ(sa.code(), sb.code()) << key;
+    if (sa.ok()) {
+      ASSERT_EQ(va, vb) << key;
+    }
+    for (uint64_t e : epochs) {
+      sa = a.GetAt(key, e, &va);
+      sb = b.GetAt(key, e, &vb);
+      ASSERT_EQ(sa.code(), sb.code()) << key << " at epoch " << e;
+      if (sa.ok()) {
+        ASSERT_EQ(va, vb) << key << " at epoch " << e;
+      }
+    }
+  }
+}
+
+/// Applies `records` to `batched` as one PutBatch and to `looped` one Put
+/// at a time.
+void PutBoth(LogKvStore* batched, LogKvStore* looped,
+             const std::vector<KvRecord>& records) {
+  ASSERT_TRUE(batched->PutBatch(records).ok());
+  for (const KvRecord& record : records) {
+    ASSERT_TRUE(looped->Put(record.key, record.value).ok());
+  }
+}
+
+TEST(LogKvTest, BatchedIngestWritesTheBytesOfAPutLoop) {
+  data::SimDataset ds = data::TransactionGenerator::Make(
+      data::TransactionGenerator::SimSmall(), "batch-bytes");
+  const std::string batched_path = TempPath("log_batched.kv");
+  const std::string looped_path = TempPath("log_looped.kv");
+  for (const std::string& p : {batched_path, looped_path}) {
+    std::remove(p.c_str());
+    std::remove((p + ".compact").c_str());
+  }
+  auto batched = std::move(LogKvStore::Open(batched_path).value());
+  auto looped = std::move(LogKvStore::Open(looped_path).value());
+  // Whole-file comparisons go through ASSERT_TRUE: on a mismatch the
+  // message gives the sizes instead of two multi-MiB dumps.
+  auto expect_same_files = [&](const std::string& what) {
+    const std::string a = FileBytes(batched_path);
+    const std::string b = FileBytes(looped_path);
+    ASSERT_TRUE(a == b) << what << ": " << a.size() << " vs " << b.size()
+                        << " bytes";
+  };
+
+  ASSERT_TRUE(FeatureStore(batched.get()).Ingest(ds.graph).ok());
+  ASSERT_TRUE(PutEachRecord(ds.graph, looped.get()).ok());
+  ASSERT_TRUE(batched->PublishEpoch().ok());
+  ASSERT_TRUE(looped->PublishEpoch().ok());
+  ASSERT_GT(batched->FileSize(), int64_t{1} << 20);
+  expect_same_files("ingest");
+  ExpectSameReads(*batched, *looped);
+
+  // A repeated key lands as the same Puts would: the last value wins, in
+  // place within the pending epoch.
+  PutBoth(batched.get(), looped.get(),
+          {{NodeKey(0), "first"}, {"x", "y"}, {NodeKey(0), "second"},
+           {"x", ""}});
+  expect_same_files("repeated key");
+  ExpectSameReads(*batched, *looped);
+  std::string value;
+  ASSERT_TRUE(batched->Get(NodeKey(0), &value).ok());
+  EXPECT_EQ(value, "second");
+
+  // A batch after a delete and a publish, putting the deleted keys back.
+  for (LogKvStore* store : {batched.get(), looped.get()}) {
+    ASSERT_TRUE(store->Delete("x").ok());
+    ASSERT_TRUE(store->Delete(AdjKey(1)).ok());
+    ASSERT_TRUE(store->PublishEpoch().ok());
+  }
+  PutBoth(batched.get(), looped.get(),
+          {{"x", "back"}, {AdjKey(1), PatternValue(1, 300)},
+           {"fresh", PatternValue(2, 5000)}});
+  for (LogKvStore* store : {batched.get(), looped.get()}) {
+    ASSERT_TRUE(store->PublishEpoch().ok());
+  }
+  expect_same_files("batch after a delete");
+  ExpectSameReads(*batched, *looped);
+
+  // An empty batch writes nothing and maps nothing.
+  const int64_t size = batched->FileSize();
+  const int64_t remaps = RemapCount();
+  ASSERT_TRUE(batched->PutBatch({}).ok());
+  EXPECT_EQ(batched->FileSize(), size);
+  EXPECT_EQ(RemapCount(), remaps);
+  expect_same_files("empty batch");
+
+  ASSERT_TRUE(batched->Compact().ok());
+  ASSERT_TRUE(looped->Compact().ok());
+  expect_same_files("compact");
+  ExpectSameReads(*batched, *looped);
+  batched.reset();
+  batched = std::move(LogKvStore::Open(batched_path).value());
+  ExpectSameReads(*batched, *looped);
+  batched.reset();
+  looped.reset();
+  std::remove(batched_path.c_str());
+  std::remove(looped_path.c_str());
+}
+
+/// True iff `store` holds exactly `want` at its head.
+bool HoldsExactly(const LogKvStore& store,
+                  const std::map<std::string, std::string>& want) {
+  if (store.Count() != static_cast<int64_t>(want.size())) return false;
+  std::string value;
+  for (const auto& [key, expected] : want) {
+    if (!store.Get(key, &value).ok() || value != expected) return false;
+  }
+  return true;
+}
+
+TEST(MultiProcessKv, FailedBatchLeavesNeitherFileNorIndexHoldingAnyOfIt) {
+  std::string path = TempPath("log_failed_batch.kv");
+  std::remove(path.c_str());
+  std::map<std::string, std::string> before;
+  {
+    auto store = std::move(LogKvStore::Open(path).value());
+    for (int i = 0; i < 4; ++i) {
+      std::string key = "pre" + std::to_string(i);
+      before[key] = PatternValue(i, 200);
+      ASSERT_TRUE(store->Put(key, before[key]).ok());
+      if (i == 2) {
+        ASSERT_TRUE(store->PublishEpoch().ok());
+      }
+    }
+  }
+  const int64_t size = static_cast<int64_t>(std::filesystem::file_size(path));
+  // 64 records of 1 KiB; one rewrites a pre-batch key.
+  std::vector<KvRecord> batch;
+  int64_t batch_bytes = 0;
+  for (int i = 0; i < 64; ++i) {
+    std::string key = i == 7 ? "pre1" : "batch" + std::to_string(i);
+    batch.push_back({key, PatternValue(100 + i, 1024)});
+    batch_bytes += 13 + static_cast<int64_t>(key.size()) + 1024;
+  }
+
+  // The child's file-size limit lands halfway through the batch's write;
+  // SIGXFSZ is ignored, so the write comes back short instead of killing
+  // the process. The limit acts on the child alone.
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit limit;
+    if (::getrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(10);
+    limit.rlim_cur = static_cast<rlim_t>(size + batch_bytes / 2);
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(11);
+    auto opened = LogKvStore::Open(path);
+    if (!opened.ok()) ::_exit(12);
+    auto store = std::move(opened).value();
+    if (!store->PutBatch(batch).IsIoError()) ::_exit(13);
+    if (store->FileSize() != size) ::_exit(14);
+    if (static_cast<int64_t>(std::filesystem::file_size(path)) != size) {
+      ::_exit(15);
+    }
+    if (!HoldsExactly(*store, before)) ::_exit(16);
+    store.reset();
+    opened = LogKvStore::Open(path);
+    if (!opened.ok() || !HoldsExactly(*opened.value(), before)) ::_exit(17);
+    ::_exit(0);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  ASSERT_EQ(WEXITSTATUS(wstatus), 0);
+
+  EXPECT_EQ(static_cast<int64_t>(std::filesystem::file_size(path)), size);
+  auto store = std::move(LogKvStore::Open(path).value());
+  EXPECT_TRUE(HoldsExactly(*store, before));
+  // Without the limit the same batch lands whole.
+  ASSERT_TRUE(store->PutBatch(batch).ok());
+  EXPECT_EQ(store->FileSize(), size + batch_bytes);
+  for (const KvRecord& record : batch) before[record.key] = record.value;
+  EXPECT_TRUE(HoldsExactly(*store, before));
   store.reset();
   std::remove(path.c_str());
 }
@@ -513,8 +756,8 @@ struct WalPrefix {
 };
 
 TEST(LogKvTest, HostileWalBytesNeverReadPastTheFile) {
-  // A WAL of puts, deletes and epoch markers whose size is exactly one
-  // page: a read past its end then touches a page wholly past EOF of the
+  // A WAL of puts, deletes, a batch and epoch markers whose size is
+  // exactly one page: a read past its end then touches a page wholly past EOF of the
   // (1 MiB) mapping and dies with SIGBUS instead of reading zeros.
   const int64_t page = ::sysconf(_SC_PAGESIZE);
   constexpr int64_t kHeader = 13;  // crc u32, kind u8, klen u32, vlen u32
@@ -541,6 +784,26 @@ TEST(LogKvTest, HostileWalBytesNeverReadPastTheFile) {
     }
     ASSERT_TRUE(store->Delete("key1").ok());
     state.live.erase("key1");
+    record();
+    // A multi-record batch, one of its keys repeated: one write, but
+    // replay sees its records one by one, so every boundary inside it is
+    // a prefix too.
+    const std::vector<KvRecord> batch = {{"batch0", PatternValue(50, 120)},
+                                         {"key2", PatternValue(51, 90)},
+                                         {"batch1", PatternValue(52, 1)},
+                                         {"batch0", PatternValue(53, 70)}};
+    const int64_t batch_start = store->FileSize();
+    ASSERT_TRUE(store->PutBatch(batch).ok());
+    state.end = batch_start;
+    state.published = store->published_epoch();
+    for (const KvRecord& r : batch) {
+      state.end += kHeader + static_cast<int64_t>(r.key.size() +
+                                                  r.value.size());
+      state.live[r.key] = r.value;
+      prefixes.push_back(state);
+    }
+    ASSERT_EQ(state.end, store->FileSize());
+    ASSERT_TRUE(store->PublishEpoch().ok());
     record();
     // Pad with a last put whose value fills the page exactly.
     const int64_t pad = page - store->FileSize() - kHeader - 3;

@@ -677,17 +677,20 @@ void IndexStoreDecls(const ScannedFile& f, IngestIndex* index) {
   });
 }
 
-/// Flags `x.Put(` / `x->Delete(` / `x.Ingest(` where x was declared as a
-/// store anywhere in the program. Only the kv/stream/fault modules (the
-/// schema owners and the fault wrapper) may mutate stores directly;
-/// everywhere else a raw write silently side-steps the epoch/snapshot
-/// machinery and crash recovery of the ingest tier.
+/// Flags `x.Put(` / `x.PutBatch(` / `x->Delete(` / `x.Ingest(` where x was
+/// declared as a store anywhere in the program. Only the kv/stream/fault
+/// modules (the schema owners and the fault wrapper) may mutate stores
+/// directly; everywhere else a raw write silently side-steps the
+/// epoch/snapshot machinery and crash recovery of the ingest tier.
 void CheckIngestBypass(const ScannedFile& f, const IngestIndex& index,
                        std::vector<Finding>* findings) {
   const std::string& code = f.split.code;
   ForEachIdentifier(code, [&](size_t b, size_t e) {
     std::string tok = code.substr(b, e - b);
-    if (tok != "Put" && tok != "Delete" && tok != "Ingest") return;
+    if (tok != "Put" && tok != "PutBatch" && tok != "Delete" &&
+        tok != "Ingest") {
+      return;
+    }
     size_t j = SkipWs(code, e);
     if (j >= code.size() || code[j] != '(') return;
     bool dot = b >= 1 && code[b - 1] == '.';

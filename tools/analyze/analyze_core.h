@@ -21,10 +21,10 @@
 //                      cast to (void).
 //   unordered-iter   — iteration over an unordered_map/unordered_set in
 //                      src/xfraud, where hash order can leak into results.
-//   ingest-bypass    — a Put/Delete/Ingest on a KV store from a library
-//                      module other than kv/stream/fault: direct store
-//                      mutation outside the ingest tier side-steps epoch
-//                      snapshots and crash recovery.
+//   ingest-bypass    — a Put/PutBatch/Delete/Ingest on a KV store from a
+//                      library module other than kv/stream/fault: direct
+//                      store mutation outside the ingest tier side-steps
+//                      epoch snapshots and crash recovery.
 //
 // Suppression mirrors lint: `// xfraud-analyze: allow(rule-id)` on the
 // offending line or the line above, plus an optional checked-in baseline of

@@ -111,8 +111,8 @@ if [[ "${MODE}" == "lint" ]]; then
 fi
 
 # Bench smoke: every kernel and fusion path in bench_nn_ops, and
-# bench_kvstore's loaders and LogKv bulk ingest (read mapping growing under
-# the appends), execute once under ASan+UBSan, then a plain Release build emits a BENCH_nn_ops.json
+# bench_kvstore's loaders, LogKv bulk ingest (one framed batch) and compact,
+# execute once under ASan+UBSan, then a plain Release build emits a BENCH_nn_ops.json
 # snapshot (gitignored) for before/after comparisons.
 if [[ "${MODE}" == "bench-smoke" ]]; then
   echo "== configure (bench-smoke, address+undefined) =="

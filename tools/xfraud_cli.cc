@@ -133,6 +133,8 @@ int Usage() {
       "command prints 'unknown flag --<name>' and exits 2. serve-bench\n"
       "likewise refuses a flag only the other transport reads: it prints\n"
       "'serve-bench --transport <t> does not take --<flag>' and exits 2.\n"
+      "A value that is not a number where one is read, or not one of the\n"
+      "listed choices, prints 'invalid --<flag> value '<v>'' and exits 2.\n"
       "\n"
       "--sample-workers enables the pipelined batch loader: N sampler\n"
       "threads prefetch mini-batches ahead of the model (0 = inline\n"
@@ -555,8 +557,7 @@ int CmdServeBenchSocket(const Flags& flags, const data::SimDataset& ds);
 int CmdServeBench(const Flags& flags) {
   const std::string transport = flags.Get("transport", "inproc");
   if (transport != "inproc" && transport != "socket") {
-    std::cerr << "serve-bench: --transport must be inproc or socket\n";
-    return 1;
+    throw FlagError("transport", transport);
   }
   // serve-bench's flag set is the union of both transports'; a flag only
   // the other transport reads is refused rather than silently ignored.
@@ -573,6 +574,10 @@ int CmdServeBench(const Flags& flags) {
       Usage();
       return 2;
     }
+  }
+  const std::string shed = flags.Get("shed-policy", "failfast");
+  if (shed != "failfast" && shed != "degrade") {
+    throw FlagError("shed-policy", shed);
   }
 
   std::string path = flags.Get("log");
@@ -636,11 +641,6 @@ int CmdServeBench(const Flags& flags) {
         ConfigFor(ds.graph, flags), &rng);
   }
 
-  std::string shed = flags.Get("shed-policy", "failfast");
-  if (shed != "failfast" && shed != "degrade") {
-    std::cerr << "serve-bench: --shed-policy must be failfast or degrade\n";
-    return 1;
-  }
   serve::ServiceOptions options;
   options.deadline_s = flags.GetDouble("deadline-ms", 250.0) * 1e-3;
   options.max_inflight = flags.GetInt("max-inflight", 64);
@@ -1005,14 +1005,13 @@ int CmdDistWorker(const Flags& flags) {
 }
 
 int CmdDistBench(const Flags& flags) {
+  const std::string transport = flags.Get("transport", "inproc");
+  if (transport != "inproc" && transport != "socket") {
+    throw FlagError("transport", transport);
+  }
   auto ds = LoadDataset(flags);
   if (!ds.ok()) {
     std::cerr << "dist-bench: " << ds.status().ToString() << "\n";
-    return 1;
-  }
-  std::string transport = flags.Get("transport", "inproc");
-  if (transport != "inproc" && transport != "socket") {
-    std::cerr << "dist-bench: --transport must be inproc or socket\n";
     return 1;
   }
   auto plan = PlanFromFlags(flags);
