@@ -1,11 +1,10 @@
 // Online-serving tail latency under replica faults (DESIGN.md §11).
 //
 // Section A runs the scoring service on a VirtualClock against a topology
-// with one injected slow replica (+5ms per read) and compares hedged vs
-// unhedged reads: identical request streams, exact per-request latency
-// percentiles, plus the hedge/failover counters that explain the shape.
-// Because the clock is virtual, the injected milliseconds replay instantly
-// and the numbers are bit-identical across runs.
+// with one injected slow replica (+5ms per read) and reports exact
+// per-request latency percentiles plus the failover counter. Because the
+// clock is virtual, the injected milliseconds replay instantly and the
+// numbers are bit-identical across runs.
 //
 // Section B offers increasing concurrent load to a service with a small
 // admission limit (real clock, real threads) and reports the shed rate and
@@ -37,24 +36,15 @@ int64_t CounterValue(const char* name) {
   return obs::Registry::Global().counter(name)->value();
 }
 
-struct TailRow {
-  std::string config;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  int64_t hedged = 0;
-  int64_t hedge_wins = 0;
-  int64_t failovers = 0;
-};
-
-TailRow RunTailConfig(const data::SimDataset& ds, const std::string& label,
-                      double hedge_delay_s, int num_requests) {
+void RunSectionA(const data::SimDataset& ds, int num_requests) {
+  std::cout << "-- A: tail latency with one slow replica (virtual clock, "
+            << num_requests << " requests, 4 shards x 3 replicas, "
+            << "slow_replica=2@5ms) --\n";
   VirtualClock clock;
   stream::StreamingOptions topo;  // empty dir: cells in a removed temp dir
   topo.num_shards = 4;
   topo.num_replicas = 3;
   topo.clock = &clock;
-  topo.replication.hedge_delay_s = hedge_delay_s;
   // Replica 2 answers, but slowly: +5ms on every read it serves.
   auto plan = fault::FaultPlan::Parse("seed=20260805,slow_replica=2@0.005");
   XF_CHECK(plan.ok()) << plan.status().ToString();
@@ -71,10 +61,7 @@ TailRow RunTailConfig(const data::SimDataset& ds, const std::string& label,
   options.clock = &clock;
   serve::ScoringService service(&model, &features, options);
 
-  const int64_t hedged_before = CounterValue("kv/replicated/hedged_reads");
-  const int64_t wins_before = CounterValue("kv/replicated/hedge_wins");
   const int64_t failovers_before = CounterValue("kv/replicated/failovers");
-
   std::vector<double> latencies;
   latencies.reserve(num_requests);
   for (int i = 0; i < num_requests; ++i) {
@@ -85,44 +72,15 @@ TailRow RunTailConfig(const data::SimDataset& ds, const std::string& label,
     latencies.push_back(resp.value().latency_s);
   }
 
-  TailRow row;
-  row.config = label;
-  row.p50_ms = Percentile(latencies, 0.50) * 1e3;
-  row.p95_ms = Percentile(latencies, 0.95) * 1e3;
-  row.p99_ms = Percentile(latencies, 0.99) * 1e3;
-  row.hedged = CounterValue("kv/replicated/hedged_reads") - hedged_before;
-  row.hedge_wins = CounterValue("kv/replicated/hedge_wins") - wins_before;
-  row.failovers =
-      CounterValue("kv/replicated/failovers") - failovers_before;
-  return row;
-}
-
-void RunSectionA(const data::SimDataset& ds, int num_requests) {
-  std::cout << "-- A: tail latency with one slow replica (virtual clock, "
-            << num_requests << " requests, 4 shards x 3 replicas, "
-            << "slow_replica=2@5ms) --\n";
-  std::vector<TailRow> rows;
-  rows.push_back(
-      RunTailConfig(ds, "no hedging", /*hedge_delay_s=*/-1.0, num_requests));
-  rows.push_back(RunTailConfig(ds, "hedge @ 1ms", /*hedge_delay_s=*/0.001,
-                               num_requests));
-
-  TablePrinter table({"config", "p50 (ms)", "p95 (ms)", "p99 (ms)",
-                      "hedged", "wins", "failovers"});
-  for (const TailRow& r : rows) {
-    table.AddRow({r.config, TablePrinter::Num(r.p50_ms, 2),
-                  TablePrinter::Num(r.p95_ms, 2),
-                  TablePrinter::Num(r.p99_ms, 2), std::to_string(r.hedged),
-                  std::to_string(r.hedge_wins),
-                  std::to_string(r.failovers)});
-  }
+  TablePrinter table({"p50 (ms)", "p95 (ms)", "p99 (ms)", "failovers"});
+  table.AddRow(
+      {TablePrinter::Num(Percentile(latencies, 0.50) * 1e3, 2),
+       TablePrinter::Num(Percentile(latencies, 0.95) * 1e3, 2),
+       TablePrinter::Num(Percentile(latencies, 0.99) * 1e3, 2),
+       std::to_string(CounterValue("kv/replicated/failovers") -
+                      failovers_before)});
   table.Print(std::cout);
-  const double cut = rows[0].p99_ms > 0.0
-                         ? 100.0 * (rows[0].p99_ms - rows[1].p99_ms) /
-                               rows[0].p99_ms
-                         : 0.0;
-  std::cout << "hedged reads cut p99 by " << TablePrinter::Num(cut, 1)
-            << "% against the slow replica\n\n";
+  std::cout << "\n";
 }
 
 void RunSectionB(const data::SimDataset& ds, int requests_per_thread) {

@@ -8,10 +8,10 @@ namespace xfraud {
 
 /// Injectable time source. All code outside common/ must measure time and
 /// sleep through a Clock* (the `no-raw-clock` lint rule enforces this), so
-/// every latency-sensitive path — replicated reads, hedging, deadlines,
-/// retry backoff — can run under a VirtualClock in tests: chaos scenarios
-/// with seconds of injected latency replay in microseconds of real time,
-/// and the observed timings are bit-identical across runs.
+/// every latency-sensitive path — replicated reads, breaker cool-offs,
+/// deadlines, retry backoff — can run under a VirtualClock in tests: chaos
+/// scenarios with seconds of injected latency replay in microseconds of
+/// real time, and the observed timings are bit-identical across runs.
 class Clock {
  public:
   virtual ~Clock() = default;

@@ -15,37 +15,26 @@ namespace {
 // sharding hash so the primary replica is uncorrelated with the shard.
 constexpr uint64_t kPrimarySalt = 0x5245504CULL;  // "REPL"
 
-thread_local double t_hedge_rebate_s = 0.0;
-
 }  // namespace
 
-double HedgeRebate::Take() {
-  double credit = t_hedge_rebate_s;
-  t_hedge_rebate_s = 0.0;
-  return credit;
-}
-
-void HedgeRebate::Add(double seconds) { t_hedge_rebate_s += seconds; }
-
 ReplicatedKvStore::ReplicatedKvStore(std::vector<KvStore*> replicas,
-                                     ReplicationOptions options)
-    : replicas_(std::move(replicas)), options_(options) {
-  Init();
+                                     Clock* clock)
+    : replicas_(std::move(replicas)) {
+  Init(clock);
 }
 
 ReplicatedKvStore::ReplicatedKvStore(
-    std::vector<std::unique_ptr<KvStore>> replicas,
-    ReplicationOptions options)
-    : owned_(std::move(replicas)), options_(options) {
+    std::vector<std::unique_ptr<KvStore>> replicas, Clock* clock)
+    : owned_(std::move(replicas)) {
   replicas_.reserve(owned_.size());
   for (const auto& r : owned_) replicas_.push_back(r.get());
-  Init();
+  Init(clock);
 }
 
-void ReplicatedKvStore::Init() {
+void ReplicatedKvStore::Init(Clock* clock) {
   XF_CHECK(!replicas_.empty());
   for (KvStore* r : replicas_) XF_CHECK(r != nullptr);
-  clock_ = options_.clock != nullptr ? options_.clock : Clock::Real();
+  clock_ = clock != nullptr ? clock : Clock::Real();
   breakers_.reserve(replicas_.size());
   for (size_t i = 0; i < replicas_.size(); ++i) {
     breakers_.push_back(std::make_unique<CircuitBreaker>(clock_));
@@ -53,8 +42,6 @@ void ReplicatedKvStore::Init() {
   auto& r = obs::Registry::Global();
   reads_ = r.counter("kv/replicated/reads");
   failovers_ = r.counter("kv/replicated/failovers");
-  hedged_reads_ = r.counter("kv/replicated/hedged_reads");
-  hedge_wins_ = r.counter("kv/replicated/hedge_wins");
   breaker_opens_ = r.counter("kv/replicated/breaker_opens");
   breaker_closes_ = r.counter("kv/replicated/breaker_closes");
   exhausted_ = r.counter("kv/replicated/exhausted");
@@ -62,14 +49,15 @@ void ReplicatedKvStore::Init() {
 }
 
 std::unique_ptr<ReplicatedKvStore> ReplicatedKvStore::InMemory(
-    int num_replicas, ReplicationOptions options) {
+    int num_replicas) {
   XF_CHECK_GT(num_replicas, 0);
   std::vector<std::unique_ptr<KvStore>> replicas;
   replicas.reserve(num_replicas);
   for (int i = 0; i < num_replicas; ++i) {
     replicas.push_back(std::make_unique<MemKvStore>());
   }
-  return std::make_unique<ReplicatedKvStore>(std::move(replicas), options);
+  return std::make_unique<ReplicatedKvStore>(std::move(replicas),
+                                             /*clock=*/nullptr);
 }
 
 size_t ReplicatedKvStore::PrimaryOf(std::string_view key) const {
@@ -87,16 +75,6 @@ void ReplicatedKvStore::Record(size_t r, bool healthy) const {
   const CircuitBreaker::Transition t = breakers_[r]->Record(healthy);
   if (t == CircuitBreaker::Transition::kOpened) breaker_opens_->Increment();
   if (t == CircuitBreaker::Transition::kClosed) breaker_closes_->Increment();
-}
-
-Status ReplicatedKvStore::GetOnce(size_t r, std::string_view key,
-                                  uint64_t epoch, std::string* value,
-                                  double* latency_s) const {
-  const double start_s = clock_->NowSeconds();
-  Status s = epoch == kHeadEpoch ? replicas_[r]->Get(key, value)
-                                 : replicas_[r]->GetAt(key, epoch, value);
-  *latency_s = clock_->NowSeconds() - start_s;
-  return s;
 }
 
 Status ReplicatedKvStore::Get(std::string_view key,
@@ -133,8 +111,10 @@ Status ReplicatedKvStore::GetImpl(std::string_view key, uint64_t epoch,
     if (any_attempt) failovers_->Increment();
     any_attempt = true;
     std::string tmp;
-    double latency = 0.0;
-    Status s = GetOnce(r, key, epoch, &tmp, &latency);
+    const double start_s = clock_->NowSeconds();
+    Status s = epoch == kHeadEpoch ? replicas_[r]->Get(key, &tmp)
+                                   : replicas_[r]->GetAt(key, epoch, &tmp);
+    const double latency_s = clock_->NowSeconds() - start_s;
     // NotFound and FailedPrecondition are authoritative answers (replicas
     // hold identical histories): healthy for the breaker, no failover.
     const bool healthy =
@@ -144,33 +124,7 @@ Status ReplicatedKvStore::GetImpl(std::string_view key, uint64_t epoch,
       last = std::move(s);
       continue;
     }
-    double effective = latency;
-    if (options_.hedge_delay_s >= 0.0 &&
-        latency > options_.hedge_delay_s) {
-      // The primary was slow enough that a real deployment would have
-      // fired a backup request at hedge_delay; emulate that race against
-      // the next admitted replica.
-      for (size_t j = i + 1; j < n; ++j) {
-        const size_t h = (primary + j) % n;
-        if (!breakers_[h]->Admit()) continue;
-        hedged_reads_->Increment();
-        std::string hedge_tmp;
-        double hedge_latency = 0.0;
-        Status hs = GetOnce(h, key, epoch, &hedge_tmp, &hedge_latency);
-        const bool hedge_healthy = hs.ok() || hs.IsNotFound();
-        Record(h, hedge_healthy);
-        const double hedged_total = options_.hedge_delay_s + hedge_latency;
-        if (hedge_healthy && hedged_total < latency) {
-          hedge_wins_->Increment();
-          HedgeRebate::Add(latency - hedged_total);
-          effective = hedged_total;
-          tmp = std::move(hedge_tmp);
-          s = std::move(hs);
-        }
-        break;  // at most one hedge per read
-      }
-    }
-    if (obs::IsEnabled()) get_s_->Record(effective);
+    if (obs::IsEnabled()) get_s_->Record(latency_s);
     if (s.ok()) *value = std::move(tmp);
     return s;
   }

@@ -40,8 +40,7 @@ struct RouterOptions {
 /// (common/breaker.h, the same policy as the KV replicas), deadline
 /// propagation on the wire, and failover to a replica process when the
 /// primary dies mid-request. It never duplicates a request onto a second
-/// replica: the tree's one such read is kv::ReplicatedKvStore's (DESIGN.md
-/// §11.2).
+/// replica.
 ///
 /// Not thread-safe: backends hold cached connections with in-flight
 /// request/reply pairing. Use one Router per thread (scores are

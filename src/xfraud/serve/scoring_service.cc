@@ -6,7 +6,6 @@
 
 #include "xfraud/common/logging.h"
 #include "xfraud/common/rng.h"
-#include "xfraud/kv/replicated_kv.h"
 #include "xfraud/obs/registry.h"
 
 namespace xfraud::serve {
@@ -75,15 +74,9 @@ void ScoringService::RecordClean() {
 Result<ScoreResponse> ScoringService::Finish(ScoreResponse resp,
                                              double start_s,
                                              const Deadline& deadline) {
-  // Hedge wins rebate the time a racing backup request would have saved;
-  // subtracting it makes latency_s equal the true hedged behavior (the
-  // emulation in ReplicatedKvStore runs the race sequentially).
-  const double rebate_s = kv::HedgeRebate::Take();
-  resp.latency_s =
-      std::max(0.0, clock_->NowSeconds() - start_s - rebate_s);
+  resp.latency_s = clock_->NowSeconds() - start_s;
   if (!deadline.unlimited()) {
-    resp.deadline_slack_s =
-        std::max(0.0, deadline.RemainingSeconds() + rebate_s);
+    resp.deadline_slack_s = std::max(0.0, deadline.RemainingSeconds());
     deadline_slack_s_->Record(resp.deadline_slack_s);
   }
   score_s_->Record(resp.latency_s);
@@ -143,7 +136,6 @@ Result<ScoreResponse> ScoringService::ScoreAt(int64_t request_id,
                                               double deadline_s,
                                               uint64_t epoch) {
   requests_->Increment();
-  (void)kv::HedgeRebate::Take();  // drop stale credit from earlier work
   const double start_s = clock_->NowSeconds();
   const Deadline deadline = deadline_s > 0.0
                                 ? Deadline::After(clock_, deadline_s)

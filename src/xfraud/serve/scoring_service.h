@@ -55,7 +55,7 @@ struct ScoreResponse {
   bool from_prefilter = false;
   /// Zero-imputed feature rows in the scored batch.
   int64_t imputed_rows = 0;
-  /// End-to-end latency, net of hedge-win rebates (see kv::HedgeRebate).
+  /// End-to-end latency on the service clock.
   double latency_s = 0.0;
   /// Deadline budget left at completion (0 when no deadline was set).
   double deadline_slack_s = 0.0;

@@ -149,9 +149,6 @@ Status StreamingTopology::Init() {
   const int S = options_.num_shards;
   const int R = options_.num_replicas;
   Clock* clock = options_.clock != nullptr ? options_.clock : Clock::Real();
-  if (options_.replication.clock == nullptr) {
-    options_.replication.clock = clock;
-  }
 
   if (options_.dir.empty()) {
     Result<std::string> dir = MakeTempDir("xfraud-grid-");
@@ -184,11 +181,6 @@ Status StreamingTopology::Init() {
     ingest_faulty_.reserve(cells_.size());
   }
 
-  // Ingest replication: same failover machinery on its (rare) reads, but
-  // its own breakers — write-path chaos must not poison serving breakers.
-  kv::ReplicationOptions ingest_replication;
-  ingest_replication.clock = clock;
-
   serving_shards_.reserve(S);
   ingest_shards_.reserve(S);
   for (int s = 0; s < S; ++s) {
@@ -215,9 +207,11 @@ Status StreamingTopology::Init() {
       ingest_replicas.push_back(ingest_cell);
     }
     serving_shards_.push_back(std::make_unique<kv::ReplicatedKvStore>(
-        std::move(serving_replicas), options_.replication));
+        std::move(serving_replicas), clock));
+    // Ingest replication: same failover machinery on its (rare) reads, but
+    // its own breakers, so write-path chaos cannot poison serving breakers.
     ingest_shards_.push_back(std::make_unique<kv::ReplicatedKvStore>(
-        std::move(ingest_replicas), ingest_replication));
+        std::move(ingest_replicas), clock));
   }
 
   std::vector<kv::KvStore*> serving_ptrs, ingest_ptrs;

@@ -134,9 +134,6 @@ struct StreamingOptions {
   std::string dir;
   int num_shards = 2;
   int num_replicas = 2;
-  /// Failover/hedging/breaker behavior of the serving read path. Its clock
-  /// defaults to `clock` below when unset.
-  kv::ReplicationOptions replication;
   /// Chaos profile. Positioned faults (kill_replica / kill_shard /
   /// slow_replica) bite only the serving read path; the randomized per-op
   /// faults (kv_error / kv_corruption / torn_write / kv_latency) hit the
@@ -155,7 +152,7 @@ struct StreamingOptions {
 /// through ingestor().
 ///
 ///   serving():  ShardedKvStore
-///                 └─ per shard: ReplicatedKvStore (failover/hedge/breaker)
+///                 └─ per shard: ReplicatedKvStore (failover/breaker)
 ///                      └─ per replica: [FaultyKvStore(r,s) →] LogKvStore
 ///   ingest():   ShardedKvStore
 ///                 └─ per shard: ReplicatedKvStore (Put fans to replicas)

@@ -25,11 +25,10 @@
 ///   fault   -> deterministic fault injection (chaos plans, faulty KV and
 ///              sampler decorators) for robustness testing
 ///   serve   -> online scoring service over a sharded+replicated KV
-///              topology: failover, the replicated store's hedged reads,
-///              circuit breakers, deadlines, load shedding (sits above
-///              core/kv/baselines); the multi-process tier's supervised
-///              shard-server processes behind a failover router that
-///              does not hedge
+///              topology: replica failover, circuit breakers, deadlines,
+///              load shedding (sits above core/kv/baselines); the
+///              multi-process tier's supervised shard-server processes
+///              behind a failover router
 ///   stream  -> crash-safe streaming ingestion (DESIGN.md §15): the
 ///              GraphIngestor appends transactions through the WAL write
 ///              path and publishes immutable MVCC epochs; GraphView pins

@@ -23,9 +23,10 @@
 #                                    # chaos smoke (shard-server SIGKILL +
 #                                    # respawn + wire corruption), and a
 #                                    # bench_serve_mp snapshot
-#   tools/ci.sh --mode=bench-smoke   # bench_nn_ops and a fast bench_kvstore
-#                                    # under ASan+UBSan (one short pass
-#                                    # each), then a plain-build run that
+#   tools/ci.sh --mode=bench-smoke   # bench_nn_ops, a fast bench_kvstore and
+#                                    # a fast bench_serve_tail_latency under
+#                                    # ASan+UBSan (one short pass each),
+#                                    # then a plain-build run that
 #                                    # snapshots BENCH_nn_ops.json
 #
 # An optional positional argument overrides the build directory (default:
@@ -110,20 +111,25 @@ if [[ "${MODE}" == "lint" ]]; then
   exit 0
 fi
 
-# Bench smoke: every kernel and fusion path in bench_nn_ops, and
+# Bench smoke: every kernel and fusion path in bench_nn_ops,
 # bench_kvstore's loaders, LogKv bulk ingest (one framed batch) and compact,
-# execute once under ASan+UBSan, then a plain Release build emits a BENCH_nn_ops.json
-# snapshot (gitignored) for before/after comparisons.
+# and bench_serve_tail_latency's slow-replica tail (virtual clock) and
+# load-shedding curve execute once under ASan+UBSan, then a plain Release
+# build emits a BENCH_nn_ops.json snapshot (gitignored) for before/after
+# comparisons.
 if [[ "${MODE}" == "bench-smoke" ]]; then
   echo "== configure (bench-smoke, address+undefined) =="
   cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
         -DXFRAUD_SANITIZE="address,undefined"
-  echo "== build bench_nn_ops, bench_kvstore (sanitized) =="
-  cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_nn_ops bench_kvstore
+  echo "== build bench_nn_ops, bench_kvstore, bench_serve_tail_latency (sanitized) =="
+  cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_nn_ops \
+        bench_kvstore bench_serve_tail_latency
   echo "== bench_nn_ops smoke (sanitized) =="
   "${BUILD_DIR}/bench/bench_nn_ops" --benchmark_min_time=0.01
   echo "== bench_kvstore smoke (sanitized) =="
   XFRAUD_BENCH_FAST=1 "${BUILD_DIR}/bench/bench_kvstore"
+  echo "== bench_serve_tail_latency smoke (sanitized) =="
+  XFRAUD_BENCH_FAST=1 "${BUILD_DIR}/bench/bench_serve_tail_latency"
   echo "== configure (plain snapshot) =="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
   echo "== build bench_nn_ops (plain) =="

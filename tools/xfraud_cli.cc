@@ -12,7 +12,7 @@
 //       it (the paper's Fig. 11 workflow)
 //   xfraud_cli serve-bench --log log.tsv [--transport inproc|socket] ...
 //       drive the online scoring service and report tail latencies;
-//       in-process it is replicated KV with hedged reads, deadlines and
+//       in-process it is replicated KV with failover, deadlines and
 //       load shedding, with --transport socket it is real shard-server
 //       processes behind a supervised frame-speaking router
 //   xfraud_cli serve-worker --cell cell.log --endpoint unix:<path> ...
@@ -105,7 +105,7 @@ int Usage() {
       "           [--requests N] [--seed N] [--hidden N] [--layers N]\n"
       "           [--shards N] [--replicas N] [--deadline-ms F]\n"
       "           [--max-inflight N] [--fault-plan SPEC] [--metrics-out F]\n"
-      "           inproc only: [--model <ckpt>] [--hedge-delay-ms F]\n"
+      "           inproc only: [--model <ckpt>]\n"
       "             [--shed-policy failfast|degrade] [--max-degraded-frac F]\n"
       "             [--threads N] [--virtual-clock]\n"
       "           socket only: [--dir D]\n"
@@ -159,13 +159,13 @@ int Usage() {
       "\n"
       "in-process serving (serve-bench): stands up --shards x --replicas\n"
       "LogKv cells (in a temp dir removed on exit) behind the hardened read\n"
-      "path (failover, circuit breakers, hedged reads after --hedge-delay-ms;\n"
-      "negative disables hedging) and scores --requests labeled transactions\n"
-      "under a --deadline-ms budget. Admission control sheds requests past\n"
-      "--max-inflight concurrent scores: --shed-policy failfast refuses\n"
-      "them, degrade answers from the mined-rule prefilter (counted\n"
-      "against --max-degraded-frac). --fault-plan adds kill_replica=<r>,\n"
-      "kill_shard=<s>, slow_replica=<r>@<sec> to the grammar above.\n"
+      "path (failover, circuit breakers) and scores --requests labeled\n"
+      "transactions under a --deadline-ms budget. Admission control sheds\n"
+      "requests past --max-inflight concurrent scores: --shed-policy\n"
+      "failfast refuses them, degrade answers from the mined-rule prefilter\n"
+      "(counted against --max-degraded-frac). --fault-plan adds\n"
+      "kill_replica=<r>, kill_shard=<s>, slow_replica=<r>@<sec> to the\n"
+      "grammar above.\n"
       "--virtual-clock replays injected latency on simulated time\n"
       "(bit-deterministic with --threads 1); --model reuses a trained\n"
       "checkpoint, otherwise a seed-initialized detector is scored\n"
@@ -564,8 +564,7 @@ int CmdServeBench(const Flags& flags) {
   const std::vector<std::string> other_transport_only =
       transport == "socket"
           ? std::vector<std::string>{"model", "virtual-clock", "threads",
-                                     "shed-policy", "max-degraded-frac",
-                                     "hedge-delay-ms"}
+                                     "shed-policy", "max-degraded-frac"}
           : std::vector<std::string>{"dir"};
   for (const std::string& flag : other_transport_only) {
     if (flags.Has(flag)) {
@@ -602,8 +601,6 @@ int CmdServeBench(const Flags& flags) {
   topo.num_shards = flags.GetInt("shards", 4);
   topo.num_replicas = flags.GetInt("replicas", 3);
   topo.clock = clock;
-  topo.replication.hedge_delay_s =
-      flags.GetDouble("hedge-delay-ms", -1.0) * 1e-3;
   if (flags.Has("fault-plan") || std::getenv("XFRAUD_FAULT_PLAN") != nullptr) {
     Result<fault::FaultPlan> plan =
         flags.Has("fault-plan")
@@ -662,8 +659,6 @@ int CmdServeBench(const Flags& flags) {
       std::max(1, flags.GetInt("requests", 200));
   const int num_threads = std::max(1, flags.GetInt("threads", 1));
 
-  const int64_t hedged_before = CounterValue("kv/replicated/hedged_reads");
-  const int64_t wins_before = CounterValue("kv/replicated/hedge_wins");
   const int64_t failovers_before = CounterValue("kv/replicated/failovers");
   const int64_t opens_before = CounterValue("kv/replicated/breaker_opens");
 
@@ -730,12 +725,6 @@ int CmdServeBench(const Flags& flags) {
       {"p95 (ms)", TablePrinter::Num(Percentile(ok_latencies, 0.95) * 1e3, 2)});
   table.AddRow(
       {"p99 (ms)", TablePrinter::Num(Percentile(ok_latencies, 0.99) * 1e3, 2)});
-  table.AddRow({"hedged reads",
-                std::to_string(CounterValue("kv/replicated/hedged_reads") -
-                               hedged_before)});
-  table.AddRow({"hedge wins",
-                std::to_string(CounterValue("kv/replicated/hedge_wins") -
-                               wins_before)});
   table.AddRow({"failovers",
                 std::to_string(CounterValue("kv/replicated/failovers") -
                                failovers_before)});
@@ -1097,9 +1086,9 @@ const Command* FindCommand(const std::string& name) {
       {"serve-bench",
        CmdServeBench,
        {"log", "seed", "model", "hidden", "layers", "transport",
-        "virtual-clock", "shards", "replicas", "hedge-delay-ms",
-        "fault-plan", "shed-policy", "deadline-ms", "max-inflight",
-        "max-degraded-frac", "requests", "threads", "dir", "metrics-out"}},
+        "virtual-clock", "shards", "replicas", "fault-plan", "shed-policy",
+        "deadline-ms", "max-inflight", "max-degraded-frac", "requests",
+        "threads", "dir", "metrics-out"}},
       {"serve-worker",
        CmdServeWorker,
        {"cell", "endpoint", "shard", "replica", "hidden", "layers", "seed",
