@@ -39,7 +39,8 @@ class KvStore {
   /// default is that Put loop, so a decorator keeps its per-record
   /// behaviour (fault draws, replica fan-out) and stops at the first
   /// failure with the earlier records written. LogKvStore overrides it with
-  /// one framed append that lands whole or not at all.
+  /// one framed append that lands whole or not at all; ShardedKvStore with
+  /// one PutBatch per shard.
   virtual Status PutBatch(const std::vector<KvRecord>& records) {
     for (const KvRecord& record : records) {
       XF_RETURN_IF_ERROR(Put(record.key, record.value));

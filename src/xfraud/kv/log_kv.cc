@@ -186,13 +186,13 @@ Status LogKvStore::ReplayLog() {
     if (offset + total > file_size_) break;  // truncated tail
     uint32_t actual = Crc32(rec + 4, kHeaderSize - 4 + klen + vlen);
     if (actual != crc) break;  // corrupt tail: stop replay (crash safety)
-    std::string key(rec + kHeaderSize, klen);
+    const std::string_view key(rec + kHeaderSize, klen);
     const int64_t value_offset =
         offset + static_cast<int64_t>(kHeaderSize) + klen;
     if (kind == kKindPut) {
-      UpsertPending(key, Version{published_ + 1, value_offset, vlen});
+      Upsert(&index_, key, Version{published_ + 1, value_offset, vlen});
     } else if (kind == kKindDelete) {
-      UpsertPending(key, Version{published_ + 1, -1, 0});
+      Upsert(&index_, key, Version{published_ + 1, -1, 0});
     } else if (kind == kKindEpoch) {
       // A marker commits exactly the next epoch; anything else means the
       // log was torn or tampered with — stop replay there.
@@ -219,13 +219,21 @@ Status LogKvStore::ReplayLog() {
   return Status::OK();
 }
 
-void LogKvStore::UpsertPending(const std::string& key, Version v) {
-  std::vector<Version>& chain = index_[key];
-  if (!chain.empty() && chain.back().epoch == v.epoch) {
-    chain.back() = v;  // rewrite within the open epoch replaces in place
+void LogKvStore::Chain::Upsert(const Version& v) {
+  if (back().epoch == v.epoch) {
+    // A rewrite within the open epoch replaces in place.
+    (spill_.empty() ? first_ : spill_.back()) = v;
+  } else if (spill_.empty()) {
+    spill_ = {first_, v};
   } else {
-    chain.push_back(v);
+    spill_.push_back(v);
   }
+}
+
+void LogKvStore::Upsert(Index* index, std::string_view key,
+                        const Version& v) {
+  auto [it, inserted] = index->try_emplace(std::string(key), v);
+  if (!inserted) it->second.Upsert(v);
 }
 
 bool LogKvStore::VisibleAt(const Version& v, uint64_t epoch) const {
@@ -233,15 +241,16 @@ bool LogKvStore::VisibleAt(const Version& v, uint64_t epoch) const {
   return ttl_epochs_ == 0 || epoch - v.epoch < ttl_epochs_;
 }
 
-const LogKvStore::Version* LogKvStore::ResolveAt(
-    const std::vector<Version>& chain, uint64_t epoch) const {
+const LogKvStore::Version* LogKvStore::ResolveAt(const Chain& chain,
+                                                 uint64_t epoch) const {
   // Latest version at or below the read epoch wins; if it is a tombstone
   // or TTL-expired the key is absent at that epoch (older versions are
   // shadowed, never resurrected).
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    if (it->epoch > epoch) continue;
-    if (it->tombstone() || !VisibleAt(*it, epoch)) return nullptr;
-    return &*it;
+  for (const Version* v = chain.end(); v != chain.begin();) {
+    --v;
+    if (v->epoch > epoch) continue;
+    if (v->tombstone() || !VisibleAt(*v, epoch)) return nullptr;
+    return v;
   }
   return nullptr;
 }
@@ -254,9 +263,9 @@ Status LogKvStore::Put(std::string_view key, std::string_view value) {
       file_size_ +
       static_cast<int64_t>(AppendRecord(kKindPut, key, value, &frame_));
   XF_RETURN_IF_ERROR(AppendLocked(frame_));
-  UpsertPending(std::string(key),
-                Version{head_epoch_locked(), value_offset,
-                        static_cast<uint32_t>(value.size())});
+  Upsert(&index_, key,
+         Version{head_epoch_locked(), value_offset,
+                 static_cast<uint32_t>(value.size())});
   metrics.put_ops->Increment();
   metrics.bytes_written->Add(static_cast<int64_t>(frame_.size()));
   return Status::OK();
@@ -282,9 +291,9 @@ Status LogKvStore::PutBatch(const std::vector<KvRecord>& records) {
   index_.reserve(index_.size() + records.size());
   for (const KvRecord& record : records) {
     offset += static_cast<int64_t>(kHeaderSize + record.key.size());
-    UpsertPending(record.key,
-                  Version{head_epoch_locked(), offset,
-                          static_cast<uint32_t>(record.value.size())});
+    Upsert(&index_, record.key,
+           Version{head_epoch_locked(), offset,
+                   static_cast<uint32_t>(record.value.size())});
     offset += static_cast<int64_t>(record.value.size());
   }
   metrics.put_ops->Add(static_cast<int64_t>(records.size()));
@@ -350,7 +359,7 @@ Status LogKvStore::Delete(std::string_view key) {
   frame_.clear();
   AppendRecord(kKindDelete, key, "", &frame_);
   XF_RETURN_IF_ERROR(AppendLocked(frame_));
-  UpsertPending(std::string(key), Version{head_epoch_locked(), -1, 0});
+  Upsert(&index_, key, Version{head_epoch_locked(), -1, 0});
   return Status::OK();
 }
 
@@ -505,10 +514,11 @@ Result<int64_t> LogKvStore::Compact() {
   std::vector<std::vector<Slot>> segments(published_ + 2);
   // The collection loop itself is order-insensitive (each segment is sorted
   // by key below, making the image a pure function of retained state).
+  std::vector<const Version*> retained;  // one key's, reused across keys
   // xfraud-analyze: allow(unordered-iter)
   for (const auto& [key, chain] : index_) {
     const Version* below = nullptr;  // latest version at or below the floor
-    std::vector<const Version*> retained;
+    retained.clear();
     for (const Version& v : chain) {
       if (v.epoch <= floor) {
         below = &v;
@@ -530,7 +540,8 @@ Result<int64_t> LogKvStore::Compact() {
 
   int64_t old_size = file_size_;
   int64_t new_published_end = 0;
-  std::unordered_map<std::string, std::vector<Version>> new_index;
+  Index new_index;
+  new_index.reserve(index_.size());
 
   // The image is framed into `frame` and written whenever the buffer passes
   // kCompactFlushBytes, and once more before the phase-0 hook.
@@ -576,7 +587,7 @@ Result<int64_t> LogKvStore::Compact() {
       if (slot.v->tombstone()) {
         Status s = write_record(kKindDelete, slot.key, "");
         if (!s.ok()) return fail(std::move(s));
-        new_index[std::string(slot.key)].push_back(Version{e, -1, 0});
+        Upsert(&new_index, slot.key, Version{e, -1, 0});
       } else {
         int64_t value_offset = 0;
         Status s = write_record(
@@ -585,8 +596,8 @@ Result<int64_t> LogKvStore::Compact() {
                              slot.v->value_size),
             &value_offset);
         if (!s.ok()) return fail(std::move(s));
-        new_index[std::string(slot.key)].push_back(
-            Version{e, value_offset, slot.v->value_size});
+        Upsert(&new_index, slot.key,
+               Version{e, value_offset, slot.v->value_size});
       }
     }
     // Commit markers for every published epoch are preserved (replay

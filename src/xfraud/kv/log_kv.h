@@ -122,6 +122,29 @@ class LogKvStore : public KvStore, public EpochSource {
     bool tombstone() const { return value_offset < 0; }
   };
 
+  /// A key's version chain, the value of its index slot. Almost every key
+  /// has one version, so the first lives inline and the chain spills to a
+  /// heap vector (holding every version) only on the key's second: a
+  /// one-version key costs its hash node and no other allocation.
+  class Chain {
+   public:
+    explicit Chain(const Version& first) : first_(first) {}
+    const Version* begin() const {
+      return spill_.empty() ? &first_ : spill_.data();
+    }
+    const Version* end() const {
+      return spill_.empty() ? &first_ + 1 : spill_.data() + spill_.size();
+    }
+    const Version& back() const { return end()[-1]; }
+    /// Appends `v` (its epoch above back()'s), or replaces back() when `v`
+    /// is in the same epoch.
+    void Upsert(const Version& v);
+
+   private:
+    Version first_;
+    std::vector<Version> spill_;  // empty, or all versions (2 or more)
+  };
+
   Status ReplayLog();
   /// Appends `frame` (whole records) at the end of the segment and maps it,
   /// all or nothing: on failure the file is cut back to its old end.
@@ -131,15 +154,16 @@ class LogKvStore : public KvStore, public EpochSource {
   Status GrowReadMapping();
   /// Drops the read mapping, if any.
   void Unmap();
-  /// Records `v` as the pending-epoch version of `key` (replace-in-place
-  /// within the open epoch).
-  void UpsertPending(const std::string& key, Version v);
+  using Index = std::unordered_map<std::string, Chain>;
+
+  /// Records `v` as the latest version of `key` in `*index` (replace in
+  /// place within the same epoch).
+  static void Upsert(Index* index, std::string_view key, const Version& v);
   /// TTL + epoch-order visibility of one version at read epoch `epoch`.
   bool VisibleAt(const Version& v, uint64_t epoch) const;
   /// Latest version of `chain` visible at `epoch`; nullptr if none (or the
   /// winner is a tombstone / TTL-expired).
-  const Version* ResolveAt(const std::vector<Version>& chain,
-                           uint64_t epoch) const;
+  const Version* ResolveAt(const Chain& chain, uint64_t epoch) const;
   uint64_t head_epoch_locked() const { return published_ + 1; }
   uint64_t earliest_locked() const { return floor_ == 0 ? 1 : floor_; }
 
@@ -148,7 +172,7 @@ class LogKvStore : public KvStore, public EpochSource {
   int64_t file_size_ = 0;
 
   mutable std::shared_mutex mu_;  // index guard: shared Get, exclusive Put
-  std::unordered_map<std::string, std::vector<Version>> index_;
+  Index index_;
 
   uint64_t published_ = 0;      // committed epochs (= markers in the log)
   int64_t published_end_ = 0;   // file offset just past the last marker

@@ -62,6 +62,21 @@ Status ShardedKvStore::Put(std::string_view key, std::string_view value) {
   return s;
 }
 
+Status ShardedKvStore::PutBatch(const std::vector<KvRecord>& records) {
+  std::vector<std::vector<KvRecord>> batches(shards_.size());
+  for (const KvRecord& record : records) {
+    batches[ShardOf(record.key)].push_back(record);
+  }
+  for (size_t shard = 0; shard < shards_.size(); ++shard) {
+    if (batches[shard].empty()) continue;
+    WallTimer timer;
+    Status s = shards_[shard]->PutBatch(batches[shard]);
+    if (obs::IsEnabled()) shard_put_s_[shard]->Record(timer.ElapsedSeconds());
+    XF_RETURN_IF_ERROR(s);
+  }
+  return Status::OK();
+}
+
 Status ShardedKvStore::Get(std::string_view key, std::string* value) const {
   size_t shard = ShardOf(key);
   if (!obs::IsEnabled()) return shards_[shard]->Get(key, value);

@@ -28,6 +28,10 @@ class ShardedKvStore : public KvStore {
   static std::unique_ptr<ShardedKvStore> InMemory(int num_shards);
 
   Status Put(std::string_view key, std::string_view value) override;
+  /// Groups `records` by shard, keeping their order within each shard, and
+  /// makes one PutBatch per non-empty shard, in shard order. A shard's
+  /// failure stops the batch there: earlier shards hold their records.
+  Status PutBatch(const std::vector<KvRecord>& records) override;
   Status Get(std::string_view key, std::string* value) const override;
   Status Delete(std::string_view key) override;
   int64_t Count() const override;
@@ -50,9 +54,10 @@ class ShardedKvStore : public KvStore {
 
   std::vector<std::unique_ptr<KvStore>> owned_;
   std::vector<KvStore*> shards_;
-  // Per-shard op-latency histograms ("kv/shard<i>/get_s", ".../put_s") in
-  // the global registry: a hot shard (skewed hash or a slow backend) shows
-  // up as one shard's p99 detaching from the others'.
+  // Per-shard op-latency histograms ("kv/shard<i>/get_s", ".../put_s", one
+  // put_s sample per Put or shard batch) in the global registry: a hot
+  // shard (skewed hash or a slow backend) shows up as one shard's p99
+  // detaching from the others'.
   std::vector<obs::Histogram*> shard_get_s_;
   std::vector<obs::Histogram*> shard_put_s_;
 };

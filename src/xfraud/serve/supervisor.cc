@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <utility>
 
+#include "xfraud/common/atomic_file.h"
 #include "xfraud/common/frame.h"
 #include "xfraud/common/logging.h"
 #include "xfraud/dist/socket_transport.h"
@@ -15,7 +16,6 @@
 #include "xfraud/kv/log_kv.h"
 #include "xfraud/obs/registry.h"
 #include "xfraud/serve/wire.h"
-#include "xfraud/stream/streaming_topology.h"
 
 namespace xfraud::serve {
 
@@ -71,34 +71,41 @@ Status Supervisor::Init(const graph::HeteroGraph& g) {
                            ": " + ec.message());
   }
 
-  // Tier preparation: every cell gets the full graph in its own WAL, then
-  // one lockstep publish through the streaming tier's FanoutEpochSource
-  // commits the serving epoch on every cell atomically-enough that a crash
-  // here is recoverable (DESIGN.md §15's grid-publish invariants).
+  // Tier preparation (DESIGN.md §16.3). Every cell holds the same image:
+  // the whole graph and one published epoch. So cell (0,0) alone is
+  // ingested, into an empty file, and its sealed WAL is copied to the
+  // others. Each Start is fresh: a WAL left at a cell path by an earlier
+  // tier is replaced, never appended to.
+  const std::string first = CellPath(options_.dir, 0, 0);
+  std::filesystem::remove(first, ec);
+  if (ec) {
+    return Status::IoError("cannot remove old cell WAL " + first + ": " +
+                           ec.message());
+  }
   {
-    std::vector<std::unique_ptr<kv::LogKvStore>> cells;
-    std::vector<kv::LogKvStore*> cell_ptrs;
-    for (int s = 0; s < options_.num_shards; ++s) {
-      for (int r = 0; r < options_.num_replicas; ++r) {
-        Result<std::unique_ptr<kv::LogKvStore>> cell =
-            kv::LogKvStore::Open(CellPath(options_.dir, s, r));
-        if (!cell.ok()) return cell.status();
-        kv::FeatureStore features(cell.value().get());
-        // Sanctioned bulk load: this is the tier's one-time cell
-        // preparation, committed by the FanoutEpochSource publish below —
-        // after the forks, only the WAL is the source of truth.
-        // xfraud-analyze: allow(ingest-bypass)
-        XF_RETURN_IF_ERROR(features.Ingest(g));
-        cell_ptrs.push_back(cell.value().get());
-        cells.push_back(std::move(cell).value());
-      }
-    }
-    stream::FanoutEpochSource epochs(cell_ptrs);
-    Result<uint64_t> published = epochs.PublishEpoch();
+    Result<std::unique_ptr<kv::LogKvStore>> cell = kv::LogKvStore::Open(first);
+    if (!cell.ok()) return cell.status();
+    kv::FeatureStore features(cell.value().get());
+    // Sanctioned bulk load: this is the tier's one-time cell preparation,
+    // committed by the PublishEpoch below — after the forks, only the WAL
+    // is the source of truth.
+    // xfraud-analyze: allow(ingest-bypass)
+    XF_RETURN_IF_ERROR(features.Ingest(g));
+    Result<uint64_t> published = cell.value()->PublishEpoch();
     if (!published.ok()) return published.status();
     epoch_ = published.value();
-    // Cells close here, before any fork: children must own their WAL fds
-    // exclusively, exactly as a respawn after SIGKILL would.
+    // The cell closes here, before any fork: children must own their WAL
+    // fds exclusively, exactly as a respawn after SIGKILL would.
+  }
+  Result<std::string> image = ReadFileToString(first);
+  if (!image.ok()) return image.status();
+  for (int s = 0; s < options_.num_shards; ++s) {
+    for (int r = 0; r < options_.num_replicas; ++r) {
+      if (s == 0 && r == 0) continue;
+      // Tmp file, fsync, rename: a crash leaves each copy whole or absent.
+      XF_RETURN_IF_ERROR(
+          AtomicWriteFile(CellPath(options_.dir, s, r), image.value()));
+    }
   }
 
   injector_ = std::make_unique<fault::FaultInjector>(options_.plan);

@@ -46,22 +46,23 @@ struct SupervisorOptions {
 };
 
 /// The serving tier's process supervisor (DESIGN.md §16): prepares the cell
-/// WALs (ingest + one lockstep epoch publish through
-/// stream::FanoutEpochSource), forks one shard-server process per grid
-/// position, and babysits them — reaping signal deaths via waitpid, probing
-/// liveness with kHealth pings, SIGKILLing the unresponsive, and respawning
-/// the dead with the planned kill suppressed so a chaos kill fires exactly
-/// once. A respawned server recovers purely from its WAL at the pinned
-/// epoch, so the tier's scores are unchanged across any number of deaths.
+/// WALs (one cell ingested and published, its sealed WAL copied to the
+/// others), forks one shard-server process per grid position, and babysits
+/// them — reaping signal deaths via waitpid, probing liveness with kHealth
+/// pings, SIGKILLing the unresponsive, and respawning the dead with the
+/// planned kill suppressed so a chaos kill fires exactly once. A respawned
+/// server recovers purely from its WAL at the pinned epoch, so the tier's
+/// scores are unchanged across any number of deaths.
 ///
 /// State machine per server:
 ///   FORKED -> SERVING -(SIGKILL/crash)-> DEAD -(respawn, budget left)->
 ///   SERVING -(budget spent)-> FAILED;  SERVING -(Stop: drain ack)-> DRAINED
 class Supervisor {
  public:
-  /// Ingests `g` into every cell, publishes the serving epoch, forks the
-  /// servers, and starts the monitor. `g` is only used before the forks —
-  /// children never see it; they replay their WALs.
+  /// Ingests `g` into cell (0,0) of a fresh WAL, publishes the serving
+  /// epoch, copies that WAL to every other cell (replacing any old one),
+  /// forks the servers, and starts the monitor. `g` is only used before the
+  /// forks — children never see it; they replay their WALs.
   static Result<std::unique_ptr<Supervisor>> Start(
       const graph::HeteroGraph& g, const SupervisorOptions& options);
 

@@ -554,6 +554,52 @@ TEST(LogKvTest, BatchedIngestWritesTheBytesOfAPutLoop) {
   looped.reset();
   std::remove(batched_path.c_str());
   std::remove(looped_path.c_str());
+
+  // A ShardedKvStore over three cells (StreamingTopology::BulkLoad's
+  // layout) makes one PutBatch per shard: each cell gets the bytes of the
+  // same Puts routed to it one at a time, in one shard batch.
+  constexpr int kShards = 3;
+  std::vector<std::unique_ptr<LogKvStore>> cells;
+  std::vector<KvStore*> batched_shards, looped_shards;
+  std::vector<std::string> paths;
+  for (int i = 0; i < 2 * kShards; ++i) {
+    paths.push_back(TempPath("log_sharded_" + std::to_string(i) + ".kv"));
+    std::remove(paths.back().c_str());
+    cells.push_back(std::move(LogKvStore::Open(paths.back()).value()));
+    (i < kShards ? batched_shards : looped_shards)
+        .push_back(cells.back().get());
+  }
+  ShardedKvStore batched_sharded(batched_shards);
+  ShardedKvStore looped_sharded(looped_shards);
+  std::vector<int64_t> put_samples;
+  for (int i = 0; i < kShards; ++i) {
+    put_samples.push_back(
+        obs::Registry::Global()
+            .histogram("kv/shard" + std::to_string(i) + "/put_s")
+            ->count());
+  }
+  ASSERT_TRUE(FeatureStore(&batched_sharded).Ingest(ds.graph).ok());
+  for (int i = 0; i < kShards; ++i) {
+    EXPECT_EQ(obs::Registry::Global()
+                      .histogram("kv/shard" + std::to_string(i) + "/put_s")
+                      ->count() -
+                  put_samples[static_cast<size_t>(i)],
+              1)
+        << "shard " << i;
+  }
+  ASSERT_TRUE(PutEachRecord(ds.graph, &looped_sharded).ok());
+  for (const auto& cell : cells) ASSERT_TRUE(cell->PublishEpoch().ok());
+  for (int i = 0; i < kShards; ++i) {
+    ASSERT_GT(cells[static_cast<size_t>(i)]->FileSize(), 0) << "shard " << i;
+    ExpectSameReads(*cells[static_cast<size_t>(i)],
+                    *cells[static_cast<size_t>(kShards + i)]);
+    const std::string a = FileBytes(paths[static_cast<size_t>(i)]);
+    const std::string b = FileBytes(paths[static_cast<size_t>(kShards + i)]);
+    ASSERT_TRUE(a == b) << "shard " << i << ": " << a.size() << " vs "
+                        << b.size() << " bytes";
+  }
+  cells.clear();
+  for (const std::string& p : paths) std::remove(p.c_str());
 }
 
 /// True iff `store` holds exactly `want` at its head.

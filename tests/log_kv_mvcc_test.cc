@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "xfraud/common/atomic_file.h"
+#include "xfraud/common/crc32.h"
 #include "xfraud/fault/fault_injector.h"
 #include "xfraud/kv/log_kv.h"
 #include "xfraud/kv/snapshot.h"
@@ -221,17 +223,42 @@ std::vector<std::string> HistorySnapshot(LogKvStore* store,
 TEST(LogKvMvccTest, CompactionPreservesEveryReadableEpochBitIdentically) {
   std::string path = TempPath("compact_ident.kv");
   auto store = OpenOrDie(path);
-  const std::vector<std::string> keys = {"a", "b", "c"};
+  const std::vector<std::string> rounds_keys = {"a", "b", "c"};
+  // "s" walks its index slot from the inline first version to the spilled
+  // chain: a rewrite in epoch 1 (inline), versions in epochs 2 and 3 with a
+  // rewrite inside epoch 3 (spilled), then a tombstone in epoch 4.
+  std::vector<std::string> keys = rounds_keys;
+  keys.push_back("s");
   for (int round = 0; round < 6; ++round) {
-    for (const std::string& key : keys) {
+    for (const std::string& key : rounds_keys) {
       ASSERT_TRUE(
           store->Put(key, key + ":round" + std::to_string(round)).ok());
     }
     if (round == 3) {
       ASSERT_TRUE(store->Delete("c").ok());
+      ASSERT_TRUE(store->Delete("s").ok());
+    }
+    if (round < 3) {
+      ASSERT_TRUE(store->Put("s", "s:draft" + std::to_string(round)).ok());
+    }
+    if (round == 0 || round == 2) {
+      ASSERT_TRUE(store->Put("s", "s:epoch" + std::to_string(round + 1)).ok());
     }
     ASSERT_TRUE(store->PublishEpoch().ok());
   }
+  auto expect_spill_history = [&](const char* when) {
+    std::string value;
+    ASSERT_TRUE(store->GetAt("s", 2, &value).ok()) << when;
+    EXPECT_EQ(value, "s:draft1") << when;
+    ASSERT_TRUE(store->GetAt("s", 3, &value).ok()) << when;
+    EXPECT_EQ(value, "s:epoch3") << when;
+    EXPECT_TRUE(store->GetAt("s", 4, &value).IsNotFound()) << when;
+    EXPECT_TRUE(store->Get("s", &value).IsNotFound()) << when;
+  };
+  std::string value;
+  ASSERT_TRUE(store->GetAt("s", 1, &value).ok());
+  EXPECT_EQ(value, "s:epoch1");
+  expect_spill_history("before compact");
   auto pin = SnapshotHandle::Pin(store.get(), 2);
   ASSERT_TRUE(pin.ok());
 
@@ -242,8 +269,16 @@ TEST(LogKvMvccTest, CompactionPreservesEveryReadableEpochBitIdentically) {
   EXPECT_EQ(store->earliest_epoch(), 2u);
   std::vector<std::string> after = HistorySnapshot(store.get(), keys);
   // Epoch 1 fell below the floor; every epoch still readable is identical.
-  std::vector<std::string> expected(before.begin() + 3, before.end());
+  std::vector<std::string> expected(before.begin() + keys.size(),
+                                    before.end());
   EXPECT_EQ(after, expected);
+  expect_spill_history("after compact");
+  // The compacted image, pinned by its size and Crc32: how the index holds
+  // a chain (inline or spilled) must not change a byte of the file.
+  const Result<std::string> image = ReadFileToString(path);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  EXPECT_EQ(image.value().size(), 527u);
+  EXPECT_EQ(Crc32(image.value().data(), image.value().size()), 0x5962227cu);
 
   // And the surviving history is durable across reopen.
   pin.value().Release();
@@ -251,6 +286,7 @@ TEST(LogKvMvccTest, CompactionPreservesEveryReadableEpochBitIdentically) {
   EXPECT_EQ(store->published_epoch(), 6u);
   EXPECT_EQ(store->earliest_epoch(), 2u);
   EXPECT_EQ(HistorySnapshot(store.get(), keys), expected);
+  expect_spill_history("after reopen");
   std::remove(path.c_str());
 }
 

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "xfraud/common/atomic_file.h"
 #include "xfraud/common/frame.h"
 #include "xfraud/common/timer.h"
 #include "xfraud/core/detector.h"
@@ -486,6 +487,48 @@ TEST_F(MultiProcessServe, SocketTierMatchesSingleProcessBitIdentically) {
   }
   EXPECT_EQ(sup.value()->restarts(), 0);
   EXPECT_TRUE(sup.value()->Stop().ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(MultiProcessServe, EveryStartOnAReusedDirWritesTheSameFreshCells) {
+  // The reference image: the graph ingested into a fresh WAL and published
+  // once — what a single-cell tier holds.
+  const std::string ref_dir = MakeDir("fresh-ref");
+  std::filesystem::create_directories(ref_dir);
+  {
+    auto store = kv::LogKvStore::Open(ref_dir + "/cell.log");
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(kv::FeatureStore(store.value().get()).Ingest(ds_->graph).ok());
+    ASSERT_TRUE(store.value()->PublishEpoch().ok());
+  }
+  const Result<std::string> want = ReadFileToString(ref_dir + "/cell.log");
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  std::filesystem::remove_all(ref_dir);
+
+  // Two Starts on one dir: the second replaces the first's WALs instead of
+  // appending a second copy of the graph and a second epoch.
+  const std::string dir = MakeDir("fresh");
+  for (int start = 1; start <= 2; ++start) {
+    auto sup = Supervisor::Start(ds_->graph,
+                                 TierOptions(dir, 2, 2, fault::FaultPlan{}));
+    ASSERT_TRUE(sup.ok()) << sup.status().ToString();
+    EXPECT_EQ(sup.value()->epoch(), 1u) << "start " << start;
+    ASSERT_TRUE(sup.value()->Stop().ok());
+    for (int s = 0; s < 2; ++s) {
+      for (int r = 0; r < 2; ++r) {
+        const std::string path = dir + "/cell_" + std::to_string(s) + "_" +
+                                 std::to_string(r) + ".log";
+        const Result<std::string> got = ReadFileToString(path);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        // ASSERT_TRUE, not ASSERT_EQ: a mismatch prints the sizes instead
+        // of two multi-MiB dumps.
+        ASSERT_TRUE(got.value() == want.value())
+            << "start " << start << ", " << path << ": "
+            << got.value().size() << " vs " << want.value().size()
+            << " bytes";
+      }
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 
