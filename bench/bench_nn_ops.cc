@@ -403,8 +403,11 @@ BENCHMARK(BM_KvSourceRows)
     ->Args({100, 0});
 
 void BM_AttentionAggregateFused(benchmark::State& state) {
-  // Fused segment-softmax -> per-head weighting -> scatter-add...
+  // Fused segment-softmax -> per-head weighting -> scatter-add, with and
+  // without a per-edge weight (the explainer's edge mask, which takes a
+  // gradient)...
   int64_t edges = state.range(0);
+  bool weighted = state.range(1) != 0;
   int64_t nodes = edges / 2 + 1;
   const int64_t kHeads = 4;
   const int64_t kHeadDim = 16;
@@ -413,25 +416,32 @@ void BM_AttentionAggregateFused(benchmark::State& state) {
   Var values(Tensor::Uniform(edges, kHeads * kHeadDim, 1.0f, &rng), true);
   std::vector<int32_t> dst(edges);
   for (auto& d : dst) d = static_cast<int32_t>(rng.NextBounded(nodes));
+  Var mask(Tensor::Uniform(edges, 1, 1.0f, &rng), true);
   std::vector<int32_t> per_edge(edges);
   for (int64_t e = 0; e < edges; ++e) per_edge[e] = static_cast<int32_t>(e);
   for (auto _ : state) {
     scores.ZeroGrad();
     values.ZeroGrad();
+    mask.ZeroGrad();
     Var loss = Sum(AttentionAggregate(scores, values, per_edge, dst, nodes,
                                       kHeadDim, /*dropout_p=*/0.0f,
-                                      /*training=*/false, nullptr));
+                                      /*training=*/false, nullptr, nullptr, 0,
+                                      weighted ? mask : Var()));
     loss.Backward();
     benchmark::DoNotOptimize(scores.grad().data());
   }
   state.SetItemsProcessed(state.iterations() * edges);
 }
-BENCHMARK(BM_AttentionAggregateFused)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_AttentionAggregateFused)
+    ->ArgNames({"edges", "weighted"})
+    ->ArgsProduct({{1000, 10000, 100000}, {0, 1}});
 
 void BM_AttentionAggregateComposed(benchmark::State& state) {
   // ...vs the composed SegmentSoftmax + per-head SliceCols/MulColBroadcast/
-  // ConcatCols + ScatterAddRows chain it replaced in HeteroConv.
+  // ConcatCols (+ MulColBroadcast by the weight) + ScatterAddRows chain it
+  // replaced in HeteroConv and GAT.
   int64_t edges = state.range(0);
+  bool weighted = state.range(1) != 0;
   int64_t nodes = edges / 2 + 1;
   const int64_t kHeads = 4;
   const int64_t kHeadDim = 16;
@@ -440,9 +450,11 @@ void BM_AttentionAggregateComposed(benchmark::State& state) {
   Var values(Tensor::Uniform(edges, kHeads * kHeadDim, 1.0f, &rng), true);
   std::vector<int32_t> dst(edges);
   for (auto& d : dst) d = static_cast<int32_t>(rng.NextBounded(nodes));
+  Var mask(Tensor::Uniform(edges, 1, 1.0f, &rng), true);
   for (auto _ : state) {
     scores.ZeroGrad();
     values.ZeroGrad();
+    mask.ZeroGrad();
     Var att = SegmentSoftmax(scores, dst, nodes);
     Var messages;
     for (int64_t h = 0; h < kHeads; ++h) {
@@ -451,13 +463,16 @@ void BM_AttentionAggregateComposed(benchmark::State& state) {
       Var msg_h = MulColBroadcast(v_h, att_h);
       messages = messages.defined() ? ConcatCols(messages, msg_h) : msg_h;
     }
+    if (weighted) messages = MulColBroadcast(messages, mask);
     Var loss = Sum(ScatterAddRows(messages, dst, nodes));
     loss.Backward();
     benchmark::DoNotOptimize(scores.grad().data());
   }
   state.SetItemsProcessed(state.iterations() * edges);
 }
-BENCHMARK(BM_AttentionAggregateComposed)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_AttentionAggregateComposed)
+    ->ArgNames({"edges", "weighted"})
+    ->ArgsProduct({{1000, 10000, 100000}, {0, 1}});
 
 void BM_SegmentSoftmax(benchmark::State& state) {
   int64_t edges = state.range(0);

@@ -51,7 +51,7 @@ int main() {
     graph::Subgraph sub = graph::KHopSubgraph(g, v, 3, 10, &pick_rng);
     if (sub.num_nodes() < 15 || sub.num_nodes() > 60) continue;
     sample::MiniBatch batch = sample::MakeBatch(g, sub, {v});
-    double risk = train::FraudProbabilities(
+    double risk = core::FraudProbabilities(
         detector.Forward(batch, core::ForwardOptions{}))[0];
     if (risk > 0.9) {
       suspect = v;

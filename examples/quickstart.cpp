@@ -62,7 +62,7 @@ int main() {
   Rng score_rng(7);
   sample::MiniBatch batch = sampler.SampleBatch(g, {txn}, &score_rng);
   nn::Var logits = detector.Forward(batch, core::ForwardOptions{});
-  double risk = train::FraudProbabilities(logits)[0];
+  double risk = core::FraudProbabilities(logits)[0];
   std::cout << "transaction node " << txn << ": risk score "
             << TablePrinter::Num(risk, 4) << " (label: "
             << (g.label(txn) == graph::kLabelFraud ? "fraud" : "benign")

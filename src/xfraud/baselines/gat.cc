@@ -36,37 +36,19 @@ Var GatModel::ForwardLayer(const Layer& layer, const Var& h,
     return nn::Relu(layer.norm.Forward(h));
   }
   Var z = layer.proj.Forward(h);
-  // Per-node attention halves: e_ij = LeakyReLU(a_src·z_i + a_dst·z_j),
-  // computed per head via the packed attention vectors.
-  Var z_src = nn::IndexRows(z, batch.edge_src);
-  Var z_dst = nn::IndexRows(z, batch.edge_dst);
-
-  Var scores;
-  for (int head = 0; head < config_.num_heads; ++head) {
-    int64_t off = head * head_dim_;
-    Var a_s = nn::SliceCols(layer.att_src, off, head_dim_);
-    Var a_d = nn::SliceCols(layer.att_dst, off, head_dim_);
-    // Row-wise dot with a broadcast [1,d_k] vector == matmul with transpose.
-    Var s_src = nn::MatMul(nn::SliceCols(z_src, off, head_dim_),
-                           nn::Transpose(a_s));
-    Var s_dst = nn::MatMul(nn::SliceCols(z_dst, off, head_dim_),
-                           nn::Transpose(a_d));
-    Var score_h = nn::LeakyRelu(nn::Add(s_src, s_dst), config_.leaky_slope);
-    scores = scores.defined() ? nn::ConcatCols(scores, score_h) : score_h;
-  }
-  Var att = nn::SegmentSoftmax(scores, batch.edge_dst, num_nodes);
-  att = nn::Dropout(att, config_.dropout, options.training, options.rng);
-
-  Var messages;
-  for (int head = 0; head < config_.num_heads; ++head) {
-    Var v_h = nn::SliceCols(z_src, head * head_dim_, head_dim_);
-    Var msg_h = nn::MulColBroadcast(v_h, nn::SliceCols(att, head, 1));
-    messages = messages.defined() ? nn::ConcatCols(messages, msg_h) : msg_h;
-  }
-  if (options.edge_mask != nullptr) {
-    messages = nn::MulColBroadcast(messages, *options.edge_mask);
-  }
-  Var agg = nn::ScatterAddRows(messages, batch.edge_dst, num_nodes);
+  // e_ij = LeakyReLU(a_src·z_i + a_dst·z_j) per head is eq. 8's score
+  // with one node type, unit scale and z as keys and queries; the messages
+  // are z at the source nodes.
+  const std::vector<int32_t> one_type(batch.edge_src.size(), 0);
+  Var scores = nn::LeakyRelu(
+      nn::AttentionScores(z, batch.edge_src, z, batch.edge_dst, layer.att_src,
+                          one_type, layer.att_dst, one_type,
+                          config_.num_heads, 1.0f),
+      config_.leaky_slope);
+  Var agg = nn::AttentionAggregate(
+      scores, z, batch.edge_src, batch.edge_dst, num_nodes, head_dim_,
+      config_.dropout, options.training, options.rng, nullptr, 0,
+      options.edge_mask != nullptr ? *options.edge_mask : Var());
   Var out = config_.use_residual ? nn::Add(agg, h) : agg;
   return nn::Relu(layer.norm.Forward(out));
 }

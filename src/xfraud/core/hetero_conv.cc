@@ -277,45 +277,20 @@ Var HeteroConvLayer::Forward(const Var& node_input, const LayerPlan& plan,
                                    dst_types, num_heads_,
                                    inv_sqrt_dk);  // [E, H]
 
-  // Attention dropout draws its mask over the batch's whole [E, H] edge
-  // block and each kept edge reads its own row, so the RNG stream and
-  // every mask value are those of a whole-batch forward.
-  Var agg;
-  if (options.edge_mask == nullptr) {
-    // Hot path (train + serve): eqs. 9-10 + the eq. 1 aggregate in one
-    // fused kernel — softmax-normalize per target, per-head value
-    // weighting, scatter-add — instead of five full passes over the [E,D]
-    // message block. Bit-identical to the composed ops below, including
-    // dropout RNG consumption.
-    agg = nn::AttentionAggregate(scores, v, *kv_row, plan.edge_dst,
-                                 num_outputs, head_dim_, dropout_,
-                                 options.training, options.rng,
-                                 &plan.edge_rows, plan.num_batch_edges);
-  } else {
-    // Explainer path: the learned edge mask multiplies the message block
-    // between weighting and aggregation, so it stays on the composed ops.
+  // eqs. 9-10 + the eq. 1 aggregate in one fused op. Attention dropout
+  // draws its mask over the batch's whole [E, H] edge block and each kept
+  // edge reads its own row (as it reads the explainer's edge mask), so the
+  // RNG stream and every mask value are those of a whole-batch forward.
+  Var edge_weight;
+  if (options.edge_mask != nullptr) {
     XF_CHECK_EQ(options.edge_mask->rows(), plan.num_batch_edges);
-    XF_CHECK_EQ(options.edge_mask->cols(), 1);
-    // eq. 9: normalize over each target's in-neighbourhood, per head.
-    Var att = nn::SegmentSoftmax(scores, plan.edge_dst, num_outputs);
-    att = nn::Dropout(att, dropout_, options.training, options.rng,
-                      &plan.edge_rows, plan.num_batch_edges);
-
-    // eq. 10: per-head value weighting, concatenated back to [E, dim].
-    Var v_edges = nn::IndexRows(v, *kv_row);
-    Var messages;
-    for (int h = 0; h < num_heads_; ++h) {
-      Var v_h = nn::SliceCols(v_edges, h * head_dim_, head_dim_);
-      Var att_h = nn::SliceCols(att, h, 1);
-      Var msg_h = nn::MulColBroadcast(v_h, att_h);
-      messages = messages.defined() ? nn::ConcatCols(messages, msg_h) : msg_h;
-    }
-    messages = nn::MulColBroadcast(
-        messages, nn::IndexRows(*options.edge_mask, plan.edge_rows));
-
-    // eq. 1 aggregate (paper §3.2.1 step 2).
-    agg = nn::ScatterAddRows(messages, plan.edge_dst, num_outputs);
+    edge_weight = nn::IndexRows(*options.edge_mask, plan.edge_rows);
   }
+  Var agg = nn::AttentionAggregate(scores, v, *kv_row, plan.edge_dst,
+                                   num_outputs, head_dim_, dropout_,
+                                   options.training, options.rng,
+                                   &plan.edge_rows, plan.num_batch_edges,
+                                   edge_weight);
   Var h = use_residual_
               ? nn::Add(agg, nn::IndexRows(node_input, plan.output_rows))
               : agg;

@@ -100,7 +100,7 @@ class HeteroConvLayer : public nn::Module {
   /// output rows, K and V over the input rows (the first layer: over its
   /// (source, edge type) pairs), attention over the kept edges.
   /// `options.edge_mask` optionally rescales each edge's message
-  /// ([num_batch_edges, 1], explainer hook).
+  /// ([num_batch_edges, 1], explainer hook; AttentionAggregate's weight).
   nn::Var Forward(const nn::Var& node_input, const LayerPlan& plan,
                   const ForwardOptions& options) const;
 

@@ -374,7 +374,7 @@ Result<DistributedResult> TrainRank(const data::SimDataset& ds,
     while (auto loaded = loader.Next()) {
       nn::NoGradGuard no_tape;
       nn::Var logits = model->Forward(loaded->batch, fwd);
-      auto probs = train::FraudProbabilities(logits);
+      auto probs = core::FraudProbabilities(logits);
       eval.scores.insert(eval.scores.end(), probs.begin(), probs.end());
       eval.labels.insert(eval.labels.end(),
                          loaded->batch.target_labels.begin(),

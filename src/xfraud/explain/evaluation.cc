@@ -94,7 +94,7 @@ CommunityStudy::CommunityStudy(StudyOptions options) : options_(options) {
       nn::NoGradGuard no_tape;
       core::ForwardOptions eval;
       nn::Var logits = detector_->Forward(batch, eval);
-      record.seed_score = train::FraudProbabilities(logits)[0];
+      record.seed_score = core::FraudProbabilities(logits)[0];
     }
 
     // All 13 centrality measures (or the cheap 11).

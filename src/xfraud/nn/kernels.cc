@@ -411,16 +411,17 @@ void SegmentSoftmaxGrouped(const Tensor& scores, const RowGroups& groups,
   }
 }
 
-XF_ISA_CLONES
-void WeightedScatterAddByGroup(const Tensor& v,
-                               const std::vector<int32_t>& kv_row,
-                               const Tensor& w, const RowGroups& groups,
-                               int64_t head_dim, Tensor* out) {
-  XF_CHECK_EQ(static_cast<int64_t>(kv_row.size()), w.rows());
-  XF_CHECK_EQ(w.cols() * head_dim, v.cols());
-  XF_CHECK_EQ(out->rows(), groups.num_groups);
-  XF_CHECK_EQ(out->cols(), v.cols());
-  XF_CHECK_EQ(static_cast<int64_t>(groups.rows.size()), w.rows());
+namespace {
+
+/// WeightedScatterAddByGroup's loop, with the per-edge weight m when
+/// kWeighted: picked once per call, so the unweighted loop that training,
+/// evaluation and serving run has no branch and no extra multiply.
+template <bool kWeighted>
+XF_ALWAYS_INLINE void ScatterByGroup(const Tensor& v,
+                                     const std::vector<int32_t>& kv_row,
+                                     const Tensor& w, const float* m,
+                                     const RowGroups& groups,
+                                     int64_t head_dim, Tensor* out) {
   int64_t heads = w.cols();
   for (int64_t gid = 0; gid < groups.num_groups; ++gid) {
     float* orow = out->Row(gid);
@@ -433,11 +434,38 @@ void WeightedScatterAddByGroup(const Tensor& v,
       for (int64_t h = 0; h < heads; ++h) {
         float wv = wrow[h];
         int64_t off = h * head_dim;
-        for (int64_t c = 0; c < head_dim; ++c) {
-          orow[off + c] += wv * vrow[off + c];
+        if constexpr (kWeighted) {
+          const float mr = m[r];
+          for (int64_t c = 0; c < head_dim; ++c) {
+            orow[off + c] += (wv * vrow[off + c]) * mr;
+          }
+        } else {
+          for (int64_t c = 0; c < head_dim; ++c) {
+            orow[off + c] += wv * vrow[off + c];
+          }
         }
       }
     }
+  }
+}
+
+}  // namespace
+
+XF_ISA_CLONES
+void WeightedScatterAddByGroup(const Tensor& v,
+                               const std::vector<int32_t>& kv_row,
+                               const Tensor& w, const float* edge_weight,
+                               const RowGroups& groups, int64_t head_dim,
+                               Tensor* out) {
+  XF_CHECK_EQ(static_cast<int64_t>(kv_row.size()), w.rows());
+  XF_CHECK_EQ(w.cols() * head_dim, v.cols());
+  XF_CHECK_EQ(out->rows(), groups.num_groups);
+  XF_CHECK_EQ(out->cols(), v.cols());
+  XF_CHECK_EQ(static_cast<int64_t>(groups.rows.size()), w.rows());
+  if (edge_weight != nullptr) {
+    ScatterByGroup<true>(v, kv_row, w, edge_weight, groups, head_dim, out);
+  } else {
+    ScatterByGroup<false>(v, kv_row, w, nullptr, groups, head_dim, out);
   }
 }
 

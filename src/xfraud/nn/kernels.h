@@ -103,10 +103,12 @@ void SegmentSoftmaxGrouped(const Tensor& scores, const RowGroups& groups,
 /// ascending r. w is [R, H], v is [U, H·hd] and read through the per-row
 /// kv_row index. The fused "apply attention then aggregate" step: one pass
 /// over v instead of per-head slice/broadcast/concat/scatter round trips.
+/// A non-null `edge_weight` (one m[r] per row) makes each term (w·v)·m[r].
 void WeightedScatterAddByGroup(const Tensor& v,
                                const std::vector<int32_t>& kv_row,
-                               const Tensor& w, const RowGroups& groups,
-                               int64_t head_dim, Tensor* out);
+                               const Tensor& w, const float* edge_weight,
+                               const RowGroups& groups, int64_t head_dim,
+                               Tensor* out);
 
 /// dv[kv_row[r], h·hd+c] += 0 + w[r,h]·gout[dst[r], h·hd+c], r ascending —
 /// the value-side backward of the fused attention aggregate. Each term is

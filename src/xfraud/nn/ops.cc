@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 
 #include "xfraud/common/logging.h"
 
@@ -60,6 +61,13 @@ Tensor DrawDropoutMask(int64_t rows, int64_t cols, float p, xfraud::Rng* rng,
   Tensor mask(rows, cols);
   kernels::GatherRows(block, *mask_rows, &mask);
   return mask;
+}
+
+/// t ⊙= mask elementwise; an empty mask (no dropout drawn) leaves t as is.
+void ApplyMask(const Tensor& mask, Tensor* t) {
+  const float* mv = mask.data();
+  float* tp = t->data();
+  for (int64_t i = 0; i < mask.size(); ++i) tp[i] *= mv[i];
 }
 
 /// Elementwise unary op helper: forward fn and local derivative from (x, y).
@@ -376,9 +384,7 @@ Var Dropout(const Var& a, float p, bool training, xfraud::Rng* rng,
       DrawDropoutMask(a.value().rows(), a.value().cols(), p, rng, mask_rows,
                       mask_block_rows));
   Tensor out = a.value();
-  const float* mp = mask->data();
-  float* ov = out.data();
-  for (int64_t i = 0; i < out.size(); ++i) ov[i] *= mp[i];
+  ApplyMask(*mask, &out);
   auto a_impl = a.impl();
   return MakeResult(std::move(out), {a}, [a_impl, mask](VarImpl* self) {
     if (!a_impl->requires_grad) return;
@@ -716,13 +722,19 @@ Var AttentionAggregate(const Var& scores, const Var& values,
                        int64_t head_dim, float dropout_p, bool training,
                        xfraud::Rng* rng,
                        const std::vector<int32_t>* mask_rows,
-                       int64_t mask_block_rows) {
+                       int64_t mask_block_rows, const Var& edge_weight) {
   const Tensor& sv = scores.value();
   const Tensor& vv = values.value();
   XF_CHECK_EQ(static_cast<size_t>(sv.rows()), kv_row.size());
   XF_CHECK_EQ(static_cast<size_t>(sv.rows()), dst.size());
   XF_CHECK_GT(head_dim, 0);
   XF_CHECK_EQ(sv.cols() * head_dim, vv.cols());
+  const float* m = nullptr;
+  if (edge_weight.defined()) {
+    XF_CHECK_EQ(edge_weight.rows(), sv.rows());
+    XF_CHECK_EQ(edge_weight.cols(), 1);
+    m = edge_weight.value().data();
+  }
   auto groups = std::make_shared<kernels::RowGroups>(
       kernels::BuildRowGroups(dst, num_nodes));
   // Pass 1: per-target softmax over [E,H] (kept for the backward).
@@ -733,46 +745,81 @@ Var AttentionAggregate(const Var& scores, const Var& values,
   // row per edge — so fused and composed training trajectories are
   // bit-identical.
   auto mask = std::make_shared<Tensor>();
-  Tensor w = *att;
   if (training && dropout_p > 0.0f) {
     *mask = DrawDropoutMask(att->rows(), att->cols(), dropout_p, rng,
                             mask_rows, mask_block_rows);
-    float* wp = w.data();
-    const float* mv = mask->data();
-    for (int64_t i = 0; i < w.size(); ++i) wp[i] *= mv[i];
   }
-  // Pass 2: weight the value rows per head and aggregate per target node.
+  Tensor w = *att;
+  ApplyMask(*mask, &w);
+  // Pass 2: weight the value rows per head (and per edge) and aggregate per
+  // target node.
   Tensor out(num_nodes, vv.cols());
-  kernels::WeightedScatterAddByGroup(vv, kv_row, w, *groups, head_dim, &out);
+  kernels::WeightedScatterAddByGroup(vv, kv_row, w, m, *groups, head_dim,
+                                     &out);
+  // Parent order sets the tape's backward order, so the order in which the
+  // layer input's grad takes its V, Q and K terms: with a weight, the
+  // composed chain's (values first); without, the one the trained bits
+  // were recorded with.
+  std::vector<Var> inputs = m != nullptr
+                                ? std::vector<Var>{values, scores, edge_weight}
+                                : std::vector<Var>{scores, values};
   auto s_impl = scores.impl();
   auto v_impl = values.impl();
+  auto m_impl = edge_weight.impl();
   auto kv = std::make_shared<std::vector<int32_t>>(kv_row);
   auto dst_copy = std::make_shared<std::vector<int32_t>>(dst);
   return MakeResult(
-      std::move(out), {scores, values},
-      [s_impl, v_impl, groups, att, mask, kv, dst_copy,
+      std::move(out), std::move(inputs),
+      [s_impl, v_impl, m_impl, groups, att, mask, kv, dst_copy,
        head_dim](VarImpl* self) {
         const Tensor& gout = self->grad;
         // Recompute w = att ⊙ mask (cheaper than keeping both alive).
         Tensor w_back = *att;
-        if (!mask->empty()) {
-          float* wp = w_back.data();
-          const float* mv = mask->data();
-          for (int64_t i = 0; i < w_back.size(); ++i) wp[i] *= mv[i];
+        ApplyMask(*mask, &w_back);
+        // dV and datt read each edge's upstream grad: gout[dst[e]], or with
+        // a weight gout[dst[e]]·m[e], formed first and read in edge order.
+        const Tensor* g = &gout;
+        const std::vector<int32_t>* g_row = dst_copy.get();
+        Tensor gm;
+        std::vector<int32_t> edge_ids;
+        if (m_impl != nullptr) {
+          const int64_t edges = w_back.rows();
+          gm = Tensor(edges, gout.cols());
+          kernels::GatherRows(gout, *dst_copy, &gm);
+          for (int64_t e = 0; e < edges; ++e) {
+            const float me = m_impl->value.At(e, 0);
+            float* gmrow = gm.Row(e);
+            for (int64_t c = 0; c < gm.cols(); ++c) gmrow[c] *= me;
+          }
+          edge_ids.resize(static_cast<size_t>(edges));
+          std::iota(edge_ids.begin(), edge_ids.end(), 0);
+          g = &gm;
+          g_row = &edge_ids;
+          if (m_impl->requires_grad) {
+            // dm[e]: the upstream grad dotted with the unweighted message
+            // (w·v)[e], one sum over all columns — PerHeadDots as one head.
+            Tensor msg(edges, gout.cols());
+            for (int64_t e = 0; e < edges; ++e) {
+              const float* vrow = v_impl->value.Row((*kv)[e]);
+              for (int64_t c = 0; c < msg.cols(); ++c) {
+                msg.At(e, c) = vrow[c] * w_back.At(e, c / head_dim);
+              }
+            }
+            Tensor dm(edges, 1);
+            kernels::PerHeadDots(gout, *dst_copy, msg, edge_ids, msg.cols(),
+                                 &dm);
+            m_impl->EnsureGrad().AddInPlace(dm);
+          }
         }
         if (v_impl->requires_grad) {
-          kernels::WeightedGatherAdd(gout, *dst_copy, *kv, w_back, head_dim,
+          kernels::WeightedGatherAdd(*g, *g_row, *kv, w_back, head_dim,
                                      &v_impl->EnsureGrad());
         }
         if (s_impl->requires_grad) {
           Tensor datt(att->rows(), att->cols());
-          kernels::PerHeadDots(gout, *dst_copy, v_impl->value, *kv, head_dim,
+          kernels::PerHeadDots(*g, *g_row, v_impl->value, *kv, head_dim,
                                &datt);
-          if (!mask->empty()) {
-            float* dp = datt.data();
-            const float* mv = mask->data();
-            for (int64_t i = 0; i < datt.size(); ++i) dp[i] *= mv[i];
-          }
+          ApplyMask(*mask, &datt);
           kernels::SegmentSoftmaxBackwardGrouped(*att, datt, *groups,
                                                  &s_impl->EnsureGrad());
         }
@@ -788,23 +835,6 @@ Var Sum(const Var& a) {
     Tensor& ga = a_impl->EnsureGrad();
     float* g = ga.data();
     for (int64_t i = 0; i < ga.size(); ++i) g[i] += gy;
-  });
-}
-
-Var Transpose(const Var& a) {
-  const Tensor& av = a.value();
-  Tensor out(av.cols(), av.rows());
-  for (int64_t r = 0; r < av.rows(); ++r) {
-    for (int64_t c = 0; c < av.cols(); ++c) out.At(c, r) = av.At(r, c);
-  }
-  auto a_impl = a.impl();
-  return MakeResult(std::move(out), {a}, [a_impl](VarImpl* self) {
-    if (!a_impl->requires_grad) return;
-    Tensor& ga = a_impl->EnsureGrad();
-    const Tensor& g = self->grad;
-    for (int64_t r = 0; r < g.rows(); ++r) {
-      for (int64_t c = 0; c < g.cols(); ++c) ga.At(c, r) += g.At(r, c);
-    }
   });
 }
 

@@ -47,8 +47,9 @@ Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
 /// edge to its row. Bit for bit in the value and all four gradients, this
 /// is IndexRows(k, kv_row) followed by the chain of three IndexRows gathers
 /// (q_nodes by edge_dst, the weight rows by type) and per-head SliceCols →
-/// Mul → RowSum → Add → Scale, joined by ConcatCols. The four operands must
-/// be distinct Vars.
+/// Mul → RowSum → Add → Scale, joined by ConcatCols. k and q_nodes may be
+/// one Var: the value is unchanged, and both gradient terms accumulate into
+/// its one gradient, edge by edge.
 Var AttentionScores(const Var& k, const std::vector<int32_t>& kv_row,
                     const Var& q_nodes, const std::vector<int32_t>& edge_dst,
                     const Var& w_att_src,
@@ -58,23 +59,26 @@ Var AttentionScores(const Var& k, const std::vector<int32_t>& kv_row,
                     float scale);
 
 /// Fused SegmentSoftmax → Dropout → per-head MulColBroadcast →
-/// ScatterAddRows: the HeteroConv attention aggregate (paper eqs. 9-10 +
-/// eq. 1) in two passes over the values instead of five passes over an
-/// [E,D] block. scores is [E,H]; values [U, H·head_dim] holds one value per
-/// source row, and kv_row maps each edge to its row; dst is the per-edge
-/// target node; returns [num_nodes, H·head_dim]. Bit-identical, in the
-/// value and both gradients, to IndexRows(values, kv_row) followed by the
-/// unfused composition, including RNG consumption order when dropout is
+/// ScatterAddRows: the HeteroConv and GAT attention aggregate (paper eqs.
+/// 9-10 + eq. 1) in two passes over the values instead of five passes over
+/// an [E,D] block. scores is [E,H]; values [U, H·head_dim] holds one value
+/// per source row, and kv_row maps each edge to its row; dst is the
+/// per-edge target node; returns [num_nodes, H·head_dim]. Bit-identical, in
+/// the value and every gradient, to IndexRows(values, kv_row) followed by
+/// the unfused composition, including RNG consumption order when dropout is
 /// active. With `mask_rows` set, the dropout mask is drawn as Dropout's is
 /// with the same arguments: over all mask_block_rows rows of the block the
-/// edges were kept from, edge e reading row (*mask_rows)[e].
+/// edges were kept from, edge e reading row (*mask_rows)[e]. A defined
+/// `edge_weight` [E,1] rescales each message before the scatter, as a
+/// MulColBroadcast does in the composition, and gets its gradient.
 Var AttentionAggregate(const Var& scores, const Var& values,
                        const std::vector<int32_t>& kv_row,
                        const std::vector<int32_t>& dst, int64_t num_nodes,
                        int64_t head_dim, float dropout_p, bool training,
                        xfraud::Rng* rng,
                        const std::vector<int32_t>* mask_rows = nullptr,
-                       int64_t mask_block_rows = 0);
+                       int64_t mask_block_rows = 0,
+                       const Var& edge_weight = Var());
 
 /// Elementwise A + B (same shape).
 Var Add(const Var& a, const Var& b);
@@ -146,8 +150,8 @@ Var ScatterAddRows(const Var& a, const std::vector<int32_t>& index,
 Var SegmentSoftmax(const Var& a, const std::vector<int32_t>& segments,
                    int64_t num_segments);
 
-/// Multiplies each row i of A [n,d] by col[i,0] of a [n,1] column. Used for
-/// applying per-edge attention/mask weights to message blocks.
+/// Multiplies each row i of A [n,d] by col[i,0] of a [n,1] column (GEM's
+/// per-edge messages; the composed oracle of AttentionAggregate).
 Var MulColBroadcast(const Var& a, const Var& col);
 
 /// Sum of all entries -> [1,1].
@@ -164,9 +168,6 @@ Var Mean(const Var& a);
 /// Layer normalization across each row with learnable gain/bias [1,d].
 Var LayerNorm(const Var& a, const Var& gamma, const Var& beta,
               float eps = 1e-5f);
-
-/// Matrix transpose [n,d] -> [d,n].
-Var Transpose(const Var& a);
 
 /// A wrapper marking a tensor as a constant input (no gradient).
 Var Constant(Tensor t);

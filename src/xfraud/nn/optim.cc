@@ -68,10 +68,6 @@ Status AdamW::SetState(std::vector<Tensor> first_moments,
   return Status::OK();
 }
 
-Status AdamW::CopyStateFrom(const AdamW& other) {
-  return SetState(other.m_, other.v_, other.step_count_);
-}
-
 double AdamW::ClipGradNorm(double max_norm) {
   double total = 0.0;
   for (auto& p : params_) {

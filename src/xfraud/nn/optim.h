@@ -51,10 +51,6 @@ class AdamW {
   Status SetState(std::vector<Tensor> first_moments,
                   std::vector<Tensor> second_moments, int64_t step_count);
 
-  /// Copies moment state + step count from a peer optimizer over the same
-  /// architecture (DDP dead-worker rejoin).
-  Status CopyStateFrom(const AdamW& other);
-
  private:
   std::vector<NamedParameter> params_;
   AdamWOptions options_;

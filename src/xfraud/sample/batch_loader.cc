@@ -91,8 +91,7 @@ void BatchLoader::FillFeaturesFromKv(LoadedBatch* out) const {
   std::vector<float> feat;
   for (int64_t local = 0; local < rows; ++local) {
     int32_t global = batch.sub.nodes[static_cast<size_t>(local)];
-    Status s = options_.feature_store->ReadFeatures(global, &feat,
-                                                    options_.kv_epoch);
+    Status s = options_.feature_store->ReadFeatures(global, &feat);
     if (s.ok()) {
       if (static_cast<int64_t>(feat.size()) == cols) {
         std::copy(feat.begin(), feat.end(), batch.features.Row(local));

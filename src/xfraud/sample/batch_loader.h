@@ -12,7 +12,6 @@
 
 #include "xfraud/common/mpmc_queue.h"
 #include "xfraud/common/rng.h"
-#include "xfraud/kv/kvstore.h"
 #include "xfraud/sample/sampler.h"
 
 namespace xfraud::kv {
@@ -38,11 +37,6 @@ struct LoaderOptions {
   /// `degraded` — the epoch keeps going instead of aborting. nullptr (the
   /// default) keeps the in-memory feature path.
   const kv::FeatureStore* feature_store = nullptr;
-  /// KV epoch every feature_store read is issued at. The default (head)
-  /// reproduces the frozen-store behavior; streaming consumers pin one
-  /// published epoch (kv::SnapshotHandle) so a whole training epoch reads a
-  /// consistent snapshot while the ingestor advances the head.
-  uint64_t kv_epoch = kv::kHeadEpoch;
 };
 
 /// One produced mini-batch plus its provenance and cost.

@@ -352,7 +352,7 @@ EvalResult Trainer::Evaluate(const graph::HeteroGraph& g,
     sample_secs.push_back(loaded->sample_seconds);
     metrics.eval_forward_s->Record(forward_secs.back());
     metrics.eval_sample_s->Record(loaded->sample_seconds);
-    std::vector<double> probs = FraudProbabilities(logits);
+    std::vector<double> probs = core::FraudProbabilities(logits);
     result.scores.insert(result.scores.end(), probs.begin(), probs.end());
     result.labels.insert(result.labels.end(), batch.target_labels.begin(),
                          batch.target_labels.end());

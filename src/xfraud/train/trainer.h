@@ -153,13 +153,6 @@ class Trainer {
   uint64_t eval_root_;
 };
 
-/// Fraud probabilities (softmax of the logits' fraud column). Lives in
-/// core:: now that the serving path needs it below train's layer; this
-/// alias keeps existing train-side callers working.
-inline std::vector<double> FraudProbabilities(const nn::Var& logits) {
-  return core::FraudProbabilities(logits);
-}
-
 }  // namespace xfraud::train
 
 #endif  // XFRAUD_TRAIN_TRAINER_H_

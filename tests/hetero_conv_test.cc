@@ -17,6 +17,7 @@
 #include "xfraud/core/gnn_model.h"
 #include "xfraud/core/hetero_conv.h"
 #include "xfraud/nn/ops.h"
+#include "normwise_error.h"
 
 namespace xfraud::core {
 namespace {
@@ -328,20 +329,6 @@ nn::Var PerEdgeChainForward(const HeteroConvLayer& layer, bool first_layer,
                                        options.training, options.rng);
   nn::Var h = use_residual ? nn::Add(agg, node_input) : agg;
   return nn::Relu(nn::LayerNorm(h, p.at("norm.gamma"), p.at("norm.beta")));
-}
-
-/// ‖a − b‖₂ / ‖b‖₂, or 0 when both are zero; infinite when only b is.
-double NormwiseRelativeError(const nn::Tensor& a, const nn::Tensor& b) {
-  EXPECT_TRUE(a.SameShape(b));
-  double diff = 0.0;
-  double ref = 0.0;
-  for (int64_t i = 0; i < b.size(); ++i) {
-    double d = static_cast<double>(a.data()[i]) - b.data()[i];
-    diff += d * d;
-    ref += static_cast<double>(b.data()[i]) * b.data()[i];
-  }
-  if (ref == 0.0) return diff == 0.0 ? 0.0 : HUGE_VAL;
-  return std::sqrt(diff / ref);
 }
 
 TEST(HeteroConvTest, SourceRowKvMatchesPerEdgeChainWithinBound) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <numeric>
 #include <set>
@@ -18,6 +19,7 @@
 #include "xfraud/data/generator.h"
 #include "xfraud/nn/serialize.h"
 #include "xfraud/train/trainer.h"
+#include "normwise_error.h"
 
 namespace xfraud {
 namespace {
@@ -422,6 +424,168 @@ TEST_F(ModelTest, GatForwardShape) {
   nn::Var logits = model.Forward(batch, ForwardOptions{});
   EXPECT_EQ(logits.rows(), static_cast<int64_t>(batch.target_locals.size()));
   EXPECT_EQ(logits.cols(), 2);
+}
+
+/// GatModel::ForwardLayer as it ran before it moved onto the fused
+/// attention ops: per-head score and message chains over per-edge copies of
+/// z, then SegmentSoftmax, Dropout and ScatterAddRows. Each head's a·z dot,
+/// once MatMul(z_h, Transpose(a_h)), is RowSum(Mul(z_h, a_h gathered to
+/// every edge)): the same sum from 0 with c ascending.
+nn::Var ComposedGatLayer(const Params& p, const std::string& prefix,
+                         const GatConfig& config, const nn::Var& h,
+                         const sample::MiniBatch& batch,
+                         const ForwardOptions& options) {
+  const nn::Var& gamma = p.at(prefix + "norm.gamma");
+  const nn::Var& beta = p.at(prefix + "norm.beta");
+  const int64_t num_nodes = h.rows();
+  if (batch.edge_src.empty()) return nn::Relu(nn::LayerNorm(h, gamma, beta));
+  const int64_t head_dim = config.hidden_dim / config.num_heads;
+  nn::Var z = nn::LinearBiasAct(h, p.at(prefix + "proj.weight"),
+                                p.at(prefix + "proj.bias"));
+  nn::Var z_src = nn::IndexRows(z, batch.edge_src);
+  nn::Var z_dst = nn::IndexRows(z, batch.edge_dst);
+  const std::vector<int32_t> every_edge(batch.edge_src.size(), 0);
+  nn::Var a_src = nn::IndexRows(p.at(prefix + "att_src"), every_edge);
+  nn::Var a_dst = nn::IndexRows(p.at(prefix + "att_dst"), every_edge);
+  nn::Var scores;
+  for (int head = 0; head < config.num_heads; ++head) {
+    const int64_t off = head * head_dim;
+    auto dot = [&](const nn::Var& x, const nn::Var& a) {
+      return nn::RowSum(nn::Mul(nn::SliceCols(x, off, head_dim),
+                                nn::SliceCols(a, off, head_dim)));
+    };
+    nn::Var score_h = nn::LeakyRelu(
+        nn::Add(dot(z_src, a_src), dot(z_dst, a_dst)), config.leaky_slope);
+    scores = scores.defined() ? nn::ConcatCols(scores, score_h) : score_h;
+  }
+  nn::Var att = nn::SegmentSoftmax(scores, batch.edge_dst, num_nodes);
+  att = nn::Dropout(att, config.dropout, options.training, options.rng);
+  nn::Var messages;
+  for (int head = 0; head < config.num_heads; ++head) {
+    nn::Var v_h = nn::SliceCols(z_src, head * head_dim, head_dim);
+    nn::Var msg_h = nn::MulColBroadcast(v_h, nn::SliceCols(att, head, 1));
+    messages = messages.defined() ? nn::ConcatCols(messages, msg_h) : msg_h;
+  }
+  if (options.edge_mask != nullptr) {
+    messages = nn::MulColBroadcast(messages, *options.edge_mask);
+  }
+  nn::Var agg = nn::ScatterAddRows(messages, batch.edge_dst, num_nodes);
+  nn::Var out = config.use_residual ? nn::Add(agg, h) : agg;
+  return nn::Relu(nn::LayerNorm(out, gamma, beta));
+}
+
+/// GatModel::Forward over the model's own parameters, with the composed
+/// layers above. The oracle of GatFusedAttentionMatchesComposedChain.
+nn::Var ComposedGatForward(const GatModel& model, const GatConfig& config,
+                           const sample::MiniBatch& batch,
+                           const ForwardOptions& options) {
+  Params p;
+  for (const auto& named : model.Parameters()) p[named.name] = named.var;
+  nn::Var features = options.features_override != nullptr
+                         ? *options.features_override
+                         : nn::Constant(batch.features);
+  nn::Var h = nn::LinearBiasAct(features, p.at("input_proj.weight"),
+                                p.at("input_proj.bias"));
+  for (int l = 0; l < config.num_layers; ++l) {
+    h = ComposedGatLayer(p, "layer" + std::to_string(l) + ".", config, h,
+                         batch, options);
+  }
+  nn::Var target_repr = nn::Tanh(nn::IndexRows(h, batch.target_locals));
+  nn::Var target_raw = nn::IndexRows(features, batch.target_locals);
+  nn::Var x = nn::ConcatCols(target_repr, target_raw);
+  for (std::string k : {"1.", "2."}) {
+    x = nn::LinearBiasAct(x, p.at("head.fc" + k + "weight"),
+                          p.at("head.fc" + k + "bias"));
+    x = nn::Dropout(x, config.dropout, options.training, options.rng);
+    x = nn::Relu(nn::LayerNorm(x, p.at("head.ln" + k + "gamma"),
+                               p.at("head.ln" + k + "beta")));
+  }
+  return nn::LinearBiasAct(x, p.at("head.out.weight"), p.at("head.out.bias"));
+}
+
+TEST_F(ModelTest, GatFusedAttentionMatchesComposedChain) {
+  // GAT's layers run on AttentionScores + AttentionAggregate; the per-head
+  // chain they replaced is the oracle. The logits and the dropout RNG state
+  // must agree bit for bit — in eval, in training with dropout and with an
+  // edge mask. z's gradient is no longer summed per edge before the
+  // scatter, so the gradients differ in rounding only: every parameter
+  // grad, and the edge mask's, within DESIGN §13.5's 1e-5 norm-wise
+  // relative error.
+  const double kGradBound = 1e-5;
+  double max_rel_err = 0.0;
+  std::vector<int32_t> seeds(ds_->train_nodes.begin(),
+                             ds_->train_nodes.begin() + 24);
+  Rng sample_rng(41);
+  sample::MiniBatch batch =
+      sample::SageSampler(2, 8).SampleBatch(ds_->graph, seeds, &sample_rng);
+  for (bool residual : {true, false}) {
+    GatConfig config;
+    config.feature_dim = ds_->graph.feature_dim();
+    config.use_residual = residual;
+    Rng init_rng(42);
+    GatModel model(config, &init_rng);
+    // Zero-initialized biases would hide their gradients' paths.
+    Rng perturb_rng(43);
+    for (auto& named : model.Parameters()) {
+      nn::Tensor& value = named.var.mutable_value();
+      value.AddInPlace(nn::Tensor::Uniform(value.rows(), value.cols(), 0.3f,
+                                           &perturb_rng));
+    }
+    for (bool training : {false, true}) {
+      for (bool explain : {false, true}) {
+        SCOPED_TRACE("residual=" + std::to_string(residual) +
+                     " training=" + std::to_string(training) +
+                     " explain=" + std::to_string(explain));
+        struct Result {
+          nn::Tensor logits;
+          std::vector<nn::Tensor> grads;
+          Rng::State rng_after;
+        };
+        auto run = [&](bool composed) {
+          model.ZeroGrad();
+          Rng mask_rng(44);
+          nn::Var edge_mask(
+              nn::Tensor::Uniform(batch.num_edges(), 1, 0.5f, &mask_rng),
+              /*requires_grad=*/true);
+          edge_mask.mutable_value().AddInPlace(
+              nn::Tensor(batch.num_edges(), 1, 0.5f));
+          Rng dropout_rng(45);
+          ForwardOptions options;
+          options.training = training;
+          options.rng = &dropout_rng;
+          if (explain) options.edge_mask = &edge_mask;
+          nn::Var logits = composed
+                               ? ComposedGatForward(model, config, batch,
+                                                    options)
+                               : model.Forward(batch, options);
+          Result r{logits.value(), {}, dropout_rng.GetState()};
+          nn::CrossEntropy(logits, batch.target_labels).Backward();
+          for (auto& named : model.Parameters()) {
+            r.grads.push_back(named.var.grad());
+          }
+          if (explain) r.grads.push_back(edge_mask.grad());
+          return r;
+        };
+        Result fused = run(false);
+        Result oracle = run(true);
+        EXPECT_TRUE(fused.logits.BitwiseEqual(oracle.logits));
+        for (int w = 0; w < 4; ++w) {
+          EXPECT_EQ(fused.rng_after.s[w], oracle.rng_after.s[w]);
+        }
+        ASSERT_EQ(fused.grads.size(), oracle.grads.size());
+        std::vector<nn::NamedParameter> params = model.Parameters();
+        for (size_t i = 0; i < fused.grads.size(); ++i) {
+          double err = NormwiseRelativeError(fused.grads[i], oracle.grads[i]);
+          EXPECT_LE(err, kGradBound)
+              << (i < params.size() ? params[i].name : "edge_mask");
+          max_rel_err = std::max(max_rel_err, err);
+        }
+      }
+    }
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3g", max_rel_err);
+  RecordProperty("max_grad_rel_err", buf);
 }
 
 TEST_F(ModelTest, GemForwardShape) {

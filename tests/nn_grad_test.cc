@@ -265,6 +265,24 @@ TEST(GradCheck, AttentionAggregate) {
   });
 }
 
+TEST(GradCheck, AttentionAggregateEdgeWeight) {
+  Rng rng(36);
+  // The AttentionAggregate shapes above plus a per-edge weight [5, 1], one
+  // entry negative: the gradient reaches scores, values and the weight.
+  std::vector<Var> in = {Var(RandomTensor(5, 2, &rng, 2.0f), true),   // scores
+                         Var(RandomTensor(4, 6, &rng), true),         // values
+                         Var(RandomTensor(5, 1, &rng), true)};        // weight
+  std::vector<int32_t> kv_row = {1, 0, 1, 3, 1};
+  std::vector<int32_t> dst = {0, 1, 1, 2, 0};
+  CheckGradients(in, [&](std::vector<Var>& v) {
+    return Sum(Tanh(AttentionAggregate(v[0], v[1], kv_row, dst,
+                                       /*num_nodes=*/4, /*head_dim=*/3,
+                                       /*dropout_p=*/0.0f,
+                                       /*training=*/false, nullptr, nullptr,
+                                       0, v[2])));
+  });
+}
+
 TEST(GradCheck, HeteroConvLayer) {
   // A sampled-batch shape in miniature: 7 nodes, 16 edges, sources and
   // (source, edge type) pairs shared by several edges. The gradient reaches

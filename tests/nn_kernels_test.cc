@@ -18,6 +18,7 @@
 #include "xfraud/nn/kernels.h"
 #include "xfraud/nn/modules.h"
 #include "xfraud/nn/ops.h"
+#include "normwise_error.h"
 
 namespace xfraud::nn {
 namespace {
@@ -263,12 +264,13 @@ TEST(FusedConformance, LinearModuleForwardIsFusedPath) {
 }
 
 /// The composed (pre-fusion) attention aggregate: segment softmax, dropout,
-/// per-head weighting via slice/broadcast/concat, scatter-add.
+/// per-head weighting via slice/broadcast/concat, the per-edge weight (when
+/// defined) via one more broadcast, scatter-add.
 Var ComposedAttentionAggregate(
     const Var& scores, const Var& values, const std::vector<int32_t>& dst,
     int64_t num_nodes, int64_t head_dim, float dropout_p, bool training,
     Rng* rng, const std::vector<int32_t>* mask_rows = nullptr,
-    int64_t mask_block_rows = 0) {
+    int64_t mask_block_rows = 0, const Var& edge_weight = Var()) {
   int64_t heads = scores.cols();
   Var att = SegmentSoftmax(scores, dst, num_nodes);
   att = Dropout(att, dropout_p, training, rng, mask_rows, mask_block_rows);
@@ -279,6 +281,7 @@ Var ComposedAttentionAggregate(
     Var msg_h = MulColBroadcast(v_h, att_h);
     messages = messages.defined() ? ConcatCols(messages, msg_h) : msg_h;
   }
+  if (edge_weight.defined()) messages = MulColBroadcast(messages, edge_weight);
   return ScatterAddRows(messages, dst, num_nodes);
 }
 
@@ -292,9 +295,24 @@ std::vector<int32_t> KvRows(size_t edges, int64_t rows, Rng* rng) {
   return kv_row;
 }
 
+/// A per-edge weight [edges, 1]: random values, except +0, −0, NaN, +Inf
+/// and −Inf at the rows `special_rows` names, in that order.
+Tensor EdgeWeights(int64_t edges, const std::array<int64_t, 5>& special_rows,
+                   Rng* rng) {
+  const float kSpecials[] = {0.0f, -0.0f, HardwareDefaultNaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()};
+  Tensor t = RandomTensor(edges, 1, rng);
+  for (size_t i = 0; i < special_rows.size(); ++i) {
+    t.At(special_rows[i], 0) = kSpecials[i];
+  }
+  return t;
+}
+
 TEST(FusedConformance, AttentionAggregateMatchesComposedBitwiseEval) {
   // The values live at 5 source rows; the composed oracle gathers them per
-  // edge first.
+  // edge first. With the edge weight, targets 0 and 3 stay finite and
+  // targets 1 and 2 read ±0, NaN and ±Inf weights.
   Rng rng(303);
   const int64_t kHeads = 2;
   const int64_t kHeadDim = 3;
@@ -303,30 +321,38 @@ TEST(FusedConformance, AttentionAggregateMatchesComposedBitwiseEval) {
   int64_t edges = static_cast<int64_t>(dst.size());
   Tensor st = RandomTensor(edges, kHeads, &rng, 2.0f);
   Tensor vt = RandomTensor(5, kHeads * kHeadDim, &rng);
+  Tensor mt = EdgeWeights(edges, {0, 1, 2, 3, 4}, &rng);
 
-  Var s1(st, true), v1(vt, true);
-  Var fused = AttentionAggregate(s1, v1, kv_row, dst, 4, kHeadDim,
-                                 /*dropout_p=*/0.5f, /*training=*/false,
-                                 nullptr);
-  Sum(fused).Backward();
+  for (bool weighted : {false, true}) {
+    SCOPED_TRACE(weighted ? "edge weight" : "no weight");
+    Var s1(st, true), v1(vt, true), m1(mt, true);
+    Var fused = AttentionAggregate(s1, v1, kv_row, dst, 4, kHeadDim,
+                                   /*dropout_p=*/0.5f, /*training=*/false,
+                                   nullptr, nullptr, 0,
+                                   weighted ? m1 : Var());
+    Sum(fused).Backward();
 
-  Var s2(st, true), v2(vt, true);
-  Var composed = ComposedAttentionAggregate(s2, IndexRows(v2, kv_row), dst, 4,
-                                            kHeadDim, 0.5f, false, nullptr);
-  Sum(composed).Backward();
+    Var s2(st, true), v2(vt, true), m2(mt, true);
+    Var composed = ComposedAttentionAggregate(
+        s2, IndexRows(v2, kv_row), dst, 4, kHeadDim, 0.5f, false, nullptr,
+        nullptr, 0, weighted ? m2 : Var());
+    Sum(composed).Backward();
 
-  EXPECT_TRUE(fused.value().BitwiseEqual(composed.value()));
-  EXPECT_TRUE(s1.grad().BitwiseEqual(s2.grad()));
-  EXPECT_TRUE(v1.grad().BitwiseEqual(v2.grad()));
+    EXPECT_TRUE(fused.value().BitwiseEqual(composed.value()));
+    EXPECT_TRUE(s1.grad().BitwiseEqual(s2.grad()));
+    EXPECT_TRUE(v1.grad().BitwiseEqual(v2.grad()));
+    EXPECT_TRUE(m1.grad().BitwiseEqual(m2.grad()));
+  }
 }
 
 TEST(FusedConformance, AttentionAggregateMatchesComposedBitwiseTraining) {
   // Training mode: the fused kernel must consume dropout randomness in the
   // exact order of the unfused Dropout op, so same-seeded runs coincide —
   // also when the edges are some rows of a larger edge block whose mask
-  // rows they read. ±0, NaN and ±Inf in the values and the upstream
-  // gradient; the values also feed a second consumer, so the order in
-  // which their gradient terms accumulate is compared too.
+  // rows they read, and with a per-edge weight. ±0, NaN and ±Inf in the
+  // values, the weight and the upstream gradient; the values also feed a
+  // second consumer, so the order in which their gradient terms accumulate
+  // is compared too.
   Rng rng(304);
   const int64_t kHeads = 3;
   const int64_t kHeadDim = 2;
@@ -337,34 +363,41 @@ TEST(FusedConformance, AttentionAggregateMatchesComposedBitwiseTraining) {
   Tensor st = RandomTensor(edges, kHeads, &rng, 2.0f);
   Tensor vt = SpecialTensor(kRows, kHeads * kHeadDim, &rng);
   Tensor upstream = SpecialTensor(3, kHeads * kHeadDim, &rng);
+  Tensor mt = EdgeWeights(edges, {7, 2, 1, 5, 9}, &rng);
 
   // The edges as rows of a 16-row block, out of order.
   const std::vector<int32_t> block_rows = {15, 0, 3, 2, 8, 9, 11, 5, 12, 14};
   for (const std::vector<int32_t>* mask_rows : {
            static_cast<const std::vector<int32_t>*>(nullptr), &block_rows}) {
-    SCOPED_TRACE(mask_rows == nullptr ? "own rows" : "block rows");
-    auto run = [&](bool fused, Var* s, Var* v, Rng* drop) {
-      Var out =
-          fused ? AttentionAggregate(*s, *v, kv_row, dst, 3, kHeadDim,
-                                     /*dropout_p=*/0.3f, /*training=*/true,
-                                     drop, mask_rows, 16)
-                : ComposedAttentionAggregate(*s, IndexRows(*v, kv_row), dst,
-                                             3, kHeadDim, 0.3f, true, drop,
-                                             mask_rows, 16);
-      Add(Sum(Mul(out, Constant(upstream))), Sum(Tanh(*v))).Backward();
-      return out;
-    };
-    Var s1(st, true), v1(vt, true);
-    Rng drop1(42);
-    Var fused = run(true, &s1, &v1, &drop1);
-    Var s2(st, true), v2(vt, true);
-    Rng drop2(42);
-    Var composed = run(false, &s2, &v2, &drop2);
+    for (bool weighted : {false, true}) {
+      SCOPED_TRACE(std::string(mask_rows == nullptr ? "own rows"
+                                                    : "block rows") +
+                   (weighted ? ", edge weight" : ", no weight"));
+      auto run = [&](bool fused, Var* s, Var* v, Var* m, Rng* drop) {
+        Var weight = weighted ? *m : Var();
+        Var out =
+            fused ? AttentionAggregate(*s, *v, kv_row, dst, 3, kHeadDim,
+                                       /*dropout_p=*/0.3f, /*training=*/true,
+                                       drop, mask_rows, 16, weight)
+                  : ComposedAttentionAggregate(*s, IndexRows(*v, kv_row), dst,
+                                               3, kHeadDim, 0.3f, true, drop,
+                                               mask_rows, 16, weight);
+        Add(Sum(Mul(out, Constant(upstream))), Sum(Tanh(*v))).Backward();
+        return out;
+      };
+      Var s1(st, true), v1(vt, true), m1(mt, true);
+      Rng drop1(42);
+      Var fused = run(true, &s1, &v1, &m1, &drop1);
+      Var s2(st, true), v2(vt, true), m2(mt, true);
+      Rng drop2(42);
+      Var composed = run(false, &s2, &v2, &m2, &drop2);
 
-    EXPECT_TRUE(fused.value().BitwiseEqual(composed.value()));
-    EXPECT_TRUE(s1.grad().BitwiseEqual(s2.grad()));
-    EXPECT_TRUE(v1.grad().BitwiseEqual(v2.grad()));
-    EXPECT_EQ(drop1.NextUint64(), drop2.NextUint64());
+      EXPECT_TRUE(fused.value().BitwiseEqual(composed.value()));
+      EXPECT_TRUE(s1.grad().BitwiseEqual(s2.grad()));
+      EXPECT_TRUE(v1.grad().BitwiseEqual(v2.grad()));
+      EXPECT_TRUE(m1.grad().BitwiseEqual(m2.grad()));
+      EXPECT_EQ(drop1.NextUint64(), drop2.NextUint64());
+    }
   }
 }
 
@@ -565,6 +598,51 @@ TEST(FusedConformance, AttentionScoresMatchesComposedBitwise) {
       }
     }
   }
+}
+
+TEST(FusedConformance, AttentionScoresAliasedKeysAndQueriesMatchCopies) {
+  // GAT passes one Var as both k and q_nodes. The value equals that of two
+  // distinct copies bit for bit; the one gradient takes both terms edge by
+  // edge, so it equals the copies' summed gradient up to rounding, within
+  // DESIGN §13.5's norm-wise bound. The attention rows' gradients do not
+  // depend on the aliasing and stay bitwise.
+  Rng rng(308);
+  const int64_t kNodes = 9;
+  const int kHeads = 2;
+  const int64_t kDim = 6;
+  const size_t kEdges = 40;
+  Tensor zt = RandomTensor(kNodes, kDim, &rng);
+  Tensor wst = RandomTensor(2, kDim, &rng);
+  Tensor wdt = RandomTensor(2, kDim, &rng);
+  Tensor upstream = RandomTensor(static_cast<int64_t>(kEdges), kHeads, &rng);
+  std::vector<int32_t> src(kEdges);
+  std::vector<int32_t> dst(kEdges);
+  std::vector<int32_t> src_types(kEdges);
+  std::vector<int32_t> dst_types(kEdges);
+  for (size_t e = 0; e < kEdges; ++e) {
+    src[e] = static_cast<int32_t>(rng.NextBounded(kNodes));
+    dst[e] = static_cast<int32_t>(rng.NextBounded(kNodes));
+    src_types[e] = static_cast<int32_t>(rng.NextBounded(2));
+    dst_types[e] = static_cast<int32_t>(rng.NextBounded(2));
+  }
+  auto scores_of = [&](const Var& k, const Var& q, const Var& ws,
+                       const Var& wd) {
+    Var scores = AttentionScores(k, src, q, dst, ws, src_types, wd,
+                                 dst_types, kHeads, 0.5f);
+    Sum(Mul(scores, Constant(upstream))).Backward();
+    return scores;
+  };
+  Var z(zt, true), ws1(wst, true), wd1(wdt, true);
+  Var aliased = scores_of(z, z, ws1, wd1);
+  Var k(zt, true), q(zt, true), ws2(wst, true), wd2(wdt, true);
+  Var copies = scores_of(k, q, ws2, wd2);
+
+  EXPECT_TRUE(aliased.value().BitwiseEqual(copies.value()));
+  Tensor summed = k.grad();
+  summed.AddInPlace(q.grad());
+  EXPECT_LE(NormwiseRelativeError(z.grad(), summed), 1e-5);
+  EXPECT_TRUE(ws1.grad().BitwiseEqual(ws2.grad()));
+  EXPECT_TRUE(wd1.grad().BitwiseEqual(wd2.grad()));
 }
 
 // ---------------------------------------------------------------------------

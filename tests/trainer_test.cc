@@ -49,7 +49,7 @@ TEST_F(TrainerTest, FraudProbabilitiesAreSoftmaxColumnOne) {
   logits.At(1, 1) = 10.0f;  // p ~ 1
   logits.At(2, 0) = 10.0f;
   logits.At(2, 1) = -10.0f;  // p ~ 0
-  auto probs = FraudProbabilities(nn::Var(logits, false));
+  auto probs = core::FraudProbabilities(nn::Var(logits, false));
   EXPECT_NEAR(probs[0], 0.5, 1e-6);
   EXPECT_GT(probs[1], 0.999);
   EXPECT_LT(probs[2], 0.001);

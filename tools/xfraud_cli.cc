@@ -505,7 +505,7 @@ int CmdExplain(const Flags& flags) {
   double risk = 0.0;
   {
     nn::NoGradGuard no_tape;
-    risk = train::FraudProbabilities(
+    risk = core::FraudProbabilities(
         detector.value()->Forward(batch, core::ForwardOptions{}))[0];
   }
   std::cout << "transaction " << txn_id << ": risk score "
