@@ -177,6 +177,9 @@ BENCHMARK(BM_LinearComposed)->Arg(256)->Arg(1024);
 
 /// One HeteroConv typed linear on a sim-small batch: E = 6611 edge rows of
 /// D = 32 over 5 node types, forward + backward into x, every W_t and b_t.
+/// `subset` is an ascending ~0.6 share of x's rows, as the last layer's Q
+/// reads its output rows from the layer input, and `subset_types` their
+/// types.
 struct TypedLinearInputs {
   static constexpr int64_t kRows = 6611;
   static constexpr int64_t kDim = 32;
@@ -190,6 +193,11 @@ struct TypedLinearInputs {
     }
     types.resize(kRows);
     for (auto& t : types) t = static_cast<int32_t>(rng.NextBounded(kTypes));
+    for (int32_t r = 0; r < kRows; ++r) {
+      if (rng.NextBounded(5) >= 3) continue;
+      subset.push_back(r);
+      subset_types.push_back(types[r]);
+    }
   }
   void ZeroGrad() {
     x.ZeroGrad();
@@ -201,28 +209,38 @@ struct TypedLinearInputs {
   std::vector<Var> weights;
   std::vector<Var> biases;
   std::vector<int32_t> types;
+  std::vector<int32_t> subset;
+  std::vector<int32_t> subset_types;
 };
 
 void BM_TypedLinearFused(benchmark::State& state) {
-  // One TypedLinear tape node over all E rows — forward + backward when
-  // taped (arg 1), the forward alone under a NoGradGuard (arg 0)...
+  // One TypedLinear tape node — forward + backward when taped (taped:1),
+  // the forward alone under a NoGradGuard (taped:0) — over all E rows
+  // (rows:0) or over the ascending subset read in place through its row
+  // list (rows:1)...
   TypedLinearInputs in;
   const bool taped = state.range(0) != 0;
+  const bool row_list = state.range(1) != 0;
+  const std::vector<int32_t>& types = row_list ? in.subset_types : in.types;
+  const std::vector<int32_t>* rows = row_list ? &in.subset : nullptr;
   for (auto _ : state) {
     if (taped) {
       in.ZeroGrad();
-      Var loss = Sum(TypedLinear(in.x, in.types, in.weights, in.biases));
+      Var loss = Sum(TypedLinear(in.x, types, in.weights, in.biases, rows));
       loss.Backward();
       benchmark::DoNotOptimize(in.x.grad().data());
     } else {
       NoGradGuard guard;
-      Var out = TypedLinear(in.x, in.types, in.weights, in.biases);
+      Var out = TypedLinear(in.x, types, in.weights, in.biases, rows);
       benchmark::DoNotOptimize(out.value().data());
     }
   }
-  state.SetItemsProcessed(state.iterations() * TypedLinearInputs::kRows);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(types.size()));
 }
-BENCHMARK(BM_TypedLinearFused)->ArgName("taped")->Arg(1)->Arg(0);
+BENCHMARK(BM_TypedLinearFused)
+    ->ArgNames({"taped", "rows"})
+    ->ArgsProduct({{1, 0}, {0, 1}});
 
 void BM_TypedLinearComposed(benchmark::State& state) {
   // ...vs the per-type IndexRows → LinearBiasAct → ScatterAddRows → Add

@@ -3,8 +3,8 @@
 namespace xfraud::core {
 
 nn::Var ApplyTypedLinear(const std::vector<nn::Linear>& linears,
-                         const nn::Var& x,
-                         const std::vector<int32_t>& types) {
+                         const nn::Var& x, const std::vector<int32_t>& types,
+                         const std::vector<int32_t>* rows) {
   std::vector<nn::Var> weights;
   std::vector<nn::Var> biases;
   weights.reserve(linears.size());
@@ -13,7 +13,7 @@ nn::Var ApplyTypedLinear(const std::vector<nn::Linear>& linears,
     weights.push_back(linear.weight());
     biases.push_back(linear.bias());
   }
-  return nn::TypedLinear(x, types, weights, biases);
+  return nn::TypedLinear(x, types, weights, biases, rows);
 }
 
 std::vector<double> FraudProbabilities(const nn::Var& logits) {

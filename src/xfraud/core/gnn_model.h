@@ -40,12 +40,13 @@ class GnnModel : public nn::Module {
   virtual std::string name() const = 0;
 };
 
-/// Applies per-node-type linear maps: rows of `x` whose type (per `types`)
-/// is t go through `linears[t]`, as one nn::TypedLinear tape node. The typed
-/// Q/K/V projections of paper eqs. 2-7 are built from this.
+/// Applies per-node-type linear maps: output row i, of type types[i], is
+/// x's row (*rows)[i] (row i when `rows` is null) through
+/// `linears[types[i]]`, as one nn::TypedLinear tape node. The typed Q/K/V
+/// projections of paper eqs. 2-7 are built from this.
 nn::Var ApplyTypedLinear(const std::vector<nn::Linear>& linears,
-                         const nn::Var& x,
-                         const std::vector<int32_t>& types);
+                         const nn::Var& x, const std::vector<int32_t>& types,
+                         const std::vector<int32_t>* rows = nullptr);
 
 /// Fraud probabilities (softmax of the [N, 2] logits' fraud column) — the
 /// score every consumer of Forward reports: trainer evaluation, the

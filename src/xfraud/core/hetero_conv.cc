@@ -236,21 +236,26 @@ Var HeteroConvLayer::Forward(const Var& node_input, const LayerPlan& plan,
     return nn::Relu(norm_.Forward(nn::IndexRows(node_input, plan.output_rows)));
   }
 
-  // Queries are per output row (eqs. 2/3); AttentionScores reads them
-  // through edge_dst.
-  Var q_nodes =
-      ApplyTypedLinear(q_linears_, nn::IndexRows(node_input, plan.output_rows),
-                       output_types);
+  // Queries are per output row (eqs. 2/3), projected straight from their
+  // input rows; AttentionScores reads them through edge_dst. The tape
+  // reaches node_input through K first, so the backward runs this op after
+  // V's and before K's: node_input's grad takes its terms in the order
+  // residual, V, Q, K, the order the trained bits were recorded with.
+  Var q_nodes = ApplyTypedLinear(q_linears_, node_input, output_types,
+                                 &plan.output_rows);
 
   // An edge's key and value depend only on its source state plus — at the
   // first layer — the edge-type embedding (eqs. 4-7), so both live at the
-  // source rows, forward and backward: the input rows themselves at later
-  // layers, the plan's (source, edge type) pairs at the first. kv_row maps
-  // each edge to its row; the attention ops read K and V through it.
+  // source rows, forward and backward: at later layers the distinct kept-
+  // edge sources, ascending, read in place from the input rows; at the
+  // first, the plan's (source, edge type) pairs. kv_row maps each edge to
+  // its row; the attention ops read K and V through it.
   Var kv_input = node_input;
-  const std::vector<int32_t>* kv_row = &plan.edge_src;
-  const std::vector<int32_t>* kv_types = &plan.input_types;
-  std::vector<int32_t> pair_node_types;
+  const std::vector<int32_t>* kv_input_rows = nullptr;
+  std::vector<int32_t> kv_types;
+  std::vector<int32_t> kv_src;
+  std::vector<int32_t> edge_kv;
+  const std::vector<int32_t>* kv_row = &edge_kv;
   if (first_layer_) {
     XF_CHECK_EQ(plan.edge_pair.size(), num_edges);
     XF_CHECK_EQ(plan.pair_type.size(), plan.pair_src.size());
@@ -258,16 +263,25 @@ Var HeteroConvLayer::Forward(const Var& node_input, const LayerPlan& plan,
     for (size_t p = 0; p < plan.pair_src.size(); ++p) {
       XF_CHECK_BOUNDS(plan.pair_src[p], num_inputs);
       XF_CHECK_BOUNDS(plan.pair_type[p], graph::kNumEdgeTypes);
-      pair_node_types.push_back(plan.input_types[plan.pair_src[p]]);
+      kv_types.push_back(plan.input_types[plan.pair_src[p]]);
     }
     for (int32_t pair : plan.edge_pair) XF_CHECK_BOUNDS(pair, num_pairs);
     kv_input = nn::Add(nn::IndexRows(node_input, plan.pair_src),
                        nn::IndexRows(edge_type_emb_, plan.pair_type));
     kv_row = &plan.edge_pair;
-    kv_types = &pair_node_types;
+  } else {
+    std::vector<char> is_source(static_cast<size_t>(num_inputs), 0);
+    for (int32_t s : plan.edge_src) is_source[s] = 1;
+    kv_src = MarkedIds(is_source);
+    std::vector<int32_t> kv_pos = PositionOf(kv_src, num_inputs);
+    edge_kv.reserve(num_edges);
+    for (int32_t s : plan.edge_src) edge_kv.push_back(kv_pos[s]);
+    kv_types.reserve(kv_src.size());
+    for (int32_t s : kv_src) kv_types.push_back(plan.input_types[s]);
+    kv_input_rows = &kv_src;
   }
-  Var k = ApplyTypedLinear(k_linears_, kv_input, *kv_types);
-  Var v = ApplyTypedLinear(v_linears_, kv_input, *kv_types);
+  Var k = ApplyTypedLinear(k_linears_, kv_input, kv_types, kv_input_rows);
+  Var v = ApplyTypedLinear(v_linears_, kv_input, kv_types, kv_input_rows);
 
   // eq. 8, per head, with the attention parameter rows selected by
   // endpoint type: one fused op over the edges.

@@ -97,8 +97,9 @@ class HeteroConvLayer : public nn::Module {
   /// Runs the layer over `plan`. `node_input` is H^{l-1} at the plan's
   /// input rows [M, dim]; returns H^l at its output rows
   /// [|output_rows|, dim]. Q, the residual and the layer norm run over the
-  /// output rows, K and V over the input rows (the first layer: over its
-  /// (source, edge type) pairs), attention over the kept edges.
+  /// output rows, K and V over the kept edges' distinct sources (the first
+  /// layer: over its (source, edge type) pairs), attention over the kept
+  /// edges. Q and the later layers' K and V read their input rows in place.
   /// `options.edge_mask` optionally rescales each edge's message
   /// ([num_batch_edges, 1], explainer hook; AttentionAggregate's weight).
   nn::Var Forward(const nn::Var& node_input, const LayerPlan& plan,

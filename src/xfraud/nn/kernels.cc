@@ -53,6 +53,37 @@ inline float ApplyAct(float x, Activation act) {
   return act == Activation::kRelu ? (x > 0.0f ? x : 0.0f) : x;
 }
 
+/// A GEMM row operand: row i of the product is t's row idx[i], or row i
+/// itself when idx is null (kernels.h, "Row operands").
+template <typename T>
+struct RowOperand {
+  T* t;
+  const int32_t* idx;
+  /// The row pointers of product rows [i0, i0 + count), resolved once per
+  /// row chunk, so the micro-kernels read one pointer per row whether or
+  /// not the operand is indexed.
+  template <typename P>
+  XF_ALWAYS_INLINE void ChunkRows(int64_t i0, int64_t count, P* ptrs) const {
+    for (int64_t i = 0; i < count; ++i) {
+      ptrs[i] = t->Row(idx != nullptr ? idx[i0 + i] : i0 + i);
+    }
+  }
+};
+
+/// The row operand of `t` through `rows` (null: t's rows in order), every
+/// index checked against t's rows; *n gets the product's row count.
+template <typename T>
+RowOperand<T> CheckedRows(T* t, const std::vector<int32_t>* rows,
+                          int64_t* n) {
+  if (rows == nullptr) {
+    *n = t->rows();
+    return {t, nullptr};
+  }
+  for (int32_t r : *rows) XF_CHECK_BOUNDS(r, t->rows());
+  *n = static_cast<int64_t>(rows->size());
+  return {t, rows->data()};
+}
+
 /// Packs Bᵀ's columns [k0, k0+kJTile) — B's rows — into `panel` (M x
 /// kJTile, row-major): panel[j·kJTile + kk] = B[k0+kk, j], zero-filling
 /// columns past B's last row. This is the panel layout of the forward
@@ -88,21 +119,21 @@ XF_ALWAYS_INLINE void StoreTile(const float* acc, int64_t j0, int64_t jw,
   }
 }
 
-/// C rows [i0, i0+ih) for panel columns [j0, j0+jw): register-tiled over
-/// kITile rows, k ascending in the single inner reduction.
+/// C rows [0, ih) of a row chunk for panel columns [j0, j0+jw), A's and
+/// C's rows given by pointer: register-tiled over kITile rows, k ascending
+/// in the single inner reduction.
 template <bool kAccumulate>
-XF_ALWAYS_INLINE void GemmPanelRows(const Tensor& a, const float* panel,
-                                    int64_t j0, int64_t jw, int64_t i0,
-                                    int64_t ih, const float* bias,
-                                    Activation act, Tensor* c) {
-  int64_t k_dim = a.cols();
-  int64_t i = i0;
-  for (; i + kITile <= i0 + ih; i += kITile) {
+XF_ALWAYS_INLINE void GemmPanelRows(const float* const* arows, int64_t k_dim,
+                                    const float* panel, int64_t j0,
+                                    int64_t jw, int64_t ih, const float* bias,
+                                    Activation act, float* const* crows) {
+  int64_t i = 0;
+  for (; i + kITile <= ih; i += kITile) {
     float acc[kITile][kJTile] = {};
-    const float* a0 = a.Row(i);
-    const float* a1 = a.Row(i + 1);
-    const float* a2 = a.Row(i + 2);
-    const float* a3 = a.Row(i + 3);
+    const float* a0 = arows[i];
+    const float* a1 = arows[i + 1];
+    const float* a2 = arows[i + 2];
+    const float* a3 = arows[i + 3];
     for (int64_t k = 0; k < k_dim; ++k) {
       const float* p = panel + k * kJTile;
       float v0 = a0[k], v1 = a1[k], v2 = a2[k], v3 = a3[k];
@@ -115,18 +146,18 @@ XF_ALWAYS_INLINE void GemmPanelRows(const Tensor& a, const float* panel,
       }
     }
     for (int64_t r = 0; r < kITile; ++r) {
-      StoreTile<kAccumulate>(acc[r], j0, jw, bias, act, c->Row(i + r) + j0);
+      StoreTile<kAccumulate>(acc[r], j0, jw, bias, act, crows[i + r] + j0);
     }
   }
-  for (; i < i0 + ih; ++i) {  // remainder rows, one at a time
+  for (; i < ih; ++i) {  // remainder rows, one at a time
     float acc[kJTile] = {};
-    const float* arow = a.Row(i);
+    const float* arow = arows[i];
     for (int64_t k = 0; k < k_dim; ++k) {
       const float* p = panel + k * kJTile;
       float v = arow[k];
       for (int64_t j = 0; j < kJTile; ++j) acc[j] += v * p[j];
     }
-    StoreTile<kAccumulate>(acc, j0, jw, bias, act, c->Row(i) + j0);
+    StoreTile<kAccumulate>(acc, j0, jw, bias, act, crows[i] + j0);
   }
 }
 
@@ -134,38 +165,43 @@ XF_ALWAYS_INLINE void GemmPanelRows(const Tensor& a, const float* panel,
 // sweeps over it (panel inner, chunk outer).
 constexpr int64_t kRowChunk = 128;
 
-/// Sweeps every packed panel (num_panels of a.cols() x kJTile) over C's
-/// rows, one row chunk at a time. Shared by the forward GEMM and
-/// dA += G·Bᵀ.
+/// Sweeps every packed panel (num_panels of a.cols() x kJTile) over the
+/// product's n rows, one row chunk at a time. Shared by the forward GEMM
+/// and dA += G·Bᵀ.
 template <bool kAccumulate>
-XF_ALWAYS_INLINE void PackedGemm(const Tensor& a,
+XF_ALWAYS_INLINE void PackedGemm(RowOperand<const Tensor> a, int64_t n,
                                  const std::vector<float>& packed,
                                  int64_t num_panels, const float* bias,
-                                 Activation act, Tensor* c) {
-  int64_t n = a.rows();
-  int64_t k_dim = a.cols();
-  int64_t m = c->cols();
+                                 Activation act, RowOperand<Tensor> c) {
+  int64_t k_dim = a.t->cols();
+  int64_t m = c.t->cols();
+  const float* arows[kRowChunk];
+  float* crows[kRowChunk];
   for (int64_t ic = 0; ic < n; ic += kRowChunk) {
     int64_t ih = std::min<int64_t>(kRowChunk, n - ic);
+    a.ChunkRows(ic, ih, arows);
+    c.ChunkRows(ic, ih, crows);
     for (int64_t p = 0; p < num_panels; ++p) {
       int64_t j0 = p * kJTile;
       int64_t jw = std::min<int64_t>(kJTile, m - j0);
-      GemmPanelRows<kAccumulate>(a, packed.data() + p * k_dim * kJTile, j0,
-                                 jw, ic, ih, bias, act, c);
+      GemmPanelRows<kAccumulate>(arows, k_dim,
+                                 packed.data() + p * k_dim * kJTile, j0, jw,
+                                 ih, bias, act, crows);
     }
   }
 }
 
-/// dB rows [k, k+kh) x columns [j0, j0+jw) += Σ_{i in [i0, i_end)}
-/// A[i,k..]ᵀ·G[i,j0..]: the tile is loaded into registers, takes one
-/// multiply-add per i in ascending order, and is stored back — the
-/// reference's per-element order, starting from dB's own value. kFull
-/// fixes the tile at kITile x kJTile (the unrolled fast path); otherwise
-/// kh <= kITile and jw <= kJTile cover the edges.
+/// dB rows [k, k+kh) x columns [j0, j0+jw) += Σ_{i < ih} A[i,k..]ᵀ·G[i,j0..]
+/// over a row chunk whose A and G rows are given by pointer: the tile is
+/// loaded into registers, takes one multiply-add per i in ascending order,
+/// and is stored back — the reference's per-element order, starting from
+/// dB's own value. kFull fixes the tile at kITile x kJTile (the unrolled
+/// fast path); otherwise kh <= kITile and jw <= kJTile cover the edges.
 template <bool kFull>
-XF_ALWAYS_INLINE void TransATile(const Tensor& a, const Tensor& g, int64_t k,
+XF_ALWAYS_INLINE void TransATile(const float* const* arows,
+                                 const float* const* grows, int64_t k,
                                  int64_t kh, int64_t j0, int64_t jw,
-                                 int64_t i0, int64_t i_end, Tensor* db) {
+                                 int64_t ih, Tensor* db) {
   if constexpr (kFull) {
     kh = kITile;
     jw = kJTile;
@@ -175,9 +211,9 @@ XF_ALWAYS_INLINE void TransATile(const Tensor& a, const Tensor& g, int64_t k,
     const float* dbrow = db->Row(k + r) + j0;
     for (int64_t j = 0; j < jw; ++j) acc[r][j] = dbrow[j];
   }
-  for (int64_t i = i0; i < i_end; ++i) {
-    const float* arow = a.Row(i) + k;
-    const float* grow = g.Row(i) + j0;
+  for (int64_t i = 0; i < ih; ++i) {
+    const float* arow = arows[i] + k;
+    const float* grow = grows[i] + j0;
     if constexpr (kFull) {
       float v0 = arow[0], v1 = arow[1], v2 = arow[2], v3 = arow[3];
       for (int64_t j = 0; j < kJTile; ++j) {
@@ -204,19 +240,26 @@ XF_ALWAYS_INLINE void TransATile(const Tensor& a, const Tensor& g, int64_t k,
 
 XF_ISA_CLONES
 void GemmBiasAct(const Tensor& a, const Tensor& b, const float* bias,
-                 Activation act, Tensor* c) {
+                 Activation act, Tensor* c,
+                 const std::vector<int32_t>* a_rows,
+                 const std::vector<int32_t>* c_rows) {
   XF_CHECK_EQ(a.cols(), b.rows());
-  XF_CHECK_EQ(c->rows(), a.rows());
   XF_CHECK_EQ(c->cols(), b.cols());
-  int64_t n = a.rows();
+  int64_t n = 0;
+  int64_t c_n = 0;
+  RowOperand<const Tensor> ar = CheckedRows(&a, a_rows, &n);
+  RowOperand<Tensor> cr = CheckedRows(c, c_rows, &c_n);
+  XF_CHECK_EQ(c_n, n);
   int64_t k_dim = b.rows();
   int64_t m = b.cols();
   if (n == 0 || m == 0) return;
   if (k_dim == 0) {
+    // The empty reduction leaves each dot at +0.
     for (int64_t i = 0; i < n; ++i) {
-      float* crow = c->Row(i);
+      float* crow =
+          c->Row(c_rows != nullptr ? (*c_rows)[static_cast<size_t>(i)] : i);
       for (int64_t j = 0; j < m; ++j) {
-        crow[j] = ApplyAct(bias != nullptr ? bias[j] : 0.0f, act);
+        crow[j] = ApplyAct(0.0f + (bias != nullptr ? bias[j] : 0.0f), act);
       }
     }
     return;
@@ -228,7 +271,8 @@ void GemmBiasAct(const Tensor& a, const Tensor& b, const float* bias,
   for (int64_t p = 0; p < num_panels; ++p) {
     PackBPanel(b, p * kJTile, packed.data() + p * k_dim * kJTile);
   }
-  PackedGemm</*kAccumulate=*/false>(a, packed, num_panels, bias, act, c);
+  PackedGemm</*kAccumulate=*/false>(ar, n, packed, num_panels, bias, act,
+                                    cr);
 }
 
 XF_ISA_CLONES
@@ -237,13 +281,19 @@ void Gemm(const Tensor& a, const Tensor& b, Tensor* c) {
 }
 
 XF_ISA_CLONES
-void GemmTransBAdd(const Tensor& g, const Tensor& b, Tensor* da) {
+void GemmTransBAdd(const Tensor& g, const Tensor& b, Tensor* da,
+                   const std::vector<int32_t>* g_rows,
+                   const std::vector<int32_t>* da_rows) {
   XF_CHECK_EQ(g.cols(), b.cols());
-  XF_CHECK_EQ(da->rows(), g.rows());
   XF_CHECK_EQ(da->cols(), b.rows());
+  int64_t n = 0;
+  int64_t da_n = 0;
+  RowOperand<const Tensor> gr = CheckedRows(&g, g_rows, &n);
+  RowOperand<Tensor> dar = CheckedRows(da, da_rows, &da_n);
+  XF_CHECK_EQ(da_n, n);
   int64_t m = g.cols();
   int64_t k_dim = b.rows();
-  if (g.rows() == 0 || k_dim == 0) return;
+  if (n == 0 || k_dim == 0) return;
   // Bᵀ packed into panels of kJTile dA columns; each dot product reduces
   // over j ascending from 0 in the micro-kernel, then lands in dA with one
   // add — the reference's order. m == 0 still adds the (zero) dot.
@@ -252,31 +302,40 @@ void GemmTransBAdd(const Tensor& g, const Tensor& b, Tensor* da) {
   for (int64_t p = 0; p < num_panels; ++p) {
     PackBTPanel(b, p * kJTile, packed.data() + p * m * kJTile);
   }
-  PackedGemm</*kAccumulate=*/true>(g, packed, num_panels, /*bias=*/nullptr,
-                                   Activation::kNone, da);
+  PackedGemm</*kAccumulate=*/true>(gr, n, packed, num_panels,
+                                   /*bias=*/nullptr, Activation::kNone, dar);
 }
 
 XF_ISA_CLONES
-void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db) {
-  XF_CHECK_EQ(a.rows(), g.rows());
+void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db,
+                   const std::vector<int32_t>* a_rows,
+                   const std::vector<int32_t>* g_rows) {
   XF_CHECK_EQ(db->rows(), a.cols());
   XF_CHECK_EQ(db->cols(), g.cols());
-  int64_t n = a.rows();
+  int64_t n = 0;
+  int64_t g_n = 0;
+  RowOperand<const Tensor> ar = CheckedRows(&a, a_rows, &n);
+  RowOperand<const Tensor> gr = CheckedRows(&g, g_rows, &g_n);
+  XF_CHECK_EQ(g_n, n);
   int64_t k_dim = a.cols();
   int64_t m = g.cols();
   // Register tiles of dB take their i terms ascending, one row chunk at a
   // time (the chunk of A and G stays cache-hot across the tiles), so each
   // dB element's reduction order is the reference's.
+  const float* arows[kRowChunk];
+  const float* grows[kRowChunk];
   for (int64_t ic = 0; ic < n; ic += kRowChunk) {
-    int64_t i_end = std::min<int64_t>(n, ic + kRowChunk);
+    int64_t ih = std::min<int64_t>(kRowChunk, n - ic);
+    ar.ChunkRows(ic, ih, arows);
+    gr.ChunkRows(ic, ih, grows);
     for (int64_t k = 0; k < k_dim; k += kITile) {
       int64_t kh = std::min<int64_t>(kITile, k_dim - k);
       for (int64_t j0 = 0; j0 < m; j0 += kJTile) {
         int64_t jw = std::min<int64_t>(kJTile, m - j0);
         if (kh == kITile && jw == kJTile) {
-          TransATile<true>(a, g, k, kh, j0, jw, ic, i_end, db);
+          TransATile<true>(arows, grows, k, kh, j0, jw, ih, db);
         } else {
-          TransATile<false>(a, g, k, kh, j0, jw, ic, i_end, db);
+          TransATile<false>(arows, grows, k, kh, j0, jw, ih, db);
         }
       }
     }
@@ -284,14 +343,21 @@ void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db) {
 }
 
 XF_ISA_CLONES
-void ColSumAdd(const Tensor& g, Tensor* gb) {
+void ColSumAdd(const Tensor& g, Tensor* gb,
+               const std::vector<int32_t>* g_rows) {
   XF_CHECK_EQ(gb->rows(), 1);
   XF_CHECK_EQ(gb->cols(), g.cols());
+  int64_t n = 0;
+  RowOperand<const Tensor> gr = CheckedRows(&g, g_rows, &n);
   float* out = gb->Row(0);
   int64_t m = g.cols();
-  for (int64_t r = 0; r < g.rows(); ++r) {
-    const float* grow = g.Row(r);
-    for (int64_t c = 0; c < m; ++c) out[c] += grow[c];
+  const float* grows[kRowChunk];
+  for (int64_t ic = 0; ic < n; ic += kRowChunk) {
+    int64_t ih = std::min<int64_t>(kRowChunk, n - ic);
+    gr.ChunkRows(ic, ih, grows);
+    for (int64_t r = 0; r < ih; ++r) {
+      for (int64_t c = 0; c < m; ++c) out[c] += grows[r][c];
+    }
   }
 }
 

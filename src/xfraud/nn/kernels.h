@@ -39,12 +39,31 @@ namespace xfraud::nn::kernels {
 /// Optional activation fused into the GEMM epilogue.
 enum class Activation { kNone, kRelu };
 
+// Row operands. The GEMM family below (GemmBiasAct, GemmTransBAdd,
+// GemmTransAAdd, ColSumAdd) takes an optional row index for each operand
+// that is read or written by rows: with one set, the product's row i is
+// that tensor's row (*rows)[i]; null means row i itself. So a typed
+// projection reads its input rows and writes its output rows in place, with
+// no gathered or scattered copy. The product has as many rows as the index
+// (or the tensor, when null), and both row operands must agree on it. Every
+// index is bounds-checked (XF_CHECK, every build type). An index need not be
+// sorted, and one that is read may repeat a row; so may dA's, whose repeated
+// row takes one term per entry, ascending in i. Every bit is that of
+// gathering the read rows, running the kernel on contiguous rows and
+// scatter-adding the written rows back in ascending i (GemmBiasAct: onto a
+// zeroed block, so its c_rows must not repeat a row).
+
 /// C = act(A·B + bias). A [n,k], B [k,m], C preallocated [n,m] (overwritten).
 /// `bias` is nullptr (no bias) or a length-m row added before `act`.
+/// Each dot product accumulates from +0 (k = 0 leaves the +0), so no
+/// stored value is −0 and writing a row equals adding it onto a zeroed
+/// block. `a_rows` / `c_rows` index A's and C's rows (see above).
 /// Cache-blocked over B panels (a packed column-tile layout) with a
 /// register-tiled micro-kernel.
 void GemmBiasAct(const Tensor& a, const Tensor& b, const float* bias,
-                 Activation act, Tensor* c);
+                 Activation act, Tensor* c,
+                 const std::vector<int32_t>* a_rows = nullptr,
+                 const std::vector<int32_t>* c_rows = nullptr);
 
 /// C = A·B (no bias, no activation).
 void Gemm(const Tensor& a, const Tensor& b, Tensor* c);
@@ -52,17 +71,23 @@ void Gemm(const Tensor& a, const Tensor& b, Tensor* c);
 /// dA += G·Bᵀ. G [n,m], B [k,m], dA [n,k]. Bᵀ is packed into the forward
 /// kernel's column panels and runs through its register-tiled micro-kernel:
 /// each dot product accumulates from 0 over j ascending, then is added to
-/// dA once.
-void GemmTransBAdd(const Tensor& g, const Tensor& b, Tensor* da);
+/// dA once. `g_rows` / `da_rows` index G's and dA's rows.
+void GemmTransBAdd(const Tensor& g, const Tensor& b, Tensor* da,
+                   const std::vector<int32_t>* g_rows = nullptr,
+                   const std::vector<int32_t>* da_rows = nullptr);
 
 /// dB += Aᵀ·G. A [n,k], G [n,m], dB [k,m]. Register-tiled: each 4-row x
 /// 16-column tile of dB is held in registers while i ascends over a
 /// row chunk, starting from dB's own value — the reference's per-element
-/// order.
-void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db);
+/// order. `a_rows` / `g_rows` index A's and G's rows.
+void GemmTransAAdd(const Tensor& a, const Tensor& g, Tensor* db,
+                   const std::vector<int32_t>* a_rows = nullptr,
+                   const std::vector<int32_t>* g_rows = nullptr);
 
-/// gb[0,:] += column sums of G, reduced over rows in ascending order.
-void ColSumAdd(const Tensor& g, Tensor* gb);
+/// gb[0,:] += column sums of G, reduced over rows in ascending order;
+/// `g_rows` indexes G's rows.
+void ColSumAdd(const Tensor& g, Tensor* gb,
+               const std::vector<int32_t>* g_rows = nullptr);
 
 /// CSR-style grouping of row ids by group: rows[offsets[g]..offsets[g+1])
 /// lists, in ascending row order, every r with group_of_row[r] == g, so a

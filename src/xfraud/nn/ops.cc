@@ -70,6 +70,14 @@ void ApplyMask(const Tensor& mask, Tensor* t) {
   for (int64_t i = 0; i < mask.size(); ++i) tp[i] *= mv[i];
 }
 
+/// att ⊙ mask, built in *scratch; att itself when no mask was drawn.
+const Tensor& Masked(const Tensor& att, const Tensor& mask, Tensor* scratch) {
+  if (mask.empty()) return att;
+  *scratch = att;
+  ApplyMask(mask, scratch);
+  return *scratch;
+}
+
 /// Elementwise unary op helper: forward fn and local derivative from (x, y).
 template <typename Fwd, typename Dydx>
 Var UnaryElementwise(const Var& a, Fwd fwd, Dydx dydx) {
@@ -101,9 +109,9 @@ Var MatMul(const Var& a, const Var& b) {
   const Tensor& av = a.value();
   const Tensor& bv = b.value();
   XF_CHECK_EQ(av.cols(), bv.rows());
-  Tensor out(av.rows(), bv.cols());
+  Tensor out = Tensor::Uninitialized(av.rows(), bv.cols());
   // Blocked kernel; no zero-skip shortcut, so 0·NaN / 0·Inf propagate and
-  // timing is data-independent.
+  // timing is data-independent. It writes every entry of out.
   kernels::Gemm(av, bv, &out);
   auto a_impl = a.impl();
   auto b_impl = b.impl();
@@ -131,7 +139,7 @@ Var LinearBiasAct(const Var& x, const Var& w, const Var& bias,
     XF_CHECK_EQ(bias.value().cols(), wv.cols());
     bias_ptr = bias.value().Row(0);
   }
-  Tensor out(xv.rows(), wv.cols());
+  Tensor out = Tensor::Uninitialized(xv.rows(), wv.cols());
   kernels::GemmBiasAct(xv, wv, bias_ptr, act, &out);
   std::vector<Var> inputs = {x, w};
   if (bias.defined()) inputs.push_back(bias);
@@ -167,23 +175,35 @@ Var LinearBiasAct(const Var& x, const Var& w, const Var& bias,
 
 Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
                 const std::vector<Var>& weights,
-                const std::vector<Var>& biases) {
+                const std::vector<Var>& biases,
+                const std::vector<int32_t>* rows) {
   const Tensor& xv = x.value();
-  XF_CHECK_EQ(static_cast<size_t>(xv.rows()), types.size());
+  XF_CHECK_EQ(rows != nullptr ? rows->size() : static_cast<size_t>(xv.rows()),
+              types.size());
   XF_CHECK(!weights.empty());
   XF_CHECK_EQ(weights.size(), biases.size());
   const int64_t out_dim = weights[0].cols();
-  // Group the rows by type once, ascending within each type.
-  auto rows_by_type =
-      std::make_shared<std::vector<std::vector<int32_t>>>(weights.size());
+  // Group the output rows by type once, ascending within each type, with
+  // the x rows they read when those are not the output rows themselves.
+  struct TypedRows {
+    std::vector<std::vector<int32_t>> out;
+    std::vector<std::vector<int32_t>> in;  // empty: x row i for output row i
+    const std::vector<int32_t>& In(size_t t) const {
+      return in.empty() ? out[t] : in[t];
+    }
+  };
+  auto by_type = std::make_shared<TypedRows>();
+  by_type->out.resize(weights.size());
+  if (rows != nullptr) by_type->in.resize(weights.size());
   for (size_t r = 0; r < types.size(); ++r) {
     XF_CHECK_GE(types[r], 0);
     XF_CHECK_LT(static_cast<size_t>(types[r]), weights.size());
-    (*rows_by_type)[types[r]].push_back(static_cast<int32_t>(r));
+    by_type->out[types[r]].push_back(static_cast<int32_t>(r));
+    if (rows != nullptr) by_type->in[types[r]].push_back((*rows)[r]);
   }
   std::vector<Var> inputs = {x};
   for (size_t t = 0; t < weights.size(); ++t) {
-    if ((*rows_by_type)[t].empty()) continue;
+    if (by_type->out[t].empty()) continue;
     XF_CHECK_EQ(weights[t].rows(), xv.cols());
     XF_CHECK_EQ(weights[t].cols(), out_dim);
     inputs.push_back(weights[t]);
@@ -194,22 +214,19 @@ Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
     }
   }
 
-  // Each type's rows: gather, one GemmBiasAct, scatter-add into the zeroed
-  // output. Rows of different types are disjoint, so every output element
-  // is 0 + y — the value the composed chain's scatter-into-zeros and Add
-  // passes produce (−0 becomes +0 in both).
-  Tensor out(xv.rows(), out_dim);
+  // One GemmBiasAct per type, reading its x rows and writing its output
+  // rows in place. Each output row is written once, with the value the
+  // composed chain's scatter into zeros and Add passes produce (kernels.h:
+  // no stored value is −0), so the output needs no zero fill.
+  Tensor out = Tensor::Uninitialized(static_cast<int64_t>(types.size()),
+                                     out_dim);
   for (size_t t = 0; t < weights.size(); ++t) {
-    const std::vector<int32_t>& rows = (*rows_by_type)[t];
-    if (rows.empty()) continue;
-    Tensor xt(static_cast<int64_t>(rows.size()), xv.cols());
-    kernels::GatherRows(xv, rows, &xt);
-    Tensor yt(xt.rows(), out_dim);
+    if (by_type->out[t].empty()) continue;
     const float* bias_ptr =
         biases[t].defined() ? biases[t].value().Row(0) : nullptr;
-    kernels::GemmBiasAct(xt, weights[t].value(), bias_ptr,
-                         kernels::Activation::kNone, &yt);
-    kernels::ScatterAddRowsKernel(yt, rows, &out);
+    kernels::GemmBiasAct(xv, weights[t].value(), bias_ptr,
+                         kernels::Activation::kNone, &out, &by_type->In(t),
+                         &by_type->out[t]);
   }
   if (!RecordsTape(inputs)) return MakeResult(std::move(out), {}, nullptr);
 
@@ -222,32 +239,29 @@ Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
   }
   return MakeResult(
       std::move(out), std::move(inputs),
-      [x_impl, w_impls, b_impls, rows_by_type](VarImpl* self) {
+      [x_impl, w_impls, b_impls, by_type](VarImpl* self) {
+        // Type by type, every product reads this type's rows of the output
+        // grad and of x in place. A grad that starts at +0 never becomes
+        // −0, so reading dOut directly gives the bits of the composed
+        // chain's 0 + dOut block.
         for (size_t t = 0; t < w_impls.size(); ++t) {
-          const std::vector<int32_t>& rows = (*rows_by_type)[t];
+          const std::vector<int32_t>& out_rows = by_type->out[t];
+          const std::vector<int32_t>& x_rows = by_type->In(t);
           VarImpl* w = w_impls[t].get();
           VarImpl* b = b_impls[t].get();
-          bool b_grad = b != nullptr && b->requires_grad;
-          if (rows.empty() ||
-              !(x_impl->requires_grad || w->requires_grad || b_grad)) {
-            continue;
-          }
-          // This type's output grad, gathered onto zeros (0 + dOut, as the
-          // composed chain's scatter backward produced it).
-          Tensor dy(static_cast<int64_t>(rows.size()), self->grad.cols());
-          kernels::GatherAddRows(self->grad, rows, &dy);
+          if (out_rows.empty()) continue;
           if (x_impl->requires_grad) {
-            Tensor dx(dy.rows(), x_impl->value.cols());
-            kernels::GemmTransBAdd(dy, w->value, &dx);
-            kernels::ScatterAddRowsKernel(dx, rows, &x_impl->EnsureGrad());
+            // Each dx dot lands in x.grad[x_rows[i]], ascending i.
+            kernels::GemmTransBAdd(self->grad, w->value, &x_impl->EnsureGrad(),
+                                   &out_rows, &x_rows);
           }
           if (w->requires_grad) {
-            // dW = xᵀ·dY over this type's rows, gathered again.
-            Tensor xt(dy.rows(), x_impl->value.cols());
-            kernels::GatherRows(x_impl->value, rows, &xt);
-            kernels::GemmTransAAdd(xt, dy, &w->EnsureGrad());
+            kernels::GemmTransAAdd(x_impl->value, self->grad, &w->EnsureGrad(),
+                                   &x_rows, &out_rows);
           }
-          if (b_grad) kernels::ColSumAdd(dy, &b->EnsureGrad());
+          if (b != nullptr && b->requires_grad) {
+            kernels::ColSumAdd(self->grad, &b->EnsureGrad(), &out_rows);
+          }
         }
       });
 }
@@ -749,13 +763,14 @@ Var AttentionAggregate(const Var& scores, const Var& values,
     *mask = DrawDropoutMask(att->rows(), att->cols(), dropout_p, rng,
                             mask_rows, mask_block_rows);
   }
-  Tensor w = *att;
-  ApplyMask(*mask, &w);
   // Pass 2: weight the value rows per head (and per edge) and aggregate per
   // target node.
   Tensor out(num_nodes, vv.cols());
-  kernels::WeightedScatterAddByGroup(vv, kv_row, w, m, *groups, head_dim,
-                                     &out);
+  {
+    Tensor w;
+    kernels::WeightedScatterAddByGroup(vv, kv_row, Masked(*att, *mask, &w), m,
+                                       *groups, head_dim, &out);
+  }
   // Parent order sets the tape's backward order, so the order in which the
   // layer input's grad takes its V, Q and K terms: with a weight, the
   // composed chain's (values first); without, the one the trained bits
@@ -763,6 +778,7 @@ Var AttentionAggregate(const Var& scores, const Var& values,
   std::vector<Var> inputs = m != nullptr
                                 ? std::vector<Var>{values, scores, edge_weight}
                                 : std::vector<Var>{scores, values};
+  if (!RecordsTape(inputs)) return MakeResult(std::move(out), {}, nullptr);
   auto s_impl = scores.impl();
   auto v_impl = values.impl();
   auto m_impl = edge_weight.impl();
@@ -774,8 +790,8 @@ Var AttentionAggregate(const Var& scores, const Var& values,
        head_dim](VarImpl* self) {
         const Tensor& gout = self->grad;
         // Recompute w = att ⊙ mask (cheaper than keeping both alive).
-        Tensor w_back = *att;
-        ApplyMask(*mask, &w_back);
+        Tensor w;
+        const Tensor& w_back = Masked(*att, *mask, &w);
         // dV and datt read each edge's upstream grad: gout[dst[e]], or with
         // a weight gout[dst[e]]·m[e], formed first and read in edge order.
         const Tensor* g = &gout;

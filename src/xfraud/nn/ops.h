@@ -29,16 +29,22 @@ Var MatMul(const Var& a, const Var& b);
 Var LinearBiasAct(const Var& x, const Var& w, const Var& bias,
                   kernels::Activation act = kernels::Activation::kNone);
 
-/// Typed linear map: row r of x [N,in] goes through
-/// x[r]·weights[types[r]] + biases[types[r]] -> [N,out]. One tape node for
-/// the per-type Q/K/V projections of paper eqs. 2-7, in place of a
-/// per-type IndexRows → LinearBiasAct → ScatterAddRows → Add chain, and
-/// bit-identical to that chain in the forward value and every gradient.
+/// Typed linear map: output row i is x[r]·weights[types[i]] +
+/// biases[types[i]] -> [|types|, out], where r is (*rows)[i] when an
+/// input-row list is given and i itself (so |types| = N) when it is null.
+/// One tape node for the per-type Q/K/V projections of paper eqs. 2-7, in
+/// place of an IndexRows(x, rows) followed by a per-type IndexRows →
+/// LinearBiasAct → ScatterAddRows → Add chain, and bit-identical to that
+/// chain in the forward value and every gradient; the kernels read x's rows
+/// and write the output's in place. x's gradient takes its terms type by
+/// type, ascending i within a type: the chain's order whenever no x row is
+/// read under two types (a row list without repeats, as HeteroConv's).
 /// A bias may be an undefined Var; a type with no rows is skipped (its
 /// parameters get no gradient).
 Var TypedLinear(const Var& x, const std::vector<int32_t>& types,
                 const std::vector<Var>& weights,
-                const std::vector<Var>& biases);
+                const std::vector<Var>& biases,
+                const std::vector<int32_t>* rows = nullptr);
 
 /// The attention scores of paper eq. 8 as one tape node -> [E, H]:
 /// scores[e,h] = scale·(k[kv_row[e]]·w_att_src[src_types[e]] +

@@ -198,6 +198,21 @@ Tensor::Tensor(int64_t rows, int64_t cols, float fill) {
   cols_ = cols;
 }
 
+Tensor Tensor::Uninitialized(int64_t rows, int64_t cols) {
+#if defined(__SANITIZE_ADDRESS__) || !defined(NDEBUG)
+  // Debug and ASan builds fill the block with NaN, so an entry read before
+  // it is written shows up in every bitwise test.
+  return Tensor(rows, cols, std::numeric_limits<float>::quiet_NaN());
+#else
+  const int64_t n = CheckedSize(rows, cols);
+  Tensor t;
+  if (n > 0) t.data_ = AcquireBlock(static_cast<uint64_t>(n), &t.capacity_);
+  t.rows_ = rows;
+  t.cols_ = cols;
+  return t;
+#endif
+}
+
 Tensor::Tensor(int64_t rows, int64_t cols, const std::vector<float>& data)
     : Tensor(rows, cols) {
   XF_CHECK_EQ(static_cast<size_t>(size()), data.size());

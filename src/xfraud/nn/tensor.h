@@ -45,6 +45,11 @@ class Tensor {
   /// All-zeros tensor with the same shape as `like`.
   static Tensor ZerosLike(const Tensor& like);
 
+  /// A rows x cols tensor whose entries are unspecified: for a kernel
+  /// output that writes every entry before anything reads it (a GEMM's C),
+  /// which then skips the zero fill. Debug and ASan builds fill it with NaN.
+  static Tensor Uninitialized(int64_t rows, int64_t cols);
+
   /// Entries drawn i.i.d. from U(-bound, bound).
   static Tensor Uniform(int64_t rows, int64_t cols, float bound,
                         xfraud::Rng* rng);

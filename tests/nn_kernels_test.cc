@@ -159,6 +159,172 @@ TEST(KernelConformance, GemmBiasActZeroInnerDimIsBiasPlusAct) {
   }
 }
 
+// The GEMM family's indexed row operands (kernels.h, "Row operands") vs
+// gather → kernels::reference → scatter, bit for bit. The read indices are
+// out of order and repeat rows; C's rows are out of order, distinct (the
+// forward overwrites them) and interleaved with rows the product never
+// touches; dA's repeat rows. Index lengths hit the 4-row remainder and the
+// 128-row chunk, widths a partial 16-column panel, and k = 0 is covered.
+// Every operand and starting accumulator carries ±0, NaN and ±Inf.
+
+/// `len` row ids below `rows`, in random order, repeats allowed.
+std::vector<int32_t> RandomRows(int64_t len, int64_t rows, Rng* rng) {
+  std::vector<int32_t> idx(static_cast<size_t>(len));
+  for (auto& i : idx) i = static_cast<int32_t>(rng->NextBounded(rows));
+  return idx;
+}
+
+/// `len` distinct row ids below `rows` (>= len), in random order.
+std::vector<int32_t> DistinctRows(int64_t len, int64_t rows, Rng* rng) {
+  std::vector<int32_t> all(static_cast<size_t>(rows));
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int32_t>(i);
+  for (size_t i = all.size(); i > 1; --i) {
+    std::swap(all[i - 1], all[rng->NextBounded(i)]);
+  }
+  all.resize(static_cast<size_t>(len));
+  return all;
+}
+
+Tensor Gathered(const Tensor& t, const std::vector<int32_t>* rows) {
+  if (rows == nullptr) return t;
+  Tensor out(static_cast<int64_t>(rows->size()), t.cols());
+  kernels::GatherRows(t, *rows, &out);
+  return out;
+}
+
+TEST(KernelConformance, IndexedGemmFamilyMatchesGatherReferenceScatter) {
+  const GemmShape kShapes[] = {{1, 3, 5},  {3, 5, 2},   {4, 16, 16},
+                               {7, 33, 19}, {130, 17, 40}, {5, 0, 17},
+                               {6, 8, 0},  {0, 8, 8}};
+  Rng rng(105);
+  for (const GemmShape& s : kShapes) {
+    const int64_t src_rows = s.n / 2 + 3;  // fewer rows than reads: repeats
+    const int64_t dst_rows = s.n + 5;      // rows the product never touches
+    const std::vector<int32_t> reads = RandomRows(s.n, src_rows, &rng);
+    const std::vector<int32_t> reads2 = RandomRows(s.n, src_rows, &rng);
+    const std::vector<int32_t> writes = DistinctRows(s.n, dst_rows, &rng);
+    const std::vector<int32_t> adds = RandomRows(s.n, src_rows, &rng);
+    for (bool index_read : {false, true}) {
+      for (bool index_write : {false, true}) {
+        SCOPED_TRACE("shape " + std::to_string(s.n) + "x" +
+                     std::to_string(s.k) + "x" + std::to_string(s.m) +
+                     (index_read ? ", indexed reads" : "") +
+                     (index_write ? ", indexed writes" : ""));
+        const std::vector<int32_t>* r1 = index_read ? &reads : nullptr;
+        const std::vector<int32_t>* r2 = index_read ? &reads2 : nullptr;
+        const std::vector<int32_t>* w = index_write ? &writes : nullptr;
+        const std::vector<int32_t>* add = index_write ? &adds : nullptr;
+        const int64_t a_rows = index_read ? src_rows : s.n;
+
+        // C = act(A·B + bias), written through w: gather A, reference GEMM,
+        // bias and act per element, then each row onto zeros.
+        Tensor a = SpecialTensor(a_rows, s.k, &rng);
+        Tensor b = SpecialTensor(s.k, s.m, &rng);
+        Tensor bias = SpecialTensor(1, s.m, &rng);
+        if (s.m > 0) bias.At(0, 0) = -0.0f;  // k = 0 must store +0 there
+        Tensor c0 = SpecialTensor(index_write ? dst_rows : s.n, s.m, &rng);
+        for (kernels::Activation act :
+             {kernels::Activation::kNone, kernels::Activation::kRelu}) {
+          for (const float* bias_ptr : {static_cast<const float*>(nullptr),
+                                        static_cast<const float*>(bias.data())}) {
+            Tensor c = c0;
+            kernels::GemmBiasAct(a, b, bias_ptr, act, &c, r1, w);
+            Tensor prod(s.n, s.m);
+            kernels::reference::Gemm(Gathered(a, r1), b, &prod);
+            Tensor want = c0;
+            for (int64_t i = 0; i < s.n; ++i) {
+              float* wrow =
+                  want.Row(w != nullptr ? (*w)[static_cast<size_t>(i)] : i);
+              for (int64_t j = 0; j < s.m; ++j) {
+                float v = prod.At(i, j) +
+                          (bias_ptr != nullptr ? bias_ptr[j] : 0.0f);
+                if (act == kernels::Activation::kRelu) v = v > 0.0f ? v : 0.0f;
+                wrow[j] = 0.0f + v;
+              }
+            }
+            EXPECT_TRUE(c.BitwiseEqual(want))
+                << "GemmBiasAct act=" << static_cast<int>(act)
+                << " bias=" << (bias_ptr != nullptr);
+          }
+        }
+
+        // dA += G·Bᵀ through G's read rows and dA's repeated rows.
+        Tensor g = SpecialTensor(a_rows, s.m, &rng);
+        Tensor bt = SpecialTensor(s.k, s.m, &rng);
+        Tensor da0 = SpecialTensor(index_write ? src_rows : s.n, s.k, &rng);
+        Tensor da = da0;
+        kernels::GemmTransBAdd(g, bt, &da, r1, add);
+        Tensor dots(s.n, s.k);
+        kernels::reference::GemmTransBAdd(Gathered(g, r1), bt, &dots);
+        Tensor da_want = da0;
+        if (add != nullptr) {
+          kernels::ScatterAddRowsKernel(dots, *add, &da_want);
+        } else {
+          da_want.AddInPlace(dots);
+        }
+        EXPECT_TRUE(da.BitwiseEqual(da_want)) << "GemmTransBAdd";
+
+        // dB += Aᵀ·G and gb += colsum(G), reading both row operands through
+        // their own (different) indices.
+        Tensor g2 = SpecialTensor(a_rows, s.m, &rng);
+        Tensor db0 = SpecialTensor(s.k, s.m, &rng);
+        Tensor db = db0;
+        kernels::GemmTransAAdd(a, g2, &db, r1, r2);
+        Tensor db_want = db0;
+        kernels::reference::GemmTransAAdd(Gathered(a, r1), Gathered(g2, r2),
+                                          &db_want);
+        EXPECT_TRUE(db.BitwiseEqual(db_want)) << "GemmTransAAdd";
+
+        Tensor gb0 = SpecialTensor(1, s.m, &rng);
+        Tensor gb = gb0;
+        kernels::ColSumAdd(g2, &gb, r2);
+        Tensor gb_want = gb0;
+        Tensor g2_rows = Gathered(g2, r2);
+        for (int64_t i = 0; i < s.n; ++i) {
+          for (int64_t j = 0; j < s.m; ++j) gb_want.Row(0)[j] += g2_rows.At(i, j);
+        }
+        EXPECT_TRUE(gb.BitwiseEqual(gb_want)) << "ColSumAdd";
+      }
+    }
+  }
+}
+
+TEST(KernelConformance, IndexedGemmFamilyRowOutOfRangeThrows) {
+  // A row id outside [0, rows) of its operand, or an index whose length
+  // disagrees with the other row operand, is a checked error (XF_CHECK:
+  // every build type) in every kernel and for every operand.
+  Rng rng(106);
+  Tensor a = RandomTensor(4, 3, &rng);   // [n, k] rows read
+  Tensor b = RandomTensor(3, 5, &rng);   // [k, m]
+  Tensor g = RandomTensor(4, 5, &rng);   // [n, m] rows read
+  Tensor c(4, 5);
+  Tensor da(4, 3);
+  Tensor db(3, 5);
+  Tensor gb(1, 5);
+  const std::vector<int32_t> ok = {3, 0, 0};
+  for (int32_t bad : {-1, 4}) {
+    SCOPED_TRACE("bad row " + std::to_string(bad));
+    const std::vector<int32_t> idx = {0, bad, 1};
+    EXPECT_THROW(kernels::GemmBiasAct(a, b, nullptr, kernels::Activation::kNone,
+                                      &c, &idx, &ok),
+                 CheckError);
+    EXPECT_THROW(kernels::GemmBiasAct(a, b, nullptr, kernels::Activation::kNone,
+                                      &c, &ok, &idx),
+                 CheckError);
+    EXPECT_THROW(kernels::GemmTransBAdd(g, b, &da, &idx, &ok), CheckError);
+    EXPECT_THROW(kernels::GemmTransBAdd(g, b, &da, &ok, &idx), CheckError);
+    EXPECT_THROW(kernels::GemmTransAAdd(a, g, &db, &idx, &ok), CheckError);
+    EXPECT_THROW(kernels::GemmTransAAdd(a, g, &db, &ok, &idx), CheckError);
+    EXPECT_THROW(kernels::ColSumAdd(g, &gb, &idx), CheckError);
+  }
+  // Three indexed rows against an operand read in order (four rows).
+  EXPECT_THROW(kernels::GemmBiasAct(a, b, nullptr, kernels::Activation::kNone,
+                                    &c, &ok, nullptr),
+               CheckError);
+  EXPECT_THROW(kernels::GemmTransBAdd(g, b, &da, nullptr, &ok), CheckError);
+  EXPECT_THROW(kernels::GemmTransAAdd(a, g, &db, &ok, nullptr), CheckError);
+}
+
 // The gather/scatter kernels against hand-written loops: out[i] = a[idx[i]]
 // (GatherRows), out[idx[r]] += a[r] ascending in r (ScatterAddRowsKernel)
 // and out[i] += g[idx[i]] (GatherAddRows). Widths straddle the vector
@@ -425,6 +591,7 @@ Var ComposedTypedLinear(const Var& x, const std::vector<int32_t>& types,
 TEST(FusedConformance, TypedLinearMatchesComposedBitwise) {
   Rng rng(305);
   const int64_t kRows = 37;
+  const int64_t kXRows = 23;  // x's rows under the row list
   const int64_t kIn = 6;
   const int64_t kOut = 5;
   // Four types: type 1 is bias-free, type 2 has no rows.
@@ -433,14 +600,20 @@ TEST(FusedConformance, TypedLinearMatchesComposedBitwise) {
     t = static_cast<int32_t>(rng.NextBounded(3));
     if (t == 2) t = 3;
   }
-  Tensor xt = RandomTensor(kRows, kIn, &rng);
+  // The row list: out of order, and repeating rows within a type (x row r
+  // is only ever read under type r % 4, so no row is read under two types).
+  std::vector<int32_t> row_list(kRows);
+  for (size_t i = 0; i < row_list.size(); ++i) {
+    row_list[i] = static_cast<int32_t>(
+        4 * rng.NextBounded((kXRows - 1 - types[i]) / 4 + 1) + types[i]);
+  }
+  Tensor upstream = RandomTensor(kRows, kOut, &rng);
   std::vector<Tensor> wt;
   std::vector<Tensor> bt;
   for (int t = 0; t < 4; ++t) {
     wt.push_back(RandomTensor(kIn, kOut, &rng));
     bt.push_back(RandomTensor(1, kOut, &rng));
   }
-  Tensor upstream = RandomTensor(kRows, kOut, &rng);
 
   struct Run {
     Var x;
@@ -448,44 +621,67 @@ TEST(FusedConformance, TypedLinearMatchesComposedBitwise) {
     std::vector<Var> biases;
     Var out;
   };
-  // x also feeds a second consumer (Tanh), so the order in which its two
-  // gradient contributions accumulate is compared too.
-  auto run = [&](bool fused, bool x_grad) {
-    Run r;
-    r.x = Var(xt, x_grad);
-    for (int t = 0; t < 4; ++t) {
-      r.weights.emplace_back(wt[static_cast<size_t>(t)], true);
-      r.biases.push_back(t == 1 ? Var()
-                                : Var(bt[static_cast<size_t>(t)], true));
-    }
-    r.out = fused ? TypedLinear(r.x, types, r.weights, r.biases)
-                  : ComposedTypedLinear(r.x, types, r.weights, r.biases);
-    Add(Sum(Mul(r.out, Constant(upstream))), Sum(Tanh(r.x))).Backward();
-    return r;
-  };
+  for (const std::vector<int32_t>* rows :
+       {static_cast<const std::vector<int32_t>*>(nullptr),
+        static_cast<const std::vector<int32_t>*>(&row_list)}) {
+    Tensor xt = RandomTensor(rows != nullptr ? kXRows : kRows, kIn, &rng);
+    // The oracle reads the row list through its own IndexRows node.
+    auto typed = [&](bool fused, Run* r) {
+      if (fused) return TypedLinear(r->x, types, r->weights, r->biases, rows);
+      Var x = rows != nullptr ? IndexRows(r->x, *rows) : r->x;
+      return ComposedTypedLinear(x, types, r->weights, r->biases);
+    };
+    auto make_run = [&](bool x_grad) {
+      Run r;
+      r.x = Var(xt, x_grad);
+      for (int t = 0; t < 4; ++t) {
+        r.weights.emplace_back(wt[static_cast<size_t>(t)], true);
+        r.biases.push_back(t == 1 ? Var()
+                                  : Var(bt[static_cast<size_t>(t)], true));
+      }
+      return r;
+    };
+    // x also feeds a second consumer (Tanh), so the order in which its two
+    // gradient contributions accumulate is compared too.
+    auto run = [&](bool fused, bool x_grad) {
+      Run r = make_run(x_grad);
+      r.out = typed(fused, &r);
+      Add(Sum(Mul(r.out, Constant(upstream))), Sum(Tanh(r.x))).Backward();
+      return r;
+    };
 
-  for (bool x_grad : {true, false}) {
-    Run fused = run(true, x_grad);
-    Run composed = run(false, x_grad);
-    SCOPED_TRACE("x_grad=" + std::to_string(x_grad));
-    EXPECT_TRUE(fused.out.value().BitwiseEqual(composed.out.value()));
-    EXPECT_EQ(fused.x.requires_grad(), x_grad);
-    if (x_grad) {
-      EXPECT_TRUE(fused.x.grad().BitwiseEqual(composed.x.grad()));
+    SCOPED_TRACE(rows != nullptr ? "row list" : "x's own rows");
+    for (bool x_grad : {true, false}) {
+      Run fused = run(true, x_grad);
+      Run composed = run(false, x_grad);
+      SCOPED_TRACE("x_grad=" + std::to_string(x_grad));
+      EXPECT_TRUE(fused.out.value().BitwiseEqual(composed.out.value()));
+      EXPECT_EQ(fused.x.requires_grad(), x_grad);
+      if (x_grad) {
+        EXPECT_TRUE(fused.x.grad().BitwiseEqual(composed.x.grad()));
+      }
+      for (size_t t = 0; t < 4; ++t) {
+        EXPECT_EQ(fused.weights[t].impl()->grad.size(),
+                  composed.weights[t].impl()->grad.size());
+        EXPECT_TRUE(fused.weights[t].impl()->grad.BitwiseEqual(
+            composed.weights[t].impl()->grad))
+            << "W_" << t;
+        if (!fused.biases[t].defined()) continue;
+        EXPECT_TRUE(fused.biases[t].impl()->grad.BitwiseEqual(
+            composed.biases[t].impl()->grad))
+            << "b_" << t;
+      }
+      // The empty type's parameters never get a gradient buffer.
+      EXPECT_EQ(fused.weights[2].impl()->grad.size(), 0);
     }
-    for (size_t t = 0; t < 4; ++t) {
-      EXPECT_EQ(fused.weights[t].impl()->grad.size(),
-                composed.weights[t].impl()->grad.size());
-      EXPECT_TRUE(fused.weights[t].impl()->grad.BitwiseEqual(
-          composed.weights[t].impl()->grad))
-          << "W_" << t;
-      if (!fused.biases[t].defined()) continue;
-      EXPECT_TRUE(fused.biases[t].impl()->grad.BitwiseEqual(
-          composed.biases[t].impl()->grad))
-          << "b_" << t;
-    }
-    // The empty type's parameters never get a gradient buffer.
-    EXPECT_EQ(fused.weights[2].impl()->grad.size(), 0);
+
+    // Under a NoGradGuard: the same value, and no tape.
+    NoGradGuard guard;
+    Run fused = make_run(true);
+    Run composed = make_run(true);
+    Var fused_out = typed(true, &fused);
+    EXPECT_TRUE(fused_out.value().BitwiseEqual(typed(false, &composed).value()));
+    EXPECT_FALSE(fused_out.requires_grad());
   }
 }
 
